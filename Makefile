@@ -1,6 +1,6 @@
 # Convenience targets for the PROP reproduction.
 
-.PHONY: install test bench bench-obs bench-oracle bench-live bench-check monitor-demo prof-demo figures examples report lint analyze analyze-baseline all
+.PHONY: install test bench ledger bench-obs bench-oracle bench-live bench-check monitor-demo prof-demo figures examples report lint analyze analyze-baseline all
 
 # ruff (configured in pyproject.toml) when available; offline images
 # fall back to the dependency-free subset checker in tools/lint.py.
@@ -38,6 +38,12 @@ test:
 
 bench:
 	pytest benchmarks/ --benchmark-only
+
+# The benchmark ledger (benchmarks/ledger/README.md): six workloads, one
+# fresh interpreter each, end-to-end metrics printed by name.
+# WORKLOAD=msgplane_clean runs one of them.
+ledger:
+	python3 benchmarks/ledger/run.py $(if $(WORKLOAD),--workload $(WORKLOAD),)
 
 # Tracing overhead on the Fig. 5 Gnutella workload: NullTracer vs full
 # tracing, best-of-3, written to BENCH_obs.json (docs/observability.md).

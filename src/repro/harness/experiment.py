@@ -517,12 +517,15 @@ def sample_lookup_latency(world: World) -> tuple[float, float]:
     The ratio of the two is the routing stretch of this sample; the
     workload stream is a persistent named RNG, so successive samples see
     fresh-but-reproducible draws and two configs sharing a seed see the
-    *same* query sequence.
+    *same* query sequence.  With ``lookups_per_sample == 0`` there is
+    nothing to sample: both means are NaN and no workload is drawn.
     """
     config = world.config
     overlay = world.overlay
-    rng = world.rngs.stream("lookup-workload")
     k = config.lookups_per_sample
+    if k == 0:
+        return np.nan, np.nan
+    rng = world.rngs.stream("lookup-workload")
     node_delay = world.het.slot_delays(overlay.embedding) if world.het is not None else None
 
     if isinstance(overlay, GnutellaOverlay):

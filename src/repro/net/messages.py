@@ -63,20 +63,40 @@ class Message:
         telemetry size model keeps them out of the payload count; the
         real codec does charge for them — see ``encoded_size``).
         """
-        size = HEADER_BYTES
-        for f in fields(self):
-            if f.name in ("src", "dst", "trace_id", "span_id", "parent_id"):
-                continue  # addressed in the header
-            value = getattr(self, f.name)
-            if isinstance(value, bool):
-                size += 1
-            elif isinstance(value, (int, float)):
-                size += INT_BYTES
-            elif isinstance(value, tuple):
-                size += INT_BYTES * len(value)
-            elif isinstance(value, str):
-                size += len(value)
+        cls = type(self)
+        plan = _SIZE_PLANS.get(cls)
+        if plan is None:
+            plan = _SIZE_PLANS[cls] = _size_plan(cls)
+        size, sized = plan
+        for name, width in sized:
+            size += width * len(getattr(self, name))
         return size
+
+
+#: Bytes per payload field, by declared annotation: a fixed width, or a
+#: width per element for the two kinds sized by length at call time.
+_FIXED_BYTES = {"bool": 1, "int": INT_BYTES, "float": INT_BYTES}
+_ELEMENT_BYTES = {"str": 1, "tuple[int, ...]": INT_BYTES}
+
+_SizePlan = tuple[int, tuple[tuple[str, int], ...]]
+#: Message class -> plan, filled on a class's first ``size_bytes()``.
+_SIZE_PLANS: dict[type, _SizePlan] = {}
+
+
+def _size_plan(cls: type[Message]) -> _SizePlan:
+    """``(fixed bytes, ((sized field, bytes per element), ...))`` for
+    ``cls``, read once from the declared field types instead of
+    reflecting over ``fields()`` and the values on every send."""
+    fixed = HEADER_BYTES
+    sized: list[tuple[str, int]] = []
+    for f in fields(cls):
+        if f.name in ("src", "dst", "trace_id", "span_id", "parent_id"):
+            continue  # addressed in the header
+        if f.type in _FIXED_BYTES:
+            fixed += _FIXED_BYTES[f.type]
+        else:
+            sized.append((f.name, _ELEMENT_BYTES[f.type]))
+    return fixed, tuple(sized)
 
 
 @dataclass(frozen=True)

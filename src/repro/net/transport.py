@@ -73,9 +73,9 @@ class TransportStats:
     def record_send(self, msg: Message) -> None:
         self.sent[msg.type_name] += 1
         self.bytes_sent += msg.size_bytes()
-        self.in_flight += 1
-        if self.in_flight > self.max_in_flight:
-            self.max_in_flight = self.in_flight
+        in_flight = self.in_flight = self.in_flight + 1
+        if in_flight > self.max_in_flight:
+            self.max_in_flight = in_flight
 
     def record_delivery(self, msg: Message) -> None:
         self.delivered[msg.type_name] += 1
@@ -171,30 +171,33 @@ class SimTransport:
     def send(self, msg: Message, extra_delay_ms: float = 0.0) -> None:
         """Deliver ``msg`` after ``d(src, dst) * scale + extra`` ms."""
         self.stats.record_send(msg)
-        if self.tracer.enabled:
-            self.tracer.emit(MsgSendEvent, mtype=msg.type_name, src=msg.src,
-                             dst=msg.dst, tag=trace_tag(msg))
+        tracer = self.tracer
+        if tracer.enabled:
+            tracer.emit(MsgSendEvent, mtype=msg.type_name, src=msg.src,
+                        dst=msg.dst, tag=trace_tag(msg))
             if msg.span_id >= 0:
                 # the in-flight span: open at send, closed at delivery
-                self.tracer.emit(SpanStartEvent, trace=msg.trace_id,
-                                 span=msg.span_id, parent=msg.parent_id,
-                                 name=f"msg:{msg.type_name}", node=msg.src)
+                tracer.emit(SpanStartEvent, trace=msg.trace_id,
+                            span=msg.span_id, parent=msg.parent_id,
+                            name=f"msg:{msg.type_name}", node=msg.src)
         latency_ms = self.overlay.latency(msg.src, msg.dst) * self.latency_scale
         self.sim.schedule((latency_ms + extra_delay_ms) * _MS, self._deliver, msg)
 
     def _deliver(self, msg: Message) -> None:
         self.stats.record_delivery(msg)
-        if self.tracer.enabled:
-            self.tracer.emit(MsgDeliverEvent, mtype=msg.type_name, src=msg.src,
-                             dst=msg.dst, tag=trace_tag(msg))
+        tracer = self.tracer
+        tracing = tracer.enabled
+        if tracing:
+            tracer.emit(MsgDeliverEvent, mtype=msg.type_name, src=msg.src,
+                        dst=msg.dst, tag=trace_tag(msg))
         handler = self._handlers.get(msg.dst)
         if handler is not None:
             handler(msg)
         # the message span closes after the handler consumed it, so the
         # handler's own proc span is on the books before a span-tree
         # assembler can see this trace's open-span count reach zero
-        if self.tracer.enabled and msg.span_id >= 0:
-            self.tracer.emit(SpanEndEvent, trace=msg.trace_id,
-                             span=msg.span_id, status="ok")
+        if tracing and msg.span_id >= 0:
+            tracer.emit(SpanEndEvent, trace=msg.trace_id,
+                        span=msg.span_id, status="ok")
         if self.tap is not None:
             self.tap(msg)

@@ -14,6 +14,7 @@ uses.
 
 from __future__ import annotations
 
+from math import inf
 from typing import Any, Callable
 
 from repro.netsim.clock import Clock
@@ -98,13 +99,13 @@ class Simulator:
         """Run ``callback(*args)`` after ``delay >= 0`` seconds."""
         if delay < 0.0:
             raise ValueError(f"delay must be non-negative, got {delay}")
-        return self.queue.push(self.now + delay, callback, *args)
+        return self.queue.push_args(self.clock.now + delay, callback, args)
 
     def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> EventHandle:
         """Run ``callback(*args)`` at absolute time ``time >= now``."""
-        if time < self.now:
+        if time < self.clock.now:
             raise ValueError(f"cannot schedule at {time}, now is {self.now}")
-        return self.queue.push(time, callback, *args)
+        return self.queue.push_args(time, callback, args)
 
     def every(self, period: float, callback: Callable[[], None]) -> PeriodicProcess:
         """Start a periodic process firing every ``period`` seconds."""
@@ -112,29 +113,29 @@ class Simulator:
 
     # -- execution ------------------------------------------------------
 
+    def _run_due(self, t: float, limit: int | None) -> int:
+        """Execute the events due at or before ``t``, at most ``limit``
+        of them; the one unprofiled dispatch loop."""
+        executed = 0
+        pop_due = self.queue.pop_due
+        advance_to = self.clock.advance_to
+        while executed != limit and (ev := pop_due(t)) is not None:
+            advance_to(ev.time)
+            self.events_executed += 1
+            executed += 1
+            ev.callback(*ev.args)
+        return executed
+
     def step(self) -> bool:
         """Execute the next event.  Returns ``False`` when queue is empty."""
-        if not self.queue:
-            return False
-        ev = self.queue.pop()
-        self.clock.advance_to(ev.time)
-        self.events_executed += 1
-        ev.callback(*ev.args)
-        return True
+        return self._run_due(inf, 1) == 1
 
     def run(self, max_events: int | None = None) -> int:
         """Run until the queue drains (or ``max_events`` fire).
 
         Returns the number of events executed by this call.
         """
-        executed = 0
-        while self.queue:
-            if max_events is not None and executed >= max_events:
-                break
-            if not self.step():
-                break
-            executed += 1
-        return executed
+        return self._run_due(inf, None if max_events is None else max(max_events, 0))
 
     def run_until(self, t: float) -> int:
         """Run every event with timestamp ``<= t`` then set the clock to ``t``.
@@ -146,40 +147,33 @@ class Simulator:
         prof = self.profiler
         if prof is not None:
             return self._run_until_profiled(t, prof)
-        executed = 0
-        while True:
-            nxt = self.queue.peek_time()
-            if nxt is None or nxt > t:
-                break
-            self.step()
-            executed += 1
+        executed = self._run_due(t, None)
         self.clock.advance_to(t)
         return executed
 
     def _run_until_profiled(self, t: float, prof: Any) -> int:
         """``run_until`` with the dispatch loop bracketed for attribution.
 
-        The dispatch body is inlined (rather than calling :meth:`step`)
-        so the per-event bracket encloses exactly the callback plus the
-        pop/advance bookkeeping it shares the loop with; everything
-        else in the window (peek, loop overhead) lands in the
-        profiler's ``untracked`` residual.
+        Same loop, same :meth:`EventQueue.pop_due` primitive; the
+        per-event bracket encloses the pop (corpse skipping included),
+        the clock advance and the callback.  Everything else in the
+        window (loop overhead, the final pop that finds nothing due)
+        lands in the profiler's ``untracked`` residual.
         """
         prof.begin_window()
         executed = 0
-        queue = self.queue
-        clock = self.clock
+        pop_due = self.queue.pop_due
+        advance_to = self.clock.advance_to
         while True:
-            nxt = queue.peek_time()
-            if nxt is None or nxt > t:
-                break
             prof.begin_event()
-            ev = queue.pop()
-            clock.advance_to(ev.time)
+            ev = pop_due(t)
+            if ev is None:
+                break
+            advance_to(ev.time)
             self.events_executed += 1
             ev.callback(*ev.args)
             prof.end_event(ev.callback, ev.args)
             executed += 1
-        clock.advance_to(t)
+        advance_to(t)
         prof.end_window(self)
         return executed

@@ -16,21 +16,29 @@ relies on:
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from math import inf
 from typing import Any, Callable
 
 __all__ = ["Event", "EventHandle", "EventQueue"]
 
 
-@dataclass(order=True)
+@dataclass(slots=True, eq=False)
 class Event:
-    """A scheduled callback.  Ordered by ``(time, seq)``."""
+    """A scheduled callback.  Ordered by ``(time, seq)``.
+
+    A plain record: the heap holds ``(time, seq, event)`` tuples, so
+    sifting compares floats and ints in C and never reaches ``__lt__``.
+    """
 
     time: float
     seq: int
-    callback: Callable[..., None] = field(compare=False)
-    args: tuple[Any, ...] = field(compare=False, default=())
-    cancelled: bool = field(compare=False, default=False)
+    callback: Callable[..., None]
+    args: tuple[Any, ...] = ()
+    cancelled: bool = False
+
+    def __lt__(self, other: "Event") -> bool:
+        return (self.time, self.seq) < (other.time, other.seq)
 
 
 class EventHandle:
@@ -56,18 +64,21 @@ class EventHandle:
 
     def cancel(self) -> bool:
         """Mark the event dead.  Returns ``True`` if it was still live."""
-        if self._event.cancelled:
+        ev = self._event
+        if ev.cancelled:
             return False
-        self._event.cancelled = True
-        self._queue._on_cancel()
+        ev.cancelled = True
+        queue = self._queue
+        queue._live -= 1
+        queue.cancels += 1
         return True
 
 
 class EventQueue:
-    """Min-heap agenda of :class:`Event` objects."""
+    """Min-heap agenda of :class:`Event` objects, keyed ``(time, seq)``."""
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, Event]] = []
         self._seq = 0
         self._live = 0
         #: Cumulative telemetry counters (never reset; the profiling
@@ -91,45 +102,67 @@ class EventQueue:
 
     def push(self, time: float, callback: Callable[..., None], *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute time ``time``."""
+        return self.push_args(time, callback, args)
+
+    def push_args(self, time: float, callback: Callable[..., None],
+                  args: tuple[Any, ...]) -> EventHandle:
+        """:meth:`push` with the arguments already packed (what the
+        simulator's ``schedule*`` call, sparing a re-pack per event)."""
         if time < 0.0:
             raise ValueError(f"cannot schedule event at negative time {time}")
-        ev = Event(time=float(time), seq=self._seq, callback=callback, args=args)
-        self._seq += 1
+        time = float(time)
+        seq = self._seq
+        ev = Event(time, seq, callback, args)
+        self._seq = seq + 1
         self._live += 1
         self.pushes += 1
-        heapq.heappush(self._heap, ev)
+        heapq.heappush(self._heap, (time, seq, ev))
         return EventHandle(ev, self)
 
     def peek_time(self) -> float | None:
         """Time of the next live event, or ``None`` when empty."""
-        self._drop_dead()
-        return self._heap[0].time if self._heap else None
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)
+        return heap[0][0] if heap else None
+
+    def pop_due(self, t: float) -> Event | None:
+        """Remove and return the next live event due at or before ``t``.
+
+        Returns ``None`` when no live event has ``time <= t``.  Corpses
+        met at the head are discarded on the way.  The popped event is
+        marked dead so a late ``cancel()`` through a retained handle is
+        a no-op instead of corrupting the live count.
+        """
+        heap = self._heap
+        while heap:
+            time, _, ev = heap[0]
+            if ev.cancelled:
+                heapq.heappop(heap)
+                continue
+            if time > t:
+                return None
+            heapq.heappop(heap)
+            self._live -= 1
+            self.pops += 1
+            ev.cancelled = True
+            return ev
+        return None
 
     def pop(self) -> Event:
         """Remove and return the next live event.
 
-        Raises :class:`IndexError` when no live events remain.  The
-        popped event is marked dead so a late ``cancel()`` through a
-        retained handle is a no-op instead of corrupting the live count.
+        Raises :class:`IndexError` when no live events remain.
         """
-        self._drop_dead()
-        if not self._heap:
+        ev = self.pop_due(inf)
+        if ev is None:
             raise IndexError("pop from empty EventQueue")
-        ev = heapq.heappop(self._heap)
-        self._live -= 1
-        self.pops += 1
-        ev.cancelled = True
         return ev
 
     def clear(self) -> None:
+        """Drop every event; retained handles see theirs as no longer
+        pending, exactly as after :meth:`pop`."""
+        for _, _, ev in self._heap:
+            ev.cancelled = True
         self._heap.clear()
         self._live = 0
-
-    def _on_cancel(self) -> None:
-        self._live -= 1
-        self.cancels += 1
-
-    def _drop_dead(self) -> None:
-        heap = self._heap
-        while heap and heap[0].cancelled:
-            heapq.heappop(heap)

@@ -166,7 +166,7 @@ class Overlay:
     def latency(self, a: int, b: int) -> float:
         """Physical latency (ms) between the hosts at slots ``a`` and ``b``."""
         emb = self.embedding
-        return self.oracle.between(int(emb[a]), int(emb[b]))
+        return self.oracle.between(emb.item(a), emb.item(b))
 
     def latencies_from(self, slot: int, others: Iterable[int]) -> np.ndarray:
         """Vector of latencies from ``slot`` to each slot in ``others``."""

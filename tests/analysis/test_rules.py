@@ -108,13 +108,10 @@ class TestKnownBadFixtures:
 
 
 class TestDispatchMutation:
-    """The ISSUE's acceptance check: deleting one dispatch arm from a
-    copy of the real engine makes D4 fire."""
+    """The ISSUE's acceptance check: deleting one entry of the real
+    engine's ``{MessageClass: handler}`` dispatch table makes D4 fire."""
 
-    ARM = (
-        "            elif isinstance(msg, ExchangeCommit):\n"
-        "                self._on_commit(msg)\n"
-    )
+    ARM = "            ExchangeCommit: self._on_commit,\n"
 
     def test_deleting_a_dispatch_arm_breaks_d4(self, tmp_path):
         src_net = REPO / "src" / "repro" / "net"

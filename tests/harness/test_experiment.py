@@ -128,6 +128,23 @@ class TestRunExperiment:
         assert np.all(np.isnan(r.lookup_latency))
         assert np.all(np.isfinite(r.link_stretch))
 
+    @pytest.mark.parametrize("overlay_kind", ["gnutella", "chord"])
+    def test_zero_lookups_per_sample_is_warning_free(self, overlay_kind):
+        """Nothing to sample: no empty-slice means, series stay NaN."""
+        import warnings
+
+        cfg = ExperimentConfig(
+            overlay_kind=overlay_kind, prop=PROPConfig(),
+            **{**FAST, "lookups_per_sample": 0},
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = run_experiment(cfg)
+        assert np.all(np.isnan(r.lookup_latency))
+        assert np.all(np.isnan(r.stretch))
+        assert np.all(np.isfinite(r.link_stretch))
+        assert r.probes[-1] > 0
+
     def test_churn_world_runs(self):
         from repro.workloads.churn import ChurnConfig
 

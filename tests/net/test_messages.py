@@ -1,8 +1,11 @@
 """Message grammar: immutability, tags, and the wire-size model."""
 
 import dataclasses
+from typing import get_type_hints
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net.messages import (
     HEADER_BYTES,
@@ -11,6 +14,7 @@ from repro.net.messages import (
     ExchangeAbort,
     ExchangeCommit,
     ExchangePrepare,
+    Message,
     Notify,
     VarProbe,
     VarReply,
@@ -57,3 +61,51 @@ def test_size_counts_scalars_and_strings():
     assert commit.size_bytes() == HEADER_BYTES + INT_BYTES  # xid only
     abort = ExchangeAbort(src=1, dst=0, xid=9, reason="busy")
     assert abort.size_bytes() == HEADER_BYTES + INT_BYTES + len("busy")
+
+
+def reflective_size_bytes(msg: Message) -> int:
+    """The original ``size_bytes``: reflect over the dataclass fields and
+    size each *value* by its runtime type.  Kept as the reference the
+    per-class plan (built from the *declared* types) must agree with."""
+    size = HEADER_BYTES
+    for f in dataclasses.fields(msg):
+        if f.name in ("src", "dst", "trace_id", "span_id", "parent_id"):
+            continue  # addressed in the header
+        value = getattr(msg, f.name)
+        if isinstance(value, bool):
+            size += 1
+        elif isinstance(value, (int, float)):
+            size += INT_BYTES
+        elif isinstance(value, tuple):
+            size += INT_BYTES * len(value)
+        elif isinstance(value, str):
+            size += len(value)
+    return size
+
+
+_BY_HINT = {
+    bool: st.booleans(),
+    int: st.integers(-(2**62), 2**62),
+    float: st.floats(allow_nan=True, allow_infinity=True),
+    str: st.text(max_size=12),
+    tuple[int, ...]: st.lists(st.integers(-(2**31), 2**31), max_size=8).map(tuple),
+}
+
+
+def _instances(cls: type[Message]) -> st.SearchStrategy[Message]:
+    hints = get_type_hints(cls)
+    return st.builds(cls, **{f.name: _BY_HINT[hints[f.name]] for f in dataclasses.fields(cls)})
+
+
+_CLASS_OF = {cls.type_name: cls for cls in Message.__subclasses__()}
+
+
+@pytest.mark.parametrize("type_name", MSG_TYPES)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_size_plan_equals_reflective_definition(type_name, data):
+    """Every grammar class, every declared payload kind — ``bool``,
+    ``float`` (NaN/inf included), empty tuples and strings — sizes the
+    same through the cached per-class plan as through reflection."""
+    msg = data.draw(_instances(_CLASS_OF[type_name]))
+    assert msg.size_bytes() == reflective_size_bytes(msg)

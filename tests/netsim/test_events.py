@@ -133,6 +133,51 @@ def test_clear_resets():
     assert q.peek_time() is None
 
 
+def test_cancel_after_clear_is_noop():
+    """A handle retained across ``clear()`` cannot corrupt the live count.
+
+    Regression: cleared events stayed un-cancelled, so a late ``cancel()``
+    drove ``_live`` to -1 — ``len(q)`` raised, and after the next push
+    the queue read as empty with a live event heaped, which
+    ``Simulator.run()``/``step()`` then skipped.
+    """
+    q = EventQueue()
+    h = q.push(1.0, lambda: None)
+    q.clear()
+    assert not h.pending
+    assert h.cancel() is False
+    assert len(q) == 0
+    q.push(2.0, lambda: None)
+    assert len(q) == 1
+    assert q
+    assert q.pop().time == 2.0
+
+
+def test_pop_due_respects_the_horizon():
+    q = EventQueue()
+    dead = q.push(1.0, lambda: None)
+    q.push(2.0, lambda: None)
+    q.push(5.0, lambda: None)
+    dead.cancel()
+    assert q.pop_due(1.5) is None
+    assert q.heap_size == 2  # the cancelled head was discarded on the way
+    assert q.pop_due(2.0).time == 2.0  # due *at* t counts
+    assert q.pop_due(4.9) is None
+    assert len(q) == 1
+    assert (q.pushes, q.pops, q.cancels) == (3, 1, 1)
+
+
+def test_events_order_by_time_then_seq():
+    q = EventQueue()
+    q.push(2.0, lambda: None)
+    q.push(1.0, lambda: None)
+    q.push(1.0, lambda: None)
+    a, b, c = (q.pop() for _ in range(3))
+    assert [(ev.time, ev.seq) for ev in (a, b, c)] == [(1.0, 1), (1.0, 2), (2.0, 0)]
+    assert a < b < c  # the Event ordering contract, off the heap too
+    assert sorted([c, b, a]) == [a, b, c]
+
+
 def test_args_carried():
     q = EventQueue()
     q.push(1.0, lambda a, b: None, 1, 2)

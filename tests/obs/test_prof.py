@@ -56,6 +56,15 @@ class TestPartitionInvariant:
         assert prof.untracked_ns >= 0
         assert sum(prof.categories.values()) + prof.untracked_ns == prof.total_ns
 
+    def test_every_pop_is_one_bracketed_event(self):
+        """Both loops take events from ``EventQueue.pop_due`` only, so
+        the profiler's event count, the per-category counts of the
+        dispatch categories and the queue's own pop counter agree."""
+        prof = _profile()
+        dispatched = sum(n for cat, n in prof.counts.items()
+                         if cat not in ("build", "sample"))
+        assert prof.events == dispatched == prof.heap["pops"]
+
     def test_profile_covers_dispatch_and_stage_categories(self):
         prof = _profile()
         assert prof.events > 0
@@ -132,6 +141,46 @@ class TestQueueCounters:
         assert q.pops == 1
         assert q.cancels == 1
         assert q.heap_size >= len(q)
+
+
+class TestLoopParity:
+    """``run_until`` and ``_run_until_profiled`` are the same loop over
+    the same pop-due primitive; only the brackets differ."""
+
+    @staticmethod
+    def _scripted(profiler):
+        sim = Simulator()
+        sim.profiler = profiler
+        fired = []
+
+        def chain(tag, left):
+            fired.append((sim.now, tag))
+            if left:
+                sim.schedule(0.0, chain, tag + "'", left - 1)  # same timestamp
+
+        doomed = sim.schedule(1.0, fired.append, "doomed")  # a corpse at the head
+        for tag in "abc":
+            sim.schedule(2.0, chain, tag, 2)
+        sim.schedule(2.0, doomed.cancel)  # late cancel: already dead by then
+        sim.schedule(9.0, fired.append, "beyond")
+        doomed.cancel()
+        counts = [sim.run_until(t) for t in (0.5, 2.0, 2.0, 5.0)]
+        q = sim.queue
+        return fired, counts, sim.now, sim.events_executed, (
+            q.pushes, q.pops, q.cancels, len(q), q.heap_size)
+
+    def test_profiled_and_plain_loops_agree(self):
+        prof = KernelProfiler()
+        plain = self._scripted(None)
+        assert self._scripted(prof) == plain
+        fired, counts, now, executed, queue = plain
+        assert [tag for _, tag in fired] == [
+            "a", "b", "c", "a'", "b'", "c'", "a''", "b''", "c''"]
+        assert counts == [0, 10, 0, 0] and now == 5.0 and executed == 10
+        assert queue == (12, 10, 1, 1, 1)
+        profile = prof.finish()
+        assert profile.events == 10 and profile.windows == 4
+        assert sum(profile.categories.values()) + profile.untracked_ns == profile.total_ns
 
 
 class TestExports:

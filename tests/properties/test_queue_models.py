@@ -14,42 +14,68 @@ from repro.core.neighbor_queue import NeighborQueue
 from repro.netsim.events import EventQueue
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_event_queue_matches_sorted_list_model(data):
+    """Random push / cancel / pop / pop-due / peek sequences against a
+    sorted list of ``(time, uid)``.
+
+    Times come from a five-value grid so most sequences hold several
+    events at one timestamp: the model's ``(time, uid)`` order *is*
+    insertion order there, which is what the determinism bridge needs
+    from the heap's ``(time, seq)`` key.
+    """
     q = EventQueue()
-    model: list[tuple[float, int]] = []  # (time, uid) sorted lazily
+    model: list[tuple[float, int]] = []  # live events, kept sorted
     handles = {}
     uid = 0
     fired: list[int] = []
+    pushes = pops = cancels = 0
+
+    def fire_expected(ev):
+        nonlocal pops
+        ev.callback(*ev.args)
+        expected = model.pop(0)
+        pops += 1
+        assert (ev.time, fired[-1]) == expected
 
     n_ops = data.draw(st.integers(1, 60))
     for _ in range(n_ops):
-        op = data.draw(st.sampled_from(["push", "pop", "cancel", "peek"]))
+        op = data.draw(st.sampled_from(["push", "pop", "pop_due", "cancel", "peek"]))
         if op == "push":
-            t = data.draw(st.floats(0.0, 100.0, allow_nan=False))
-            this = uid
-            uid += 1
-            handles[this] = q.push(t, fired.append, this)
-            model.append((t, this))
+            t = data.draw(st.sampled_from([0.0, 1.0, 2.5, 2.5 + 1e-9, 100.0]))
+            handles[uid] = q.push(t, fired.append, uid)
+            model.append((t, uid))
             model.sort()
+            uid += 1
+            pushes += 1
         elif op == "pop":
             if model:
-                ev = q.pop()
-                ev.callback(*ev.args)
-                expected = model.pop(0)
-                assert fired[-1] == expected[1]
-                assert ev.time == expected[0]
+                fire_expected(q.pop())
             else:
                 assert len(q) == 0
-        elif op == "cancel" and model:
-            idx = data.draw(st.integers(0, len(model) - 1))
-            t, which = model.pop(idx)
-            assert handles[which].cancel() is True
+        elif op == "pop_due":
+            t = data.draw(st.sampled_from([0.0, 1.0, 2.5, 50.0, 100.0]))
+            ev = q.pop_due(t)
+            if model and model[0][0] <= t:
+                fire_expected(ev)
+            else:
+                assert ev is None
+        elif op == "cancel" and handles:
+            which = data.draw(st.sampled_from(sorted(handles)))
+            live = any(u == which for _, u in model)
+            assert handles[which].pending is live
+            assert handles[which].cancel() is live  # fired or cancelled: no-op
+            if live:
+                model[:] = [(t, u) for t, u in model if u != which]
+                cancels += 1
         elif op == "peek":
             expected = model[0][0] if model else None
             assert q.peek_time() == expected
         assert len(q) == len(model)
+        assert bool(q) is bool(model)
+        assert (q.pushes, q.pops, q.cancels) == (pushes, pops, cancels)
+        assert q.heap_size >= len(model)
 
 
 @settings(max_examples=60, deadline=None)

@@ -504,11 +504,13 @@ _ABSORBED_RE = re.compile(r"#\s*reprolint:\s*D4-absorbed:\s*([A-Za-z0-9_,\s]+)")
 class HandlerExhaustiveness(Rule):
     """D4: the engine dispatch covers exactly the exported message grammar.
 
-    Every concrete message class in ``repro.net.messages`` must have an
-    ``isinstance`` dispatch arm in ``repro.net.engine``'s ``_on_message``
-    (or an explicit ``# reprolint: D4-absorbed: Name`` marker for
-    messages deliberately absorbed), and every dispatch arm must name a
-    real exported message — no dead handlers.
+    Every concrete message class in ``repro.net.messages`` must have a
+    dispatch arm in ``repro.net.engine`` — a key of the
+    ``{MessageClass: handler}`` table ``_on_message`` looks ``type(msg)``
+    up in, or an ``isinstance`` test inside ``_on_message`` — or an
+    explicit ``# reprolint: D4-absorbed: Name`` marker for messages
+    deliberately absorbed, and every dispatch arm must name a real
+    exported message — no dead handlers.
     """
 
     id = "D4"
@@ -518,6 +520,7 @@ class HandlerExhaustiveness(Rule):
     MESSAGES_MODULE = "repro.net.messages"
     ENGINE_MODULE = "repro.net.engine"
     DISPATCHER = "_on_message"
+    DISPATCH_TABLE = "_dispatch"
     BASE_CLASS = "Message"
 
     def check_project(self, project: Project) -> Iterator[Finding]:
@@ -533,7 +536,7 @@ class HandlerExhaustiveness(Rule):
                 f"no `{self.DISPATCHER}` dispatcher found for the message grammar",
             )
             return
-        handled = self._handled_names(dispatcher)
+        handled = {**self._handled_names(dispatcher), **self._table_names(engine)}
         absorbed = self._absorbed_names(engine)
         for name in sorted(required):
             if name not in handled and name not in absorbed:
@@ -590,6 +593,23 @@ class HandlerExhaustiveness(Rule):
                 qn = _qualname(c)
                 if qn:
                     handled[qn.rpartition(".")[2]] = node
+        return handled
+
+    def _table_names(self, mod: ModuleInfo) -> dict[str, ast.AST]:
+        """Keys of every dict literal assigned to the dispatch table."""
+        handled: dict[str, ast.AST] = {}
+        for node in ast.walk(mod.tree):
+            if not (isinstance(node, (ast.Assign, ast.AnnAssign))
+                    and isinstance(node.value, ast.Dict)):
+                continue
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if not any((_qualname(t) or "").rpartition(".")[2] == self.DISPATCH_TABLE
+                       for t in targets):
+                continue
+            for key in node.value.keys:
+                qn = _qualname(key) if key is not None else None
+                if qn:
+                    handled[qn.rpartition(".")[2]] = key
         return handled
 
     def _absorbed_names(self, mod: ModuleInfo) -> set[str]:
