@@ -158,9 +158,10 @@ class PhysicalNetwork:
         rows = np.concatenate([u, v])
         cols = np.concatenate([v, u])
         mat = sparse.coo_matrix((data, (rows, cols)), shape=(self.n, self.n))
-        # Duplicate (u, v) entries would be summed by COO->CSR conversion,
-        # corrupting latencies; generation guarantees uniqueness but guard
-        # hand-built networks too by taking the minimum duplicate.
+        # COO->CSR conversion *adds* the weights of a repeated edge, in
+        # either orientation, which would corrupt its latency: generation
+        # guarantees uniqueness and validate() rejects repeats in
+        # hand-built networks.
         mat.sum_duplicates()
         return mat.tocsr()
 
@@ -168,11 +169,15 @@ class PhysicalNetwork:
         """Check structural invariants; raises ``ValueError`` on violation."""
         if self.edges_u.shape != self.edges_v.shape or self.edges_u.shape != self.edges_w.shape:
             raise ValueError("edge arrays must have identical shapes")
-        if self.n_edges and (self.edges_u.min() < 0
+        if self.n_edges and (min(self.edges_u.min(), self.edges_v.min()) < 0
                              or max(self.edges_u.max(), self.edges_v.max()) >= self.n):
             raise ValueError("edge endpoint out of range")
         if np.any(self.edges_u == self.edges_v):
             raise ValueError("self-loop in physical network")
+        lo = np.minimum(self.edges_u, self.edges_v).astype(np.int64)
+        hi = np.maximum(self.edges_u, self.edges_v).astype(np.int64)
+        if np.unique(lo * self.n + hi).size != self.n_edges:
+            raise ValueError("repeated undirected edge in physical network")
         if np.any(self.edges_w <= 0):
             raise ValueError("non-positive link latency")
         if self.tier.shape != (self.n,) or self.domain.shape != (self.n,):

@@ -181,3 +181,34 @@ class TestGeneration:
         )
         with pytest.raises(ValueError):
             bad.validate()
+
+    @pytest.mark.parametrize(
+        "u, v", [([0, 0], [1, 1]), ([0, 1], [1, 0])], ids=["same-orientation", "reversed"]
+    )
+    def test_validate_catches_repeated_edge(self, u, v):
+        """adjacency() would add the two weights (10 / 14 ms for a 5 ms link)."""
+        net = _net()
+        bad = PhysicalNetwork(
+            n=net.n,
+            edges_u=np.array(u),
+            edges_v=np.array(v),
+            edges_w=np.array([5.0, 9.0]),
+            tier=net.tier,
+            domain=net.domain,
+        )
+        assert bad.adjacency()[0, 1] == 14.0  # the corruption validate() guards
+        with pytest.raises(ValueError, match="repeated"):
+            bad.validate()
+
+    def test_validate_catches_negative_v_endpoint(self):
+        net = _net()
+        bad = PhysicalNetwork(
+            n=net.n,
+            edges_u=np.array([0]),
+            edges_v=np.array([-1]),
+            edges_w=np.array([5.0]),
+            tier=net.tier,
+            domain=net.domain,
+        )
+        with pytest.raises(ValueError, match="out of range"):
+            bad.validate()
