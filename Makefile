@@ -1,6 +1,6 @@
 # Convenience targets for the PROP reproduction.
 
-.PHONY: install test bench ledger bench-obs bench-oracle bench-live bench-check monitor-demo prof-demo figures examples report lint analyze analyze-baseline all
+.PHONY: install test bench ledger pairs bench-obs bench-oracle bench-live bench-check monitor-demo prof-demo figures examples report lint analyze analyze-baseline all
 
 # ruff (configured in pyproject.toml) when available; offline images
 # fall back to the dependency-free subset checker in tools/lint.py.
@@ -44,6 +44,15 @@ bench:
 # WORKLOAD=msgplane_clean runs one of them.
 ledger:
 	python3 benchmarks/ledger/run.py $(if $(WORKLOAD),--workload $(WORKLOAD),)
+
+# Alternating parent/change pairs of one workload, the form a gain may
+# be claimed on: `make pairs WORKLOAD=fig6_chord PARENT=HEAD~1 [SEED=0]
+# [N=10]` unpacks PARENT into a temporary directory, runs the unmodified
+# single-run form in each tree (alternating which goes first) and prints
+# medians, quartiles, pairs won and a digest/ok_share equality check.
+pairs:
+	python3 tools/ledger_pairs.py --workload $(WORKLOAD) --parent $(PARENT) \
+		$(if $(SEED),--seed $(SEED),) $(if $(N),--pairs $(N),)
 
 # Tracing overhead on the Fig. 5 Gnutella workload: NullTracer vs full
 # tracing, best-of-3, written to BENCH_obs.json (docs/observability.md).

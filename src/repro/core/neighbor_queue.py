@@ -42,6 +42,9 @@ class NeighborQueue:
         # entry: slot -> (priority, seq); seq breaks ties FIFO
         self._prio: dict[int, tuple[int, int]] = {}
         self._seq = 0
+        #: The neighbor tuple last reconciled by :meth:`sync`, while the
+        #: queue still holds exactly its slots (None otherwise).
+        self._synced: tuple[int, ...] | None = None
         for s in order:
             self._push(s, _PRIO_BASE)
 
@@ -75,9 +78,12 @@ class NeighborQueue:
 
     def on_new_neighbor(self, slot: int) -> None:
         """Churn: a fresh neighbor goes to the very front."""
+        if slot not in self._prio:
+            self._synced = None
         self._push(slot, _PRIO_FRONT)
 
     def remove(self, slot: int) -> None:
+        self._synced = None
         self._prio.pop(slot, None)
 
     def sync(self, neighbors: Iterable[int]) -> None:
@@ -85,7 +91,14 @@ class NeighborQueue:
 
         Departed slots are dropped; new slots enter at the front (they
         are exactly the peers whose latency the node knows least about).
+
+        Handed the very tuple it reconciled last (the overlay returns the
+        same object from ``sorted_neighbors`` until an edge at the slot
+        changes), there is nothing to do: a tuple is immutable, and every
+        membership change made behind ``sync``'s back forgets it.
         """
+        if neighbors is self._synced:
+            return
         current = set(neighbors)
         for s in list(self._prio):
             if s not in current:
@@ -95,6 +108,7 @@ class NeighborQueue:
         for s in sorted(current):
             if s not in self._prio:
                 self._push(s, _PRIO_FRONT)
+        self._synced = neighbors if isinstance(neighbors, tuple) else None
 
     def snapshot(self) -> list[int]:
         """Slots in probe order (for tests and debugging)."""

@@ -140,7 +140,7 @@ class PROPEngine:
         )
         self.nodes: list[NodeState] = []
         for slot in range(overlay.n_slots):
-            queue = NeighborQueue(overlay.neighbor_list(slot), self.rng)
+            queue = NeighborQueue(overlay.sorted_neighbors(slot), self.rng)
             timer = MarkovTimer(config.init_timer, config.max_timer)
             self.nodes.append(NodeState(queue=queue, timer=timer))
         self._jitter = max(0.0, jitter)
@@ -193,7 +193,7 @@ class PROPEngine:
     def _attempt_exchange(self, u: int, state: NodeState) -> bool:
         overlay = self.overlay
         cfg = self.config
-        state.queue.sync(overlay.neighbor_list(u))
+        state.queue.sync(overlay.sorted_neighbors(u))
         if len(state.queue) == 0:
             return False
         s = state.queue.select()
@@ -267,17 +267,17 @@ class PROPEngine:
     def _after_exchange(self, u: int, v: int, moved: list[int] | None = None) -> None:
         """Resynchronize queues of the pair and of every affected neighbor."""
         overlay = self.overlay
-        self.nodes[u].queue.sync(overlay.neighbor_list(u))
-        self.nodes[v].queue.sync(overlay.neighbor_list(v))
+        self.nodes[u].queue.sync(overlay.sorted_neighbors(u))
+        self.nodes[v].queue.sync(overlay.sorted_neighbors(v))
         if moved is None:
             # PROP-G: u and v keep the same *slot* neighbors, but those
             # neighbors now face different hosts — resetting their timers
             # mirrors "notify their neighbors … and recalculate the sums".
-            affected = set(overlay.neighbor_list(u)) | set(overlay.neighbor_list(v))
+            affected = set(overlay.sorted_neighbors(u)) | set(overlay.sorted_neighbors(v))
         else:
             affected = set(moved)
         for w in sorted(affected - {u, v}):
-            self.nodes[w].queue.sync(overlay.neighbor_list(w))
+            self.nodes[w].queue.sync(overlay.sorted_neighbors(w))
 
     # -- churn interface ---------------------------------------------------
 
@@ -290,7 +290,7 @@ class PROPEngine:
         """
         state = self.nodes[slot]
         state.timer.on_churn()
-        state.queue.sync(self.overlay.neighbor_list(slot))
+        state.queue.sync(self.overlay.sorted_neighbors(slot))
         if new_neighbors:
             for s in new_neighbors:
                 if self.overlay.has_edge(slot, s):
@@ -299,9 +299,9 @@ class PROPEngine:
     def reset_slot(self, slot: int) -> None:
         """A new host occupied ``slot`` (churn replacement): restart it."""
         state = self.nodes[slot]
-        state.queue = NeighborQueue(self.overlay.neighbor_list(slot), self.rng)
+        state.queue = NeighborQueue(self.overlay.sorted_neighbors(slot), self.rng)
         state.timer = MarkovTimer(self.config.init_timer, self.config.max_timer)
         state.phase = _WARMUP
         state.trials = 0
-        for w in self.overlay.neighbor_list(slot):
+        for w in self.overlay.sorted_neighbors(slot):
             self.notify_membership_change(w, [slot])

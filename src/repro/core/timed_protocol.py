@@ -64,7 +64,7 @@ class TimedPROPEngine(PROPEngine):
         state = self.nodes[u]
         overlay = self.overlay
         cfg = self.config
-        state.queue.sync(overlay.neighbor_list(u))
+        state.queue.sync(overlay.sorted_neighbors(u))
         if len(state.queue) == 0:
             self.sim.schedule(cfg.init_timer, self._probe_cycle, u)
             return
@@ -94,8 +94,8 @@ class TimedPROPEngine(PROPEngine):
 
         # Collection: each side probes its hypothetical neighbors; the
         # slow side bounds the duration (one RTT to the farthest probe).
-        cand_u = overlay.latencies_from(u, overlay.neighbor_list(v) or [v])
-        cand_v = overlay.latencies_from(v, overlay.neighbor_list(u) or [u])
+        cand_u = overlay.latencies_from(u, overlay.sorted_neighbors(v) or [v])
+        cand_v = overlay.latencies_from(v, overlay.sorted_neighbors(u) or [u])
         collect_ms = 2.0 * max(
             float(cand_u.max()) if cand_u.size else 0.0,
             float(cand_v.max()) if cand_v.size else 0.0,

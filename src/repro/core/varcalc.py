@@ -10,9 +10,11 @@ hypothetical exchange happened.  Section 4.2 shows ``Var > 0`` implies
 the system-wide accumulated latency decreases, so the protocol accepts
 exactly when ``Var > MIN_VAR`` (= 0).
 
-For PROP-G the hypothetical exchange is a full position swap, evaluated
-here by literally swapping the embedding, reading the sums, and swapping
-back (pure O(deg) vectorized reads, no copies of the latency matrix).
+For PROP-G the hypothetical exchange is a full position swap.  It is
+evaluated as a pure read: the "before" sums are the overlay's cached
+per-slot sums, and the "after" sums price each peer's host against the
+other's neighborhood (two O(deg) gathers) — the overlay is never
+written, so a raising oracle cannot leave it half-swapped.
 
 For PROP-O the peers must *choose* which ``m`` neighbors to trade.  The
 paper fixes equal counts but leaves the selection open; we use the
@@ -40,9 +42,18 @@ def evaluate_prop_g(overlay: Overlay, u: int, v: int) -> float:
     if u == v:
         raise ValueError("cannot evaluate a self-exchange")
     before = overlay.neighbor_latency_sum(u) + overlay.neighbor_latency_sum(v)
-    overlay.swap_embedding(u, v)
-    after = overlay.neighbor_latency_sum(u) + overlay.neighbor_latency_sum(v)
-    overlay.swap_embedding(u, v)
+    emb = overlay.embedding
+    h_u, h_v = emb.item(u), emb.item(v)
+    hosts_u = emb[overlay.neighbor_index(u)]  # fancy index: private copies
+    hosts_v = emb[overlay.neighbor_index(v)]
+    if overlay.has_edge(u, v):
+        # after the swap each peer still neighbors the other *slot*, which
+        # then holds its own former host; substituting in place keeps the
+        # summation order of a real swap, hence the same float
+        hosts_u[hosts_u == h_v] = h_u
+        hosts_v[hosts_v == h_u] = h_v
+    oracle = overlay.oracle
+    after = oracle.sum_to(h_v, hosts_u) + oracle.sum_to(h_u, hosts_v)
     return before - after
 
 
@@ -54,7 +65,7 @@ def _tradable(overlay: Overlay, giver: int, taker: int, forbidden: Collection[in
     taker (the move would create a duplicate edge).
     """
     out: list[int] = []
-    for x in overlay.neighbor_list(giver):
+    for x in overlay.sorted_neighbors(giver):
         if x == taker or x in forbidden:
             continue
         if overlay.has_edge(taker, x):

@@ -44,7 +44,7 @@ def random_walk(
     visited = {u, first_hop}
     cur = first_hop
     for _ in range(nhops - 1):
-        options = [x for x in overlay.neighbor_list(cur) if x not in visited]
+        options = [x for x in overlay.sorted_neighbors(cur) if x not in visited]
         if not options:
             break
         cur = options[int(rng.integers(0, len(options)))]

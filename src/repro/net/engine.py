@@ -256,7 +256,7 @@ class MessagePROPEngine(PROPEngine):
             # defer to the next period, counted as a failed attempt
             self._finish_cycle(u, fire, s=None, success=False)
             return
-        state.queue.sync(self.overlay.neighbor_list(u))
+        state.queue.sync(self.overlay.sorted_neighbors(u))
         if len(state.queue) == 0:
             self._finish_cycle(u, fire, s=None, success=False)
             return
@@ -325,7 +325,7 @@ class MessagePROPEngine(PROPEngine):
             # mirror core.walk.random_walk: forward to a random unvisited
             # neighbor, stopping early when there is none
             visited = set(path)
-            options = [x for x in self.overlay.neighbor_list(here) if x not in visited]
+            options = [x for x in self.overlay.sorted_neighbors(here) if x not in visited]
             if options:
                 nxt = options[int(self.rng.integers(0, len(options)))]
                 self._send_walk(
@@ -344,11 +344,11 @@ class MessagePROPEngine(PROPEngine):
         neighbors: tuple[int, ...] = ()
         if ok:
             # the candidate's half of the information collection
-            nbrs = self.overlay.neighbor_list(v)
+            nbrs = self.overlay.sorted_neighbors(v)
             n_pings = len(nbrs) if cfg.policy == "G" else min(self.m, len(nbrs))
             for w in nbrs[:n_pings]:
                 self._send_collect(VarProbe(src=v, dst=w, cycle=cycle))
-            neighbors = tuple(nbrs)
+            neighbors = nbrs
         self._send_collect(
             VarReply(src=v, dst=origin, cycle=cycle, candidate=v, ok=ok,
                      path=path, cand_neighbors=neighbors)
@@ -372,7 +372,7 @@ class MessagePROPEngine(PROPEngine):
         cyc.path = msg.path
         cfg = self.config
         # the initiator's half of the information collection
-        nbrs = self.overlay.neighbor_list(u)
+        nbrs = self.overlay.sorted_neighbors(u)
         n_pings = len(nbrs) if cfg.policy == "G" else min(self.m, len(nbrs))
         for w in nbrs[:n_pings]:
             self._send_collect(VarProbe(src=u, dst=w, cycle=cyc.cycle))
@@ -520,13 +520,13 @@ class MessagePROPEngine(PROPEngine):
                 return
             traded = len(cyc.give_u)
             execute_prop_o(overlay, u, v, list(cyc.give_u), list(cyc.give_v))
-            affected = list(cyc.give_u) + list(cyc.give_v)
+            affected = cyc.give_u + cyc.give_v
         else:
             traded = max(overlay.degree(u), overlay.degree(v))
             execute_prop_g(overlay, u, v)
-            affected = overlay.neighbor_list(u) + overlay.neighbor_list(v)
+            affected = overlay.sorted_neighbors(u) + overlay.sorted_neighbors(v)
         # the initiator's own routing state, then the fan-out
-        self.nodes[u].queue.sync(overlay.neighbor_list(u))
+        self.nodes[u].queue.sync(overlay.sorted_neighbors(u))
         for w in affected:
             self._send_notify(Notify(src=u, dst=w, xid=cyc.xid, commit=(w == v)))
         # the participant always learns the outcome (its copy releases
@@ -562,7 +562,7 @@ class MessagePROPEngine(PROPEngine):
             if prep.timeout is not None:
                 prep.timeout.cancel()
             del self._prepared[here]
-            self.nodes[here].queue.sync(self.overlay.neighbor_list(here))
+            self.nodes[here].queue.sync(self.overlay.sorted_neighbors(here))
 
     def _on_notify(self, msg: Notify) -> None:
         here = msg.dst
@@ -574,7 +574,7 @@ class MessagePROPEngine(PROPEngine):
                 del self._prepared[here]
                 # the counterpart treats the exchange as its own success
                 self.nodes[here].timer.on_success()
-        self.nodes[here].queue.sync(self.overlay.neighbor_list(here))
+        self.nodes[here].queue.sync(self.overlay.sorted_neighbors(here))
 
     # -- timeouts -----------------------------------------------------------
 
@@ -649,7 +649,7 @@ class MessagePROPEngine(PROPEngine):
         del self._prepared[v]
         # the exchange may or may not have committed; the overlay is the
         # source of truth either way
-        self.nodes[v].queue.sync(self.overlay.neighbor_list(v))
+        self.nodes[v].queue.sync(self.overlay.sorted_neighbors(v))
 
     # -- cycle resolution ---------------------------------------------------
 

@@ -25,6 +25,14 @@ latency sum used by the Var test is a single vectorized reduction over
 a row view (no copies), per the HPC guide idioms.  Approximate backends
 (Vivaldi coordinates, landmark triangulation) drop in behind the same
 five calls with O(n*dim) state instead of O(n^2).
+
+Derived state: most probe cycles change nothing (a PROP-G exchange
+moves two hosts, never an edge), so the overlay keeps three lazily
+built per-slot views — the sorted neighbor tuple, the neighbor index
+array and the neighbor-latency sum — and each mutation primitive drops
+exactly the entries it can change.  Every view is built by the same
+expression an uncached read would evaluate, so cached and fresh values
+are bit-identical (DESIGN.md "Derived state").
 """
 
 from __future__ import annotations
@@ -78,6 +86,33 @@ class Overlay:
         self.topology_version = 0
         self.embedding_version = 0
         self._edge_cache: tuple[int, np.ndarray, np.ndarray] | None = None
+        self._reset_views()
+
+    # -- derived per-slot views (DESIGN.md "Derived state") -----------------
+
+    def _reset_views(self) -> None:
+        """Forget every per-slot view (slot count or numbering changed)."""
+        n = self.n_slots
+        #: ``tuple(sorted(_adj[slot]))`` — the D3 decision order.
+        self._nbr_sorted: list[tuple[int, ...] | None] = [None] * n
+        #: ``_adj[slot]`` as an index array, in set-iteration order.
+        self._nbr_index: list[np.ndarray | None] = [None] * n
+        #: ``sum_{i in N(slot)} d(slot, i)`` under the current embedding.
+        self._nbr_sum: list[float | None] = [None] * n
+
+    def _edges_changed(self, a: int, b: int) -> None:
+        """The neighbor sets of ``a`` and ``b`` changed: drop their views."""
+        self._nbr_sorted[a] = self._nbr_sorted[b] = None
+        self._nbr_index[a] = self._nbr_index[b] = None
+        self._nbr_sum[a] = self._nbr_sum[b] = None
+
+    def _host_changed(self, slot: int) -> None:
+        """``embedding[slot]`` changed: every sum with a term at ``slot``."""
+        sums = self._nbr_sum
+        sums[slot] = None
+        # order-independent: clears entries, reads none
+        for w in self._adj[slot]:  # reprolint: disable=D3
+            sums[w] = None
 
     # -- construction ----------------------------------------------------
 
@@ -93,6 +128,7 @@ class Overlay:
         self._adj[b].add(a)
         self._n_edges += 1
         self.topology_version += 1
+        self._edges_changed(a, b)
 
     def remove_edge(self, a: int, b: int) -> None:
         """Delete undirected logical edge (a, b)."""
@@ -102,6 +138,7 @@ class Overlay:
         self._adj[b].discard(a)
         self._n_edges -= 1
         self.topology_version += 1
+        self._edges_changed(a, b)
 
     def has_edge(self, a: int, b: int) -> bool:
         return b in self._adj[a]
@@ -116,15 +153,40 @@ class Overlay:
         """Neighbor set of ``slot`` (immutable snapshot view)."""
         return frozenset(self._adj[slot])
 
-    def neighbor_list(self, slot: int) -> list[int]:
-        """Neighbors of ``slot`` as a sorted list.
+    def sorted_neighbors(self, slot: int) -> tuple[int, ...]:
+        """Neighbors of ``slot`` as a sorted tuple, cached per slot.
 
-        Deterministic order is load-bearing: this list feeds walk
+        Deterministic order is load-bearing: this tuple feeds walk
         forwarding draws, PROP-O candidate ranking, and queue
         synchronization, so set-iteration order must never reach a
-        protocol decision (reprolint rule D3).
+        protocol decision (reprolint rule D3).  The same tuple object is
+        returned until an edge at ``slot`` changes, which is what lets
+        :meth:`NeighborQueue.sync` skip a reconciliation by identity.
         """
-        return sorted(self._adj[slot])
+        nbrs = self._nbr_sorted[slot]
+        if nbrs is None:
+            nbrs = self._nbr_sorted[slot] = tuple(sorted(self._adj[slot]))
+        return nbrs
+
+    def neighbor_list(self, slot: int) -> list[int]:
+        """:meth:`sorted_neighbors` as a fresh list the caller may mutate."""
+        return list(self.sorted_neighbors(slot))
+
+    def neighbor_index(self, slot: int) -> np.ndarray:
+        """Neighbors of ``slot`` as a read-only index array, cached per slot.
+
+        In set-iteration order (fixed by the seed-determined edge
+        insertion history, stable while the set is untouched), so only
+        order-independent reductions may consume it.
+        """
+        idx = self._nbr_index[slot]
+        if idx is None:
+            nbrs = self._adj[slot]
+            # order-independent: feeds commutative sums over one oracle row
+            idx = np.fromiter(nbrs, dtype=np.intp, count=len(nbrs))  # reprolint: disable=D3
+            idx.flags.writeable = False
+            self._nbr_index[slot] = idx
+        return idx
 
     def degree(self, slot: int) -> int:
         return len(self._adj[slot])
@@ -177,15 +239,17 @@ class Overlay:
         return self.oracle.to_many(int(emb[slot]), emb[others])
 
     def neighbor_latency_sum(self, slot: int) -> float:
-        """``sum_{i in N(slot)} d(slot, i)`` — the Var building block."""
-        nbrs = self._adj[slot]
-        if not nbrs:
-            return 0.0
-        emb = self.embedding
-        # order-independent: commutative sum over one oracle row; per-run
-        # order is fixed by the (seed-determined) edge insertion history
-        idx = np.fromiter(nbrs, dtype=np.intp, count=len(nbrs))  # reprolint: disable=D3
-        return self.oracle.sum_to(int(emb[slot]), emb[idx])
+        """``sum_{i in N(slot)} d(slot, i)`` — the Var building block.
+
+        Cached per slot; an edge change at ``slot`` or a host change at
+        ``slot`` or any of its neighbors drops the entry.
+        """
+        total = self._nbr_sum[slot]
+        if total is None:
+            emb = self.embedding
+            total = self.oracle.sum_to(emb.item(slot), emb[self.neighbor_index(slot)])
+            self._nbr_sum[slot] = total
+        return total
 
     def mean_logical_edge_latency(self) -> float:
         """Mean latency over logical edges — the stretch numerator."""
@@ -216,6 +280,8 @@ class Overlay:
         emb = self.embedding
         emb[a], emb[b] = emb[b], emb[a]
         self.embedding_version += 1
+        self._host_changed(a)
+        self._host_changed(b)
 
     def rewire(self, old_a: int, old_b: int, new_a: int, new_b: int) -> None:
         """Single cut-add: remove edge (old_a, old_b), insert (new_a, new_b)."""
@@ -235,6 +301,7 @@ class Overlay:
             raise ValueError(f"host {host} already occupies a slot")
         self.embedding[slot] = host
         self.embedding_version += 1
+        self._host_changed(slot)
         return departed
 
     def host_at(self, slot: int) -> int:
@@ -275,6 +342,7 @@ class Overlay:
         self.n_slots += 1
         self.topology_version += 1
         self.embedding_version += 1
+        self._reset_views()
         return self.n_slots - 1
 
     def pop_slot(self, slot: int) -> int:
@@ -303,6 +371,7 @@ class Overlay:
         self.n_slots = last
         self.topology_version += 1
         self.embedding_version += 1
+        self._reset_views()
         return host
 
     # -- views / export ------------------------------------------------------
@@ -336,9 +405,16 @@ class Overlay:
     def copy(self) -> "Overlay":
         """Deep copy sharing the oracle (cheap: only graph + embedding)."""
         clone = Overlay(self.oracle, self.embedding.copy())
+        self._copy_graph_into(clone)
+        return clone
+
+    def _copy_graph_into(self, clone: "Overlay") -> None:
+        """Give ``clone`` (same slot count) a private copy of the logical
+        graph.  Every ``copy()`` override goes through here, so a clone can
+        never share a neighbor set or start from another overlay's views."""
         clone._adj = [set(s) for s in self._adj]
         clone._n_edges = self._n_edges
-        return clone
+        clone._reset_views()
 
     # -- internals ----------------------------------------------------------
 

@@ -244,6 +244,5 @@ class CANOverlay(Overlay):
         Overlay.__init__(clone, self.oracle, self.embedding.copy())
         clone.zones = self.zones
         clone.dims = self.dims
-        clone._adj = [set(s) for s in self._adj]
-        clone._n_edges = self._n_edges
+        self._copy_graph_into(clone)
         return clone

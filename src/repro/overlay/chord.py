@@ -327,6 +327,5 @@ class ChordOverlay(Overlay):
         clone.bits = self.bits
         clone.space = self.space
         clone.fingers = self.fingers
-        clone._adj = [set(s) for s in self._adj]
-        clone._n_edges = self._n_edges
+        self._copy_graph_into(clone)
         return clone

@@ -207,6 +207,5 @@ class KademliaOverlay(Overlay):
         Overlay.__init__(clone, self.oracle, self.embedding.copy())
         for attr in ("ids", "bits", "space", "k", "buckets"):
             setattr(clone, attr, getattr(self, attr))
-        clone._adj = [set(s) for s in self._adj]
-        clone._n_edges = self._n_edges
+        self._copy_graph_into(clone)
         return clone

@@ -232,6 +232,5 @@ class PastryOverlay(Overlay):
                      "proximity_aware", "digits", "_order", "_rank",
                      "leaf_sets", "routing_tables", "_leaf_lookup"):
             setattr(clone, attr, getattr(self, attr))
-        clone._adj = [set(s) for s in self._adj]
-        clone._n_edges = self._n_edges
+        self._copy_graph_into(clone)
         return clone

@@ -182,6 +182,5 @@ class UltrapeerGnutellaOverlay(GnutellaOverlay):
         clone = UltrapeerGnutellaOverlay.__new__(UltrapeerGnutellaOverlay)
         GnutellaOverlay.__init__(clone, self.oracle, self.embedding.copy())
         clone.roles = self.roles
-        clone._adj = [set(s) for s in self._adj]
-        clone._n_edges = self._n_edges
+        self._copy_graph_into(clone)
         return clone

@@ -89,7 +89,18 @@ class TestKnownBadFixtures:
         assert "`self.overlay.embedding`" in messages
         assert "`self.overlay.embedding_version`" in messages
         assert "direct neighbor-set mutation" in messages
-        assert len(found) == 4
+        # a swap-measure-swap "read" outside the exchange modules: both swaps
+        assert messages.count("self.overlay.swap_embedding") == 2
+        # the overlay's cached views are as private as `_adj`
+        assert "`self.overlay._nbr_sum`" in messages
+        assert "`self.overlay._nbr_sorted`" in messages
+        assert len(found) == 8
+
+    def test_d5_var_evaluator_is_no_longer_a_sanctioned_mutator(self):
+        from tools.reprolint.rules import ExchangeAtomicity
+
+        assert "repro.core.varcalc" not in ExchangeAtomicity.ALLOWED_MODULES
+        assert {"_nbr_sorted", "_nbr_index", "_nbr_sum"} <= ExchangeAtomicity.MUTATED_ATTRS
 
     def test_d6_flags_unvalidated_config_field(self):
         found = _findings("d6_bad", "D6")

@@ -87,3 +87,56 @@ def test_contains_and_len():
     q = _q([4, 5])
     assert 4 in q and 5 in q and 6 not in q
     assert len(q) == 2
+
+
+class TestSyncByTupleIdentity:
+    """``sync`` skips the reconciliation when handed the very tuple it
+    reconciled last — and only then."""
+
+    def test_same_tuple_is_a_no_op(self):
+        nbrs = (1, 2, 3, 4)
+        q = _q(nbrs)
+        q.sync(nbrs)
+        q.on_failure(q.select())
+        before = (q.snapshot(), dict(q._prio), q._seq)
+        q.sync(nbrs)
+        assert (q.snapshot(), q._prio, q._seq) == before
+
+    def test_same_tuple_after_remove_re_adds_at_the_front(self):
+        nbrs = (1, 2, 3, 4)
+        q = _q(nbrs)
+        q.sync(nbrs)
+        q.remove(3)
+        assert 3 not in q
+        q.sync(nbrs)
+        assert q.select() == 3 and len(q) == 4
+        fresh = _q(nbrs)  # the path without any short-circuit
+        fresh.sync(list(nbrs))
+        fresh.remove(3)
+        fresh.sync(list(nbrs))
+        assert q.snapshot() == fresh.snapshot()
+
+    def test_stranger_pushed_to_the_front_is_dropped_again(self):
+        nbrs = (1, 2, 3)
+        q = _q(nbrs)
+        q.sync(nbrs)
+        q.on_new_neighbor(9)  # not a neighbor: the next sync must notice
+        q.sync(nbrs)
+        assert 9 not in q and sorted(q.snapshot()) == [1, 2, 3]
+        q.on_new_neighbor(2)  # a member: only its priority moves
+        q.sync(nbrs)
+        assert q.select() == 2
+
+    def test_equal_but_distinct_tuple_is_reconciled(self):
+        q = _q((1, 2, 3))
+        q.sync((1, 2, 3))
+        q.sync((1, 2, 5))
+        assert sorted(q.snapshot()) == [1, 2, 5] and q.select() == 5
+
+    def test_a_list_is_never_remembered(self):
+        nbrs = [1, 2, 3]
+        q = _q(nbrs)
+        q.sync(nbrs)
+        nbrs[2] = 7  # same object, new content
+        q.sync(nbrs)
+        assert sorted(q.snapshot()) == [1, 2, 7]

@@ -31,6 +31,16 @@ class TestPropG:
         evaluate_prop_g(gnutella, 0, 10)
         assert np.array_equal(gnutella.embedding, emb)
 
+    def test_is_a_pure_read(self, gnutella):
+        """No write to the overlay: the swap-measure-swap it replaced
+        bumped ``embedding_version`` twice per evaluation."""
+        versions = (gnutella.topology_version, gnutella.embedding_version)
+        v = next(iter(gnutella.neighbors(0)))
+        for pair in ((0, 10), (0, v)):
+            evaluate_prop_g(gnutella, *pair)
+            select_prop_o(gnutella, *pair, m=2)
+        assert (gnutella.topology_version, gnutella.embedding_version) == versions
+
     def test_antisymmetric_on_execute(self, gnutella):
         """Swapping then evaluating the reverse swap gives -Var."""
         var = evaluate_prop_g(gnutella, 0, 10)

@@ -632,9 +632,12 @@ class ExchangeAtomicity(Rule):
     because every topology change goes through the exchange primitives.
     A stray ``add_edge``/embedding write from an engine, workload, or
     metric would silently invalidate every downstream result, so mutation
-    is confined to the overlay package, the exchange executors, the Var
-    evaluator (swap-measure-swap), the baseline protocols (their own
-    exchange primitives), and the physical-topology generators.
+    is confined to the overlay package, the exchange executors, the
+    baseline protocols (their own exchange primitives), and the
+    physical-topology generators.  Evaluating Var is a pure read, so a
+    swap-measure-swap anywhere else is a finding; so is a write to the
+    overlay's cached per-slot views, which only its primitives keep
+    coherent.
     """
 
     id = "D5"
@@ -648,7 +651,6 @@ class ExchangeAtomicity(Rule):
             "repro.baselines",
             "repro.topology",
             "repro.core.exchange",
-            "repro.core.varcalc",
         }
     )
     #: ``replace_host`` is deliberately absent: it is the sanctioned
@@ -659,7 +661,8 @@ class ExchangeAtomicity(Rule):
          "append_slot", "pop_slot"}
     )
     MUTATED_ATTRS = frozenset(
-        {"embedding", "embedding_version", "topology_version", "_adj", "_n_edges"}
+        {"embedding", "embedding_version", "topology_version", "_adj", "_n_edges",
+         "_nbr_sorted", "_nbr_index", "_nbr_sum"}
     )
     _SET_MUTATORS = frozenset({"add", "discard", "remove", "pop", "clear", "update"})
 

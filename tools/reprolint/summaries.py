@@ -231,7 +231,8 @@ OVERLAY_MUTATORS = frozenset(
      "append_slot", "pop_slot"}
 )
 OVERLAY_ATTRS = frozenset(
-    {"embedding", "embedding_version", "topology_version", "_adj", "_n_edges"}
+    {"embedding", "embedding_version", "topology_version", "_adj", "_n_edges",
+     "_nbr_sorted", "_nbr_index", "_nbr_sum"}
 )
 
 
