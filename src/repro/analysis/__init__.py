@@ -1,25 +1,12 @@
 """Post-hoc analysis of experiment results: summaries and comparisons."""
 
 from repro.analysis.compare import ComparisonReport, compare_results, summarize_result
-from repro.analysis.stats import PairedComparison, compare_replicated
 from repro.analysis.tables import describe_config, summarize_directory
-from repro.analysis.exchanges import (
-    ExchangeStats,
-    exchange_rate,
-    exchange_stats,
-    gain_captured_by,
-)
 
 __all__ = [
     "ComparisonReport",
-    "ExchangeStats",
-    "PairedComparison",
-    "compare_replicated",
     "describe_config",
     "summarize_directory",
     "compare_results",
-    "exchange_rate",
-    "exchange_stats",
-    "gain_captured_by",
     "summarize_result",
 ]

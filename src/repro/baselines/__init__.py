@@ -14,7 +14,6 @@
 from repro.baselines.ltm import LTMConfig, LTMCounters, LTMOptimizer
 from repro.baselines.pis import landmark_vectors, pis_embedding
 from repro.baselines.pns import PNSChordOverlay
-from repro.baselines.tacan import tacan_join_points
 
 __all__ = [
     "LTMConfig",
@@ -23,5 +22,4 @@ __all__ = [
     "PNSChordOverlay",
     "landmark_vectors",
     "pis_embedding",
-    "tacan_join_points",
 ]

@@ -22,7 +22,6 @@ from repro.core.config import PROPConfig
 from repro.core.exchange import execute_prop_g, execute_prop_o
 from repro.core.neighbor_queue import NeighborQueue
 from repro.core.protocol import ExchangeRecord, PROPEngine, ProtocolCounters
-from repro.core.timed_protocol import TimedPROPEngine
 from repro.core.timer_policy import MarkovTimer
 from repro.core.varcalc import evaluate_prop_g, select_prop_o
 from repro.core.walk import random_walk
@@ -33,7 +32,6 @@ __all__ = [
     "NeighborQueue",
     "PROPConfig",
     "PROPEngine",
-    "TimedPROPEngine",
     "ProtocolCounters",
     "evaluate_prop_g",
     "execute_prop_g",

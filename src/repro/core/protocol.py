@@ -23,7 +23,7 @@ exchange additionally notifies every affected routing-table holder.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
+from typing import Iterable, Sequence
 
 from repro.core.config import PROPConfig
 from repro.core.exchange import execute_prop_g, execute_prop_o
@@ -87,7 +87,25 @@ class NodeState:
     timer: MarkovTimer
     phase: int = _WARMUP
     trials: int = 0
-    probes_until_first_exchange: int | None = None
+
+    def next_delay(self, success: bool, max_init_trial: int) -> float:
+        """The §3.2 phase/timer transition closing one probe cycle.
+
+        Warm-up probes at the fixed ``INIT_TIMER`` period for
+        ``max_init_trial`` cycles (an exchange on the final warm-up trial
+        is still a warm-up exchange: the phase flips after it is
+        counted); maintenance follows the Markov timer.  Returns the
+        delay to the node's next probe.
+        """
+        timer = self.timer
+        if self.phase == _WARMUP:
+            self.trials += 1
+            if success:
+                timer.on_success()
+            if self.trials >= max_init_trial:
+                self.phase = _MAINTENANCE
+            return timer.init
+        return timer.on_success() if success else timer.on_failure()
 
 
 class PROPEngine:
@@ -129,22 +147,31 @@ class PROPEngine:
                 "deploy PROP-G on structured overlays (the paper's "
                 "applicability matrix)"
             )
+        #: Effective PROP-O exchange size: ``config.m`` or δ(G) at start.
+        self.m: int = config.m if config.m is not None else int(overlay.min_degree())
+        if config.policy == "O" and self.m < 1:
+            raise ValueError(
+                "PROP-O's default exchange size m = δ(G) is 0 on this overlay "
+                "(it has an isolated slot); set PROPConfig(m=...) explicitly"
+            )
         self.overlay = overlay
         self.config = config
         self.sim = sim
         self.rng = rngs.stream("prop:engine")
         self.tracer: TracerLike = tracer if tracer is not None else NULL_TRACER
         self.counters = ProtocolCounters()
-        self._m_default: int | None = (
-            None if config.m is not None else int(overlay.min_degree())
-        )
-        self.nodes: list[NodeState] = []
-        for slot in range(overlay.n_slots):
-            queue = NeighborQueue(overlay.sorted_neighbors(slot), self.rng)
-            timer = MarkovTimer(config.init_timer, config.max_timer)
-            self.nodes.append(NodeState(queue=queue, timer=timer))
+        self.nodes: list[NodeState] = [
+            self._fresh_state(slot) for slot in range(overlay.n_slots)
+        ]
         self._jitter = max(0.0, jitter)
         self._started = False
+
+    def _fresh_state(self, slot: int) -> NodeState:
+        """A joining node: shuffled neighborQ, INIT_TIMER, warm-up."""
+        return NodeState(
+            queue=NeighborQueue(self.overlay.sorted_neighbors(slot), self.rng),
+            timer=MarkovTimer(self.config.init_timer, self.config.max_timer),
+        )
 
     # -- lifecycle -------------------------------------------------------
 
@@ -157,127 +184,118 @@ class PROPEngine:
             delay = float(self.rng.random()) * self._jitter * self.config.init_timer
             self.sim.schedule(delay, self._probe_cycle, slot)
 
-    @property
-    def m(self) -> int:
-        """Effective PROP-O exchange size (config.m or δ(G) at start)."""
-        if self.config.m is not None:
-            return self.config.m
-        assert self._m_default is not None  # set in __init__ when config.m is None
-        return self._m_default
+    # -- the §3.2 rules both drivers share -----------------------------------
 
-    # -- probe cycle -------------------------------------------------------
+    def _random_candidate(self, u: int) -> int:
+        """The ``random_probe`` ablation: a uniform slot other than ``u``."""
+        v = int(self.rng.integers(0, self.overlay.n_slots - 1))
+        return v + 1 if v >= u else v
+
+    def _decide(
+        self, u: int, v: int, path: Iterable[int]
+    ) -> tuple[float, Sequence[int], Sequence[int], bool]:
+        """The policy decision: ``(var, give_u, give_v, wants)``.
+
+        PROP-G trades everything (empty give lists); PROP-O selects the
+        lists, never touching the walk ``path`` (Theorem 1).  ``wants``
+        is the ``Var > MIN_VAR`` test.
+        """
+        cfg = self.config
+        if cfg.policy == "G":
+            var = evaluate_prop_g(self.overlay, u, v)
+            return var, (), (), var > cfg.min_var
+        give_u, give_v, var = select_prop_o(
+            self.overlay, u, v, self.m, forbidden=set(path),
+            selection=cfg.selection, rng=self.rng,
+        )
+        return var, give_u, give_v, bool(give_u) and var > cfg.min_var
+
+    def _apply_exchange(
+        self, u: int, v: int, var: float, give_u: Sequence[int], give_v: Sequence[int]
+    ) -> tuple[int, tuple[int, ...], int]:
+        """Execute the decided exchange and record it.
+
+        Returns ``(traded, affected, notified)``: neighbors moved per
+        side, the routing-table holders that must hear about it (with
+        repeats, in notification order) and the §4.3 notify count.
+        """
+        overlay = self.overlay
+        if self.config.policy == "G":
+            traded = max(overlay.degree(u), overlay.degree(v))
+            notified = execute_prop_g(overlay, u, v)
+            # u and v keep their *slot* neighbors, but those neighbors now
+            # face different hosts: "notify their neighbors … and
+            # recalculate the sums"
+            affected = overlay.sorted_neighbors(u) + overlay.sorted_neighbors(v)
+        else:
+            traded = len(give_u)
+            notified = execute_prop_o(overlay, u, v, give_u, give_v)
+            affected = (*give_u, *give_v)
+        self.counters.exchanges += 1
+        self.counters.exchange_log.append(
+            ExchangeRecord(time=self.sim.now, u=u, v=v, var=var,
+                           policy=self.config.policy, traded=traded)
+        )
+        return traded, affected, notified
+
+    # -- probe cycle (inline driver: the whole cycle at one instant) ---------
 
     def _probe_cycle(self, u: int) -> None:
         state = self.nodes[u]
         success = self._attempt_exchange(u, state)
-
-        # Phase / timer bookkeeping.  The first-exchange trial count is
-        # recorded *before* the warm-up -> maintenance transition: an
-        # exchange landing on the final warm-up trial is a warm-up
-        # exchange (trial MAX_INIT_TRIAL), not a post-warm-up one.
-        if state.phase == _WARMUP:
-            state.trials += 1
-            if success:
-                state.timer.on_success()
-                if state.probes_until_first_exchange is None:
-                    state.probes_until_first_exchange = state.trials
-            if state.trials >= self.config.max_init_trial:
-                state.phase = _MAINTENANCE
-            delay = self.config.init_timer
-        else:
-            delay = state.timer.on_success() if success else state.timer.on_failure()
-            if success and state.probes_until_first_exchange is None:
-                state.probes_until_first_exchange = -1
+        delay = state.next_delay(success, self.config.max_init_trial)
         self.sim.schedule(delay, self._probe_cycle, u)
 
     def _attempt_exchange(self, u: int, state: NodeState) -> bool:
         overlay = self.overlay
         cfg = self.config
+        counters = self.counters
+        tracing = self.tracer.enabled
         state.queue.sync(overlay.sorted_neighbors(u))
         if len(state.queue) == 0:
             return False
         s = state.queue.select()
-        self.counters.probes += 1
-        if self.tracer.enabled:
-            self.tracer.emit(ProbeEvent, u=u, s=s, cycle=self.counters.probes)
+        counters.probes += 1
+        if tracing:
+            self.tracer.emit(ProbeEvent, u=u, s=s, cycle=counters.probes)
 
+        path: Sequence[int]
         if cfg.random_probe:
-            v = int(self.rng.integers(0, overlay.n_slots - 1))
-            if v >= u:
-                v += 1
-            path = [u, v]
-            self.counters.walk_messages += 1
+            v = self._random_candidate(u)
+            path = (u, v)
         else:
             v, path = random_walk(overlay, u, s, cfg.nhops, self.rng)
-            self.counters.walk_messages += len(path) - 1
-            if v == u:
-                state.queue.on_failure(s)
-                return False
-
+        counters.walk_messages += len(path) - 1
         if not overlay.exchange_compatible(u, v, cfg.policy):
             state.queue.on_failure(s)
             return False
 
-        success = False
-        traded = 0
-        if cfg.policy == "G":
-            self.counters.collect_messages += overlay.degree(u) + overlay.degree(v)
-            var = evaluate_prop_g(overlay, u, v)
-            if var > cfg.min_var:
-                traded = max(overlay.degree(u), overlay.degree(v))
-                self.counters.notify_messages += execute_prop_g(overlay, u, v)
-                self._after_exchange(u, v)
-                success = True
-        else:
-            give_u, give_v, var = select_prop_o(
-                overlay, u, v, self.m, forbidden=set(path),
-                selection=cfg.selection, rng=self.rng,
-            )
-            self.counters.collect_messages += 2 * self.m
-            if give_u and var > cfg.min_var:
-                traded = len(give_u)
-                self.counters.notify_messages += execute_prop_o(overlay, u, v, give_u, give_v)
-                self._after_exchange(u, v, moved=give_u + give_v)
-                success = True
-        if success:
-            self.counters.exchange_log.append(
-                ExchangeRecord(
-                    time=self.sim.now, u=u, v=v, var=var,
-                    policy=cfg.policy, traded=traded,
-                )
-            )
-
-        self.counters.var_history.append(var)
-        if self.tracer.enabled:
-            self.tracer.emit(VarCollectEvent, u=u, v=v, cycle=self.counters.probes,
+        # §4.3 information collection: c_u + c_v probes (G), 2m (O)
+        counters.collect_messages += (
+            overlay.degree(u) + overlay.degree(v) if cfg.policy == "G" else 2 * self.m
+        )
+        var, give_u, give_v, wants = self._decide(u, v, path)
+        counters.var_history.append(var)
+        if tracing:
+            self.tracer.emit(VarCollectEvent, u=u, v=v, cycle=counters.probes,
                              var=float(var), policy=cfg.policy)
-            if success:
-                # inline engines commit instantaneously: no 2PC, xid=-1
-                self.tracer.emit(ExchangeCommitEvent, xid=-1, u=u, v=v,
-                                 var=float(var), traded=traded)
-        if success:
-            self.counters.exchanges += 1
-            state.queue.on_success(s)
-            # the counterpart also treats the exchange as its own success
-            self.nodes[v].timer.on_success()
-        else:
+        if not wants:
             state.queue.on_failure(s)
-        return success
+            return False
 
-    def _after_exchange(self, u: int, v: int, moved: list[int] | None = None) -> None:
-        """Resynchronize queues of the pair and of every affected neighbor."""
-        overlay = self.overlay
-        self.nodes[u].queue.sync(overlay.sorted_neighbors(u))
-        self.nodes[v].queue.sync(overlay.sorted_neighbors(v))
-        if moved is None:
-            # PROP-G: u and v keep the same *slot* neighbors, but those
-            # neighbors now face different hosts — resetting their timers
-            # mirrors "notify their neighbors … and recalculate the sums".
-            affected = set(overlay.sorted_neighbors(u)) | set(overlay.sorted_neighbors(v))
-        else:
-            affected = set(moved)
-        for w in sorted(affected - {u, v}):
+        traded, affected, notified = self._apply_exchange(u, v, var, give_u, give_v)
+        counters.notify_messages += notified
+        if tracing:
+            # inline engines commit instantaneously: no 2PC, xid=-1
+            self.tracer.emit(ExchangeCommitEvent, xid=-1, u=u, v=v,
+                             var=float(var), traded=traded)
+        # resynchronize the queues of the pair and of every affected neighbor
+        for w in (u, v, *sorted(set(affected) - {u, v})):
             self.nodes[w].queue.sync(overlay.sorted_neighbors(w))
+        state.queue.on_success(s)
+        # the counterpart also treats the exchange as its own success
+        self.nodes[v].timer.on_success()
+        return True
 
     # -- churn interface ---------------------------------------------------
 
@@ -298,10 +316,6 @@ class PROPEngine:
 
     def reset_slot(self, slot: int) -> None:
         """A new host occupied ``slot`` (churn replacement): restart it."""
-        state = self.nodes[slot]
-        state.queue = NeighborQueue(self.overlay.sorted_neighbors(slot), self.rng)
-        state.timer = MarkovTimer(self.config.init_timer, self.config.max_timer)
-        state.phase = _WARMUP
-        state.trials = 0
+        self.nodes[slot] = self._fresh_state(slot)
         for w in self.overlay.sorted_neighbors(slot):
             self.notify_membership_change(w, [slot])

@@ -11,11 +11,28 @@ Theorem 1's construction).
 
 from __future__ import annotations
 
+from typing import Container
+
 import numpy as np
 
 from repro.overlay.base import Overlay
 
-__all__ = ["random_walk"]
+__all__ = ["random_walk", "walk_step"]
+
+
+def walk_step(
+    overlay: Overlay, here: int, visited: Container[int], rng: np.random.Generator
+) -> int | None:
+    """One forwarding decision: a random unvisited neighbor of ``here``.
+
+    ``None`` means the walk stops at ``here`` (every neighbor is already
+    on the path).  The only definition of the hop rule: :func:`random_walk`
+    loops over it, the message plane calls it once per ``WALK`` delivery.
+    """
+    options = [x for x in overlay.sorted_neighbors(here) if x not in visited]
+    if not options:
+        return None
+    return options[int(rng.integers(0, len(options)))]
 
 
 def random_walk(
@@ -44,10 +61,10 @@ def random_walk(
     visited = {u, first_hop}
     cur = first_hop
     for _ in range(nhops - 1):
-        options = [x for x in overlay.sorted_neighbors(cur) if x not in visited]
-        if not options:
+        nxt = walk_step(overlay, cur, visited, rng)
+        if nxt is None:
             break
-        cur = options[int(rng.integers(0, len(options)))]
+        cur = nxt
         path.append(cur)
         visited.add(cur)
     return cur, path

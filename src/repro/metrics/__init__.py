@@ -1,11 +1,6 @@
-"""Evaluation metrics: stretch, lookup latency, overhead, convergence."""
+"""Evaluation metrics: stretch, overhead, convergence, graph statistics."""
 
 from repro.metrics.convergence import convergence_epoch, first_stable_index
-from repro.metrics.lookup_latency import (
-    chord_mean_lookup_latency,
-    gnutella_mean_lookup_latency,
-)
-from repro.metrics.percentiles import LatencyDistribution, summarize_latencies
 from repro.metrics.overhead import (
     prop_g_step_messages,
     prop_o_step_messages,
@@ -14,16 +9,12 @@ from repro.metrics.overhead import (
 from repro.metrics.stretch import average_latency, routing_stretch, stretch
 
 __all__ = [
-    "LatencyDistribution",
     "average_latency",
-    "chord_mean_lookup_latency",
     "convergence_epoch",
     "first_stable_index",
-    "gnutella_mean_lookup_latency",
     "prop_g_step_messages",
     "prop_o_step_messages",
     "routing_stretch",
     "stretch",
-    "summarize_latencies",
     "worst_case_probe_frequency",
 ]

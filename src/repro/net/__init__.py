@@ -1,9 +1,9 @@
 """Message-level transport layer for PROP deployments.
 
-The inline engines (:class:`~repro.core.protocol.PROPEngine`,
-:class:`~repro.core.timed_protocol.TimedPROPEngine`) execute a probe
-cycle as one (possibly delayed) callback; messages exist only as
-analytic tallies.  This package makes the message plane explicit:
+The inline engine (:class:`~repro.core.protocol.PROPEngine`) executes a
+probe cycle as one callback; messages exist only as analytic tallies.
+This package makes the message plane explicit — the same Section 3.2
+decisions (they are ``PROPEngine``'s, inherited), driven by deliveries:
 
 * :mod:`repro.net.messages` — the typed protocol messages (``WALK``,
   ``VAR_PROBE``, ``VAR_REPLY``, ``EXCHANGE_PREPARE``,
@@ -16,7 +16,8 @@ analytic tallies.  This package makes the message plane explicit:
   named partitions.
 * :mod:`repro.net.engine` — :class:`MessagePROPEngine`, the Section 3.2
   state machine run as actual request/response exchanges with
-  per-message timeouts and a two-phase exchange commit.
+  per-message timeouts and a two-phase exchange commit; what it adds to
+  the shared decision core is transport, timeouts and 2PC.
 """
 
 from repro.net.engine import MessagePROPEngine, NetConfig, NetCounters

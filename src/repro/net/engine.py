@@ -41,9 +41,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.core.config import PROPConfig
-from repro.core.exchange import execute_prop_g, execute_prop_o
-from repro.core.protocol import _MAINTENANCE, _WARMUP, ExchangeRecord, PROPEngine
-from repro.core.varcalc import evaluate_prop_g, select_prop_o
+from repro.core.protocol import PROPEngine
+from repro.core.varcalc import evaluate_prop_g
+from repro.core.walk import walk_step
 from repro.net.messages import (
     ExchangeAbort,
     ExchangeCommit,
@@ -277,16 +277,11 @@ class MessagePROPEngine(PROPEngine):
         cyc.timeout = self.sim.schedule(
             self.net.reply_timeout, self._walk_timeout, u, cyc.cycle
         )
-        cfg = self.config
-        if cfg.random_probe:
-            v = int(self.rng.integers(0, self.overlay.n_slots - 1))
-            if v >= u:
-                v += 1
-            self._send_walk(Walk(src=u, dst=v, origin=u, ttl=0, cycle=cyc.cycle, path=(u,)))
+        if self.config.random_probe:
+            dst, ttl = self._random_candidate(u), 0
         else:
-            self._send_walk(
-                Walk(src=u, dst=s, origin=u, ttl=cfg.nhops - 1, cycle=cyc.cycle, path=(u,))
-            )
+            dst, ttl = s, self.config.nhops - 1
+        self._send_walk(Walk(src=u, dst=dst, origin=u, ttl=ttl, cycle=cyc.cycle, path=(u,)))
         self._ctx = None
 
     # -- message dispatch -------------------------------------------------
@@ -321,19 +316,14 @@ class MessagePROPEngine(PROPEngine):
     def _on_walk(self, msg: Walk) -> None:
         here = msg.dst
         path = msg.path + (here,)
-        if msg.ttl > 0:
-            # mirror core.walk.random_walk: forward to a random unvisited
-            # neighbor, stopping early when there is none
-            visited = set(path)
-            options = [x for x in self.overlay.sorted_neighbors(here) if x not in visited]
-            if options:
-                nxt = options[int(self.rng.integers(0, len(options)))]
-                self._send_walk(
-                    Walk(src=here, dst=nxt, origin=msg.origin, ttl=msg.ttl - 1,
-                         cycle=msg.cycle, path=path)
-                )
-                return
-        self._walk_terminal(here, msg.origin, msg.cycle, path)
+        nxt = walk_step(self.overlay, here, set(path), self.rng) if msg.ttl > 0 else None
+        if nxt is None:
+            self._walk_terminal(here, msg.origin, msg.cycle, path)
+            return
+        self._send_walk(
+            Walk(src=here, dst=nxt, origin=msg.origin, ttl=msg.ttl - 1,
+                 cycle=msg.cycle, path=path)
+        )
 
     def _walk_terminal(self, v: int, origin: int, cycle: int, path: tuple[int, ...]) -> None:
         cfg = self.config
@@ -377,17 +367,8 @@ class MessagePROPEngine(PROPEngine):
         for w in nbrs[:n_pings]:
             self._send_collect(VarProbe(src=u, dst=w, cycle=cyc.cycle))
 
-        if cfg.policy == "G":
-            var = evaluate_prop_g(self.overlay, u, v)
-            wants = var > cfg.min_var
-        else:
-            give_u, give_v, var = select_prop_o(
-                self.overlay, u, v, self.m, forbidden=set(msg.path),
-                selection=cfg.selection, rng=self.rng,
-            )
-            cyc.give_u, cyc.give_v = tuple(give_u), tuple(give_v)
-            wants = bool(give_u) and var > cfg.min_var
-        cyc.var = var
+        var, give_u, give_v, wants = self._decide(u, v, msg.path)
+        cyc.var, cyc.give_u, cyc.give_v = var, tuple(give_u), tuple(give_v)
         if self.tracer.enabled:
             self.tracer.emit(VarCollectEvent, u=u, v=v, cycle=cyc.cycle,
                              var=float(var), policy=cfg.policy)
@@ -503,30 +484,21 @@ class MessagePROPEngine(PROPEngine):
         v = cyc.v
         # vote-stage invariant (see _prepare_message)
         assert v is not None and cyc.xid is not None and cyc.var is not None
-        cfg = self.config
-        overlay = self.overlay
-        if cfg.policy == "O":
-            if not self._trade_legal(u, v, cyc.give_u, cyc.give_v):
-                # a third party rewired one of the traded edges while the
-                # vote was in flight; aborting keeps the apply atomic
-                self.net_counters.stale_aborts += 1
-                self._send_control(
-                    ExchangeAbort(src=u, dst=v, xid=cyc.xid, reason="stale-apply")
-                )
-                if self.tracer.enabled:
-                    self.tracer.emit(ExchangeAbortEvent, xid=cyc.xid, u=u, v=v,
-                                     reason="stale-apply")
-                self._resolve(cyc, success=False)
-                return
-            traded = len(cyc.give_u)
-            execute_prop_o(overlay, u, v, list(cyc.give_u), list(cyc.give_v))
-            affected = cyc.give_u + cyc.give_v
-        else:
-            traded = max(overlay.degree(u), overlay.degree(v))
-            execute_prop_g(overlay, u, v)
-            affected = overlay.sorted_neighbors(u) + overlay.sorted_neighbors(v)
+        if self.config.policy == "O" and not self._trade_legal(u, v, cyc.give_u, cyc.give_v):
+            # a third party rewired one of the traded edges while the
+            # vote was in flight; aborting keeps the apply atomic
+            self.net_counters.stale_aborts += 1
+            self._send_control(
+                ExchangeAbort(src=u, dst=v, xid=cyc.xid, reason="stale-apply")
+            )
+            if self.tracer.enabled:
+                self.tracer.emit(ExchangeAbortEvent, xid=cyc.xid, u=u, v=v,
+                                 reason="stale-apply")
+            self._resolve(cyc, success=False)
+            return
+        traded, affected, _ = self._apply_exchange(u, v, cyc.var, cyc.give_u, cyc.give_v)
         # the initiator's own routing state, then the fan-out
-        self.nodes[u].queue.sync(overlay.sorted_neighbors(u))
+        self.nodes[u].queue.sync(self.overlay.sorted_neighbors(u))
         for w in affected:
             self._send_notify(Notify(src=u, dst=w, xid=cyc.xid, commit=(w == v)))
         # the participant always learns the outcome (its copy releases
@@ -534,11 +506,6 @@ class MessagePROPEngine(PROPEngine):
         # already among the affected routing-table holders
         if v not in affected:
             self._send_notify(Notify(src=u, dst=v, xid=cyc.xid, commit=True))
-        self.counters.exchanges += 1
-        self.counters.exchange_log.append(
-            ExchangeRecord(time=self.sim.now, u=u, v=v, var=cyc.var,
-                           policy=cfg.policy, traded=traded)
-        )
         if self.tracer.enabled:
             self.tracer.emit(ExchangeCommitEvent, xid=cyc.xid, u=u, v=v,
                              var=float(cyc.var), traded=traded)
@@ -666,26 +633,13 @@ class MessagePROPEngine(PROPEngine):
 
     def _finish_cycle(self, u: int, fire_time: float, *, s: int | None,
                       success: bool) -> None:
-        """Queue feedback + the exact phase/timer bookkeeping of the
-        inline engine, with the next probe pinned to ``fire_time + delay``
-        so fire times stay aligned with :class:`PROPEngine` (the
-        determinism bridge)."""
+        """Queue feedback + the shared phase/timer transition, with the
+        next probe pinned to ``fire_time + delay`` so fire times stay
+        aligned with :class:`PROPEngine` (the determinism bridge)."""
         state = self.nodes[u]
         if s is not None:
             (state.queue.on_success if success else state.queue.on_failure)(s)
-        if state.phase == _WARMUP:
-            state.trials += 1
-            if success:
-                state.timer.on_success()
-                if state.probes_until_first_exchange is None:
-                    state.probes_until_first_exchange = state.trials
-            if state.trials >= self.config.max_init_trial:
-                state.phase = _MAINTENANCE
-            delay = self.config.init_timer
-        else:
-            delay = state.timer.on_success() if success else state.timer.on_failure()
-            if success and state.probes_until_first_exchange is None:
-                state.probes_until_first_exchange = -1
+        delay = state.next_delay(success, self.config.max_init_trial)
         self.sim.schedule_at(max(self.sim.now, fire_time + delay), self._probe_cycle, u)
 
     # -- churn interface ----------------------------------------------------

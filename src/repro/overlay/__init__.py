@@ -18,7 +18,6 @@ from repro.overlay.ids import (
     unique_ids,
 )
 from repro.overlay.pastry import PastryOverlay
-from repro.overlay.routing_modes import iterative_path_latency, recursive_path_latency
 from repro.overlay.ultrapeer import UltrapeerGnutellaOverlay
 
 __all__ = [
@@ -30,8 +29,6 @@ __all__ = [
     "PastryOverlay",
     "UltrapeerGnutellaOverlay",
     "Zone",
-    "iterative_path_latency",
-    "recursive_path_latency",
     "ring_between",
     "ring_distance_cw",
     "unique_ids",

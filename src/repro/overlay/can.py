@@ -96,18 +96,14 @@ class CANOverlay(Overlay):
         *,
         dims: int = 2,
         embedding: np.ndarray | None = None,
-        join_points: np.ndarray | None = None,
     ) -> "CANOverlay":
         """Build a CAN by sequential point joins.
 
         Slot ``i`` is the ``i``-th joiner; slot 0 initially owns the whole
-        torus.  Each join picks a point — uniform random by default (the
-        hash-based CAN the paper optimizes), or supplied per *member
-        host* via ``join_points`` (shape ``(oracle.n, dims)``; the
-        topologically-aware-CAN baseline derives these from landmarks,
-        see :func:`repro.baselines.tacan.tacan_join_points`).  The zone
-        owner splits along its widest dimension and the new node takes
-        the half containing the point (the original-CAN convention).
+        torus.  Each join picks a uniform random point (the hash-based
+        CAN the paper optimizes); the zone owner splits along its widest
+        dimension and the new node takes the half containing the point
+        (the original-CAN convention).
         """
         n = oracle.n if embedding is None else len(embedding)
         if dims < 1:
@@ -115,20 +111,9 @@ class CANOverlay(Overlay):
         if embedding is None:
             embedding = rng.permutation(n).astype(np.intp)
         embedding = np.asarray(embedding, dtype=np.intp)
-        if join_points is not None:
-            join_points = np.asarray(join_points, dtype=np.float64)
-            if join_points.shape != (oracle.n, dims):
-                raise ValueError(
-                    f"join_points must be shaped ({oracle.n}, {dims}), got {join_points.shape}"
-                )
-            if np.any(join_points < 0.0) or np.any(join_points >= 1.0):
-                raise ValueError("join_points must lie in [0, 1)")
         zones: list[Zone] = [Zone(np.zeros(dims), np.ones(dims))]
         for i in range(1, n):
-            if join_points is None:
-                p = rng.random(dims)
-            else:
-                p = join_points[embedding[i]]
+            p = rng.random(dims)
             owner = next(k for k, z in enumerate(zones) if z.contains(p))
             low, high = zones[owner].split()
             if high.contains(p):

@@ -1,7 +1,7 @@
 """Oracle backend registry and construction.
 
 One seam for every consumer that needs a latency source — the harness,
-the CLI, the cache, and the benchmarks all resolve ``--oracle
+the CLI and the benchmarks all resolve ``--oracle
 {exact,vivaldi,landmark}`` through :func:`build_oracle`, so adding a
 backend is one registry entry plus a class.
 
@@ -23,7 +23,7 @@ from repro.topology.latency import LatencyOracle, LatencyOracleBase
 from repro.topology.transit_stub import PhysicalNetwork
 from repro.topology.vivaldi import VivaldiOracle
 
-__all__ = ["ORACLE_BACKENDS", "VIVALDI_STREAM", "build_oracle", "oracle_cache_params"]
+__all__ = ["ORACLE_BACKENDS", "VIVALDI_STREAM", "build_oracle"]
 
 #: Selectable latency-oracle backends, in documentation order.
 ORACLE_BACKENDS = ("exact", "vivaldi", "landmark")
@@ -75,26 +75,3 @@ def build_oracle(
         rng = np.random.Generator(np.random.PCG64(derive_seed(seed, VIVALDI_STREAM)))
         return VivaldiOracle(network, hosts, rng, **opts)
     return LandmarkOracle(network, hosts, **opts)
-
-
-def oracle_cache_params(
-    backend: str,
-    *,
-    seed: int = 0,
-    options: Mapping[str, Any] | None = None,
-) -> dict[str, Any]:
-    """Canonical parameter dict a cache key must cover for ``backend``.
-
-    The exact and landmark backends are seed-independent, so their keys
-    deliberately exclude the seed — every experiment seed shares one
-    cache entry.  Vivaldi results depend on the fit stream, so its key
-    includes the seed.
-    """
-    if backend not in ORACLE_BACKENDS:
-        raise ValueError(
-            f"unknown oracle backend {backend!r}; choose from {ORACLE_BACKENDS}"
-        )
-    params = _check_options(backend, options or {})
-    if backend == "vivaldi":
-        params["seed"] = int(seed)
-    return params

@@ -6,8 +6,6 @@ from repro.workloads.heterogeneity import (
     bimodal_processing_delay,
     capacity_weights_from_delay,
 )
-from repro.workloads.objects import ObjectCatalog, build_catalog, replica_queries
-from repro.workloads.zipf import zipf_ranks, zipf_target_pairs
 from repro.workloads.lookups import (
     biased_target_pairs,
     uniform_keys,
@@ -16,9 +14,6 @@ from repro.workloads.lookups import (
 
 __all__ = [
     "BimodalDelay",
-    "ObjectCatalog",
-    "build_catalog",
-    "replica_queries",
     "ChurnConfig",
     "ChurnProcess",
     "biased_target_pairs",
@@ -26,6 +21,4 @@ __all__ = [
     "capacity_weights_from_delay",
     "uniform_keys",
     "uniform_pairs",
-    "zipf_ranks",
-    "zipf_target_pairs",
 ]

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core.config import PROPConfig
-from repro.core.protocol import PROPEngine
+from repro.core.neighbor_queue import NeighborQueue
+from repro.core.protocol import NodeState, PROPEngine
+from repro.core.timer_policy import MarkovTimer
+from repro.net.engine import MessagePROPEngine
+from repro.net.transport import SimTransport
 from repro.netsim.engine import Simulator
 from repro.netsim.rng import RngRegistry
 
@@ -35,6 +39,48 @@ class TestLifecycle:
     def test_m_explicit(self, gnutella):
         eng, _ = _engine(gnutella, policy="O", m=2)
         assert eng.m == 2
+
+
+def _isolate(overlay, slot):
+    for w in overlay.neighbor_list(slot):
+        overlay.remove_edge(slot, w)
+
+
+def _inline_driver(overlay, cfg, sim):
+    return PROPEngine(overlay, cfg, sim, RngRegistry(11))
+
+
+def _message_driver(overlay, cfg, sim):
+    return MessagePROPEngine(overlay, cfg, sim, RngRegistry(11), SimTransport(sim, overlay))
+
+
+@pytest.mark.parametrize("driver", [_inline_driver, _message_driver],
+                         ids=["inline", "message"])
+class TestDefaultExchangeSizeOnIsolatedSlot:
+    """Regression: with an isolated slot the PROP-O default m = δ(G) is
+    0, and the first compatible probe used to raise ``m must be >= 1``
+    out of ``sim.run_until``.  Now the constructor rejects it."""
+
+    def test_prop_o_default_m_zero_rejected_at_construction(self, gnutella, driver):
+        _isolate(gnutella, 0)
+        with pytest.raises(ValueError, match=r"δ\(G\) is 0.*PROPConfig\(m="):
+            driver(gnutella, PROPConfig(policy="O"), Simulator())
+
+    def test_explicit_m_runs_with_an_isolated_slot(self, gnutella, driver):
+        _isolate(gnutella, 0)
+        sim = Simulator()
+        eng = driver(gnutella, PROPConfig(policy="O", m=1), sim)
+        eng.start()
+        sim.run_until(600.0)
+        assert eng.counters.exchanges > 0
+
+    def test_prop_g_never_needs_m(self, gnutella, driver):
+        _isolate(gnutella, 0)
+        sim = Simulator()
+        eng = driver(gnutella, PROPConfig(policy="G"), sim)
+        eng.start()
+        sim.run_until(600.0)
+        assert eng.counters.exchanges > 0
 
 
 class TestOptimization:
@@ -155,45 +201,50 @@ class TestTimerDynamics:
         assert all(p == 1 for p in phases)  # all in maintenance by now
 
 
-class TestFirstExchangeRecording:
-    """Regression: an exchange on the *final* warm-up trial must record
-    its (positive) trial count, not the post-warm-up sentinel -1 — the
-    old code flipped the phase before recording."""
+def _state(init=60.0, cap=240.0):
+    return NodeState(queue=NeighborQueue([1, 2], np.random.default_rng(0)),
+                     timer=MarkovTimer(init, cap))
 
-    def test_success_on_last_warmup_trial_records_trial_count(self, gnutella):
-        eng, _ = _engine(gnutella, policy="G", max_init_trial=3)
-        eng._attempt_exchange = lambda u, state: True  # force an exchange
+
+class TestNodeStateTransition:
+    """The §3.2 phase/timer rule on its own — no engine, no overlay.
+    Each row: (max_init_trial, cycle outcomes, expected delays, final phase)."""
+
+    @pytest.mark.parametrize("max_init_trial,outcomes,delays,phase", [
+        # warm-up probes at INIT_TIMER whatever the outcome, for exactly
+        # max_init_trial cycles
+        (3, [False, False], [60.0, 60.0], 0),
+        (3, [False, True, False], [60.0, 60.0, 60.0], 1),
+        (1, [True], [60.0], 1),
+        # maintenance: double on failure, reset on success
+        (1, [False, False, False, True, False], [60.0, 120.0, 240.0, 60.0, 120.0], 1),
+        # the cap period is served once, then the timer wraps to INIT_TIMER
+        (1, [False] * 5, [60.0, 120.0, 240.0, 60.0, 120.0], 1),
+        # an exchange on the *final* warm-up trial is a warm-up exchange:
+        # the timer it resets is the one maintenance then starts from
+        (2, [False, True, False], [60.0, 60.0, 120.0], 1),
+    ])
+    def test_delays_and_phase(self, max_init_trial, outcomes, delays, phase):
+        state = _state()
+        got = [state.next_delay(ok, max_init_trial) for ok in outcomes]
+        assert got == delays
+        assert state.phase == phase
+        assert state.trials == min(len(outcomes), max_init_trial)
+
+    def test_warmup_failures_do_not_back_off(self):
+        state = _state()
+        for _ in range(4):
+            state.next_delay(False, 5)
+        assert state.timer.value == 60.0
+
+    def test_churn_resets_a_backed_off_timer(self):
+        state = _state()
         for _ in range(3):
-            eng._probe_cycle(0)
-        state = eng.nodes[0]
-        assert state.phase == 1  # warm-up exhausted
-        assert state.probes_until_first_exchange == 1
-
-    def test_success_exactly_on_final_trial(self, gnutella):
-        eng, _ = _engine(gnutella, policy="G", max_init_trial=3)
-        outcomes = iter([False, False, True])
-        eng._attempt_exchange = lambda u, state: next(outcomes)
-        for _ in range(3):
-            eng._probe_cycle(0)
-        state = eng.nodes[0]
-        assert state.phase == 1
-        assert state.probes_until_first_exchange == 3  # was -1 before the fix
-
-    def test_success_after_warmup_records_sentinel(self, gnutella):
-        eng, _ = _engine(gnutella, policy="G", max_init_trial=2)
-        outcomes = iter([False, False, True])
-        eng._attempt_exchange = lambda u, state: next(outcomes)
-        for _ in range(3):
-            eng._probe_cycle(0)
-        assert eng.nodes[0].probes_until_first_exchange == -1
-
-    def test_first_success_wins(self, gnutella):
-        eng, _ = _engine(gnutella, policy="G", max_init_trial=5)
-        outcomes = iter([False, True, True, False, True])
-        eng._attempt_exchange = lambda u, state: next(outcomes)
-        for _ in range(5):
-            eng._probe_cycle(0)
-        assert eng.nodes[0].probes_until_first_exchange == 2
+            state.next_delay(False, 1)
+        assert state.timer.value == 240.0
+        state.timer.on_churn()  # what notify_membership_change does
+        assert state.next_delay(False, 1) == 120.0
+        assert state.phase == 1  # churn nearby does not restart warm-up
 
 
 class TestChurn:

@@ -24,8 +24,9 @@ FAST = dict(
 )
 
 
-def _pair(policy, **prop_kw):
-    inline = ExperimentConfig(prop=PROPConfig(policy=policy, **prop_kw), **FAST)
+def _pair(policy, overlay_kind="gnutella", trace=False, **prop_kw):
+    inline = ExperimentConfig(prop=PROPConfig(policy=policy, **prop_kw),
+                              overlay_kind=overlay_kind, trace=trace, **FAST)
     message = inline.but(transport="sim", latency_scale=0.0)
     return (
         run_experiment(inline, measure_lookups=False),
@@ -33,14 +34,40 @@ def _pair(policy, **prop_kw):
     )
 
 
-@pytest.mark.parametrize("policy,prop_kw", [("G", {}), ("O", dict(m=2))],
-                         ids=["PROP-G", "PROP-O"])
-def test_bridge_reproduces_inline_exchange_sequence(policy, prop_kw):
-    inline, message = _pair(policy, **prop_kw)
+# every rule the two drivers share, exercised through both: the policy
+# decision (G swap on two substrates, O selection), the walk step beyond
+# the first hop (nhops=4) and the random_probe draw
+CASES = [
+    pytest.param("G", "gnutella", {}, id="PROP-G"),
+    pytest.param("O", "gnutella", dict(m=2), id="PROP-O"),
+    pytest.param("G", "chord", {}, id="chord-PROP-G"),
+    pytest.param("G", "gnutella", dict(random_probe=True), id="PROP-G-random-probe"),
+    pytest.param("O", "gnutella", dict(m=2, random_probe=True), id="PROP-O-random-probe"),
+    pytest.param("G", "gnutella", dict(nhops=4), id="PROP-G-nhops4"),
+    pytest.param("O", "gnutella", dict(m=2, nhops=4), id="PROP-O-nhops4"),
+]
+
+
+def _decisions(trace):
+    """The protocol-decision events of a trace, in emission order."""
+    out = {"PROBE": [], "VAR_COLLECT": [], "EXCHANGE_COMMIT": []}
+    for ev in trace:
+        if ev.etype == "PROBE":
+            out["PROBE"].append((ev.u, ev.s))
+        elif ev.etype == "VAR_COLLECT":
+            out["VAR_COLLECT"].append((ev.u, ev.v, ev.var))
+        elif ev.etype == "EXCHANGE_COMMIT":
+            out["EXCHANGE_COMMIT"].append((ev.u, ev.v, ev.var, ev.traded))
+    return out
+
+
+@pytest.mark.parametrize("policy,overlay_kind,prop_kw", CASES)
+def test_bridge_reproduces_inline_exchange_sequence(policy, overlay_kind, prop_kw):
+    inline, message = _pair(policy, overlay_kind, trace=True, **prop_kw)
     ci, cm = inline.final_counters, message.final_counters
 
     assert cm.probes == ci.probes
-    assert cm.exchanges == ci.exchanges
+    assert cm.exchanges == ci.exchanges > 0
     # the same exchanges between the same peers in the same order
     assert ([(e.u, e.v) for e in cm.exchange_log]
             == [(e.u, e.v) for e in ci.exchange_log])
@@ -51,6 +78,11 @@ def test_bridge_reproduces_inline_exchange_sequence(policy, prop_kw):
     assert cm.walk_messages == ci.walk_messages
     assert cm.collect_messages == ci.collect_messages + COORDINATION_SLACK * cm.probes
     assert cm.notify_messages >= ci.notify_messages
+    # and the decision events agree: same first hops, same candidates and
+    # Var values, same commits
+    di, dm = _decisions(inline.trace), _decisions(message.trace)
+    assert len(di["PROBE"]) == ci.probes
+    assert dm == di
 
 
 def test_bridge_run_reports_transport_telemetry():

@@ -7,12 +7,7 @@ from repro.core.config import PROPConfig
 from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.harness.sweep import run_sweep
 from repro.netsim.rng import RngRegistry, derive_seed
-from repro.topology.factory import (
-    ORACLE_BACKENDS,
-    VIVALDI_STREAM,
-    build_oracle,
-    oracle_cache_params,
-)
+from repro.topology.factory import ORACLE_BACKENDS, VIVALDI_STREAM, build_oracle
 from repro.topology.landmark import LandmarkOracle, choose_landmarks
 from repro.topology.latency import LatencyOracle
 from repro.topology.presets import build_preset
@@ -155,11 +150,6 @@ class TestFactory:
     def test_unknown_option_rejected(self, net, hosts):
         with pytest.raises(ValueError, match="unknown 'vivaldi' oracle option"):
             build_oracle("vivaldi", net, hosts, options={"dims": 4})
-
-    def test_vivaldi_cache_params_include_seed(self):
-        assert oracle_cache_params("vivaldi", seed=3)["seed"] == 3
-        assert "seed" not in oracle_cache_params("exact", seed=3)
-        assert "seed" not in oracle_cache_params("landmark", seed=3)
 
     def test_vivaldi_stream_isolated_from_master_seed(self, net, hosts):
         """Different master seeds give different fits; the stream name

@@ -18,7 +18,7 @@ concurrency rules scope their checks.
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from tools.reprolint.engine import ModuleInfo
@@ -127,6 +127,57 @@ class ModuleGraph:
         if full in self.modules:
             return full, ""
         return None
+
+    # -- reachability ------------------------------------------------------
+
+    def _is_package(self, module: str) -> bool:
+        return self.modules[module].path.name == "__init__.py"
+
+    def import_owner(self, target: str) -> str | None:
+        """The project module an import target (``pkg.mod`` or
+        ``pkg.name``) is a use of: the module itself, or the one that
+        defines ``name`` — followed through package re-exports, so asking
+        a package for a name uses the name's defining module, not
+        everything the package happens to re-export."""
+        seen: set[str] = set()
+        while target not in self.modules and target not in seen:
+            seen.add(target)
+            split = self._split_symbol(target)
+            if split is None:
+                return None
+            module, symbol = split
+            forwarded = self.imports[module].get(symbol.split(".")[0])
+            if not self._is_package(module) or forwarded is None:
+                return module
+            target = forwarded
+        return target if target in self.modules else None
+
+    def reachable(self, roots: Iterable[str]) -> set[str]:
+        """Modules used, transitively, by the imports of ``roots``.
+
+        A package ``__init__`` re-exporting a module is not by itself a
+        use of it (see :meth:`import_owner`); a package is traversed only
+        when something imports the package object itself.  Ancestor
+        packages of every used module run on import and count as reached.
+        """
+        used: set[str] = set()
+        todo = list(roots)
+        while todo:
+            module = todo.pop()
+            if module in used:
+                continue
+            used.add(module)
+            for target in self.imports[module].values():
+                owner = self.import_owner(target)
+                if owner is not None:
+                    todo.append(owner)
+        for module in list(used):
+            parts = module.split(".")
+            for i in range(1, len(parts)):
+                parent = ".".join(parts[:i])
+                if parent in self.modules:
+                    used.add(parent)
+        return used
 
     def defining_component(self, module: str, dotted: str) -> str | None:
         """The component owning ``dotted`` as called from ``module``."""
