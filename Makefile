@@ -1,6 +1,6 @@
 # Convenience targets for the PROP reproduction.
 
-.PHONY: install test bench ledger pairs bench-obs bench-oracle bench-live bench-check monitor-demo prof-demo figures examples report lint analyze analyze-baseline all
+.PHONY: install test bench ledger pairs monitor-demo prof-demo figures examples report lint analyze analyze-baseline all
 
 # ruff (configured in pyproject.toml) when available; offline images
 # fall back to the dependency-free subset checker in tools/lint.py.
@@ -54,32 +54,6 @@ pairs:
 	python3 tools/ledger_pairs.py --workload $(WORKLOAD) --parent $(PARENT) \
 		$(if $(SEED),--seed $(SEED),) $(if $(N),--pairs $(N),)
 
-# Tracing overhead on the Fig. 5 Gnutella workload: NullTracer vs full
-# tracing, best-of-3, written to BENCH_obs.json (docs/observability.md).
-bench-obs:
-	PYTHONPATH=src python benchmarks/bench_obs_overhead.py
-
-# Latency-oracle backends at paper scale: setup cost / resident state
-# per backend plus the PROP-G convergence parity check (vivaldi within
-# 15% of exact, both scored by the exact oracle).  Records land in
-# benchmarks/history.jsonl for bench-check.
-bench-oracle:
-	pytest benchmarks/bench_oracle.py --benchmark-only
-
-# Live-plane throughput: a 50-peer loopback-UDP swarm, recording
-# msgs/s and exchanges/s (wall) into benchmarks/history.jsonl for
-# bench-check.  Skips cleanly where loopback sockets are forbidden.
-bench-live:
-	PYTHONPATH=src python benchmarks/bench_live.py
-
-# Noise-aware regression gate over benchmarks/history.jsonl: the newest
-# record per bench vs the trailing median of its predecessors.  Exit
-# codes: 0 pass, 1 regression, 2 no history.  REPORT_ONLY=1 reports
-# without failing (PR CI).
-bench-check:
-	PYTHONPATH=src python -m repro.obs bench-check \
-		$(if $(REPORT_ONLY),--report-only,)
-
 # Kernel cost observatory end to end: a small profiled run over the
 # message plane -> attribution table + kp.json, then the prof
 # subcommand re-renders it and writes validated flamegraph exports
@@ -95,7 +69,7 @@ prof-demo:
 	@echo "wrote benchmarks/output/kernel_profile.speedscope.json"
 
 # 60-second monitored run: live stderr line (phase, sim-time, ETA,
-# latency, exchange tallies) with streaming consumers — no raw trace.
+# latency, exchange tallies) from the streaming monitor — no raw trace.
 monitor-demo:
 	PYTHONPATH=src python -m repro run --preset ts-small --n 100 --policy G \
 		--duration 600 --sample-interval 60 --lookups 50 --monitor

@@ -1,4 +1,4 @@
-"""Latency-oracle backends: cost and convergence parity (``make bench-oracle``).
+"""Latency-oracle backends: cost and convergence parity.
 
 The exact oracle keeps the full n x n shortest-path matrix — precise but
 O(n^2) resident.  The coordinate backends trade accuracy for memory:
@@ -8,9 +8,9 @@ transit-domain landmarks (O(n*m) state).  Two questions decide whether
 they are usable stand-ins:
 
 * **cost** — setup wall time and resident state bytes per backend at
-  the paper's scale (ts-large, n = 1000), recorded to
-  ``benchmarks/history.jsonl`` so ``make bench-check`` gates the
-  trajectory;
+  the paper's scale (ts-large, n = 1000); the ledger tracks the same
+  builds as ``topology.oracle_*_build_s.n1000`` /
+  ``topology.oracle_state_mb``;
 * **fidelity** — does PROP-G *driven by* an approximate oracle still
   converge?  Both runs are scored by a fresh exact oracle (the estimate
   being optimized must not grade its own homework); acceptance is the
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import time
 
-from benchmarks.common import PAPER, paper_config, record_history, run_once
+from benchmarks.common import PAPER, paper_config, run_once
 from repro.core.config import PROPConfig
 from repro.harness.experiment import build_world
 from repro.harness.reporting import format_table
@@ -67,8 +67,6 @@ def test_oracle_setup_cost(benchmark, emit):
         return out
 
     data = run_once(benchmark, run)
-    for backend, entry in data.items():
-        record_history(f"oracle-setup/{backend}", entry)
 
     rows = [
         [b, e["setup_seconds"], e["state_bytes"], e.get("median_rel_error", "-")]
@@ -131,15 +129,6 @@ def test_propg_convergence_parity(benchmark, emit):
         return {backend: _scored_run(backend) for backend in ORACLE_BACKENDS}
 
     data = run_once(benchmark, run)
-    for backend, (initial, final, improvement, state) in data.items():
-        record_history(
-            f"oracle-convergence/{backend}",
-            {
-                # lower-is-better forms for the history gate
-                "final_edge_latency_ms": round(final, 3),
-                "state_bytes": state,
-            },
-        )
 
     rows = [
         [b, round(i, 1), round(f, 1), round(imp, 3), s]

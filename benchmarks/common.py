@@ -11,27 +11,15 @@ reported for scale context only.
 
 from __future__ import annotations
 
-import os
-import time
-from pathlib import Path
-
 from repro.harness.experiment import ExperimentConfig
 
 __all__ = [
     "PAPER",
     "FIG7",
-    "HISTORY_PATH",
     "add_workers_option",
-    "kernel_profile_enabled",
-    "record_history",
     "run_once",
     "workers_from_config",
 ]
-
-#: Append-only benchmark trajectory (gated by ``make bench-check``).
-#: Override with the ``REPRO_BENCH_HISTORY`` env var (a path, or ``0``
-#: to disable recording entirely).
-HISTORY_PATH = Path(__file__).resolve().parent / "history.jsonl"
 
 # Section 5.1 defaults: ts-large, n = 1000, probe timer 60 s.  One
 # simulated hour with 6-minute samples covers warm-up (10 probes) and
@@ -63,92 +51,9 @@ FIG7 = dict(
 )
 
 
-def kernel_profile_enabled() -> bool:
-    """Opt into per-category kernel profiling via ``REPRO_KERNEL_PROFILE``.
-
-    Off by default so the recorded wall-seconds stay comparable with the
-    unprofiled history (the disabled profiler costs one attribute
-    check); set ``REPRO_KERNEL_PROFILE=1`` to also record per-category
-    ``kernel.*`` seconds, letting ``bench-check`` localize a regression
-    to a category instead of a single wall-seconds number.
-    """
-    return os.environ.get("REPRO_KERNEL_PROFILE", "") not in ("", "0", "off")
-
-
-def _history_path() -> Path | None:
-    """Where history records go; ``None`` when recording is disabled."""
-    env = os.environ.get("REPRO_BENCH_HISTORY")
-    if env is None:
-        return HISTORY_PATH
-    if env in ("", "0", "off"):
-        return None
-    return Path(env)
-
-
-def record_history(bench: str, metrics: dict, *, config=None) -> None:
-    """Append one schema-versioned record to the benchmark history.
-
-    ``config`` (an :class:`ExperimentConfig`, when the bench has a
-    single defining one) supplies the fingerprint and seed; the
-    timestamp is stamped here, in the bench harness — wall clocks never
-    run inside the sim.
-    """
-    path = _history_path()
-    if path is None:
-        return
-    from repro.obs.bench_history import append_record, current_git_rev, history_record
-    from repro.obs.report import config_fingerprint
-
-    append_record(
-        path,
-        history_record(
-            bench,
-            fingerprint=config_fingerprint(config) if config is not None else "unknown",
-            seed=int(getattr(config, "seed", 0)) if config is not None else 0,
-            metrics=metrics,
-            git_rev=current_git_rev(Path(__file__).resolve().parent),
-            timestamp=time.time(),
-        ),
-    )
-
-
-def run_once(benchmark, fn, *, config=None):
-    """Execute ``fn`` exactly once under the benchmark timer.
-
-    Every run also lands one wall-seconds record in the benchmark
-    history (:data:`HISTORY_PATH`) keyed by the pytest-benchmark node
-    name, so ``make bench-check`` can gate the next run against the
-    trailing median.  Pass ``config`` when the bench has one defining
-    :class:`ExperimentConfig` so the record carries its fingerprint.
-    """
-    timing: dict[str, float] = {}
-
-    def timed():
-        started = time.perf_counter()
-        out = fn()
-        timing["seconds"] = time.perf_counter() - started
-        return out
-
-    result = benchmark.pedantic(timed, rounds=1, iterations=1)
-    seconds = timing.get("seconds")
-    if seconds is not None:
-        metrics = {"wall_seconds": round(seconds, 4)}
-        # benches returning an ExperimentResult from a kernel-profiled
-        # config also record per-category seconds, so bench-check can
-        # localize a regression to a category
-        kernel = getattr(result, "kernel_profile", None)
-        if kernel:
-            for category, ns in sorted(kernel.get("categories", {}).items()):
-                metrics[f"kernel.{category}"] = round(ns / 1e9, 4)
-            metrics["kernel.untracked"] = round(
-                kernel.get("untracked_ns", 0) / 1e9, 4
-            )
-        record_history(
-            getattr(benchmark, "name", "unnamed"),
-            metrics,
-            config=config,
-        )
-    return result
+def run_once(benchmark, fn):
+    """Execute ``fn`` exactly once under the benchmark timer."""
+    return benchmark.pedantic(fn, rounds=1, iterations=1)
 
 
 def add_workers_option(parser) -> None:
@@ -177,10 +82,10 @@ def workers_from_config(config) -> int:
 
 
 def paper_config(**overrides) -> ExperimentConfig:
-    merged = {"kernel_profile": kernel_profile_enabled(), **PAPER, **overrides}
+    merged = {**PAPER, **overrides}
     return ExperimentConfig(**merged)
 
 
 def fig7_config(**overrides) -> ExperimentConfig:
-    merged = {"kernel_profile": kernel_profile_enabled(), **FIG7, **overrides}
+    merged = {**FIG7, **overrides}
     return ExperimentConfig(**merged)

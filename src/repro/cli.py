@@ -120,11 +120,12 @@ def build_parser() -> argparse.ArgumentParser:
                      help="write a per-run report (config fingerprint, metrics, "
                           "phase breakdown) to this JSON file")
     obs.add_argument("--profile", action="store_true",
-                     help="profile wall-clock time per harness stage")
+                     help="print where the wall-clock time went: world build, "
+                          "event categories of the dispatch loop, metric "
+                          "sampling (inline and --transport sim)")
     obs.add_argument("--kernel-profile", type=str, default=None, metavar="PATH",
-                     help="attribute kernel wall-clock to event categories "
-                          "and write the profile JSON here (inspect with "
-                          "'python -m repro.obs prof PATH')")
+                     help="like --profile, and also write the profile JSON "
+                          "here (inspect with 'python -m repro.obs prof PATH')")
     obs.add_argument("--monitor", action="store_true",
                      help="live stderr progress line (phase, sim-time, ETA, "
                           "latency, exchange tallies); without --trace/--report "
@@ -201,13 +202,14 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         partitions=tuple(args.partition or ()),
         trace=args.trace is not None or args.report is not None,
         # --monitor alone needs the event stream but not the raw trace:
-        # stream to consumers and discard, keeping memory O(windows)
+        # stream to the monitor and discard, keeping memory bounded
         trace_streaming=(
             getattr(args, "monitor", False)
             and args.trace is None
             and args.report is None
         ),
-        kernel_profile=getattr(args, "kernel_profile", None) is not None,
+        # --profile prints the kernel profile, --kernel-profile also saves it
+        kernel_profile=args.profile or args.kernel_profile is not None,
     )
 
 
@@ -253,9 +255,9 @@ def _cmd_run_replicated(args: argparse.Namespace, config: ExperimentConfig,
         raise SystemExit("error: --save stores a single result; drop --seeds")
     if args.trace:
         raise SystemExit("error: --trace records a single run; drop --seeds")
-    if args.kernel_profile:
+    if config.kernel_profile:
         raise SystemExit(
-            "error: --kernel-profile records a single run; drop --seeds"
+            "error: --profile/--kernel-profile record a single run; drop --seeds"
         )
     print(
         f"replicating {config.overlay_kind} n={config.n_overlay} on {config.preset} "
@@ -294,7 +296,13 @@ def _cmd_run_replicated(args: argparse.Namespace, config: ExperimentConfig,
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
+    try:
+        config = _config_from_args(args)
+    except ValueError as exc:
+        if args.transport == "udp" and (args.profile or args.kernel_profile):
+            # the config's own kernel_profile refusal, as one line
+            raise SystemExit(f"error: {exc}") from None
+        raise
     label = "none"
     if config.prop is not None:
         label = f"PROP-{config.prop.policy}"
@@ -317,15 +325,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
         progress = _monitored_progress(1, args.workers) if args.monitor else None
         result = run_sweep(
-            {label: config}, workers=args.workers, profile=args.profile,
-            progress=progress,
+            {label: config}, workers=args.workers, progress=progress
         )[label]
     else:
-        profiler = None
-        if args.profile:
-            from repro.harness.profiler import StageProfiler
-
-            profiler = StageProfiler()
         consumers = None
         sample_hook = None
         if args.monitor:
@@ -335,8 +337,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
             if not config.trace_streaming:
                 # buffered tracing active (--trace/--report): attach the
-                # monitor consumers alongside the raw event buffer
-                consumers = monitor_consumers(config)
+                # monitor alongside the raw event buffer
+                consumers = [monitor_consumers(config)]
             wall_start = wall_monotonic()
 
             def sample_hook(t: float, status) -> None:
@@ -349,17 +351,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 if status is not None:
                     print(format_status(status, eta_seconds=eta), file=sys.stderr)
 
-        result = run_experiment(
-            config, profiler=profiler, consumers=consumers, sample_hook=sample_hook
-        )
-    if args.monitor and result.consumers:
-        from repro.obs.monitor import format_status
+        result = run_experiment(config, consumers=consumers, sample_hook=sample_hook)
+    if args.monitor:
+        from repro.obs.monitor import find_monitor, format_status
 
-        for consumer in result.consumers:
-            get_status = getattr(consumer, "status", None)
-            if callable(get_status):
-                print(format_status(get_status()), file=sys.stderr)
-                break
+        monitor = find_monitor(result.consumers)
+        if monitor is not None:
+            print(format_status(monitor.status()), file=sys.stderr)
     print(
         format_series(
             f"{config.overlay_kind} / {label}",
@@ -390,19 +388,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(format_table(list(NET_TABLE_COLUMNS), rows))
     print(f"lookup latency: {result.initial_lookup_latency:.1f} ms -> "
           f"{result.final_lookup_latency:.1f} ms")
-    if result.profile:
-        rows = [[name, f"{seconds:.3f}"]
-                for name, seconds in sorted(result.profile.items())]
-        print()
-        print(format_table(["stage", "wall seconds"], rows))
-    if args.kernel_profile and result.kernel_profile is not None:
+    if result.kernel_profile is not None:
         from repro.obs.prof import KernelProfile
 
         kprof = KernelProfile.from_dict(result.kernel_profile)
         print()
-        print(kprof.table(top=10))
-        path = kprof.save(args.kernel_profile)
-        print(f"wrote kernel profile to {path}", file=sys.stderr)
+        print(kprof.table())
+        if args.kernel_profile:
+            path = kprof.save(args.kernel_profile)
+            print(f"wrote kernel profile to {path}", file=sys.stderr)
     if args.trace:
         from repro.obs.trace import write_events_jsonl
 

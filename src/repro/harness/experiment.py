@@ -31,9 +31,8 @@ from repro.net.faults import FaultyTransport, PartitionSpec
 from repro.net.transport import SimTransport
 from repro.netsim.engine import Simulator
 from repro.netsim.rng import RngRegistry
-from repro.obs.live import WindowedCounts
-from repro.obs.monitor import ConvergenceMonitor
-from repro.obs.trace import TraceConsumer, Tracer
+from repro.obs.monitor import ConvergenceMonitor, find_monitor
+from repro.obs.trace import Tracer
 from repro.overlay.base import Overlay
 from repro.overlay.can import CANOverlay
 from repro.overlay.chord import ChordOverlay
@@ -115,7 +114,6 @@ class ExperimentConfig:
     # observability
     trace: bool = False  # buffer structured events (repro.obs)
     trace_streaming: bool = False  # dispatch to consumers, discard raw events
-    trace_window: float | None = None  # consumer window width (default: sample_interval)
     kernel_profile: bool = False  # per-category wall-clock attribution (repro.obs.prof)
     # measurement
     duration: float = 1800.0
@@ -151,11 +149,6 @@ class ExperimentConfig:
                 "trace buffers every raw event and trace_streaming discards "
                 "them; enable at most one of the two"
             )
-        if self.trace_window is not None:
-            if self.trace_window <= 0:
-                raise ValueError(f"trace_window must be > 0, got {self.trace_window}")
-            if not (self.trace or self.trace_streaming):
-                raise ValueError("trace_window needs trace or trace_streaming")
         if self.transport not in (None, "sim", "udp"):
             raise ValueError(
                 f"transport must be None, 'sim' or 'udp', got {self.transport!r}"
@@ -269,7 +262,6 @@ class ExperimentResult:
     net_stats: Any = None  # TransportStats when run over a message transport
     net_counters: Any = None  # NetCounters (timeouts/retries) likewise
     trace: Any = None  # list[repro.obs.events.Event] when config.trace
-    profile: Any = None  # dict[str, float] wall-clock stage timings (opt-in)
     kernel_profile: Any = None  # KernelProfile.to_dict() when config.kernel_profile
     consumers: Any = None  # list[TraceConsumer] when streaming/monitoring
 
@@ -300,29 +292,21 @@ class ExperimentResult:
         return np.diff(self.probes) / np.where(dt > 0, dt, 1.0)
 
 
-def monitor_consumers(config: ExperimentConfig) -> list[TraceConsumer]:
-    """The standard config-derived consumer set for monitored runs.
+def monitor_consumers(config: ExperimentConfig) -> ConvergenceMonitor:
+    """The config-derived streaming consumer of a monitored run.
 
     Built from the config alone so a worker process reconstructs the
-    identical set — streaming aggregates stay byte-comparable between
-    serial and ``--workers N`` execution.  Window width defaults to the
-    sampling interval; warm-up end mirrors the report phase breakdown.
+    identical monitor — its state stays comparable between serial and
+    ``--workers N`` execution.  Warm-up end mirrors the report phase
+    breakdown.
     """
-    width = (
-        config.trace_window
-        if config.trace_window is not None
-        else config.sample_interval
-    )
     warmup = 0.0
     if config.prop is not None:
         warmup = min(
             config.duration,
             float(config.prop.max_init_trial) * float(config.prop.init_timer),
         )
-    return [
-        WindowedCounts(width),
-        ConvergenceMonitor(config.duration, warmup_end=warmup),
-    ]
+    return ConvergenceMonitor(config.duration, warmup_end=warmup)
 
 
 def build_substrate(config: ExperimentConfig) -> Substrate:
@@ -389,7 +373,7 @@ def build_world(config: ExperimentConfig) -> World:
         tracer = Tracer(
             clock=lambda: sim.now,
             streaming=config.trace_streaming,
-            consumers=monitor_consumers(config) if config.trace_streaming else (),
+            consumers=[monitor_consumers(config)] if config.trace_streaming else (),
         )
     engine: PROPEngine | None = None
     ltm: LTMOptimizer | None = None
@@ -572,7 +556,6 @@ def run_experiment(
     config: ExperimentConfig,
     *,
     measure_lookups: bool = True,
-    profiler: Any = None,
     consumers: Any = None,
     sample_hook: Any = None,
 ) -> ExperimentResult:
@@ -580,19 +563,19 @@ def run_experiment(
 
     The ``times[0]`` sample is taken *before* any protocol activity, so
     series are directly interpretable as improvement-over-initial.
-    ``profiler`` is an optional
-    :class:`~repro.harness.profiler.StageProfiler`; when given, the
-    wall-clock split between world building, event processing, and
-    metric sampling lands in the result's ``profile`` field.
+    With ``config.kernel_profile`` the wall-clock split between world
+    building (``build``), the dispatch loop's event categories and
+    metric sampling (``sample``) lands in the result's
+    ``kernel_profile`` field.
 
     ``consumers`` are extra :class:`~repro.obs.trace.TraceConsumer`
     subscribers added to the run's tracer (requires ``config.trace`` or
-    ``config.trace_streaming``).  Consumers exposing ``on_sample(t,
-    latency_ms)`` (e.g. :class:`~repro.obs.monitor.ConvergenceMonitor`)
-    are additionally fed every finite lookup-latency sample.
-    ``sample_hook(t, status)`` is called after each sampling step with
-    the first monitor's :class:`~repro.obs.monitor.MonitorStatus` (or
-    None) — the CLI's ``--monitor`` progress line hangs off it.
+    ``config.trace_streaming``).  The run's
+    :class:`~repro.obs.monitor.ConvergenceMonitor`, when one is
+    subscribed, is additionally fed every finite lookup-latency sample,
+    and ``sample_hook(t, status)`` is called after each sampling step
+    with its :class:`~repro.obs.monitor.MonitorStatus` (or None) — the
+    CLI's ``--monitor`` progress line hangs off it.
     """
     from contextlib import nullcontext
 
@@ -604,13 +587,9 @@ def run_experiment(
         return run_live_experiment(
             config,
             measure_lookups=measure_lookups,
-            profiler=profiler,
             consumers=consumers,
             sample_hook=sample_hook,
         )
-
-    def _stage(name: str):
-        return profiler.stage(name) if profiler is not None else nullcontext()
 
     kprof = None
     if config.kernel_profile:
@@ -621,7 +600,7 @@ def run_experiment(
     def _kstage(category: str):
         return kprof.stage(category) if kprof is not None else nullcontext()
 
-    with _stage("build_world"), _kstage("build"):
+    with _kstage("build"):
         world = build_world(config)
     if kprof is not None:
         world.sim.profiler = kprof
@@ -630,6 +609,7 @@ def run_experiment(
             raise ValueError("consumers need config.trace or config.trace_streaming")
         for consumer in consumers:
             world.tracer.add_consumer(consumer)
+    monitor = find_monitor(world.tracer.consumers) if world.tracer is not None else None
     n_samples = int(np.floor(config.duration / config.sample_interval)) + 1
     times = np.arange(n_samples) * config.sample_interval
 
@@ -641,9 +621,8 @@ def run_experiment(
     exchanges = np.zeros(n_samples, dtype=np.int64)
 
     for i, t in enumerate(times):
-        with _stage("simulate"):
-            world.sim.run_until(float(t))
-        with _stage("sample"), _kstage("sample"):
+        world.sim.run_until(float(t))
+        with _kstage("sample"):
             link_stretch_series[i] = stretch_metric(world.overlay)
             if measure_lookups:
                 mean_lookup, mean_direct = sample_lookup_latency(world)
@@ -659,20 +638,10 @@ def run_experiment(
             probes[i] = world.ltm.counters.rounds
             messages[i] = world.ltm.counters.detector_messages
             exchanges[i] = world.ltm.counters.cuts + world.ltm.counters.adds
-        if world.tracer is not None and lookup_series[i] == lookup_series[i]:
-            for consumer in world.tracer.consumers:
-                on_sample = getattr(consumer, "on_sample", None)
-                if on_sample is not None:
-                    on_sample(float(t), float(lookup_series[i]))
+        if monitor is not None and lookup_series[i] == lookup_series[i]:
+            monitor.on_sample(float(t), float(lookup_series[i]))
         if sample_hook is not None:
-            status = None
-            if world.tracer is not None:
-                for consumer in world.tracer.consumers:
-                    get_status = getattr(consumer, "status", None)
-                    if callable(get_status):
-                        status = get_status()
-                        break
-            sample_hook(float(t), status)
+            sample_hook(float(t), monitor.status() if monitor is not None else None)
 
     if isinstance(world.engine, MessagePROPEngine):
         # exchanges still awaiting votes when the run ends are recorded
@@ -703,7 +672,6 @@ def run_experiment(
             if world.tracer is not None and not world.tracer.streaming
             else None
         ),
-        profile=dict(profiler.timings) if profiler is not None else None,
         kernel_profile=(
             kprof.finish(sim_seconds=float(times[-1])).to_dict()
             if kprof is not None

@@ -19,16 +19,9 @@ from repro.harness.parallel import ProgressCallback, Task, run_tasks
 __all__ = ["run_sweep"]
 
 
-def _sweep_task(
-    config: ExperimentConfig, measure_lookups: bool, profile: bool = False
-) -> ExperimentResult:
+def _sweep_task(config: ExperimentConfig, measure_lookups: bool) -> ExperimentResult:
     """Module-level task body so worker processes can unpickle it."""
-    profiler = None
-    if profile:
-        from repro.harness.profiler import StageProfiler
-
-        profiler = StageProfiler()
-    return run_experiment(config, measure_lookups=measure_lookups, profiler=profiler)
+    return run_experiment(config, measure_lookups=measure_lookups)
 
 
 def run_sweep(
@@ -39,7 +32,6 @@ def run_sweep(
     progress: ProgressCallback | None = None,
     task_timeout: float | None = None,
     max_retries: int = 1,
-    profile: bool = False,
 ) -> dict[str, ExperimentResult]:
     """Run every labelled config; returns results in the same order.
 
@@ -48,18 +40,16 @@ def run_sweep(
     status, elapsed) as each config starts, finishes, or is retried;
     wrap a :class:`~repro.harness.parallel.ProgressRollup` around it for
     the fleet-level done/total + ETA line behind the CLI's ``--monitor``.
-    With ``profile=True`` each result carries its worker's wall-clock
-    stage timings (merge across results with
-    :func:`repro.harness.profiler.merge_profiles`).
 
-    Configs with ``trace_streaming=True`` run their streaming consumers
+    Configs with ``trace_streaming=True`` run their convergence monitor
     *inside* the worker (reconstructed deterministically from the config
-    by :func:`~repro.harness.experiment.monitor_consumers`) and ship the
-    finished consumers back on ``result.consumers`` — aggregates are
-    identical to a serial run of the same config.
+    by :func:`~repro.harness.experiment.monitor_consumers`) and ship it
+    back finished on ``result.consumers`` — its state is identical to a
+    serial run of the same config.  ``kernel_profile=True`` likewise
+    rides in the config: each result carries its worker's profile.
     """
     tasks = [
-        Task(label, _sweep_task, (cfg, measure_lookups, profile))
+        Task(label, _sweep_task, (cfg, measure_lookups))
         for label, cfg in configs.items()
     ]
     return run_tasks(

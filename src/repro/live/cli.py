@@ -9,8 +9,7 @@ Three subcommands:
   churn, staged join/leave bursts and lookup load, reported as a
   :class:`~repro.live.swarm.SwarmReport`;
 * ``bench`` — a short fixed-shape throughput run printing one JSON
-  record (``benchmarks/bench_live.py`` wraps this shape into the
-  bench-history gate).
+  record.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from repro.workloads.churn import ChurnConfig
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.live.swarm import SwarmReport
 
-__all__ = ["main", "build_parser", "swarm_metrics"]
+__all__ = ["main", "build_parser"]
 
 
 def _add_common(p: argparse.ArgumentParser, *, n_default: int) -> None:
@@ -210,13 +209,11 @@ def _cmd_swarm(args: argparse.Namespace) -> int:
         print(f"trace: {len(swarm.tracer.events)} events -> {args.trace}",
               file=sys.stderr)
     if args.monitor and swarm.tracer is not None:
-        from repro.obs.monitor import format_status
+        from repro.obs.monitor import find_monitor, format_status
 
-        for consumer in swarm.tracer.consumers:
-            get_status = getattr(consumer, "status", None)
-            if callable(get_status):
-                print(format_status(get_status()), file=sys.stderr)
-                break
+        monitor = find_monitor(swarm.tracer.consumers)
+        if monitor is not None:
+            print(format_status(monitor.status()), file=sys.stderr)
     return 0
 
 

@@ -36,6 +36,7 @@ from repro.harness.experiment import (
 )
 from repro.live.swarm import ChurnSchedule, Swarm
 from repro.metrics.stretch import stretch as stretch_metric
+from repro.obs.monitor import find_monitor
 
 __all__ = ["run_live_experiment"]
 
@@ -44,7 +45,6 @@ def run_live_experiment(
     config: ExperimentConfig,
     *,
     measure_lookups: bool = True,
-    profiler: Any = None,
     consumers: Any = None,
     sample_hook: Any = None,
     churn_schedule: ChurnSchedule | None = None,
@@ -62,33 +62,27 @@ def run_live_experiment(
     if consumers and not (config.trace or config.trace_streaming):
         raise ValueError("consumers need config.trace or config.trace_streaming")
     return asyncio.run(
-        _run(config, measure_lookups, profiler, consumers, sample_hook, churn_schedule)
+        _run(config, measure_lookups, consumers, sample_hook, churn_schedule)
     )
 
 
 async def _run(
     config: ExperimentConfig,
     measure_lookups: bool,
-    profiler: Any,
     consumers: Any,
     sample_hook: Any,
     churn_schedule: ChurnSchedule | None,
 ) -> ExperimentResult:
-    from contextlib import AbstractContextManager, nullcontext
-
-    def _stage(name: str) -> AbstractContextManager[Any]:
-        return profiler.stage(name) if profiler is not None else nullcontext()
-
     swarm = Swarm(
         config,
         churn_schedule=churn_schedule,
         consumers=list(consumers) if consumers else None,
     )
-    with _stage("build_world"):
-        await swarm.start()
+    await swarm.start()
     world = swarm.world
     engine = swarm.engine
     assert world is not None and engine is not None  # set by start()
+    monitor = find_monitor(world.tracer.consumers) if world.tracer is not None else None
 
     n_samples = int(np.floor(config.duration / config.sample_interval)) + 1
     times = np.arange(n_samples) * config.sample_interval
@@ -101,31 +95,20 @@ async def _run(
     exchanges = np.zeros(n_samples, dtype=np.int64)
 
     def _sample(i: int, t: float) -> None:
-        with _stage("sample"):
-            link_stretch_series[i] = stretch_metric(world.overlay)
-            if measure_lookups:
-                mean_lookup, mean_direct = sample_lookup_latency(world)
-                lookup_series[i] = mean_lookup
-                stretch_series[i] = (
-                    mean_lookup / mean_direct if mean_direct > 0 else np.nan
-                )
+        link_stretch_series[i] = stretch_metric(world.overlay)
+        if measure_lookups:
+            mean_lookup, mean_direct = sample_lookup_latency(world)
+            lookup_series[i] = mean_lookup
+            stretch_series[i] = (
+                mean_lookup / mean_direct if mean_direct > 0 else np.nan
+            )
         probes[i] = engine.counters.probes
         messages[i] = engine.counters.total_messages
         exchanges[i] = engine.counters.exchanges
-        if world.tracer is not None and lookup_series[i] == lookup_series[i]:
-            for consumer in world.tracer.consumers:
-                on_sample = getattr(consumer, "on_sample", None)
-                if on_sample is not None:
-                    on_sample(float(t), float(lookup_series[i]))
+        if monitor is not None and lookup_series[i] == lookup_series[i]:
+            monitor.on_sample(float(t), float(lookup_series[i]))
         if sample_hook is not None:
-            status = None
-            if world.tracer is not None:
-                for consumer in world.tracer.consumers:
-                    get_status = getattr(consumer, "status", None)
-                    if callable(get_status):
-                        status = get_status()
-                        break
-            sample_hook(float(t), status)
+            sample_hook(float(t), monitor.status() if monitor is not None else None)
 
     try:
         # the t=0 sample precedes any protocol activity: the engines are
@@ -133,8 +116,7 @@ async def _run(
         _sample(0, 0.0)
         swarm.launch()
         for i in range(1, n_samples):
-            with _stage("simulate"):
-                await swarm.run_until(float(times[i]))
+            await swarm.run_until(float(times[i]))
             _sample(i, float(times[i]))
     finally:
         report = await swarm.close()
@@ -156,7 +138,6 @@ async def _run(
             if world.tracer is not None and not world.tracer.streaming
             else None
         ),
-        profile=dict(profiler.timings) if profiler is not None else None,
         consumers=(
             list(world.tracer.consumers)
             if world.tracer is not None and world.tracer.consumers

@@ -46,6 +46,7 @@ from repro.live.traffic import TrafficGenerator, single_lookup
 from repro.live.transport import UdpTransport
 from repro.net.engine import MessagePROPEngine, NetCounters
 from repro.net.transport import TransportStats
+from repro.obs.monitor import find_monitor
 from repro.obs.registry import (
     MetricsRegistry,
     absorb_net_counters,
@@ -241,7 +242,7 @@ class Swarm:
             tracer = Tracer(
                 clock=lambda: scheduler.now,
                 streaming=config.trace_streaming or not config.trace,
-                consumers=monitor_consumers(config) if config.trace_streaming else (),
+                consumers=[monitor_consumers(config)] if config.trace_streaming else (),
             )
             for consumer in self._extra_consumers:
                 tracer.add_consumer(consumer)
@@ -294,15 +295,8 @@ class Swarm:
                     retry_timeout=config.retry_timeout,
                 )
 
-            on_sample = None
-            if tracer is not None:
-                monitors = [
-                    c for c in tracer.consumers if hasattr(c, "on_sample")
-                ]
-                if monitors:
-                    def on_sample(t: float, ms: float) -> None:
-                        for m in monitors:
-                            m.on_sample(t, ms)
+            monitor = find_monitor(tracer.consumers) if tracer is not None else None
+            on_sample = monitor.on_sample if monitor is not None else None
 
             self.traffic = TrafficGenerator(
                 scheduler, one_lookup, config.live_lookup_rate, on_sample=on_sample

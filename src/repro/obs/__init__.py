@@ -1,14 +1,13 @@
 """repro.obs — structured event tracing, unified metrics, run reports.
 
-Five layers, each usable alone:
+Six layers, each usable alone:
 
 * :mod:`repro.obs.events` / :mod:`repro.obs.trace` — the typed event
   schema and the :class:`Tracer` event bus the engines and transports
   emit into (``NullTracer`` when off: one attribute check, zero cost;
   ``streaming=True`` dispatches to subscribers and discards raw events);
-* :mod:`repro.obs.live` / :mod:`repro.obs.monitor` — the active half:
-  windowed online aggregators and the convergence detectors behind the
-  CLI's ``--monitor`` progress line;
+* :mod:`repro.obs.monitor` — the active half: the streaming
+  convergence detectors behind the CLI's ``--monitor`` progress line;
 * :mod:`repro.obs.registry` — the unified :class:`MetricsRegistry`
   that absorbs the legacy ProtocolCounters / NetCounters /
   TransportStats surfaces into one namespace;
@@ -22,9 +21,11 @@ Five layers, each usable alone:
   :class:`KernelProfiler` attributes wall-clock nanoseconds to a closed
   category registry at the simulator's dispatch point, exporting
   attribution tables, collapsed stacks and speedscope JSON (the one
-  obs module sanctioned to read wall clocks);
-* :mod:`repro.obs.bench_history` — append-only benchmark history and
-  the ``bench-check`` regression gate.
+  obs module sanctioned to read wall clocks).
+
+Benchmarks are not measured here: the one ledger is
+``benchmarks/ledger/`` (``BENCHMARK.json``); :mod:`repro.obs.bench_history`
+keeps only the ``current_git_rev`` helper it imports.
 
 This package never imports from the harness or the engines — they
 import it.
@@ -37,16 +38,7 @@ from repro.obs.analyze import (
     reconstruct_timelines,
     render_timelines,
 )
-from repro.obs.bench_history import (
-    HISTORY_SCHEMA,
-    CheckResult,
-    append_record,
-    check_history,
-    current_git_rev,
-    history_record,
-    load_history,
-    render_check,
-)
+from repro.obs.bench_history import current_git_rev
 from repro.obs.events import (
     EVENT_TYPES,
     ChurnJoin,
@@ -69,20 +61,12 @@ from repro.obs.events import (
     events_from_jsonl,
     events_to_jsonl,
 )
-from repro.obs.live import (
-    HistStat,
-    MeanStat,
-    Window,
-    WindowedCounts,
-    WindowedHistogram,
-    WindowedMean,
-    replay,
-)
 from repro.obs.monitor import (
     ConvergenceMonitor,
     ExchangeEfficacy,
     MonitorStatus,
     ThrashDetector,
+    find_monitor,
     format_status,
 )
 from repro.obs.registry import (
@@ -106,10 +90,8 @@ from repro.obs.prof import (
     KernelProfiler,
     PROFILE_SCHEMA,
     ProfileError,
-    StageProfiler,
     classify_event,
     diff_table,
-    merge_profiles,
     validate_speedscope,
 )
 from repro.obs.report import (
@@ -154,7 +136,6 @@ from repro.obs.trace import (
 __all__ = [
     "CATEGORIES",
     "CategoryMismatchError",
-    "CheckResult",
     "ChurnJoin",
     "ChurnLeave",
     "ConvergenceMonitor",
@@ -169,12 +150,9 @@ __all__ = [
     "ExchangeTimeline",
     "ExchangeTimeoutEvent",
     "Gauge",
-    "HISTORY_SCHEMA",
-    "HistStat",
     "Histogram",
     "KernelProfile",
     "KernelProfiler",
-    "MeanStat",
     "MetricsRegistry",
     "MonitorStatus",
     "MsgDeliverEvent",
@@ -195,7 +173,6 @@ __all__ = [
     "SpanEndEvent",
     "SpanStartEvent",
     "SpanTree",
-    "StageProfiler",
     "TelemetryExporter",
     "TelemetrySnapshot",
     "ThrashDetector",
@@ -205,19 +182,13 @@ __all__ = [
     "TracerLike",
     "VAR_BUCKETS",
     "VarCollectEvent",
-    "Window",
-    "WindowedCounts",
-    "WindowedHistogram",
-    "WindowedMean",
     "absorb_net_counters",
     "absorb_protocol_counters",
     "absorb_transport_stats",
     "analysis_to_dict",
-    "append_record",
     "assemble_spans",
     "build_replicate_report",
     "build_run_report",
-    "check_history",
     "classify_event",
     "config_fingerprint",
     "critical_path",
@@ -229,24 +200,20 @@ __all__ = [
     "event_to_dict",
     "events_from_jsonl",
     "events_to_jsonl",
+    "find_monitor",
     "format_status",
-    "history_record",
-    "load_history",
     "load_report",
     "load_telemetry",
     "load_trace",
-    "merge_profiles",
     "net_summary_rows",
     "path_totals",
     "percentile_from_buckets",
     "reconstruct_timelines",
     "registry_from_result",
-    "render_check",
     "render_critical_paths",
     "render_markdown",
     "render_span_trees",
     "render_timelines",
-    "replay",
     "save_report",
     "validate_speedscope",
     "write_events_jsonl",

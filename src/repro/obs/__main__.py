@@ -13,11 +13,8 @@ Subcommands:
 * ``diff A.json B.json`` — metric-by-metric comparison of two run
   reports.
 * ``render REPORT.json [-o OUT.md]`` — render a run report to
-  markdown (stdout by default).
-* ``bench-check [HISTORY.jsonl]`` — gate the newest record of every
-  bench in the history file against its trailing median.  Exit codes:
-  0 pass, 1 regression, 2 missing/empty history (``--report-only``
-  reports regressions but still exits 0, for PR CI).
+  markdown (stdout by default).  Both exit 2 with one stderr line on
+  an unreadable or malformed report.
 * ``prof PROFILE.json`` — render a kernel profile (from ``repro run
   --kernel-profile``) as a top-N attribution table; ``--collapsed`` /
   ``--speedscope`` write flamegraph exports.  ``prof diff A.json
@@ -35,15 +32,7 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.obs.analyze import load_trace, reconstruct_timelines, render_timelines
-from repro.obs.bench_history import (
-    DEFAULT_HISTORY,
-    DEFAULT_THRESHOLD,
-    DEFAULT_WINDOW,
-    check_history,
-    load_history,
-    render_check,
-)
-from repro.obs.report import diff_reports, load_report, render_markdown
+from repro.obs.report import RunReport, diff_reports, load_report, render_markdown
 from repro.obs.spans import (
     assemble_spans,
     dump_analysis,
@@ -76,13 +65,28 @@ def _cmd_critpath(args: argparse.Namespace) -> int:
     return 0 if analysis.clean else 1
 
 
+def _load_reports(command: str, *paths: str) -> list[RunReport] | None:
+    """The reports at ``paths``, or None after one stderr line (exit 2)."""
+    try:
+        return [load_report(path) for path in paths]
+    except (OSError, ValueError) as exc:
+        print(f"{command}: {exc}", file=sys.stderr)
+        return None
+
+
 def _cmd_diff(args: argparse.Namespace) -> int:
-    print(diff_reports(load_report(args.a), load_report(args.b)))
+    reports = _load_reports("diff", args.a, args.b)
+    if reports is None:
+        return 2
+    print(diff_reports(*reports))
     return 0
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    text = render_markdown(load_report(args.report))
+    reports = _load_reports("render", args.report)
+    if reports is None:
+        return 2
+    text = render_markdown(reports[0])
     if args.output is None:
         print(text, end="")
     else:
@@ -91,22 +95,6 @@ def _cmd_render(args: argparse.Namespace) -> int:
         out.write_text(text, encoding="utf-8")
         print(f"wrote {out}")
     return 0
-
-
-def _cmd_bench_check(args: argparse.Namespace) -> int:
-    records = load_history(args.history)
-    if not records:
-        print(f"bench-check: no usable history at {args.history}", file=sys.stderr)
-        return 2
-    results = check_history(
-        records, window=args.window, threshold=args.threshold
-    )
-    print(render_check(results, threshold=args.threshold))
-    regressed = any(r.status == "regression" for r in results)
-    if regressed and args.report_only:
-        print("bench-check: report-only mode, not failing", file=sys.stderr)
-        return 0
-    return 1 if regressed else 0
 
 
 def _cmd_prof(args: argparse.Namespace) -> int:
@@ -207,27 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_render.add_argument("report", help="report JSON (from --report)")
     p_render.add_argument("-o", "--output", default=None, help="output .md path")
     p_render.set_defaults(func=_cmd_render)
-
-    p_check = sub.add_parser(
-        "bench-check", help="gate benchmark history against trailing medians"
-    )
-    p_check.add_argument(
-        "history", nargs="?", default=str(DEFAULT_HISTORY),
-        help=f"history JSONL (default {DEFAULT_HISTORY})",
-    )
-    p_check.add_argument(
-        "--window", type=int, default=DEFAULT_WINDOW,
-        help=f"trailing records per metric for the median (default {DEFAULT_WINDOW})",
-    )
-    p_check.add_argument(
-        "--threshold", type=float, default=DEFAULT_THRESHOLD,
-        help=f"relative regression threshold (default {DEFAULT_THRESHOLD})",
-    )
-    p_check.add_argument(
-        "--report-only", action="store_true",
-        help="print the verdict but exit 0 even on regression (PR CI)",
-    )
-    p_check.set_defaults(func=_cmd_bench_check)
 
     p_prof = sub.add_parser(
         "prof", help="render or diff kernel profiles (--kernel-profile output)"

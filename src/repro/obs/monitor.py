@@ -28,6 +28,7 @@ place allowed to look at a real clock.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.metrics.convergence import convergence_epoch
 from repro.obs.events import Event
@@ -37,6 +38,7 @@ __all__ = [
     "ExchangeEfficacy",
     "MonitorStatus",
     "ThrashDetector",
+    "find_monitor",
     "format_status",
 ]
 
@@ -244,6 +246,14 @@ class ConvergenceMonitor:
             thrashes=self.thrash.thrashes,
             plateau_time=self.plateau_time,
         )
+
+
+def find_monitor(consumers: Iterable[object] | None) -> ConvergenceMonitor | None:
+    """The :class:`ConvergenceMonitor` among a tracer's consumers, if any."""
+    for consumer in consumers or ():
+        if isinstance(consumer, ConvergenceMonitor):
+            return consumer
+    return None
 
 
 def format_status(status: MonitorStatus, *, eta_seconds: float | None = None) -> str:

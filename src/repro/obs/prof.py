@@ -38,9 +38,6 @@ flamegraph tooling), and :meth:`KernelProfile.speedscope` (a
 speedscope-compatible ``sampled`` profile, checked by
 :func:`validate_speedscope`).  ``python -m repro.obs prof`` renders all
 three and ``prof diff`` compares two profiles category-by-category.
-
-:class:`StageProfiler` — the harness's original coarse profiler — now
-lives here too; ``repro.harness.profiler`` re-exports it unchanged.
 """
 
 from __future__ import annotations
@@ -51,7 +48,7 @@ import tracemalloc
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 __all__ = [
     "CATEGORIES",
@@ -60,13 +57,10 @@ __all__ = [
     "KernelProfiler",
     "PROFILE_SCHEMA",
     "ProfileError",
-    "StageProfiler",
     "classify_event",
     "diff_table",
-    "merge_profiles",
     "validate_speedscope",
     "wall_monotonic",
-    "wall_perf_ns",
 ]
 
 PROFILE_SCHEMA = "repro.kernel-prof/1"
@@ -143,11 +137,6 @@ def wall_monotonic() -> float:
     entry, so the sanctioned surface stays greppable and explicit.
     """
     return time.monotonic()
-
-
-def wall_perf_ns() -> int:
-    """High-resolution wall nanoseconds (``perf_counter_ns``)."""
-    return time.perf_counter_ns()
 
 
 # -- classification -----------------------------------------------------
@@ -347,23 +336,29 @@ class KernelProfile:
         missing = [k for k in ("total_ns", "untracked_ns", "categories", "counts") if k not in doc]
         if missing:
             raise ProfileError(f"profile missing fields: {', '.join(missing)}")
-        categories = dict(doc["categories"])
+        try:
+            categories = {str(k): int(v) for k, v in dict(doc["categories"]).items()}
+            counts = {str(k): int(v) for k, v in dict(doc["counts"]).items()}
+            alloc = doc.get("alloc_bytes")
+            profile = cls(
+                total_ns=int(doc["total_ns"]),
+                untracked_ns=int(doc["untracked_ns"]),
+                events=int(doc.get("events", 0)),
+                windows=int(doc.get("windows", 0)),
+                sim_seconds=doc.get("sim_seconds"),
+                categories=categories,
+                counts=counts,
+                heap=dict(doc.get("heap", {})),
+                alloc_bytes=dict(alloc) if alloc is not None else None,
+            )
+        except (TypeError, ValueError) as exc:
+            raise ProfileError(f"malformed profile field: {exc}") from exc
         unknown = sorted(set(categories) - _CATEGORY_SET)
         if unknown:
             raise CategoryMismatchError(
                 f"profile names categories outside the registry: {', '.join(unknown)}"
             )
-        return cls(
-            total_ns=int(doc["total_ns"]),
-            untracked_ns=int(doc["untracked_ns"]),
-            events=int(doc.get("events", 0)),
-            windows=int(doc.get("windows", 0)),
-            sim_seconds=doc.get("sim_seconds"),
-            categories=categories,
-            counts=dict(doc["counts"]),
-            heap=dict(doc.get("heap", {})),
-            alloc_bytes=dict(doc["alloc_bytes"]) if doc.get("alloc_bytes") is not None else None,
-        )
+        return profile
 
     def save(self, path: str | Path) -> Path:
         path = Path(path)
@@ -511,40 +506,3 @@ def diff_table(before: KernelProfile, after: KernelProfile) -> str:
         lines.append(
             f"{category:<26} {a_ns / 1e9:>10.4f} {b_ns / 1e9:>10.4f} {delta:>+10.4f} {ratio}")
     return "\n".join(lines)
-
-
-# -- the original coarse stage profiler (relocated from the harness) ----
-
-class StageProfiler:
-    """Accumulates wall-clock seconds per named stage.
-
-    The harness's original coarse profiler: stages are free-form names
-    (``build_world``, ``simulate``, ``sample``…) and re-entering a
-    stage adds to its total.  Kept as the parallel-sweep profile
-    currency — worker profiles are plain ``dict[str, float]`` and merge
-    with :func:`merge_profiles`.
-    """
-
-    def __init__(self) -> None:
-        self.timings: dict[str, float] = {}
-
-    @contextmanager
-    def stage(self, name: str) -> Iterator[None]:
-        """Time the enclosed block, accumulating into ``name``."""
-        started = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - started
-            self.timings[name] = self.timings.get(name, 0.0) + elapsed
-
-
-def merge_profiles(profiles: Iterable[Mapping[str, float] | None]) -> dict[str, float]:
-    """Stage-wise sum of several workers' profiles (``None`` entries skipped)."""
-    merged: dict[str, float] = {}
-    for profile in profiles:
-        if not profile:
-            continue
-        for name, seconds in profile.items():
-            merged[name] = merged.get(name, 0.0) + float(seconds)
-    return dict(sorted(merged.items()))

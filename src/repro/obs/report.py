@@ -4,8 +4,8 @@ A :class:`RunReport` is the machine-readable record of one experiment —
 the muBench-style artifact that downstream analysis consumes without
 re-running the simulation: the config fingerprint and seed that
 reproduce it, the final unified metrics snapshot, the per-phase
-sim-time breakdown, trace event totals, and (when the opt-in profiler
-ran) the merged wall-clock stage timings.
+sim-time breakdown, trace event totals, and (when the run was
+kernel-profiled) the wall-clock seconds per profile category.
 
 Reports serialize to JSON (``save_report`` / ``load_report``), render
 to markdown (``render_markdown`` — ``make report``), and diff against
@@ -94,11 +94,12 @@ def _phase_breakdown(config: Any) -> dict[str, float]:
     return {"warmup": warmup, "maintenance": duration - warmup}
 
 
-def build_run_report(result: Any, *, profile: Mapping[str, float] | None = None) -> RunReport:
+def build_run_report(result: Any) -> RunReport:
     """Assemble the report for one ExperimentResult.
 
-    ``profile`` overrides the result's own ``profile`` attribute when
-    given (e.g. merged timings from several workers).
+    The report's ``profile`` is the result's ``kernel_profile`` as
+    category -> seconds (``untracked`` included, so the values sum to
+    the profiled total); empty when the run was not profiled.
     """
     config = result.config
     registry = registry_from_result(result)
@@ -106,7 +107,11 @@ def build_run_report(result: Any, *, profile: Mapping[str, float] | None = None)
     trace = getattr(result, "trace", None)
     if trace:
         event_counts = dict(sorted(_TallyCounter(ev.etype for ev in trace).items()))
-    timings = profile if profile is not None else getattr(result, "profile", None)
+    kernel = getattr(result, "kernel_profile", None)
+    profile: dict[str, float] = {}
+    if kernel:
+        profile = {name: ns / 1e9 for name, ns in kernel["categories"].items()}
+        profile["untracked"] = kernel["untracked_ns"] / 1e9
     samples = {
         "initial_lookup_latency_ms": float(result.lookup_latency[0]),
         "final_lookup_latency_ms": float(result.lookup_latency[-1]),
@@ -120,7 +125,7 @@ def build_run_report(result: Any, *, profile: Mapping[str, float] | None = None)
         metrics=registry.snapshot(),
         phases=_phase_breakdown(config),
         event_counts=event_counts,
-        profile=dict(timings) if timings else {},
+        profile=profile,
         samples={k: v for k, v in samples.items() if v == v},  # drop NaNs
     )
 
@@ -184,10 +189,17 @@ def save_report(report: RunReport, path: str | Path) -> Path:
 
 
 def load_report(path: str | Path) -> RunReport:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    if data.pop("schema", None) != REPORT_SCHEMA:
+    """Read a report back; ``ValueError`` (naming ``path``) if it is not one."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path} is not valid JSON (truncated?): {exc}") from exc
+    if not isinstance(data, dict) or data.pop("schema", None) != REPORT_SCHEMA:
         raise ValueError(f"{path} is not a run report ({REPORT_SCHEMA})")
-    return RunReport(**data)
+    try:
+        return RunReport(**data)
+    except TypeError as exc:  # names the missing / unexpected keys
+        raise ValueError(f"{path} is a malformed run report: {exc}") from exc
 
 
 # -- rendering ------------------------------------------------------------
@@ -222,8 +234,8 @@ def render_markdown(report: RunReport) -> str:
         for name, count in report.event_counts.items():
             lines.append(f"| {name} | {count} |")
     if report.profile:
-        lines += ["", "## Wall-clock profile (seconds, merged over workers)",
-                  "", "| stage | seconds |", "| --- | ---: |"]
+        lines += ["", "## Wall-clock profile (seconds per kernel category)",
+                  "", "| category | seconds |", "| --- | ---: |"]
         for name, seconds in sorted(report.profile.items()):
             lines.append(f"| {name} | {seconds:.3f} |")
     return "\n".join(lines) + "\n"

@@ -16,11 +16,11 @@ worker process can ship its trace back through
 **Streaming** mode (``streaming=True``) is the active half of the
 observability plane: each event is dispatched to the registered
 :class:`TraceConsumer` subscribers and then *discarded*, so a long run
-retains O(windows) of aggregate state instead of O(events) of raw
+retains the consumers' aggregate state instead of O(events) of raw
 trace.  Consumers observe the identical event sequence in either mode —
-the byte-determinism guarantee extends to what subscribers see, which is
-what makes streaming aggregates comparable to post-mortem replays of a
-buffered trace (:func:`repro.obs.live.replay`).
+the byte-determinism guarantee extends to what subscribers see, so a
+consumer fed a buffered trace's events in a loop ends in the state a
+streaming run of the same seed leaves it in.
 
 The tracer deliberately has no I/O of its own beyond
 :meth:`Tracer.write_jsonl` / :func:`write_events_jsonl`; keeping events
@@ -60,9 +60,9 @@ class TraceConsumer(Protocol):
 
     Consumers receive every event in emission order (nondecreasing
     simulation time) and a final :meth:`finish` when the run ends, so
-    windowed aggregators can flush their last open window.  Consumer
-    state must be picklable: worker processes ship their consumers back
-    whole, exactly as buffered tracers ship their event lists.
+    they can flush open state.  Consumer state must be picklable: worker
+    processes ship their consumers back whole, exactly as buffered
+    tracers ship their event lists.
     """
 
     def on_event(self, event: Event) -> None:
@@ -115,8 +115,8 @@ class Tracer:
     streaming:
         When True, events are dispatched to ``consumers`` and then
         discarded instead of buffered — memory stays bounded by the
-        consumers' aggregate state (O(windows)) for arbitrarily long
-        runs.  ``events`` stays empty in this mode.
+        consumers' aggregate state for arbitrarily long runs.
+        ``events`` stays empty in this mode.
     consumers:
         Initial :class:`TraceConsumer` subscribers.  Consumers are
         notified in registration order on every emit, in both modes.

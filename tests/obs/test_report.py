@@ -1,10 +1,12 @@
 """RunReport: fingerprinting, assembly, persistence, rendering, diffing."""
 
+import dataclasses
 import json
 
 import pytest
 
 from tests.obs.conftest import LOSSY_TRACED
+from repro.obs.__main__ import main as obs_main
 from repro.obs.report import (
     REPORT_SCHEMA,
     build_run_report,
@@ -49,11 +51,18 @@ class TestBuild:
         assert set(report.phases) == {"warmup", "maintenance"}
         assert sum(report.phases.values()) == pytest.approx(600.0)
 
-    def test_profile_override(self, lossy_traced_result):
-        report = build_run_report(
-            lossy_traced_result, profile={"simulate": 1.25}
+    def test_profile_is_kernel_profile_in_seconds(self, lossy_traced_result):
+        assert build_run_report(lossy_traced_result).profile == {}
+        profiled = dataclasses.replace(
+            lossy_traced_result,
+            kernel_profile={
+                "categories": {"build": 1_250_000_000, "sample": 500_000_000},
+                "untracked_ns": 250_000_000,
+            },
         )
-        assert report.profile == {"simulate": 1.25}
+        report = build_run_report(profiled)
+        assert report.profile == {"build": 1.25, "sample": 0.5, "untracked": 0.25}
+        assert "| build | 1.250 |" in render_markdown(report)
 
     def test_samples_are_finite(self, lossy_traced_result):
         report = build_run_report(lossy_traced_result)
@@ -76,6 +85,47 @@ class TestPersistence:
         bad.write_text(json.dumps({"schema": "other/9"}), encoding="utf-8")
         with pytest.raises(ValueError, match=REPORT_SCHEMA.replace("/", ".")):
             load_report(bad)
+
+    def test_malformed_report_is_a_value_error_naming_path_and_keys(
+        self, lossy_traced_result, tmp_path
+    ):
+        good = build_run_report(lossy_traced_result).to_dict()
+        path = tmp_path / "report.json"
+        missing = {k: v for k, v in good.items()
+                   if k not in ("duration", "metrics", "phases")}
+        cases = [
+            ([good], "not a run report"),                   # non-object JSON
+            (missing, "missing .*'duration', 'metrics', and 'phases'"),
+            (dict(good, bogus=1), "unexpected .*'bogus'"),
+            ('{"schema": "repro.run-rep', "not valid JSON"),  # truncated
+        ]
+        for doc, message in cases:
+            path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+            with pytest.raises(ValueError, match=message) as excinfo:
+                load_report(path)
+            assert str(path) in str(excinfo.value)
+
+
+class TestCli:
+    def test_diff_and_render_exit_two_on_bad_reports(
+        self, lossy_traced_result, tmp_path, capsys
+    ):
+        good = save_report(build_run_report(lossy_traced_result), tmp_path / "good.json")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"schema": REPORT_SCHEMA, "seed": 0, "oops": 1}))
+        absent = tmp_path / "absent.json"
+        for argv in (
+            ["render", str(bad)],
+            ["render", str(absent)],
+            ["diff", str(good), str(bad)],
+            ["diff", str(absent), str(good)],
+        ):
+            assert obs_main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"{argv[0]}: ")
+            assert captured.err.count("\n") == 1
+        assert obs_main(["diff", str(good), str(good)]) == 0
 
 
 class TestRendering:

@@ -4,6 +4,20 @@ from repro.obs.events import ProbeEvent
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 
 
+class _Recorder:
+    """Minimal TraceConsumer: remembers what it was told."""
+
+    def __init__(self):
+        self.etypes = []
+        self.finished = []
+
+    def on_event(self, event):
+        self.etypes.append(event.etype)
+
+    def finish(self, end_time):
+        self.finished.append(end_time)
+
+
 class TestNullTracer:
     def test_disabled_and_noop(self):
         t = NullTracer()
@@ -50,3 +64,29 @@ class TestTracer:
         assert len(t) == 1
         if NULL_TRACER.enabled:  # pragma: no cover - must not trigger
             raise AssertionError("NULL_TRACER must be disabled")
+
+
+class TestStreamingTracer:
+    def test_streaming_discards_events(self):
+        recorder = _Recorder()
+        tracer = Tracer(streaming=True, consumers=[recorder])
+        tracer.emit(ProbeEvent, u=0, s=1, cycle=0)
+        assert len(tracer.events) == 0
+        assert len(tracer) == 0
+        assert recorder.etypes == ["PROBE"]
+
+    def test_close_flushes_consumers_and_is_idempotent(self):
+        recorder = _Recorder()
+        tracer = Tracer(streaming=True, consumers=[recorder])
+        tracer.emit(ProbeEvent, u=0, s=1, cycle=0)
+        assert recorder.finished == []
+        tracer.close(10.0)
+        tracer.close(10.0)
+        assert recorder.finished == [10.0]
+
+    def test_buffered_tracer_also_feeds_consumers(self):
+        recorder = _Recorder()
+        tracer = Tracer(consumers=[recorder])
+        tracer.emit(ProbeEvent, u=0, s=1, cycle=0)
+        assert len(tracer.events) == 1
+        assert recorder.etypes == ["PROBE"]

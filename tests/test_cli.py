@@ -207,16 +207,61 @@ class TestObservabilityFlags:
         err = capsys.readouterr().err
         assert "[1/2]" in err and "[2/2]" in err
 
-    def test_profile_prints_stage_table(self, capsys):
+    @staticmethod
+    def _profile_rows(out):
+        """``category -> nanoseconds`` parsed from a printed KernelProfile table."""
+        lines = out[out.index("category "):].splitlines()[1:]
+        rows = {}
+        for line in lines:
+            if not line.strip():
+                break
+            name, seconds = line.split()[:2]
+            rows[name] = round(float(seconds) * 1e9)
+        return rows
+
+    def test_profile_prints_stage_table(self, capsys, tmp_path):
+        from repro.obs.prof import KernelProfile
+
+        path = tmp_path / "kp.json"
+        assert main(self.COMMON + ["--profile", "--kernel-profile", str(path)]) == 0
+        rows = self._profile_rows(capsys.readouterr().out)
+        assert {"build", "sample", "untracked", "total"} <= set(rows)
+        # the printed table is the saved profile; there the partition is exact
+        saved = KernelProfile.load(path)
+        assert sum(saved.categories.values()) + saved.untracked_ns == saved.total_ns
+        assert saved.categories["build"] > 0 and saved.categories["sample"] > 0
+        for name, ns in saved.categories.items():
+            assert abs(rows[name] - ns) <= 100_000  # table prints 4 decimals
+
+    def test_profile_alone_prints_and_writes_nothing(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         assert main(self.COMMON + ["--profile"]) == 0
-        out = capsys.readouterr().out
-        assert "build_world" in out and "simulate" in out
+        rows = self._profile_rows(capsys.readouterr().out)
+        assert rows["build"] > 0 and rows["sample"] > 0
+        assert list(tmp_path.iterdir()) == []
+
+    def test_profile_rides_in_the_config_through_workers(self, capsys):
+        argv = self.COMMON + ["--transport", "sim", "--workers", "2", "--profile"]
+        assert main(argv) == 0
+        rows = self._profile_rows(capsys.readouterr().out)
+        assert rows["build"] > 0 and rows["sample"] > 0
+        assert "deliver:WALK" in rows
+
+    def test_profile_refused_on_udp_in_one_line(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(self.COMMON + ["--transport", "udp", "--profile"])
+        message = str(excinfo.value.code)
+        assert message.startswith("error: kernel_profile") and "\n" not in message
+
+    def test_profile_rejects_seeds(self):
+        with pytest.raises(SystemExit):
+            main(self.COMMON + ["--seeds", "0,1", "--profile"])
 
     def test_no_trace_flag_means_no_tracer(self, capsys):
-        # plain runs keep the NullTracer: nothing observability-related
-        # in the output beyond the merged net table
+        # plain runs keep the NullTracer and no profiler: nothing
+        # observability-related in the output beyond the merged net table
         assert main(self.COMMON) == 0
-        assert "build_world" not in capsys.readouterr().out
+        assert "category " not in capsys.readouterr().out
 
 
 class TestParallelExecution:

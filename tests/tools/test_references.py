@@ -1,0 +1,106 @@
+"""Every command the docs, the Makefile and CI name still exists.
+
+A deleted Make target, CLI subcommand or bench module must take its
+mentions with it: this walks the user-facing documents and checks each
+``make <target>``, ``python -m repro[.obs|.live] <sub>`` and
+``benchmarks/*.py`` reference against the Makefile, the real argument
+parsers and the tree.  ``benchmarks/ledger/**``, ``CHANGES.md`` and
+``ROADMAP.md`` are history or out of reach and are not scanned.
+"""
+
+import argparse
+import re
+from pathlib import Path
+
+import repro.cli
+import repro.live.cli
+import repro.obs.__main__
+
+REPO = Path(__file__).resolve().parents[2]
+
+DOCS = [
+    REPO / "README.md",
+    REPO / "DESIGN.md",
+    REPO / "EXPERIMENTS.md",
+    *sorted((REPO / "docs").glob("*.md")),
+]
+CI = REPO / ".github" / "workflows" / "ci.yml"
+MAKEFILE = REPO / "Makefile"
+
+PARSERS = {
+    "repro": repro.cli.build_parser,
+    "repro.obs": repro.obs.__main__.build_parser,
+    "repro.live": repro.live.cli.build_parser,
+}
+
+_MAKE = re.compile(r"\bmake\s+([a-z][a-z0-9-]*)")
+_PYTHON_M = re.compile(
+    r"python3?\s+-m\s+(repro(?:\.obs|\.live)?)(?![\w.])[ \t]+([a-z][a-z0-9/|-]*)"
+)
+_BENCH_PATH = re.compile(r"\b(?:benchmarks/((?:\w+/)*\w+\.py)|(bench_\w+\.py))")
+_MD_CODE = re.compile(r"```.*?```|`[^`\n]+`", re.S)
+
+
+def _command_text(path: Path) -> str:
+    """The part of ``path`` that is commands rather than prose.
+
+    Markdown: fenced blocks and inline code spans ("make sure" in a
+    sentence is not a target).  YAML and the Makefile: every
+    non-comment line.
+    """
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".md":
+        return "\n".join(_MD_CODE.findall(text))
+    return "\n".join(line for line in text.splitlines() if not line.lstrip().startswith("#"))
+
+
+def _make_targets() -> set[str]:
+    rule = re.compile(r"^([A-Za-z][\w-]*):(?!=)", re.M)
+    return set(rule.findall(MAKEFILE.read_text(encoding="utf-8")))
+
+
+def _subcommands(parser: argparse.ArgumentParser) -> set[str]:
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return set(action.choices)
+
+
+def test_every_make_target_named_in_docs_and_ci_exists():
+    targets = _make_targets()
+    assert {"test", "ledger", "prof-demo"} <= targets  # the parse works
+    missing = {
+        f"{path.relative_to(REPO)}: make {name}"
+        for path in [*DOCS, CI]
+        for name in _MAKE.findall(_command_text(path))
+        if name not in targets
+    }
+    assert not missing, sorted(missing)
+
+
+def test_every_cli_subcommand_named_in_docs_makefile_and_ci_exists():
+    known = {module: _subcommands(build()) for module, build in PARSERS.items()}
+    assert "run" in known["repro"] and "prof" in known["repro.obs"]
+    missing = set()
+    seen = 0
+    for path in [*DOCS, CI, MAKEFILE]:
+        for module, subs in _PYTHON_M.findall(_command_text(path)):
+            for sub in re.split(r"[/|]", subs):  # "run/figure/show", "diff|render"
+                seen += 1
+                if sub not in known[module]:
+                    missing.add(f"{path.relative_to(REPO)}: python -m {module} {sub}")
+    assert seen > 20  # the scan finds the documented commands at all
+    assert not missing, sorted(missing)
+
+
+def test_every_bench_module_named_exists():
+    missing = set()
+    for path in [*DOCS, CI, MAKEFILE]:
+        # prose counts here: the experiment tables name bench files bare
+        # (and the module map names src/repro/obs/bench_history.py so)
+        for rel, bare in _BENCH_PATH.findall(path.read_text(encoding="utf-8")):
+            name = rel or bare
+            found = (REPO / "benchmarks" / name).is_file() or (
+                bare and any((REPO / "src").rglob(bare))
+            )
+            if not found:
+                missing.add(f"{path.relative_to(REPO)}: benchmarks/{name}")
+    assert not missing, sorted(missing)
