@@ -1,6 +1,6 @@
 # Convenience targets for the PROP reproduction.
 
-.PHONY: install test bench ledger pairs monitor-demo prof-demo figures examples report lint analyze analyze-baseline all
+.PHONY: install test bench ledger pairs monitor-demo prof-demo figures examples report lint analyze all
 
 # ruff (configured in pyproject.toml) when available; offline images
 # fall back to the dependency-free subset checker in tools/lint.py.
@@ -12,13 +12,14 @@ lint:
 		python tools/lint.py; \
 	fi
 
-# Invariant analysis (docs/analysis.md): reprolint rules D1-D7 plus the
-# flow/concurrency family F1/C1/C2/G1, the style lint, and mypy --strict
-# on the deterministic kernel and the live/obs planes.  reprolint exits
-# 1 on new findings and 2 on a stale baseline; ruff and mypy are
-# optional on offline images, reprolint itself is dependency-free.
+# Invariant analysis (docs/analysis.md): reprolint (the rules no tier-1
+# test can replace: D1-D3, D5-D7, F1, C1), the style lint, and mypy
+# --strict on the deterministic kernel and the live/obs planes.
+# reprolint exits 1 on any finding, a dead suppression included; ruff
+# and mypy are optional on offline images, reprolint itself is
+# dependency-free.
 analyze:
-	python -m tools.reprolint --jobs 4
+	python -m tools.reprolint
 	@$(MAKE) --no-print-directory lint
 	@if command -v mypy >/dev/null 2>&1; then \
 		mypy --strict -p repro.core -p repro.net -p repro.metrics \
@@ -26,9 +27,6 @@ analyze:
 	else \
 		echo "mypy not installed; skipping strict typing gate"; \
 	fi
-
-analyze-baseline:
-	python -m tools.reprolint --update-baseline
 
 install:
 	pip install -e . || python setup.py develop  # fallback: offline envs without `wheel`

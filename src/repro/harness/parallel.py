@@ -181,8 +181,7 @@ def _emit(progress: ProgressCallback | None, event: TaskEvent) -> None:
 
 
 def _run_serial(
-    tasks: Sequence[Task], progress: ProgressCallback | None,
-    timings: dict[str, float] | None = None,
+    tasks: Sequence[Task], progress: ProgressCallback | None
 ) -> dict[str, Any]:
     results: dict[str, Any] = {}
     for task in tasks:
@@ -191,8 +190,6 @@ def _run_serial(
         results[task.label] = task.fn(*task.args, **task.kwargs)
         # wall-clock subprocess timing  # reprolint: disable=D1
         elapsed = time.monotonic() - started
-        if timings is not None:
-            timings[task.label] = elapsed
         _emit(progress, TaskEvent(task.label, "done", elapsed))
     return results
 
@@ -222,7 +219,6 @@ def run_tasks(
     task_timeout: float | None = None,
     max_retries: int = 1,
     mp_context: Any | None = None,
-    timings: dict[str, float] | None = None,
 ) -> dict[str, Any]:
     """Execute independent tasks, optionally across worker processes.
 
@@ -249,9 +245,6 @@ def run_tasks(
         deterministic and propagate immediately.
     mp_context:
         Optional ``multiprocessing`` context (e.g. for ``spawn`` starts).
-    timings:
-        Optional out-parameter: filled with ``label -> wall seconds``
-        from first start to completion (includes any retries).
 
     Returns
     -------
@@ -273,7 +266,7 @@ def run_tasks(
     # but its size never exceeds the task count.
     requested = int(workers) if workers is not None and workers > 0 else (os.cpu_count() or 1)
     if requested <= 1:
-        return _run_serial(tasks, progress, timings)
+        return _run_serial(tasks, progress)
     n_workers = effective_workers(requested, len(tasks))
 
     results: dict[str, Any] = {}
@@ -289,7 +282,7 @@ def run_tasks(
         except Exception:
             # Platform cannot run worker processes at all: degrade to the
             # serial path for everything still outstanding.
-            serial = _run_serial(pending, progress, timings)
+            serial = _run_serial(pending, progress)
             results.update(serial)
             break
 
@@ -312,8 +305,6 @@ def run_tasks(
                         results[task.label] = future.result(timeout=0)
                         # wall-clock subprocess timing  # reprolint: disable=D1
                         elapsed = time.monotonic() - first_start[task.label]
-                        if timings is not None:
-                            timings[task.label] = elapsed
                         _emit(progress, TaskEvent(task.label, "done", elapsed))
                         continue
                     except Exception:
@@ -324,8 +315,6 @@ def run_tasks(
                 results[task.label] = future.result(timeout=task_timeout)
                 # wall-clock subprocess timing  # reprolint: disable=D1
                 elapsed = time.monotonic() - first_start[task.label]
-                if timings is not None:
-                    timings[task.label] = elapsed
                 _emit(progress, TaskEvent(task.label, "done", elapsed))
             except FutureTimeoutError:
                 failure = f"no result within {task_timeout:.0f}s"

@@ -30,8 +30,6 @@ def run_sweep(
     measure_lookups: bool = True,
     workers: int = 1,
     progress: ProgressCallback | None = None,
-    task_timeout: float | None = None,
-    max_retries: int = 1,
 ) -> dict[str, ExperimentResult]:
     """Run every labelled config; returns results in the same order.
 
@@ -52,10 +50,4 @@ def run_sweep(
         Task(label, _sweep_task, (cfg, measure_lookups))
         for label, cfg in configs.items()
     ]
-    return run_tasks(
-        tasks,
-        workers=workers,
-        progress=progress,
-        task_timeout=task_timeout,
-        max_retries=max_retries,
-    )
+    return run_tasks(tasks, workers=workers, progress=progress)

@@ -49,7 +49,6 @@ __all__ = [
     "CodecError",
     "GRAMMAR_FINGERPRINT",
     "MESSAGE_CLASSES",
-    "WIRE_KINDS",
     "WIRE_VERSION",
     "decode",
     "encode",
@@ -65,23 +64,11 @@ __all__ = [
 #: (docs/protocol.md, "Wire causality context").
 WIRE_VERSION = 2
 
-#: Declared wire encodings: grammar annotation text -> codec kind.  This
-#: is the codec's contract with the message grammar — reprolint rule G1
-#: statically checks that every payload field annotation appears here
-#: and that every kind has an explicit arm in encode() AND decode().
-WIRE_KINDS: dict[str, str] = {
-    "bool": "bool",
-    "int": "int",
-    "float": "float",
-    "str": "str",
-    "tuple[int, ...]": "int_tuple",
-}
-
 #: Acknowledged grammar fingerprint, "<WIRE_VERSION>:<sha256[:16]>" over
 #: every message's name and annotated payload fields in wire-tag order.
-#: Rule G1 recomputes this from the grammar source; when it stops
-#: matching, the grammar changed — update it (the new value is in the
-#: finding) and bump WIRE_VERSION above.
+#: tests/live/test_codec.py compares it with :func:`grammar_fingerprint`;
+#: when it stops matching, the grammar changed — update it (the new
+#: value is in the failure) and bump WIRE_VERSION above.
 GRAMMAR_FINGERPRINT = "2:7155b7741ba3710f"
 
 _HEADER = struct.Struct("!BBii")  # version, type tag, src slot, dst slot
@@ -96,8 +83,10 @@ class CodecError(ValueError):
     """A frame that cannot be encoded or decoded."""
 
 
-#: Runtime mirror of :data:`WIRE_KINDS`, keyed by the resolved hint
-#: object instead of the annotation text.
+#: The wire encodings: resolved field type hint -> codec kind.  A field
+#: of any other type raises :class:`CodecError` at import, and every
+#: kind has an arm in :func:`encode` and :func:`decode` (the round-trip
+#: test draws every field of every message type).
 _HINT_KINDS: dict[object, str] = {
     bool: "bool",
     int: "int",
@@ -128,9 +117,8 @@ def grammar_fingerprint() -> str:
     """The live grammar's fingerprint, ``"<version>:<sha256[:16]>"``.
 
     Hashes every message's wire name and annotated payload fields in
-    wire-tag order — the same canonical string reprolint rule G1 derives
-    statically from the grammar source, so the checked-in
-    :data:`GRAMMAR_FINGERPRINT` is pinned from both sides.
+    wire-tag order; the checked-in :data:`GRAMMAR_FINGERPRINT` must
+    equal it.
     """
     parts = []
     for name in MSG_TYPES:
@@ -193,7 +181,7 @@ def encode(msg: Message) -> bytes:
                 raise CodecError(f"slot list {name} too long ({len(value)} slots)")
             parts.append(_U16.pack(len(value)))
             parts.append(struct.pack(f"!{len(value)}i", *value))
-        else:  # pragma: no cover - G1 pins WIRE_KINDS to the arms above
+        else:  # pragma: no cover - _HINT_KINDS names only the arms above
             raise CodecError(f"field {name}: unhandled wire kind {kind!r}")
     return b"".join(parts)
 
@@ -234,7 +222,7 @@ def decode(data: bytes) -> Message:
                 offset += _U16.size
                 payload[name] = struct.unpack_from(f"!{count}i", data, offset)
                 offset += _I32.size * count
-            else:  # pragma: no cover - G1 pins WIRE_KINDS to the arms above
+            else:  # pragma: no cover - _HINT_KINDS names only the arms above
                 raise CodecError(f"field {name}: unhandled wire kind {kind!r}")
     except struct.error as exc:
         raise CodecError(f"frame truncated decoding {cls.__name__}: {exc}") from None

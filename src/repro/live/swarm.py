@@ -116,6 +116,7 @@ class SwarmReport:
     datagrams_delivered: int
     wire_bytes: int
     codec_errors: int
+    handler_errors: int  # exceptions swallowed by handler dispatch + datagram sinks
     churn_events: int
     lookups: int
     mean_lookup_ms: float
@@ -139,7 +140,8 @@ class SwarmReport:
             f"protocol msgs {self.protocol_messages}",
             f"  datagrams {self.datagrams_sent} sent / "
             f"{self.datagrams_delivered} delivered  "
-            f"({self.wire_bytes} wire bytes, {self.codec_errors} codec errors)",
+            f"({self.wire_bytes} wire bytes, {self.codec_errors} codec errors, "
+            f"{self.handler_errors} handler errors)",
             f"  throughput {self.msgs_per_wall_s:.0f} msgs/s  "
             f"{self.exchanges_per_wall_s:.2f} exchanges/s (wall)",
         ]
@@ -426,6 +428,8 @@ class Swarm:
             datagrams_delivered=stats.total_delivered,
             wire_bytes=self.transport.wire_bytes_sent,
             codec_errors=self.transport.codec_errors,
+            handler_errors=self.transport.handler_errors
+            + sum(node.sink_errors for node in self.transport.nodes),
             churn_events=self.churn.events if self.churn is not None else 0,
             lookups=self.traffic.lookups if self.traffic is not None else 0,
             mean_lookup_ms=(

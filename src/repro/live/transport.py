@@ -29,8 +29,9 @@ stack:
   valid frame arrives on the wrong slot's socket) and is dropped;
   a malformed packet must never kill the event loop.  The same
   counted-never-raised contract covers handler dispatch
-  (``handler_errors``) — reprolint rule C2 enforces the pattern on
-  every event-loop callback in this package.
+  (``handler_errors``) and the endpoint's datagram callback
+  (``PeerNode.sink_errors``); ``tests/live/test_transport.py`` raises
+  inside each and checks the next datagram is still delivered.
 """
 
 from __future__ import annotations

@@ -188,10 +188,14 @@ class MessagePROPEngine(PROPEngine):
         #: Set by finalize_trace: the run is over, so timer callbacks
         #: that straggle in during teardown must not start new cycles.
         self._finalized = False
-        #: The wire grammar's dispatch: message class -> handler.  A type
-        #: without an entry is absorbed (reprolint D4 keeps this 1:1).
-        self._dispatch: dict[type[Message], Callable[[Any], None]] = {
+        #: The wire grammar's dispatch, total over the concrete message
+        #: classes (tests/net/test_messages.py pins the key set): message
+        #: class -> handler, ``None`` for a type deliberately absorbed.
+        self._dispatch: dict[type[Message], Callable[[Any], None] | None] = {
             Walk: self._on_walk,
+            # measurement ping: the reply is modelled as free — §4.3
+            # counts one message per collected latency
+            VarProbe: None,
             VarReply: self._on_var_reply,
             ExchangePrepare: self._on_prepare,
             ExchangeCommit: self._on_commit,
@@ -287,11 +291,8 @@ class MessagePROPEngine(PROPEngine):
     # -- message dispatch -------------------------------------------------
 
     def _on_message(self, msg: Message) -> None:
-        handler = self._dispatch.get(type(msg))
+        handler = self._dispatch[type(msg)]
         if handler is None:
-            # VarProbe: measurement ping, absorbed (the reply is modelled as
-            # free — §4.3 counts one message per collected latency)
-            # reprolint: D4-absorbed: VarProbe
             return
         proc_span = -1
         if self.tracer.enabled and msg.trace_id >= 0:

@@ -1,16 +1,7 @@
-"""Engine mechanics: suppressions, baseline workflow, reporting, CLI."""
-
-import json
-from collections import Counter
+"""Engine mechanics: suppressions (live and dead), parse errors, CLI."""
 
 from tools.reprolint.__main__ import main
-from tools.reprolint.engine import (
-    Finding,
-    analyze,
-    baseline_diff,
-    load_baseline,
-    save_baseline,
-)
+from tools.reprolint.engine import analyze
 
 D3_VIOLATION = "for x in {3, 1, 2}:\n    y = x\n"
 
@@ -68,36 +59,6 @@ class TestParseErrors:
         assert "unparseable module" in found[0].message
 
 
-class TestBaseline:
-    def _finding(self, line=3, message="unsorted set iteration"):
-        return Finding(rule="D3", path="core/x.py", line=line, col=4, message=message)
-
-    def test_fingerprint_is_line_independent(self):
-        assert self._finding(line=3).fingerprint == self._finding(line=99).fingerprint
-
-    def test_save_load_roundtrip(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        save_baseline(path, [self._finding(), self._finding(line=9)])
-        counts = load_baseline(path)
-        assert counts == Counter({self._finding().fingerprint: 2})
-
-    def test_missing_baseline_is_empty(self, tmp_path):
-        assert load_baseline(tmp_path / "absent.json") == Counter()
-
-    def test_diff_splits_new_and_stale(self):
-        known, novel = self._finding(), self._finding(message="other defect")
-        baseline = Counter({known.fingerprint: 1, "D9::gone.py::vanished": 1})
-        new, stale = baseline_diff([known, novel], baseline)
-        assert new == [novel]
-        assert stale == ["D9::gone.py::vanished"]
-
-    def test_diff_is_a_multiset(self):
-        f = self._finding()
-        new, stale = baseline_diff([f, f], Counter({f.fingerprint: 1}))
-        assert new == [f]  # only one occurrence is grandfathered
-        assert stale == []
-
-
 class TestCli:
     def test_usage_error_on_bad_root(self, tmp_path, capsys):
         assert main(["--root", str(tmp_path / "absent")]) == 3
@@ -105,60 +66,40 @@ class TestCli:
 
     def test_new_findings_exit_1(self, tmp_path, capsys):
         root = _core_file(tmp_path, D3_VIOLATION)
-        baseline = tmp_path / "baseline.json"
-        code = main(["--root", str(root), "--baseline", str(baseline)])
+        code = main(["--root", str(root)])
         captured = capsys.readouterr()
         assert code == 1
-        assert "D3" in captured.out
-        assert "1 new finding(s)" in captured.err
+        assert "core/x.py:1:9: D3 unsorted set iteration" in captured.out
+        assert "1 finding(s)" in captured.err
 
-    def test_update_baseline_then_clean(self, tmp_path, capsys):
-        root = _core_file(tmp_path, D3_VIOLATION)
-        baseline = tmp_path / "baseline.json"
-        assert main(["--root", str(root), "--baseline", str(baseline),
-                     "--update-baseline"]) == 0
-        assert main(["--root", str(root), "--baseline", str(baseline)]) == 0
-        capsys.readouterr()
-
-    def test_stale_baseline_exit_2(self, tmp_path, capsys):
-        root = _core_file(tmp_path, D3_VIOLATION)
-        baseline = tmp_path / "baseline.json"
-        main(["--root", str(root), "--baseline", str(baseline), "--update-baseline"])
-        _core_file(tmp_path, "for x in sorted({3, 1, 2}):\n    y = x\n")
-        code = main(["--root", str(root), "--baseline", str(baseline)])
+    def test_clean_tree_exit_0(self, tmp_path, capsys):
+        root = _core_file(
+            tmp_path, "for x in {3, 1, 2}:  # reprolint: disable=D3\n    y = x\n"
+        )
+        assert main(["--root", str(root)]) == 0
         captured = capsys.readouterr()
-        assert code == 2
-        assert "baseline is stale" in captured.err
-        assert "make analyze-baseline" in captured.err
+        assert captured.out == ""
+        assert "0 finding(s)" in captured.err
 
-    def test_no_baseline_reports_everything(self, tmp_path, capsys):
-        root = _core_file(tmp_path, D3_VIOLATION)
-        baseline = tmp_path / "baseline.json"
-        main(["--root", str(root), "--baseline", str(baseline), "--update-baseline"])
-        code = main(["--root", str(root), "--baseline", str(baseline), "--no-baseline"])
-        capsys.readouterr()
+    def test_dead_suppression_fails_the_default_run(self, tmp_path, capsys):
+        root = _core_file(
+            tmp_path, "for x in sorted({3, 1, 2}):  # reprolint: disable=D3\n    y = x\n"
+        )
+        code = main(["--root", str(root)])
+        captured = capsys.readouterr()
         assert code == 1
+        assert "core/x.py:1:0: E998 suppression 'D3' masks no finding" in captured.out
 
     def test_select_restricts_rules(self, tmp_path, capsys):
         root = _core_file(tmp_path, "import random\n" + D3_VIOLATION)
-        code = main(["--root", str(root), "--baseline", str(tmp_path / "b.json"),
-                     "--select", "D1"])
+        code = main(["--root", str(root), "--select", "D1"])
         captured = capsys.readouterr()
         assert code == 1
         assert "D1" in captured.out
         assert "D3" not in captured.out
 
-    def test_json_format(self, tmp_path, capsys):
-        root = _core_file(tmp_path, D3_VIOLATION)
-        code = main(["--root", str(root), "--baseline", str(tmp_path / "b.json"),
-                     "--format", "json"])
-        captured = capsys.readouterr()
-        assert code == 1
-        payload = json.loads(captured.out)
-        assert payload[0]["rule"] == "D3"
-
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("D1", "D2", "D3", "D4", "D5", "D6", "D7"):
+        for rule_id in ("C1", "D1", "D2", "D3", "D5", "D6", "D7", "F1"):
             assert rule_id in out

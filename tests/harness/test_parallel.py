@@ -211,21 +211,3 @@ class TestEffectiveWorkers:
 
     def test_no_tasks(self):
         assert effective_workers(4, 0) == 1
-
-
-class TestRunTasksTimings:
-    def test_serial_path_fills_timings(self):
-        timings = {}
-        results = run_tasks(_tasks(2), workers=1, timings=timings)
-        assert results == {"t0": 0, "t1": 1}
-        assert set(timings) == {"t0", "t1"}
-        assert all(t >= 0.0 for t in timings.values())
-
-    def test_pool_path_fills_timings(self):
-        timings = {}
-        results = run_tasks(_tasks(2), workers=2, timings=timings)
-        assert results == {"t0": 0, "t1": 1}
-        assert set(timings) == {"t0", "t1"}
-
-    def test_timings_param_is_optional(self):
-        assert run_tasks(_tasks(1), workers=1) == {"t0": 0}

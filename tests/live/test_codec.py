@@ -13,6 +13,7 @@ from typing import get_type_hints
 import pytest
 
 from repro.live.codec import (
+    GRAMMAR_FINGERPRINT,
     MESSAGE_CLASSES,
     WIRE_VERSION,
     CodecError,
@@ -20,6 +21,7 @@ from repro.live.codec import (
     encode,
     encoded_size,
     frame,
+    grammar_fingerprint,
     unframe,
 )
 from repro.net.messages import INT_BYTES, MSG_TYPES, Message, Walk
@@ -74,6 +76,12 @@ class TestRoundTrip:
         """Every MSG_TYPES tag has a codec-known class — adding a
         message type without a wire rule fails here, not in production."""
         assert tuple(MESSAGE_CLASSES) == MSG_TYPES
+
+    def test_fingerprint_literal_matches_runtime(self):
+        """A grammar change (a field added, retyped or reordered) must be
+        acknowledged by editing the constant next to WIRE_VERSION, where
+        the bump decision belongs; the failure shows the new value."""
+        assert GRAMMAR_FINGERPRINT == grammar_fingerprint()
 
     def test_stream_framing_round_trips_in_order(self):
         rng = random.Random(7)

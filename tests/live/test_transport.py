@@ -20,6 +20,7 @@ import pytest
 
 from repro.live.clock import LiveScheduler
 from repro.live.codec import encode, encoded_size
+from repro.live.node import PeerNode
 from repro.live.transport import UdpTransport, udp_loopback_available
 from repro.net.faults import FaultyTransport
 from repro.net.messages import VarProbe
@@ -135,6 +136,68 @@ class TestUdpSemantics:
         codec_errors, delivered = self._run(body)
         assert codec_errors == 1
         assert delivered == 0
+
+    @staticmethod
+    async def _until_two(seen: list) -> None:
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + 2.0
+        while loop.time() < deadline and len(seen) < 2:
+            await asyncio.sleep(0.005)
+
+    def test_raising_handler_counted_not_raised(self):
+        async def body():
+            loop = asyncio.get_running_loop()
+            escaped: list = []
+            loop.set_exception_handler(lambda _loop, ctx: escaped.append(ctx))
+            transport = await UdpTransport.create(LiveScheduler(loop), 2)
+            try:
+                seen: list = []
+
+                def handler(msg):
+                    seen.append(msg.cycle)
+                    if msg.cycle == 1:
+                        raise RuntimeError("handler bug")
+
+                transport.register(1, handler)
+                transport.send(VarProbe(src=0, dst=1, cycle=1))
+                transport.send(VarProbe(src=0, dst=1, cycle=2))
+                await self._until_two(seen)
+                return transport.handler_errors, seen, escaped
+            finally:
+                transport.close()
+
+        handler_errors, seen, escaped = self._run(body)
+        assert handler_errors == 1
+        assert seen == [1, 2]  # the loop survived: the next datagram arrived
+        assert escaped == []  # nothing reached the loop's exception handler
+
+    def test_raising_sink_counted_not_raised(self):
+        async def body():
+            loop = asyncio.get_running_loop()
+            escaped: list = []
+            loop.set_exception_handler(lambda _loop, ctx: escaped.append(ctx))
+            seen: list = []
+
+            def sink(slot, data):
+                seen.append(data)
+                if data == b"first":
+                    raise RuntimeError("sink bug")
+
+            sender = await PeerNode.create(loop, 0, lambda slot, data: None)
+            receiver = await PeerNode.create(loop, 1, sink)
+            try:
+                sender.sendto(b"first", receiver.address)
+                sender.sendto(b"second", receiver.address)
+                await self._until_two(seen)
+                return receiver.sink_errors, seen, escaped
+            finally:
+                sender.close()
+                receiver.close()
+
+        sink_errors, seen, escaped = self._run(body)
+        assert sink_errors == 1
+        assert seen == [b"first", b"second"]
+        assert escaped == []
 
     def test_misrouted_frame_counted_and_dropped(self):
         async def body():

@@ -10,7 +10,8 @@ import pytest
 
 from repro.core.config import PROPConfig
 from repro.net.engine import MessagePROPEngine, NetConfig
-from repro.net.messages import ExchangeCommit, Notify
+from repro.net import messages
+from repro.net.messages import ExchangeCommit, Message, Notify, VarProbe
 from repro.net.transport import SimTransport
 from repro.netsim.engine import Simulator
 from repro.netsim.rng import RngRegistry
@@ -77,6 +78,29 @@ class TestNetConfig:
         net = NetConfig()
         assert net.reply_timeout < PROPConfig().init_timer
         assert net.prepared_timeout < PROPConfig().init_timer
+
+
+class TestDispatchTable:
+    def test_dispatch_is_total_over_the_grammar(self, gnutella):
+        """Every concrete message class has a decision — a handler or an
+        explicit ``None`` — and no entry names a class outside the
+        grammar."""
+        engine, _, _ = _engine(gnutella)
+        concrete = {
+            cls for cls in vars(messages).values()
+            if isinstance(cls, type) and issubclass(cls, Message) and cls is not Message
+        }
+        assert set(engine._dispatch) == concrete
+        assert {c.type_name for c in concrete} == set(messages.MSG_TYPES)
+        absorbed = [cls for cls, handler in engine._dispatch.items() if handler is None]
+        assert absorbed == [VarProbe]
+
+    def test_message_class_without_an_entry_fails_loudly(self, gnutella):
+        # the table is indexed, not .get(): a class added without a
+        # decision fails in the first run that delivers it
+        engine, _, _ = _engine(gnutella)
+        with pytest.raises(KeyError):
+            engine._on_message(Message(src=0, dst=1))
 
 
 class TestFaultFreeOperation:

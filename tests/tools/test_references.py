@@ -2,10 +2,11 @@
 
 A deleted Make target, CLI subcommand or bench module must take its
 mentions with it: this walks the user-facing documents and checks each
-``make <target>``, ``python -m repro[.obs|.live] <sub>`` and
-``benchmarks/*.py`` reference against the Makefile, the real argument
-parsers and the tree.  ``benchmarks/ledger/**``, ``CHANGES.md`` and
-``ROADMAP.md`` are history or out of reach and are not scanned.
+``make <target>``, ``python -m repro[.obs|.live] <sub>``,
+``python -m tools.reprolint --flag`` and ``benchmarks/*.py`` reference
+against the Makefile, the real argument parsers and the tree.
+``benchmarks/ledger/**``, ``CHANGES.md`` and ``ROADMAP.md`` are history
+or out of reach and are not scanned.
 """
 
 import argparse
@@ -15,6 +16,7 @@ from pathlib import Path
 import repro.cli
 import repro.live.cli
 import repro.obs.__main__
+import tools.reprolint.__main__
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -37,6 +39,7 @@ _MAKE = re.compile(r"\bmake\s+([a-z][a-z0-9-]*)")
 _PYTHON_M = re.compile(
     r"python3?\s+-m\s+(repro(?:\.obs|\.live)?)(?![\w.])[ \t]+([a-z][a-z0-9/|-]*)"
 )
+_REPROLINT = re.compile(r"python3?\s+-m\s+tools\.reprolint\b([^\n#|;&]*)")
 _BENCH_PATH = re.compile(r"\b(?:benchmarks/((?:\w+/)*\w+\.py)|(bench_\w+\.py))")
 _MD_CODE = re.compile(r"```.*?```|`[^`\n]+`", re.S)
 
@@ -88,6 +91,22 @@ def test_every_cli_subcommand_named_in_docs_makefile_and_ci_exists():
                 if sub not in known[module]:
                     missing.add(f"{path.relative_to(REPO)}: python -m {module} {sub}")
     assert seen > 20  # the scan finds the documented commands at all
+    assert not missing, sorted(missing)
+
+
+def test_every_reprolint_flag_named_in_docs_makefile_and_ci_exists():
+    parser = tools.reprolint.__main__.build_parser()
+    known = {opt for action in parser._actions for opt in action.option_strings}
+    assert {"--root", "--select", "--list-rules"} <= known
+    missing = set()
+    seen = 0
+    for path in [*DOCS, CI, MAKEFILE]:
+        for args in _REPROLINT.findall(_command_text(path)):
+            seen += 1
+            for flag in re.findall(r"(?<![\w-])--[a-z][a-z-]*", args):
+                if flag not in known:
+                    missing.add(f"{path.relative_to(REPO)}: python -m tools.reprolint {flag}")
+    assert seen >= 3  # Makefile + docs/analysis.md at least
     assert not missing, sorted(missing)
 
 

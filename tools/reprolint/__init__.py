@@ -12,8 +12,6 @@ Per-file rules (one AST at a time):
   fault stream, protocol modules only from the protocol stream;
 * **D3** no set/dict-key iteration feeding a protocol decision without
   an explicit ``sorted()``;
-* **D4** message-handler exhaustiveness — every message class has a
-  dispatch arm in the engine, and no dead handlers;
 * **D5** exchange atomicity — overlay neighbor structures mutate only
   inside the overlay/exchange modules;
 * **D6** config coverage — every ``PROPConfig`` field is referenced by
@@ -21,40 +19,21 @@ Per-file rules (one AST at a time):
 * **D7** traced event emission — decision-path code reports through the
   injected Tracer, never ``print``/``logging``.
 
-Flow/concurrency rules (over the project-wide module graph and
-per-function summaries — see :mod:`tools.reprolint.graph` and
-:mod:`tools.reprolint.summaries`):
+Flow/concurrency rules (:mod:`tools.reprolint.rules_flow`):
 
 * **F1** RNG-stream provenance — a stream named for component X may not
-  flow into a call defined by another component;
+  flow into a call defined by another component (resolved across files
+  through :mod:`tools.reprolint.graph`);
 * **C1** await-interleaving hazards in ``repro.live`` — stale
-  read-across-await writes and fire-and-forget ``create_task``;
-* **C2** callback exception safety — asyncio protocol callbacks follow
-  the counted-never-raised pattern;
-* **G1** codec<->grammar drift — the wire codec covers every message
-  field, and grammar changes force a fingerprint/version update.
+  read-across-await writes and fire-and-forget ``create_task``.
 
-See ``docs/analysis.md`` for the rule catalogue, the
-``# reprolint: disable=RULE`` suppression syntax and the baseline-file
-workflow.  Run as ``python -m tools.reprolint`` (or ``make analyze``).
+One check per invariant: a rule lives here only while no tier-1 test
+can see its bug class.  ``docs/analysis.md`` records the audit (seeded
+bug -> who catches it) and the ``# reprolint: disable=RULE``
+suppression syntax.  Run as ``python -m tools.reprolint`` (or
+``make analyze``).
 """
 
-from tools.reprolint.engine import (
-    Finding,
-    ModuleInfo,
-    Project,
-    SuppressionAudit,
-    analyze,
-    analyze_full,
-    iter_rules,
-)
+from tools.reprolint.engine import Finding, ModuleInfo, Project, analyze, iter_rules
 
-__all__ = [
-    "Finding",
-    "ModuleInfo",
-    "Project",
-    "SuppressionAudit",
-    "analyze",
-    "analyze_full",
-    "iter_rules",
-]
+__all__ = ["Finding", "ModuleInfo", "Project", "analyze", "iter_rules"]

@@ -2,76 +2,46 @@
 
 Usage (from the repo root)::
 
-    python -m tools.reprolint                  # analyze src/repro, text output
-    python -m tools.reprolint --jobs 4         # parallel per-file analysis
-    python -m tools.reprolint --format json
-    python -m tools.reprolint --json-out findings.json
-    python -m tools.reprolint --update-baseline
+    python -m tools.reprolint                  # analyze src/repro
     python -m tools.reprolint --list-rules
-    python -m tools.reprolint --list-suppressions
     python -m tools.reprolint --select D1,D3 --root some/tree
 
-Exit codes: 0 clean (all findings baselined), 1 new findings (or, under
-``--list-suppressions``, stale suppressions), 2 stale baseline (it lists
-findings that no longer occur — regenerate with ``--update-baseline`` /
-``make analyze-baseline``), 3 usage error.
+Findings print one per line as ``path:line:col: RULE message`` (the form
+``.github/reprolint-matcher.json`` turns into PR annotations).  Exit
+codes: 0 clean, 1 findings (rule violations, dead suppressions,
+unparseable modules), 3 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-from tools.reprolint.engine import (
-    analyze_full,
-    baseline_diff,
-    iter_rules,
-    load_baseline,
-    save_baseline,
-    write_report,
-)
+from tools.reprolint.engine import analyze, iter_rules
 
 DEFAULT_ROOT = "src/repro"
-DEFAULT_BASELINE = "tools/reprolint/baseline.json"
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="reprolint", description="PROP reproduction invariant analyzer"
     )
     parser.add_argument("--root", default=DEFAULT_ROOT,
                         help="package tree to analyze (default: src/repro)")
-    parser.add_argument("--baseline", default=DEFAULT_BASELINE,
-                        help="baseline file of grandfathered findings")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore the baseline: report every finding")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="rewrite the baseline from the current findings")
-    parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--json-out", default=None, metavar="FILE",
-                        help="also write the non-baselined findings to FILE "
-                             "as JSON (for CI artifacts)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="parse/analyze files over N processes "
-                             "(output is byte-identical to serial)")
     parser.add_argument("--select", default=None,
                         help="comma-separated rule ids (default: all)")
     parser.add_argument("--list-rules", action="store_true")
-    parser.add_argument("--list-suppressions", action="store_true",
-                        help="report `# reprolint: disable=` comments that "
-                             "mask no finding (exit 1 if any)")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
 
     if args.list_rules:
         for rule in iter_rules():
             print(f"{rule.id}  {rule.name}: {rule.description}")
         return 0
-
-    if args.jobs < 1:
-        print("reprolint: --jobs must be >= 1", file=sys.stderr)
-        return 3
 
     root = Path(args.root)
     if not root.is_dir():
@@ -79,52 +49,11 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
     select = [s.strip() for s in args.select.split(",")] if args.select else None
-    findings, audit = analyze_full(root, select=select, jobs=args.jobs)
-
-    if args.list_suppressions:
-        for path, line, token in audit.stale:
-            print(f"{path}:{line}: suppression '{token}' masks no finding")
-        print(
-            f"reprolint: {len(audit.stale)} stale suppression(s) of "
-            f"{len(audit.declared)} declared",
-            file=sys.stderr,
-        )
-        return 1 if audit.stale else 0
-
-    if args.update_baseline:
-        save_baseline(Path(args.baseline), findings)
-        print(f"reprolint: baseline rewritten with {len(findings)} finding(s)")
-        return 0
-
-    baseline = load_baseline(Path(args.baseline)) if not args.no_baseline else None
-    if baseline is None:
-        new, stale = findings, []
-    else:
-        new, stale = baseline_diff(findings, baseline)
-
-    write_report(new, fmt=args.format)
-    if args.json_out:
-        Path(args.json_out).write_text(
-            json.dumps([f.__dict__ for f in new], indent=2) + "\n",
-            encoding="utf-8",
-        )
-    if stale:
-        for fp in stale:
-            print(f"stale baseline entry (finding no longer occurs): {fp}",
-                  file=sys.stderr)
-        print(
-            f"reprolint: baseline is stale ({len(stale)} entries); regenerate "
-            "with `make analyze-baseline`",
-            file=sys.stderr,
-        )
-    n_baselined = len(findings) - len(new)
-    summary = f"reprolint: {len(new)} new finding(s), {n_baselined} baselined"
-    print(summary, file=sys.stderr)
-    if new:
-        return 1
-    if stale:
-        return 2
-    return 0
+    findings = analyze(root, select=select)
+    for f in findings:
+        print(f.render())
+    print(f"reprolint: {len(findings)} finding(s)", file=sys.stderr)
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":

@@ -2,48 +2,34 @@
 
 Pipeline: parse every ``*.py`` under the analysis root into a
 :class:`Project`, run each registered rule (per-module visitors and
-project-wide checks), drop findings suppressed by an inline
-``# reprolint: disable=RULE`` comment, then reconcile the remainder
-against the checked-in baseline:
-
-* a finding **not** in the baseline is *new* — reported, exit 1;
-* a baseline entry with no matching finding is *stale* — the baseline
-  shrank without being regenerated, exit 2 (``make analyze-baseline``
-  rewrites it).
-
-Baseline entries are fingerprints ``rule::path::message`` (no line
-numbers, so unrelated edits do not churn the file), stored as a
-fingerprint -> count multiset in JSON.
+project-wide checks), and drop findings suppressed by an inline
+``# reprolint: disable=RULE`` comment.  Every remaining finding fails
+the run; a justified exception is a suppression carrying its reason, and
+a suppression that masks nothing is itself a finding (``E998``) — the
+code stopped violating the rule, and the comment would silently license
+a future violation.
 """
 
 from __future__ import annotations
 
 import ast
-import json
 import re
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from tools.reprolint.graph import ModuleGraph
-    from tools.reprolint.summaries import ModuleSummary
 
 __all__ = [
     "Finding",
     "ModuleInfo",
     "Project",
     "Rule",
-    "SuppressionAudit",
     "analyze",
-    "analyze_full",
-    "baseline_diff",
     "iter_rules",
-    "load_baseline",
+    "load_module",
     "register",
-    "save_baseline",
-    "write_report",
 ]
 
 _SUPPRESS_RE = re.compile(r"#\s*reprolint:\s*disable=([A-Za-z0-9_,\s]+|all)")
@@ -58,11 +44,6 @@ class Finding:
     line: int
     col: int
     message: str
-
-    @property
-    def fingerprint(self) -> str:
-        """Line-independent identity used by the baseline file."""
-        return f"{self.rule}::{self.path}::{self.message}"
 
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
@@ -81,7 +62,8 @@ class ModuleInfo:
             self.rel_path = path.resolve().relative_to(repo.resolve()).as_posix()
         except ValueError:
             self.rel_path = path.as_posix()
-        self._suppressions = self._scan_suppressions()
+        #: declared suppressions: comment line -> rule tokens (or "all")
+        self.suppressions = self._scan_suppressions()
 
     def _scan_suppressions(self) -> dict[int, frozenset[str]]:
         out: dict[int, frozenset[str]] = {}
@@ -97,35 +79,26 @@ class ModuleInfo:
                     )
         return out
 
-    @property
-    def suppressions(self) -> dict[int, frozenset[str]]:
-        """Declared suppressions: comment line -> rule tokens (or "all")."""
-        return self._suppressions
-
     def suppressed(
-        self,
-        rule: str,
-        line: int,
-        hits: set[tuple[str, int, str]] | None = None,
+        self, rule: str, line: int, hits: set[tuple[str, int, str]]
     ) -> bool:
         """Is ``rule`` disabled at ``line``?
 
         A suppression comment applies to its own line, or — when it
         stands on a comment-only line — to the next source line below it.
-        When ``hits`` is given, the matching suppression token is
-        recorded as ``(rel_path, comment_line, token)`` so
-        ``--list-suppressions`` can report tokens masking nothing.
+        The matching token is recorded in ``hits`` as ``(rel_path,
+        comment_line, token)`` so the run can report tokens that masked
+        nothing.
         """
         for at in (line, line - 1):
-            rules = self._suppressions.get(at)
+            rules = self.suppressions.get(at)
             if rules is None:
                 continue
             if at == line - 1 and not self.lines[at - 1].lstrip().startswith("#"):
                 continue  # trailing comment on the previous statement
             token = "all" if "all" in rules else (rule if rule in rules else None)
             if token is not None:
-                if hits is not None:
-                    hits.add((self.rel_path, at, token))
+                hits.add((self.rel_path, at, token))
                 return True
         return False
 
@@ -139,56 +112,32 @@ class Project:
     """All modules under one analysis root, keyed by dotted name.
 
     The root directory itself is treated as the ``repro`` package, so a
-    fixture tree laid out like ``src/repro`` (e.g. ``fixtures/d4_bad``
-    containing ``net/messages.py``) exercises module-targeted rules
+    fixture tree laid out like ``src/repro`` (e.g. ``fixtures/d2_bad``
+    containing ``net/faults.py``) exercises module-targeted rules
     exactly as the real tree does.
     """
 
     PACKAGE = "repro"
 
-    def __init__(self, root: Path, repo: Path | None = None, *, load: bool = True) -> None:
+    def __init__(self, root: Path, repo: Path | None = None) -> None:
         self.root = Path(root)
         self.repo = Path(repo) if repo is not None else Path.cwd()
         self.modules: dict[str, ModuleInfo] = {}
         self.parse_errors: list[Finding] = []
-        self._summaries: dict[str, "ModuleSummary"] | None = None
         self._graph: "ModuleGraph | None" = None
-        if not load:
-            return
-        for path, module in self.iter_sources(self.root):
+        for path in sorted(self.root.rglob("*.py")):
+            parts = [self.PACKAGE, *path.relative_to(self.root).with_suffix("").parts]
+            if parts[-1] == "__init__":
+                parts.pop()
+            module = ".".join(parts)
             loaded = load_module(path, module, self.repo)
             if isinstance(loaded, Finding):
                 self.parse_errors.append(loaded)
             else:
                 self.modules[module] = loaded
 
-    @classmethod
-    def iter_sources(cls, root: Path) -> list[tuple[Path, str]]:
-        """``(path, dotted module name)`` for every source under ``root``,
-        in sorted path order (the order that pins deterministic output)."""
-        out: list[tuple[Path, str]] = []
-        for path in sorted(Path(root).rglob("*.py")):
-            rel = path.relative_to(root)
-            parts = [cls.PACKAGE, *rel.with_suffix("").parts]
-            if parts[-1] == "__init__":
-                parts.pop()
-            out.append((path, ".".join(parts)))
-        return out
-
-    # -- cross-file layers (built lazily, shared by all flow rules) -------
-
-    def summaries(self) -> dict[str, "ModuleSummary"]:
-        """Per-function summaries for every module, keyed by module name."""
-        if self._summaries is None:
-            from tools.reprolint.summaries import build_module_summary
-
-            self._summaries = {
-                name: build_module_summary(mod) for name, mod in self.modules.items()
-            }
-        return self._summaries
-
     def graph(self) -> "ModuleGraph":
-        """The import/definition graph over all modules."""
+        """The import/definition graph over all modules (built lazily)."""
         if self._graph is None:
             from tools.reprolint.graph import ModuleGraph
 
@@ -244,210 +193,44 @@ def iter_rules() -> list[Rule]:
     return [_REGISTRY[k] for k in sorted(_REGISTRY)]
 
 
-@dataclass
-class SuppressionAudit:
-    """Which declared suppression tokens actually masked a finding.
-
-    ``declared`` lists every ``# reprolint: disable=`` token as
-    ``(rel_path, comment_line, token)``; ``used`` is the subset that
-    suppressed at least one finding this run.  The difference is dead
-    weight — suppressions left behind by code that no longer violates
-    the rule (``--list-suppressions`` reports it).
-    """
-
-    declared: list[tuple[str, int, str]] = field(default_factory=list)
-    used: set[tuple[str, int, str]] = field(default_factory=set)
-
-    @property
-    def stale(self) -> list[tuple[str, int, str]]:
-        return sorted(entry for entry in self.declared if entry not in self.used)
-
-
 def analyze(
     root: Path | str,
     *,
     repo: Path | str | None = None,
     select: Iterable[str] | None = None,
-    jobs: int = 1,
 ) -> list[Finding]:
     """Run the registered rules over ``root``; suppressions applied.
 
-    ``select`` restricts to the given rule ids (default: all); ``jobs``
-    parallelizes per-file parsing and per-module analysis.  Parse errors
-    surface as unsuppressable ``E999`` findings.
+    ``select`` restricts to the given rule ids (default: all).  Two
+    findings are unconditional and cannot be suppressed: ``E999`` for an
+    unparseable module, and ``E998`` for a ``# reprolint: disable=``
+    token naming a rule that ran and masked nothing.
     """
-    return analyze_full(root, repo=repo, select=select, jobs=jobs)[0]
+    project = Project(Path(root), Path(repo) if repo is not None else None)
+    wanted = set(select) if select is not None else None
+    rules = [r for r in iter_rules() if wanted is None or r.id in wanted]
+    by_path = {mod.rel_path: mod for mod in project.modules.values()}
 
-
-def analyze_full(
-    root: Path | str,
-    *,
-    repo: Path | str | None = None,
-    select: Iterable[str] | None = None,
-    jobs: int = 1,
-) -> tuple[list[Finding], SuppressionAudit]:
-    """:func:`analyze` plus the suppression-usage audit.
-
-    With ``jobs > 1`` the per-file phase (parsing and every
-    ``check_module``) fans out over a process pool; the cross-file phase
-    (``check_project``) runs in the parent over the assembled project.
-    Findings are sorted at the end either way, so parallel output is
-    byte-identical to serial output (pinned by test).
-    """
-    root_p = Path(root)
-    repo_p = Path(repo) if repo is not None else None
-    wanted = tuple(sorted(select)) if select is not None else None
-    audit = SuppressionAudit()
-
-    if jobs > 1:
-        project, findings = _scan_parallel(root_p, repo_p, wanted, jobs, audit)
-    else:
-        project, findings = _scan_serial(root_p, repo_p, wanted, audit)
+    findings = list(project.parse_errors)
+    used: set[tuple[str, int, str]] = set()
+    for rule in rules:
+        raw = [f for mod in project.modules.values() for f in rule.check_module(mod)]
+        raw.extend(rule.check_project(project))
+        for f in raw:
+            mod = by_path.get(f.path)
+            if mod is None or not mod.suppressed(f.rule, f.line, used):
+                findings.append(f)
 
     for mod in project.modules.values():
         for line, tokens in mod.suppressions.items():
-            for token in sorted(tokens):
-                audit.declared.append((mod.rel_path, line, token))
-
-    for rule in iter_rules():
-        if wanted is not None and rule.id not in wanted:
-            continue
-        for f in rule.check_project(project):
-            mod = _module_for_path(project, f.path)
-            if mod is None or not mod.suppressed(f.rule, f.line, audit.used):
-                findings.append(f)
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return findings, audit
-
-
-def _check_one_module(
-    mod: ModuleInfo, wanted: tuple[str, ...] | None
-) -> tuple[list[Finding], set[tuple[str, int, str]]]:
-    """Per-module findings (suppressions applied) and suppression hits."""
-    hits: set[tuple[str, int, str]] = set()
-    kept: list[Finding] = []
-    for rule in iter_rules():
-        if wanted is not None and rule.id not in wanted:
-            continue
-        for f in rule.check_module(mod):
-            if not mod.suppressed(f.rule, f.line, hits):
-                kept.append(f)
-    return kept, hits
-
-
-def _scan_serial(
-    root: Path,
-    repo: Path | None,
-    wanted: tuple[str, ...] | None,
-    audit: SuppressionAudit,
-) -> tuple[Project, list[Finding]]:
-    project = Project(root, repo)
-    findings: list[Finding] = list(project.parse_errors)
-    for mod in project.modules.values():
-        kept, hits = _check_one_module(mod, wanted)
-        findings.extend(kept)
-        audit.used.update(hits)
-    return project, findings
-
-
-def _parallel_worker(
-    task: tuple[str, str, str | None, tuple[str, ...] | None],
-) -> tuple[str, ModuleInfo | Finding, list[Finding], set[tuple[str, int, str]]]:
-    """Process-pool unit: parse one file and run every per-module rule."""
-    path_str, module, repo_str, wanted = task
-    repo = Path(repo_str) if repo_str is not None else Path.cwd()
-    loaded = load_module(Path(path_str), module, repo)
-    if isinstance(loaded, Finding):
-        return module, loaded, [], set()
-    kept, hits = _check_one_module(loaded, wanted)
-    return module, loaded, kept, hits
-
-
-def _scan_parallel(
-    root: Path,
-    repo: Path | None,
-    wanted: tuple[str, ...] | None,
-    jobs: int,
-    audit: SuppressionAudit,
-) -> tuple[Project, list[Finding]]:
-    import multiprocessing
-
-    sources = Project.iter_sources(root)
-    project = Project(root, repo, load=False)
-    findings: list[Finding] = []
-    tasks = [
-        (str(path), module, str(project.repo), wanted) for path, module in sources
-    ]
-    # chunksize 1 keeps scheduling simple; result order follows input
-    # order, so assembly (and therefore output) is deterministic.
-    with multiprocessing.get_context().Pool(processes=jobs) as pool:
-        results = pool.map(_parallel_worker, tasks, chunksize=1)
-    for module, loaded, kept, hits in results:
-        if isinstance(loaded, Finding):
-            project.parse_errors.append(loaded)
-        else:
-            project.modules[module] = loaded
-        findings.extend(kept)
-        audit.used.update(hits)
-    findings.extend(project.parse_errors)
-    return project, findings
-
-
-def _module_for_path(project: Project, rel_path: str) -> ModuleInfo | None:
-    for mod in project.modules.values():
-        if mod.rel_path == rel_path:
-            return mod
-    return None
-
-
-# -- baseline ------------------------------------------------------------
-
-
-def load_baseline(path: Path) -> Counter[str]:
-    """Fingerprint multiset from a baseline file (empty if absent)."""
-    if not path.exists():
-        return Counter()
-    data = json.loads(path.read_text(encoding="utf-8"))
-    if not isinstance(data, dict) or "findings" not in data:
-        raise ValueError(f"malformed baseline file {path}")
-    return Counter({str(k): int(v) for k, v in data["findings"].items()})
-
-
-def save_baseline(path: Path, findings: Iterable[Finding]) -> None:
-    counts = Counter(f.fingerprint for f in findings)
-    payload = {
-        "comment": "grandfathered reprolint findings; regenerate with `make analyze-baseline`",
-        "findings": {k: counts[k] for k in sorted(counts)},
-    }
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-
-
-def baseline_diff(
-    findings: Iterable[Finding], baseline: Counter[str]
-) -> tuple[list[Finding], list[str]]:
-    """Split into (new findings, stale baseline fingerprints)."""
-    remaining = Counter(baseline)
-    new: list[Finding] = []
-    for f in findings:
-        if remaining[f.fingerprint] > 0:
-            remaining[f.fingerprint] -= 1
-        else:
-            new.append(f)
-    stale = sorted(k for k, v in remaining.items() if v > 0 for _ in range(v))
-    return new, stale
-
-
-# -- reporting -----------------------------------------------------------
-
-
-def write_report(
-    findings: list[Finding],
-    *,
-    fmt: str = "text",
-    out: Callable[[str], None] = print,
-) -> None:
-    if fmt == "json":
-        out(json.dumps([f.__dict__ for f in findings], indent=2))
-        return
-    for f in findings:
-        out(f.render())
+            for token in tokens:
+                # under --select, only the selected rules could have used one
+                if (mod.rel_path, line, token) not in used and (
+                    wanted is None or token in wanted
+                ):
+                    findings.append(Finding(
+                        "E998", mod.rel_path, line, 0,
+                        f"suppression '{token}' masks no finding; remove it",
+                    ))
+    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule, f.message))
+    return findings

@@ -1,6 +1,7 @@
 """The project module graph: imports, definitions, call resolution.
 
-:class:`ModuleGraph` is the cross-file layer under the flow rules: it
+:class:`ModuleGraph` is the cross-file layer under rule F1 and the
+module-reachability test (``tests/tools/test_reachability.py``): it
 records, per module, which local names are bound by imports (absolute
 and relative) and which names the module defines at top level, then
 resolves a dotted call target as written in source (``ChurnProcess``,
@@ -11,8 +12,7 @@ reported as unresolved rather than guessed — so rules built on it only
 ever act on edges that are provably intra-project.
 
 Components are the second-level packages (``repro.live``, ``repro.net``,
-…): the granularity at which RNG-stream ownership (rule F1) and the
-concurrency rules scope their checks.
+…): the granularity of RNG-stream ownership (rule F1).
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""The reprolint rule catalogue (D1-D7).
+"""The per-file reprolint rules (D1-D3, D5-D7).
 
 Each rule encodes one invariant the reproduction's claims rest on; the
 module docstrings of the checked packages state the invariants in prose,
@@ -9,7 +9,6 @@ every rule with examples of violating and conforming code.
 from __future__ import annotations
 
 import ast
-import re
 from typing import Iterator
 
 from tools.reprolint.engine import Finding, ModuleInfo, Project, Rule, register
@@ -18,7 +17,6 @@ __all__ = [
     "NoWallClockRandomness",
     "RngStreamDiscipline",
     "SortedSetIteration",
-    "HandlerExhaustiveness",
     "ExchangeAtomicity",
     "ConfigCoverage",
     "TracedEventEmission",
@@ -379,6 +377,23 @@ def _walk_scope(body: list[ast.stmt]) -> Iterator[ast.AST]:
         stack.extend(ast.iter_child_nodes(node))
 
 
+_FunctionDef = ast.FunctionDef | ast.AsyncFunctionDef
+
+
+def _function_defs(tree: ast.Module) -> Iterator[_FunctionDef]:
+    """Every function definition in the module, nested ones included."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node
+
+
+def _scopes(tree: ast.Module) -> Iterator[list[ast.stmt]]:
+    """The module body and every function body, each its own scope."""
+    yield tree.body
+    for fn in _function_defs(tree):
+        yield fn.body
+
+
 def _is_adj_attr(node: ast.expr) -> bool:
     """``self._adj`` / ``overlay._adj`` — the adjacency list-of-sets."""
     return isinstance(node, ast.Attribute) and node.attr == "_adj"
@@ -439,20 +454,13 @@ class SortedSetIteration(Rule):
     def check_module(self, mod: ModuleInfo) -> Iterator[Finding]:
         if not mod.module.startswith(self.SCOPES):
             return
-        for scope in self._scopes(mod.tree):
+        for scope in _scopes(mod.tree):
             pass1 = _SetTypedNames()
             for stmt in scope:
                 pass1.visit(stmt)
             yield from self._flag_iterations(
                 mod, scope, pass1.set_names, pass1.adj_names
             )
-
-    def _scopes(self, tree: ast.Module) -> Iterator[list[ast.stmt]]:
-        """The module body and every function body, each its own scope."""
-        yield tree.body
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield node.body
 
     def _flag_iterations(
         self,
@@ -490,132 +498,6 @@ class SortedSetIteration(Rule):
             f"unsorted set iteration ({where}) over `{src}`; wrap in sorted() "
             "or suppress with a justification if provably order-independent",
         )
-
-
-# -- D4 -------------------------------------------------------------------
-
-_ABSORBED_RE = re.compile(r"#\s*reprolint:\s*D4-absorbed:\s*([A-Za-z0-9_,\s]+)")
-
-
-@register
-class HandlerExhaustiveness(Rule):
-    """D4: the engine dispatch covers exactly the exported message grammar.
-
-    Every concrete message class in ``repro.net.messages`` must have a
-    dispatch arm in ``repro.net.engine`` — a key of the
-    ``{MessageClass: handler}`` table ``_on_message`` looks ``type(msg)``
-    up in, or an ``isinstance`` test inside ``_on_message`` — or an
-    explicit ``# reprolint: D4-absorbed: Name`` marker for messages
-    deliberately absorbed, and every dispatch arm must name a real
-    exported message — no dead handlers.
-    """
-
-    id = "D4"
-    name = "handler-exhaustiveness"
-    description = "message classes <-> engine dispatch arms must match 1:1"
-
-    MESSAGES_MODULE = "repro.net.messages"
-    ENGINE_MODULE = "repro.net.engine"
-    DISPATCHER = "_on_message"
-    DISPATCH_TABLE = "_dispatch"
-    BASE_CLASS = "Message"
-
-    def check_project(self, project: Project) -> Iterator[Finding]:
-        messages = project.modules.get(self.MESSAGES_MODULE)
-        engine = project.modules.get(self.ENGINE_MODULE)
-        if messages is None or engine is None:
-            return
-        required = self._message_classes(messages)
-        dispatcher = self._find_dispatcher(engine)
-        if dispatcher is None:
-            yield engine.finding(
-                self.id, 1,
-                f"no `{self.DISPATCHER}` dispatcher found for the message grammar",
-            )
-            return
-        handled = {**self._handled_names(dispatcher), **self._table_names(engine)}
-        absorbed = self._absorbed_names(engine)
-        for name in sorted(required):
-            if name not in handled and name not in absorbed:
-                yield engine.finding(
-                    self.id, dispatcher,
-                    f"message class `{name}` has no dispatch arm in "
-                    f"{self.DISPATCHER} (and no D4-absorbed marker)",
-                )
-        for name, node in sorted(handled.items()):
-            if name not in required and name != self.BASE_CLASS:
-                yield engine.finding(
-                    self.id, node,
-                    f"dead dispatch arm: `{name}` is not a message class "
-                    f"exported by {self.MESSAGES_MODULE}",
-                )
-        for name in sorted(absorbed):
-            if name not in required:
-                yield engine.finding(
-                    self.id, 1,
-                    f"stale D4-absorbed marker: `{name}` is not an exported "
-                    "message class",
-                )
-
-    def _message_classes(self, mod: ModuleInfo) -> set[str]:
-        out: set[str] = set()
-        for node in mod.tree.body:
-            if not isinstance(node, ast.ClassDef):
-                continue
-            for base in node.bases:
-                base_name = _qualname(base)
-                if base_name and base_name.rpartition(".")[2] == self.BASE_CLASS:
-                    out.add(node.name)
-        return out
-
-    def _find_dispatcher(self, mod: ModuleInfo) -> ast.FunctionDef | None:
-        for node in ast.walk(mod.tree):
-            if isinstance(node, ast.FunctionDef) and node.name == self.DISPATCHER:
-                return node
-        return None
-
-    def _handled_names(self, dispatcher: ast.FunctionDef) -> dict[str, ast.AST]:
-        handled: dict[str, ast.AST] = {}
-        for node in ast.walk(dispatcher):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id == "isinstance"
-                and len(node.args) == 2
-            ):
-                continue
-            cls = node.args[1]
-            classes = cls.elts if isinstance(cls, ast.Tuple) else [cls]
-            for c in classes:
-                qn = _qualname(c)
-                if qn:
-                    handled[qn.rpartition(".")[2]] = node
-        return handled
-
-    def _table_names(self, mod: ModuleInfo) -> dict[str, ast.AST]:
-        """Keys of every dict literal assigned to the dispatch table."""
-        handled: dict[str, ast.AST] = {}
-        for node in ast.walk(mod.tree):
-            if not (isinstance(node, (ast.Assign, ast.AnnAssign))
-                    and isinstance(node.value, ast.Dict)):
-                continue
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            if not any((_qualname(t) or "").rpartition(".")[2] == self.DISPATCH_TABLE
-                       for t in targets):
-                continue
-            for key in node.value.keys:
-                qn = _qualname(key) if key is not None else None
-                if qn:
-                    handled[qn.rpartition(".")[2]] = key
-        return handled
-
-    def _absorbed_names(self, mod: ModuleInfo) -> set[str]:
-        out: set[str] = set()
-        for line in mod.lines:
-            m = _ABSORBED_RE.search(line)
-            if m:
-                out.update(n.strip() for n in m.group(1).split(",") if n.strip())
-        return out
 
 
 # -- D5 -------------------------------------------------------------------

@@ -1,58 +1,38 @@
-"""The flow/concurrency rule family (F1, C1, C2, G1).
+"""The flow/concurrency rule family (F1, C1).
 
-Where :mod:`tools.reprolint.rules` checks one file at a time, these
-rules consume the cross-file layers — per-function summaries
-(:mod:`tools.reprolint.summaries`) and the module graph
-(:mod:`tools.reprolint.graph`) — to catch the bug classes the live
-asyncio plane (PR 7) introduced, which no single-file syntactic rule
-can see:
+Where :mod:`tools.reprolint.rules` checks one file at a time against a
+fixed module list, these rules follow values and control flow:
 
 * **F1** interprocedural RNG-stream provenance: a stream named for
   component X must not flow (directly or through a local binding) into
-  a call defined by another component.  This closes the hole left by
-  D2, which only inspects the call site that *requests* a stream, not
-  where the generator is then passed.
+  a call defined by another component — resolved across files through
+  the module graph (:mod:`tools.reprolint.graph`).  This closes the hole
+  left by D2, which only inspects the call site that *requests* a
+  stream, not where the generator is then passed.
 * **C1** await-interleaving hazards in ``repro.live``: shared ``self``
   state read before an ``await`` and written after it without being
   re-read (revalidated) is flagged, as is a fire-and-forget
   ``create_task`` whose exceptions have nowhere to go.
-* **C2** asyncio callback exception safety: datagram/protocol callbacks
-  run directly off the event loop, so an escaping exception kills the
-  transport.  Every risky statement in a callback must sit under the
-  counted-never-raised pattern (``except Exception: self.counter += 1``)
-  or delegate to a project function that does.
-* **G1** codec<->grammar drift: every ``repro.net.messages`` payload
-  field must have a wire encoding, every declared wire kind an explicit
-  arm in both ``encode`` and ``decode``, the ``type_name`` tags must
-  match ``MSG_TYPES`` 1:1, and any grammar change must be acknowledged
-  by updating ``GRAMMAR_FINGERPRINT`` (whose version prefix is pinned
-  to ``WIRE_VERSION``, so the acknowledgement happens next to the bump).
 
-``docs/analysis.md`` documents each rule with violating/conforming
-examples.
+``docs/analysis.md`` says what each rule sees that no test can.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-from typing import Callable, Iterator
+from dataclasses import dataclass
+from typing import Iterator
 
 from tools.reprolint.engine import Finding, ModuleInfo, Project, Rule, register
-from tools.reprolint.summaries import (
-    FunctionSummary,
-    _is_counting_handler,
-    _own_scope,
+from tools.reprolint.rules import (
+    _function_defs,
+    _FunctionDef,
     _qualname,
-    _walk_defs,
+    _scopes,
+    _walk_scope,
 )
 
-__all__ = [
-    "RngStreamProvenance",
-    "AwaitInterleavingHazard",
-    "CallbackExceptionSafety",
-    "CodecGrammarDrift",
-]
+__all__ = ["RngStreamProvenance", "AwaitInterleavingHazard"]
 
 
 def _in_package(module: str, package: str) -> bool:
@@ -60,6 +40,59 @@ def _in_package(module: str, package: str) -> bool:
 
 
 # -- F1 -------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class StreamFlow:
+    """One named RNG stream passed as an argument into a call."""
+
+    stream: str  # the stream-name literal, e.g. "net:faults"
+    callee: str  # dotted callee source text, e.g. "ChurnProcess"
+    line: int
+    col: int
+
+
+def _stream_literal(node: ast.expr) -> str | None:
+    """The stream name when ``node`` is ``<reg>.stream("lit")``/``fresh``."""
+    if not (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("stream", "fresh")
+        and node.args
+    ):
+        return None
+    arg = node.args[0]
+    if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+        return arg.value
+    return None
+
+
+def _stream_flows(body: list[ast.stmt]) -> Iterator[StreamFlow]:
+    """Stream-into-call flows within one scope.
+
+    Tracks both direct flows (``Engine(rngs.stream("x"))``) and flows
+    through a local binding (``rng = rngs.stream("x"); Engine(rng)``) —
+    the indirection D2's call-site check cannot see.
+    """
+    bindings: dict[str, str] = {}  # local name -> stream name
+    for node in _walk_scope(body):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target = node.targets[0]
+            stream = _stream_literal(node.value)
+            if stream is not None and isinstance(target, ast.Name):
+                bindings[target.id] = stream
+    for node in _walk_scope(body):
+        if not isinstance(node, ast.Call):
+            continue
+        callee = _qualname(node.func)
+        if callee is None:
+            continue
+        for arg in [*node.args, *(kw.value for kw in node.keywords)]:
+            stream = _stream_literal(arg)
+            if stream is None and isinstance(arg, ast.Name):
+                stream = bindings.get(arg.id)
+            if stream is not None:
+                yield StreamFlow(stream, callee, node.lineno, node.col_offset)
 
 
 @register
@@ -71,10 +104,10 @@ class RngStreamProvenance(Rule):
     the generator itself: a ``rngs.stream("net:faults")`` handed to a
     constructor defined in ``repro.workloads`` couples the fault and
     churn draw sequences even though every individual call site looks
-    disciplined.  Flows are taken from the function summaries (direct
-    arguments and single-assignment local bindings) and the callee is
-    resolved through the module graph; unresolvable callees (builtins,
-    third-party, instance attributes) are skipped, never guessed.
+    disciplined.  Flows (direct arguments and single-assignment local
+    bindings) are collected per scope and the callee is resolved through
+    the module graph; unresolvable callees (builtins, third-party,
+    instance attributes) are skipped, never guessed.
     """
 
     id = "F1"
@@ -106,13 +139,8 @@ class RngStreamProvenance(Rule):
 
     def check_project(self, project: Project) -> Iterator[Finding]:
         graph = project.graph()
-        summaries = project.summaries()
-        for module in sorted(project.modules):
-            mod = project.modules[module]
-            summary = summaries[module]
-            flows = list(summary.module_flows)
-            for fn in summary.functions:
-                flows.extend(fn.stream_flows)
+        for module, mod in project.modules.items():
+            flows = (f for body in _scopes(mod.tree) for f in _stream_flows(body))
             for flow in flows:
                 component = graph.defining_component(module, flow.callee)
                 if component is None:
@@ -275,7 +303,7 @@ class AwaitInterleavingHazard(Rule):
     def check_module(self, mod: ModuleInfo) -> Iterator[Finding]:
         if not _in_package(mod.module, self.SCOPE):
             return
-        for _cls, fn in _walk_defs(mod.tree.body, None):
+        for fn in _function_defs(mod.tree):
             if isinstance(fn, ast.AsyncFunctionDef):
                 yield from self._check_interleaving(mod, fn)
             yield from self._check_fire_and_forget(mod, fn)
@@ -312,10 +340,8 @@ class AwaitInterleavingHazard(Rule):
                     "await or restructure the update to complete before it",
                 )
 
-    def _check_fire_and_forget(
-        self, mod: ModuleInfo, fn: ast.FunctionDef | ast.AsyncFunctionDef
-    ) -> Iterator[Finding]:
-        for node in _own_scope(fn.body):
+    def _check_fire_and_forget(self, mod: ModuleInfo, fn: _FunctionDef) -> Iterator[Finding]:
+        for node in _walk_scope(fn.body):
             if isinstance(node, ast.Expr) and self._is_spawn(node.value):
                 yield mod.finding(
                     self.id, node,
@@ -346,15 +372,13 @@ class AwaitInterleavingHazard(Rule):
         )
 
     @staticmethod
-    def _has_sink(
-        fn: ast.FunctionDef | ast.AsyncFunctionDef, name: str
-    ) -> bool:
+    def _has_sink(fn: _FunctionDef, name: str) -> bool:
         def mentions(sub: ast.AST) -> bool:
             return any(
                 isinstance(n, ast.Name) and n.id == name for n in ast.walk(sub)
             )
 
-        for node in _own_scope(fn.body):
+        for node in _walk_scope(fn.body):
             if isinstance(node, ast.Await) and mentions(node.value):
                 return True
             if isinstance(node, ast.Call):
@@ -373,454 +397,3 @@ class AwaitInterleavingHazard(Rule):
             if isinstance(node, ast.Return) and node.value and mentions(node.value):
                 return True  # the caller owns it now
         return False
-
-
-# -- C2 -------------------------------------------------------------------
-
-
-@register
-class CallbackExceptionSafety(Rule):
-    """C2: asyncio protocol callbacks follow counted-never-raised.
-
-    ``datagram_received`` and friends are invoked directly by the event
-    loop; an exception escaping one is routed to the loop's exception
-    handler, detaching the transport mid-experiment.  The live plane's
-    contract (transport module docs) is that malformed input and handler
-    failures are *counted, never raised*.  A callback passes when every
-    risky statement (a call or a raise) either sits under a broad
-    counting ``except`` or delegates to a project function whose own
-    body is exception-safe (resolved through the module graph / class
-    summaries, so the pattern may live one call deep).
-    """
-
-    id = "C2"
-    name = "callback-exception-safety"
-    description = "protocol callbacks must count errors, never raise"
-
-    SCOPE = "repro.live"
-    CALLBACKS = frozenset(
-        {"datagram_received", "error_received", "connection_made",
-         "connection_lost"}
-    )
-
-    def check_project(self, project: Project) -> Iterator[Finding]:
-        summaries = project.summaries()
-        graph = project.graph()
-        for module in sorted(project.modules):
-            if not _in_package(module, self.SCOPE):
-                continue
-            mod = project.modules[module]
-            summary = summaries[module]
-            for fn in summary.functions:
-                if fn.name not in self.CALLBACKS or fn.cls is None:
-                    continue
-                if fn.exception_safe:
-                    continue
-
-                def resolves_safe(call: ast.Call, fn: FunctionSummary = fn) -> bool:
-                    return self._call_is_safe(call, fn, module, summaries, graph)
-
-                if self._callback_safe(fn.node.body, False, resolves_safe):
-                    continue
-                yield mod.finding(
-                    self.id, fn.node,
-                    f"`{fn.qualname}` is an event-loop callback but can raise: "
-                    "wrap risky statements in the counted-never-raised pattern "
-                    "(`except Exception: self.<counter> += 1`) or delegate to "
-                    "a helper that does",
-                )
-
-    def _call_is_safe(
-        self,
-        call: ast.Call,
-        fn: FunctionSummary,
-        module: str,
-        summaries: dict[str, object],
-        graph: object,
-    ) -> bool:
-        qn = _qualname(call.func)
-        if qn is None:
-            return False
-        if qn.startswith("self.") and qn.count(".") == 1:
-            target = summaries[module].get(f"{fn.cls}.{qn[5:]}")  # type: ignore[attr-defined]
-            return target is not None and target.exception_safe
-        resolved = graph.resolve(module, qn)  # type: ignore[attr-defined]
-        if resolved is None:
-            return False
-        def_module, symbol = resolved
-        target_summary = summaries.get(def_module)
-        if target_summary is None:
-            return False
-        target = target_summary.get(symbol)  # type: ignore[attr-defined]
-        return target is not None and target.exception_safe
-
-    def _callback_safe(
-        self,
-        body: list[ast.stmt],
-        guarded: bool,
-        is_safe: Callable[[ast.Call], bool],
-    ) -> bool:
-        for stmt in body:
-            if isinstance(stmt, ast.Try):
-                inner = guarded or any(
-                    _is_counting_handler(h) for h in stmt.handlers
-                )
-                if not self._callback_safe(stmt.body, inner, is_safe):
-                    return False
-                for h in stmt.handlers:
-                    if not self._callback_safe(h.body, guarded, is_safe):
-                        return False
-                if not self._callback_safe(stmt.orelse, guarded, is_safe):
-                    return False
-                if not self._callback_safe(stmt.finalbody, guarded, is_safe):
-                    return False
-            elif isinstance(
-                stmt, (ast.If, ast.For, ast.While, ast.With, ast.AsyncFor,
-                       ast.AsyncWith)
-            ):
-                if isinstance(stmt, (ast.With, ast.AsyncWith)):
-                    headers: list[ast.expr] = [
-                        item.context_expr for item in stmt.items
-                    ]
-                else:
-                    headers = [
-                        c for c in ast.iter_child_nodes(stmt)
-                        if isinstance(c, ast.expr)
-                    ]
-                if not guarded and any(
-                    isinstance(n, ast.Call) and not is_safe(n)
-                    for h in headers
-                    for n in ast.walk(h)
-                ):
-                    return False
-                for block in (
-                    stmt.body,
-                    getattr(stmt, "orelse", []),
-                ):
-                    if not self._callback_safe(block, guarded, is_safe):
-                        return False
-            elif not guarded and self._risky_stmt(stmt, is_safe):
-                return False
-        return True
-
-    @staticmethod
-    def _risky_stmt(stmt: ast.stmt, is_safe: Callable[[ast.Call], bool]) -> bool:
-        for node in _own_scope([stmt]):
-            if isinstance(node, ast.Raise):
-                return True
-            if isinstance(node, ast.Call) and not is_safe(node):
-                return True
-        return False
-
-
-# -- G1 -------------------------------------------------------------------
-
-
-@register
-class CodecGrammarDrift(Rule):
-    """G1: the wire codec and the message grammar cannot drift apart.
-
-    The live plane's determinism bridge rests on "a decoded message is
-    byte-for-byte the dataclass the engine would have received in the
-    simulator".  Three ways that silently breaks, all caught here
-    statically (the round-trip property test only covers fields that
-    *both* sides already know about):
-
-    * a grammar field whose annotation has no entry in the codec's
-      declared ``WIRE_KINDS`` (it would raise at import, but only when
-      the live plane is actually imported);
-    * a wire kind declared in ``WIRE_KINDS`` with no explicit
-      ``kind == "..."`` arm in ``encode`` *and* ``decode`` (deleting an
-      arm must fail analyze — the acceptance test pins this);
-    * a ``type_name`` tag set diverging from ``MSG_TYPES``, which
-      renumbers wire tags.
-
-    Finally the grammar is fingerprinted (sha256 over every message's
-    name and annotated payload fields, in ``MSG_TYPES`` order) and the
-    codec must carry the current value in ``GRAMMAR_FINGERPRINT`` with a
-    version prefix equal to ``WIRE_VERSION`` — so any grammar change
-    forces an edit right next to the version constant, where the bump
-    decision belongs.
-    """
-
-    id = "G1"
-    name = "codec-grammar-drift"
-    description = "messages grammar <-> wire codec must agree, with fingerprint"
-
-    MESSAGES_MODULE = "repro.net.messages"
-    CODEC_MODULE = "repro.live.codec"
-    BASE_CLASS = "Message"
-
-    def check_project(self, project: Project) -> Iterator[Finding]:
-        messages = project.modules.get(self.MESSAGES_MODULE)
-        codec = project.modules.get(self.CODEC_MODULE)
-        if messages is None or codec is None:
-            return
-        grammar = self._grammar(messages)  # class name -> (type_name, fields)
-        msg_types = self._msg_types(messages)
-        wire_kinds = self._wire_kinds(codec)
-
-        if wire_kinds is None:
-            yield codec.finding(
-                self.id, 1,
-                "codec must declare a literal `WIRE_KINDS` dict mapping "
-                "annotation text to wire kind",
-            )
-            return
-
-        # 1. every payload field has a wire encoding
-        for cls_name, (_tname, fields_) in sorted(grammar.items()):
-            for fname, ann, line in fields_:
-                if ann not in wire_kinds:
-                    yield messages.finding(
-                        self.id, line,
-                        f"`{cls_name}.{fname}` is annotated `{ann}`, which has "
-                        "no entry in the codec's WIRE_KINDS; add a wire "
-                        "encoding (and bump WIRE_VERSION)",
-                    )
-
-        # 2. every declared kind has an explicit arm in encode and decode
-        for func_name in ("encode", "decode"):
-            fn = self._function(codec, func_name)
-            if fn is None:
-                yield codec.finding(
-                    self.id, 1,
-                    f"codec has no `{func_name}` function to check kind "
-                    "coverage against",
-                )
-                continue
-            arms = self._kind_arms(fn)
-            for kind in sorted(set(wire_kinds.values())):
-                if kind not in arms:
-                    yield codec.finding(
-                        self.id, fn,
-                        f"`{func_name}` has no `kind == \"{kind}\"` arm for a "
-                        "kind declared in WIRE_KINDS",
-                    )
-            for kind in sorted(arms - set(wire_kinds.values())):
-                yield codec.finding(
-                    self.id, fn,
-                    f"`{func_name}` has an arm for kind \"{kind}\" that "
-                    "WIRE_KINDS does not declare (dead arm or missing entry)",
-                )
-
-        # 3. type_name tags <-> MSG_TYPES, 1:1
-        declared_tags = {tname for tname, _ in grammar.values()}
-        for tag in sorted(set(msg_types) - declared_tags):
-            yield messages.finding(
-                self.id, 1,
-                f"MSG_TYPES names {tag!r} but no message class declares it "
-                "as type_name",
-            )
-        for cls_name, (tname, _) in sorted(grammar.items()):
-            if tname not in msg_types:
-                yield messages.finding(
-                    self.id, 1,
-                    f"message class `{cls_name}` has type_name {tname!r} which "
-                    "MSG_TYPES does not list; the wire tag table is stale",
-                )
-
-        # 4. fingerprint acknowledgement
-        version = self._int_constant(codec, "WIRE_VERSION")
-        declared_fp = self._str_constant(codec, "GRAMMAR_FINGERPRINT")
-        expected = self._fingerprint(grammar, msg_types, version)
-        if declared_fp is None:
-            yield codec.finding(
-                self.id, 1,
-                f"codec must declare GRAMMAR_FINGERPRINT = {expected!r} "
-                "(the current grammar's fingerprint)",
-            )
-        elif declared_fp != expected:
-            yield codec.finding(
-                self.id, 1,
-                f"GRAMMAR_FINGERPRINT is {declared_fp!r} but the grammar "
-                f"hashes to {expected!r}; the message grammar changed — "
-                "update the fingerprint and bump WIRE_VERSION",
-            )
-
-    # -- extraction helpers ------------------------------------------------
-
-    def _grammar(
-        self, mod: ModuleInfo
-    ) -> dict[str, tuple[str, list[tuple[str, str, int]]]]:
-        """class name -> (type_name literal, [(field, annotation, line)]).
-
-        Payload fields include those *inherited* from the base class —
-        ``dataclasses.fields()`` lists base-class fields first, so the
-        runtime fingerprint sees them and the static one must too (the
-        span-context ids on ``Message`` ride every subclass's wire form).
-        """
-        base_fields: list[tuple[str, str, int]] = []
-        for node in mod.tree.body:
-            if isinstance(node, ast.ClassDef) and node.name == self.BASE_CLASS:
-                base_fields = self._class_payload_fields(node)
-                break
-        out: dict[str, tuple[str, list[tuple[str, str, int]]]] = {}
-        for node in mod.tree.body:
-            if not isinstance(node, ast.ClassDef):
-                continue
-            is_message = any(
-                (_qualname(b) or "").rpartition(".")[2] == self.BASE_CLASS
-                for b in node.bases
-            )
-            if not is_message:
-                continue
-            tname: str | None = None
-            for item in node.body:
-                if (
-                    isinstance(item, ast.AnnAssign)
-                    and isinstance(item.target, ast.Name)
-                    and item.target.id == "type_name"
-                    and isinstance(item.value, ast.Constant)
-                    and isinstance(item.value.value, str)
-                ):
-                    tname = item.value.value
-            if tname is not None:
-                out[node.name] = (
-                    tname,
-                    base_fields + self._class_payload_fields(node),
-                )
-        return out
-
-    @staticmethod
-    def _class_payload_fields(node: ast.ClassDef) -> list[tuple[str, str, int]]:
-        """The annotated payload fields declared in one class body."""
-        fields_: list[tuple[str, str, int]] = []
-        for item in node.body:
-            if not (
-                isinstance(item, ast.AnnAssign)
-                and isinstance(item.target, ast.Name)
-            ):
-                continue
-            ann = ast.unparse(item.annotation)
-            if (
-                item.target.id not in ("src", "dst", "type_name")
-                and "ClassVar" not in ann
-            ):
-                fields_.append((item.target.id, ann, item.lineno))
-        return fields_
-
-    @staticmethod
-    def _msg_types(mod: ModuleInfo) -> tuple[str, ...]:
-        for node in mod.tree.body:
-            value: ast.expr | None = None
-            if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "MSG_TYPES"
-                for t in node.targets
-            ):
-                value = node.value
-            elif (
-                isinstance(node, ast.AnnAssign)
-                and isinstance(node.target, ast.Name)
-                and node.target.id == "MSG_TYPES"
-            ):
-                value = node.value
-            if isinstance(value, ast.Tuple):
-                return tuple(
-                    e.value
-                    for e in value.elts
-                    if isinstance(e, ast.Constant) and isinstance(e.value, str)
-                )
-        return ()
-
-    @staticmethod
-    def _wire_kinds(mod: ModuleInfo) -> dict[str, str] | None:
-        for node in mod.tree.body:
-            value: ast.expr | None = None
-            if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "WIRE_KINDS"
-                for t in node.targets
-            ):
-                value = node.value
-            elif (
-                isinstance(node, ast.AnnAssign)
-                and isinstance(node.target, ast.Name)
-                and node.target.id == "WIRE_KINDS"
-            ):
-                value = node.value
-            if isinstance(value, ast.Dict):
-                out: dict[str, str] = {}
-                for k, v in zip(value.keys, value.values):
-                    if (
-                        isinstance(k, ast.Constant)
-                        and isinstance(k.value, str)
-                        and isinstance(v, ast.Constant)
-                        and isinstance(v.value, str)
-                    ):
-                        out[k.value] = v.value
-                return out
-        return None
-
-    @staticmethod
-    def _function(mod: ModuleInfo, name: str) -> ast.FunctionDef | None:
-        for node in mod.tree.body:
-            if isinstance(node, ast.FunctionDef) and node.name == name:
-                return node
-        return None
-
-    @staticmethod
-    def _kind_arms(fn: ast.FunctionDef) -> set[str]:
-        """Every string K compared as ``kind == "K"`` inside ``fn``."""
-        arms: set[str] = set()
-        for node in ast.walk(fn):
-            if not (
-                isinstance(node, ast.Compare)
-                and isinstance(node.left, ast.Name)
-                and node.left.id == "kind"
-                and len(node.ops) == 1
-                and isinstance(node.ops[0], ast.Eq)
-                and isinstance(node.comparators[0], ast.Constant)
-                and isinstance(node.comparators[0].value, str)
-            ):
-                continue
-            arms.add(node.comparators[0].value)
-        return arms
-
-    @staticmethod
-    def _int_constant(mod: ModuleInfo, name: str) -> int | None:
-        for node in mod.tree.body:
-            if (
-                isinstance(node, ast.Assign)
-                and any(
-                    isinstance(t, ast.Name) and t.id == name
-                    for t in node.targets
-                )
-                and isinstance(node.value, ast.Constant)
-                and isinstance(node.value.value, int)
-            ):
-                return node.value.value
-        return None
-
-    @staticmethod
-    def _str_constant(mod: ModuleInfo, name: str) -> str | None:
-        for node in mod.tree.body:
-            if (
-                isinstance(node, ast.Assign)
-                and any(
-                    isinstance(t, ast.Name) and t.id == name
-                    for t in node.targets
-                )
-                and isinstance(node.value, ast.Constant)
-                and isinstance(node.value.value, str)
-            ):
-                return node.value.value
-        return None
-
-    @staticmethod
-    def _fingerprint(
-        grammar: dict[str, tuple[str, list[tuple[str, str, int]]]],
-        msg_types: tuple[str, ...],
-        version: int | None,
-    ) -> str:
-        """Canonical grammar hash: names + annotated payload fields, in
-        wire-tag order.  Must match :func:`repro.live.codec.grammar_fingerprint`."""
-        by_tag = {tname: fields_ for tname, fields_ in grammar.values()}
-        parts = []
-        for tname in msg_types:
-            fields_ = by_tag.get(tname)
-            if fields_ is None:
-                continue  # already reported as a tag mismatch
-            spec = " ".join(f"{fname}:{ann}" for fname, ann, _ in fields_)
-            parts.append(f"{tname} {spec}".rstrip())
-        digest = hashlib.sha256(";".join(parts).encode("utf-8")).hexdigest()[:16]
-        return f"{version if version is not None else '?'}:{digest}"
