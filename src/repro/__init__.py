@@ -48,7 +48,7 @@ from repro.harness import (
     run_sweep,
     run_tasks,
 )
-from repro.metrics import average_latency, stretch
+from repro.metrics import stretch
 from repro.netsim import RngRegistry, Simulator
 from repro.overlay import (
     CANOverlay,
@@ -104,7 +104,6 @@ __all__ = [
     "TaskEvent",
     "TransitStubParams",
     "World",
-    "average_latency",
     "bimodal_processing_delay",
     "build_preset",
     "build_world",

@@ -25,31 +25,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.overlay.chord import ChordOverlay
-from repro.overlay.ids import unique_ids
-from repro.topology.latency import LatencyOracleBase
 
 __all__ = ["PNSChordOverlay"]
 
 
 class PNSChordOverlay(ChordOverlay):
     """Chord with proximity-selected fingers."""
-
-    @classmethod
-    def build(
-        cls,
-        oracle: LatencyOracleBase,
-        rng: np.random.Generator,
-        *,
-        bits: int | None = None,
-        embedding: np.ndarray | None = None,
-    ) -> "PNSChordOverlay":
-        n = oracle.n if embedding is None else len(embedding)
-        if bits is None:
-            bits = max(16, int(np.ceil(np.log2(max(n, 2)))) + 4)
-        ids = np.sort(unique_ids(n, bits, rng))
-        if embedding is None:
-            embedding = rng.permutation(n).astype(np.intp)
-        return cls(oracle, embedding, ids, bits)
 
     def _build_fingers(self) -> None:
         """Per finger interval, pick the physically closest member.

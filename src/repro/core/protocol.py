@@ -71,10 +71,6 @@ class ProtocolCounters:
     def total_messages(self) -> int:
         return self.walk_messages + self.collect_messages + self.notify_messages
 
-    @property
-    def success_rate(self) -> float:
-        return self.exchanges / self.probes if self.probes else 0.0
-
     def messages_per_probe(self) -> float:
         return self.total_messages / self.probes if self.probes else 0.0
 

@@ -16,6 +16,7 @@ are directly comparable ("same world, different optimizer").
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Any
 
 import numpy as np
@@ -48,7 +49,7 @@ from repro.workloads.heterogeneity import (
     bimodal_processing_delay,
     capacity_weights_from_delay,
 )
-from repro.workloads.lookups import biased_target_pairs, uniform_keys, uniform_pairs
+from repro.workloads.lookups import biased_target_pairs, sample_lookups
 
 __all__ = [
     "ExperimentConfig",
@@ -489,12 +490,6 @@ def _build_overlay(
     raise AssertionError(f"unhandled overlay kind {kind}")
 
 
-def _direct_mean(overlay: Overlay, src: np.ndarray, dst: np.ndarray) -> float:
-    """Mean direct physical latency between slot pairs."""
-    emb = overlay.embedding
-    return float(overlay.oracle.pairwise(emb[src], emb[dst]).mean())
-
-
 def sample_lookup_latency(world: World) -> tuple[float, float]:
     """(mean lookup latency, mean direct latency) on a fresh workload draw.
 
@@ -511,45 +506,24 @@ def sample_lookup_latency(world: World) -> tuple[float, float]:
         return np.nan, np.nan
     rng = world.rngs.stream("lookup-workload")
     node_delay = world.het.slot_delays(overlay.embedding) if world.het is not None else None
-
-    if isinstance(overlay, GnutellaOverlay):
-        if config.fast_lookup_fraction is not None:
-            assert world.het is not None
-            pairs = biased_target_pairs(
-                world.het.fast_slots(overlay.embedding),
-                world.het.slow_slots(overlay.embedding),
-                config.fast_lookup_fraction,
-                k,
-                rng,
-            )
-        else:
-            pairs = uniform_pairs(overlay.n_slots, k, rng)
-        mean_lookup = overlay.mean_lookup_latency(
-            pairs,
-            node_delay=node_delay,
-            ttl=config.flood_ttl,
-            retry_timeout=config.retry_timeout,
+    draw_pairs = None
+    if config.fast_lookup_fraction is not None:
+        assert world.het is not None
+        draw_pairs = partial(
+            biased_target_pairs,
+            world.het.fast_slots(overlay.embedding),
+            world.het.slow_slots(overlay.embedding),
+            config.fast_lookup_fraction,
         )
-        return mean_lookup, _direct_mean(overlay, pairs[:, 0], pairs[:, 1])
-
-    if isinstance(overlay, (ChordOverlay, PastryOverlay, KademliaOverlay)):
-        queries = uniform_keys(overlay.n_slots, overlay.space, k, rng)
-        total = 0.0
-        owners = np.empty(k, dtype=np.intp)
-        for i, (src, key) in enumerate(queries):
-            total += overlay.lookup_latency(int(src), int(key), node_delay)
-            owners[i] = overlay.owner_of_key(int(key))
-        return total / k, _direct_mean(overlay, queries[:, 0].astype(np.intp), owners)
-
-    if isinstance(overlay, CANOverlay):
-        pairs = uniform_pairs(overlay.n_slots, k, rng)
-        total = 0.0
-        for src, dst in pairs:
-            point = overlay.zones[int(dst)].center()
-            total += overlay.lookup_latency(int(src), point, node_delay)
-        return total / k, _direct_mean(overlay, pairs[:, 0], pairs[:, 1])
-
-    raise AssertionError("unknown overlay type")
+    mean_lookup, src, dst = sample_lookups(
+        overlay, k, rng,
+        node_delay=node_delay,
+        ttl=config.flood_ttl,
+        retry_timeout=config.retry_timeout,
+        draw_pairs=draw_pairs,
+    )
+    emb = overlay.embedding
+    return mean_lookup, float(overlay.oracle.pairwise(emb[src], emb[dst]).mean())
 
 
 def run_experiment(

@@ -77,11 +77,6 @@ class PeerNode:
         return cls(slot, transport, protocol)
 
     @property
-    def receive_errors(self) -> int:
-        """ICMP-reported socket errors seen by this endpoint."""
-        return self._protocol.errors
-
-    @property
     def sink_errors(self) -> int:
         """Exceptions the datagram sink raised (counted, never raised)."""
         return self._protocol.sink_errors

@@ -23,9 +23,7 @@ import numpy as np
 
 from repro.live.clock import LivePeriodic, LiveScheduler
 from repro.overlay.base import Overlay
-from repro.overlay.can import CANOverlay
-from repro.overlay.gnutella import GnutellaOverlay
-from repro.workloads.lookups import uniform_keys, uniform_pairs
+from repro.workloads.lookups import sample_lookups
 
 __all__ = ["TrafficGenerator", "single_lookup"]
 
@@ -43,26 +41,14 @@ def single_lookup(
     """One uniformly-drawn lookup's latency (ms) on the current overlay.
 
     The per-query form of the harness's
-    :func:`~repro.harness.experiment.sample_lookup_latency` batch: same
-    workload distributions, one draw at a time, cheap enough to run on
-    the event loop between protocol callbacks.
+    :func:`~repro.harness.experiment.sample_lookup_latency` batch: the
+    same :func:`~repro.workloads.lookups.sample_lookups` draw, one at a
+    time, cheap enough to run on the event loop between protocol
+    callbacks.
     """
-    if isinstance(overlay, GnutellaOverlay):
-        pairs = uniform_pairs(overlay.n_slots, 1, rng)
-        return float(
-            overlay.mean_lookup_latency(
-                pairs, node_delay=node_delay, ttl=ttl, retry_timeout=retry_timeout
-            )
-        )
-    if isinstance(overlay, CANOverlay):
-        pairs = uniform_pairs(overlay.n_slots, 1, rng)
-        point = overlay.zones[int(pairs[0, 1])].center()
-        return float(overlay.lookup_latency(int(pairs[0, 0]), point, node_delay))
-    # key-routed DHTs (chord / pastry / kademlia) share the space/lookup API
-    queries = uniform_keys(overlay.n_slots, overlay.space, 1, rng)
-    return float(
-        overlay.lookup_latency(int(queries[0, 0]), int(queries[0, 1]), node_delay)
-    )
+    return sample_lookups(
+        overlay, 1, rng, node_delay=node_delay, ttl=ttl, retry_timeout=retry_timeout
+    )[0]
 
 
 class TrafficGenerator:

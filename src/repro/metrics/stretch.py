@@ -1,30 +1,24 @@
-"""Stretch and average latency (the paper's Section 4.2 definitions).
+"""Stretch (the paper's Section 4.2 definition).
 
-* **Stretch** — "the ratio of the average logical link latency over the
-  average physical link latency.  It is a common parameter to quantify
-  the degree to which the physical and logical topology matches."
+"The ratio of the average logical link latency over the average physical
+link latency.  It is a common parameter to quantify the degree to which
+the physical and logical topology matches."
 
-  Two operationalizations are provided.  :func:`stretch` (link stretch)
-  compares the mean underlying latency of logical *edges* against the
-  mean physical link latency — exactly proportional to the quantity the
-  Section 4.2 Var analysis descends, so it is the right invariant for
-  tests.  :func:`routing_stretch` compares end-to-end overlay *routing*
-  latency against the direct physical latency of the same query pairs
-  (the relative-delay-penalty form); its magnitude (~2.5-5.5 for Chord
-  at n=1000 before/after optimization) is what the paper's Fig. 6 axes
-  show, so the figure benchmarks plot this one.
-
-* **Average latency** — ``AL = (sum_{i,j} d(i, j)) / n^2`` with
-  ``d(i, i) = 0``.
+:func:`stretch` is the *link* form: the mean underlying latency of
+logical edges over the mean physical link latency — exactly proportional
+to the quantity the Section 4.2 Var analysis descends, so it is the
+right invariant for tests.  The *routing* form the paper's Fig. 6 axes
+show (end-to-end overlay route latency over the direct latency of the
+same query pairs, ~2.5-5.5 for Chord at n=1000) is computed where the
+queries are drawn: ``ExperimentResult.stretch`` is the ratio of the two
+means :func:`repro.harness.experiment.sample_lookup_latency` returns.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.overlay.base import Overlay
 
-__all__ = ["stretch", "routing_stretch", "average_latency"]
+__all__ = ["stretch"]
 
 
 def stretch(overlay: Overlay) -> float:
@@ -33,29 +27,3 @@ def stretch(overlay: Overlay) -> float:
     if denom <= 0:
         raise ValueError("physical network has no links")
     return overlay.mean_logical_edge_latency() / denom
-
-
-def routing_stretch(route_latencies: np.ndarray, direct_latencies: np.ndarray) -> float:
-    """Routing stretch: mean overlay route latency / mean direct latency.
-
-    Both arrays must describe the same query pairs.  Queries whose source
-    owns the key (direct latency zero) contribute to the means but cannot
-    be used alone; a zero denominator raises.
-    """
-    route_latencies = np.asarray(route_latencies, dtype=np.float64)
-    direct_latencies = np.asarray(direct_latencies, dtype=np.float64)
-    if route_latencies.shape != direct_latencies.shape:
-        raise ValueError("route and direct latency arrays must align")
-    denom = float(direct_latencies.mean())
-    if denom <= 0:
-        raise ValueError("mean direct latency must be positive")
-    return float(route_latencies.mean()) / denom
-
-
-def average_latency(overlay: Overlay) -> float:
-    """AL over the member hosts (physical shortest-path distances).
-
-    Constant under PROP (the physical network does not change); exposed
-    for the Section 4.2 accounting identities used in tests.
-    """
-    return overlay.oracle.mean_pairwise()

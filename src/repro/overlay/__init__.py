@@ -7,16 +7,12 @@ then true by construction); PROP-O acts on the logical edges of
 unstructured overlays (degree-preserving rewiring).
 """
 
-from repro.overlay.base import Overlay
+from repro.overlay.base import Overlay, RoutedOverlay
 from repro.overlay.can import CANOverlay, Zone
 from repro.overlay.chord import ChordOverlay
 from repro.overlay.gnutella import GnutellaOverlay
 from repro.overlay.kademlia import KademliaOverlay
-from repro.overlay.ids import (
-    ring_between,
-    ring_distance_cw,
-    unique_ids,
-)
+from repro.overlay.ids import unique_ids
 from repro.overlay.pastry import PastryOverlay
 from repro.overlay.ultrapeer import UltrapeerGnutellaOverlay
 
@@ -27,9 +23,8 @@ __all__ = [
     "KademliaOverlay",
     "Overlay",
     "PastryOverlay",
+    "RoutedOverlay",
     "UltrapeerGnutellaOverlay",
     "Zone",
-    "ring_between",
-    "ring_distance_cw",
     "unique_ids",
 ]

@@ -37,14 +37,14 @@ are bit-identical (DESIGN.md "Derived state").
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+import copy
+from typing import Any, Iterable, Iterator, Sequence
 
-import networkx as nx
 import numpy as np
 
 from repro.topology.latency import LatencyOracleBase
 
-__all__ = ["Overlay"]
+__all__ = ["Overlay", "RoutedOverlay"]
 
 
 class Overlay:
@@ -91,7 +91,7 @@ class Overlay:
     # -- derived per-slot views (DESIGN.md "Derived state") -----------------
 
     def _reset_views(self) -> None:
-        """Forget every per-slot view (slot count or numbering changed)."""
+        """Start with no per-slot view built (construction and ``copy()``)."""
         n = self.n_slots
         #: ``tuple(sorted(_adj[slot]))`` — the D3 decision order.
         self._nbr_sorted: list[tuple[int, ...] | None] = [None] * n
@@ -318,70 +318,7 @@ class Overlay:
         """
         return True
 
-    def slot_of_host(self) -> np.ndarray:
-        """Inverse embedding: ``result[host] = slot`` (-1 if host unused)."""
-        inv = np.full(self.oracle.n, -1, dtype=np.intp)
-        inv[self.embedding] = np.arange(self.n_slots, dtype=np.intp)
-        return inv
-
-    # -- structural membership (join/leave extensions) -----------------------
-
-    def append_slot(self, host: int) -> int:
-        """Add a new, initially isolated slot occupied by ``host``.
-
-        Used by overlay-level join operations; the caller wires the new
-        slot's edges afterwards.  Returns the new slot index.
-        """
-        host = int(host)
-        if not 0 <= host < self.oracle.n:
-            raise ValueError(f"host {host} outside the oracle")
-        if np.any(self.embedding == host):
-            raise ValueError(f"host {host} already occupies a slot")
-        self.embedding = np.append(self.embedding, np.intp(host))
-        self._adj.append(set())
-        self.n_slots += 1
-        self.topology_version += 1
-        self.embedding_version += 1
-        self._reset_views()
-        return self.n_slots - 1
-
-    def pop_slot(self, slot: int) -> int:
-        """Remove ``slot`` entirely, returning the host that occupied it.
-
-        The slot must be isolated (callers cut or patch its edges first —
-        see :meth:`GnutellaOverlay.leave`).  The last slot is renumbered
-        into the vacated index, so callers holding slot references must
-        treat this as invalidating them (the same contract as
-        ``list.pop`` with swap-remove).
-        """
-        self._check_slot(slot)
-        if self._adj[slot]:
-            raise ValueError(f"slot {slot} still has {len(self._adj[slot])} edges")
-        host = int(self.embedding[slot])
-        last = self.n_slots - 1
-        if slot != last:
-            # move the last slot into the hole, rewriting its edges
-            for nbr in sorted(self._adj[last]):
-                self._adj[nbr].discard(last)
-                self._adj[nbr].add(slot)
-            self._adj[slot] = self._adj[last]
-            self.embedding[slot] = self.embedding[last]
-        self._adj.pop()
-        self.embedding = self.embedding[:last]
-        self.n_slots = last
-        self.topology_version += 1
-        self.embedding_version += 1
-        self._reset_views()
-        return host
-
-    # -- views / export ------------------------------------------------------
-
-    def to_networkx(self) -> nx.Graph:
-        """Logical graph as a :class:`networkx.Graph` (slots as nodes)."""
-        g = nx.Graph()
-        g.add_nodes_from(range(self.n_slots))
-        g.add_edges_from(self.iter_edges())
-        return g
+    # -- views ---------------------------------------------------------------
 
     def is_connected(self) -> bool:
         """BFS connectivity check on the logical graph."""
@@ -403,18 +340,19 @@ class Overlay:
         return count == self.n_slots
 
     def copy(self) -> "Overlay":
-        """Deep copy sharing the oracle (cheap: only graph + embedding)."""
-        clone = Overlay(self.oracle, self.embedding.copy())
-        self._copy_graph_into(clone)
-        return clone
+        """Independent overlay of the same type over the same oracle.
 
-    def _copy_graph_into(self, clone: "Overlay") -> None:
-        """Give ``clone`` (same slot count) a private copy of the logical
-        graph.  Every ``copy()`` override goes through here, so a clone can
-        never share a neighbor set or start from another overlay's views."""
+        The clone owns its embedding, neighbor sets and derived views;
+        everything else a family computes once from identifiers or zones
+        (finger tables, buckets, roles) is never mutated in place — PNS
+        ``refresh`` rebinds ``fingers`` — and stays shared.
+        """
+        clone = copy.copy(self)
+        clone.embedding = self.embedding.copy()
         clone._adj = [set(s) for s in self._adj]
-        clone._n_edges = self._n_edges
+        clone._edge_cache = None
         clone._reset_views()
+        return clone
 
     # -- internals ----------------------------------------------------------
 
@@ -424,3 +362,73 @@ class Overlay:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(n_slots={self.n_slots}, n_edges={self._n_edges})"
+
+
+class RoutedOverlay(Overlay):
+    """A structured overlay: lookups follow one greedy route per query.
+
+    PROP-G needs nothing from a DHT but its logical edges (Theorem 2
+    leaves the graph untouched), and the lookup metric needs nothing but
+    the route.  A family therefore supplies :meth:`route`, :meth:`owner`
+    and its table construction; path pricing and the batch forms live
+    here.  A *target* is whatever the family addresses: an integer key
+    (Chord, Pastry, Kademlia) or a torus point (CAN).
+    """
+
+    supports_rewiring = False  # edges are a function of identifiers / zones
+
+    #: Size of the integer key space — set by key-routed families (CAN
+    #: addresses torus points and has none).
+    space: int
+
+    def route(self, src: int, target: Any) -> list[int]:
+        """Slot path from ``src`` to :meth:`owner` of ``target``, both included."""
+        raise NotImplementedError
+
+    def owner(self, target: Any) -> int:
+        """Slot responsible for ``target``."""
+        raise NotImplementedError
+
+    def path_latency(self, path: Sequence[int], node_delay: np.ndarray | None = None) -> float:
+        """Latency of a slot path: link latencies plus processing delays.
+
+        ``node_delay`` (per slot) is charged at every node that receives
+        the message, i.e. all path members except the source.  Links are
+        summed first, left to right, then receiver delays — the order
+        every committed series was produced with.
+        """
+        total = 0.0
+        for a, b in zip(path, path[1:]):
+            total += self.latency(a, b)
+        if node_delay is not None:
+            for s in path[1:]:
+                total += float(node_delay[s])
+        return total
+
+    def lookup_latency(self, src: int, target: Any, node_delay: np.ndarray | None = None) -> float:
+        """End-to-end latency of a lookup for ``target`` issued at ``src``."""
+        return self.path_latency(self.route(src, target), node_delay)
+
+    def lookup_latencies(
+        self,
+        queries: np.ndarray | Sequence[tuple[int, Any]],
+        node_delay: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Per-lookup latency vector over ``(src_slot, target)`` rows."""
+        if isinstance(queries, np.ndarray):
+            if queries.ndim != 2 or queries.shape[1] != 2:
+                raise ValueError("queries must be (k, 2) rows of (src, key)")
+            queries = queries.tolist()
+        return np.fromiter(
+            (self.lookup_latency(src, target, node_delay) for src, target in queries),
+            dtype=np.float64,
+            count=len(queries),
+        )
+
+    def mean_lookup_latency(
+        self,
+        queries: np.ndarray | Sequence[tuple[int, Any]],
+        node_delay: np.ndarray | None = None,
+    ) -> float:
+        """Mean lookup latency over ``(src_slot, target)`` rows."""
+        return float(self.lookup_latencies(queries, node_delay).mean())

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.overlay.base import Overlay
+from repro.overlay.base import RoutedOverlay
 from repro.topology.latency import LatencyOracle
 
 __all__ = ["Zone", "CANOverlay"]
@@ -74,10 +74,8 @@ def _torus_delta(a: float, b: float) -> float:
     return min(d, 1.0 - d)
 
 
-class CANOverlay(Overlay):
+class CANOverlay(RoutedOverlay):
     """CAN overlay: rectangular zones on the unit torus."""
-
-    supports_rewiring = False  # edges are a function of the zone tiling
 
     def __init__(self, oracle: LatencyOracle, embedding: np.ndarray,
                  zones: list[Zone], dims: int) -> None:
@@ -168,7 +166,7 @@ class CANOverlay(Overlay):
             total += d * d
         return float(np.sqrt(total))
 
-    def owner_of_point(self, p: np.ndarray) -> int:
+    def owner(self, p: np.ndarray) -> int:
         p = np.asarray(p, dtype=np.float64) % 1.0
         for slot, z in enumerate(self.zones):
             if z.contains(p):
@@ -183,7 +181,7 @@ class CANOverlay(Overlay):
         pathological corner configurations.
         """
         p = np.asarray(point, dtype=np.float64) % 1.0
-        dest = self.owner_of_point(p)
+        dest = self.owner(p)
         path = [src]
         cur = src
         visited = {src}
@@ -206,28 +204,6 @@ class CANOverlay(Overlay):
             cur = best
         return path
 
-    def path_latency(self, path: list[int], node_delay: np.ndarray | None = None) -> float:
-        """Link latencies along the path plus processing at receivers."""
-        total = 0.0
-        for a, b in zip(path, path[1:]):
-            total += self.latency(a, b)
-        if node_delay is not None:
-            for s in path[1:]:
-                total += float(node_delay[s])
-        return total
-
-    def lookup_latency(self, src: int, point: np.ndarray,
-                       node_delay: np.ndarray | None = None) -> float:
-        return self.path_latency(self.route(src, point), node_delay)
-
     def total_zone_volume(self) -> float:
         """Sum of zone volumes — must equal 1 (zones tile the torus)."""
         return float(sum(z.volume() for z in self.zones))
-
-    def copy(self) -> "CANOverlay":
-        clone = CANOverlay.__new__(CANOverlay)
-        Overlay.__init__(clone, self.oracle, self.embedding.copy())
-        clone.zones = self.zones
-        clone.dims = self.dims
-        self._copy_graph_into(clone)
-        return clone

@@ -21,17 +21,15 @@ import bisect
 
 import numpy as np
 
-from repro.overlay.base import Overlay
+from repro.overlay.base import RoutedOverlay
 from repro.overlay.ids import unique_ids
 from repro.topology.latency import LatencyOracle
 
 __all__ = ["ChordOverlay"]
 
 
-class ChordOverlay(Overlay):
+class ChordOverlay(RoutedOverlay):
     """Chord ring with finger tables over a latency oracle."""
-
-    supports_rewiring = False  # edges are a function of the identifier set
 
     def __init__(
         self,
@@ -121,10 +119,7 @@ class ChordOverlay(Overlay):
     def successor_slot(self, slot: int) -> int:
         return (slot + 1) % self.n_slots
 
-    def predecessor_slot(self, slot: int) -> int:
-        return (slot - 1) % self.n_slots
-
-    def owner_of_key(self, key: int) -> int:
+    def owner(self, key: int) -> int:
         """Slot responsible for ``key`` (its successor on the ring)."""
         return self._successor_index_of_id(key)
 
@@ -139,7 +134,7 @@ class ChordOverlay(Overlay):
         ``(id, id_successor]``, otherwise to the closest preceding finger.
         """
         key = key % self.space
-        dest = self.owner_of_key(key)
+        dest = self.owner(key)
         path = [src]
         cur = src
         hops_guard = 4 * self.n_slots
@@ -165,44 +160,6 @@ class ChordOverlay(Overlay):
             if hops_guard <= 0:
                 raise RuntimeError("Chord routing failed to converge")
         return path
-
-    # -- structural membership (join/leave extension) ----------------------
-
-    def with_join(self, host: int, node_id: int) -> "ChordOverlay":
-        """A new ring with ``host`` joined under identifier ``node_id``.
-
-        Chord's join semantics: the newcomer takes over the key range
-        ``(predecessor_id, node_id]`` from the current owner of
-        ``node_id``; every other host keeps its identifier.  Slots are
-        ring positions, so joining shifts slot indices at and after the
-        insertion point — the returned overlay is a *new* object (the
-        O(n·bits) finger rebuild is the honest cost of a join in a
-        static-snapshot simulator; deployed Chord amortizes it through
-        stabilization).
-        """
-        host = int(host)
-        node_id = int(node_id) % self.space
-        if np.any(self.embedding == host):
-            raise ValueError(f"host {host} already in the ring")
-        if node_id in set(self.ids.tolist()):
-            raise ValueError(f"identifier {node_id} already taken")
-        pos = int(np.searchsorted(self.ids, node_id))
-        new_ids = np.insert(self.ids, pos, node_id)
-        new_emb = np.insert(self.embedding, pos, host)
-        return ChordOverlay(self.oracle, new_emb, new_ids, self.bits)
-
-    def with_leave(self, slot: int) -> "ChordOverlay":
-        """A new ring without ``slot``; its keys pass to the successor.
-
-        Raises when only two nodes remain (a one-node "ring" owns
-        everything trivially but has no overlay left to simulate).
-        """
-        self._check_slot(slot)
-        if self.n_slots <= 2:
-            raise ValueError("cannot shrink below two nodes")
-        new_ids = np.delete(self.ids, slot)
-        new_emb = np.delete(self.embedding, slot)
-        return ChordOverlay(self.oracle, new_emb, new_ids, self.bits)
 
     # -- failure-aware routing (successor-list extension) -----------------
 
@@ -279,53 +236,3 @@ class ChordOverlay(Overlay):
             if guard <= 0:
                 raise RuntimeError("failure-aware routing failed to converge")
         return path
-
-    def path_latency(self, path: list[int], node_delay: np.ndarray | None = None) -> float:
-        """Latency of a slot path: link latencies plus processing delays.
-
-        ``node_delay`` (per slot) is charged at every node that receives
-        the message, i.e. all path members except the source.
-        """
-        total = 0.0
-        for a, b in zip(path, path[1:]):
-            total += self.latency(a, b)
-        if node_delay is not None:
-            for s in path[1:]:
-                total += float(node_delay[s])
-        return total
-
-    def lookup_latency(self, src: int, key: int, node_delay: np.ndarray | None = None) -> float:
-        """End-to-end latency of a lookup for ``key`` issued at ``src``."""
-        return self.path_latency(self.route(src, key), node_delay)
-
-    def lookup_latencies(
-        self,
-        queries: np.ndarray,
-        node_delay: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Per-lookup latency vector over (src_slot, key) rows."""
-        queries = np.asarray(queries)
-        if queries.ndim != 2 or queries.shape[1] != 2:
-            raise ValueError("queries must be (k, 2) rows of (src, key)")
-        out = np.empty(len(queries))
-        for i, (src, key) in enumerate(queries):
-            out[i] = self.lookup_latency(int(src), int(key), node_delay)
-        return out
-
-    def mean_lookup_latency(
-        self,
-        queries: np.ndarray,
-        node_delay: np.ndarray | None = None,
-    ) -> float:
-        """Mean lookup latency over ``queries`` — rows of (src_slot, key)."""
-        return float(self.lookup_latencies(queries, node_delay).mean())
-
-    def copy(self) -> "ChordOverlay":
-        clone = ChordOverlay.__new__(ChordOverlay)
-        Overlay.__init__(clone, self.oracle, self.embedding.copy())
-        clone.ids = self.ids
-        clone.bits = self.bits
-        clone.space = self.space
-        clone.fingers = self.fingers
-        self._copy_graph_into(clone)
-        return clone

@@ -117,43 +117,6 @@ class GnutellaOverlay(Overlay):
                 raise RuntimeError(f"could not reach min_degree at slot {s}")
         return ov
 
-    # -- structural membership ---------------------------------------------
-
-    def join(self, host: int, rng: np.random.Generator, *, degree: int | None = None) -> int:
-        """A new host joins, connecting to random existing peers.
-
-        Mirrors the paper's description of unstructured joins ("a new
-        node randomly chooses some existing nodes of the system as its
-        logical neighbors").  ``degree`` defaults to the overlay's
-        current minimum degree.  Returns the new slot.
-        """
-        if degree is None:
-            degree = self.min_degree()
-        if not 1 <= degree <= self.n_slots:
-            raise ValueError(f"degree must be in [1, {self.n_slots}], got {degree}")
-        slot = self.append_slot(host)
-        peers = rng.choice(slot, size=degree, replace=False)
-        for p in peers:
-            self.add_edge(slot, int(p))
-        return slot
-
-    def leave(self, slot: int) -> int:
-        """A peer departs gracefully, handing its neighbors to each other.
-
-        Connectivity is preserved by chaining the departing peer's
-        neighbors (n1-n2, n2-n3, …) where not already adjacent — the
-        standard unstructured-overlay repair.  Returns the departed
-        host.  Note the swap-remove renumbering contract of
-        :meth:`Overlay.pop_slot`.
-        """
-        nbrs = sorted(self._adj[slot])
-        for a, b in zip(nbrs, nbrs[1:]):
-            if not self.has_edge(a, b):
-                self.add_edge(a, b)
-        for x in sorted(self._adj[slot]):
-            self.remove_edge(slot, x)
-        return self.pop_slot(slot)
-
     # -- flooding lookup model -------------------------------------------
 
     def _directed_weights(
@@ -254,8 +217,7 @@ class GnutellaOverlay(Overlay):
         Gnutella's expanding-ring requery — and the lookup costs
         ``retry_timeout`` plus the unbounded-flood latency.  Without it,
         failed lookups are simply excluded from the average (``inf`` if
-        every lookup fails); use :meth:`lookup_success_rate` to observe
-        the failure fraction.
+        every lookup fails).
         """
         vals = self._lookup_values(pairs, node_delay, ttl, charge_destination)
         failed = ~np.isfinite(vals)
@@ -284,129 +246,6 @@ class GnutellaOverlay(Overlay):
         first).
         """
         return self._lookup_values(pairs, node_delay, ttl, charge_destination)
-
-    def replica_lookup_latency(
-        self,
-        src: int,
-        holders: np.ndarray | list[int],
-        node_delay: np.ndarray | None = None,
-        ttl: int | None = None,
-        charge_destination: bool = False,
-    ) -> float:
-        """Latency of a flooded lookup for a *replicated* object.
-
-        Real file-sharing queries succeed at the first replica the flood
-        reaches: the latency is the minimum over the holder set.  Returns
-        ``inf`` when no holder lies inside the flood scope; ``0`` when
-        the querier holds the object itself.
-        """
-        holders = np.asarray(holders, dtype=np.intp)
-        if holders.size == 0:
-            raise ValueError("need at least one holder")
-        if np.any(holders == src):
-            return 0.0
-        row = self.lookup_latency_matrix([src], node_delay, ttl)[0]
-        vals = row[holders]
-        if node_delay is not None and not charge_destination:
-            vals = vals - np.asarray(node_delay, dtype=np.float64)[holders]
-        return float(vals.min())
-
-    def mean_replica_lookup_latency(
-        self,
-        queries: list[tuple[int, np.ndarray]],
-        node_delay: np.ndarray | None = None,
-        ttl: int | None = None,
-    ) -> float:
-        """Mean latency over (src, holder-set) queries; failures excluded.
-
-        Failed lookups (no holder in scope) are excluded from the mean,
-        matching :meth:`mean_lookup_latency`; all-failed returns ``inf``.
-        """
-        vals = np.array([
-            self.replica_lookup_latency(src, holders, node_delay, ttl)
-            for src, holders in queries
-        ])
-        reached = vals[np.isfinite(vals)]
-        return float(reached.mean()) if reached.size else float("inf")
-
-    def walk_search_latency(
-        self,
-        src: int,
-        dst: int,
-        rng: np.random.Generator,
-        *,
-        walkers: int = 16,
-        max_steps: int = 128,
-        node_delay: np.ndarray | None = None,
-    ) -> float:
-        """Latency of a k-walker random-walk search (extension).
-
-        The successor of flooding in later unstructured systems: ``k``
-        independent walkers step to uniform random neighbors; the search
-        completes when the first walker reaches ``dst``.  Returns the
-        first-arrival time, or ``inf`` when no walker finds the target
-        within ``max_steps`` steps.  Walk searches trade the flood's
-        message explosion for latency — and benefit from PROP exactly as
-        floods do, since every step is a physical link crossing.
-        """
-        if walkers < 1 or max_steps < 1:
-            raise ValueError("walkers and max_steps must be >= 1")
-        if src == dst:
-            return 0.0
-        emb = self.embedding
-        oracle = self.oracle
-        best = np.inf
-        for _ in range(walkers):
-            t = 0.0
-            cur = src
-            for _ in range(max_steps):
-                nbrs = self._adj[cur]
-                if not nbrs:
-                    break
-                nxt = self.sorted_neighbors(cur)[int(rng.integers(0, len(nbrs)))]
-                t += oracle.between(int(emb[cur]), int(emb[nxt]))
-                cur = nxt
-                if cur == dst:
-                    best = min(best, t)
-                    break
-                # destination processing excluded (same convention as
-                # flooding lookups); forwarders pay theirs
-                if node_delay is not None:
-                    t += float(node_delay[cur])
-                if t >= best:
-                    break  # this walker can no longer win
-        return best
-
-    def flood_traffic(self, src: int, ttl: int) -> int:
-        """Message count of one TTL-scoped flood from ``src``.
-
-        Gnutella flooding: every node that receives the query with
-        remaining TTL forwards it to all neighbors except the sender, so
-        the message count is ``deg(src)`` plus ``deg(v) - 1`` for every
-        node ``v`` reached at hop distance ``1 <= d < ttl``.  This is
-        LTM's original cost metric ("reduce … unnecessary traffic");
-        note it depends only on the logical topology, so PROP-G leaves
-        it exactly unchanged while LTM's cuts reduce it.
-        """
-        if ttl < 1:
-            raise ValueError(f"ttl must be >= 1, got {ttl}")
-        from repro.metrics.graphstats import hop_distance_matrix
-
-        hops = hop_distance_matrix(self, np.array([src]))[0]
-        deg = self.degree_sequence()
-        total = int(deg[src])
-        forwarders = np.flatnonzero((hops >= 1) & (hops < ttl))
-        total += int((deg[forwarders] - 1).sum())
-        return total
-
-    def lookup_success_rate(
-        self,
-        pairs: np.ndarray,
-        ttl: int | None = None,
-    ) -> float:
-        """Fraction of lookups whose target lies inside the flood scope."""
-        vals = self._lookup_values(pairs, None, ttl, True)
-        return float(np.mean(np.isfinite(vals)))
 
     def _lookup_values(
         self,
@@ -447,8 +286,3 @@ class GnutellaOverlay(Overlay):
                 vals = vals - nd[far]
         vals[src == dst] = 0.0  # a self-lookup never leaves the querier
         return vals
-
-    def copy(self) -> "GnutellaOverlay":
-        clone = GnutellaOverlay(self.oracle, self.embedding.copy())
-        self._copy_graph_into(clone)
-        return clone

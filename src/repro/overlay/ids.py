@@ -1,8 +1,8 @@
 """Identifier-space helpers shared by the structured overlays.
 
-Chord and Pastry both work in a circular identifier space of size
-``2**bits``; these helpers implement the modular arithmetic (clockwise
-distance, half-open ring intervals) and unique random id assignment.
+Chord, Pastry and Kademlia draw identifiers from ``[0, 2**bits)``;
+these helpers implement unique random id assignment and Pastry's digit
+arithmetic.
 """
 
 from __future__ import annotations
@@ -11,8 +11,6 @@ import numpy as np
 
 __all__ = [
     "unique_ids",
-    "ring_distance_cw",
-    "ring_between",
     "digits_of",
     "common_prefix_len",
 ]
@@ -44,23 +42,6 @@ def unique_ids(n: int, bits: int, rng: np.random.Generator) -> np.ndarray:
                 if filled == n:
                     break
     return out
-
-
-def ring_distance_cw(a: int, b: int, bits: int) -> int:
-    """Clockwise distance from ``a`` to ``b`` on the ``2**bits`` ring."""
-    space = 1 << bits
-    return (b - a) % space
-
-
-def ring_between(x: int, a: int, b: int, bits: int) -> bool:
-    """True iff ``x`` lies in the half-open clockwise interval ``(a, b]``.
-
-    This is Chord's ``in (a, b]`` predicate: the interval wraps around
-    zero when ``b <= a``; the degenerate interval ``(a, a]`` is the whole
-    ring (standard Chord convention — a single node owns everything).
-    """
-    space = 1 << bits
-    return (x - a) % space <= (b - a) % space and x != a or a == b
 
 
 def digits_of(x: int, base_bits: int, n_digits: int) -> tuple[int, ...]:

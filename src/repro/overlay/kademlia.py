@@ -28,17 +28,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.overlay.base import Overlay
+from repro.overlay.base import RoutedOverlay
 from repro.overlay.ids import unique_ids
 from repro.topology.latency import LatencyOracle
 
 __all__ = ["KademliaOverlay"]
 
 
-class KademliaOverlay(Overlay):
+class KademliaOverlay(RoutedOverlay):
     """Kademlia XOR-metric overlay."""
-
-    supports_rewiring = False  # buckets are a function of the identifier set
 
     def __init__(
         self,
@@ -89,11 +87,6 @@ class KademliaOverlay(Overlay):
 
     # -- construction ----------------------------------------------------
 
-    def _bucket_index(self, u: int, other: int) -> int:
-        """Shared-prefix length of the two slots' ids (= bucket index)."""
-        x = int(self.ids[u]) ^ int(self.ids[other])
-        return self.bits - x.bit_length()
-
     def _build_buckets(self) -> None:
         n = self.n_slots
         ids = self.ids
@@ -124,7 +117,7 @@ class KademliaOverlay(Overlay):
     def _xor(self, slot: int, key: int) -> int:
         return int(self.ids[slot]) ^ (key % self.space)
 
-    def owner_of_key(self, key: int) -> int:
+    def owner(self, key: int) -> int:
         """Slot with minimum XOR distance to ``key``."""
         d = self.ids ^ np.int64(key % self.space)
         return int(np.argmin(d))
@@ -145,7 +138,7 @@ class KademliaOverlay(Overlay):
         key's prefix region is non-empty in a full table.
         """
         key = key % self.space
-        dest = self.owner_of_key(key)
+        dest = self.owner(key)
         path = [src]
         cur = src
         guard = self.bits + self.n_slots
@@ -169,43 +162,3 @@ class KademliaOverlay(Overlay):
             if guard <= 0:
                 raise RuntimeError("Kademlia routing failed to converge")
         return path
-
-    def path_latency(self, path: list[int], node_delay: np.ndarray | None = None) -> float:
-        total = 0.0
-        for a, b in zip(path, path[1:]):
-            total += self.latency(a, b)
-        if node_delay is not None:
-            for s in path[1:]:
-                total += float(node_delay[s])
-        return total
-
-    def lookup_latency(self, src: int, key: int, node_delay: np.ndarray | None = None) -> float:
-        return self.path_latency(self.route(src, key), node_delay)
-
-    def lookup_latencies(
-        self,
-        queries: np.ndarray,
-        node_delay: np.ndarray | None = None,
-    ) -> np.ndarray:
-        queries = np.asarray(queries)
-        if queries.ndim != 2 or queries.shape[1] != 2:
-            raise ValueError("queries must be (k, 2) rows of (src, key)")
-        out = np.empty(len(queries))
-        for i, (src, key) in enumerate(queries):
-            out[i] = self.lookup_latency(int(src), int(key), node_delay)
-        return out
-
-    def mean_lookup_latency(
-        self,
-        queries: np.ndarray,
-        node_delay: np.ndarray | None = None,
-    ) -> float:
-        return float(self.lookup_latencies(queries, node_delay).mean())
-
-    def copy(self) -> "KademliaOverlay":
-        clone = KademliaOverlay.__new__(KademliaOverlay)
-        Overlay.__init__(clone, self.oracle, self.embedding.copy())
-        for attr in ("ids", "bits", "space", "k", "buckets"):
-            setattr(clone, attr, getattr(self, attr))
-        self._copy_graph_into(clone)
-        return clone

@@ -21,17 +21,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.overlay.base import Overlay
+from repro.overlay.base import RoutedOverlay
 from repro.overlay.ids import common_prefix_len, digits_of, unique_ids
 from repro.topology.latency import LatencyOracle
 
 __all__ = ["PastryOverlay"]
 
 
-class PastryOverlay(Overlay):
+class PastryOverlay(RoutedOverlay):
     """Pastry prefix-routing overlay."""
-
-    supports_rewiring = False  # edges are a function of the identifier set
 
     def __init__(
         self,
@@ -160,7 +158,7 @@ class PastryOverlay(Overlay):
         d = abs(a - key)
         return min(d, self.space - d)
 
-    def owner_of_key(self, key: int) -> int:
+    def owner(self, key: int) -> int:
         """Slot numerically closest to ``key`` (ties to the lower id)."""
         key %= self.space
         dists = np.abs(self.ids - key)
@@ -171,7 +169,7 @@ class PastryOverlay(Overlay):
     def route(self, src: int, key: int) -> list[int]:
         """Pastry prefix routing from ``src`` to the key's owner slot."""
         key %= self.space
-        dest = self.owner_of_key(key)
+        dest = self.owner(key)
         key_digits = digits_of(key, self.base_bits, self.n_digits)
         path = [src]
         cur = src
@@ -212,25 +210,3 @@ class PastryOverlay(Overlay):
             if guard <= 0:
                 raise RuntimeError("Pastry routing failed to converge")
         return path
-
-    def path_latency(self, path: list[int], node_delay: np.ndarray | None = None) -> float:
-        total = 0.0
-        for a, b in zip(path, path[1:]):
-            total += self.latency(a, b)
-        if node_delay is not None:
-            for s in path[1:]:
-                total += float(node_delay[s])
-        return total
-
-    def lookup_latency(self, src: int, key: int, node_delay: np.ndarray | None = None) -> float:
-        return self.path_latency(self.route(src, key), node_delay)
-
-    def copy(self) -> "PastryOverlay":
-        clone = PastryOverlay.__new__(PastryOverlay)
-        Overlay.__init__(clone, self.oracle, self.embedding.copy())
-        for attr in ("ids", "base_bits", "n_digits", "space", "leaf_set_size",
-                     "proximity_aware", "digits", "_order", "_rank",
-                     "leaf_sets", "routing_tables", "_leaf_lookup"):
-            setattr(clone, attr, getattr(self, attr))
-        self._copy_graph_into(clone)
-        return clone

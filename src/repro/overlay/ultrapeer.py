@@ -177,10 +177,3 @@ class UltrapeerGnutellaOverlay(GnutellaOverlay):
                     dist = new
                 out[row] = dist
         return out
-
-    def copy(self) -> "UltrapeerGnutellaOverlay":
-        clone = UltrapeerGnutellaOverlay.__new__(UltrapeerGnutellaOverlay)
-        GnutellaOverlay.__init__(clone, self.oracle, self.embedding.copy())
-        clone.roles = self.roles
-        self._copy_graph_into(clone)
-        return clone

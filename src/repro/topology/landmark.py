@@ -80,59 +80,17 @@ class LandmarkOracle(LatencyOracleBase):
     ) -> None:
         hosts = validate_hosts(network, hosts)
         landmarks = choose_landmarks(network, per_domain)
-        self._init_from(network, hosts, landmarks, None)
-
-    def _init_from(
-        self,
-        network: PhysicalNetwork,
-        hosts: np.ndarray,
-        landmarks: np.ndarray,
-        landmark_matrix: FloatArray | None,
-    ) -> None:
         from repro.topology.latency import shortest_path_rows
 
-        if landmark_matrix is None:
-            rows = shortest_path_rows(network, landmarks)
-            landmark_matrix = np.ascontiguousarray(rows[:, hosts])
+        rows = shortest_path_rows(network, landmarks)
+        landmark_matrix = np.ascontiguousarray(rows[:, hosts])
         if not np.all(np.isfinite(landmark_matrix)):
             raise ValueError("physical network is disconnected across selected hosts")
-        if np.any(landmark_matrix < 0):
-            raise ValueError("landmark distances must be non-negative")
         self.network = network
         self.hosts = hosts
         self.landmarks: np.ndarray = landmarks
         #: (m, n): exact distance from landmark k to member i.
         self.landmark_matrix: FloatArray = landmark_matrix
-
-    @classmethod
-    def from_state(
-        cls,
-        network: PhysicalNetwork,
-        hosts: np.ndarray,
-        *,
-        landmarks: np.ndarray,
-        landmark_matrix: np.ndarray,
-    ) -> "LandmarkOracle":
-        """Rebuild from stored landmark distances (the cache-hit path).
-
-        Host validation runs exactly as in ``__init__``; the distance
-        matrix is shape- and finiteness-checked before being trusted.
-        """
-        hosts = validate_hosts(network, hosts)
-        landmarks = np.asarray(landmarks, dtype=np.int64)
-        if landmarks.ndim != 1 or landmarks.size == 0:
-            raise ValueError("landmarks must be a non-empty 1-D array")
-        if int(landmarks.min()) < 0 or int(landmarks.max()) >= network.n:
-            raise ValueError("landmark id out of range")
-        matrix = np.ascontiguousarray(np.asarray(landmark_matrix, dtype=np.float64))
-        if matrix.shape != (landmarks.size, hosts.size):
-            raise ValueError(
-                f"landmark matrix shape {matrix.shape} does not match "
-                f"{landmarks.size} landmarks x {hosts.size} hosts"
-            )
-        oracle = cls.__new__(cls)
-        oracle._init_from(network, hosts, landmarks, matrix)
-        return oracle
 
     @property
     def m(self) -> int:

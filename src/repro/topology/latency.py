@@ -41,8 +41,7 @@ FloatArray = npt.NDArray[np.float64]
 def validate_hosts(network: PhysicalNetwork, hosts: np.ndarray) -> np.ndarray:
     """Canonicalize and validate a member-host array against ``network``.
 
-    Shared by every oracle backend (and the cache's load path, so a
-    cache hit revalidates exactly like a fresh construction).
+    Shared by every oracle backend.
     """
     hosts = np.asarray(hosts, dtype=np.int64)
     if hosts.ndim != 1 or hosts.size == 0:
@@ -244,35 +243,6 @@ class LatencyOracle(LatencyOracleBase):
         if not np.all(np.isfinite(self.matrix)):
             raise ValueError("physical network is disconnected across selected hosts")
         np.fill_diagonal(self.matrix, 0.0)
-
-    @classmethod
-    def from_matrix(
-        cls, network: PhysicalNetwork, hosts: np.ndarray, matrix: np.ndarray
-    ) -> "LatencyOracle":
-        """Rebuild an oracle from a precomputed matrix (the cache-hit path).
-
-        Runs the same host validation as ``__init__`` — a cache hit must
-        never skip constructor checks — and verifies the matrix is a
-        plausible latency submatrix for this member set (shape, dtype,
-        finiteness, non-negativity, symmetry, zero diagonal).
-        """
-        hosts = validate_hosts(network, hosts)
-        matrix = np.ascontiguousarray(np.asarray(matrix, dtype=np.float64))
-        if matrix.shape != (hosts.size, hosts.size):
-            raise ValueError(
-                f"matrix shape {matrix.shape} does not match {hosts.size} hosts"
-            )
-        if not np.all(np.isfinite(matrix)):
-            raise ValueError("latency matrix must be finite")
-        if np.any(matrix < 0) or np.any(np.diagonal(matrix) != 0.0):
-            raise ValueError("latency matrix needs non-negative entries, zero diagonal")
-        if not np.array_equal(matrix, matrix.T):
-            raise ValueError("latency matrix must be symmetric (undirected substrate)")
-        oracle = cls.__new__(cls)
-        oracle.network = network
-        oracle.hosts = hosts
-        oracle.matrix = matrix
-        return oracle
 
     # -- protocol fast paths ----------------------------------------------
 

@@ -19,7 +19,7 @@ class TestFingerSelection:
         for _ in range(100):
             src = int(rng.integers(0, pns.n_slots))
             key = int(rng.integers(0, pns.space))
-            assert pns.route(src, key)[-1] == pns.owner_of_key(key)
+            assert pns.route(src, key)[-1] == pns.owner(key)
 
     def test_successor_always_kept(self, pns):
         for i in range(pns.n_slots):
@@ -87,7 +87,7 @@ class TestRefresh:
         for _ in range(50):
             src = int(rng.integers(0, pns.n_slots))
             key = int(rng.integers(0, pns.space))
-            assert pns.route(src, key)[-1] == pns.owner_of_key(key)
+            assert pns.route(src, key)[-1] == pns.owner(key)
 
     def test_refresh_keeps_connectivity(self, pns):
         pns.refresh()

@@ -1,9 +1,8 @@
-"""Stretch metrics: link stretch, routing stretch, average latency."""
+"""Stretch metric: the link form."""
 
-import numpy as np
 import pytest
 
-from repro.metrics.stretch import average_latency, routing_stretch, stretch
+from repro.metrics.stretch import stretch
 
 
 def test_link_stretch_definition(gnutella):
@@ -28,25 +27,3 @@ def test_link_stretch_drops_after_beneficial_swap(gnutella):
             break
     else:
         raise AssertionError("no beneficial swap found")
-
-
-def test_average_latency_constant_under_swaps(gnutella):
-    before = average_latency(gnutella)
-    gnutella.swap_embedding(0, 5)
-    assert average_latency(gnutella) == pytest.approx(before)
-
-
-def test_routing_stretch():
-    routes = np.array([10.0, 20.0, 30.0])
-    direct = np.array([5.0, 10.0, 15.0])
-    assert routing_stretch(routes, direct) == pytest.approx(2.0)
-
-
-def test_routing_stretch_validates_shapes():
-    with pytest.raises(ValueError):
-        routing_stretch(np.array([1.0]), np.array([1.0, 2.0]))
-
-
-def test_routing_stretch_rejects_zero_direct():
-    with pytest.raises(ValueError):
-        routing_stretch(np.array([1.0]), np.array([0.0]))

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.overlay.base import Overlay
+from repro.baselines.pns import PNSChordOverlay
+from repro.overlay.base import Overlay, RoutedOverlay
+from repro.overlay.can import CANOverlay
+from repro.overlay.chord import ChordOverlay
+from repro.overlay.gnutella import GnutellaOverlay
+from repro.overlay.kademlia import KademliaOverlay
+from repro.overlay.pastry import PastryOverlay
+from repro.overlay.ultrapeer import UltrapeerGnutellaOverlay
 
 
 @pytest.fixture()
@@ -142,11 +149,6 @@ class TestSwapAndRewire:
         assert square.has_edge(0, 2)
         assert square.n_edges == 4
 
-    def test_slot_of_host_inverse(self, square):
-        inv = square.slot_of_host()
-        for slot in range(square.n_slots):
-            assert inv[square.host_at(slot)] == slot
-
     def test_versions_bump(self, square):
         t0, e0 = square.topology_version, square.embedding_version
         square.swap_embedding(0, 1)
@@ -157,11 +159,6 @@ class TestSwapAndRewire:
 
 
 class TestViewsAndCopy:
-    def test_to_networkx(self, square):
-        g = square.to_networkx()
-        assert g.number_of_nodes() == 4
-        assert g.number_of_edges() == 4
-
     def test_is_connected(self, square):
         assert square.is_connected()
         square.remove_edge(0, 1)
@@ -175,3 +172,48 @@ class TestViewsAndCopy:
         clone.swap_embedding(0, 2)
         assert square.has_edge(0, 1)
         assert square.host_at(0) == 0
+
+
+FAMILIES = {
+    "gnutella": lambda oracle, rng: GnutellaOverlay.build(oracle, rng, min_degree=3),
+    "two-tier": lambda oracle, rng: UltrapeerGnutellaOverlay.build_two_tier(
+        oracle, rng, ultrapeer_fraction=0.25, leaf_degree=2),
+    "chord": ChordOverlay.build,
+    "pns-chord": PNSChordOverlay.build,
+    "can": CANOverlay.build,
+    "pastry": PastryOverlay.build,
+    "kademlia": KademliaOverlay.build,
+}
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_copy_is_the_same_type_and_shares_no_mutable_state(family, small_oracle, rngs):
+    """One ``copy()`` serves every family: the clone is of the caller's
+    type (a PNS ring stays a PNS ring) and owns its graph and embedding."""
+    ov = FAMILIES[family](small_oracle, rngs.stream(family))
+    sums = [ov.neighbor_latency_sum(s) for s in range(ov.n_slots)]
+    routed = isinstance(ov, RoutedOverlay)
+    if routed:
+        targets = [ov.zones[d].center() if family == "can" else int(ov.ids[d]) + 1
+                   for d in range(0, ov.n_slots, 7)]
+        costs = [ov.lookup_latency(3, t) for t in targets]
+
+    clone = ov.copy()
+    assert type(clone) is type(ov)
+    assert clone.oracle is ov.oracle
+    assert not np.shares_memory(clone.embedding, ov.embedding)
+    assert all(mine is not theirs for mine, theirs in zip(clone._adj, ov._adj))
+    assert set(clone.iter_edges()) == set(ov.iter_edges())
+    assert np.array_equal(clone.embedding, ov.embedding)
+
+    a, b = 3, ov.n_slots - 2
+    clone.swap_embedding(a, b)
+    assert clone.host_at(a) == ov.host_at(b)
+    assert [ov.neighbor_latency_sum(s) for s in range(ov.n_slots)] == sums
+    if routed:
+        assert [ov.lookup_latency(3, t) for t in targets] == costs
+    if family == "pns-chord":
+        edges, fingers = set(ov.iter_edges()), [list(f) for f in ov.fingers]
+        clone.refresh()  # a ChordOverlay clone would have no refresh at all
+        assert clone.is_connected()
+        assert set(ov.iter_edges()) == edges and ov.fingers == fingers

@@ -77,7 +77,7 @@ class TestRouting:
         rng = np.random.default_rng(1)
         for _ in range(50):
             p = rng.random(2)
-            owner = can.owner_of_point(p)
+            owner = can.owner(p)
             assert can.zones[owner].contains(p)
 
     def test_route_reaches_owner(self, can):
@@ -87,7 +87,7 @@ class TestRouting:
             p = rng.random(2)
             path = can.route(src, p)
             assert path[0] == src
-            assert path[-1] == can.owner_of_point(p)
+            assert path[-1] == can.owner(p)
 
     def test_route_uses_edges(self, can):
         rng = np.random.default_rng(3)

@@ -34,7 +34,7 @@ class TestConstruction:
         """Every finger target owns some id of the form id_i + 2^k."""
         for i in range(0, chord.n_slots, 7):
             starts = {(int(chord.ids[i]) + (1 << k)) % chord.space for k in range(chord.bits)}
-            owners = {chord.owner_of_key(s) for s in starts}
+            owners = {chord.owner(s) for s in starts}
             assert set(chord.fingers[i]) <= owners
 
     def test_unsorted_ids_rejected(self, small_oracle):
@@ -55,17 +55,17 @@ class TestConstruction:
 class TestOwnership:
     def test_exact_id_owned_by_holder(self, chord):
         for i in (0, 3, chord.n_slots - 1):
-            assert chord.owner_of_key(int(chord.ids[i])) == i
+            assert chord.owner(int(chord.ids[i])) == i
 
     def test_key_between_ids_owned_by_successor(self, chord):
         key = int(chord.ids[4]) + 1
         if key != int(chord.ids[5]):
-            assert chord.owner_of_key(key) == 5
+            assert chord.owner(key) == 5
 
     def test_wraparound_key(self, chord):
         key = int(chord.ids[-1]) + 1
         if key < chord.space:
-            assert chord.owner_of_key(key) == 0
+            assert chord.owner(key) == 0
 
 
 class TestRouting:
@@ -76,7 +76,7 @@ class TestRouting:
             key = int(rng.integers(0, chord.space))
             path = chord.route(src, key)
             assert path[0] == src
-            assert path[-1] == chord.owner_of_key(key)
+            assert path[-1] == chord.owner(key)
 
     def test_path_edges_exist(self, chord):
         rng = np.random.default_rng(1)

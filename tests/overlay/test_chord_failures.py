@@ -28,7 +28,7 @@ class TestAliveOwner:
         rng = np.random.default_rng(0)
         for _ in range(30):
             key = int(rng.integers(0, chord.space))
-            assert chord.owner_of_key_alive(key, alive) == chord.owner_of_key(key)
+            assert chord.owner_of_key_alive(key, alive) == chord.owner(key)
 
     def test_dead_owner_falls_to_next_alive(self, chord):
         alive = np.ones(chord.n_slots, dtype=bool)

@@ -124,12 +124,6 @@ class TestLookupModel:
         with pytest.raises(ValueError):
             gnutella.mean_lookup_latency(np.array([0, 1, 2]))
 
-    def test_success_rate(self, gnutella):
-        pairs = np.array([[0, d] for d in range(1, 20)])
-        assert gnutella.lookup_success_rate(pairs, ttl=None) == 1.0
-        sr1 = gnutella.lookup_success_rate(pairs, ttl=1)
-        assert 0.0 <= sr1 <= 1.0
-
     def test_retry_timeout_penalizes_failures(self, gnutella):
         # build a pair set that includes unreachable-at-ttl-1 targets
         mat1 = gnutella.lookup_latency_matrix([0], ttl=1)[0]

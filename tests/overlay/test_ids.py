@@ -6,8 +6,6 @@ import pytest
 from repro.overlay.ids import (
     common_prefix_len,
     digits_of,
-    ring_between,
-    ring_distance_cw,
     unique_ids,
 )
 
@@ -33,31 +31,6 @@ class TestUniqueIds:
         a = unique_ids(50, 16, np.random.default_rng(7))
         b = unique_ids(50, 16, np.random.default_rng(7))
         assert np.array_equal(a, b)
-
-
-class TestRingMath:
-    def test_cw_distance(self):
-        assert ring_distance_cw(1, 5, 3) == 4
-        assert ring_distance_cw(5, 1, 3) == 4  # wraps: 8 - 4
-        assert ring_distance_cw(3, 3, 3) == 0
-
-    def test_between_basic(self):
-        # interval (2, 6] on an 8-ring
-        assert ring_between(3, 2, 6, 3)
-        assert ring_between(6, 2, 6, 3)
-        assert not ring_between(2, 2, 6, 3)
-        assert not ring_between(7, 2, 6, 3)
-
-    def test_between_wrapping(self):
-        # interval (6, 2] wraps through 0
-        assert ring_between(7, 6, 2, 3)
-        assert ring_between(0, 6, 2, 3)
-        assert ring_between(2, 6, 2, 3)
-        assert not ring_between(5, 6, 2, 3)
-
-    def test_degenerate_interval_is_whole_ring(self):
-        assert ring_between(0, 4, 4, 3)
-        assert ring_between(4, 4, 4, 3)
 
 
 class TestDigits:

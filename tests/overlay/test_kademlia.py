@@ -63,7 +63,7 @@ class TestRouting:
         for _ in range(200):
             src = int(rng.integers(0, kad.n_slots))
             key = int(rng.integers(0, kad.space))
-            assert kad.route(src, key)[-1] == kad.owner_of_key(key)
+            assert kad.route(src, key)[-1] == kad.owner(key)
 
     def test_xor_distance_strictly_decreases(self, kad):
         rng = np.random.default_rng(1)
@@ -132,7 +132,7 @@ class TestPropGCompatibility:
         for _ in range(50):
             src = int(rng.integers(0, kad.n_slots))
             key = int(rng.integers(0, kad.space))
-            assert kad.route(src, key)[-1] == kad.owner_of_key(key)
+            assert kad.route(src, key)[-1] == kad.owner(key)
 
     def test_copy_independent(self, kad):
         clone = kad.copy()

@@ -61,7 +61,7 @@ class TestRouting:
             key = int(rng.integers(0, pastry.space))
             path = pastry.route(src, key)
             assert path[0] == src
-            assert path[-1] == pastry.owner_of_key(key)
+            assert path[-1] == pastry.owner(key)
 
     def test_prefix_match_improves_monotonically(self, pastry):
         """Along a route, (prefix length, -id distance) never degrades —
@@ -132,7 +132,7 @@ class TestProximityAware:
         for _ in range(50):
             src = int(rng.integers(0, prox.n_slots))
             key = int(rng.integers(0, prox.space))
-            assert prox.route(src, key)[-1] == prox.owner_of_key(key)
+            assert prox.route(src, key)[-1] == prox.owner(key)
 
     def test_swap_preserves_structure(self, pastry):
         edges = set(pastry.iter_edges())

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core.exchange import execute_prop_g, execute_prop_o
 from repro.core.varcalc import evaluate_prop_g, select_prop_o
@@ -31,7 +31,7 @@ from repro.topology.transit_stub import generate_transit_stub
 from repro.topology.vivaldi import VivaldiOracle
 from tests.conftest import SMALL_PARAMS
 
-N_HOSTS = 40  # oracle members: 24 start in the overlay, the rest join/replace
+N_HOSTS = 40  # oracle members: 24 start in the overlay, the rest replace them
 N_SLOTS = 24
 
 
@@ -104,7 +104,6 @@ class ViewCoherence(RuleBasedStateMachine):
         super().__init__()
         self.ov = _build(self.KIND, self.BACKEND)
         self.parents: list = []  # overlays a copy was taken from
-        self.rng = np.random.default_rng(11)
 
     # -- helpers -----------------------------------------------------------
 
@@ -197,30 +196,6 @@ class ViewCoherence(RuleBasedStateMachine):
         give_u, give_v, _ = select_prop_o(self.ov, u, v, 2)
         if give_u:
             execute_prop_o(self.ov, u, v, give_u, give_v)
-
-    # -- membership: slot count and numbering change ----------------------------
-
-    @rule(h=draw, a=draw)
-    def join(self, h, a):
-        host = self.free_host(h)
-        if host is None:
-            return
-        if isinstance(self.ov, GnutellaOverlay):
-            self.ov.join(host, self.rng, degree=2)
-        else:
-            peer = self.slot(a)
-            self.ov.add_edge(self.ov.append_slot(host), peer)
-
-    @precondition(lambda self: self.ov.n_slots > 8)
-    @rule(a=draw)
-    def leave(self, a):
-        a = self.slot(a)
-        if isinstance(self.ov, GnutellaOverlay):
-            self.ov.leave(a)
-            return
-        for b in sorted(self.ov._adj[a]):
-            self.ov.remove_edge(a, b)
-        self.ov.pop_slot(a)
 
     @rule(warm=st.booleans())
     def copy(self, warm):

@@ -44,7 +44,7 @@ def test_routing_terminates_at_owner(seed, n, dims):
         src = int(rng.integers(0, n))
         p = rng.random(dims)
         path = can.route(src, p)
-        assert path[-1] == can.owner_of_point(p)
+        assert path[-1] == can.owner(p)
         assert len(set(path)) == len(path)  # no cycles
 
 

@@ -23,7 +23,7 @@ def test_lookup_always_reaches_owner(seed, n):
     for _ in range(20):
         src = int(rng.integers(0, n))
         key = int(rng.integers(0, ring.space))
-        assert ring.route(src, key)[-1] == ring.owner_of_key(key)
+        assert ring.route(src, key)[-1] == ring.owner(key)
 
 
 @settings(max_examples=25, deadline=None)
@@ -34,7 +34,7 @@ def test_owners_partition_the_key_space(seed, n):
     rng = np.random.default_rng(seed ^ 2)
     for _ in range(30):
         key = int(rng.integers(0, ring.space))
-        owner = ring.owner_of_key(key)
+        owner = ring.owner(key)
         oid = int(ring.ids[owner])
         pred = int(ring.ids[(owner - 1) % n])
         # key lies in (pred, owner] on the ring
@@ -75,4 +75,4 @@ def test_routing_correct_after_arbitrary_prop_g_swaps(seed, n, swaps):
     for _ in range(10):
         src = int(rng.integers(0, n))
         key = int(rng.integers(0, ring.space))
-        assert ring.route(src, key)[-1] == ring.owner_of_key(key)
+        assert ring.route(src, key)[-1] == ring.owner(key)

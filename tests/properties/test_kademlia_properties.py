@@ -29,7 +29,7 @@ def test_routing_reaches_owner(seed, n, k):
     for _ in range(15):
         src = int(rng.integers(0, n))
         key = int(rng.integers(0, kad.space))
-        assert kad.route(src, key)[-1] == kad.owner_of_key(key)
+        assert kad.route(src, key)[-1] == kad.owner(key)
 
 
 @settings(max_examples=25, deadline=None)
@@ -46,7 +46,7 @@ def test_owner_is_global_xor_minimum(seed, n):
     rng = np.random.default_rng(seed ^ 9)
     for _ in range(20):
         key = int(rng.integers(0, kad.space))
-        owner = kad.owner_of_key(key)
+        owner = kad.owner(key)
         d_owner = int(kad.ids[owner]) ^ key
         assert all(
             d_owner <= (int(kad.ids[v]) ^ key) for v in range(n)
@@ -65,4 +65,4 @@ def test_prop_g_swaps_never_break_routing(seed, n, swaps):
     for _ in range(10):
         src = int(rng.integers(0, n))
         key = int(rng.integers(0, kad.space))
-        assert kad.route(src, key)[-1] == kad.owner_of_key(key)
+        assert kad.route(src, key)[-1] == kad.owner(key)

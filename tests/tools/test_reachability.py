@@ -1,11 +1,14 @@
-"""Every module under ``src/repro`` is reachable from something that runs.
+"""Every module and every def under ``src/repro`` is reachable from
+something that runs.
 
 Roots are what a user or CI executes: the CLI, every ``__main__``, the
-benches (ledger included) and the examples.  A module that only its own
-test and a package ``__init__`` re-export mention is dead weight however
-green its tests are — delete it, or give it a caller.
+benches (ledger included) and the examples.  A module — or a function or
+method — that only its own test and a package ``__init__`` re-export
+mention is dead weight however green its tests are: delete it, or give
+it a caller.
 """
 
+import ast
 from pathlib import Path
 
 from tools.reprolint.engine import Finding, Project, load_module
@@ -15,6 +18,57 @@ REPO = Path(__file__).resolve().parents[2]
 
 #: Modules allowed to be unreachable.  Keep it empty.
 EXCEPTIONS: frozenset[str] = frozenset()
+
+#: Defs no root reaches, by qualified name.  ``reference``: a test
+#: compares production against it.  ``todo``: not adjudicated yet — the
+#: worklist; nothing under ``repro.overlay`` or ``repro.metrics`` may be.
+UNREACHED_DEFS: dict[str, str] = {
+    "repro.live.codec.grammar_fingerprint": "reference",
+    "repro.overlay.base.Overlay.host_at": "reference",
+    "repro.overlay.base.Overlay.total_neighbor_latency": "reference",
+    "repro.overlay.can.CANOverlay.total_zone_volume": "reference",
+    "repro.overlay.can.Zone.volume": "reference",
+    "repro.overlay.ultrapeer.UltrapeerGnutellaOverlay.is_ultrapeer": "reference",
+    "repro.overlay.ultrapeer.UltrapeerGnutellaOverlay.leaf_slots": "reference",
+    "repro.topology.latency.LatencyOracle.dense": "reference",
+    "repro.topology.latency.LatencyOracle.mean_pairwise": "reference",
+    "repro.topology.latency.LatencyOracleBase.dense": "reference",
+    "repro.topology.latency.LatencyOracleBase.mean_pairwise": "reference",
+    "repro.analysis.compare.ComparisonReport.winner": "todo",
+    "repro.core.neighbor_queue.NeighborQueue.remove": "todo",
+    "repro.core.protocol.ProtocolCounters.messages_per_probe": "todo",
+    "repro.live.clock.LivePeriodic.stopped": "todo",
+    "repro.live.codec.encoded_size": "todo",
+    "repro.live.codec.unframe": "todo",
+    "repro.live.swarm.ChurnSchedule.total_replacements": "todo",
+    "repro.live.transport.UdpTransport.unregister": "todo",
+    "repro.net.faults.FaultyTransport.unregister": "todo",
+    "repro.net.transport.SimTransport.unregister": "todo",
+    "repro.net.transport.Transport.unregister": "todo",
+    "repro.netsim.clock.Clock.advance_by": "todo",
+    "repro.netsim.engine.PeriodicProcess.reschedule": "todo",
+    "repro.netsim.engine.PeriodicProcess.stopped": "todo",
+    "repro.netsim.events.EventQueue.peek_time": "todo",
+    "repro.netsim.events.EventQueue.push": "todo",
+    "repro.netsim.rng.RngRegistry.fresh": "todo",
+    "repro.netsim.rng.RngRegistry.spawn": "todo",
+    "repro.obs.analyze.ExchangeTimeline.resolution_seconds": "todo",
+    "repro.obs.telemetry.load_telemetry": "todo",
+    "repro.obs.trace.Tracer.to_jsonl": "todo",
+    "repro.obs.trace.Tracer.write_jsonl": "todo",
+    "repro.topology.presets.ts_small": "todo",
+    "repro.topology.transit_stub.PhysicalNetwork.transit_hosts": "todo",
+    "repro.topology.transit_stub._EdgeAccumulator.has": "todo",
+    "repro.workloads.heterogeneity.BimodalDelay.fast_hosts": "todo",
+    "repro.workloads.heterogeneity.BimodalDelay.slow_hosts": "todo",
+}
+
+#: Modules whose every line is a root: the two command lines.
+ROOT_MODULES = frozenset({"repro.cli", "repro.live.cli"})
+
+#: Called by asyncio, never by name.
+LOOP_CALLBACKS = frozenset(
+    {"datagram_received", "error_received", "connection_made", "connection_lost"})
 
 
 def _graph_and_roots() -> tuple[ModuleGraph, set[str], set[str]]:
@@ -33,6 +87,27 @@ def _graph_and_roots() -> tuple[ModuleGraph, set[str], set[str]]:
     return ModuleGraph(modules), roots, program
 
 
+def _names(node: ast.AST) -> set[str]:
+    """Every identifier the code mentions; strings (``__all__``) and
+    import statements (``__init__`` re-exports) mention none."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def _split(body: list[ast.stmt], prefix: str, defs: dict[str, ast.AST], live: set[str]) -> None:
+    """Sort a module or class body into defs and code that runs at import."""
+    for stmt in body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            defs[f"{prefix}.{stmt.name}"] = stmt
+            at_import = [*stmt.decorator_list, stmt.args]
+        elif isinstance(stmt, ast.ClassDef):
+            _split(stmt.body, f"{prefix}.{stmt.name}", defs, live)
+            at_import = [*stmt.decorator_list, *stmt.bases, *(k.value for k in stmt.keywords)]
+        else:
+            at_import = [stmt]
+        live.update(*map(_names, at_import))
+
+
 def test_every_module_is_reachable_from_a_root():
     graph, roots, program = _graph_and_roots()
     assert "repro.cli" in roots and "repro.__main__" in roots
@@ -43,3 +118,38 @@ def test_every_module_is_reachable_from_a_root():
         + ", ".join(sorted(unreachable - EXCEPTIONS))
         + f"; stale exceptions: {sorted(EXCEPTIONS - unreachable)}"
     )
+
+
+def test_every_def_is_reachable_from_a_root():
+    """The same question one level down, by name and over-approximate: a
+    function or method is live when some live code mentions its name —
+    live code being the root scripts, the CLI modules, whatever runs at
+    import, and the body of every live def."""
+    graph, _, program = _graph_and_roots()
+    live: set[str] = set()
+    defs: dict[str, ast.AST] = {}
+    for name, mod in graph.modules.items():
+        if name not in program or name in ROOT_MODULES or name.endswith(".__main__"):
+            live |= _names(mod.tree)
+        else:
+            _split(mod.tree.body, name, defs, live)
+    mentions = {q: _names(node) for q, node in defs.items()}
+
+    def is_live(qualname: str) -> bool:
+        name = defs[qualname].name
+        return (name in live or name in LOOP_CALLBACKS
+                or (name.startswith("__") and name.endswith("__")))
+
+    pending = set(defs)
+    while newly := {q for q in pending if is_live(q)}:
+        pending -= newly
+        live.update(*(mentions[q] for q in newly))
+    # equality, not subset: an entry whose def was deleted or revived fails too
+    assert pending == set(UNREACHED_DEFS), (
+        "defs no CLI, __main__, bench or example reaches: "
+        + ", ".join(sorted(pending - set(UNREACHED_DEFS)))
+        + f"; stale entries: {sorted(set(UNREACHED_DEFS) - pending)}"
+    )
+    assert set(UNREACHED_DEFS.values()) <= {"reference", "todo"}
+    assert not [q for q, why in UNREACHED_DEFS.items()
+                if why == "todo" and q.startswith(("repro.overlay.", "repro.metrics."))]

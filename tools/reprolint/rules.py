@@ -536,8 +536,7 @@ class ExchangeAtomicity(Rule):
     #: membership boundary (validates, bumps version counters) that the
     #: churn workload calls; everything below bypasses an invariant.
     MUTATOR_CALLS = frozenset(
-        {"add_edge", "remove_edge", "rewire", "swap_embedding",
-         "append_slot", "pop_slot"}
+        {"add_edge", "remove_edge", "rewire", "swap_embedding"}
     )
     MUTATED_ATTRS = frozenset(
         {"embedding", "embedding_version", "topology_version", "_adj", "_n_edges",
