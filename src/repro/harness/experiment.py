@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import partial
+from math import inf
 from typing import Any
 
 import numpy as np
@@ -177,8 +178,9 @@ class ExperimentConfig:
             raise ValueError("live_lookup_rate needs transport='udp'")
         if self.transport is not None and self.prop is None:
             raise ValueError("the message transport runs PROP only; set prop")
-        if self.latency_scale < 0.0:
-            raise ValueError(f"latency_scale must be >= 0, got {self.latency_scale}")
+        if not 0.0 <= self.latency_scale < inf:
+            raise ValueError(
+                f"latency_scale must be finite and >= 0, got {self.latency_scale}")
         for spec in self.partitions:
             PartitionSpec.parse(spec)  # raises on malformed specs
         rewiring_optimizer = self.ltm is not None or (

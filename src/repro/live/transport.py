@@ -7,7 +7,7 @@ transmits it *from the source slot's socket to the destination slot's
 address*, and delivery happens when the kernel hands the datagram to the
 destination endpoint.  The engine sees the exact interface
 :class:`~repro.net.transport.SimTransport` provides — ``stats``,
-``tracer``, ``register`` / ``unregister`` / ``send`` — so
+``tracer``, ``register`` / ``send`` — so
 :class:`~repro.net.engine.MessagePROPEngine` runs over it unchanged.
 
 Semantics that differ from the simulated transport, by nature of a real
@@ -19,6 +19,8 @@ stack:
   wire latency is effectively zero on the protocol timescale — the live
   analogue of ``latency_scale=0``.  ``extra_delay_ms`` is still honored
   (in protocol milliseconds) by deferring the transmit on the scheduler.
+* **Every message is a datagram.**  Inert ``VAR_PROBE`` pings, which the
+  simulated plane batches per instant, are each sent and received here.
 * **Loss is real and silent.**  The kernel may drop datagrams under
   buffer pressure and nothing reports it, so ``stats.in_flight`` is an
   upper bound (a lost datagram is never ``record_delivery``-ed and the
@@ -148,9 +150,6 @@ class UdpTransport:
 
     def register(self, slot: int, handler: Handler) -> None:
         self._handlers[slot] = handler
-
-    def unregister(self, slot: int) -> None:
-        self._handlers.pop(slot, None)
 
     def send(self, msg: Message, extra_delay_ms: float = 0.0) -> None:
         """Encode ``msg`` and transmit it src-socket -> dst-address."""

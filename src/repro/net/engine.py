@@ -189,8 +189,9 @@ class MessagePROPEngine(PROPEngine):
         #: that straggle in during teardown must not start new cycles.
         self._finalized = False
         #: The wire grammar's dispatch, total over the concrete message
-        #: classes (tests/net/test_messages.py pins the key set): message
-        #: class -> handler, ``None`` for a type deliberately absorbed.
+        #: classes: message class -> handler, ``None`` exactly for the
+        #: ``inert`` classes, whose delivery changes nothing
+        #: (tests/net/test_engine.py::TestDispatchTable pins both).
         self._dispatch: dict[type[Message], Callable[[Any], None] | None] = {
             Walk: self._on_walk,
             # measurement ping: the reply is modelled as free — §4.3

@@ -16,6 +16,12 @@ per seed, independent of the protocol streams):
   so a transient partition is ``partition(...)`` + a scheduled
   ``heal(...)``.
 
+Every decision is drawn per message, inert ``VAR_PROBE`` pings
+included, so the draw order does not depend on the inner transport; a
+surviving ping is forwarded with its delay, which
+:class:`~repro.net.transport.SimTransport` ignores for inert messages
+(it delivers them in the instant's batch).
+
 :class:`PartitionSpec` is the CLI/harness grammar for transient
 partitions: ``a:b`` splits the overlay into named halves for the whole
 run; ``a:b@120-300`` installs the split at t=120 s and heals it at
@@ -25,6 +31,8 @@ t=300 s.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
+from numbers import Real
 from typing import Callable, Mapping
 
 import numpy as np
@@ -59,10 +67,10 @@ class FaultyTransport:
         reorder_prob: float = 0.0,
         reorder_ms: float = 50.0,
     ) -> None:
-        if isinstance(loss, float) and not 0.0 <= loss < 1.0:
+        if isinstance(loss, Real) and not 0.0 <= loss < 1.0:
             raise ValueError(f"loss probability must be in [0, 1), got {loss}")
-        if extra_delay_ms < 0.0 or jitter_ms < 0.0 or reorder_ms < 0.0:
-            raise ValueError("delays must be non-negative")
+        if not all(0.0 <= d < inf for d in (extra_delay_ms, jitter_ms, reorder_ms)):
+            raise ValueError("delays must be finite and non-negative")
         if not 0.0 <= reorder_prob <= 1.0:
             raise ValueError(f"reorder_prob must be in [0, 1], got {reorder_prob}")
         self.inner = inner
@@ -110,9 +118,6 @@ class FaultyTransport:
 
     def register(self, slot: int, handler: Handler) -> None:
         self.inner.register(slot, handler)
-
-    def unregister(self, slot: int) -> None:
-        self.inner.unregister(slot)
 
     def _loss_for(self, src: int, dst: int) -> float:
         loss = self.loss

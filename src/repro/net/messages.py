@@ -55,6 +55,13 @@ class Message:
     #: Wire-grammar tag; subclasses override.
     type_name: ClassVar[str] = "MESSAGE"
 
+    #: Delivering this message changes nothing at the receiver: the
+    #: engine's dispatch entry is ``None`` (``tests/net/test_engine.py``
+    #: pins the two together), so the simulated plane may deliver every
+    #: such message of one instant in a single event
+    #: (``SimTransport.send``).
+    inert: ClassVar[bool] = False
+
     def size_bytes(self) -> int:
         """Estimated wire size: header + 4 bytes per integer payload.
 
@@ -123,12 +130,14 @@ class VarProbe(Message):
 
     Fire-and-forget: the measurement round-trip is modelled by the ping
     message alone (matching the §4.3 count of one message per collected
-    latency); a lost ping degrades telemetry, not safety.
+    latency); a lost ping degrades telemetry, not safety.  The receiver
+    does nothing with it, hence ``inert``.
     """
 
     cycle: int
 
     type_name: ClassVar[str] = "VAR_PROBE"
+    inert: ClassVar[bool] = True
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,15 @@ preserves insertion order within a timestamp), which recovers the
 paper's instantaneous-cycle abstraction as a special case of the message
 plane — the property the bridge integration test pins.
 
+An :attr:`~repro.net.messages.Message.inert` message (the ``VAR_PROBE``
+ping) changes nothing where it lands, so its flight time cannot be
+observed by the protocol.  :class:`SimTransport` therefore records its
+send as usual but delivers it in the current instant's batch: every
+inert message sent at one simulated time shares one zero-delay event,
+which runs the ordinary per-message delivery for each in send order.
+Counts, bytes and trace records per message are unchanged; the event
+count and the in-flight gauge are not.
+
 Telemetry: :class:`TransportStats` tallies sends, deliveries, drops,
 bytes and the in-flight gauge per message type; the fault decorator
 records its drops here too, so one object describes the whole message
@@ -25,6 +34,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from math import inf
 from typing import Callable, Protocol
 
 from repro.net.messages import Message
@@ -48,7 +58,13 @@ DeliveryTap = Callable[[Message], None]
 
 @dataclass
 class TransportStats:
-    """Per-message telemetry for one transport."""
+    """Per-message telemetry for one transport.
+
+    ``in_flight`` counts messages sent and not yet delivered or dropped.
+    On :class:`SimTransport` an inert ping is delivered in the instant
+    it was sent, so it never stays in flight past that instant and
+    ``max_in_flight`` is lower than it would be under per-ping latency.
+    """
 
     sent: Counter[str] = field(default_factory=Counter)  # type -> count
     delivered: Counter[str] = field(default_factory=Counter)
@@ -104,20 +120,16 @@ class Transport(Protocol):
     tracer: TracerLike
 
     def register(self, slot: int, handler: Handler) -> None:
-        """Install the receive handler for ``slot``."""
-        ...  # pragma: no cover - protocol signature
-
-    def unregister(self, slot: int) -> None:
-        """Remove ``slot``'s handler; messages to it are then absorbed.
-
-        Idempotent — unregistering an unknown slot is a no-op, so a
-        departing peer can always be detached without first asking
-        whether it was ever attached.
-        """
+        """Install the receive handler for ``slot``; messages to a slot
+        without one are counted as delivered and otherwise absorbed."""
         ...  # pragma: no cover - protocol signature
 
     def send(self, msg: Message, extra_delay_ms: float = 0.0) -> None:
-        """Queue ``msg`` for delivery to ``msg.dst``'s handler."""
+        """Queue ``msg`` for delivery to ``msg.dst``'s handler.
+
+        Never delivers before returning: the handler runs in a later
+        event (or datagram callback), never re-entrantly inside ``send``.
+        """
         ...  # pragma: no cover - protocol signature
 
 
@@ -152,8 +164,8 @@ class SimTransport:
         tap: DeliveryTap | None = None,
         tracer: TracerLike | None = None,
     ) -> None:
-        if latency_scale < 0.0:
-            raise ValueError(f"latency_scale must be >= 0, got {latency_scale}")
+        if not 0.0 <= latency_scale < inf:
+            raise ValueError(f"latency_scale must be finite and >= 0, got {latency_scale}")
         self.sim = sim
         self.overlay = overlay
         self.latency_scale = float(latency_scale)
@@ -161,15 +173,17 @@ class SimTransport:
         self.tracer: TracerLike = tracer if tracer is not None else NULL_TRACER
         self.stats = TransportStats()
         self._handlers: dict[int, Handler] = {}
+        #: Inert messages sent at the current instant, in send order;
+        #: ``None`` when no batch event is pending.
+        self._batch: list[Message] | None = None
 
     def register(self, slot: int, handler: Handler) -> None:
         self._handlers[slot] = handler
 
-    def unregister(self, slot: int) -> None:
-        self._handlers.pop(slot, None)
-
     def send(self, msg: Message, extra_delay_ms: float = 0.0) -> None:
-        """Deliver ``msg`` after ``d(src, dst) * scale + extra`` ms."""
+        """Deliver ``msg`` after ``d(src, dst) * scale + extra`` ms; an
+        inert message goes in this instant's batch instead, whatever its
+        delay (module docs)."""
         self.stats.record_send(msg)
         tracer = self.tracer
         if tracer.enabled:
@@ -180,8 +194,23 @@ class SimTransport:
                 tracer.emit(SpanStartEvent, trace=msg.trace_id,
                             span=msg.span_id, parent=msg.parent_id,
                             name=f"msg:{msg.type_name}", node=msg.src)
+        if msg.inert:
+            batch = self._batch
+            if batch is None:
+                # a zero-delay event fires before the clock moves on, so
+                # a pending batch always belongs to the current instant
+                batch = self._batch = []
+                self.sim.schedule(0.0, self._deliver_batch, batch)
+            batch.append(msg)
+            return
         latency_ms = self.overlay.latency(msg.src, msg.dst) * self.latency_scale
         self.sim.schedule((latency_ms + extra_delay_ms) * _MS, self._deliver, msg)
+
+    def _deliver_batch(self, batch: list[Message]) -> None:
+        self._batch = None  # a tap that sends opens the next batch
+        deliver = self._deliver
+        for msg in batch:
+            deliver(msg)
 
     def _deliver(self, msg: Message) -> None:
         self.stats.record_delivery(msg)

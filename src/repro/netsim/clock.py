@@ -8,6 +8,8 @@ makes protocol components testable without an event loop.
 
 from __future__ import annotations
 
+from math import inf
+
 
 class Clock:
     """Monotonic simulation clock measured in seconds.
@@ -20,8 +22,8 @@ class Clock:
     __slots__ = ("_now",)
 
     def __init__(self, start: float = 0.0) -> None:
-        if start < 0.0:
-            raise ValueError(f"clock cannot start at negative time {start!r}")
+        if not 0.0 <= start < inf:
+            raise ValueError(f"clock must start at a finite time >= 0, got {start!r}")
         self._now = float(start)
 
     @property
@@ -33,17 +35,11 @@ class Clock:
         """Move the clock forward to absolute time ``t``.
 
         ``t`` may equal the current time (simultaneous events) but may
-        never be earlier.
+        never be earlier, nor NaN (which compares false both ways).
         """
-        if t < self._now:
-            raise ValueError(f"cannot rewind clock from {self._now} to {t}")
+        if not t >= self._now:
+            raise ValueError(f"cannot move clock from {self._now} to {t}")
         self._now = float(t)
-
-    def advance_by(self, dt: float) -> None:
-        """Move the clock forward by ``dt >= 0`` seconds."""
-        if dt < 0.0:
-            raise ValueError(f"cannot advance clock by negative delta {dt}")
-        self._now += dt
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Clock(now={self._now:.6f})"

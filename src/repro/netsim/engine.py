@@ -49,20 +49,9 @@ class PeriodicProcess:
         if not self._stopped:
             self._handle = self._sim.schedule(self.period, self._fire)
 
-    def reschedule(self, delay: float) -> None:
-        """Cancel the pending firing and fire again after ``delay``."""
-        if self._stopped:
-            raise RuntimeError("cannot reschedule a stopped process")
-        self._handle.cancel()
-        self._handle = self._sim.schedule(delay, self._fire)
-
     def stop(self) -> None:
         self._stopped = True
         self._handle.cancel()
-
-    @property
-    def stopped(self) -> bool:
-        return self._stopped
 
 
 class Simulator:
@@ -95,17 +84,20 @@ class Simulator:
 
     # -- scheduling -----------------------------------------------------
 
+    # The checks are written so that NaN, which compares false with
+    # everything, fails them too.
+
     def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> EventHandle:
-        """Run ``callback(*args)`` after ``delay >= 0`` seconds."""
-        if delay < 0.0:
-            raise ValueError(f"delay must be non-negative, got {delay}")
-        return self.queue.push_args(self.clock.now + delay, callback, args)
+        """Run ``callback(*args)`` after ``delay`` seconds, finite and ``>= 0``."""
+        if not 0.0 <= delay < inf:
+            raise ValueError(f"delay must be finite and non-negative, got {delay}")
+        return self.queue.push(self.clock.now + delay, callback, args)
 
     def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> EventHandle:
-        """Run ``callback(*args)`` at absolute time ``time >= now``."""
-        if time < self.clock.now:
+        """Run ``callback(*args)`` at absolute time ``time``, finite and ``>= now``."""
+        if not self.clock.now <= time < inf:
             raise ValueError(f"cannot schedule at {time}, now is {self.now}")
-        return self.queue.push_args(time, callback, args)
+        return self.queue.push(time, callback, args)
 
     def every(self, period: float, callback: Callable[[], None]) -> PeriodicProcess:
         """Start a periodic process firing every ``period`` seconds."""
@@ -142,7 +134,7 @@ class Simulator:
 
         Returns the number of events executed by this call.
         """
-        if t < self.now:
+        if not self.now <= t < inf:
             raise ValueError(f"cannot run_until({t}) when now is {self.now}")
         prof = self.profiler
         if prof is not None:

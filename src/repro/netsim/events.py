@@ -100,16 +100,12 @@ class EventQueue:
         is the corpse count)."""
         return len(self._heap)
 
-    def push(self, time: float, callback: Callable[..., None], *args: Any) -> EventHandle:
-        """Schedule ``callback(*args)`` at absolute time ``time``."""
-        return self.push_args(time, callback, args)
-
-    def push_args(self, time: float, callback: Callable[..., None],
-                  args: tuple[Any, ...]) -> EventHandle:
-        """:meth:`push` with the arguments already packed (what the
-        simulator's ``schedule*`` call, sparing a re-pack per event)."""
-        if time < 0.0:
-            raise ValueError(f"cannot schedule event at negative time {time}")
+    def push(self, time: float, callback: Callable[..., None],
+             args: tuple[Any, ...] = ()) -> EventHandle:
+        """Schedule ``callback(*args)`` at absolute time ``time``, which
+        must be finite and non-negative."""
+        if not 0.0 <= time < inf:
+            raise ValueError(f"cannot schedule event at time {time}")
         time = float(time)
         seq = self._seq
         ev = Event(time, seq, callback, args)
@@ -118,13 +114,6 @@ class EventQueue:
         self.pushes += 1
         heapq.heappush(self._heap, (time, seq, ev))
         return EventHandle(ev, self)
-
-    def peek_time(self) -> float | None:
-        """Time of the next live event, or ``None`` when empty."""
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
-        return heap[0][0] if heap else None
 
     def pop_due(self, t: float) -> Event | None:
         """Remove and return the next live event due at or before ``t``.

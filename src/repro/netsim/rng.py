@@ -58,8 +58,7 @@ class RngRegistry:
         """
         gen = self._streams.get(name)
         if gen is None:
-            gen = np.random.Generator(np.random.PCG64(derive_seed(self._master_seed, name)))
-            self._streams[name] = gen
+            gen = self._streams[name] = self.fresh(name)
         return gen
 
     def fresh(self, name: str) -> np.random.Generator:
@@ -69,15 +68,6 @@ class RngRegistry:
         component needs to replay its own draws from scratch.
         """
         return np.random.Generator(np.random.PCG64(derive_seed(self._master_seed, name)))
-
-    def spawn(self, name: str) -> "RngRegistry":
-        """Derive a child registry namespaced under ``name``.
-
-        Useful to give each simulated node its own registry without any
-        cross-node coupling: ``registry.spawn(f"node:{i}")``.
-        """
-        child_seed = derive_seed(self._master_seed, name).generate_state(1, dtype=np.uint64)[0]
-        return RngRegistry(int(child_seed))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RngRegistry(master_seed={self._master_seed}, streams={sorted(self._streams)})"

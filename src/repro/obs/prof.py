@@ -145,15 +145,22 @@ def classify_event(callback: Callable[..., None], args: tuple[Any, ...]) -> str:
     """Map a dispatched event to its registry category.
 
     Message deliveries are recognized by the transport's ``_deliver``
-    callback carrying the message as ``args[0]``; timer fires by the
+    callback carrying the message as ``args[0]``, or its
+    ``_deliver_batch`` callback carrying one instant's inert messages as
+    ``args[0]`` — filed under the first one's type, so
+    ``deliver:VAR_PROBE`` counts ping batches; timer fires by the
     callback's name.  The return value is always a member of
     :data:`CATEGORIES`.
     """
     name = getattr(callback, "__name__", "")
+    msg = None
     if name == "_deliver" and args:
-        cat = _DELIVER_BY_TYPE.get(getattr(args[0], "type_name", ""))
-        if cat is not None:
-            return cat
+        msg = args[0]
+    elif name == "_deliver_batch" and args and args[0]:
+        msg = args[0][0]
+    cat = _DELIVER_BY_TYPE.get(getattr(msg, "type_name", ""))
+    if cat is not None:
+        return cat
     return _TIMER_BY_NAME.get(name, "event:other")
 
 

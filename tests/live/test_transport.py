@@ -1,13 +1,12 @@
-"""Transport parity (satellite: `unregister` across every backend) and
-UDP-specific delivery semantics.
+"""Transport parity across every backend, and UDP-specific delivery
+semantics.
 
-The parity class drives the same register → deliver → unregister →
-absorb scenario through all three Transport implementations —
-:class:`SimTransport`, :class:`FaultyTransport` and
-:class:`UdpTransport` — asserting identical protocol-visible behavior:
-a registered slot's handler runs, an unregistered slot absorbs messages
-(delivery still counted, handler never called), and ``unregister`` is
-idempotent.  UDP cases are skipped where loopback sockets are
+The parity class drives the same register → deliver → absorb scenario
+through all three Transport implementations — :class:`SimTransport`,
+:class:`FaultyTransport` and :class:`UdpTransport` — asserting identical
+protocol-visible behavior: a registered slot's handler runs, and a slot
+with no registered handler absorbs messages (delivery still counted, no
+handler called).  UDP cases are skipped where loopback sockets are
 unavailable.
 """
 
@@ -34,11 +33,11 @@ needs_loopback = pytest.mark.skipif(
 
 
 class Scenario:
-    """register slot 1, optionally unregister (twice — idempotence),
-    send one probe, report (handler calls, stats)."""
+    """register a handler on ``slot``, send one probe to slot 1, report
+    (handler calls, stats)."""
 
-    def __init__(self, unregister: bool) -> None:
-        self.unregister = unregister
+    def __init__(self, slot: int) -> None:
+        self.slot = slot
         self.msg = VarProbe(src=0, dst=1, cycle=7)
 
     def drive_sim(self, overlay, wrap_faulty: bool):
@@ -47,10 +46,7 @@ class Scenario:
         if wrap_faulty:
             transport = FaultyTransport(transport, np.random.default_rng(0))
         seen: list = []
-        transport.register(1, seen.append)
-        if self.unregister:
-            transport.unregister(1)
-            transport.unregister(1)  # idempotent: second detach is a no-op
+        transport.register(self.slot, seen.append)
         transport.send(self.msg)
         sim.run()
         return seen, transport.stats
@@ -62,10 +58,7 @@ class Scenario:
             transport = await UdpTransport.create(sched, 2)
             try:
                 seen: list = []
-                transport.register(1, seen.append)
-                if self.unregister:
-                    transport.unregister(1)
-                    transport.unregister(1)
+                transport.register(self.slot, seen.append)
                 transport.send(self.msg)
                 deadline = loop.time() + 2.0
                 while loop.time() < deadline and transport.stats.total_delivered < 1:
@@ -83,7 +76,7 @@ class TestUnregisterParity:
 
     @pytest.mark.parametrize("backend", ["sim", "faulty", "udp"])
     def test_registered_slot_receives(self, backend, gnutella):
-        scenario = Scenario(unregister=False)
+        scenario = Scenario(slot=1)
         if backend == "udp":
             if not LOOPBACK:
                 pytest.skip("loopback UDP unavailable")
@@ -96,19 +89,19 @@ class TestUnregisterParity:
 
     @pytest.mark.parametrize("backend", ["sim", "faulty", "udp"])
     def test_unregistered_slot_absorbs(self, backend, gnutella):
-        scenario = Scenario(unregister=True)
+        scenario = Scenario(slot=0)
         if backend == "udp":
             if not LOOPBACK:
                 pytest.skip("loopback UDP unavailable")
             seen, stats = scenario.drive_udp()
         else:
             seen, stats = scenario.drive_sim(gnutella, wrap_faulty=backend == "faulty")
-        assert seen == []  # handler detached: message absorbed silently
+        assert seen == []  # no handler on slot 1: message absorbed silently
         assert stats.delivered["VAR_PROBE"] == 1  # ... but delivery is counted
 
     def test_every_backend_satisfies_the_protocol_surface(self):
         for cls in (SimTransport, FaultyTransport, UdpTransport):
-            for name in ("register", "unregister", "send"):
+            for name in ("register", "send"):
                 assert callable(getattr(cls, name)), f"{cls.__name__}.{name}"
 
 

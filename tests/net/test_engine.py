@@ -17,6 +17,13 @@ from repro.netsim.engine import Simulator
 from repro.netsim.rng import RngRegistry
 
 
+#: Every concrete message class of the wire grammar.
+GRAMMAR = {
+    cls for cls in vars(messages).values()
+    if isinstance(cls, type) and issubclass(cls, Message) and cls is not Message
+}
+
+
 class DropFirst:
     """Transport decorator dropping the first ``n`` messages of a type."""
 
@@ -86,14 +93,19 @@ class TestDispatchTable:
         explicit ``None`` — and no entry names a class outside the
         grammar."""
         engine, _, _ = _engine(gnutella)
-        concrete = {
-            cls for cls in vars(messages).values()
-            if isinstance(cls, type) and issubclass(cls, Message) and cls is not Message
-        }
-        assert set(engine._dispatch) == concrete
-        assert {c.type_name for c in concrete} == set(messages.MSG_TYPES)
+        assert set(engine._dispatch) == GRAMMAR
+        assert {c.type_name for c in GRAMMAR} == set(messages.MSG_TYPES)
         absorbed = [cls for cls, handler in engine._dispatch.items() if handler is None]
         assert absorbed == [VarProbe]
+
+    def test_inert_classes_are_exactly_the_absorbed_ones(self, gnutella):
+        """The transport batches ``inert`` messages on the promise that
+        their delivery does nothing: the flag and the ``None`` entries
+        must name the same classes."""
+        engine, _, _ = _engine(gnutella)
+        assert {cls for cls in GRAMMAR if cls.inert} == {
+            cls for cls, handler in engine._dispatch.items() if handler is None}
+        assert not Message.inert
 
     def test_message_class_without_an_entry_fails_loudly(self, gnutella):
         # the table is indexed, not .get(): a class added without a

@@ -1,10 +1,12 @@
 """FaultyTransport loss/partition injection and the PartitionSpec grammar."""
 
+from math import inf, nan
+
 import numpy as np
 import pytest
 
 from repro.net.faults import FaultyTransport, PartitionSpec
-from repro.net.messages import VarProbe
+from repro.net.messages import Notify, VarProbe
 from repro.net.transport import SimTransport
 from repro.netsim.engine import Simulator
 
@@ -18,6 +20,11 @@ def _faulty(overlay, **kwargs):
 
 def _ping(i=0, j=1):
     return VarProbe(src=i, dst=j, cycle=1)
+
+
+def _notify(i=0, j=1, xid=1):
+    """A message the receiver handles, so it travels with its delay."""
+    return Notify(src=i, dst=j, xid=xid, commit=False)
 
 
 class TestLoss:
@@ -72,24 +79,77 @@ class TestLoss:
         with pytest.raises(ValueError):
             _faulty(gnutella, reorder_prob=1.5)
 
+    @pytest.mark.parametrize("loss", [1, 5, -1, nan, np.int64(1), np.float64(1.0)])
+    def test_out_of_range_loss_of_any_real_type_rejected(self, gnutella, loss):
+        # regression: only ``float`` was range-checked, so loss=1 was accepted
+        with pytest.raises(ValueError):
+            _faulty(gnutella, loss=loss)
+
+    @pytest.mark.parametrize("field", ["extra_delay_ms", "jitter_ms", "reorder_ms"])
+    @pytest.mark.parametrize("value", [nan, inf])
+    def test_non_finite_delays_rejected(self, gnutella, field, value):
+        with pytest.raises(ValueError):
+            _faulty(gnutella, **{field: value})
+
 
 class TestDelayAndReorder:
     def test_extra_delay_shifts_delivery(self, gnutella):
         sim, tr = _faulty(gnutella, extra_delay_ms=500.0)
         tr.register(1, lambda m: None)
-        tr.send(_ping())
+        tr.send(_notify())
         sim.run()
         assert sim.now >= 0.5
 
     def test_reorder_can_overtake(self, gnutella):
         sim, tr = _faulty(gnutella, reorder_prob=0.5, reorder_ms=500.0)
         seen = []
-        tr.register(1, lambda m: seen.append(m.cycle))
+        tr.register(1, lambda m: seen.append(m.xid))
         for i in range(40):
-            tr.send(VarProbe(src=0, dst=1, cycle=i))
+            tr.send(_notify(xid=i))
         sim.run()
         assert sorted(seen) == list(range(40))
         assert seen != sorted(seen)  # at least one overtake at these rates
+
+
+class TestInertPings:
+    """Pings skip the flight time on the inner transport, never the
+    per-message fault decisions."""
+
+    KNOBS = dict(loss=0.3, jitter_ms=20.0, reorder_prob=0.2, reorder_ms=50.0)
+
+    def _survivors(self, gnutella, make):
+        """Send ``make(0..199)``: the indices delivered, the stats and
+        the number of events it took."""
+        sim, tr = _faulty(gnutella, **self.KNOBS)
+        msgs = [make(i) for i in range(200)]
+        seen = []
+        tr.register(1, seen.append)
+        for msg in msgs:
+            tr.send(msg)
+        sim.run()
+        return sorted(msgs.index(m) for m in seen), tr.stats, sim.events_executed
+
+    def test_seeded_drop_sequence_matches_a_delayed_message(self, gnutella):
+        pings, ping_stats, ping_events = self._survivors(
+            gnutella, lambda i: VarProbe(src=0, dst=1, cycle=i))
+        notes, note_stats, note_events = self._survivors(gnutella, lambda i: _notify(xid=i))
+        assert pings == notes  # the same messages survive, draw for draw
+        assert ping_stats.total_dropped == note_stats.total_dropped > 0
+        assert ping_stats.total_delivered == len(pings) == 200 - ping_stats.total_dropped
+        assert (ping_events, note_events) == (1, len(notes))  # one batch, per-note events
+
+    def test_partition_drops_pings_and_counts_them(self, gnutella):
+        sim, tr = _faulty(gnutella)
+        tr.partition("a:b", {0, 1}, {2, 3})
+        tr.send(_ping(0, 2))
+        tr.send(_ping(3, 1))
+        tr.send(_ping(0, 1))  # same side: unaffected
+        tr.send(_ping(2, 3))
+        sim.run()
+        assert tr.stats.drop_reasons["partition"] == 2
+        assert tr.stats.dropped["VAR_PROBE"] == 2
+        assert tr.stats.delivered["VAR_PROBE"] == 2
+        assert sim.events_executed == 1  # the survivors' batch
 
 
 class TestPartitions:

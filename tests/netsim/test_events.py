@@ -1,5 +1,7 @@
 """EventQueue ordering, cancellation, and bookkeeping."""
 
+from math import inf, nan
+
 import pytest
 
 from repro.netsim.events import EventQueue
@@ -9,7 +11,7 @@ def test_empty_queue():
     q = EventQueue()
     assert len(q) == 0
     assert not q
-    assert q.peek_time() is None
+    assert q.pop_due(inf) is None
     with pytest.raises(IndexError):
         q.pop()
 
@@ -25,9 +27,9 @@ def test_orders_by_time():
 def test_ties_broken_by_insertion_order():
     q = EventQueue()
     out = []
-    q.push(1.0, out.append, "a")
-    q.push(1.0, out.append, "b")
-    q.push(1.0, out.append, "c")
+    q.push(1.0, out.append, ("a",))
+    q.push(1.0, out.append, ("b",))
+    q.push(1.0, out.append, ("c",))
     while q:
         ev = q.pop()
         ev.callback(*ev.args)
@@ -43,15 +45,15 @@ def test_same_timestamp_tiebreak_survives_interleaved_pops_and_cancels():
     """
     q = EventQueue()
     out = []
-    early = q.push(1.0, out.append, "early")
-    q.push(2.0, out.append, "a")
-    doomed = q.push(2.0, out.append, "doomed")
-    q.push(2.0, out.append, "b")
+    early = q.push(1.0, out.append, ("early",))
+    q.push(2.0, out.append, ("a",))
+    doomed = q.push(2.0, out.append, ("doomed",))
+    q.push(2.0, out.append, ("b",))
     ev = q.pop()  # interleaved pop of the earlier event
     ev.callback(*ev.args)
-    q.push(2.0, out.append, "c")
+    q.push(2.0, out.append, ("c",))
     doomed.cancel()
-    q.push(2.0, out.append, "d")
+    q.push(2.0, out.append, ("d",))
     while q:
         ev = q.pop()
         ev.callback(*ev.args)
@@ -83,6 +85,14 @@ def test_negative_time_rejected():
     q = EventQueue()
     with pytest.raises(ValueError):
         q.push(-1.0, lambda: None)
+
+
+@pytest.mark.parametrize("time", [nan, inf])
+def test_non_finite_time_rejected(time):
+    q = EventQueue()
+    with pytest.raises(ValueError):
+        q.push(time, lambda: None)
+    assert len(q) == 0
 
 
 def test_len_counts_live_events():
@@ -117,20 +127,12 @@ def test_handle_reports_pending():
     assert not h.pending
 
 
-def test_peek_time_skips_cancelled_head():
-    q = EventQueue()
-    h = q.push(1.0, lambda: None)
-    q.push(5.0, lambda: None)
-    h.cancel()
-    assert q.peek_time() == 5.0
-
-
 def test_clear_resets():
     q = EventQueue()
     q.push(1.0, lambda: None)
     q.clear()
     assert len(q) == 0
-    assert q.peek_time() is None
+    assert q.pop_due(inf) is None
 
 
 def test_cancel_after_clear_is_noop():
@@ -180,6 +182,6 @@ def test_events_order_by_time_then_seq():
 
 def test_args_carried():
     q = EventQueue()
-    q.push(1.0, lambda a, b: None, 1, 2)
+    q.push(1.0, lambda a, b: None, (1, 2))
     ev = q.pop()
     assert ev.args == (1, 2)

@@ -54,15 +54,6 @@ def test_adding_streams_does_not_perturb_existing():
     assert np.array_equal(after1, after2)
 
 
-def test_spawn_creates_independent_namespace():
-    reg = RngRegistry(5)
-    child1 = reg.spawn("node:1").stream("walk").random(4)
-    child2 = reg.spawn("node:2").stream("walk").random(4)
-    again = RngRegistry(5).spawn("node:1").stream("walk").random(4)
-    assert not np.array_equal(child1, child2)
-    assert np.array_equal(child1, again)
-
-
 def test_empty_name_rejected():
     with pytest.raises(ValueError):
         derive_seed(1, "")

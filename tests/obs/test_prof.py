@@ -13,7 +13,8 @@ import pytest
 
 from repro.core.config import PROPConfig
 from repro.harness.experiment import ExperimentConfig, run_experiment
-from repro.net.messages import MSG_TYPES
+from repro.net.messages import MSG_TYPES, VarProbe
+from repro.net.transport import SimTransport
 from repro.netsim.engine import Simulator
 from repro.obs.prof import (
     CATEGORIES,
@@ -127,6 +128,24 @@ class TestClassification:
                 pass
 
         assert classify_event(Transport()._deliver, (Msg(),)) == "deliver:WALK"
+
+    def test_ping_batch_filed_under_deliver_var_probe(self, gnutella):
+        """One instant's pings are one event, filed as one
+        ``deliver:VAR_PROBE`` call, and the partition stays exact."""
+        sim = Simulator()
+        transport = SimTransport(sim, gnutella)
+
+        def fan_out():
+            for w in range(1, 6):
+                transport.send(VarProbe(src=0, dst=w, cycle=1))
+
+        sim.schedule(1.0, fan_out)
+        sim.profiler = KernelProfiler()
+        sim.run_until(2.0)
+        profile = sim.profiler.finish()
+        assert profile.counts == {"event:other": 1, "deliver:VAR_PROBE": 1}
+        assert transport.stats.delivered["VAR_PROBE"] == 5
+        assert sum(profile.categories.values()) + profile.untracked_ns == profile.total_ns
 
     def test_unknown_callbacks_land_in_event_other(self):
         assert classify_event(lambda: None, ()) == "event:other"

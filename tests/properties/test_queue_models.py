@@ -17,7 +17,7 @@ from repro.netsim.events import EventQueue
 @settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_event_queue_matches_sorted_list_model(data):
-    """Random push / cancel / pop / pop-due / peek sequences against a
+    """Random push / cancel / pop / pop-due sequences against a
     sorted list of ``(time, uid)``.
 
     Times come from a five-value grid so most sequences hold several
@@ -41,10 +41,10 @@ def test_event_queue_matches_sorted_list_model(data):
 
     n_ops = data.draw(st.integers(1, 60))
     for _ in range(n_ops):
-        op = data.draw(st.sampled_from(["push", "pop", "pop_due", "cancel", "peek"]))
+        op = data.draw(st.sampled_from(["push", "pop", "pop_due", "cancel"]))
         if op == "push":
             t = data.draw(st.sampled_from([0.0, 1.0, 2.5, 2.5 + 1e-9, 100.0]))
-            handles[uid] = q.push(t, fired.append, uid)
+            handles[uid] = q.push(t, fired.append, (uid,))
             model.append((t, uid))
             model.sort()
             uid += 1
@@ -69,9 +69,6 @@ def test_event_queue_matches_sorted_list_model(data):
             if live:
                 model[:] = [(t, u) for t, u in model if u != which]
                 cancels += 1
-        elif op == "peek":
-            expected = model[0][0] if model else None
-            assert q.peek_time() == expected
         assert len(q) == len(model)
         assert bool(q) is bool(model)
         assert (q.pushes, q.pops, q.cancels) == (pushes, pops, cancels)
