@@ -9,25 +9,14 @@ substantially; curves dip non-monotonically but trend down.
 
 import numpy as np
 
-from benchmarks.common import paper_config, run_once
-from repro.core.config import PROPConfig
+from benchmarks.common import run_once
+from repro.harness.figures import figure_configs
 from repro.harness.reporting import format_series
 from repro.harness.sweep import run_sweep
 
-SCENARIOS = {
-    "n=1000, nhops=1": PROPConfig(policy="G", nhops=1),
-    "n=1000, nhops=2": PROPConfig(policy="G", nhops=2),
-    "n=1000, nhops=4": PROPConfig(policy="G", nhops=4),
-    "n=1000, random": PROPConfig(policy="G", random_probe=True),
-}
-
 
 def test_fig5a_gnutella_vary_ttl(benchmark, emit, workers):
-    configs = {
-        label: paper_config(overlay_kind="gnutella", prop=prop)
-        for label, prop in SCENARIOS.items()
-    }
-    results = run_once(benchmark, lambda: run_sweep(configs, workers=workers))
+    results = run_once(benchmark, lambda: run_sweep(figure_configs("fig5a"), workers=workers))
 
     times = next(iter(results.values())).times
     series = {label: r.lookup_latency for label, r in results.items()}

@@ -7,25 +7,14 @@ shape: improvement at every size; relative effectiveness shrinks mildly
 as n grows but persists at n = 5000.
 """
 
-from benchmarks.common import paper_config, run_once
-from repro.core.config import PROPConfig
+from benchmarks.common import run_once
+from repro.harness.figures import figure_configs
 from repro.harness.reporting import format_series, format_table
 from repro.harness.sweep import run_sweep
 
-SIZES = [300, 500, 1000, 5000]
-
 
 def test_fig5b_gnutella_vary_size(benchmark, emit, workers):
-    configs = {
-        f"n={n}, nhops=2": paper_config(
-            overlay_kind="gnutella",
-            n_overlay=n,
-            prop=PROPConfig(policy="G", nhops=2),
-            lookups_per_sample=min(1000, 2 * n),
-        )
-        for n in SIZES
-    }
-    results = run_once(benchmark, lambda: run_sweep(configs, workers=workers))
+    results = run_once(benchmark, lambda: run_sweep(figure_configs("fig5b"), workers=workers))
 
     times = next(iter(results.values())).times
     emit(

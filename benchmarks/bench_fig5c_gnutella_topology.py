@@ -8,22 +8,14 @@ exchange operation with a high probability, and this kind of exchange
 will greatly improve the performance".
 """
 
-from benchmarks.common import paper_config, run_once
-from repro.core.config import PROPConfig
+from benchmarks.common import run_once
+from repro.harness.figures import figure_configs
 from repro.harness.reporting import format_series, format_table
 from repro.harness.sweep import run_sweep
 
 
 def test_fig5c_gnutella_vary_topology(benchmark, emit, workers):
-    configs = {
-        preset: paper_config(
-            overlay_kind="gnutella",
-            preset=preset,
-            prop=PROPConfig(policy="G", nhops=2),
-        )
-        for preset in ("ts-large", "ts-small")
-    }
-    results = run_once(benchmark, lambda: run_sweep(configs, workers=workers))
+    results = run_once(benchmark, lambda: run_sweep(figure_configs("fig5c"), workers=workers))
 
     times = next(iter(results.values())).times
     rows = [

@@ -8,25 +8,14 @@ ineffective; nhops ∈ {2, 4} ≈ random probing; non-monotone dips.
 
 import numpy as np
 
-from benchmarks.common import paper_config, run_once
-from repro.core.config import PROPConfig
+from benchmarks.common import run_once
+from repro.harness.figures import figure_configs
 from repro.harness.reporting import format_series
 from repro.harness.sweep import run_sweep
 
-SCENARIOS = {
-    "n=1000, nhops=1": PROPConfig(policy="G", nhops=1),
-    "n=1000, nhops=2": PROPConfig(policy="G", nhops=2),
-    "n=1000, nhops=4": PROPConfig(policy="G", nhops=4),
-    "n=1000, random": PROPConfig(policy="G", random_probe=True),
-}
-
 
 def test_fig6a_chord_vary_ttl(benchmark, emit, workers):
-    configs = {
-        label: paper_config(overlay_kind="chord", prop=prop, lookups_per_sample=600)
-        for label, prop in SCENARIOS.items()
-    }
-    results = run_once(benchmark, lambda: run_sweep(configs, workers=workers))
+    results = run_once(benchmark, lambda: run_sweep(figure_configs("fig6a"), workers=workers))
 
     times = next(iter(results.values())).times
     emit(

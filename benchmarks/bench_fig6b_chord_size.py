@@ -5,25 +5,14 @@ shape: stretch reduced at every size; effectiveness shrinks mildly with
 n but persists when almost all physical nodes join.
 """
 
-from benchmarks.common import paper_config, run_once
-from repro.core.config import PROPConfig
+from benchmarks.common import run_once
+from repro.harness.figures import figure_configs
 from repro.harness.reporting import format_series, format_table
 from repro.harness.sweep import run_sweep
 
-SIZES = [300, 500, 1000, 5000]
-
 
 def test_fig6b_chord_vary_size(benchmark, emit, workers):
-    configs = {
-        f"n={n}, nhops=2": paper_config(
-            overlay_kind="chord",
-            n_overlay=n,
-            prop=PROPConfig(policy="G", nhops=2),
-            lookups_per_sample=min(600, 2 * n),
-        )
-        for n in SIZES
-    }
-    results = run_once(benchmark, lambda: run_sweep(configs, workers=workers))
+    results = run_once(benchmark, lambda: run_sweep(figure_configs("fig6b"), workers=workers))
 
     times = next(iter(results.values())).times
     emit(

@@ -4,23 +4,14 @@ Expected shape: ts-large's stretch falls further (relatively) than
 ts-small's, mirroring Fig 5(c) on the structured overlay.
 """
 
-from benchmarks.common import paper_config, run_once
-from repro.core.config import PROPConfig
+from benchmarks.common import run_once
+from repro.harness.figures import figure_configs
 from repro.harness.reporting import format_series, format_table
 from repro.harness.sweep import run_sweep
 
 
 def test_fig6c_chord_vary_topology(benchmark, emit, workers):
-    configs = {
-        preset: paper_config(
-            overlay_kind="chord",
-            preset=preset,
-            prop=PROPConfig(policy="G", nhops=2),
-            lookups_per_sample=600,
-        )
-        for preset in ("ts-large", "ts-small")
-    }
-    results = run_once(benchmark, lambda: run_sweep(configs, workers=workers))
+    results = run_once(benchmark, lambda: run_sweep(figure_configs("fig6c"), workers=workers))
 
     times = next(iter(results.values())).times
     emit(

@@ -21,58 +21,27 @@ from benchmarks.common import fig7_config, run_once
 from repro.baselines.ltm import LTMConfig
 from repro.core.config import PROPConfig
 from repro.harness.experiment import build_world
+from repro.harness.figures import figure_configs
 from repro.harness.reporting import format_table
 from repro.harness.sweep import run_sweep
 
-FRACTIONS = [0.0, 0.25, 0.5, 0.75, 1.0]
-
-PROTOCOLS = {
-    "PROP-O (m=1)": dict(prop=PROPConfig(policy="O", m=1)),
-    "PROP-O (m=2)": dict(prop=PROPConfig(policy="O", m=2)),
-    "PROP-O (m=4)": dict(prop=PROPConfig(policy="O", m=4)),
-    "PROP-G": dict(prop=PROPConfig(policy="G")),
-    "LTM": dict(ltm=LTMConfig(max_cuts_per_round=4)),
-}
-
 
 def test_fig7_bimodal_delay_vs_fast_fraction(benchmark, emit, workers):
-    def run_grid():
-        grid = {}
-        for label, kw in PROTOCOLS.items():
-            configs = {
-                f"{label} phi={phi}": fig7_config(
-                    overlay_kind="gnutella", fast_lookup_fraction=phi, **kw
-                )
-                for phi in FRACTIONS
-            }
-            grid[label] = run_sweep(configs, workers=workers)
-        # unoptimized reference for normalization
-        grid["none"] = run_sweep(
-            {
-                f"none phi={phi}": fig7_config(
-                    overlay_kind="gnutella", fast_lookup_fraction=phi
-                )
-                for phi in FRACTIONS
-            },
-            workers=workers,
-        )
-        return grid
+    results = run_once(benchmark, lambda: run_sweep(figure_configs("fig7"), workers=workers))
 
-    grid = run_once(benchmark, run_grid)
-
-    # normalize by the unoptimized delay at phi = 0 (single constant)
-    base = next(iter(grid["none"].values())).initial_lookup_latency
-    rows = []
-    final = {}
-    for label in list(PROTOCOLS) + ["none"]:
-        results = grid[label]
-        vals = [r.final_lookup_latency for r in results.values()]
-        final[label] = vals
-        rows.append([label] + [v / base for v in vals])
+    # labels are "<protocol> phi=<fraction>"; regroup into one row per
+    # protocol, normalized by the unoptimized delay at phi = 0
+    base = results["none phi=0.0"].initial_lookup_latency
+    final: dict[str, list[float]] = {}
+    for label, r in results.items():
+        protocol, _ = label.rsplit(" phi=", 1)
+        final.setdefault(protocol, []).append(r.final_lookup_latency)
+    phis = [label.rsplit(" phi=", 1)[1] for label in results if label.startswith("none ")]
+    rows = [[label] + [v / base for v in vals] for label, vals in final.items()]
     emit(
         "Fig 7  Normalized avg lookup delay vs fraction of fast-targeted lookups\n"
         f"(normalized by the unoptimized delay at phi=0 = {base:.0f} ms)\n\n"
-        + format_table(["protocol"] + [f"phi={p}" for p in FRACTIONS], rows)
+        + format_table(["protocol"] + [f"phi={p}" for p in phis], rows)
     )
 
     # Shape assertions:
@@ -90,8 +59,9 @@ def test_fig7_bimodal_delay_vs_fast_fraction(benchmark, emit, workers):
     best_o = min(final[m][-1] for m in ("PROP-O (m=1)", "PROP-O (m=2)", "PROP-O (m=4)"))
     assert best_o < g[-1]
     # 3. every optimizer beats no optimization everywhere
-    for label in PROTOCOLS:
-        assert all(v < n for v, n in zip(final[label], final["none"]))
+    for label, vals in final.items():
+        if label != "none":
+            assert all(v < n for v, n in zip(vals, final["none"]))
 
 
 def test_fig7_degree_correlation_mechanism(benchmark, emit):

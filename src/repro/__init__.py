@@ -37,7 +37,6 @@ from repro.core import (
 from repro.harness import (
     ExperimentConfig,
     ExperimentResult,
-    Task,
     TaskEvent,
     World,
     build_world,
@@ -46,7 +45,6 @@ from repro.harness import (
     replicate,
     run_experiment,
     run_sweep,
-    run_tasks,
 )
 from repro.metrics import stretch
 from repro.netsim import RngRegistry, Simulator
@@ -100,7 +98,6 @@ __all__ = [
     "ProtocolCounters",
     "RngRegistry",
     "Simulator",
-    "Task",
     "TaskEvent",
     "TransitStubParams",
     "World",
@@ -118,7 +115,6 @@ __all__ = [
     "replicate",
     "run_experiment",
     "run_sweep",
-    "run_tasks",
     "select_prop_o",
     "stretch",
     "ts_large",

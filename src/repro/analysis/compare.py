@@ -67,12 +67,6 @@ class ComparisonReport:
     label_b: str
     metrics: tuple[MetricComparison, ...]
 
-    def winner(self, metric: str = "lookup_latency") -> str:
-        for m in self.metrics:
-            if m.metric == metric:
-                return m.verdict
-        raise KeyError(f"unknown metric {metric!r}")
-
     def to_text(self) -> str:
         rows = [
             [m.metric, m.a_final, m.b_final, m.delta, m.ratio, m.verdict]

@@ -73,7 +73,7 @@ def summarize_directory(
     for p in sorted(path.glob(pattern)):
         try:
             stored = load_result(p)
-        except (ValueError, KeyError, OSError):
+        except (ValueError, OSError):
             skipped.append(p.name)
             continue
         rows.append(_row(p.name, stored, metric))

@@ -28,12 +28,20 @@ from typing import Sequence
 from repro.baselines.ltm import LTMConfig
 from repro.core.config import PROPConfig
 from repro.harness.experiment import ExperimentConfig, run_experiment
-from repro.harness.parallel import TaskEvent
 from repro.harness.reporting import format_series, format_table
+from repro.harness.sweep import ProgressRollup, TaskEvent
 from repro.topology.factory import ORACLE_BACKENDS
 from repro.topology.presets import TS_LARGE, TS_SMALL
 
 __all__ = ["main", "build_parser"]
+
+
+def _workers(text: str) -> int:
+    """``--workers`` value: a process count, 0 meaning one per core."""
+    workers = int(text)
+    if workers < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0 (0 = one per core), got {workers}")
+    return workers
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -105,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seeds", type=str, default=None, metavar="S0,S1,...",
                      help="run one replica per comma-separated seed and "
                           "report the aggregate (overrides --seed)")
-    run.add_argument("--workers", type=int, default=1,
+    run.add_argument("--workers", type=_workers, default=1,
                      help="worker processes for multi-seed runs "
                           "(default: 1 = in-process; 0 = one per core)")
 
@@ -148,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="which figure to regenerate")
     figure.add_argument("--scale", choices=["paper", "quick"], default="quick",
                         help="paper scale (n=1000, slow) or quick sanity scale (default)")
-    figure.add_argument("--workers", type=int, default=1,
+    figure.add_argument("--workers", type=_workers, default=1,
                         help="worker processes for the sweep "
                              "(default: 1 = in-process; 0 = one per core)")
     figure.add_argument("--monitor", action="store_true",
@@ -214,24 +222,18 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _print_progress(event: TaskEvent) -> None:
-    """Render structured task events on stderr, one line per transition."""
+    """One stderr line per run as it starts."""
     if event.status == "start":
         print(f"  {event.label}", file=sys.stderr)
-    elif event.status == "retry":
-        print(f"  {event.label} retrying ({event.error})", file=sys.stderr)
-    elif event.status == "failed":
-        print(f"  {event.label} FAILED ({event.error})", file=sys.stderr)
 
 
 def _monitored_progress(total: int, workers: int):
     """Progress callback folding task events into a live rollup line."""
-    from repro.harness.parallel import ProgressRollup
-
     rollup = ProgressRollup(total)
 
     def render(event: TaskEvent) -> None:
         _print_progress(event)
-        if event.status in ("done", "retry", "failed"):
+        if event.status == "done":
             print(f"  {rollup.render(workers=workers)}", file=sys.stderr)
 
     return rollup.chain(render)
@@ -419,21 +421,34 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_show(args: argparse.Namespace) -> int:
-    from repro.analysis.compare import summarize_result
+def _load_results(command: str, *paths: str) -> list | None:
+    """The stored results at ``paths``, or None after one stderr line (exit 2)."""
     from repro.harness.persistence import load_result
 
-    stored = load_result(args.path)
-    print(summarize_result(stored, label=args.path))
+    try:
+        return [load_result(path) for path in paths]
+    except (OSError, ValueError) as exc:
+        print(f"{command}: {exc}", file=sys.stderr)
+        return None
+
+
+def _cmd_show(args: argparse.Namespace) -> int:
+    from repro.analysis.compare import summarize_result
+
+    stored = _load_results("show", args.path)
+    if stored is None:
+        return 2
+    print(summarize_result(stored[0], label=args.path))
     return 0
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     from repro.analysis.compare import compare_results
-    from repro.harness.persistence import load_result
 
-    a = load_result(args.path_a)
-    b = load_result(args.path_b)
+    stored = _load_results("compare", args.path_a, args.path_b)
+    if stored is None:
+        return 2
+    a, b = stored
     print(compare_results(a, b, label_a=args.path_a, label_b=args.path_b).to_text())
     return 0
 

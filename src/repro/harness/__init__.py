@@ -7,11 +7,10 @@ from repro.harness.experiment import (
     build_world,
     run_experiment,
 )
-from repro.harness.parallel import Task, TaskError, TaskEvent, run_tasks
 from repro.harness.persistence import StoredResult, load_result, save_result
 from repro.harness.replicate import ReplicatedSeries, ReplicationSummary, replicate
 from repro.harness.reporting import format_series, format_table
-from repro.harness.sweep import run_sweep
+from repro.harness.sweep import TaskEvent, run_sweep
 
 __all__ = [
     "ExperimentConfig",
@@ -19,8 +18,6 @@ __all__ = [
     "ReplicatedSeries",
     "ReplicationSummary",
     "StoredResult",
-    "Task",
-    "TaskError",
     "TaskEvent",
     "World",
     "build_world",
@@ -30,6 +27,5 @@ __all__ = [
     "replicate",
     "run_experiment",
     "run_sweep",
-    "run_tasks",
     "save_result",
 ]

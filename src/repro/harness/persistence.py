@@ -63,13 +63,11 @@ def result_to_dict(result: ExperimentResult) -> dict:
     }
     counters = result.final_counters
     if counters is not None:
-        fields = {
-            f.name: getattr(counters, f.name)
+        out["final_counters"] = {
+            f.name: int(getattr(counters, f.name))
             for f in dataclasses.fields(counters)
             if isinstance(getattr(counters, f.name), (int, np.integer))
         }
-        out["final_counters"] = {k: int(v) if isinstance(v, (int, np.integer)) else v
-                                 for k, v in fields.items()}
     return out
 
 
@@ -116,13 +114,28 @@ class StoredResult:
 
 
 def load_result(path: str | pathlib.Path) -> StoredResult:
-    """Read a result previously written by :func:`save_result`."""
-    data = json.loads(pathlib.Path(path).read_text())
-    if data.get("schema") != "repro.experiment-result/1":
+    """Read a result previously written by :func:`save_result`.
+
+    Raises ``ValueError`` naming ``path`` when the file is not JSON, not
+    a JSON object, not this schema, or its series keys are not exactly
+    the stored series fields.
+    """
+    try:
+        data = json.loads(pathlib.Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path} is not JSON ({exc})") from None
+    if (not isinstance(data, dict) or data.get("schema") != "repro.experiment-result/1"
+            or not isinstance(data.get("config"), dict)
+            or not isinstance(data.get("series"), dict)):
         raise ValueError(f"{path} is not a stored experiment result")
-    series = {name: np.asarray(vals) for name, vals in data["series"].items()}
+    series = data["series"]
+    missing = set(_SERIES_FIELDS) - set(series)
+    unknown = set(series) - set(_SERIES_FIELDS)
+    if missing or unknown:
+        raise ValueError(
+            f"{path}: series keys missing {sorted(missing)}, unknown {sorted(unknown)}")
     return StoredResult(
         config=data["config"],
         final_counters=data.get("final_counters"),
-        **series,
+        **{name: np.asarray(vals) for name, vals in series.items()},
     )

@@ -16,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.harness.experiment import ExperimentConfig, ExperimentResult, run_experiment
-from repro.harness.parallel import ProgressCallback, Task, run_tasks
+from repro.harness.experiment import ExperimentConfig, ExperimentResult
+from repro.harness.sweep import ProgressCallback, run_sweep
 
 __all__ = ["ReplicatedSeries", "ReplicationSummary", "replicate"]
 
@@ -82,13 +82,6 @@ class ReplicationSummary:
         )
 
 
-def _replicate_task(
-    config: ExperimentConfig, seed: int, measure_lookups: bool
-) -> ExperimentResult:
-    """Module-level task body so worker processes can unpickle it."""
-    return run_experiment(config.but(seed=seed), measure_lookups=measure_lookups)
-
-
 def replicate(
     config: ExperimentConfig,
     seeds: Sequence[int],
@@ -109,11 +102,9 @@ def replicate(
         raise ValueError("need at least one seed")
     if len(set(seeds)) != len(seeds):
         raise ValueError("seeds must be distinct")
-    by_label = run_tasks(
-        [
-            Task(f"seed={int(s)}", _replicate_task, (config, int(s), measure_lookups))
-            for s in seeds
-        ],
+    by_label = run_sweep(
+        {f"seed={int(s)}": config.but(seed=int(s)) for s in seeds},
+        measure_lookups=measure_lookups,
         workers=workers,
         progress=progress,
     )

@@ -13,30 +13,19 @@ import numpy as np
 __all__ = ["format_table", "format_series"]
 
 
-def _fmt_cell(x: object, width: int) -> str:
-    if isinstance(x, float) or isinstance(x, np.floating):
-        s = f"{float(x):.3f}"
-    else:
-        s = str(x)
-    return s.rjust(width)
+def _cell(x: object) -> str:
+    return f"{float(x):.3f}" if isinstance(x, (float, np.floating)) else str(x)
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]],
                  *, min_width: int = 10) -> str:
     """Fixed-width table with a header rule."""
-    rows = [list(r) for r in rows]
-    widths = []
-    for c, h in enumerate(headers):
-        w = max(len(str(h)), min_width)
-        for r in rows:
-            cell = r[c]
-            s = f"{float(cell):.3f}" if isinstance(cell, (float, np.floating)) else str(cell)
-            w = max(w, len(s))
-        widths.append(w)
-    out = ["  ".join(str(h).rjust(w) for h, w in zip(headers, widths))]
-    out.append("  ".join("-" * w for w in widths))
-    for r in rows:
-        out.append("  ".join(_fmt_cell(x, w) for x, w in zip(r, widths)))
+    cells = [[_cell(x) for x in r] for r in rows]
+    widths = [max([len(str(h)), min_width, *(len(r[c]) for r in cells)])
+              for c, h in enumerate(headers)]
+    out = ["  ".join(str(h).rjust(w) for h, w in zip(headers, widths)),
+           "  ".join("-" * w for w in widths)]
+    out += ["  ".join(x.rjust(w) for x, w in zip(r, widths)) for r in cells]
     return "\n".join(out)
 
 

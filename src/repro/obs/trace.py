@@ -11,7 +11,7 @@ attribute check — the event object is never constructed.  A real
 handed at construction and, in the default **buffered** mode, appends it
 to an in-memory list; the list is plain picklable dataclasses, so a
 worker process can ship its trace back through
-:mod:`repro.harness.parallel` unchanged.
+:func:`repro.harness.sweep.run_sweep` unchanged.
 
 **Streaming** mode (``streaming=True``) is the active half of the
 observability plane: each event is dispatched to the registered

@@ -77,3 +77,43 @@ def test_cli_figure_quick_run(capsys):
     assert main(["figure", "fig6c", "--scale", "quick"]) == 0
     out = capsys.readouterr().out
     assert "ts-large" in out and "ts-small" in out
+
+
+class TestPaperScaleIsTheBenchSweep:
+    """At paper scale the registry is the sweep the benches run, the one
+    EXPERIMENTS.md and benchmarks/output/ report."""
+
+    def test_chord_panels_sample_600_lookups(self):
+        for fid in ("fig6a", "fig6c"):
+            assert {c.lookups_per_sample for c in figure_configs(fid).values()} == {600}
+
+    def test_chord_size_panel_caps_lookups_at_twice_n(self):
+        for cfg in figure_configs("fig6b").values():
+            assert cfg.lookups_per_sample == min(600, 2 * cfg.n_overlay)
+
+    def test_fig7_sampling_and_trade_sizes(self):
+        configs = figure_configs("fig7")
+        assert {(c.duration, c.sample_interval, c.lookups_per_sample)
+                for c in configs.values()} == {(1800.0, 900.0, 600)}
+        assert {c.prop.m for c in configs.values()
+                if c.prop is not None and c.prop.policy == "O"} == {1, 2, 4}
+        assert len(configs) == 6 * 5  # 5 protocols + none, 5 fractions
+
+    def test_labels_are_the_bench_labels(self):
+        assert list(figure_configs("fig5a")) == [
+            "n=1000, nhops=1", "n=1000, nhops=2", "n=1000, nhops=4", "n=1000, random",
+        ]
+        assert list(figure_configs("fig6b")) == [
+            f"n={n}, nhops=2" for n in (300, 500, 1000, 5000)
+        ]
+        assert list(figure_configs("fig5c")) == ["ts-large", "ts-small"]
+        assert "PROP-O (m=2) phi=0.25" in figure_configs("fig7")
+
+    def test_bench_helpers_build_on_the_registry(self):
+        from benchmarks.common import fig7_config, paper_config
+
+        paper = figure_configs("fig5c")["ts-large"]
+        assert paper_config(overlay_kind="gnutella", prop=paper.prop) == paper
+        het = figure_configs("fig7")["PROP-G phi=0.0"]
+        assert fig7_config(overlay_kind="gnutella", prop=het.prop,
+                           fast_lookup_fraction=0.0) == het

@@ -1,152 +1,127 @@
-"""Parallel task runner: ordering, determinism, crash/timeout robustness.
+"""run_sweep's fan-out: ordering, determinism, errors, pool size, fallback.
 
-Task bodies live at module level so worker processes can unpickle them.
-Pool tests pin the ``fork`` context: it is always available on Linux
-and keeps the suite independent of the interpreter's default.
+The experiment body is swapped for a cheap module-level stand-in
+(``_fake_run``: the square of the config's seed, ``ValueError`` for
+seed 13) so these tests exercise the executor, not the simulator; being
+module-level, it pickles into worker processes.  Real experiments
+through the pool are covered by ``test_sweep.py`` and the
+trace/span/monitor determinism tests.
 """
 
-import multiprocessing
 import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.harness.parallel import (
-    ProgressRollup,
-    Task,
-    TaskError,
-    TaskEvent,
-    effective_workers,
-    run_tasks,
-)
+import repro.harness.sweep as sweep
+from repro.harness.experiment import ExperimentConfig
+from repro.harness.sweep import ProgressRollup, TaskEvent, run_sweep
 
-FORK = multiprocessing.get_context("fork")
+_ran: list[int] = []
 
 
-def _square(x):
-    return x * x
+def _fake_run(config, measure_lookups=True):
+    _ran.append(config.seed)
+    if config.seed == 13:
+        raise ValueError("kaput")
+    return config.seed * config.seed
 
 
-def _boom(msg):
-    raise ValueError(msg)
+def _slow_run(config, measure_lookups=True):
+    if config.seed != 13:
+        time.sleep(0.1)
+    return _fake_run(config, measure_lookups)
 
 
-def _hang(seconds):
-    time.sleep(seconds)
-    return "woke"
+@pytest.fixture(autouse=True)
+def fake_experiment(monkeypatch):
+    monkeypatch.setattr(sweep, "run_experiment", _fake_run)
+    _ran.clear()
 
 
-def _crash_unless_marker(marker_path):
-    """Hard-kill the worker on the first attempt, succeed on the retry."""
-    if os.path.exists(marker_path):
-        return "recovered"
-    with open(marker_path, "w") as fh:
-        fh.write("attempted")
-    os._exit(13)
+def _configs(*seeds):
+    return {f"t{s}": ExperimentConfig(seed=s) for s in seeds}
 
 
-def _always_crash():
-    os._exit(13)
+class _RecordingPool(ThreadPoolExecutor):
+    """In-process stand-in for the process pool that records its size."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+        super().__init__(max_workers=max_workers)
 
 
-def _tasks(n):
-    return [Task(f"t{i}", _square, (i,)) for i in range(n)]
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", _RecordingPool)
+    _RecordingPool.sizes = []
+    return _RecordingPool.sizes
 
 
 class TestSerial:
     def test_results_keyed_and_ordered_by_label(self):
-        results = run_tasks(_tasks(4), workers=1)
+        results = run_sweep(_configs(0, 1, 2, 3), workers=1)
         assert results == {"t0": 0, "t1": 1, "t2": 4, "t3": 9}
         assert list(results) == ["t0", "t1", "t2", "t3"]
 
     def test_empty_task_list(self):
-        assert run_tasks([], workers=4) == {}
-
-    def test_duplicate_labels_rejected(self):
-        with pytest.raises(ValueError, match="distinct"):
-            run_tasks([Task("x", _square, (1,)), Task("x", _square, (2,))])
+        assert run_sweep({}, workers=4) == {}
 
     def test_task_exception_propagates(self):
         with pytest.raises(ValueError, match="kaput"):
-            run_tasks([Task("bad", _boom, ("kaput",))], workers=1)
+            run_sweep(_configs(13), workers=1)
 
     def test_progress_events(self):
         events: list[TaskEvent] = []
-        run_tasks(_tasks(2), workers=1, progress=events.append)
+        run_sweep(_configs(0, 1), workers=1, progress=events.append)
         assert [(e.label, e.status) for e in events] == [
             ("t0", "start"), ("t0", "done"), ("t1", "start"), ("t1", "done"),
         ]
 
+    def test_negative_workers_rejected(self):
+        with pytest.raises(ValueError, match="workers"):
+            run_sweep(_configs(0), workers=-3)
+
 
 class TestPool:
     def test_matches_serial(self):
-        serial = run_tasks(_tasks(6), workers=1)
-        pooled = run_tasks(_tasks(6), workers=3, mp_context=FORK)
+        serial = run_sweep(_configs(*range(6)), workers=1)
+        pooled = run_sweep(_configs(*range(6)), workers=3)
         assert pooled == serial
         assert list(pooled) == list(serial)
 
     def test_every_task_gets_start_and_done_event(self):
         events: list[TaskEvent] = []
-        run_tasks(_tasks(5), workers=2, progress=events.append, mp_context=FORK)
+        run_sweep(_configs(*range(5)), workers=2, progress=events.append)
         for label in ("t0", "t1", "t2", "t3", "t4"):
             statuses = [e.status for e in events if e.label == label]
             assert statuses == ["start", "done"]
 
     def test_task_exception_propagates_from_worker(self):
-        tasks = [Task("ok", _square, (2,)), Task("bad", _boom, ("kaput",))]
+        with pytest.raises(ValueError, match="^kaput$"):
+            run_sweep(_configs(2, 13), workers=2)
+
+    def test_unstarted_configs_cancelled_on_error(self, monkeypatch, pool_sizes):
+        monkeypatch.setattr(sweep, "run_experiment", _slow_run)
         with pytest.raises(ValueError, match="kaput"):
-            run_tasks(tasks, workers=2, mp_context=FORK)
-
-    def test_worker_crash_retried_then_recovers(self, tmp_path):
-        marker = str(tmp_path / "marker")
-        events: list[TaskEvent] = []
-        results = run_tasks(
-            [Task("fragile", _crash_unless_marker, (marker,))],
-            workers=2, max_retries=1, progress=events.append, mp_context=FORK,
-        )
-        assert results == {"fragile": "recovered"}
-        assert "retry" in [e.status for e in events]
-
-    def test_worker_crash_exhausts_retries(self):
-        with pytest.raises(TaskError, match="fragile"):
-            run_tasks(
-                [Task("fragile", _always_crash)],
-                workers=2, max_retries=1, mp_context=FORK,
-            )
-
-    def test_hung_task_times_out(self):
-        started = time.monotonic()
-        with pytest.raises(TaskError, match="sleeper"):
-            run_tasks(
-                [Task("sleeper", _hang, (60.0,))],
-                workers=2, task_timeout=0.5, max_retries=0, mp_context=FORK,
-            )
-        assert time.monotonic() - started < 30.0  # pool torn down, not waited out
-
-    def test_finished_siblings_survive_a_timeout(self):
-        # the quick task (queued after the hung one) completes on the
-        # second worker while the hung one times out; its result must be
-        # salvaged from the condemned pool, not lost
-        tasks = [Task("sleeper", _hang, (60.0,)), Task("quick", _square, (7,))]
-        events: list[TaskEvent] = []
-        with pytest.raises(TaskError, match="sleeper"):
-            run_tasks(tasks, workers=2, task_timeout=3.0, max_retries=0,
-                      progress=events.append, mp_context=FORK)
-        assert ("quick", "done") in [(e.label, e.status) for e in events]
+            run_sweep(_configs(13, *range(10)), workers=2)
+        assert pool_sizes == [2]
+        assert 13 in _ran and len(_ran) < 11
 
 
 class TestFallback:
     def test_unusable_pool_falls_back_to_serial(self, monkeypatch):
-        import repro.harness.parallel as par
-
         def broken_executor(*args, **kwargs):
             raise OSError("no multiprocessing here")
 
-        monkeypatch.setattr(par, "ProcessPoolExecutor", broken_executor)
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", broken_executor)
         events: list[TaskEvent] = []
-        results = run_tasks(_tasks(3), workers=3, progress=events.append)
+        results = run_sweep(_configs(0, 1, 2), workers=3, progress=events.append)
         assert results == {"t0": 0, "t1": 1, "t2": 4}
-        assert all(e.status in ("start", "done") for e in events)
+        assert [e.status for e in events] == ["start", "done"] * 3
 
 
 class TestProgressRollup:
@@ -155,8 +130,7 @@ class TestProgressRollup:
         rollup(TaskEvent("a", "start"))
         rollup(TaskEvent("a", "done", 2.0))
         rollup(TaskEvent("b", "start"))
-        rollup(TaskEvent("b", "retry", 1.0, "worker process died"))
-        assert (rollup.started, rollup.done, rollup.retries) == (2, 1, 1)
+        assert (rollup.started, rollup.done, rollup.elapsed_done) == (2, 1, [2.0])
 
     def test_eta_from_mean_elapsed(self):
         rollup = ProgressRollup(4)
@@ -190,7 +164,7 @@ class TestProgressRollup:
 
     def test_rollup_as_progress_callback(self):
         rollup = ProgressRollup(3)
-        run_tasks(_tasks(3), progress=rollup)
+        run_sweep(_configs(0, 1, 2), progress=rollup)
         assert rollup.done == 3
         assert len(rollup.elapsed_done) == 3
 
@@ -200,14 +174,21 @@ class TestProgressRollup:
 
 
 class TestEffectiveWorkers:
-    def test_clamped_to_task_count(self):
-        assert effective_workers(8, 3) == 3
+    """How many processes a sweep gets: never more than it has configs."""
 
-    def test_one_is_serial(self):
-        assert effective_workers(1, 100) == 1
+    def test_clamped_to_task_count(self, pool_sizes):
+        assert run_sweep(_configs(0, 1, 2), workers=8) == {"t0": 0, "t1": 1, "t2": 4}
+        assert pool_sizes == [3]
 
-    def test_zero_means_cpu_count(self):
-        assert effective_workers(0, 1000) == min(os.cpu_count() or 1, 1000)
+    def test_one_is_serial(self, pool_sizes):
+        run_sweep(_configs(*range(5)), workers=1)
+        assert pool_sizes == []
 
-    def test_no_tasks(self):
-        assert effective_workers(4, 0) == 1
+    def test_zero_means_cpu_count(self, pool_sizes):
+        cores = os.cpu_count() or 1
+        run_sweep(_configs(*range(cores + 2)), workers=0)
+        assert pool_sizes == ([] if cores == 1 else [cores])
+
+    def test_no_tasks(self, pool_sizes):
+        assert run_sweep({}, workers=4) == {}
+        assert pool_sizes == []

@@ -1,6 +1,7 @@
 """Sweep runner: ordering, labels, progress events, worker determinism."""
 
 import numpy as np
+import pytest
 
 from repro.harness.experiment import ExperimentConfig
 from repro.harness.sweep import run_sweep
@@ -34,6 +35,22 @@ def test_progress_events():
 def test_measure_lookups_forwarded():
     results = run_sweep({"x": ExperimentConfig(**FAST)}, measure_lookups=False)
     assert np.all(np.isnan(results["x"].lookup_latency))
+
+
+def test_worker_error_matches_serial_error():
+    """A config that raises inside a worker surfaces exactly as it does
+    in-process: same exception type, same message."""
+    too_many = {
+        "ok": ExperimentConfig(**FAST),
+        "bad": ExperimentConfig(**{**FAST, "n_overlay": 7000}),  # > ts-small's stubs
+    }
+    errors = []
+    for workers in (1, 2):
+        with pytest.raises(ValueError) as excinfo:
+            run_sweep(too_many, workers=workers)
+        errors.append((type(excinfo.value), str(excinfo.value)))
+    assert errors[0] == errors[1]
+    assert "stub hosts" in errors[0][1]
 
 
 def test_workers_do_not_change_results():

@@ -295,3 +295,14 @@ class TestParallelExecution:
     def test_figure_accepts_workers(self):
         args = build_parser().parse_args(["figure", "fig5a", "--workers", "4"])
         assert args.workers == 4
+        args = build_parser().parse_args(["figure", "fig5a", "--workers", "0"])
+        assert args.workers == 0  # one per core
+
+    @pytest.mark.parametrize("argv", [["run"], ["figure", "fig5a"]])
+    def test_negative_workers_rejected_at_the_parser(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv + ["--workers", "-3"])
+        assert excinfo.value.code == 2
+        (error,) = [line for line in capsys.readouterr().err.splitlines()
+                    if "error:" in line]
+        assert "--workers" in error and ">= 0" in error

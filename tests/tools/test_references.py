@@ -6,10 +6,12 @@ mentions with it: this walks the user-facing documents and checks each
 ``python -m tools.reprolint --flag`` and ``benchmarks/*.py`` reference
 against the Makefile, the real argument parsers and the tree.
 ``benchmarks/ledger/**``, ``CHANGES.md`` and ``ROADMAP.md`` are history
-or out of reach and are not scanned.
+or out of reach and are not scanned.  The Fig 5–7 benches are checked
+the same way against the one figure definition they must run.
 """
 
 import argparse
+import ast
 import re
 from pathlib import Path
 
@@ -108,6 +110,33 @@ def test_every_reprolint_flag_named_in_docs_makefile_and_ci_exists():
                     missing.add(f"{path.relative_to(REPO)}: python -m tools.reprolint {flag}")
     assert seen >= 3  # Makefile + docs/analysis.md at least
     assert not missing, sorted(missing)
+
+
+def _figure_sweeps(tree: ast.AST) -> list[ast.expr]:
+    """The first argument of every ``run_sweep(...)`` call in ``tree``."""
+    return [
+        node.args[0] for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "run_sweep" and node.args
+    ]
+
+
+def test_every_figure_bench_sweeps_the_figure_registry():
+    """Figs 5–7 have one definition, ``repro.harness.figures``: a bench
+    that re-declares its sweep instead of calling ``figure_configs`` for
+    its own figure fails here."""
+    benches = sorted((REPO / "benchmarks").glob("bench_fig[567]*.py"))
+    assert len(benches) == 7
+    for path in benches:
+        figure_id = path.name.split("_")[1]  # bench_fig5a_... -> fig5a
+        sweeps = _figure_sweeps(ast.parse(path.read_text(encoding="utf-8")))
+        assert sweeps, f"{path.name}: no run_sweep call"
+        for arg in sweeps:
+            assert (
+                isinstance(arg, ast.Call) and isinstance(arg.func, ast.Name)
+                and arg.func.id == "figure_configs"
+                and [ast.literal_eval(a) for a in arg.args] == [figure_id]
+            ), f"{path.name}: run_sweep({ast.unparse(arg)}) is not figure_configs({figure_id!r})"
 
 
 def test_every_bench_module_named_exists():
