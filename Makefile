@@ -53,18 +53,15 @@ pairs:
 		$(if $(SEED),--seed $(SEED),) $(if $(N),--pairs $(N),)
 
 # Kernel cost observatory end to end: a small profiled run over the
-# message plane -> attribution table + kp.json, then the prof
-# subcommand re-renders it and writes validated flamegraph exports
+# message plane -> attribution table + kernel_profile.json, then the
+# prof subcommand re-renders the saved profile's table
 # (docs/observability.md "Kernel profiling").
 prof-demo:
 	mkdir -p benchmarks/output
 	PYTHONPATH=src python -m repro run --preset ts-small --n 100 --policy G \
 		--transport sim --duration 600 --sample-interval 300 --lookups 50 \
 		--kernel-profile benchmarks/output/kernel_profile.json
-	PYTHONPATH=src python -m repro.obs prof benchmarks/output/kernel_profile.json \
-		--collapsed benchmarks/output/kernel_profile.collapsed.txt \
-		--speedscope benchmarks/output/kernel_profile.speedscope.json
-	@echo "wrote benchmarks/output/kernel_profile.speedscope.json"
+	PYTHONPATH=src python -m repro.obs prof benchmarks/output/kernel_profile.json
 
 # 60-second monitored run: live stderr line (phase, sim-time, ETA,
 # latency, exchange tallies) from the streaming monitor — no raw trace.

@@ -375,16 +375,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"\nprobes/rounds: {result.probes[-1]}  "
               f"exchanges/ops: {result.exchanges[-1]}")
     if result.net_stats is not None or result.net_counters is not None:
-        # one merged net-plane table sourced from the unified registry —
-        # wire telemetry (transport.*) and protocol-visible fault
-        # outcomes (net.*) each appear exactly once
+        # one merged net-plane table sourced from the one metrics
+        # snapshot — wire telemetry (transport.*) and protocol-visible
+        # fault outcomes (net.*) each appear exactly once
         from repro.obs.registry import (
             NET_TABLE_COLUMNS,
+            metrics_snapshot,
             net_summary_rows,
-            registry_from_result,
         )
 
-        rows = net_summary_rows(registry_from_result(result))
+        rows = net_summary_rows(metrics_snapshot(
+            result.final_counters, result.net_counters, result.net_stats))
         if rows:
             print()
             print(format_table(list(NET_TABLE_COLUMNS), rows))

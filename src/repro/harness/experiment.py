@@ -621,7 +621,7 @@ def run_experiment(
 
     if isinstance(world.engine, MessagePROPEngine):
         # exchanges still awaiting votes when the run ends are recorded
-        # as aborted so the trace has no half-open 2PC timelines
+        # as aborted so the trace has no half-open 2PC exchanges
         world.engine.finalize_trace()
     if world.tracer is not None:
         world.tracer.close(float(times[-1]))

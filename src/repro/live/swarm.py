@@ -47,12 +47,7 @@ from repro.live.transport import UdpTransport
 from repro.net.engine import MessagePROPEngine, NetCounters
 from repro.net.transport import TransportStats
 from repro.obs.monitor import find_monitor
-from repro.obs.registry import (
-    MetricsRegistry,
-    absorb_net_counters,
-    absorb_protocol_counters,
-    absorb_transport_stats,
-)
+from repro.obs.registry import metrics_snapshot
 from repro.obs.spans import SpanAssembler
 from repro.obs.telemetry import TelemetryExporter, TelemetrySnapshot
 from repro.obs.trace import TraceConsumer, Tracer
@@ -176,7 +171,7 @@ class Swarm:
         Optional JSONL path; when set, a
         :class:`~repro.obs.telemetry.TelemetrySnapshot` is appended
         every ``telemetry_interval`` protocol seconds (plus a final one
-        at close) — registry metrics, open-span gauges and the per-peer
+        at close) — the metrics snapshot, open-span gauges and the per-peer
         wire-byte counters, flushed line by line so the file can be
         tailed while the swarm runs.
     telemetry_interval:
@@ -344,15 +339,12 @@ class Swarm:
     def _telemetry_snapshot(self) -> TelemetrySnapshot:
         assert (self.scheduler is not None and self.engine is not None
                 and self.transport is not None and self._telemetry is not None)
-        registry = MetricsRegistry()
-        absorb_protocol_counters(registry, self.engine.counters)
-        absorb_net_counters(registry, self.engine.net_counters)
-        absorb_transport_stats(registry, self.transport.stats)
         gauges = self._span_gauges
         return TelemetrySnapshot(
             time=self.scheduler.now,
             seq=self._telemetry.written,
-            metrics=registry.snapshot(),
+            metrics=metrics_snapshot(self.engine.counters, self.engine.net_counters,
+                                     self.transport.stats),
             open_spans=gauges.open_spans if gauges is not None else 0,
             open_traces=gauges.open_traces if gauges is not None else 0,
             spans_completed=gauges.completed if gauges is not None else 0,

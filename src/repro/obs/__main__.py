@@ -1,37 +1,29 @@
 """``python -m repro.obs`` — the trace/report analyzer CLI.
 
-Subcommands:
-
-* ``timeline TRACE.jsonl`` — reconstruct the two-phase exchange
-  timelines from a trace, flagging half-open exchanges and late
-  replies.  Exits non-zero when the exactly-once invariant is broken.
-* ``spans TRACE.jsonl`` — reassemble the causal span trees (one per
-  probe cycle), flagging orphan roots and instrumentation bugs with
-  the same exit-code discipline; ``--json-out`` writes the summary.
-* ``critpath TRACE.jsonl`` — per-cycle critical-path decomposition:
-  transit vs. process vs. timer back-off vs. wait, attributed per hop.
-* ``diff A.json B.json`` — metric-by-metric comparison of two run
-  reports.
-* ``render REPORT.json [-o OUT.md]`` — render a run report to
-  markdown (stdout by default).  Both exit 2 with one stderr line on
-  an unreadable or malformed report.
-* ``prof PROFILE.json`` — render a kernel profile (from ``repro run
-  --kernel-profile``) as a top-N attribution table; ``--collapsed`` /
-  ``--speedscope`` write flamegraph exports.  ``prof diff A.json
-  B.json`` prints the per-category A/B deltas.  Exit codes: 0 ok,
-  1 category mismatch against the closed registry, 2 unreadable or
-  truncated profile.
+* ``spans TRACE.jsonl`` / ``critpath TRACE.jsonl`` — the one trace
+  checker: causal span trees (one per probe cycle) or their per-cycle
+  critical paths (transit / process / timer back-off / wait), plus the
+  exactly-once fold of every 2PC exchange.  Exit 0 clean, 1 on an
+  orphan root, an instrumentation bug or a PREPARE that did not resolve
+  exactly once, 2 (one stderr line) on an unreadable trace;
+  ``--json-out`` writes the summary.
+* ``diff A.json B.json`` / ``render REPORT.json [-o OUT.md]`` — compare
+  two run reports metric by metric, or render one to markdown; exit 2
+  with one stderr line on an unreadable or malformed report.
+* ``prof PROFILE.json`` / ``prof diff A.json B.json`` — a kernel
+  profile's attribution table (``repro run --kernel-profile``), or the
+  per-category A/B deltas.  Exit 0 ok, 1 category mismatch against the
+  closed registry, 2 unreadable or truncated profile.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import Sequence
 
-from repro.obs.analyze import load_trace, reconstruct_timelines, render_timelines
+from repro.obs.events import load_trace
 from repro.obs.report import RunReport, diff_reports, load_report, render_markdown
 from repro.obs.spans import (
     assemble_spans,
@@ -41,24 +33,15 @@ from repro.obs.spans import (
 )
 
 
-def _cmd_timeline(args: argparse.Namespace) -> int:
-    analysis = reconstruct_timelines(load_trace(args.trace))
-    print(render_timelines(analysis, limit=args.limit))
-    return 0 if analysis.clean else 1
-
-
-def _cmd_spans(args: argparse.Namespace) -> int:
-    analysis = assemble_spans(load_trace(args.trace))
-    print(render_span_trees(analysis, limit=args.limit))
-    if args.json_out is not None:
-        dump_analysis(analysis, args.json_out)
-        print(f"wrote {args.json_out}", file=sys.stderr)
-    return 0 if analysis.clean else 1
-
-
-def _cmd_critpath(args: argparse.Namespace) -> int:
-    analysis = assemble_spans(load_trace(args.trace))
-    print(render_critical_paths(analysis, limit=args.limit))
+def _cmd_trace(args: argparse.Namespace) -> int:
+    """``spans`` / ``critpath``: 0 clean, 1 violation, 2 unreadable trace."""
+    try:
+        events = load_trace(args.trace)
+    except (OSError, ValueError) as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
+    analysis = assemble_spans(events)
+    print(args.render(analysis, limit=args.limit))
     if args.json_out is not None:
         dump_analysis(analysis, args.json_out)
         print(f"wrote {args.json_out}", file=sys.stderr)
@@ -103,7 +86,6 @@ def _cmd_prof(args: argparse.Namespace) -> int:
         KernelProfile,
         ProfileError,
         diff_table,
-        validate_speedscope,
     )
 
     paths = args.paths
@@ -118,20 +100,7 @@ def _cmd_prof(args: argparse.Namespace) -> int:
         return 2
     try:
         profiles = [KernelProfile.load(p) for p in paths]
-        if diff_mode:
-            print(diff_table(profiles[0], profiles[1]))
-            return 0
-        profile = profiles[0]
-        print(profile.table(top=args.top))
-        if args.collapsed is not None:
-            Path(args.collapsed).write_text(profile.collapsed(), encoding="utf-8")
-            print(f"wrote {args.collapsed}", file=sys.stderr)
-        if args.speedscope is not None:
-            doc = profile.speedscope(name=str(paths[0]))
-            validate_speedscope(doc)
-            Path(args.speedscope).write_text(
-                json.dumps(doc, indent=1) + "\n", encoding="utf-8")
-            print(f"wrote {args.speedscope}", file=sys.stderr)
+        print(diff_table(*profiles) if diff_mode else profiles[0].table(top=args.top))
     except CategoryMismatchError as exc:
         print(f"prof: {exc}", file=sys.stderr)
         return 1
@@ -148,43 +117,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_timeline = sub.add_parser(
-        "timeline", help="reconstruct 2PC exchange timelines from a trace"
-    )
-    p_timeline.add_argument("trace", help="JSONL trace file (from --trace)")
-    p_timeline.add_argument(
-        "--limit", type=int, default=40,
-        help="max timelines to print (default 40; -1 for all)",
-    )
-    p_timeline.set_defaults(func=_cmd_timeline)
-
-    p_spans = sub.add_parser(
-        "spans", help="reassemble causal span trees from a trace"
-    )
-    p_spans.add_argument("trace", help="JSONL trace file (from --trace)")
-    p_spans.add_argument(
-        "--limit", type=int, default=10,
-        help="max trees to print (default 10; -1 for all)",
-    )
-    p_spans.add_argument(
-        "--json-out", default=None, metavar="PATH",
-        help="also write the JSON analysis summary to PATH",
-    )
-    p_spans.set_defaults(func=_cmd_spans)
-
-    p_crit = sub.add_parser(
-        "critpath", help="critical-path decomposition per probe cycle"
-    )
-    p_crit.add_argument("trace", help="JSONL trace file (from --trace)")
-    p_crit.add_argument(
-        "--limit", type=int, default=10,
-        help="max paths to print (default 10; -1 for all)",
-    )
-    p_crit.add_argument(
-        "--json-out", default=None, metavar="PATH",
-        help="also write the JSON analysis summary to PATH",
-    )
-    p_crit.set_defaults(func=_cmd_critpath)
+    for name, render, what, shown in (
+        ("spans", render_span_trees,
+         "reassemble causal span trees and 2PC exchanges from a trace", "trees"),
+        ("critpath", render_critical_paths,
+         "critical-path decomposition per probe cycle", "paths"),
+    ):
+        p_trace = sub.add_parser(name, help=what)
+        p_trace.add_argument("trace", help="JSONL trace file (from --trace)")
+        p_trace.add_argument(
+            "--limit", type=int, default=10,
+            help=f"max {shown} to print (default 10; -1 for all)",
+        )
+        p_trace.add_argument(
+            "--json-out", default=None, metavar="PATH",
+            help="also write the JSON analysis summary to PATH",
+        )
+        p_trace.set_defaults(func=_cmd_trace, render=render)
 
     p_diff = sub.add_parser("diff", help="diff two run reports")
     p_diff.add_argument("a", help="baseline report JSON")
@@ -207,14 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--top", type=int, default=None, metavar="N",
         help="show only the N widest categories (default: all)",
     )
-    p_prof.add_argument(
-        "--collapsed", default=None, metavar="PATH",
-        help="write collapsed-stack text for flamegraph tooling",
-    )
-    p_prof.add_argument(
-        "--speedscope", default=None, metavar="PATH",
-        help="write a speedscope-compatible JSON profile",
-    )
     p_prof.set_defaults(func=_cmd_prof)
     return parser
 
@@ -225,7 +166,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         args.limit = None
     try:
         return args.func(args)
-    except BrokenPipeError:  # e.g. `... timeline t.jsonl | head`
+    except BrokenPipeError:  # e.g. `... spans t.jsonl | head`
         sys.stderr.close()  # suppress the interpreter's epipe warning
         return 0
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
+from pathlib import Path
 from typing import Any, ClassVar, Iterable
 
 __all__ = [
@@ -58,6 +59,7 @@ __all__ = [
     "event_to_dict",
     "events_from_jsonl",
     "events_to_jsonl",
+    "load_trace",
 ]
 
 
@@ -313,9 +315,24 @@ def events_to_jsonl(events: Iterable[Event]) -> str:
 
 
 def events_from_jsonl(text: str) -> list[Event]:
-    """Parse a JSONL trace back into typed events (blank lines skipped)."""
-    return [
-        event_from_dict(json.loads(line))
-        for line in text.splitlines()
-        if line.strip()
-    ]
+    """Parse a JSONL trace back into typed events (blank lines skipped);
+    a line that is not an event of the schema is a ``ValueError`` naming it."""
+    events: list[Event] = []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            events.append(event_from_dict(json.loads(line)))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"line {lineno} is not a trace event: {exc!r}") from exc
+    return events
+
+
+def load_trace(path: str | Path) -> list[Event]:
+    """Read a JSONL trace file: ``OSError`` if it cannot be read,
+    ``ValueError`` naming the path if its content is not a trace."""
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return events_from_jsonl(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

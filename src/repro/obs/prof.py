@@ -27,24 +27,18 @@ Design mirrors the Tracer's zero-cost-when-off contract:
   ``sum(categories) + untracked == total`` holds to the nanosecond
   (pinned by test).
 
-Beyond category seconds the profiler samples event-heap telemetry per
-``run_until`` window (live size, corpse ratio, cumulative
-pushes/pops/cancels) and, opt-in, tracemalloc allocation deltas per
-category.
-
-Export surfaces: :meth:`KernelProfile.table` (top-N attribution),
-:meth:`KernelProfile.collapsed` (collapsed-stack text for classic
-flamegraph tooling), and :meth:`KernelProfile.speedscope` (a
-speedscope-compatible ``sampled`` profile, checked by
-:func:`validate_speedscope`).  ``python -m repro.obs prof`` renders all
-three and ``prof diff`` compares two profiles category-by-category.
+Each ``run_until`` window also appends event-heap telemetry (live size,
+corpse ratio, cumulative pushes/pops/cancels) to
+:attr:`KernelProfiler.heap_samples`.  A finished :class:`KernelProfile`
+is a flat category -> nanoseconds table: :meth:`KernelProfile.table`
+and the saved JSON show all of it, and ``python -m repro.obs prof
+[diff]`` renders or compares saved profiles.
 """
 
 from __future__ import annotations
 
 import json
 import time
-import tracemalloc
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -59,7 +53,6 @@ __all__ = [
     "ProfileError",
     "classify_event",
     "diff_table",
-    "validate_speedscope",
     "wall_monotonic",
 ]
 
@@ -181,24 +174,19 @@ class KernelProfiler:
     (window time not inside any event) is exact by construction.
     """
 
-    def __init__(self, *, trace_malloc: bool = False) -> None:
+    def __init__(self) -> None:
         self.category_ns: dict[str, int] = {}
         self.category_counts: dict[str, int] = {}
         self.total_ns = 0
         self.events = 0
         self.windows = 0
         self.heap_samples: list[dict[str, float]] = []
-        self.trace_malloc = trace_malloc
-        self.alloc_bytes: dict[str, int] = {}
         self._window_start = 0
         self._event_start = 0
-        self._event_alloc = 0
 
     # -- window bracketing (one window per run_until call) --------------
 
     def begin_window(self) -> None:
-        if self.trace_malloc and not tracemalloc.is_tracing():
-            tracemalloc.start()
         self._window_start = time.perf_counter_ns()
 
     def end_window(self, sim: Any) -> None:
@@ -224,8 +212,6 @@ class KernelProfiler:
     # -- per-event bracketing (engine dispatch point) --------------------
 
     def begin_event(self) -> None:
-        if self.trace_malloc:
-            self._event_alloc = tracemalloc.get_traced_memory()[0]
         self._event_start = time.perf_counter_ns()
 
     def end_event(self, callback: Callable[..., None], args: tuple[Any, ...]) -> None:
@@ -234,9 +220,6 @@ class KernelProfiler:
         self.category_ns[category] = self.category_ns.get(category, 0) + elapsed
         self.category_counts[category] = self.category_counts.get(category, 0) + 1
         self.events += 1
-        if self.trace_malloc:
-            delta = tracemalloc.get_traced_memory()[0] - self._event_alloc
-            self.alloc_bytes[category] = self.alloc_bytes.get(category, 0) + delta
 
     # -- harness stages --------------------------------------------------
 
@@ -288,7 +271,6 @@ class KernelProfiler:
             categories=dict(sorted(self.category_ns.items())),
             counts=dict(sorted(self.category_counts.items())),
             heap=heap,
-            alloc_bytes=dict(sorted(self.alloc_bytes.items())) if self.trace_malloc else None,
         )
 
 
@@ -311,14 +293,10 @@ class KernelProfile:
     categories: dict[str, int]
     counts: dict[str, int]
     heap: dict[str, Any] = field(default_factory=dict)
-    alloc_bytes: dict[str, int] | None = None
     schema_version: str = PROFILE_SCHEMA
 
-    def seconds(self, category: str) -> float:
-        return self.categories.get(category, 0) / 1e9
-
     def to_dict(self) -> dict[str, Any]:
-        doc: dict[str, Any] = {
+        return {
             "schema_version": self.schema_version,
             "total_ns": self.total_ns,
             "untracked_ns": self.untracked_ns,
@@ -329,12 +307,11 @@ class KernelProfile:
             "counts": dict(sorted(self.counts.items())),
             "heap": self.heap,
         }
-        if self.alloc_bytes is not None:
-            doc["alloc_bytes"] = dict(sorted(self.alloc_bytes.items()))
-        return doc
 
     @classmethod
     def from_dict(cls, doc: Mapping[str, Any]) -> "KernelProfile":
+        """Parse the JSON form; keys it does not know (a legacy
+        ``alloc_bytes`` table) are ignored."""
         if not isinstance(doc, Mapping):
             raise ProfileError("profile document is not an object")
         schema = doc.get("schema_version")
@@ -346,7 +323,6 @@ class KernelProfile:
         try:
             categories = {str(k): int(v) for k, v in dict(doc["categories"]).items()}
             counts = {str(k): int(v) for k, v in dict(doc["counts"]).items()}
-            alloc = doc.get("alloc_bytes")
             profile = cls(
                 total_ns=int(doc["total_ns"]),
                 untracked_ns=int(doc["untracked_ns"]),
@@ -356,7 +332,6 @@ class KernelProfile:
                 categories=categories,
                 counts=counts,
                 heap=dict(doc.get("heap", {})),
-                alloc_bytes=dict(alloc) if alloc is not None else None,
             )
         except (TypeError, ValueError) as exc:
             raise ProfileError(f"malformed profile field: {exc}") from exc
@@ -385,8 +360,6 @@ class KernelProfile:
             raise ProfileError(f"profile {path} is not valid JSON (truncated?): {exc}") from exc
         return cls.from_dict(doc)
 
-    # -- export surfaces -------------------------------------------------
-
     def table(self, top: int | None = None) -> str:
         """Top-N attribution table, widest category first."""
         rows = sorted(self.categories.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -405,83 +378,6 @@ class KernelProfile:
             lines.append("event heap: " + ", ".join(
                 f"{k}={self.heap[k]}" for k in sorted(self.heap)))
         return "\n".join(lines)
-
-    def collapsed(self) -> str:
-        """Collapsed-stack text (``frame;frame count``) for flamegraph tools."""
-        lines = [
-            f"kernel;{category} {ns}"
-            for category, ns in sorted(self.categories.items())
-            if ns > 0
-        ]
-        lines.append(f"kernel;untracked {self.untracked_ns}")
-        return "\n".join(lines) + "\n"
-
-    def speedscope(self, name: str = "repro kernel profile") -> dict[str, Any]:
-        """A speedscope ``sampled`` profile: one sample per category."""
-        rows = [(c, ns) for c, ns in sorted(self.categories.items()) if ns > 0]
-        rows.append(("untracked", self.untracked_ns))
-        frames = [{"name": category} for category, _ in rows]
-        weights = [ns for _, ns in rows]
-        return {
-            "$schema": "https://www.speedscope.app/file-format-schema.json",
-            "name": name,
-            "shared": {"frames": frames},
-            "profiles": [
-                {
-                    "type": "sampled",
-                    "name": name,
-                    "unit": "nanoseconds",
-                    "startValue": 0,
-                    "endValue": self.total_ns,
-                    "samples": [[i] for i in range(len(rows))],
-                    "weights": weights,
-                }
-            ],
-        }
-
-
-def validate_speedscope(doc: Any) -> None:
-    """Check ``doc`` against the speedscope file-format schema.
-
-    Hand-rolled (the repo takes no jsonschema dependency) but covers
-    every constraint the viewer relies on for ``sampled`` profiles.
-    Raises :class:`ProfileError` on the first violation.
-    """
-    if not isinstance(doc, dict):
-        raise ProfileError("speedscope document must be an object")
-    if doc.get("$schema") != "https://www.speedscope.app/file-format-schema.json":
-        raise ProfileError("missing or wrong $schema")
-    shared = doc.get("shared")
-    if not isinstance(shared, dict) or not isinstance(shared.get("frames"), list):
-        raise ProfileError("shared.frames must be a list")
-    frames = shared["frames"]
-    for i, frame in enumerate(frames):
-        if not isinstance(frame, dict) or not isinstance(frame.get("name"), str):
-            raise ProfileError(f"frame {i} must be an object with a string name")
-    profiles = doc.get("profiles")
-    if not isinstance(profiles, list) or not profiles:
-        raise ProfileError("profiles must be a non-empty list")
-    for p, profile in enumerate(profiles):
-        if not isinstance(profile, dict):
-            raise ProfileError(f"profile {p} must be an object")
-        if profile.get("type") != "sampled":
-            raise ProfileError(f"profile {p}: only 'sampled' profiles are emitted")
-        samples = profile.get("samples")
-        weights = profile.get("weights")
-        if not isinstance(samples, list) or not isinstance(weights, list):
-            raise ProfileError(f"profile {p}: samples and weights must be lists")
-        if len(samples) != len(weights):
-            raise ProfileError(f"profile {p}: samples/weights length mismatch")
-        for s, sample in enumerate(samples):
-            if not isinstance(sample, list):
-                raise ProfileError(f"profile {p} sample {s} must be a frame-index stack")
-            for idx in sample:
-                if not isinstance(idx, int) or not 0 <= idx < len(frames):
-                    raise ProfileError(
-                        f"profile {p} sample {s}: frame index {idx} out of range")
-        for key in ("startValue", "endValue"):
-            if not isinstance(profile.get(key), (int, float)):
-                raise ProfileError(f"profile {p}: {key} must be a number")
 
 
 def diff_table(before: KernelProfile, after: KernelProfile) -> str:

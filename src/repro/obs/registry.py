@@ -1,41 +1,42 @@
-"""The unified metrics registry.
+"""The one metrics snapshot.
 
-Before this module existed the repo had three disconnected telemetry
-surfaces: :class:`~repro.core.protocol.ProtocolCounters` (probe/exchange
+The §4.3 tallies live in three dataclasses the protocol code writes
+directly: :class:`~repro.core.protocol.ProtocolCounters` (probe/exchange
 tallies), :class:`~repro.net.engine.NetCounters` (fault-visible
-outcomes), and :class:`~repro.net.transport.TransportStats` (wire-level
-sends/drops).  Each kept its own naming and the CLI printed overlapping
-numbers from two of them.  :class:`MetricsRegistry` is the single
-namespace they all land in: counters, gauges, and fixed-bucket
-histograms keyed by dotted metric names.
-
-The legacy dataclasses stay exactly as they are — the §4.3 closed-form
-tests read them directly — and the ``absorb_*`` adapters copy them into
-the registry at reporting time.  One object, one snapshot, one table.
+outcomes) and :class:`~repro.net.transport.TransportStats` (wire-level
+sends/drops).  :func:`metrics_snapshot` reads them at reporting time
+into one flat, sorted, JSON-ready namespace of dotted metric names —
+``prop.*``, ``net.*``, ``transport.*`` — which run reports, the live
+swarm's telemetry and ``repro run``'s net table all print.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from bisect import bisect_left
+from dataclasses import fields
 from typing import Any, Iterable, Mapping, Sequence
 
 __all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "NET_TABLE_COLUMNS",
     "VAR_BUCKETS",
-    "absorb_net_counters",
-    "absorb_protocol_counters",
-    "absorb_transport_stats",
+    "bucket_counts",
+    "metrics_snapshot",
     "net_summary_rows",
     "percentile_from_buckets",
-    "registry_from_result",
 ]
 
 #: Fixed bucket edges for Var histograms (ms of latency-sum improvement).
 VAR_BUCKETS: tuple[float, ...] = (0.0, 10.0, 50.0, 100.0, 250.0, 500.0, 1000.0)
+
+
+def bucket_counts(edges: Sequence[float], values: Iterable[float]) -> list[int]:
+    """Counts per fixed bucket: ``value <= edges[i]`` lands in the first
+    such bucket, anything above the last edge in a final overflow bucket.
+    Fixed edges keep two runs' histograms comparable bucket for bucket."""
+    counts = [0] * (len(edges) + 1)
+    for value in values:
+        counts[bisect_left(edges, value)] += 1
+    return counts
 
 
 def percentile_from_buckets(
@@ -71,188 +72,61 @@ def percentile_from_buckets(
     return float(edges[-1])
 
 
-@dataclass
-class Counter:
-    """Monotonically increasing integer metric."""
-
-    name: str
-    value: int = 0
-
-    def inc(self, n: int = 1) -> None:
-        if n < 0:
-            raise ValueError(f"counter {self.name} cannot decrease (inc {n})")
-        self.value += n
-
-
-@dataclass
-class Gauge:
-    """Point-in-time float metric (last write wins)."""
-
-    name: str
-    value: float = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
-
-
-@dataclass
-class Histogram:
-    """Fixed-bucket histogram: ``edges`` are the upper bounds, plus a
-    final overflow bucket.  Edges are fixed at creation so two runs'
-    histograms are always comparable bucket for bucket."""
-
-    name: str
-    edges: tuple[float, ...]
-    counts: list[int] = field(default_factory=list)
-    total: float = 0.0
-    count: int = 0
-
-    def __post_init__(self) -> None:
-        if not self.edges or list(self.edges) != sorted(self.edges):
-            raise ValueError(f"histogram {self.name} needs sorted, non-empty edges")
-        if not self.counts:
-            self.counts = [0] * (len(self.edges) + 1)
-
-    def observe(self, value: float) -> None:
-        value = float(value)
-        self.total += value
-        self.count += 1
-        for i, edge in enumerate(self.edges):
-            if value <= edge:
-                self.counts[i] += 1
-                return
-        self.counts[-1] += 1
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def percentile(self, q: float) -> float:
-        """Bucket-interpolated percentile estimate (``q`` in 0..100)."""
-        return percentile_from_buckets(self.edges, self.counts, q)
-
-
-class MetricsRegistry:
-    """Get-or-create registry of named metrics with a canonical snapshot."""
-
-    def __init__(self) -> None:
-        self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
-        self._histograms: dict[str, Histogram] = {}
-
-    # -- creation --------------------------------------------------------
-
-    def counter(self, name: str) -> Counter:
-        self._check_free(name, self._counters)
-        return self._counters.setdefault(name, Counter(name))
-
-    def gauge(self, name: str) -> Gauge:
-        self._check_free(name, self._gauges)
-        return self._gauges.setdefault(name, Gauge(name))
-
-    def histogram(self, name: str, edges: Sequence[float] = VAR_BUCKETS) -> Histogram:
-        self._check_free(name, self._histograms)
-        hist = self._histograms.get(name)
-        if hist is None:
-            hist = Histogram(name, tuple(float(e) for e in edges))
-            self._histograms[name] = hist
-        elif hist.edges != tuple(float(e) for e in edges):
-            raise ValueError(f"histogram {name} re-registered with different edges")
-        return hist
-
-    def _check_free(self, name: str, own: Mapping[str, Any]) -> None:
-        for table in (self._counters, self._gauges, self._histograms):
-            if table is not own and name in table:
-                raise ValueError(f"metric name {name!r} already used with another kind")
-
-    # -- reading ---------------------------------------------------------
-
-    def names(self) -> list[str]:
-        return sorted([*self._counters, *self._gauges, *self._histograms])
-
-    def snapshot(self) -> dict[str, Any]:
-        """Canonical JSON-ready view, keys sorted for diffability."""
-        out: dict[str, Any] = {}
-        for name in sorted(self._counters):
-            out[name] = self._counters[name].value
-        for name in sorted(self._gauges):
-            out[name] = self._gauges[name].value
-        for name in sorted(self._histograms):
-            h = self._histograms[name]
-            out[name] = {
-                "edges": list(h.edges),
-                "counts": list(h.counts),
-                "count": h.count,
-                "sum": h.total,
-            }
-        return dict(sorted(out.items()))
-
-
-# -- adapters over the legacy telemetry surfaces --------------------------
-
-
-def absorb_protocol_counters(
-    registry: MetricsRegistry, counters: Any, *, prefix: str = "prop"
-) -> None:
-    """Copy a :class:`ProtocolCounters`-shaped object into the registry.
-
-    Integer fields become counters; ``var_history`` lands in a fixed
-    :data:`VAR_BUCKETS` histogram (negative Vars fall in the first
-    bucket — a failed opportunity, still an observation).
-    """
-    for f in fields(counters):
-        value = getattr(counters, f.name)
-        if isinstance(value, bool) or not isinstance(value, int):
-            continue
-        registry.counter(f"{prefix}.{f.name}").inc(value)
-    history = getattr(counters, "var_history", None)
-    if history:
-        hist = registry.histogram(f"{prefix}.var", VAR_BUCKETS)
-        for var in history:
-            hist.observe(float(var))
-
-
-def absorb_net_counters(
-    registry: MetricsRegistry, net_counters: Any, *, prefix: str = "net"
-) -> None:
-    """Copy :class:`NetCounters` (timeouts / retries / rejects)."""
-    for f in fields(net_counters):
-        value = getattr(net_counters, f.name)
+def _int_fields(prefix: str, obj: Any) -> dict[str, int]:
+    """Every plain-int dataclass field of ``obj`` as ``prefix.<name>``."""
+    out: dict[str, int] = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
         if isinstance(value, int) and not isinstance(value, bool):
-            registry.counter(f"{prefix}.{f.name}").inc(value)
+            out[f"{prefix}.{f.name}"] = value
+    return out
 
 
-def absorb_transport_stats(
-    registry: MetricsRegistry, stats: Any, *, prefix: str = "transport"
-) -> None:
-    """Copy :class:`TransportStats` (wire-level message telemetry)."""
-    registry.counter(f"{prefix}.sent").inc(int(stats.total_sent))
-    registry.counter(f"{prefix}.delivered").inc(int(stats.total_delivered))
-    registry.counter(f"{prefix}.dropped").inc(int(stats.total_dropped))
-    registry.counter(f"{prefix}.bytes_sent").inc(int(stats.bytes_sent))
-    registry.gauge(f"{prefix}.max_in_flight").set(float(stats.max_in_flight))
-    for mtype in sorted(stats.sent):
-        registry.counter(f"{prefix}.sent.{mtype}").inc(stats.sent[mtype])
-    for mtype in sorted(stats.dropped):
-        registry.counter(f"{prefix}.dropped.{mtype}").inc(stats.dropped[mtype])
-    for reason in sorted(stats.drop_reasons):
-        registry.counter(f"{prefix}.drop_reason.{reason}").inc(stats.drop_reasons[reason])
+def metrics_snapshot(
+    counters: Any = None, net_counters: Any = None, stats: Any = None
+) -> dict[str, Any]:
+    """One sorted, JSON-ready view over whichever surfaces are given.
 
+    * ``counters`` (:class:`ProtocolCounters`): its int fields as
+      ``prop.*``, and a non-empty ``var_history`` as the ``prop.var``
+      histogram over :data:`VAR_BUCKETS` (negative Vars fall in the
+      first bucket — a failed opportunity, still an observation);
+    * ``net_counters`` (:class:`NetCounters`): its int fields as ``net.*``;
+    * ``stats`` (:class:`TransportStats`): totals, ``bytes_sent``,
+      per-type ``sent.<T>`` / ``dropped.<T>``, ``drop_reason.<R>`` as
+      ``transport.*``, and ``transport.max_in_flight`` as a float.
 
-def registry_from_result(result: Any) -> MetricsRegistry:
-    """One registry absorbing every telemetry surface a result carries.
-
-    ``result`` is an :class:`~repro.harness.experiment.ExperimentResult`
-    (typed as Any to keep :mod:`repro.obs` import-free of the harness).
+    Counters are ints.  The histogram is ``{"edges", "counts", "count",
+    "sum"}``; its sum is accumulated left to right in ``var_history``
+    order, so two runs with the same history report the same bits.
     """
-    registry = MetricsRegistry()
-    if getattr(result, "final_counters", None) is not None:
-        absorb_protocol_counters(registry, result.final_counters)
-    if getattr(result, "net_counters", None) is not None:
-        absorb_net_counters(registry, result.net_counters)
-    if getattr(result, "net_stats", None) is not None:
-        absorb_transport_stats(registry, result.net_stats)
-    return registry
+    out: dict[str, Any] = {}
+    if counters is not None:
+        out.update(_int_fields("prop", counters))
+        history = getattr(counters, "var_history", None)
+        if history:
+            total = 0.0
+            for var in history:
+                total += float(var)
+            out["prop.var"] = {
+                "edges": list(VAR_BUCKETS),
+                "counts": bucket_counts(VAR_BUCKETS, map(float, history)),
+                "count": len(history),
+                "sum": total,
+            }
+    if net_counters is not None:
+        out.update(_int_fields("net", net_counters))
+    if stats is not None:
+        out["transport.sent"] = int(stats.total_sent)
+        out["transport.delivered"] = int(stats.total_delivered)
+        out["transport.dropped"] = int(stats.total_dropped)
+        out["transport.bytes_sent"] = int(stats.bytes_sent)
+        out["transport.max_in_flight"] = float(stats.max_in_flight)
+        for table, counts in (("sent", stats.sent), ("dropped", stats.dropped),
+                              ("drop_reason", stats.drop_reasons)):
+            for key, count in counts.items():
+                out[f"transport.{table}.{key}"] = int(count)
+    return dict(sorted(out.items()))
 
 
 # -- the merged CLI table -------------------------------------------------
@@ -261,23 +135,16 @@ def registry_from_result(result: Any) -> MetricsRegistry:
 NET_TABLE_COLUMNS: tuple[str, str] = ("metric", "value")
 
 
-def net_summary_rows(registry: MetricsRegistry) -> list[list[Any]]:
+def net_summary_rows(snapshot: Mapping[str, Any]) -> list[list[Any]]:
     """Rows for the one merged net-plane table the CLI prints.
 
-    Sourced exclusively from the registry, so ``transport.*`` (wire
+    Sourced from one :func:`metrics_snapshot`, so ``transport.*`` (wire
     telemetry) and ``net.*`` (protocol-visible fault outcomes) appear
-    once each — the NetCounters-vs-TransportStats double-reporting the
-    old two-line summary had is structurally impossible here.
+    once each; histograms have no single-cell rendering and are skipped.
     """
-    snap = registry.snapshot()
-    rows: list[list[Any]] = []
-    for name, value in snap.items():
-        if not (name.startswith("net.") or name.startswith("transport.")):
-            continue
-        if isinstance(value, dict):
-            continue  # histograms have no single-cell rendering
-        rows.append([name, value])
-    return rows
+    return [[name, value] for name, value in snapshot.items()
+            if name.startswith(("net.", "transport."))
+            and not isinstance(value, dict)]
 
 
 def _as_flat_items(snapshot: Mapping[str, Any]) -> Iterable[tuple[str, float]]:

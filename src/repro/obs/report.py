@@ -17,12 +17,13 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from collections import Counter as _TallyCounter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
-from repro.obs.registry import _as_flat_items, registry_from_result
+from repro.obs.registry import _as_flat_items, metrics_snapshot
 
 __all__ = [
     "REPORT_SCHEMA",
@@ -102,7 +103,6 @@ def build_run_report(result: Any) -> RunReport:
     the profiled total); empty when the run was not profiled.
     """
     config = result.config
-    registry = registry_from_result(result)
     event_counts: dict[str, int] = {}
     trace = getattr(result, "trace", None)
     if trace:
@@ -122,7 +122,8 @@ def build_run_report(result: Any) -> RunReport:
         fingerprint=config_fingerprint(config),
         seed=int(config.seed),
         duration=float(config.duration),
-        metrics=registry.snapshot(),
+        metrics=metrics_snapshot(result.final_counters, result.net_counters,
+                                 result.net_stats),
         phases=_phase_breakdown(config),
         event_counts=event_counts,
         profile=profile,
@@ -134,7 +135,7 @@ def build_replicate_report(summary: Any) -> RunReport:
     """Assemble one aggregate report for a replicated run.
 
     ``summary`` is a :class:`repro.harness.replicate.ReplicationSummary`
-    (duck-typed, like :func:`registry_from_result`).  The result is an
+    (duck-typed, like :func:`build_run_report`'s result).  The result is an
     *ordinary* :class:`RunReport` — metrics are per-metric means over
     the per-seed reports (plus a ``replicate.n_replicas`` marker), trace
     event counts are summed, and the samples block carries the
@@ -188,8 +189,48 @@ def save_report(report: RunReport, path: str | Path) -> Path:
     return path
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: Any) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+def _is_finite(value: Any) -> bool:
+    return _is_number(value) and math.isfinite(value)
+
+
+def _is_histogram(value: Any) -> bool:
+    """The ``prop.var`` shape: sorted finite edges, one count per bucket
+    plus the overflow bucket, a finite count and sum."""
+    if not isinstance(value, dict) or set(value) != {"edges", "counts", "count", "sum"}:
+        return False
+    edges, counts = value["edges"], value["counts"]
+    return (isinstance(edges, list) and bool(edges) and all(map(_is_finite, edges))
+            and edges == sorted(edges) and isinstance(counts, list)
+            and len(counts) == len(edges) + 1 and all(map(_is_int, counts))
+            and _is_finite(value["count"]) and _is_finite(value["sum"]))
+
+
+#: What each mapping of a report must hold, value by value.
+_BODY_CHECKS: dict[str, tuple[str, Callable[[Any], bool]]] = {
+    "metrics": ("a finite number or a histogram",
+                lambda v: _is_finite(v) or _is_histogram(v)),
+    "phases": ("a number", _is_number),
+    "samples": ("a number", _is_number),
+    "profile": ("a number", _is_number),
+    "event_counts": ("an int", _is_int),
+}
+
+
 def load_report(path: str | Path) -> RunReport:
-    """Read a report back; ``ValueError`` (naming ``path``) if it is not one."""
+    """Read a report back; ``ValueError`` (naming ``path``) if it is not one.
+
+    Besides the key set, every value :func:`render_markdown` and
+    :func:`diff_reports` format is checked, so a report that loads also
+    renders.
+    """
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -197,9 +238,21 @@ def load_report(path: str | Path) -> RunReport:
     if not isinstance(data, dict) or data.pop("schema", None) != REPORT_SCHEMA:
         raise ValueError(f"{path} is not a run report ({REPORT_SCHEMA})")
     try:
-        return RunReport(**data)
+        report = RunReport(**data)
     except TypeError as exc:  # names the missing / unexpected keys
         raise ValueError(f"{path} is a malformed run report: {exc}") from exc
+    if not (isinstance(report.fingerprint, str) and _is_int(report.seed)
+            and _is_number(report.duration)):
+        raise ValueError(f"{path}: fingerprint, seed or duration has the wrong type")
+    for section, (expected, ok) in _BODY_CHECKS.items():
+        table = getattr(report, section)
+        if not isinstance(table, dict):
+            raise ValueError(f"{path}: {section} is not an object")
+        bad = sorted(name for name, value in table.items() if not ok(value))
+        if bad:
+            raise ValueError(f"{path}: {section} value is not {expected}: "
+                             f"{', '.join(bad)}")
+    return report
 
 
 # -- rendering ------------------------------------------------------------

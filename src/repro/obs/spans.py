@@ -16,22 +16,25 @@ tree completes (root closed and no span of the trace still open), so an
 arbitrarily long run holds only the trees still in flight plus whatever
 the caller asked to keep.
 
-Liveness flags, with the same exit-code discipline as the 2PC timeline
-analyzer (:mod:`repro.obs.analyze`):
+Liveness flags (``python -m repro.obs spans`` / ``critpath`` exit 1 on
+every one except half-open spans):
 
-* **orphan roots** — a root span that never closed: the engine failed
-  to resolve a probe cycle (``finalize_trace`` closes every in-flight
-  root with ``end-of-run``, so a truncated or buggy trace is the only
-  way to get one) — these fail the analysis.
-* **half-open spans** — a non-root span opened but never closed.  In
-  the simulator that is only the run horizon cutting off in-flight
-  messages (injected drops close their span with status ``drop``);
-  over real UDP a kernel-dropped datagram is silent and its ``msg:``
-  span stays half-open — *measured* real-world loss, reported but not
-  an error.
-* **unmatched ends / double closes / detached spans** — a ``SPAN_END``
-  with no matching start, a second end for the same span, or a span
-  whose parent never appeared: instrumentation bugs.
+* **orphan roots** — a root span that never closed (``finalize_trace``
+  closes every in-flight root with ``end-of-run``, so only a truncated
+  or buggy trace has one);
+* **half-open spans** — a non-root span never closed: the run horizon
+  cutting off in-flight messages, or over real UDP a silently dropped
+  datagram — *measured* loss, reported but not an error;
+* **unmatched ends / double closes / detached spans** — an end with no
+  start, a second end, or a span whose parent never appeared:
+  instrumentation bugs;
+* **half-open / over-resolved xids, orphan outcomes** — the post-mortem
+  :func:`assemble_spans` folds every two-phase exchange in the same
+  pass: each ``EXCHANGE_PREPARE`` must resolve as exactly one
+  ``COMMIT`` / ``ABORT`` / ``TIMEOUT``.  Inline commits (``xid = -1``)
+  and late replies (a ``VAR_REPLY`` after its walk timed out) are
+  counted, not failed.  The streaming :class:`SpanAssembler` tracks no
+  xids.
 
 :func:`critical_path` decomposes one completed tree into the segments
 that actually determined the root's duration — the chain to the
@@ -52,7 +55,17 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
-from repro.obs.events import Event, SpanEndEvent, SpanStartEvent
+from repro.obs.events import (
+    Event,
+    ExchangeAbortEvent,
+    ExchangeCommitEvent,
+    ExchangePrepareEvent,
+    ExchangeTimeoutEvent,
+    MsgDeliverEvent,
+    MsgTimeoutEvent,
+    SpanEndEvent,
+    SpanStartEvent,
+)
 
 __all__ = [
     "CriticalSegment",
@@ -71,6 +84,15 @@ __all__ = [
 
 #: Critical-path segment categories, in rendering order.
 CATEGORIES = ("transit", "process", "timer", "wait")
+
+#: How a prepared exchange ended, in rendering order.
+OUTCOMES = ("commit", "abort", "timeout", "half-open")
+
+_OUTCOME_OF: dict[type[Event], str] = {
+    ExchangeCommitEvent: "commit",
+    ExchangeAbortEvent: "abort",
+    ExchangeTimeoutEvent: "timeout",
+}
 
 
 @dataclass
@@ -131,6 +153,15 @@ class SpanAnalysis:
     double_closed: list[tuple[int, int]] = field(default_factory=list)
     #: Spans whose parent never appeared (attached under the root).
     detached: list[tuple[int, int]] = field(default_factory=list)
+    #: Prepared xids by outcome (:data:`OUTCOMES`); only the post-mortem
+    #: :func:`assemble_spans` fills this and the xid fields below.
+    exchanges: dict[str, int] = field(default_factory=lambda: dict.fromkeys(OUTCOMES, 0))
+    half_open_xids: list[int] = field(default_factory=list)
+    over_resolved: list[int] = field(default_factory=list)  # >1 outcome
+    orphan_outcomes: list[int] = field(default_factory=list)  # no prepare
+    #: ``(time, initiator, cycle)`` of each VAR_REPLY after its walk timed out.
+    late_replies: list[tuple[float, int, int]] = field(default_factory=list)
+    inline_commits: int = 0
 
     @property
     def root_status_counts(self) -> dict[str, int]:
@@ -145,14 +176,17 @@ class SpanAnalysis:
 
     @property
     def clean(self) -> bool:
-        """True when every root closed and no instrumentation bug showed.
+        """True when every root closed, no instrumentation bug showed
+        and every prepared xid resolved exactly once.
 
         ``half_open`` spans do not fail the analysis — over real UDP
         they are measured loss, and in the simulator only the run
         horizon produces them.
         """
         return (not self.orphans and not self.unmatched_ends
-                and not self.double_closed and not self.detached)
+                and not self.double_closed and not self.detached
+                and not self.half_open_xids and not self.over_resolved
+                and not self.orphan_outcomes)
 
 
 class _TraceState:
@@ -297,18 +331,48 @@ class SpanAssembler:
 
 def assemble_spans(events: Iterable[Event],
                    end_time: float | None = None) -> SpanAnalysis:
-    """Fold a buffered trace into a :class:`SpanAnalysis`.
+    """Fold a buffered trace into a :class:`SpanAnalysis`: span trees
+    plus the per-xid exchange fold (see module docs).
 
     ``end_time`` defaults to the last event's timestamp (0.0 for an
     empty trace) — the post-mortem analogue of the streaming path.
     """
     assembler = SpanAssembler()
+    prepared: set[int] = set()
+    outcomes: dict[int, str] = {}
+    over_resolved: list[int] = []
+    walk_timeouts: set[tuple[int, int]] = set()  # (initiator, cycle)
+    late_replies: list[tuple[float, int, int]] = []
+    inline_commits = 0
     last = 0.0
     for ev in events:
         assembler.on_event(ev)
         last = ev.time
+        if isinstance(ev, ExchangePrepareEvent):
+            prepared.add(ev.xid)
+        elif isinstance(ev, (ExchangeCommitEvent, ExchangeAbortEvent,
+                             ExchangeTimeoutEvent)):
+            if ev.xid < 0:  # inline engines: no prepare to match
+                inline_commits += isinstance(ev, ExchangeCommitEvent)
+            elif ev.xid not in outcomes:
+                outcomes[ev.xid] = _OUTCOME_OF[type(ev)]
+            elif ev.xid not in over_resolved:
+                over_resolved.append(ev.xid)
+        elif isinstance(ev, MsgTimeoutEvent) and ev.kind == "walk":
+            walk_timeouts.add((ev.u, ev.tag))
+        elif (isinstance(ev, MsgDeliverEvent) and ev.mtype == "VAR_REPLY"
+              and (ev.dst, ev.tag) in walk_timeouts):
+            late_replies.append((ev.time, ev.dst, ev.tag))
     assembler.finish(end_time if end_time is not None else last)
-    return assembler.result()
+    analysis = assembler.result()
+    for xid in prepared:
+        analysis.exchanges[outcomes.get(xid, "half-open")] += 1
+    analysis.half_open_xids = sorted(prepared - set(outcomes))
+    analysis.over_resolved = over_resolved
+    analysis.orphan_outcomes = sorted(set(outcomes) - prepared)
+    analysis.late_replies = late_replies
+    analysis.inline_commits = inline_commits
+    return analysis
 
 
 # -- critical path --------------------------------------------------------
@@ -419,6 +483,28 @@ def _render_span(span: Span, depth: int, lines: list[str]) -> None:
         _render_span(child, depth + 1, lines)
 
 
+def _exchange_lines(analysis: SpanAnalysis) -> list[str]:
+    """The 2PC summary line plus one line per liveness flag raised."""
+    counts = analysis.exchanges
+    lines = [
+        f"{sum(counts.values())} two-phase exchanges: {counts['commit']} committed, "
+        f"{counts['abort']} aborted, {counts['timeout']} timed out, "
+        f"{counts['half-open']} half-open"
+    ]
+    if analysis.inline_commits:
+        lines.append(f"{analysis.inline_commits} inline commits (no 2PC, xid=-1)")
+    if analysis.late_replies:
+        lines.append(f"{len(analysis.late_replies)} late VAR_REPLYs "
+                     "(walk already timed out)")
+    if analysis.over_resolved:
+        lines.append(f"PROTOCOL BUG: xids resolved twice: {analysis.over_resolved}")
+    if analysis.orphan_outcomes:
+        lines.append(f"PROTOCOL BUG: outcomes without prepare: {analysis.orphan_outcomes}")
+    if analysis.half_open_xids:
+        lines.append(f"HALF-OPEN xids: {analysis.half_open_xids}")
+    return lines
+
+
 def render_span_trees(analysis: SpanAnalysis, *, limit: int | None = 10) -> str:
     """Text rendering for ``python -m repro.obs spans``."""
     lines: list[str] = []
@@ -428,6 +514,7 @@ def render_span_trees(analysis: SpanAnalysis, *, limit: int | None = 10) -> str:
         f"{len(analysis.trees)} span trees "
         f"({len(analysis.complete_trees)} complete) — roots {statuses or '-'}"
     )
+    lines += _exchange_lines(analysis)
     if analysis.orphans:
         lines.append(f"ORPHAN roots (never closed): {analysis.orphans[:20]}"
                      + (" …" if len(analysis.orphans) > 20 else ""))
@@ -476,6 +563,7 @@ def render_critical_paths(analysis: SpanAnalysis, *,
     lines.append(f"{len(complete)} complete trees "
                  f"({len(analysis.trees) - len(complete)} incomplete skipped) "
                  f"— critical path: {share}")
+    lines += _exchange_lines(analysis)
     shown = per_tree
     if limit is not None and len(shown) > limit:
         lines.append(f"(showing first {limit} of {len(shown)} paths)")
@@ -512,6 +600,12 @@ def analysis_to_dict(analysis: SpanAnalysis) -> dict[str, Any]:
         "unmatched_ends": len(analysis.unmatched_ends),
         "double_closed": len(analysis.double_closed),
         "detached": len(analysis.detached),
+        "exchanges": dict(analysis.exchanges),
+        "half_open_xids": len(analysis.half_open_xids),
+        "over_resolved": len(analysis.over_resolved),
+        "orphan_outcomes": len(analysis.orphan_outcomes),
+        "late_replies": len(analysis.late_replies),
+        "inline_commits": analysis.inline_commits,
         "critical_path_seconds": {k: round(v, 6) for k, v in grand.items()},
         "clean": analysis.clean,
     }

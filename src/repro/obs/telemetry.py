@@ -2,10 +2,10 @@
 
 A long-running deployment (``repro.live``) cannot wait for the final
 report to find out how it is doing.  :class:`TelemetrySnapshot` is one
-periodic observation — the full :class:`~repro.obs.registry.
-MetricsRegistry` snapshot, the span-assembler liveness gauges (open
-spans / open traces / completed trees) and the per-peer wire-byte
-counters — and :class:`TelemetryExporter` appends snapshots to a JSONL
+periodic observation — the full
+:func:`~repro.obs.registry.metrics_snapshot`, the span-assembler
+liveness gauges (open spans / open traces / completed trees) and the
+per-peer wire-byte counters — and :class:`TelemetryExporter` appends snapshots to a JSONL
 file, flushing each line so an operator can ``tail -f`` the file while
 the swarm runs.
 
@@ -22,15 +22,16 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, IO, Mapping
 
-__all__ = ["TelemetryExporter", "TelemetrySnapshot", "load_telemetry"]
+__all__ = ["TelemetryExporter", "TelemetrySnapshot"]
 
 
 @dataclass(frozen=True)
 class TelemetrySnapshot:
     """One periodic observation of a running deployment.
 
-    ``metrics`` is a :meth:`~repro.obs.registry.MetricsRegistry.snapshot`
-    mapping (counters and gauges as scalars, histograms as dicts).  The
+    ``metrics`` is a :func:`~repro.obs.registry.metrics_snapshot`
+    mapping (counters as ints, ``transport.max_in_flight`` as a float,
+    the ``prop.var`` histogram as a dict).  The
     span gauges come from a streaming
     :class:`~repro.obs.spans.SpanAssembler`; the wire-byte maps from the
     transport's per-peer counters (slot -> bytes).
@@ -112,12 +113,3 @@ class TelemetryExporter:
             self._fh.close()
             self._fh = None
 
-
-def load_telemetry(path: str | Path) -> list[dict[str, Any]]:
-    """Parse an exported telemetry file back into snapshot dicts."""
-    out: list[dict[str, Any]] = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if line:
-            out.append(json.loads(line))
-    return out

@@ -22,10 +22,10 @@ the byte-determinism guarantee extends to what subscribers see, so a
 consumer fed a buffered trace's events in a loop ends in the state a
 streaming run of the same seed leaves it in.
 
-The tracer deliberately has no I/O of its own beyond
-:meth:`Tracer.write_jsonl` / :func:`write_events_jsonl`; keeping events
-in memory until the run ends is what makes the serial and multi-process
-traces byte-identical (workers cannot interleave writes into one file).
+The tracer deliberately has no I/O of its own: :func:`write_events_jsonl`
+writes a finished trace.  Keeping events in memory until the run ends is
+what makes the serial and multi-process traces byte-identical (workers
+cannot interleave writes into one file).
 """
 
 from __future__ import annotations
@@ -175,11 +175,3 @@ class Tracer:
 
     def __len__(self) -> int:
         return len(self.events)
-
-    def to_jsonl(self) -> str:
-        """The canonical JSONL form of the collected trace."""
-        return events_to_jsonl(self.events)
-
-    def write_jsonl(self, path: str | Path) -> Path:
-        """Write the trace to ``path``; parent directories are created."""
-        return write_events_jsonl(self.events, path)

@@ -1,4 +1,6 @@
-"""Unified metrics registry: primitives, adapters, and the merged table."""
+"""The one metrics snapshot, the merged net table, bucket percentiles."""
+
+import json
 
 import pytest
 
@@ -6,116 +8,90 @@ from repro.core.protocol import ProtocolCounters
 from repro.net.engine import NetCounters
 from repro.net.transport import TransportStats
 from repro.obs.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
     NET_TABLE_COLUMNS,
     VAR_BUCKETS,
-    absorb_net_counters,
-    absorb_protocol_counters,
-    absorb_transport_stats,
+    bucket_counts,
+    metrics_snapshot,
     net_summary_rows,
     percentile_from_buckets,
-    registry_from_result,
 )
 
+#: ``MetricsRegistry`` + the three ``absorb_*`` adapters' snapshot of the
+#: ``lossy_traced_result`` fixture run, captured before they were
+#: replaced by :func:`metrics_snapshot`.
+FIXTURE_SNAPSHOT = {
+    "net.busy_rejects": 0, "net.late_replies": 0, "net.late_votes": 0,
+    "net.prepare_retries": 24, "net.prepared_timeouts": 14, "net.stale_aborts": 0,
+    "net.vote_timeouts": 16, "net.walk_timeouts": 377,
+    "prop.collect_messages": 3513, "prop.exchanges": 31, "prop.notify_messages": 432,
+    "prop.probes": 592,
+    "prop.var": {"edges": [0.0, 10.0, 50.0, 100.0, 250.0, 500.0, 1000.0],
+                 "counts": [159, 1, 6, 9, 10, 18, 3, 0], "count": 206, "sum": -63120.0},
+    "prop.walk_messages": 998,
+    "transport.bytes_sent": 189933, "transport.delivered": 3589,
+    "transport.drop_reason.loss": 1490, "transport.dropped": 1490,
+    "transport.dropped.EXCHANGE_ABORT": 5, "transport.dropped.EXCHANGE_COMMIT": 18,
+    "transport.dropped.EXCHANGE_PREPARE": 22, "transport.dropped.NOTIFY": 134,
+    "transport.dropped.VAR_PROBE": 930, "transport.dropped.VAR_REPLY": 71,
+    "transport.dropped.WALK": 310, "transport.max_in_flight": 23.0,
+    "transport.sent": 5079, "transport.sent.EXCHANGE_ABORT": 16,
+    "transport.sent.EXCHANGE_COMMIT": 49, "transport.sent.EXCHANGE_PREPARE": 71,
+    "transport.sent.NOTIFY": 432, "transport.sent.VAR_PROBE": 3231,
+    "transport.sent.VAR_REPLY": 282, "transport.sent.WALK": 998,
+}
 
-class TestPrimitives:
-    def test_counter_increments(self):
-        c = Counter("x")
-        c.inc()
-        c.inc(4)
-        assert c.value == 5
 
-    def test_counter_rejects_decrease(self):
-        with pytest.raises(ValueError, match="cannot decrease"):
-            Counter("x").inc(-1)
+def _snapshot(result):
+    return metrics_snapshot(result.final_counters, result.net_counters, result.net_stats)
 
-    def test_gauge_last_write_wins(self):
-        g = Gauge("x")
-        g.set(3)
-        g.set(1.5)
-        assert g.value == 1.5
+
+class TestMetricsSnapshot:
+    def test_equals_the_registry_snapshot_it_replaced(self, lossy_traced_result):
+        snap = _snapshot(lossy_traced_result)
+        assert snap == FIXTURE_SNAPSHOT
+        assert list(snap) == sorted(snap)
+        assert snap["prop.var"]["sum"].hex() == FIXTURE_SNAPSHOT["prop.var"]["sum"].hex()
+        assert type(snap["transport.max_in_flight"]) is float
+        assert all(type(v) is int for k, v in snap.items()
+                   if k not in ("prop.var", "transport.max_in_flight"))
+
+    def test_var_sum_accumulates_left_to_right(self):
+        # plain float += in history order, not math.fsum (0.6) or np.sum
+        snap = metrics_snapshot(ProtocolCounters(var_history=[0.1, 0.2, 0.3]))
+        assert snap["prop.var"]["sum"] == 0.6000000000000001
 
     def test_histogram_buckets_and_overflow(self):
-        h = Histogram("x", edges=(10.0, 100.0))
-        for v in (5.0, 50.0, 500.0, 7.0):
-            h.observe(v)
-        assert h.counts == [2, 1, 1]  # <=10, <=100, overflow
-        assert h.count == 4
-        assert h.mean == pytest.approx((5 + 50 + 500 + 7) / 4)
-
-    def test_histogram_requires_sorted_edges(self):
-        with pytest.raises(ValueError, match="sorted"):
-            Histogram("x", edges=(100.0, 10.0))
-        with pytest.raises(ValueError, match="sorted"):
-            Histogram("x", edges=())
-
-
-class TestRegistry:
-    def test_get_or_create_returns_same_object(self):
-        reg = MetricsRegistry()
-        assert reg.counter("a.b") is reg.counter("a.b")
-        assert reg.gauge("g") is reg.gauge("g")
-        assert reg.histogram("h") is reg.histogram("h")
-
-    def test_cross_kind_collision_rejected(self):
-        reg = MetricsRegistry()
-        reg.counter("x")
-        with pytest.raises(ValueError, match="another kind"):
-            reg.gauge("x")
-        with pytest.raises(ValueError, match="another kind"):
-            reg.histogram("x")
-
-    def test_histogram_edge_mismatch_rejected(self):
-        reg = MetricsRegistry()
-        reg.histogram("h", edges=(1.0, 2.0))
-        with pytest.raises(ValueError, match="different edges"):
-            reg.histogram("h", edges=(1.0, 3.0))
+        assert bucket_counts((10.0, 100.0), [5.0, 50.0, 500.0, 7.0, 10.0]) == [3, 1, 1]
+        snap = metrics_snapshot(ProtocolCounters(var_history=[-3.0, 0.0, 1000.0, 1e6]))
+        assert snap["prop.var"]["counts"] == [2, 0, 0, 0, 0, 0, 1, 1]
 
     def test_snapshot_is_sorted_and_json_ready(self):
-        reg = MetricsRegistry()
-        reg.counter("b").inc(2)
-        reg.gauge("a").set(1.5)
-        h = reg.histogram("c", edges=(10.0,))
-        h.observe(3.0)
-        snap = reg.snapshot()
+        stats = TransportStats()
+        stats.sent["WALK"] = 3
+        snap = metrics_snapshot(ProtocolCounters(probes=2, var_history=[3.0]),
+                                NetCounters(), stats)
         assert list(snap) == sorted(snap)
-        assert snap["b"] == 2 and snap["a"] == 1.5
-        assert snap["c"] == {"edges": [10.0], "counts": [1, 0], "count": 1, "sum": 3.0}
+        assert json.loads(json.dumps(snap)) == snap
 
-    def test_names_spans_all_kinds(self):
-        reg = MetricsRegistry()
-        reg.counter("c")
-        reg.gauge("g")
-        reg.histogram("h")
-        assert reg.names() == ["c", "g", "h"]
-
-
-class TestAdapters:
-    def test_absorb_protocol_counters(self):
+    def test_protocol_counters(self):
         counters = ProtocolCounters(
             probes=10, exchanges=4, walk_messages=20,
             collect_messages=8, notify_messages=12,
             var_history=[5.0, 500.0],
         )
-        reg = MetricsRegistry()
-        absorb_protocol_counters(reg, counters)
-        snap = reg.snapshot()
+        snap = metrics_snapshot(counters)
         assert snap["prop.probes"] == 10
         assert snap["prop.exchanges"] == 4
         assert snap["prop.var"]["count"] == 2
         assert snap["prop.var"]["edges"] == list(VAR_BUCKETS)
+        assert "prop.var" not in metrics_snapshot(ProtocolCounters())
 
-    def test_absorb_net_counters(self):
-        reg = MetricsRegistry()
-        absorb_net_counters(reg, NetCounters(walk_timeouts=3, busy_rejects=1))
-        snap = reg.snapshot()
+    def test_net_counters(self):
+        snap = metrics_snapshot(net_counters=NetCounters(walk_timeouts=3, busy_rejects=1))
         assert snap["net.walk_timeouts"] == 3
         assert snap["net.busy_rejects"] == 1
 
-    def test_absorb_transport_stats(self):
+    def test_transport_stats(self):
         stats = TransportStats()
         stats.sent["PROBE"] = 7
         stats.delivered["PROBE"] = 5
@@ -123,9 +99,7 @@ class TestAdapters:
         stats.drop_reasons["loss"] = 2
         stats.bytes_sent = 700
         stats.max_in_flight = 4
-        reg = MetricsRegistry()
-        absorb_transport_stats(reg, stats)
-        snap = reg.snapshot()
+        snap = metrics_snapshot(stats=stats)
         assert snap["transport.sent"] == 7
         assert snap["transport.delivered"] == 5
         assert snap["transport.dropped"] == 2
@@ -134,24 +108,15 @@ class TestAdapters:
         assert snap["transport.bytes_sent"] == 700
         assert snap["transport.max_in_flight"] == 4.0
 
-    def test_registry_from_result_absorbs_every_surface(self):
-        class Result:
-            final_counters = ProtocolCounters(probes=2)
-            net_counters = NetCounters(walk_timeouts=1)
-            net_stats = TransportStats()
-
-        snap = registry_from_result(Result()).snapshot()
+    def test_every_surface_at_once(self):
+        snap = metrics_snapshot(ProtocolCounters(probes=2), NetCounters(walk_timeouts=1),
+                                TransportStats())
         assert snap["prop.probes"] == 2
         assert snap["net.walk_timeouts"] == 1
         assert snap["transport.sent"] == 0
 
-    def test_registry_from_result_tolerates_absent_surfaces(self):
-        class Bare:
-            final_counters = None
-            net_counters = None
-            net_stats = None
-
-        assert registry_from_result(Bare()).names() == []
+    def test_absent_surfaces_give_an_empty_snapshot(self):
+        assert metrics_snapshot() == {}
 
 
 class TestMergedTable:
@@ -159,21 +124,18 @@ class TestMergedTable:
         assert NET_TABLE_COLUMNS == ("metric", "value")
 
     def test_rows_cover_both_planes_once(self):
-        reg = MetricsRegistry()
-        absorb_net_counters(reg, NetCounters(walk_timeouts=2))
-        absorb_transport_stats(reg, TransportStats())
-        reg.counter("prop.probes").inc(5)  # out of scope for the net table
-        rows = net_summary_rows(reg)
+        snap = metrics_snapshot(ProtocolCounters(probes=5), NetCounters(walk_timeouts=2),
+                                TransportStats())
+        rows = net_summary_rows(snap)
         names = [name for name, _ in rows]
         assert names == sorted(names)
         assert names.count("net.walk_timeouts") == 1
         assert names.count("transport.sent") == 1
-        assert not any(n.startswith("prop.") for n in names)
+        assert not any(n.startswith("prop.") for n in names)  # out of scope
 
     def test_histograms_excluded_from_rows(self):
-        reg = MetricsRegistry()
-        reg.histogram("net.var").observe(1.0)
-        assert net_summary_rows(reg) == []
+        hist = {"edges": [1.0], "counts": [1, 0], "count": 1, "sum": 1.0}
+        assert net_summary_rows({"net.var": hist}) == []
 
 
 class TestPercentileFromBuckets:

@@ -106,6 +106,51 @@ class TestPersistence:
             assert str(path) in str(excinfo.value)
 
 
+#: Well-keyed reports whose body render/diff cannot print: each is a
+#: ValueError naming the path and the offending section.
+MALFORMED_BODIES = {
+    "metric-string": {"metrics": {"a": "abc"}},
+    "metrics-list": {"metrics": [1, 2]},
+    "histogram-extra-counts": {"metrics": {"h": {"edges": [1.0], "counts": [1, 2, 3],
+                                                 "count": 6, "sum": 6.0}}},
+    "histogram-unsorted-edges": {"metrics": {"h": {"edges": [2.0, 1.0], "counts": [0, 0, 0],
+                                                   "count": 0, "sum": 0.0}}},
+    "metric-overflow": {"metrics": {"a": 1e400}},
+    "phase-string": {"phases": {"warmup": "x"}},
+    "sample-null": {"samples": {"final_link_stretch": None}},
+    "profile-string": {"profile": {"build": "1.5"}},
+    "event-count-float": {"event_counts": {"PROBE": 1.5}},
+    "duration-string": {"duration": "600"},
+}
+
+
+class TestBodyValidation:
+    @staticmethod
+    def _write(lossy_traced_result, tmp_path, body):
+        good = build_run_report(lossy_traced_result).to_dict()
+        path = tmp_path / "report.json"
+        # json.dumps writes 1e400 as Infinity, which json.loads reads back
+        path.write_text(json.dumps(dict(good, **body)), encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("body", MALFORMED_BODIES.values(), ids=MALFORMED_BODIES)
+    def test_load_report_names_path_and_section(
+        self, body, lossy_traced_result, tmp_path
+    ):
+        path = self._write(lossy_traced_result, tmp_path, body)
+        with pytest.raises(ValueError, match=next(iter(body))) as excinfo:
+            load_report(path)
+        assert str(path) in str(excinfo.value)
+
+    @pytest.mark.parametrize("body", MALFORMED_BODIES.values(), ids=MALFORMED_BODIES)
+    def test_render_and_diff_exit_two(self, body, lossy_traced_result, tmp_path, capsys):
+        path = str(self._write(lossy_traced_result, tmp_path, body))
+        for argv in (["render", path], ["diff", path, path]):
+            assert obs_main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.count("\n") == 1
+
+
 class TestCli:
     def test_diff_and_render_exit_two_on_bad_reports(
         self, lossy_traced_result, tmp_path, capsys

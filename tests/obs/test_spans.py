@@ -1,20 +1,32 @@
-"""Causal span trees: assembly, liveness flags, critical path, CLI.
+"""Causal span trees and the 2PC exchange fold: assembly, liveness
+flags, critical path, CLI.
 
 The synthetic-stream tests pin the assembler's semantics exactly; the
 fixture-backed tests (30%-loss FaultyTransport run, session-scoped)
-assert the span-tree invariants hold under real fault injection; the
-CLI tests pin the exit-code discipline on a synthetically truncated
-trace.
+assert the span-tree invariants and the exactly-once exchange invariant
+hold under real fault injection; the CLI tests pin the exit-code
+discipline: 0 clean, 1 violation, 2 unreadable trace.
 """
 
 import json
+from collections import Counter
 
 import pytest
 
 from tests.obs.conftest import LOSSY_TRACED
 from repro.harness.sweep import run_sweep
 from repro.obs.__main__ import main as obs_main
-from repro.obs.events import SpanEndEvent, SpanStartEvent
+from repro.obs.events import (
+    ExchangeAbortEvent,
+    ExchangeCommitEvent,
+    ExchangePrepareEvent,
+    ExchangeTimeoutEvent,
+    MsgDeliverEvent,
+    MsgTimeoutEvent,
+    SpanEndEvent,
+    SpanStartEvent,
+    load_trace,
+)
 from repro.obs.spans import (
     SpanAssembler,
     analysis_to_dict,
@@ -144,6 +156,95 @@ class TestAssembler:
             SpanAssembler().result()
 
 
+def _prepare(xid, t=1.0):
+    return ExchangePrepareEvent(time=t, xid=xid, u=1, v=2, var=10.0)
+
+
+def _commit(xid, t=2.0):
+    return ExchangeCommitEvent(time=t, xid=xid, u=1, v=2, var=10.0, traded=4)
+
+
+#: Hand-made exchange traces: the three protocol bugs fail the analysis,
+#: inline commits and late replies are counted only.
+HALF_OPEN = [_prepare(5)]
+OVER_RESOLVED = [_prepare(1), _commit(1),
+                 ExchangeAbortEvent(time=3.0, xid=1, u=1, v=2, reason="late")]
+ORPHAN = [_commit(9)]
+INLINE = [_commit(-1, t=1.0),
+          ExchangeAbortEvent(time=2.0, xid=-1, u=3, v=4, reason="stale")]
+LATE_REPLY = [
+    MsgTimeoutEvent(time=5.0, kind="walk", u=1, tag=3),
+    MsgDeliverEvent(time=6.0, mtype="VAR_REPLY", src=2, dst=1, tag=3),
+    # different cycle: not late
+    MsgDeliverEvent(time=6.5, mtype="VAR_REPLY", src=2, dst=1, tag=4),
+]
+
+
+class TestExchangeFold:
+    def test_each_outcome_kind_matches_its_prepare(self):
+        events = [
+            _prepare(1, t=1.0),
+            _prepare(2, t=1.5),
+            _prepare(3, t=2.0),
+            _commit(1, t=3.0),
+            ExchangeAbortEvent(time=3.5, xid=2, u=1, v=2, reason="stale"),
+            ExchangeTimeoutEvent(time=4.0, xid=3, u=1, v=2),
+        ]
+        analysis = assemble_spans(events)
+        assert analysis.clean
+        assert analysis.exchanges == {
+            "commit": 1, "abort": 1, "timeout": 1, "half-open": 0,
+        }
+
+    def test_half_open_prepare_is_flagged(self):
+        analysis = assemble_spans(HALF_OPEN)
+        assert analysis.half_open_xids == [5]
+        assert analysis.exchanges["half-open"] == 1
+        assert not analysis.clean
+
+    def test_double_resolution_is_flagged(self):
+        analysis = assemble_spans(OVER_RESOLVED)
+        assert analysis.over_resolved == [1]
+        assert not analysis.clean
+        assert analysis.exchanges["commit"] == 1  # the first outcome counts
+
+    def test_orphan_outcome_is_flagged(self):
+        analysis = assemble_spans(ORPHAN)
+        assert analysis.orphan_outcomes == [9]
+        assert not analysis.clean
+
+    def test_inline_events_are_excluded_from_matching(self):
+        """xid = -1 commits/aborts come from the non-2PC engines."""
+        analysis = assemble_spans(INLINE)
+        assert analysis.clean
+        assert analysis.inline_commits == 1
+        assert sum(analysis.exchanges.values()) == 0 and analysis.orphan_outcomes == []
+
+    def test_late_reply_detection(self):
+        analysis = assemble_spans(LATE_REPLY)
+        assert analysis.late_replies == [(6.0, 1, 3)]
+        assert analysis.clean
+
+    def test_streaming_assembler_tracks_no_xids(self):
+        assembler = SpanAssembler()
+        for ev in HALF_OPEN + ORPHAN:
+            assembler.on_event(ev)
+        assembler.finish(3.0)
+        assert assembler.result().clean and assembler.result().half_open_xids == []
+
+    def test_summary_and_bug_lines(self):
+        events = [_prepare(1), _commit(1), _prepare(2, t=3.0)]
+        for render in (render_span_trees, render_critical_paths):
+            text = render(assemble_spans(events))
+            assert "2 two-phase exchanges: 1 committed" in text
+            assert "HALF-OPEN xids: [2]" in text
+        text = render_span_trees(assemble_spans(OVER_RESOLVED + ORPHAN + INLINE + LATE_REPLY))
+        assert "PROTOCOL BUG: xids resolved twice: [1]" in text
+        assert "PROTOCOL BUG: outcomes without prepare: [9]" in text
+        assert "1 inline commits (no 2PC, xid=-1)" in text
+        assert "1 late VAR_REPLYs" in text
+
+
 class TestCriticalPath:
     def _tree(self):
         events = [
@@ -200,6 +301,11 @@ class TestRendering:
         assert set(data["critical_path_seconds"]) == {
             "transit", "process", "timer", "wait",
         }
+        data = analysis_to_dict(assemble_spans(HALF_OPEN + ORPHAN + LATE_REPLY))
+        assert data["exchanges"] == {"commit": 0, "abort": 0, "timeout": 0, "half-open": 1}
+        assert (data["half_open_xids"], data["orphan_outcomes"], data["late_replies"],
+                data["over_resolved"], data["inline_commits"]) == (1, 1, 1, 0, 0)
+        assert not data["clean"]
 
 
 class TestFaultInvariants:
@@ -228,9 +334,41 @@ class TestFaultInvariants:
         seen = {s for t in analysis.trees for s in statuses(t.root)}
         assert "drop" in seen  # FaultyTransport losses are observable
 
+    def test_every_prepare_resolves_exactly_once(self, lossy_traced_result):
+        analysis = assemble_spans(lossy_traced_result.trace)
+        prepares = [
+            ev for ev in lossy_traced_result.trace
+            if isinstance(ev, ExchangePrepareEvent)
+        ]
+        assert prepares, "a lossy 2PC run must propose exchanges"
+        assert analysis.clean, (
+            f"half-open={analysis.half_open_xids} over={analysis.over_resolved} "
+            f"orphans={analysis.orphan_outcomes}"
+        )
+        counts = analysis.exchanges
+        assert counts["half-open"] == 0
+        assert counts["commit"] + counts["abort"] + counts["timeout"] == len(
+            {ev.xid for ev in prepares}
+        )
+        # under 30% loss some exchanges must fail, some must survive
+        assert counts["commit"] > 0
+        assert counts["abort"] + counts["timeout"] > 0
+
+    def test_prepare_events_are_unique_per_xid(self, lossy_traced_result):
+        xids = Counter(
+            ev.xid for ev in lossy_traced_result.trace
+            if isinstance(ev, ExchangePrepareEvent)
+        )
+        assert all(n == 1 for n in xids.values()), xids.most_common(3)
+
+    def test_round_trips_through_jsonl_file(self, lossy_traced_result, tmp_path):
+        path = write_events_jsonl(lossy_traced_result.trace, tmp_path / "trace.jsonl")
+        assert analysis_to_dict(assemble_spans(load_trace(path))) == analysis_to_dict(
+            assemble_spans(lossy_traced_result.trace))
+
 
 class TestCliExitCodes:
-    """Satellite: the analyzer CLI on a synthetically truncated trace."""
+    """The analyzer CLI on synthetic traces: clean, violating, unreadable."""
 
     def test_clean_trace_exits_zero(self, tmp_path, capsys):
         path = write_events_jsonl(COMPLETE, tmp_path / "t.jsonl")
@@ -245,6 +383,36 @@ class TestCliExitCodes:
         assert "ORPHAN" in capsys.readouterr().out
         assert obs_main(["critpath", str(path)]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("events", [HALF_OPEN, OVER_RESOLVED, ORPHAN],
+                             ids=["half-open", "over-resolved", "orphan"])
+    def test_exchange_bug_exits_one(self, events, tmp_path, capsys):
+        path = write_events_jsonl(events, tmp_path / "t.jsonl")
+        assert obs_main(["spans", str(path)]) == 1
+        assert obs_main(["critpath", str(path)]) == 1
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("events", [INLINE, LATE_REPLY], ids=["inline", "late-reply"])
+    def test_counted_only_exits_zero(self, events, tmp_path, capsys):
+        path = write_events_jsonl(events, tmp_path / "t.jsonl")
+        assert obs_main(["spans", str(path)]) == 0
+        assert "two-phase exchanges" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("content", [
+        None,  # missing file
+        '{"e":"PROBE","t":1.0,"u":1,"s":2,"cycle":0}\nnot json\n',
+        '{"t":1.0,"u":1}\n',  # no event tag
+    ], ids=["missing", "invalid-json", "unknown-tag"])
+    def test_unreadable_trace_exits_two(self, content, tmp_path, capsys):
+        path = tmp_path / "t.jsonl"
+        if content is not None:
+            path.write_text(content, encoding="utf-8")
+        for command in ("spans", "critpath"):
+            assert obs_main([command, str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"{command}: ") and captured.err.count("\n") == 1
+            assert str(path) in captured.err
 
     def test_json_out_artifact(self, tmp_path, capsys):
         trace = write_events_jsonl(COMPLETE, tmp_path / "t.jsonl")

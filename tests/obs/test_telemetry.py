@@ -2,11 +2,7 @@
 
 import json
 
-from repro.obs.telemetry import (
-    TelemetryExporter,
-    TelemetrySnapshot,
-    load_telemetry,
-)
+from repro.obs.telemetry import TelemetryExporter, TelemetrySnapshot
 
 SNAP = TelemetrySnapshot(
     time=60.25,
@@ -18,6 +14,12 @@ SNAP = TelemetrySnapshot(
     wire_bytes_out={1: 512, 0: 256},
     wire_bytes_in={0: 300},
 )
+
+
+
+def _records(path):
+    """The exported snapshots, one dict per JSONL line."""
+    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
 
 
 class TestSnapshot:
@@ -64,7 +66,7 @@ class TestExporter:
         exporter.write(TelemetrySnapshot(time=120.0, seq=1, metrics={}))
         exporter.close()
         assert exporter.written == 2
-        records = load_telemetry(path)
+        records = _records(path)
         assert [r["seq"] for r in records] == [0, 1]
         assert records[0] == SNAP.to_dict()
 
@@ -73,7 +75,7 @@ class TestExporter:
         exporter = TelemetryExporter(path)
         exporter.write(SNAP)
         # readable mid-run without close(): the tail -f contract
-        assert len(load_telemetry(path)) == 1
+        assert len(_records(path)) == 1
         exporter.close()
 
     def test_close_is_idempotent(self, tmp_path):

@@ -1,7 +1,7 @@
 """Tracer / NullTracer behavior."""
 
-from repro.obs.events import ProbeEvent
-from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
+from repro.obs.events import ProbeEvent, events_to_jsonl
+from repro.obs.trace import NULL_TRACER, NullTracer, Tracer, write_events_jsonl
 
 
 class _Recorder:
@@ -52,9 +52,9 @@ class TestTracer:
     def test_write_jsonl_creates_parents(self, tmp_path):
         t = Tracer()
         t.emit(ProbeEvent, u=1, s=2, cycle=0)
-        out = t.write_jsonl(tmp_path / "deep" / "nested" / "trace.jsonl")
+        out = write_events_jsonl(t.events, tmp_path / "deep" / "nested" / "trace.jsonl")
         assert out.exists()
-        assert out.read_text() == t.to_jsonl()
+        assert out.read_text() == events_to_jsonl(t.events)
 
     def test_instrumentation_guard_pattern(self):
         """The site-level contract: guard on .enabled, emit only when on."""

@@ -21,7 +21,7 @@ EXCEPTIONS: frozenset[str] = frozenset()
 
 #: Packages whose worklist is done: no ``todo`` row may name them.
 SETTLED_PACKAGES = ("repro.overlay.", "repro.metrics.", "repro.net.", "repro.netsim.",
-                    "repro.harness.", "repro.analysis.")
+                    "repro.harness.", "repro.analysis.", "repro.obs.")
 
 #: Defs no root reaches, by qualified name.  ``reference``: a test
 #: compares production against it.  ``todo``: not adjudicated yet — the
@@ -44,12 +44,9 @@ UNREACHED_DEFS: dict[str, str] = {
     "repro.core.protocol.ProtocolCounters.messages_per_probe": "todo",
     "repro.live.clock.LivePeriodic.stopped": "todo",
     "repro.live.codec.encoded_size": "todo",
+    "repro.live.codec.frame": "todo",
     "repro.live.codec.unframe": "todo",
     "repro.live.swarm.ChurnSchedule.total_replacements": "todo",
-    "repro.obs.analyze.ExchangeTimeline.resolution_seconds": "todo",
-    "repro.obs.telemetry.load_telemetry": "todo",
-    "repro.obs.trace.Tracer.to_jsonl": "todo",
-    "repro.obs.trace.Tracer.write_jsonl": "todo",
     "repro.topology.presets.ts_small": "todo",
     "repro.topology.transit_stub.PhysicalNetwork.transit_hosts": "todo",
     "repro.topology.transit_stub._EdgeAccumulator.has": "todo",
