@@ -15,10 +15,11 @@ are directly comparable ("same world, different optimizer").
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from functools import partial
 from math import inf
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -51,6 +52,9 @@ from repro.workloads.heterogeneity import (
     capacity_weights_from_delay,
 )
 from repro.workloads.lookups import biased_target_pairs, sample_lookups
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.prof import KernelProfiler
 
 __all__ = [
     "ExperimentConfig",
@@ -168,11 +172,12 @@ class ExperimentConfig:
             or self.reorder_prob or self.partitions
         ):
             raise ValueError("fault injection needs transport='sim'")
-        if self.live_speedup <= 0.0:
-            raise ValueError(f"live_speedup must be > 0, got {self.live_speedup}")
-        if self.live_lookup_rate < 0.0:
+        if not 0.0 < self.live_speedup < inf:
             raise ValueError(
-                f"live_lookup_rate must be >= 0, got {self.live_lookup_rate}"
+                f"live_speedup must be finite and > 0, got {self.live_speedup}")
+        if not 0.0 <= self.live_lookup_rate < inf:
+            raise ValueError(
+                f"live_lookup_rate must be finite and >= 0, got {self.live_lookup_rate}"
             )
         if self.live_lookup_rate and self.transport != "udp":
             raise ValueError("live_lookup_rate needs transport='udp'")
@@ -528,6 +533,89 @@ def sample_lookup_latency(world: World) -> tuple[float, float]:
     return mean_lookup, float(overlay.oracle.pairwise(emb[src], emb[dst]).mean())
 
 
+class _Sampler:
+    """The six sampled series and the one per-sample step, on either plane.
+
+    ``sample(i)`` measures the world as it stands at ``times[i]``:
+    stretch and lookups (the kernel profile's ``sample`` category), the
+    optimizer's counters, the convergence monitor and ``sample_hook``.
+    """
+
+    def __init__(self, world: World, measure_lookups: bool, sample_hook: Any,
+                 kprof: KernelProfiler | None = None) -> None:
+        config = world.config
+        n_samples = int(np.floor(config.duration / config.sample_interval)) + 1
+        self.world = world
+        self.times = np.arange(n_samples) * config.sample_interval
+        self.link_stretch = np.empty(n_samples)
+        self.stretch = np.full(n_samples, np.nan)
+        self.lookup_latency = np.full(n_samples, np.nan)
+        self.probes = np.zeros(n_samples, dtype=np.int64)
+        self.messages = np.zeros(n_samples, dtype=np.int64)
+        self.exchanges = np.zeros(n_samples, dtype=np.int64)
+        self._measure_lookups = measure_lookups
+        self._sample_hook = sample_hook
+        self._kprof = kprof
+        self._monitor = (
+            find_monitor(world.tracer.consumers) if world.tracer is not None else None
+        )
+
+    def sample(self, i: int) -> None:
+        world, t = self.world, float(self.times[i])
+        with self._kprof.stage("sample") if self._kprof is not None else nullcontext():
+            self.link_stretch[i] = stretch_metric(world.overlay)
+            if self._measure_lookups:
+                mean_lookup, mean_direct = sample_lookup_latency(world)
+                self.lookup_latency[i] = mean_lookup
+                self.stretch[i] = (
+                    mean_lookup / mean_direct if mean_direct > 0 else np.nan
+                )
+        if world.engine is not None:
+            self.probes[i] = world.engine.counters.probes
+            self.messages[i] = world.engine.counters.total_messages
+            self.exchanges[i] = world.engine.counters.exchanges
+        elif world.ltm is not None:
+            self.probes[i] = world.ltm.counters.rounds
+            self.messages[i] = world.ltm.counters.detector_messages
+            self.exchanges[i] = world.ltm.counters.cuts + world.ltm.counters.adds
+        monitor = self._monitor
+        if monitor is not None and self.lookup_latency[i] == self.lookup_latency[i]:
+            monitor.on_sample(t, float(self.lookup_latency[i]))
+        if self._sample_hook is not None:
+            self._sample_hook(t, monitor.status() if monitor is not None else None)
+
+    def result(self) -> ExperimentResult:
+        world, kprof, tracer = self.world, self._kprof, self.world.tracer
+        engine = world.engine
+        final = engine.counters if engine is not None else (
+            world.ltm.counters if world.ltm is not None else None
+        )
+        return ExperimentResult(
+            config=world.config,
+            times=self.times,
+            stretch=self.stretch,
+            link_stretch=self.link_stretch,
+            lookup_latency=self.lookup_latency,
+            probes=self.probes,
+            messages=self.messages,
+            exchanges=self.exchanges,
+            final_counters=final,
+            net_stats=world.transport.stats if world.transport is not None else None,
+            net_counters=(
+                engine.net_counters if isinstance(engine, MessagePROPEngine) else None
+            ),
+            trace=tracer.events if tracer is not None and not tracer.streaming else None,
+            kernel_profile=(
+                kprof.finish(sim_seconds=float(self.times[-1])).to_dict()
+                if kprof is not None
+                else None
+            ),
+            consumers=(
+                list(tracer.consumers) if tracer is not None and tracer.consumers else None
+            ),
+        )
+
+
 def run_experiment(
     config: ExperimentConfig,
     *,
@@ -542,7 +630,10 @@ def run_experiment(
     With ``config.kernel_profile`` the wall-clock split between world
     building (``build``), the dispatch loop's event categories and
     metric sampling (``sample``) lands in the result's
-    ``kernel_profile`` field.
+    ``kernel_profile`` field.  With ``transport="udp"`` the same
+    sampling runs on a loopback :class:`~repro.live.swarm.Swarm`
+    between wall-clock waits (must be called outside any running event
+    loop).
 
     ``consumers`` are extra :class:`~repro.obs.trace.TraceConsumer`
     subscribers added to the run's tracer (requires ``config.trace`` or
@@ -553,109 +644,60 @@ def run_experiment(
     with its :class:`~repro.obs.monitor.MonitorStatus` (or None) — the
     CLI's ``--monitor`` progress line hangs off it.
     """
-    from contextlib import nullcontext
-
+    if consumers and not (config.trace or config.trace_streaming):
+        raise ValueError("consumers need config.trace or config.trace_streaming")
     if config.transport == "udp":
         # the live plane owns its event loop and wall clock; imported
         # lazily so sim-only deployments never touch asyncio
-        from repro.live.runner import run_live_experiment
+        import asyncio
 
-        return run_live_experiment(
-            config,
-            measure_lookups=measure_lookups,
-            consumers=consumers,
-            sample_hook=sample_hook,
-        )
+        return asyncio.run(_run_live(config, measure_lookups, consumers, sample_hook))
 
     kprof = None
     if config.kernel_profile:
         from repro.obs.prof import KernelProfiler
 
         kprof = KernelProfiler()
-
-    def _kstage(category: str):
-        return kprof.stage(category) if kprof is not None else nullcontext()
-
-    with _kstage("build"):
+    with kprof.stage("build") if kprof is not None else nullcontext():
         world = build_world(config)
     if kprof is not None:
         world.sim.profiler = kprof
     if consumers:
-        if world.tracer is None:
-            raise ValueError("consumers need config.trace or config.trace_streaming")
+        assert world.tracer is not None  # checked against the config above
         for consumer in consumers:
             world.tracer.add_consumer(consumer)
-    monitor = find_monitor(world.tracer.consumers) if world.tracer is not None else None
-    n_samples = int(np.floor(config.duration / config.sample_interval)) + 1
-    times = np.arange(n_samples) * config.sample_interval
-
-    link_stretch_series = np.empty(n_samples)
-    stretch_series = np.full(n_samples, np.nan)
-    lookup_series = np.full(n_samples, np.nan)
-    probes = np.zeros(n_samples, dtype=np.int64)
-    messages = np.zeros(n_samples, dtype=np.int64)
-    exchanges = np.zeros(n_samples, dtype=np.int64)
-
-    for i, t in enumerate(times):
+    sampler = _Sampler(world, measure_lookups, sample_hook, kprof)
+    for i, t in enumerate(sampler.times):
         world.sim.run_until(float(t))
-        with _kstage("sample"):
-            link_stretch_series[i] = stretch_metric(world.overlay)
-            if measure_lookups:
-                mean_lookup, mean_direct = sample_lookup_latency(world)
-                lookup_series[i] = mean_lookup
-                stretch_series[i] = (
-                    mean_lookup / mean_direct if mean_direct > 0 else np.nan
-                )
-        if world.engine is not None:
-            probes[i] = world.engine.counters.probes
-            messages[i] = world.engine.counters.total_messages
-            exchanges[i] = world.engine.counters.exchanges
-        elif world.ltm is not None:
-            probes[i] = world.ltm.counters.rounds
-            messages[i] = world.ltm.counters.detector_messages
-            exchanges[i] = world.ltm.counters.cuts + world.ltm.counters.adds
-        if monitor is not None and lookup_series[i] == lookup_series[i]:
-            monitor.on_sample(float(t), float(lookup_series[i]))
-        if sample_hook is not None:
-            sample_hook(float(t), monitor.status() if monitor is not None else None)
-
+        sampler.sample(i)
     if isinstance(world.engine, MessagePROPEngine):
         # exchanges still awaiting votes when the run ends are recorded
         # as aborted so the trace has no half-open 2PC exchanges
         world.engine.finalize_trace()
     if world.tracer is not None:
-        world.tracer.close(float(times[-1]))
-    final = world.engine.counters if world.engine is not None else (
-        world.ltm.counters if world.ltm is not None else None
-    )
-    return ExperimentResult(
-        config=config,
-        times=times,
-        stretch=stretch_series,
-        link_stretch=link_stretch_series,
-        lookup_latency=lookup_series,
-        probes=probes,
-        messages=messages,
-        exchanges=exchanges,
-        final_counters=final,
-        net_stats=world.transport.stats if world.transport is not None else None,
-        net_counters=(
-            world.engine.net_counters
-            if isinstance(world.engine, MessagePROPEngine) else None
-        ),
-        trace=(
-            world.tracer.events
-            if world.tracer is not None and not world.tracer.streaming
-            else None
-        ),
-        kernel_profile=(
-            kprof.finish(sim_seconds=float(times[-1])).to_dict()
-            if kprof is not None
-            else None
-        ),
-        consumers=(
-            list(world.tracer.consumers)
-            if world.tracer is not None and world.tracer.consumers
-            else None
-        ),
-    )
+        world.tracer.close(float(sampler.times[-1]))
+    return sampler.result()
+
+
+async def _run_live(
+    config: ExperimentConfig, measure_lookups: bool, consumers: Any, sample_hook: Any,
+) -> ExperimentResult:
+    """The live plane's sampling loop: the same samples, awaited in wall time."""
+    from repro.live.swarm import Swarm
+
+    swarm = Swarm(config, consumers=consumers)
+    await swarm.start()
+    assert swarm.world is not None  # set by start()
+    sampler = _Sampler(swarm.world, measure_lookups, sample_hook)
+    try:
+        # the t=0 sample precedes any protocol activity: the engines are
+        # armed only by launch(), after it completes
+        sampler.sample(0)
+        swarm.launch()
+        for i in range(1, len(sampler.times)):
+            await swarm.run_until(float(sampler.times[i]))
+            sampler.sample(i)
+    finally:
+        # finalizes the trace and closes the tracer at the swarm's clock
+        await swarm.close()
+    return sampler.result()

@@ -1,35 +1,35 @@
 """repro.live — the asyncio deployment plane.
 
 Everything below :mod:`repro.net` is transport-agnostic by design; this
-package supplies the *real* backend: peers are UDP endpoints on an
-asyncio event loop, protocol timers are wall-clock timers, and messages
-are length-prefixed datagrams encoded by :mod:`repro.live.codec`.  The
-same :class:`~repro.net.engine.MessagePROPEngine` state machine that
-runs deterministically over :class:`~repro.net.transport.SimTransport`
-runs here unchanged — the deployment plane swaps the clock and the wire,
+package supplies the *real* backend: the swarm's peers share one UDP
+endpoint on an asyncio event loop, protocol timers are wall-clock
+timers, and every message is one datagram encoded by
+:mod:`repro.live.codec`.  The same
+:class:`~repro.net.engine.MessagePROPEngine` state machine that runs
+deterministically over :class:`~repro.net.transport.SimTransport` runs
+here unchanged — the deployment plane swaps the clock and the wire,
 never the protocol.
 
 Module map:
 
-* :mod:`repro.live.codec` — versioned length-prefixed wire format for
-  every :mod:`repro.net.messages` dataclass;
+* :mod:`repro.live.codec` — versioned wire format for every
+  :mod:`repro.net.messages` dataclass;
 * :mod:`repro.live.clock` — :class:`LiveScheduler`, the wall-clock
   drop-in for the :class:`~repro.netsim.engine.Simulator` scheduling
   vocabulary (``now`` / ``schedule`` / ``schedule_at``), with a
   ``speedup`` factor mapping protocol seconds onto wall seconds;
-* :mod:`repro.live.node` — :class:`PeerNode`, one peer's datagram
-  endpoint;
 * :mod:`repro.live.lag` — :class:`LoopLagSampler`, the event-loop
   scheduling-lag probe feeding the telemetry snapshots;
 * :mod:`repro.live.transport` — :class:`UdpTransport`, the
-  :class:`~repro.net.transport.Transport` implementation over loopback
-  UDP sockets;
+  :class:`~repro.net.transport.Transport` implementation over one
+  loopback UDP socket per swarm, dispatching on the decoded ``dst``;
 * :mod:`repro.live.traffic` — :class:`TrafficGenerator`, sustained
   lookups/s against the live overlay;
 * :mod:`repro.live.swarm` — :class:`Swarm`: spawn N peers, bootstrap
-  membership from the topology presets, staged join/leave churn;
-* :mod:`repro.live.runner` — :func:`run_live_experiment`, the
-  harness-compatible entry point behind ``--transport udp``.
+  membership from the topology presets, staged join/leave churn.
+
+``run_experiment`` with ``transport="udp"`` drives a :class:`Swarm`
+through the harness's own sampling loop.
 
 This package is the one place in ``src/repro`` sanctioned to read wall
 clocks (reprolint rule D1 scopes its no-wall-clock invariant to exclude
@@ -37,10 +37,8 @@ clocks (reprolint rule D1 scopes its no-wall-clock invariant to exclude
 """
 
 from repro.live.clock import LiveScheduler
-from repro.live.codec import CodecError, WIRE_VERSION, decode, encode, encoded_size
+from repro.live.codec import CodecError, WIRE_VERSION, decode, encode
 from repro.live.lag import LoopLagSampler
-from repro.live.node import PeerNode
-from repro.live.runner import run_live_experiment
 from repro.live.swarm import ChurnSchedule, Swarm, SwarmReport
 from repro.live.traffic import TrafficGenerator
 from repro.live.transport import UdpTransport, udp_loopback_available
@@ -50,7 +48,6 @@ __all__ = [
     "CodecError",
     "LiveScheduler",
     "LoopLagSampler",
-    "PeerNode",
     "Swarm",
     "SwarmReport",
     "TrafficGenerator",
@@ -58,7 +55,5 @@ __all__ = [
     "WIRE_VERSION",
     "decode",
     "encode",
-    "encoded_size",
-    "run_live_experiment",
     "udp_loopback_available",
 ]

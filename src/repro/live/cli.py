@@ -1,47 +1,22 @@
-"""``python -m repro.live`` — run, load-test, or bench the live plane.
+"""``python -m repro.live swarm`` — drive a live swarm under churn and load.
 
-Three subcommands:
-
-* ``run`` — one live deployment through the standard harness metrics
-  (the ``--transport udp`` path of ``python -m repro run``, with the
-  live-only knobs surfaced);
-* ``swarm`` — the orchestrator directly: N peers, optional Poisson
-  churn, staged join/leave bursts and lookup load, reported as a
-  :class:`~repro.live.swarm.SwarmReport`;
-* ``bench`` — a short fixed-shape throughput run printing one JSON
-  record.
+The one subcommand runs the orchestrator directly: N peers, optional
+Poisson churn, staged join/leave bursts and lookup load, reported as a
+:class:`~repro.live.swarm.SwarmReport`.  The harness metrics of a live
+deployment come from ``python -m repro run --transport udp``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import Sequence
 
 from repro.core.config import PROPConfig
 from repro.harness.experiment import ExperimentConfig
 from repro.workloads.churn import ChurnConfig
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.live.swarm import SwarmReport
-
 __all__ = ["main", "build_parser"]
-
-
-def _add_common(p: argparse.ArgumentParser, *, n_default: int) -> None:
-    p.add_argument("--n", type=int, default=n_default,
-                   help=f"number of peers (default: {n_default})")
-    p.add_argument("--preset", choices=["ts-large", "ts-small", "waxman"],
-                   default="ts-small",
-                   help="physical topology preset (default: ts-small)")
-    p.add_argument("--seed", type=int, default=0, help="master seed (default: 0)")
-    p.add_argument("--policy", choices=["G", "O"], default="G",
-                   help="PROP policy (default: G)")
-    p.add_argument("--duration", type=float, default=600.0,
-                   help="protocol seconds to run (default: 600)")
-    p.add_argument("--speedup", type=float, default=60.0,
-                   help="protocol seconds per wall second (default: 60)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,18 +26,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="one live deployment with harness metrics")
-    _add_common(run, n_default=50)
-    run.add_argument("--sample-interval", type=float, default=120.0,
-                     help="metric sampling period in protocol seconds (default: 120)")
-    run.add_argument("--lookups", type=int, default=200,
-                     help="lookups measured per sample (default: 200)")
-    run.add_argument("--rate", type=float, default=0.0,
-                     help="traffic-generator lookups per protocol second "
-                          "(default: 0 = off)")
-
     swarm = sub.add_parser("swarm", help="drive a swarm under churn and load")
-    _add_common(swarm, n_default=50)
+    swarm.add_argument("--n", type=int, default=50,
+                       help="number of peers (default: 50)")
+    swarm.add_argument("--preset", choices=["ts-large", "ts-small", "waxman"],
+                       default="ts-small",
+                       help="physical topology preset (default: ts-small)")
+    swarm.add_argument("--seed", type=int, default=0, help="master seed (default: 0)")
+    swarm.add_argument("--policy", choices=["G", "O"], default="G",
+                       help="PROP policy (default: G)")
+    swarm.add_argument("--duration", type=float, default=600.0,
+                       help="protocol seconds to run (default: 600)")
+    swarm.add_argument("--speedup", type=float, default=60.0,
+                       help="protocol seconds per wall second (default: 60)")
     swarm.add_argument("--rate", type=float, default=1.0,
                        help="lookups per protocol second (default: 1)")
     swarm.add_argument("--spares", type=int, default=0,
@@ -88,114 +64,52 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the buffered event trace (spans included) "
                             "as JSONL to PATH; analyze with "
                             "python -m repro.obs spans/critpath")
-
-    bench = sub.add_parser("bench", help="fixed-shape throughput run, JSON output")
-    _add_common(bench, n_default=50)
-
     return parser
 
 
-def _config(args: argparse.Namespace, **extra: Any) -> ExperimentConfig:
-    return ExperimentConfig(
-        seed=args.seed,
-        preset=args.preset,
-        n_overlay=args.n,
-        prop=PROPConfig(policy=args.policy),
-        transport="udp",
-        duration=args.duration,
-        sample_interval=min(args.duration, getattr(args, "sample_interval", args.duration)),
-        live_speedup=args.speedup,
-        **extra,
-    )
-
-
-def swarm_metrics(report: "SwarmReport") -> dict[str, float]:
-    """The bench-facing metric dict for one finished swarm run."""
-    return {
-        "msgs_per_s": round(report.msgs_per_wall_s, 2),
-        "exchanges_per_s": round(report.exchanges_per_wall_s, 4),
-        "datagrams_sent": float(report.datagrams_sent),
-        "exchanges": float(report.exchanges),
-        "wall_seconds": round(report.wall_seconds, 3),
-    }
-
-
-def _require_loopback() -> None:
-    from repro.live.transport import udp_loopback_available
-
-    if not udp_loopback_available():
-        raise SystemExit("error: UDP loopback is unavailable in this environment")
-
-
-def _cmd_run(args: argparse.Namespace) -> int:
-    _require_loopback()
-    from repro.harness.reporting import format_series
-    from repro.live.runner import run_live_experiment
-
-    config = _config(
-        args,
-        lookups_per_sample=args.lookups,
-        live_lookup_rate=args.rate,
-    )
-    print(
-        f"running live PROP-{args.policy} swarm: {args.n} peers on {args.preset}, "
-        f"{args.duration:.0f} protocol s at {args.speedup:g}x "
-        f"(~{args.duration / args.speedup:.1f} wall s) ...",
-        file=sys.stderr,
-    )
-    result = run_live_experiment(config)
-    print(
-        format_series(
-            f"live / PROP-{args.policy}",
-            result.times,
-            {
-                "stretch": result.stretch,
-                "lookup latency (ms)": result.lookup_latency,
-                "link stretch": result.link_stretch,
-            },
-        )
-    )
-    print(f"\nprobes: {result.probes[-1]}  exchanges: {result.exchanges[-1]}")
-    print(f"lookup latency: {result.initial_lookup_latency:.1f} ms -> "
-          f"{result.final_lookup_latency:.1f} ms")
-    return 0
-
-
 def _cmd_swarm(args: argparse.Namespace) -> int:
-    _require_loopback()
     import asyncio
 
     from repro.live.swarm import ChurnSchedule, Swarm
+    from repro.live.transport import udp_loopback_available
 
-    schedule = None
-    if args.churn_stages:
-        schedule = ChurnSchedule.parse(args.churn_stages)
-    churn = None
-    if args.churn_rate > 0.0:
-        churn = ChurnConfig(rate_per_node=args.churn_rate)
-    if (schedule or churn) and args.spares <= 0:
-        raise SystemExit("error: churn needs --spares > 0")
     if args.trace and args.monitor:
         raise SystemExit("error: --trace needs the buffered tracer; "
                          "drop --monitor (streaming discards events)")
-    config = _config(
-        args,
-        live_lookup_rate=args.rate,
-        n_spare=args.spares,
-        churn=churn,
-        trace=bool(args.trace),
-        trace_streaming=args.monitor,
-    )
+    try:
+        schedule = ChurnSchedule.parse(args.churn_stages) if args.churn_stages else None
+        churn = ChurnConfig(rate_per_node=args.churn_rate) if args.churn_rate > 0.0 else None
+        if (schedule or churn) and args.spares <= 0:
+            raise SystemExit("error: churn needs --spares > 0")
+        config = ExperimentConfig(
+            seed=args.seed,
+            preset=args.preset,
+            n_overlay=args.n,
+            prop=PROPConfig(policy=args.policy),
+            transport="udp",
+            duration=args.duration,
+            sample_interval=args.duration,
+            live_speedup=args.speedup,
+            live_lookup_rate=args.rate,
+            n_spare=args.spares,
+            churn=churn,
+            trace=bool(args.trace),
+            trace_streaming=args.monitor,
+        )
+        swarm = Swarm(
+            config,
+            churn_schedule=schedule,
+            telemetry=args.telemetry,
+            telemetry_interval=args.telemetry_interval,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from None
+    if not udp_loopback_available():
+        raise SystemExit("error: UDP loopback is unavailable in this environment")
     print(
         f"swarming {args.n} peers for {args.duration:.0f} protocol s "
         f"at {args.speedup:g}x ...",
         file=sys.stderr,
-    )
-    swarm = Swarm(
-        config,
-        churn_schedule=schedule,
-        telemetry=args.telemetry,
-        telemetry_interval=args.telemetry_interval,
     )
     report = asyncio.run(swarm.run())
     print(report.summary())
@@ -217,32 +131,10 @@ def _cmd_swarm(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    _require_loopback()
-    import asyncio
-
-    from repro.live.swarm import Swarm
-
-    config = _config(args, live_lookup_rate=0.0)
-    report = asyncio.run(Swarm(config).run())
-    record = {
-        "n_peers": report.n_peers,
-        "duration": report.duration,
-        "speedup": report.speedup,
-        **swarm_metrics(report),
-    }
-    print(json.dumps(record, sort_keys=True))
-    return 0
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
     if args.command == "swarm":
         return _cmd_swarm(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     raise AssertionError(f"unhandled command {args.command}")  # pragma: no cover
 
 

@@ -29,6 +29,7 @@ as :class:`~repro.netsim.events.EventHandle` does.
 from __future__ import annotations
 
 import asyncio
+import math
 from typing import Any, Callable
 
 __all__ = ["LivePeriodic", "LiveScheduler"]
@@ -48,8 +49,8 @@ class LiveScheduler:
     """
 
     def __init__(self, loop: asyncio.AbstractEventLoop, speedup: float = 60.0) -> None:
-        if speedup <= 0.0:
-            raise ValueError(f"speedup must be positive, got {speedup}")
+        if not 0.0 < speedup < math.inf:
+            raise ValueError(f"speedup must be positive and finite, got {speedup}")
         self._loop = loop
         self.speedup = float(speedup)
         self._t0 = loop.time()
@@ -83,8 +84,8 @@ class LiveScheduler:
         self, delay: float, callback: Callable[..., None], *args: Any
     ) -> asyncio.TimerHandle:
         """Run ``callback(*args)`` after ``delay`` protocol seconds."""
-        if delay < 0.0:
-            raise ValueError(f"delay must be non-negative, got {delay}")
+        if not 0.0 <= delay < math.inf:
+            raise ValueError(f"delay must be finite and non-negative, got {delay}")
         self.events_scheduled += 1
         return self._loop.call_later(delay / self.speedup, callback, *args)
 
@@ -96,8 +97,11 @@ class LiveScheduler:
         Unlike the simulator (whose clock only advances between events),
         wall time moves while a callback runs, so a deadline computed
         from a slightly stale ``now`` may already have passed — it is
-        clamped to "immediately" rather than rejected.
+        clamped to "immediately" rather than rejected.  A NaN or infinite
+        ``time`` is rejected, not clamped.
         """
+        if not math.isfinite(time):
+            raise ValueError(f"time must be finite, got {time}")
         return self.schedule(max(0.0, time - self.now), callback, *args)
 
     def every(self, period: float, callback: Callable[[], None]) -> "LivePeriodic":
@@ -114,8 +118,8 @@ class LivePeriodic:
     def __init__(
         self, scheduler: LiveScheduler, period: float, callback: Callable[[], None]
     ) -> None:
-        if period <= 0.0:
-            raise ValueError(f"period must be positive, got {period}")
+        if not 0.0 < period < math.inf:
+            raise ValueError(f"period must be positive and finite, got {period}")
         self._scheduler = scheduler
         self._callback = callback
         self.period = float(period)
@@ -132,7 +136,3 @@ class LivePeriodic:
     def stop(self) -> None:
         self._stopped = True
         self._handle.cancel()
-
-    @property
-    def stopped(self) -> bool:
-        return self._stopped

@@ -1,4 +1,4 @@
-"""Length-prefixed wire codec for the :mod:`repro.net.messages` grammar.
+"""Datagram wire codec for the :mod:`repro.net.messages` grammar.
 
 Every datagram is one encoded message::
 
@@ -20,15 +20,13 @@ annotated type: ``int`` as a big-endian i64, ``float`` as an f64,
 are derived from the dataclasses themselves at import time, so adding a
 message type (or a field) extends the codec automatically — the
 round-trip property test in ``tests/live/test_codec.py`` pins this.
-
-:func:`frame` / :func:`unframe` add and strip a u32 length prefix for
-stream transports (TCP); UDP datagrams carry :func:`encode` output
-directly, one message per datagram.
+One message travels per datagram, so the datagram length delimits the
+frame.
 
 Relation to :meth:`Message.size_bytes() <repro.net.messages.Message.size_bytes>`:
 ``size_bytes`` is the *telemetry model* of the paper's §4.3 accounting
 (a 28-byte nominal header plus 4 bytes per integer), while
-:func:`encoded_size` is the actual loopback wire cost of this codec
+``len(encode(msg))`` is the actual loopback wire cost of this codec
 (10-byte header, 8-byte integers, explicit length counts).  They are
 deliberately distinct — the model stays comparable to the paper's
 closed forms; the codec favors an unambiguous self-describing layout —
@@ -52,10 +50,7 @@ __all__ = [
     "WIRE_VERSION",
     "decode",
     "encode",
-    "encoded_size",
-    "frame",
     "grammar_fingerprint",
-    "unframe",
 ]
 
 #: Protocol revision stamped on every frame; bump on any layout change.
@@ -76,7 +71,6 @@ _I64 = struct.Struct("!q")
 _F64 = struct.Struct("!d")
 _U16 = struct.Struct("!H")
 _I32 = struct.Struct("!i")
-_U32 = struct.Struct("!I")
 
 
 class CodecError(ValueError):
@@ -231,30 +225,3 @@ def decode(data: bytes) -> Message:
             f"{len(data) - offset} trailing bytes after {cls.__name__} payload"
         )
     return cls(**payload)  # type: ignore[arg-type]
-
-
-def encoded_size(msg: Message) -> int:
-    """Actual wire bytes of ``msg`` under this codec (see module docs
-    for how this relates to the telemetry model ``size_bytes()``)."""
-    return len(encode(msg))
-
-
-def frame(msg: Message) -> bytes:
-    """``encode(msg)`` behind a u32 length prefix, for stream transports."""
-    body = encode(msg)
-    return _U32.pack(len(body)) + body
-
-
-def unframe(buffer: bytes) -> tuple[Message | None, bytes]:
-    """Pop one framed message off ``buffer``.
-
-    Returns ``(message, rest)`` when a complete frame is present, else
-    ``(None, buffer)`` — the stream reader's accumulate-and-retry loop.
-    """
-    if len(buffer) < _U32.size:
-        return None, buffer
-    (length,) = _U32.unpack_from(buffer)
-    end = _U32.size + length
-    if len(buffer) < end:
-        return None, buffer
-    return decode(buffer[_U32.size:end]), buffer[end:]

@@ -17,6 +17,7 @@ scheduling behavior (``repro.live`` is on the reprolint D1 allowlist).
 from __future__ import annotations
 
 import asyncio
+import math
 from typing import Any
 
 __all__ = ["LoopLagSampler"]
@@ -31,8 +32,8 @@ class LoopLagSampler:
     """
 
     def __init__(self, loop: asyncio.AbstractEventLoop, interval: float = 0.05) -> None:
-        if interval <= 0.0:
-            raise ValueError(f"interval must be positive, got {interval}")
+        if not 0.0 < interval < math.inf:
+            raise ValueError(f"interval must be positive and finite, got {interval}")
         self._loop = loop
         self.interval = float(interval)
         self.samples = 0

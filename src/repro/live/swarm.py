@@ -5,8 +5,8 @@
 ``transport="udp"``: the seed-determined substrate (identical to the
 simulated plane's, via
 :func:`~repro.harness.experiment.build_substrate`), one
-:class:`~repro.live.transport.UdpTransport` endpoint per peer, a
-:class:`~repro.net.engine.MessagePROPEngine` driving every slot's state
+:class:`~repro.live.transport.UdpTransport` endpoint shared by every
+peer, a :class:`~repro.net.engine.MessagePROPEngine` driving every slot's state
 machine on the shared :class:`~repro.live.clock.LiveScheduler`, plus the
 optional load pieces — Poisson churn (``config.churn``), staged
 join/leave bursts (:class:`ChurnSchedule`) and a
@@ -21,10 +21,10 @@ Lifecycle::
         await swarm.run_until(config.duration)
     report = swarm.report        # SwarmReport after close
 
-or the one-call form ``report = await swarm.run()``.  The harness entry
-point :func:`repro.live.runner.run_live_experiment` drives the granular
-lifecycle so it can interleave metric sampling exactly like
-:func:`~repro.harness.experiment.run_experiment`.
+or the one-call form ``report = await swarm.run()``.
+:func:`~repro.harness.experiment.run_experiment` with ``transport="udp"``
+drives the granular lifecycle so it can interleave the same metric
+sampling it runs on the simulated plane.
 """
 
 from __future__ import annotations
@@ -74,10 +74,6 @@ class ChurnSchedule:
             if t < 0.0 or k <= 0:
                 raise ValueError(f"bad churn stage ({t}, {k}): need t >= 0, k > 0")
 
-    @property
-    def total_replacements(self) -> int:
-        return sum(k for _, k in self.stages)
-
     @classmethod
     def parse(cls, spec: str) -> "ChurnSchedule":
         """Parse ``"t1:k1,t2:k2,..."`` (e.g. ``"120:5,600:10"``)."""
@@ -111,7 +107,7 @@ class SwarmReport:
     datagrams_delivered: int
     wire_bytes: int
     codec_errors: int
-    handler_errors: int  # exceptions swallowed by handler dispatch + datagram sinks
+    handler_errors: int  # exceptions swallowed on the transport's receive path
     churn_events: int
     lookups: int
     mean_lookup_ms: float
@@ -166,7 +162,7 @@ class Swarm:
         ``config.trace_streaming`` the standard monitor set is attached
         automatically (same wiring as the simulated harness).
     host:
-        Bind address for the peer sockets (default loopback).
+        Bind address for the swarm's socket (default loopback).
     telemetry:
         Optional JSONL path; when set, a
         :class:`~repro.obs.telemetry.TelemetrySnapshot` is appended
@@ -194,9 +190,10 @@ class Swarm:
             raise ValueError("Swarm runs PROP; set config.prop")
         if churn_schedule is not None and churn_schedule.stages and config.n_spare == 0:
             raise ValueError("churn_schedule needs n_spare > 0 replacement hosts")
-        if telemetry is not None and telemetry_interval <= 0.0:
+        if telemetry is not None and not 0.0 < telemetry_interval < math.inf:
             raise ValueError(
-                f"telemetry_interval must be positive, got {telemetry_interval}"
+                f"telemetry_interval must be positive and finite, "
+                f"got {telemetry_interval}"
             )
         self.config = config
         self.churn_schedule = churn_schedule
@@ -223,7 +220,7 @@ class Swarm:
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self) -> None:
-        """Build the substrate and bind every peer endpoint (no traffic yet)."""
+        """Build the substrate and bind the swarm's endpoint (no traffic yet)."""
         if self.scheduler is not None:
             raise RuntimeError("swarm already started")
         config = self.config
@@ -382,12 +379,12 @@ class Swarm:
             await asyncio.sleep(delay)
 
     async def close(self) -> SwarmReport:
-        """Stop load, shut every socket, and compile the report."""
+        """Stop load, shut the socket, and compile the report."""
         if self.scheduler is None or self.engine is None or self.transport is None:
             raise RuntimeError("swarm was never started")
         if self.traffic is not None:
             self.traffic.stop()
-        # drain datagrams already queued on the loop before the sockets go
+        # drain datagrams already queued on the loop before the socket goes
         await asyncio.sleep(0)
         duration = self.scheduler.now if self._launched else 0.0
         loop = asyncio.get_running_loop()
@@ -420,8 +417,7 @@ class Swarm:
             datagrams_delivered=stats.total_delivered,
             wire_bytes=self.transport.wire_bytes_sent,
             codec_errors=self.transport.codec_errors,
-            handler_errors=self.transport.handler_errors
-            + sum(node.sink_errors for node in self.transport.nodes),
+            handler_errors=self.transport.handler_errors,
             churn_events=self.churn.events if self.churn is not None else 0,
             lookups=self.traffic.lookups if self.traffic is not None else 0,
             mean_lookup_ms=(

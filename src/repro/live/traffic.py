@@ -68,9 +68,6 @@ class TrafficGenerator:
         Optional sink called ``(protocol_time, latency_ms)`` per lookup —
         the hook :class:`~repro.obs.monitor.ConvergenceMonitor` plugs
         into.
-    keep_samples:
-        Retain the full ``(t, ms)`` series (default); disable for very
-        long runs where the aggregate counters suffice.
     """
 
     def __init__(
@@ -80,15 +77,13 @@ class TrafficGenerator:
         rate: float,
         *,
         on_sample: SampleSink | None = None,
-        keep_samples: bool = True,
     ) -> None:
-        if rate <= 0.0:
-            raise ValueError(f"rate must be positive, got {rate}")
+        if not 0.0 < rate < math.inf:
+            raise ValueError(f"rate must be positive and finite, got {rate}")
         self._scheduler = scheduler
         self._lookup = lookup
         self.rate = float(rate)
         self._on_sample = on_sample
-        self._keep = keep_samples
         self.lookups = 0
         self.total_ms = 0.0
         self.samples: list[tuple[float, float]] = []
@@ -105,8 +100,7 @@ class TrafficGenerator:
         self.lookups += 1
         if math.isfinite(ms):
             self.total_ms += ms
-            if self._keep:
-                self.samples.append((t, ms))
+            self.samples.append((t, ms))
             if self._on_sample is not None:
                 self._on_sample(t, ms)
 

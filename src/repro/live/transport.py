@@ -1,11 +1,13 @@
 """The :class:`~repro.net.transport.Transport` implementation over UDP.
 
 :class:`UdpTransport` gives the message plane a real network backend:
-every slot is a :class:`~repro.live.node.PeerNode` with its own loopback
-socket, ``send`` encodes the message with :mod:`repro.live.codec` and
-transmits it *from the source slot's socket to the destination slot's
-address*, and delivery happens when the kernel hands the datagram to the
-destination endpoint.  The engine sees the exact interface
+the whole swarm shares **one** loopback datagram endpoint, ``send``
+encodes the message with :mod:`repro.live.codec` and transmits it to
+that endpoint's own address, and delivery happens when the kernel hands
+the datagram back and the transport dispatches it on the decoded
+``dst`` slot.  Every message still crosses the kernel network stack,
+never an in-process shortcut, and a swarm of any size holds one file
+descriptor.  The engine sees the exact interface
 :class:`~repro.net.transport.SimTransport` provides — ``stats``,
 ``tracer``, ``register`` / ``send`` — so
 :class:`~repro.net.engine.MessagePROPEngine` runs over it unchanged.
@@ -26,13 +28,12 @@ stack:
   upper bound (a lost datagram is never ``record_delivery``-ed and the
   gauge stays high).  The engine's per-stage timeouts absorb such losses
   exactly as they absorb injected ones.
-* **Decode failures are counted, not raised.**  A truncated or
-  alien datagram increments ``codec_errors`` (and ``misrouted`` when a
-  valid frame arrives on the wrong slot's socket) and is dropped;
-  a malformed packet must never kill the event loop.  The same
-  counted-never-raised contract covers handler dispatch
-  (``handler_errors``) and the endpoint's datagram callback
-  (``PeerNode.sink_errors``); ``tests/live/test_transport.py`` raises
+* **Failures on the receive path are counted, not raised.**  A truncated
+  or alien datagram increments ``codec_errors``, a valid frame whose
+  ``dst`` is not a slot of this swarm increments ``misrouted``, and any
+  other exception — a raising handler or a bug on the receive path —
+  increments ``handler_errors``; each is dropped, and a malformed packet
+  never reaches the event loop.  ``tests/live/test_transport.py`` raises
   inside each and checks the next datagram is still delivered.
 """
 
@@ -44,7 +45,6 @@ import time
 
 from repro.live.clock import LiveScheduler
 from repro.live.codec import CodecError, decode, encode
-from repro.live.node import PeerNode
 from repro.net.messages import Message
 from repro.net.transport import Handler, TransportStats, trace_tag
 from repro.obs.events import (
@@ -84,24 +84,27 @@ def udp_loopback_available(timeout: float = 1.0) -> bool:
                 s.close()
 
 
-class UdpTransport:
-    """Loopback-UDP message plane: one socket per slot, kernel delivery.
+class UdpTransport(asyncio.DatagramProtocol):
+    """Loopback-UDP message plane: one socket per swarm, kernel delivery.
 
     Build with :meth:`create` (endpoint binding is asynchronous); the
     instance then satisfies the :class:`~repro.net.transport.Transport`
-    protocol synchronously.  All sockets share one event loop and one
+    protocol synchronously, and is itself the endpoint's datagram
+    protocol.  Every slot shares the socket, the event loop and one
     :class:`~repro.live.clock.LiveScheduler`.
     """
 
     def __init__(
         self,
         scheduler: LiveScheduler,
-        nodes: list[PeerNode],
+        n_slots: int,
         *,
         tracer: TracerLike | None = None,
     ) -> None:
+        if n_slots <= 0:
+            raise ValueError(f"n_slots must be positive, got {n_slots}")
         self.scheduler = scheduler
-        self.nodes = nodes
+        self.n_slots = n_slots
         self.tracer: TracerLike = tracer if tracer is not None else NULL_TRACER
         self.stats = TransportStats()
         self.codec_errors = 0
@@ -109,8 +112,8 @@ class UdpTransport:
         self.handler_errors = 0
         self.wire_bytes_sent = 0
         #: Per-peer wire-byte counters (slot -> bytes), fed to the
-        #: telemetry exporter; sent is keyed by the source slot,
-        #: received by the destination slot.
+        #: telemetry exporter; sent is keyed by the decoded source slot,
+        #: received by the decoded destination slot.
         self.wire_bytes_out: dict[int, int] = {}
         self.wire_bytes_in: dict[int, int] = {}
         #: Opt-in handler timing (the swarm enables it with telemetry):
@@ -120,6 +123,9 @@ class UdpTransport:
         self.profile_callbacks = False
         self.callback_ns: dict[int, dict[str, int]] = {}
         self._handlers: dict[int, Handler] = {}
+        self._endpoint: asyncio.DatagramTransport | None = None
+        #: The one socket's address: every frame is sent here.
+        self.address: tuple[str, int] = ("", 0)
         self._closed = False
 
     @classmethod
@@ -131,20 +137,15 @@ class UdpTransport:
         tracer: TracerLike | None = None,
         host: str = "127.0.0.1",
     ) -> "UdpTransport":
-        """Bind one endpoint per slot and assemble the transport."""
-        if n_slots <= 0:
-            raise ValueError(f"n_slots must be positive, got {n_slots}")
-        loop = asyncio.get_running_loop()
-        transport = cls(scheduler, [], tracer=tracer)
-        for slot in range(n_slots):
-            transport.nodes.append(
-                await PeerNode.create(loop, slot, transport._on_datagram, host=host)
-            )
+        """Bind the swarm's endpoint and assemble the transport."""
+        transport = cls(scheduler, n_slots, tracer=tracer)
+        endpoint, _ = await asyncio.get_running_loop().create_datagram_endpoint(
+            lambda: transport, local_addr=(host, 0)
+        )
+        transport._endpoint = endpoint
+        sock = endpoint.get_extra_info("sockname")
+        transport.address = (sock[0], sock[1])
         return transport
-
-    @property
-    def n_slots(self) -> int:
-        return len(self.nodes)
 
     # -- the Transport protocol -------------------------------------------
 
@@ -152,7 +153,7 @@ class UdpTransport:
         self._handlers[slot] = handler
 
     def send(self, msg: Message, extra_delay_ms: float = 0.0) -> None:
-        """Encode ``msg`` and transmit it src-socket -> dst-address."""
+        """Encode ``msg`` and transmit it through the swarm's socket."""
         if self._closed:
             return
         self.stats.record_send(msg)
@@ -171,26 +172,35 @@ class UdpTransport:
             self._transmit(msg)
 
     def _transmit(self, msg: Message) -> None:
-        if self._closed:
+        if self._closed or self._endpoint is None:
             return
         data = encode(msg)
         self.wire_bytes_sent += len(data)
         self.wire_bytes_out[msg.src] = (
             self.wire_bytes_out.get(msg.src, 0) + len(data)
         )
-        self.nodes[msg.src].sendto(data, self.nodes[msg.dst].address)
+        self._endpoint.sendto(data, self.address)
 
     # -- receive path ------------------------------------------------------
 
-    def _on_datagram(self, slot: int, data: bytes) -> None:
+    def datagram_received(self, data: bytes, addr: tuple[str, int]) -> None:
+        # counted-never-raised: an exception escaping this callback would
+        # reach the loop's exception handler
         if self._closed:
             return
+        try:
+            self._deliver(data)
+        except Exception:
+            self.handler_errors += 1
+
+    def _deliver(self, data: bytes) -> None:
         try:
             msg = decode(data)
         except CodecError:
             self.codec_errors += 1
             return
-        if msg.dst != slot:
+        slot = msg.dst
+        if not 0 <= slot < self.n_slots:
             self.misrouted += 1
             return
         self.stats.record_delivery(msg)
@@ -201,8 +211,8 @@ class UdpTransport:
         handler = self._handlers.get(slot)
         if handler is not None:
             started = time.perf_counter_ns() if self.profile_callbacks else 0
-            # counted-never-raised: a handler failure must not unwind into
-            # the datagram callback and kill the event loop
+            # a raising handler is counted here, not one frame up, so its
+            # msg:* span below still closes
             try:
                 handler(msg)
             except Exception:
@@ -218,9 +228,9 @@ class UdpTransport:
                              span=msg.span_id, status="ok")
 
     def close(self) -> None:
-        """Stop accepting traffic and close every peer socket."""
+        """Stop accepting traffic and close the swarm's socket."""
         if self._closed:
             return
         self._closed = True
-        for node in self.nodes:
-            node.close()
+        if self._endpoint is not None:
+            self._endpoint.close()

@@ -68,7 +68,7 @@ class Message:
         The span-context ids ride the header alongside src/dst (the
         paper's byte accounting in §4.3 predates tracing, so the
         telemetry size model keeps them out of the payload count; the
-        real codec does charge for them — see ``encoded_size``).
+        real codec does charge for them — see ``repro.live.codec``).
         """
         cls = type(self)
         plan = _SIZE_PLANS.get(cls)

@@ -22,6 +22,12 @@ FAST = dict(
 
 
 class TestConfigValidation:
+    @pytest.mark.parametrize("field", ["live_speedup", "live_lookup_rate"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_live_rates_must_be_finite(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(prop=PROPConfig(), transport="udp", **{field: value})
+
     def test_unknown_overlay_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig(overlay_kind="napster")

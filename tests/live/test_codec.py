@@ -1,7 +1,8 @@
 """Wire-codec properties: every message type round-trips byte-exactly,
 malformed frames are refused with :class:`CodecError`, and the telemetry
 size model (``size_bytes``) stays deliberately distinct from the actual
-wire cost (``encoded_size``) while growing identically per list element.
+wire cost (``len(encode(msg))``) while growing identically per list
+element.
 """
 
 from __future__ import annotations
@@ -19,10 +20,7 @@ from repro.live.codec import (
     CodecError,
     decode,
     encode,
-    encoded_size,
-    frame,
     grammar_fingerprint,
-    unframe,
 )
 from repro.net.messages import INT_BYTES, MSG_TYPES, Message, Walk
 
@@ -70,7 +68,6 @@ class TestRoundTrip:
             again = decode(data)
             assert again == msg
             assert type(again) is cls
-            assert len(data) == encoded_size(msg)
 
     def test_grammar_is_complete(self):
         """Every MSG_TYPES tag has a codec-known class — adding a
@@ -82,30 +79,6 @@ class TestRoundTrip:
         acknowledged by editing the constant next to WIRE_VERSION, where
         the bump decision belongs; the failure shows the new value."""
         assert GRAMMAR_FINGERPRINT == grammar_fingerprint()
-
-    def test_stream_framing_round_trips_in_order(self):
-        rng = random.Random(7)
-        msgs = [
-            _random_instance(MESSAGE_CLASSES[t], rng)
-            for t in MSG_TYPES
-            for _ in range(3)
-        ]
-        buffer = b"".join(frame(m) for m in msgs)
-        out = []
-        while True:
-            msg, buffer = unframe(buffer)
-            if msg is None:
-                break
-            out.append(msg)
-        assert out == msgs
-        assert buffer == b""
-
-    def test_unframe_waits_for_complete_frame(self):
-        data = frame(Walk(src=1, dst=2, origin=1, ttl=3, cycle=4, path=(1, 5)))
-        for cut in range(len(data)):
-            msg, rest = unframe(data[:cut])
-            assert msg is None
-            assert rest == data[:cut]
 
 
 class TestMalformedFrames:
@@ -139,16 +112,16 @@ class TestMalformedFrames:
 
 
 class TestSizeModelVsWire:
-    """``size_bytes`` is the paper's §4.3 telemetry model; ``encoded_size``
-    is the actual codec cost.  Distinct by design, but both must grow
+    """``size_bytes`` is the paper's §4.3 telemetry model; the encoded
+    length is the actual codec cost.  Distinct by design, but both must grow
     per list element so message accounting scales the same way."""
 
     def test_models_are_distinct(self):
         msg = Walk(src=0, dst=1, origin=0, ttl=5, cycle=2, path=(1, 2, 3))
-        assert msg.size_bytes() != encoded_size(msg)
+        assert msg.size_bytes() != len(encode(msg))
 
     def test_both_grow_per_path_element(self):
         short = Walk(src=0, dst=1, origin=0, ttl=5, cycle=2, path=())
         long = Walk(src=0, dst=1, origin=0, ttl=5, cycle=2, path=tuple(range(10)))
         assert long.size_bytes() - short.size_bytes() == 10 * INT_BYTES
-        assert encoded_size(long) - encoded_size(short) == 10 * 4  # i32 lane
+        assert len(encode(long)) - len(encode(short)) == 10 * 4  # i32 lane

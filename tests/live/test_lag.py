@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import math
 
 import pytest
 
@@ -19,6 +20,14 @@ class TestLoopLagSampler:
             loop = asyncio.get_running_loop()
             with pytest.raises(ValueError, match="interval"):
                 LoopLagSampler(loop, interval=0.0)
+
+        run(body)
+
+    @pytest.mark.parametrize("interval", [math.nan, math.inf])
+    def test_interval_must_be_finite(self, interval):
+        async def body():
+            with pytest.raises(ValueError, match="interval"):
+                LoopLagSampler(asyncio.get_running_loop(), interval=interval)
 
         run(body)
 

@@ -1,6 +1,8 @@
 """Swarm orchestration: validation (pure, always run), the loopback
 smoke test (n=8, sub-second wall time — the CI gate), churn/load
-wiring, and the ``python -m repro.live bench`` JSON contract.
+wiring, the one-socket ingress (one bound socket whatever n, and an
+n=100 swarm under a 64-descriptor limit), and the ``python -m
+repro.live swarm`` error contract.
 """
 
 from __future__ import annotations
@@ -8,15 +10,25 @@ from __future__ import annotations
 import asyncio
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
 from repro.core.config import PROPConfig
 from repro.harness.experiment import ExperimentConfig
+from repro.live.clock import LiveScheduler
 from repro.live.cli import main as live_main
 from repro.live.swarm import ChurnSchedule, Swarm
+from repro.live.traffic import TrafficGenerator
 from repro.live.transport import udp_loopback_available
 from repro.workloads.churn import ChurnConfig
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+FD_DIR = Path("/proc/self/fd")
 
 needs_loopback = pytest.mark.skipif(
     not udp_loopback_available(),
@@ -43,7 +55,6 @@ class TestChurnSchedule:
     def test_parse(self):
         schedule = ChurnSchedule.parse("120:5, 600:10")
         assert schedule.stages == ((120.0, 5), (600.0, 10))
-        assert schedule.total_replacements == 15
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError, match="expected time:count"):
@@ -71,6 +82,21 @@ class TestValidation:
         schedule = ChurnSchedule(stages=((30.0, 2),))
         with pytest.raises(ValueError, match="n_spare"):
             Swarm(_config(n_spare=0), churn_schedule=schedule)
+
+    @pytest.mark.parametrize("interval", [math.nan, math.inf])
+    def test_telemetry_interval_must_be_finite(self, tmp_path, interval):
+        with pytest.raises(ValueError, match="telemetry_interval"):
+            Swarm(_config(), telemetry=tmp_path / "t.jsonl",
+                  telemetry_interval=interval)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_traffic_rate_must_be_finite(self, rate):
+        async def body():
+            scheduler = LiveScheduler(asyncio.get_running_loop())
+            with pytest.raises(ValueError, match="rate"):
+                TrafficGenerator(scheduler, lambda: 0.0, rate)
+
+        asyncio.run(body())
 
     def test_lifecycle_guards(self):
         swarm = Swarm(_config())
@@ -158,18 +184,72 @@ class TestSwarmSmoke:
                   telemetry_interval=0.0)
 
 
+def _open_sockets() -> int:
+    """Sockets this process holds open, from its descriptor table."""
+    count = 0
+    for fd in FD_DIR.iterdir():
+        try:
+            count += os.readlink(fd).startswith("socket:")
+        except OSError:
+            pass  # the listing's own descriptor, closed by now
+    return count
+
+
 @needs_loopback
-class TestBenchCli:
-    def test_bench_prints_one_json_record(self, capsys):
-        rc = live_main([
-            "bench", "--n", "8", "--duration", "120", "--speedup", "480",
-        ])
-        assert rc == 0
-        record = json.loads(capsys.readouterr().out)
-        assert record["n_peers"] == 8
-        assert record["duration"] >= 120.0
-        assert record["msgs_per_s"] > 0
-        assert set(record) >= {
-            "n_peers", "duration", "speedup", "msgs_per_s",
-            "exchanges_per_s", "datagrams_sent", "exchanges", "wall_seconds",
-        }
+class TestOneIngress:
+    """The whole swarm shares one datagram endpoint."""
+
+    @pytest.mark.skipif(not FD_DIR.is_dir(), reason="needs /proc/self/fd")
+    @pytest.mark.parametrize("n", [8, 100])
+    def test_swarm_binds_one_socket_whatever_n(self, n):
+        async def body():
+            swarm = Swarm(_config(n_overlay=n))
+            before = _open_sockets()
+            await swarm.start()
+            bound = _open_sockets() - before
+            await swarm.close()
+            await asyncio.sleep(0)  # the endpoint closes its socket on the next pass
+            return bound, _open_sockets() - before
+
+        bound, left = asyncio.run(body())
+        assert bound == 1
+        assert left == 0
+
+    def test_hundred_peers_under_a_64_descriptor_limit(self):
+        """Per-peer sockets would need over 100 descriptors here."""
+        code = textwrap.dedent("""
+            import asyncio, resource
+            _, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+            resource.setrlimit(resource.RLIMIT_NOFILE, (64, hard))
+            from repro.core.config import PROPConfig
+            from repro.harness.experiment import ExperimentConfig
+            from repro.live.swarm import Swarm
+            config = ExperimentConfig(
+                seed=0, preset="ts-small", n_overlay=100, prop=PROPConfig(policy="G"),
+                transport="udp", duration=120.0, sample_interval=120.0,
+                live_speedup=480.0)
+            r = asyncio.run(Swarm(config).run())
+            print(r.n_peers, r.probes, r.datagrams_delivered, r.handler_errors,
+                  r.codec_errors)
+        """)
+        done = subprocess.run([sys.executable, "-c", code],
+                              env={**os.environ, "PYTHONPATH": str(SRC)},
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        n_peers, probes, delivered, handler_errors, codec_errors = map(
+            int, done.stdout.split())
+        assert n_peers == 100
+        assert probes > 0 and delivered > 0
+        assert handler_errors == 0
+        assert codec_errors == 0
+
+
+class TestSwarmCli:
+    @pytest.mark.parametrize("flag", ["--speedup", "--rate", "--telemetry-interval"])
+    def test_non_finite_value_exits_with_one_error_line(self, flag, tmp_path):
+        argv = ["swarm", flag, "nan", "--telemetry", str(tmp_path / "t.jsonl")]
+        with pytest.raises(SystemExit) as exc:
+            live_main(argv)
+        message = str(exc.value.code)
+        assert message.startswith("error: ") and "nan" in message
+        assert "\n" not in message

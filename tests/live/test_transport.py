@@ -6,25 +6,28 @@ through all three Transport implementations — :class:`SimTransport`,
 :class:`FaultyTransport` and :class:`UdpTransport` — asserting identical
 protocol-visible behavior: a registered slot's handler runs, and a slot
 with no registered handler absorbs messages (delivery still counted, no
-handler called).  UDP cases are skipped where loopback sockets are
+handler called).  The UDP semantics class attacks the swarm's one
+datagram endpoint.  UDP cases are skipped where loopback sockets are
 unavailable.
 """
 
 from __future__ import annotations
 
 import asyncio
+import socket
 
 import numpy as np
 import pytest
 
 from repro.live.clock import LiveScheduler
-from repro.live.codec import encode, encoded_size
-from repro.live.node import PeerNode
+from repro.live.codec import decode, encode
 from repro.live.transport import UdpTransport, udp_loopback_available
 from repro.net.faults import FaultyTransport
 from repro.net.messages import VarProbe
 from repro.net.transport import SimTransport, Transport
 from repro.netsim.engine import Simulator
+from repro.obs.events import SpanEndEvent
+from repro.obs.trace import Tracer
 
 LOOPBACK = udp_loopback_available()
 needs_loopback = pytest.mark.skipif(
@@ -105,113 +108,103 @@ class TestUnregisterParity:
                 assert callable(getattr(cls, name)), f"{cls.__name__}.{name}"
 
 
+
+
+def _inject(address: tuple[str, int], data: bytes) -> None:
+    """Send one raw datagram to the swarm's socket from a foreign one."""
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+        sock.sendto(data, address)
+
+
 @needs_loopback
 class TestUdpSemantics:
-    """Behavior specific to the real datagram path."""
+    """Behavior specific to the real datagram path: the swarm's one
+    endpoint counts every hostile datagram and keeps delivering."""
 
     @staticmethod
-    def _run(body):
+    def _survives(hostile: bytes, handler=None, tracer=None):
+        """Inject ``hostile``, then send one valid probe (cycle 2) to slot 1.
+
+        Returns the closed transport, the cycles slot 1's handler saw,
+        and whatever reached the loop's exception handler.
+        """
+        async def body():
+            loop = asyncio.get_running_loop()
+            escaped: list = []
+            loop.set_exception_handler(lambda _loop, ctx: escaped.append(ctx))
+            transport = await UdpTransport.create(LiveScheduler(loop), 2, tracer=tracer)
+            seen: list = []
+
+            def on_message(msg):
+                seen.append(msg.cycle)
+                if handler is not None:
+                    handler(msg)
+
+            transport.register(1, on_message)
+            try:
+                _inject(transport.address, hostile)
+                transport.send(VarProbe(src=0, dst=1, cycle=2))
+                deadline = loop.time() + 2.0
+                while loop.time() < deadline and 2 not in seen:
+                    await asyncio.sleep(0.005)
+                return transport, seen, escaped
+            finally:
+                transport.close()
+
         return asyncio.run(body())
 
     def test_garbage_datagram_counted_not_raised(self):
-        async def body():
-            loop = asyncio.get_running_loop()
-            transport = await UdpTransport.create(LiveScheduler(loop), 2)
-            try:
-                transport.nodes[0].sendto(b"not a frame", transport.nodes[1].address)
-                deadline = loop.time() + 2.0
-                while loop.time() < deadline and transport.codec_errors < 1:
-                    await asyncio.sleep(0.005)
-                return transport.codec_errors, transport.stats.total_delivered
-            finally:
-                transport.close()
-
-        codec_errors, delivered = self._run(body)
-        assert codec_errors == 1
-        assert delivered == 0
-
-    @staticmethod
-    async def _until_two(seen: list) -> None:
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + 2.0
-        while loop.time() < deadline and len(seen) < 2:
-            await asyncio.sleep(0.005)
-
-    def test_raising_handler_counted_not_raised(self):
-        async def body():
-            loop = asyncio.get_running_loop()
-            escaped: list = []
-            loop.set_exception_handler(lambda _loop, ctx: escaped.append(ctx))
-            transport = await UdpTransport.create(LiveScheduler(loop), 2)
-            try:
-                seen: list = []
-
-                def handler(msg):
-                    seen.append(msg.cycle)
-                    if msg.cycle == 1:
-                        raise RuntimeError("handler bug")
-
-                transport.register(1, handler)
-                transport.send(VarProbe(src=0, dst=1, cycle=1))
-                transport.send(VarProbe(src=0, dst=1, cycle=2))
-                await self._until_two(seen)
-                return transport.handler_errors, seen, escaped
-            finally:
-                transport.close()
-
-        handler_errors, seen, escaped = self._run(body)
-        assert handler_errors == 1
-        assert seen == [1, 2]  # the loop survived: the next datagram arrived
-        assert escaped == []  # nothing reached the loop's exception handler
-
-    def test_raising_sink_counted_not_raised(self):
-        async def body():
-            loop = asyncio.get_running_loop()
-            escaped: list = []
-            loop.set_exception_handler(lambda _loop, ctx: escaped.append(ctx))
-            seen: list = []
-
-            def sink(slot, data):
-                seen.append(data)
-                if data == b"first":
-                    raise RuntimeError("sink bug")
-
-            sender = await PeerNode.create(loop, 0, lambda slot, data: None)
-            receiver = await PeerNode.create(loop, 1, sink)
-            try:
-                sender.sendto(b"first", receiver.address)
-                sender.sendto(b"second", receiver.address)
-                await self._until_two(seen)
-                return receiver.sink_errors, seen, escaped
-            finally:
-                sender.close()
-                receiver.close()
-
-        sink_errors, seen, escaped = self._run(body)
-        assert sink_errors == 1
-        assert seen == [b"first", b"second"]
+        transport, seen, escaped = self._survives(b"not a frame")
+        assert transport.codec_errors == 1
+        assert seen == [2]  # the next datagram was still delivered
+        assert transport.stats.total_delivered == 1
         assert escaped == []
 
     def test_misrouted_frame_counted_and_dropped(self):
-        async def body():
-            loop = asyncio.get_running_loop()
-            transport = await UdpTransport.create(LiveScheduler(loop), 2)
-            try:
-                seen: list = []
-                transport.register(1, seen.append)
-                # a frame addressed to slot 0 lands on slot 1's socket
-                stray = VarProbe(src=0, dst=0, cycle=1)
-                transport.nodes[0].sendto(encode(stray), transport.nodes[1].address)
-                deadline = loop.time() + 2.0
-                while loop.time() < deadline and transport.misrouted < 1:
-                    await asyncio.sleep(0.005)
-                return transport.misrouted, seen
-            finally:
-                transport.close()
+        # a valid frame whose dst names no slot of this two-slot swarm
+        stray = encode(VarProbe(src=0, dst=2, cycle=1))
+        transport, seen, escaped = self._survives(stray)
+        assert transport.misrouted == 1
+        assert seen == [2]
+        assert transport.stats.total_delivered == 1
+        assert escaped == []
 
-        misrouted, seen = self._run(body)
-        assert misrouted == 1
-        assert seen == []
+    def test_raising_sink_counted_not_raised(self, monkeypatch):
+        """A non-CodecError raised on the receive path, before dispatch."""
+        def flaky_decode(data):
+            if data == b"boom":
+                raise RuntimeError("receive-path bug")
+            return decode(data)
+
+        monkeypatch.setattr("repro.live.transport.decode", flaky_decode)
+        transport, seen, escaped = self._survives(b"boom")
+        assert transport.handler_errors == 1
+        assert transport.codec_errors == 0
+        assert seen == [2]
+        assert escaped == []
+
+    def test_raising_handler_counted_not_raised(self):
+        def handler(msg):
+            if msg.cycle == 1:
+                raise RuntimeError("handler bug")
+
+        transport, seen, escaped = self._survives(
+            encode(VarProbe(src=0, dst=1, cycle=1)), handler)
+        assert transport.handler_errors == 1
+        assert seen == [1, 2]  # the loop survived: the next datagram arrived
+        assert escaped == []  # nothing reached the loop's exception handler
+
+    def test_raising_handler_still_closes_its_span(self):
+        def handler(msg):
+            raise RuntimeError("handler bug")
+
+        tracer = Tracer()
+        spanned = VarProbe(src=0, dst=1, cycle=1, trace_id=7, span_id=70, parent_id=-1)
+        transport, seen, _ = self._survives(encode(spanned), handler, tracer)
+        assert seen == [1, 2]
+        assert transport.handler_errors == 2
+        ends = [e for e in tracer.events if isinstance(e, SpanEndEvent)]
+        assert [(e.trace, e.span, e.status) for e in ends] == [(7, 70, "ok")]
 
     def test_extra_delay_defers_transmit_on_the_scheduler(self):
         async def body():
@@ -230,7 +223,7 @@ class TestUdpSemantics:
             finally:
                 transport.close()
 
-        got_at = self._run(body)
+        got_at = asyncio.run(body())
         assert got_at and got_at[0] >= 5.0
 
     def test_wire_bytes_and_closed_transport(self):
@@ -245,6 +238,6 @@ class TestUdpSemantics:
             transport.send(msg)  # dropped silently after close
             return wire, transport.wire_bytes_sent, msg
 
-        wire, after_close, msg = self._run(body)
-        assert wire == encoded_size(msg)
+        wire, after_close, msg = asyncio.run(body())
+        assert wire == len(encode(msg))
         assert after_close == wire

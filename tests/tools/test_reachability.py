@@ -21,7 +21,7 @@ EXCEPTIONS: frozenset[str] = frozenset()
 
 #: Packages whose worklist is done: no ``todo`` row may name them.
 SETTLED_PACKAGES = ("repro.overlay.", "repro.metrics.", "repro.net.", "repro.netsim.",
-                    "repro.harness.", "repro.analysis.", "repro.obs.")
+                    "repro.harness.", "repro.analysis.", "repro.obs.", "repro.live.")
 
 #: Defs no root reaches, by qualified name.  ``reference``: a test
 #: compares production against it.  ``todo``: not adjudicated yet — the
@@ -42,11 +42,6 @@ UNREACHED_DEFS: dict[str, str] = {
     "repro.topology.latency.LatencyOracleBase.mean_pairwise": "reference",
     "repro.core.neighbor_queue.NeighborQueue.remove": "todo",
     "repro.core.protocol.ProtocolCounters.messages_per_probe": "todo",
-    "repro.live.clock.LivePeriodic.stopped": "todo",
-    "repro.live.codec.encoded_size": "todo",
-    "repro.live.codec.frame": "todo",
-    "repro.live.codec.unframe": "todo",
-    "repro.live.swarm.ChurnSchedule.total_replacements": "todo",
     "repro.topology.presets.ts_small": "todo",
     "repro.topology.transit_stub.PhysicalNetwork.transit_hosts": "todo",
     "repro.topology.transit_stub._EdgeAccumulator.has": "todo",
