@@ -72,14 +72,15 @@ monitor-demo:
 figures: bench
 	@echo "regenerated series are under benchmarks/output/"
 
-# One traced run -> RunReport JSON -> markdown rendering, the
+# One traced run -> run record JSON -> its markdown rendering, the
 # docs/observability.md end-to-end path.
 report:
 	PYTHONPATH=src python -m repro run --preset ts-small --n 100 --policy G \
 		--duration 600 --sample-interval 300 --lookups 50 \
-		--report benchmarks/output/run_report.json
-	PYTHONPATH=src python -m repro.obs render benchmarks/output/run_report.json \
-		-o benchmarks/output/run_report.md
+		--trace benchmarks/output/run_report.jsonl \
+		--save benchmarks/output/run_report.json
+	PYTHONPATH=src python -m repro show benchmarks/output/run_report.json \
+		> benchmarks/output/run_report.md
 	@echo "rendered benchmarks/output/run_report.md"
 
 examples:

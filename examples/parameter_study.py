@@ -2,9 +2,10 @@
 """Scenario: a reproducible parameter study with saved results.
 
 How a downstream user would actually run a study with this library:
-sweep PROP-O's trade size ``m`` across several seeds, persist every raw
-result to JSON (rerunnable, diffable), and print an aggregate table with
-spread — all through the public API.
+sweep PROP-O's trade size ``m`` across several seeds, save every run's
+record to JSON (rerunnable; ``python -m repro compare A B`` diffs two,
+``python -m repro report DIR`` tabulates them all), and print an
+aggregate table with spread — all through the public API.
 
 Run:  python examples/parameter_study.py [output_dir]
 """
@@ -13,7 +14,7 @@ import pathlib
 import sys
 
 from repro import ExperimentConfig, PROPConfig, format_table
-from repro.harness.persistence import load_result, save_result
+from repro.harness.persistence import load_record, save_record
 from repro.harness.replicate import replicate
 
 SEEDS = [0, 1, 2]
@@ -21,8 +22,7 @@ M_VALUES = [1, 2, 4]
 
 
 def main(out_dir: str = "parameter_study_results") -> None:
-    out = pathlib.Path(out_dir)
-    out.mkdir(exist_ok=True)
+    out = pathlib.Path(out_dir)  # save_record creates it
 
     base = ExperimentConfig(
         preset="ts-large",
@@ -37,7 +37,7 @@ def main(out_dir: str = "parameter_study_results") -> None:
     for m in M_VALUES:
         summary = replicate(base.but(prop=PROPConfig(policy="O", m=m)), SEEDS)
         for result in summary.results:
-            path = save_result(result, out / f"prop_o_m{m}_seed{result.config.seed}.json")
+            save_record(result, out / f"prop_o_m{m}_seed{result.config.seed}.json")
         rows.append(
             [
                 f"PROP-O m={m}",
@@ -47,7 +47,7 @@ def main(out_dir: str = "parameter_study_results") -> None:
             ]
         )
 
-    print(f"raw results saved under {out}/ (JSON, reload with load_result)\n")
+    print(f"run records saved under {out}/ (JSON, reload with load_record)\n")
     print(
         format_table(
             ["config", "final/initial mean", "std", "final latency mean (ms)"],
@@ -55,12 +55,13 @@ def main(out_dir: str = "parameter_study_results") -> None:
         )
     )
 
-    # demonstrate reloading a stored record
-    stored = load_result(out / f"prop_o_m{M_VALUES[0]}_seed{SEEDS[0]}.json")
+    # demonstrate reloading a run record
+    record = load_record(out / f"prop_o_m{M_VALUES[0]}_seed{SEEDS[0]}.json")
+    latency = record.series["lookup_latency"]
     print(
-        f"\nreloaded {stored.config['prop']['policy']!r} m={stored.config['prop']['m']} "
-        f"seed={stored.config['seed']}: "
-        f"improvement {stored.improvement_ratio():.3f}"
+        f"\nreloaded {record.config['prop']['policy']!r} m={record.config['prop']['m']} "
+        f"seed={record.config['seed']}: "
+        f"improvement {latency[-1] / latency[0]:.3f}"
     )
 
 

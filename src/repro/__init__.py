@@ -63,7 +63,6 @@ from repro.topology import (
     build_preset,
     generate_transit_stub,
     ts_large,
-    ts_small,
 )
 from repro.workloads import (
     BimodalDelay,
@@ -118,5 +117,4 @@ __all__ = [
     "select_prop_o",
     "stretch",
     "ts_large",
-    "ts_small",
 ]

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 from typing import Sequence
 
 from repro.baselines.ltm import LTMConfig
@@ -118,15 +119,15 @@ def build_parser() -> argparse.ArgumentParser:
                           "(default: 1 = in-process; 0 = one per core)")
 
     run.add_argument("--save", type=str, default=None, metavar="PATH",
-                     help="save the result to this JSON file")
+                     help="write the run record (config, series, metrics, "
+                          "phases, trace event counts, profile) to this JSON "
+                          "file; with --seeds, PATH is a directory and each "
+                          "seed's record is PATH/seed<S>.json")
 
     obs = run.add_argument_group("observability")
     obs.add_argument("--trace", type=str, default=None, metavar="PATH",
                      help="record structured protocol/message events to this "
                           "JSONL file (analyze with 'python -m repro.obs')")
-    obs.add_argument("--report", type=str, default=None, metavar="PATH",
-                     help="write a per-run report (config fingerprint, metrics, "
-                          "phase breakdown) to this JSON file")
     obs.add_argument("--profile", action="store_true",
                      help="print where the wall-clock time went: world build, "
                           "event categories of the dispatch loop, metric "
@@ -136,18 +137,18 @@ def build_parser() -> argparse.ArgumentParser:
                           "here (inspect with 'python -m repro.obs prof PATH')")
     obs.add_argument("--monitor", action="store_true",
                      help="live stderr progress line (phase, sim-time, ETA, "
-                          "latency, exchange tallies); without --trace/--report "
+                          "latency, exchange tallies); without --trace "
                           "this streams events to consumers and discards them, "
                           "bounding memory for long runs")
 
     sub.add_parser("presets", help="list the physical topology presets")
 
-    show = sub.add_parser("show", help="summarize a saved result")
-    show.add_argument("path", help="result JSON written by 'run --save'")
+    show = sub.add_parser("show", help="render a run record as markdown")
+    show.add_argument("path", help="run record written by 'run --save'")
 
-    compare = sub.add_parser("compare", help="compare two saved results")
-    compare.add_argument("path_a", help="baseline result JSON")
-    compare.add_argument("path_b", help="candidate result JSON")
+    compare = sub.add_parser("compare", help="list what differs between two run records")
+    compare.add_argument("path_a", help="baseline run record")
+    compare.add_argument("path_b", help="candidate run record")
 
     from repro.harness.figures import FIGURE_IDS
 
@@ -163,8 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="live stderr rollup line (done/total, ETA) as "
                              "the sweep's runs complete")
 
-    report = sub.add_parser("report", help="tabulate saved results in a directory")
-    report.add_argument("directory", help="directory of result JSON files")
+    report = sub.add_parser("report", help="tabulate the run records in a directory")
+    report.add_argument("directory", help="directory of run records")
     report.add_argument("--metric", default="lookup_latency",
                         choices=["lookup_latency", "stretch", "link_stretch"])
     return parser
@@ -208,14 +209,10 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         live_speedup=args.speedup,
         loss=args.loss,
         partitions=tuple(args.partition or ()),
-        trace=args.trace is not None or args.report is not None,
+        trace=args.trace is not None,
         # --monitor alone needs the event stream but not the raw trace:
         # stream to the monitor and discard, keeping memory bounded
-        trace_streaming=(
-            getattr(args, "monitor", False)
-            and args.trace is None
-            and args.report is None
-        ),
+        trace_streaming=getattr(args, "monitor", False) and args.trace is None,
         # --profile prints the kernel profile, --kernel-profile also saves it
         kernel_profile=args.profile or args.kernel_profile is not None,
     )
@@ -253,8 +250,6 @@ def _cmd_run_replicated(args: argparse.Namespace, config: ExperimentConfig,
                         label: str, seeds: list[int]) -> int:
     from repro.harness.replicate import replicate
 
-    if args.save:
-        raise SystemExit("error: --save stores a single result; drop --seeds")
     if args.trace:
         raise SystemExit("error: --trace records a single run; drop --seeds")
     if config.kernel_profile:
@@ -288,12 +283,12 @@ def _cmd_run_replicated(args: argparse.Namespace, config: ExperimentConfig,
     print(f"\nimprovement ratio (final/initial lookup latency): "
           f"{summary.mean_improvement():.3f} +/- {summary.std_improvement():.3f} "
           f"over {summary.n_replicas} seeds")
-    if args.report:
-        from repro.obs.report import build_replicate_report, save_report
+    if args.save:
+        from repro.harness.persistence import save_record
 
-        path = save_report(build_replicate_report(summary), args.report)
-        print(f"wrote aggregate report ({summary.n_replicas} seeds) to {path}",
-              file=sys.stderr)
+        for seed, result in zip(summary.seeds, summary.results):
+            save_record(result, Path(args.save) / f"seed{seed}.json")
+        print(f"saved {summary.n_replicas} run records to {args.save}", file=sys.stderr)
     return 0
 
 
@@ -301,10 +296,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     try:
         config = _config_from_args(args)
     except ValueError as exc:
-        if args.transport == "udp" and (args.profile or args.kernel_profile):
-            # the config's own kernel_profile refusal, as one line
-            raise SystemExit(f"error: {exc}") from None
-        raise
+        raise SystemExit(f"error: {exc}") from None
     label = "none"
     if config.prop is not None:
         label = f"PROP-{config.prop.policy}"
@@ -338,7 +330,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             from repro.obs.prof import wall_monotonic
 
             if not config.trace_streaming:
-                # buffered tracing active (--trace/--report): attach the
+                # buffered tracing active (--trace): attach the
                 # monitor alongside the raw event buffer
                 consumers = [monitor_consumers(config)]
             wall_start = wall_monotonic()
@@ -409,48 +401,43 @@ def _cmd_run(args: argparse.Namespace) -> int:
                   "will be empty", file=sys.stderr)
         trace_path = write_events_jsonl(events, args.trace)
         print(f"wrote {len(events)} events to {trace_path}", file=sys.stderr)
-    if args.report:
-        from repro.obs.report import build_run_report, save_report
-
-        path = save_report(build_run_report(result), args.report)
-        print(f"wrote run report to {path}", file=sys.stderr)
     if args.save:
-        from repro.harness.persistence import save_result
+        from repro.harness.persistence import save_record
 
-        path = save_result(result, args.save)
-        print(f"saved result to {path}", file=sys.stderr)
+        path = save_record(result, args.save)
+        print(f"saved run record to {path}", file=sys.stderr)
     return 0
 
 
-def _load_results(command: str, *paths: str) -> list | None:
-    """The stored results at ``paths``, or None after one stderr line (exit 2)."""
-    from repro.harness.persistence import load_result
+def _load_records(command: str, *paths: str) -> list | None:
+    """The run records at ``paths``, or None after one stderr line (exit 2)."""
+    from repro.harness.persistence import load_record
 
     try:
-        return [load_result(path) for path in paths]
+        return [load_record(path) for path in paths]
     except (OSError, ValueError) as exc:
         print(f"{command}: {exc}", file=sys.stderr)
         return None
 
 
 def _cmd_show(args: argparse.Namespace) -> int:
-    from repro.analysis.compare import summarize_result
+    from repro.harness.persistence import render_record
 
-    stored = _load_results("show", args.path)
-    if stored is None:
+    records = _load_records("show", args.path)
+    if records is None:
         return 2
-    print(summarize_result(stored[0], label=args.path))
+    print(render_record(records[0], label=args.path), end="")
     return 0
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    from repro.analysis.compare import compare_results
+    from repro.harness.persistence import compare_records
 
-    stored = _load_results("compare", args.path_a, args.path_b)
-    if stored is None:
+    records = _load_records("compare", args.path_a, args.path_b)
+    if records is None:
         return 2
-    a, b = stored
-    print(compare_results(a, b, label_a=args.path_a, label_b=args.path_b).to_text())
+    print(f"A = {args.path_a}\nB = {args.path_b}\n")
+    print(compare_records(*records))
     return 0
 
 
@@ -483,9 +470,13 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.analysis.tables import summarize_directory
+    from repro.harness.persistence import tabulate_records
 
-    print(summarize_directory(args.directory, metric=args.metric))
+    try:
+        print(tabulate_records(args.directory, metric=args.metric))
+    except ValueError as exc:
+        print(f"report: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -82,10 +82,6 @@ class NeighborQueue:
             self._synced = None
         self._push(slot, _PRIO_FRONT)
 
-    def remove(self, slot: int) -> None:
-        self._synced = None
-        self._prio.pop(slot, None)
-
     def sync(self, neighbors: Iterable[int]) -> None:
         """Reconcile with the current neighbor set after an exchange.
 

@@ -71,9 +71,6 @@ class ProtocolCounters:
     def total_messages(self) -> int:
         return self.walk_messages + self.collect_messages + self.notify_messages
 
-    def messages_per_probe(self) -> float:
-        return self.total_messages / self.probes if self.probes else 0.0
-
 
 @dataclass
 class NodeState:

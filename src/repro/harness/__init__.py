@@ -1,4 +1,4 @@
-"""Experiment harness: configs, time-series runner, sweeps, reporting."""
+"""Experiment harness: configs, time-series runner, sweeps, run records."""
 
 from repro.harness.experiment import (
     ExperimentConfig,
@@ -7,7 +7,7 @@ from repro.harness.experiment import (
     build_world,
     run_experiment,
 )
-from repro.harness.persistence import StoredResult, load_result, save_result
+from repro.harness.persistence import RunRecord, load_record, save_record
 from repro.harness.replicate import ReplicatedSeries, ReplicationSummary, replicate
 from repro.harness.reporting import format_series, format_table
 from repro.harness.sweep import TaskEvent, run_sweep
@@ -17,15 +17,15 @@ __all__ = [
     "ExperimentResult",
     "ReplicatedSeries",
     "ReplicationSummary",
-    "StoredResult",
+    "RunRecord",
     "TaskEvent",
     "World",
     "build_world",
     "format_series",
     "format_table",
-    "load_result",
+    "load_record",
     "replicate",
     "run_experiment",
     "run_sweep",
-    "save_result",
+    "save_record",
 ]

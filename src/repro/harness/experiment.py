@@ -66,6 +66,7 @@ __all__ = [
     "monitor_consumers",
     "run_experiment",
     "sample_lookup_latency",
+    "warmup_seconds",
 ]
 
 
@@ -146,8 +147,16 @@ class ExperimentConfig:
             raise ValueError("churn needs n_spare > 0 replacement hosts")
         if self.fast_lookup_fraction is not None and not self.heterogeneous:
             raise ValueError("fast_lookup_fraction requires heterogeneous=True")
+        if not 0.0 < self.sample_interval < inf:
+            raise ValueError(
+                f"sample_interval must be finite and > 0, got {self.sample_interval}")
+        if not self.duration < inf:
+            raise ValueError(f"duration must be finite, got {self.duration}")
         if self.duration < self.sample_interval:
             raise ValueError("duration must cover at least one sample interval")
+        if self.lookups_per_sample < 0:
+            raise ValueError(
+                f"lookups_per_sample must be >= 0, got {self.lookups_per_sample}")
         if (self.pis_landmarks is not None or self.pns) and self.overlay_kind != "chord":
             raise ValueError("PIS/PNS apply to the chord overlay only")
         if self.trace and self.trace_streaming:
@@ -300,21 +309,30 @@ class ExperimentResult:
         return np.diff(self.probes) / np.where(dt > 0, dt, 1.0)
 
 
+def warmup_seconds(config: ExperimentConfig) -> float:
+    """Simulated seconds of PROP's fixed-period warm-up in this run.
+
+    Warm-up is ``MAX_INIT_TRIAL`` probe cycles at ``INIT_TIMER`` seconds
+    each (Section 3.2), capped at the run's duration; everything after
+    it is Markov-timer maintenance.  Zero without a PROP optimizer.
+    """
+    if config.prop is None:
+        return 0.0
+    return min(
+        float(config.duration),
+        float(config.prop.max_init_trial) * float(config.prop.init_timer),
+    )
+
+
 def monitor_consumers(config: ExperimentConfig) -> ConvergenceMonitor:
     """The config-derived streaming consumer of a monitored run.
 
     Built from the config alone so a worker process reconstructs the
     identical monitor — its state stays comparable between serial and
-    ``--workers N`` execution.  Warm-up end mirrors the report phase
-    breakdown.
+    ``--workers N`` execution.  Warm-up end is the run record's phase
+    split.
     """
-    warmup = 0.0
-    if config.prop is not None:
-        warmup = min(
-            config.duration,
-            float(config.prop.max_init_trial) * float(config.prop.init_timer),
-        )
-    return ConvergenceMonitor(config.duration, warmup_end=warmup)
+    return ConvergenceMonitor(config.duration, warmup_end=warmup_seconds(config))
 
 
 def build_substrate(config: ExperimentConfig) -> Substrate:

@@ -1,4 +1,4 @@
-"""repro.obs — structured event tracing, the metrics snapshot, run reports.
+"""repro.obs — structured event tracing, the metrics snapshot, span checking.
 
 Import from the submodules; this package re-exports nothing.
 
@@ -11,9 +11,9 @@ Import from the submodules; this package re-exports nothing.
   convergence detectors behind the CLI's ``--monitor`` progress line;
 * :mod:`repro.obs.registry` — :func:`metrics_snapshot`, the one flat
   metric namespace over ProtocolCounters / NetCounters /
-  TransportStats;
-* :mod:`repro.obs.report` / :mod:`repro.obs.spans` — per-run
-  :class:`RunReport` artifacts and the one trace checker behind
+  TransportStats (the run record, :mod:`repro.harness.persistence`,
+  stores it);
+* :mod:`repro.obs.spans` — the one trace checker behind
   ``python -m repro.obs spans`` / ``critpath`` (causal span trees,
   critical paths, and the exactly-once fold of every 2PC exchange);
 * :mod:`repro.obs.telemetry` — the live deployment plane's periodic

@@ -1,4 +1,4 @@
-"""``python -m repro.obs`` — the trace/report analyzer CLI.
+"""``python -m repro.obs`` — the trace and profile analyzer CLI.
 
 * ``spans TRACE.jsonl`` / ``critpath TRACE.jsonl`` — the one trace
   checker: causal span trees (one per probe cycle) or their per-cycle
@@ -7,9 +7,6 @@
   orphan root, an instrumentation bug or a PREPARE that did not resolve
   exactly once, 2 (one stderr line) on an unreadable trace;
   ``--json-out`` writes the summary.
-* ``diff A.json B.json`` / ``render REPORT.json [-o OUT.md]`` — compare
-  two run reports metric by metric, or render one to markdown; exit 2
-  with one stderr line on an unreadable or malformed report.
 * ``prof PROFILE.json`` / ``prof diff A.json B.json`` — a kernel
   profile's attribution table (``repro run --kernel-profile``), or the
   per-category A/B deltas.  Exit 0 ok, 1 category mismatch against the
@@ -20,11 +17,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 from typing import Sequence
 
 from repro.obs.events import load_trace
-from repro.obs.report import RunReport, diff_reports, load_report, render_markdown
 from repro.obs.spans import (
     assemble_spans,
     dump_analysis,
@@ -46,38 +41,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         dump_analysis(analysis, args.json_out)
         print(f"wrote {args.json_out}", file=sys.stderr)
     return 0 if analysis.clean else 1
-
-
-def _load_reports(command: str, *paths: str) -> list[RunReport] | None:
-    """The reports at ``paths``, or None after one stderr line (exit 2)."""
-    try:
-        return [load_report(path) for path in paths]
-    except (OSError, ValueError) as exc:
-        print(f"{command}: {exc}", file=sys.stderr)
-        return None
-
-
-def _cmd_diff(args: argparse.Namespace) -> int:
-    reports = _load_reports("diff", args.a, args.b)
-    if reports is None:
-        return 2
-    print(diff_reports(*reports))
-    return 0
-
-
-def _cmd_render(args: argparse.Namespace) -> int:
-    reports = _load_reports("render", args.report)
-    if reports is None:
-        return 2
-    text = render_markdown(reports[0])
-    if args.output is None:
-        print(text, end="")
-    else:
-        out = Path(args.output)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text, encoding="utf-8")
-        print(f"wrote {out}")
-    return 0
 
 
 def _cmd_prof(args: argparse.Namespace) -> int:
@@ -113,7 +76,7 @@ def _cmd_prof(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
-        description="Analyze repro trace files and run reports.",
+        description="Analyze repro trace files and kernel profiles.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -134,16 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="also write the JSON analysis summary to PATH",
         )
         p_trace.set_defaults(func=_cmd_trace, render=render)
-
-    p_diff = sub.add_parser("diff", help="diff two run reports")
-    p_diff.add_argument("a", help="baseline report JSON")
-    p_diff.add_argument("b", help="comparison report JSON")
-    p_diff.set_defaults(func=_cmd_diff)
-
-    p_render = sub.add_parser("render", help="render a run report to markdown")
-    p_render.add_argument("report", help="report JSON (from --report)")
-    p_render.add_argument("-o", "--output", default=None, help="output .md path")
-    p_render.set_defaults(func=_cmd_render)
 
     p_prof = sub.add_parser(
         "prof", help="render or diff kernel profiles (--kernel-profile output)"

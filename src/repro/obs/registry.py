@@ -6,7 +6,7 @@ tallies), :class:`~repro.net.engine.NetCounters` (fault-visible
 outcomes) and :class:`~repro.net.transport.TransportStats` (wire-level
 sends/drops).  :func:`metrics_snapshot` reads them at reporting time
 into one flat, sorted, JSON-ready namespace of dotted metric names —
-``prop.*``, ``net.*``, ``transport.*`` — which run reports, the live
+``prop.*``, ``net.*``, ``transport.*`` — which run records, the live
 swarm's telemetry and ``repro run``'s net table all print.
 """
 
@@ -146,23 +146,3 @@ def net_summary_rows(snapshot: Mapping[str, Any]) -> list[list[Any]]:
             if name.startswith(("net.", "transport."))
             and not isinstance(value, dict)]
 
-
-def _as_flat_items(snapshot: Mapping[str, Any]) -> Iterable[tuple[str, float]]:
-    """Scalar view of a snapshot.
-
-    Histograms flatten to count/sum plus the p50/p95/p99 estimates
-    recomputed from their buckets — that is how reports (render, diff,
-    replicate aggregation) export tail percentiles without widening the
-    snapshot wire format.
-    """
-    for name, value in snapshot.items():
-        if isinstance(value, dict):
-            yield f"{name}.count", float(value.get("count", 0))
-            yield f"{name}.sum", float(value.get("sum", 0.0))
-            edges, counts = value.get("edges"), value.get("counts")
-            if edges and counts:
-                for q in (50, 95, 99):
-                    yield (f"{name}.p{q}",
-                           percentile_from_buckets(edges, counts, float(q)))
-        else:
-            yield name, float(value)

@@ -217,8 +217,13 @@ class GnutellaOverlay(Overlay):
         Gnutella's expanding-ring requery — and the lookup costs
         ``retry_timeout`` plus the unbounded-flood latency.  Without it,
         failed lookups are simply excluded from the average (``inf`` if
-        every lookup fails).
+        every lookup fails).  A ``retry_timeout`` that is negative or not
+        finite is a ``ValueError``: it would price a requery below (or
+        beyond) any flood.
         """
+        if retry_timeout is not None and not 0.0 <= retry_timeout < np.inf:
+            raise ValueError(
+                f"retry_timeout must be finite and >= 0, got {retry_timeout}")
         vals = self._lookup_values(pairs, node_delay, ttl, charge_destination)
         failed = ~np.isfinite(vals)
         if retry_timeout is not None and ttl is not None and failed.any():

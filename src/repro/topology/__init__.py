@@ -23,7 +23,6 @@ from repro.topology.presets import (
     build_preset,
     preset_params,
     ts_large,
-    ts_small,
 )
 from repro.topology.transit_stub import (
     LinkLatencies,
@@ -50,5 +49,4 @@ __all__ = [
     "generate_transit_stub",
     "preset_params",
     "ts_large",
-    "ts_small",
 ]

@@ -39,7 +39,6 @@ __all__ = [
     "TS_SMALL",
     "preset_params",
     "ts_large",
-    "ts_small",
     "build_preset",
 ]
 
@@ -91,8 +90,3 @@ def build_preset(name: str, rng: np.random.Generator) -> PhysicalNetwork:
 def ts_large(seed: int = 0) -> PhysicalNetwork:
     """Convenience constructor for the ``ts-large`` preset."""
     return build_preset("ts-large", RngRegistry(seed).stream("topology:ts-large"))
-
-
-def ts_small(seed: int = 0) -> PhysicalNetwork:
-    """Convenience constructor for the ``ts-small`` preset."""
-    return build_preset("ts-small", RngRegistry(seed).stream("topology:ts-small"))

@@ -143,10 +143,6 @@ class PhysicalNetwork:
         """Indices of stub-tier hosts (the overlay joins from these)."""
         return np.flatnonzero(self.tier == TIER_STUB)
 
-    @property
-    def transit_hosts(self) -> np.ndarray:
-        return np.flatnonzero(self.tier == TIER_TRANSIT)
-
     def mean_link_latency(self) -> float:
         """Mean latency over physical links — the stretch denominator."""
         return float(np.mean(self.edges_w))
@@ -204,9 +200,6 @@ class _EdgeAccumulator:
         self.v.append(key[1])
         self.w.append(w)
         return True
-
-    def has(self, a: int, b: int) -> bool:
-        return ((a, b) if a < b else (b, a)) in self._seen
 
 
 def _connect_domain(acc: _EdgeAccumulator, nodes: np.ndarray, latency: float,

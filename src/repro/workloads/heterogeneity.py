@@ -39,14 +39,6 @@ class BimodalDelay:
     delay_ms: np.ndarray
     is_fast: np.ndarray
 
-    @property
-    def fast_hosts(self) -> np.ndarray:
-        return np.flatnonzero(self.is_fast)
-
-    @property
-    def slow_hosts(self) -> np.ndarray:
-        return np.flatnonzero(~self.is_fast)
-
     def slot_delays(self, embedding: np.ndarray) -> np.ndarray:
         """Processing delay per overlay *slot* under ``embedding``."""
         return self.delay_ms[embedding]
@@ -70,8 +62,9 @@ def bimodal_processing_delay(
     """Assign fast/slow processing delays to ``n_hosts`` hosts."""
     if not 0.0 <= fast_fraction <= 1.0:
         raise ValueError(f"fast_fraction must be in [0, 1], got {fast_fraction}")
-    if fast_ms <= 0 or slow_ms <= 0:
-        raise ValueError("delays must be positive")
+    if not (0.0 < fast_ms < np.inf and 0.0 < slow_ms < np.inf):
+        raise ValueError(
+            f"delays must be finite and positive, got fast_ms={fast_ms}, slow_ms={slow_ms}")
     n_fast = int(round(fast_fraction * n_hosts))
     is_fast = np.zeros(n_hosts, dtype=bool)
     fast_idx = (rng.choice(n_hosts, size=n_fast, replace=False)

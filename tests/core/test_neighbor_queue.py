@@ -61,14 +61,6 @@ def test_new_neighbor_goes_to_front():
     assert q.select() == 99
 
 
-def test_remove():
-    q = _q([1, 2])
-    q.remove(1)
-    assert 1 not in q
-    assert len(q) == 1
-    q.remove(42)  # no-op
-
-
 def test_sync_drops_departed_and_fronts_new():
     q = _q([1, 2, 3])
     q.sync([2, 3, 7])
@@ -101,20 +93,6 @@ class TestSyncByTupleIdentity:
         before = (q.snapshot(), dict(q._prio), q._seq)
         q.sync(nbrs)
         assert (q.snapshot(), q._prio, q._seq) == before
-
-    def test_same_tuple_after_remove_re_adds_at_the_front(self):
-        nbrs = (1, 2, 3, 4)
-        q = _q(nbrs)
-        q.sync(nbrs)
-        q.remove(3)
-        assert 3 not in q
-        q.sync(nbrs)
-        assert q.select() == 3 and len(q) == 4
-        fresh = _q(nbrs)  # the path without any short-circuit
-        fresh.sync(list(nbrs))
-        fresh.remove(3)
-        fresh.sync(list(nbrs))
-        assert q.snapshot() == fresh.snapshot()
 
     def test_stranger_pushed_to_the_front_is_dropped_again(self):
         nbrs = (1, 2, 3)

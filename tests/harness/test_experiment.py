@@ -28,6 +28,38 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=field):
             ExperimentConfig(prop=PROPConfig(), transport="udp", **{field: value})
 
+    @pytest.mark.parametrize("value", [0.0, -60.0, float("nan")])
+    def test_sample_interval_must_be_positive_and_finite(self, value):
+        # 0 divided by zero, NaN failed converting to a sample count
+        with pytest.raises(ValueError, match="sample_interval"):
+            ExperimentConfig(sample_interval=value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_duration_must_be_finite(self, value):
+        # NaN failed converting to a sample count, inf overflowed it
+        with pytest.raises(ValueError, match="duration must be finite"):
+            ExperimentConfig(duration=value)
+
+    def test_lookups_per_sample_must_not_be_negative(self):
+        # failed inside numpy ("negative dimensions") at the first sample
+        with pytest.raises(ValueError, match="lookups_per_sample"):
+            ExperimentConfig(lookups_per_sample=-1)
+
+    @pytest.mark.parametrize("value", [-5.0, float("nan"), float("inf")])
+    def test_retry_timeout_is_checked_where_floods_use_it(self, value):
+        # a negative requery cost silently lowered the measured latency
+        config = ExperimentConfig(flood_ttl=1, retry_timeout=value, **FAST)
+        with pytest.raises(ValueError, match="retry_timeout"):
+            run_experiment(config)
+        overlay = build_world(config).overlay
+        with pytest.raises(ValueError, match="retry_timeout"):
+            overlay.mean_lookup_latency(np.array([[0, 1]]), ttl=1, retry_timeout=value)
+
+    @pytest.mark.parametrize("field", ["fast_ms", "slow_ms"])
+    def test_bimodal_delays_must_be_finite(self, field):
+        with pytest.raises(ValueError, match="finite and positive"):
+            build_world(ExperimentConfig(heterogeneous=True, **{field: float("nan")}, **FAST))
+
     def test_unknown_overlay_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig(overlay_kind="napster")

@@ -1,6 +1,6 @@
 """Shared fixture: one traced, lossy message-plane run.
 
-Session-scoped because the acceptance analysis, the report tests, and
+Session-scoped because the acceptance analysis, the registry tests and
 the CLI-free trace tests all read the same run; the result is never
 mutated.
 """

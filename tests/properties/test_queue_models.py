@@ -88,7 +88,7 @@ def test_neighbor_queue_matches_priority_model(data):
 
     n_ops = data.draw(st.integers(1, 40))
     for _ in range(n_ops):
-        op = data.draw(st.sampled_from(["select", "success", "failure", "new", "remove", "sync"]))
+        op = data.draw(st.sampled_from(["select", "success", "failure", "new", "sync"]))
         if op == "select":
             if model:
                 assert q.select() == min(model, key=model.__getitem__)
@@ -109,10 +109,6 @@ def test_neighbor_queue_matches_priority_model(data):
                 q.on_new_neighbor(s)
                 model[s] = (-1_000_000, seq)
                 seq += 1
-        elif op == "remove" and model:
-            s = data.draw(st.sampled_from(sorted(model)))
-            q.remove(s)
-            del model[s]
         elif op == "sync":
             keep = data.draw(st.lists(st.sampled_from(sorted(model) if model else [0]),
                                       unique=True)) if model else []

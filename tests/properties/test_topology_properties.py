@@ -5,7 +5,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.topology.transit_stub import TransitStubParams, generate_transit_stub
+from repro.topology.transit_stub import TIER_TRANSIT, TransitStubParams, generate_transit_stub
 
 shape = st.tuples(
     st.integers(1, 4),  # transit domains
@@ -37,7 +37,7 @@ def test_always_connected(shape, seed):
 def test_host_counts_match_params(shape, seed):
     params, net = _build(shape, seed)
     assert net.n == params.n_hosts
-    assert len(net.transit_hosts) == params.n_transit
+    assert int((net.tier == TIER_TRANSIT).sum()) == params.n_transit
     assert len(net.stub_hosts) == params.n_stub
 
 

@@ -65,8 +65,21 @@ class TestRunCommand:
         assert "chord / PROP-G" in capsys.readouterr().out
 
     def test_invalid_combination_surfaces_config_error(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SystemExit) as excinfo:
             main(self.COMMON + ["--overlay", "chord", "--policy", "O"])
+        assert str(excinfo.value.code).startswith("error: PROP-O and LTM rewire")
+
+    @pytest.mark.parametrize("flags", [
+        ["--n", "5"],
+        ["--policy", "G", "--transport", "sim", "--loss", "1.5"],
+        ["--policy", "G", "--transport", "sim", "--partition", "bogus"],
+        ["--policy", "O", "--overlay", "chord"],
+    ], ids=["n", "loss", "partition", "policy-overlay"])
+    def test_config_errors_are_one_error_line(self, flags):
+        with pytest.raises(SystemExit) as excinfo:
+            main(self.COMMON + flags)
+        message = str(excinfo.value.code)
+        assert message.startswith("error: ") and "\n" not in message
 
 
 class TestTransportFlags:
@@ -128,16 +141,16 @@ class TestTransportFlags:
             main(argv + ["--ltm", "--transport", "sim"])
 
     def test_invalid_loss_surfaces_config_error(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SystemExit, match="loss must be in"):
             main(self.COMMON + ["--transport", "sim", "--loss", "1.5"])
 
     def test_malformed_partition_spec_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SystemExit, match="^error: "):
             main(self.COMMON + ["--transport", "sim", "--partition", "oops"])
 
 
 class TestObservabilityFlags:
-    """--trace / --report / --profile on ``run``."""
+    """--trace / --profile / --monitor on ``run``."""
 
     COMMON = [
         "run", "--preset", "ts-small", "--n", "60", "--policy", "G",
@@ -154,32 +167,20 @@ class TestObservabilityFlags:
         assert events, "a PROP run must emit events"
         assert {e.etype for e in events} >= {"PROBE", "MSG_SEND", "MSG_DELIVER"}
 
-    def test_report_flag_writes_run_report(self, tmp_path, capsys):
-        from repro.obs.report import load_report
+    def test_trace_fills_the_records_event_counts(self, tmp_path, capsys):
+        from repro.harness.persistence import load_record
 
-        path = tmp_path / "report.json"
-        assert main(self.COMMON + ["--report", str(path)]) == 0
-        report = load_report(path)
-        assert report.seed == 0
-        assert report.phases and report.metrics
-        assert report.event_counts.get("PROBE", 0) > 0
+        path = tmp_path / "r.json"
+        argv = self.COMMON + ["--trace", str(tmp_path / "t.jsonl"), "--save", str(path)]
+        assert main(argv) == 0
+        record = load_record(path)
+        assert record.phases and record.metrics
+        assert record.event_counts.get("PROBE", 0) > 0
 
     def test_trace_rejects_seeds(self, tmp_path):
         with pytest.raises(SystemExit):
             main(self.COMMON + ["--seeds", "0,1",
                                 "--trace", str(tmp_path / "t.jsonl")])
-
-    def test_report_with_seeds_writes_aggregate_report(self, tmp_path, capsys):
-        from repro.obs.report import load_report
-
-        path = tmp_path / "agg.json"
-        assert main(self.COMMON + ["--seeds", "0,1", "--report", str(path)]) == 0
-        report = load_report(path)
-        assert report.metrics.get("replicate.n_replicas") == 2.0
-        assert "final_lookup_latency_ms_mean" in report.samples
-        assert "final_lookup_latency_ms_std" in report.samples
-        assert report.seed == 0  # first seed identifies the family
-        assert "aggregate report (2 seeds)" in capsys.readouterr().err
 
     def test_empty_trace_warns_on_stderr(self, tmp_path, capsys):
         # no optimizer -> no protocol activity -> zero events; the file
@@ -283,10 +284,17 @@ class TestParallelExecution:
         assert "mean over seeds [0, 1]" in out
         assert "improvement ratio" in out
 
-    def test_seeds_reject_save(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(self.TINY + ["--seeds", "0,1",
-                              "--save", str(tmp_path / "r.json")])
+    def test_seeds_save_matches_single_seed_runs(self, tmp_path, capsys):
+        # a record is the same file whether or not --seeds (and a pool) made it
+        out_dir = tmp_path / "seeds"
+        assert main(self.TINY + ["--policy", "G", "--seeds", "0,1", "--workers", "2",
+                                 "--save", str(out_dir)]) == 0
+        assert f"saved 2 run records to {out_dir}" in capsys.readouterr().err
+        for seed in (0, 1):
+            single = tmp_path / f"single{seed}.json"
+            assert main(self.TINY + ["--policy", "G", "--seed", str(seed),
+                                     "--save", str(single)]) == 0
+            assert single.read_text() == (out_dir / f"seed{seed}.json").read_text()
 
     def test_malformed_seeds_rejected(self):
         with pytest.raises(SystemExit):

@@ -20,8 +20,7 @@ REPO = Path(__file__).resolve().parents[2]
 EXCEPTIONS: frozenset[str] = frozenset()
 
 #: Packages whose worklist is done: no ``todo`` row may name them.
-SETTLED_PACKAGES = ("repro.overlay.", "repro.metrics.", "repro.net.", "repro.netsim.",
-                    "repro.harness.", "repro.analysis.", "repro.obs.", "repro.live.")
+SETTLED_PACKAGES = ("repro.",)
 
 #: Defs no root reaches, by qualified name.  ``reference``: a test
 #: compares production against it.  ``todo``: not adjudicated yet — the
@@ -40,13 +39,6 @@ UNREACHED_DEFS: dict[str, str] = {
     "repro.topology.latency.LatencyOracle.mean_pairwise": "reference",
     "repro.topology.latency.LatencyOracleBase.dense": "reference",
     "repro.topology.latency.LatencyOracleBase.mean_pairwise": "reference",
-    "repro.core.neighbor_queue.NeighborQueue.remove": "todo",
-    "repro.core.protocol.ProtocolCounters.messages_per_probe": "todo",
-    "repro.topology.presets.ts_small": "todo",
-    "repro.topology.transit_stub.PhysicalNetwork.transit_hosts": "todo",
-    "repro.topology.transit_stub._EdgeAccumulator.has": "todo",
-    "repro.workloads.heterogeneity.BimodalDelay.fast_hosts": "todo",
-    "repro.workloads.heterogeneity.BimodalDelay.slow_hosts": "todo",
 }
 
 #: Modules whose every line is a root: the two command lines.

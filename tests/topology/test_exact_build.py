@@ -16,6 +16,7 @@ from repro.topology import latency
 from repro.topology.latency import LatencyOracle, shortest_path_rows
 from repro.topology.presets import build_preset
 from repro.topology.transit_stub import (
+    TIER_TRANSIT,
     LinkLatencies,
     PhysicalNetwork,
     TransitStubParams,
@@ -80,8 +81,9 @@ class TestPresets:
         monkeypatch.setattr(latency, "shortest_path_rows", spy)
         LatencyOracle(net, hosts)
         assert len(sources) == 1
-        assert sources[0].size <= net.transit_hosts.size
-        assert np.isin(sources[0], net.transit_hosts).all()
+        transit = np.flatnonzero(net.tier == TIER_TRANSIT)
+        assert sources[0].size <= transit.size
+        assert np.isin(sources[0], transit).all()
 
     def test_no_member_by_host_intermediate(self):
         """Peak allocation stays near the n x n result: the (n, network.n)

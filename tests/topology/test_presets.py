@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.topology.presets import (
-    TS_LARGE, TS_SMALL, build_preset, preset_params, ts_large, ts_small,
+    TS_LARGE, TS_SMALL, build_preset, preset_params, ts_large,
 )
 from repro.netsim.rng import RngRegistry
 
@@ -47,7 +47,7 @@ def test_ts_large_builds():
 
 
 def test_ts_small_builds():
-    net = ts_small(seed=0)
+    net = build_preset("ts-small", RngRegistry(0).stream("topology:ts-small"))
     assert net.n == TS_SMALL.n_hosts
     assert len(net.stub_hosts) == 6000
 
@@ -64,8 +64,8 @@ def test_cross_domain_probability_contrast():
     Fig 5(c)/6(c) contrast."""
     rng = np.random.default_rng(0)
     results = {}
-    for name, builder in (("large", ts_large), ("small", ts_small)):
-        net = builder(seed=2)
+    for name in ("large", "small"):
+        net = build_preset(f"ts-{name}", RngRegistry(2).stream(f"topology:ts-{name}"))
         hosts = rng.choice(net.stub_hosts, size=400, replace=False)
         dom = net.domain[hosts]
         same = np.mean(dom[:200] == dom[200:])

@@ -81,7 +81,6 @@ class TestGeneration:
         assert int((net.tier == TIER_TRANSIT).sum()) == 9
         assert int((net.tier == TIER_STUB).sum()) == 90
         assert np.array_equal(net.stub_hosts, np.flatnonzero(net.tier == TIER_STUB))
-        assert np.array_equal(net.transit_hosts, np.flatnonzero(net.tier == TIER_TRANSIT))
 
     def test_link_latencies_follow_tiers(self):
         net = _net()

@@ -26,7 +26,6 @@ class TestAssignment:
     def test_all_fast(self):
         het = bimodal_processing_delay(50, _rng(), fast_fraction=1.0)
         assert het.is_fast.all()
-        assert het.slow_hosts.size == 0
 
     def test_all_slow(self):
         het = bimodal_processing_delay(50, _rng(), fast_fraction=0.0)
@@ -37,6 +36,9 @@ class TestAssignment:
             bimodal_processing_delay(10, _rng(), fast_fraction=2.0)
         with pytest.raises(ValueError):
             bimodal_processing_delay(10, _rng(), fast_ms=0.0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite and positive"):
+                bimodal_processing_delay(10, _rng(), slow_ms=bad)
 
     def test_deterministic(self):
         a = bimodal_processing_delay(100, _rng(3))
@@ -55,8 +57,8 @@ class TestSlotProjection:
         emb = np.arange(10)
         before = set(het.fast_slots(emb).tolist())
         # swap a fast host with a slow host: the slots trade categories
-        fast_h = int(het.fast_hosts[0])
-        slow_h = int(het.slow_hosts[0])
+        fast_h = int(np.flatnonzero(het.is_fast)[0])
+        slow_h = int(np.flatnonzero(~het.is_fast)[0])
         emb[fast_h], emb[slow_h] = emb[slow_h], emb[fast_h]
         after = set(het.fast_slots(emb).tolist())
         assert before != after
