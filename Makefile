@@ -1,6 +1,6 @@
 # Convenience targets for the PROP reproduction.
 
-.PHONY: install test bench ledger pairs monitor-demo prof-demo figures examples report lint analyze all
+.PHONY: install test bench ledger pairs monitor-demo figures examples report lint analyze all
 
 # ruff (configured in pyproject.toml) when available; offline images
 # fall back to the dependency-free subset checker in tools/lint.py.
@@ -52,17 +52,6 @@ pairs:
 	python3 tools/ledger_pairs.py --workload $(WORKLOAD) --parent $(PARENT) \
 		$(if $(SEED),--seed $(SEED),) $(if $(N),--pairs $(N),)
 
-# Kernel cost observatory end to end: a small profiled run over the
-# message plane -> attribution table + kernel_profile.json, then the
-# prof subcommand re-renders the saved profile's table
-# (docs/observability.md "Kernel profiling").
-prof-demo:
-	mkdir -p benchmarks/output
-	PYTHONPATH=src python -m repro run --preset ts-small --n 100 --policy G \
-		--transport sim --duration 600 --sample-interval 300 --lookups 50 \
-		--kernel-profile benchmarks/output/kernel_profile.json
-	PYTHONPATH=src python -m repro.obs prof benchmarks/output/kernel_profile.json
-
 # 60-second monitored run: live stderr line (phase, sim-time, ETA,
 # latency, exchange tallies) from the streaming monitor — no raw trace.
 monitor-demo:
@@ -72,11 +61,11 @@ monitor-demo:
 figures: bench
 	@echo "regenerated series are under benchmarks/output/"
 
-# One traced run -> run record JSON -> its markdown rendering, the
-# docs/observability.md end-to-end path.
+# One profiled, traced run -> run record JSON (kernel profile included)
+# -> its markdown rendering, the docs/observability.md end-to-end path.
 report:
 	PYTHONPATH=src python -m repro run --preset ts-small --n 100 --policy G \
-		--duration 600 --sample-interval 300 --lookups 50 \
+		--duration 600 --sample-interval 300 --lookups 50 --profile \
 		--trace benchmarks/output/run_report.jsonl \
 		--save benchmarks/output/run_report.json
 	PYTHONPATH=src python -m repro show benchmarks/output/run_report.json \

@@ -130,11 +130,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "JSONL file (analyze with 'python -m repro.obs')")
     obs.add_argument("--profile", action="store_true",
                      help="print where the wall-clock time went: world build, "
-                          "event categories of the dispatch loop, metric "
-                          "sampling (inline and --transport sim)")
-    obs.add_argument("--kernel-profile", type=str, default=None, metavar="PATH",
-                     help="like --profile, and also write the profile JSON "
-                          "here (inspect with 'python -m repro.obs prof PATH')")
+                          "timer and delivery event categories, metric "
+                          "sampling (every --transport); --save keeps it "
+                          "in the run record")
     obs.add_argument("--monitor", action="store_true",
                      help="live stderr progress line (phase, sim-time, ETA, "
                           "latency, exchange tallies); without --trace "
@@ -213,8 +211,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         # --monitor alone needs the event stream but not the raw trace:
         # stream to the monitor and discard, keeping memory bounded
         trace_streaming=getattr(args, "monitor", False) and args.trace is None,
-        # --profile prints the kernel profile, --kernel-profile also saves it
-        kernel_profile=args.profile or args.kernel_profile is not None,
+        kernel_profile=args.profile,
     )
 
 
@@ -253,9 +250,7 @@ def _cmd_run_replicated(args: argparse.Namespace, config: ExperimentConfig,
     if args.trace:
         raise SystemExit("error: --trace records a single run; drop --seeds")
     if config.kernel_profile:
-        raise SystemExit(
-            "error: --profile/--kernel-profile record a single run; drop --seeds"
-        )
+        raise SystemExit("error: --profile records a single run; drop --seeds")
     print(
         f"replicating {config.overlay_kind} n={config.n_overlay} on {config.preset} "
         f"with optimizer={label} over {len(seeds)} seeds "
@@ -386,12 +381,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if result.kernel_profile is not None:
         from repro.obs.prof import KernelProfile
 
-        kprof = KernelProfile.from_dict(result.kernel_profile)
         print()
-        print(kprof.table())
-        if args.kernel_profile:
-            path = kprof.save(args.kernel_profile)
-            print(f"wrote kernel profile to {path}", file=sys.stderr)
+        print(KernelProfile.from_dict(result.kernel_profile).table())
     if args.trace:
         from repro.obs.trace import write_events_jsonl
 

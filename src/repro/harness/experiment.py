@@ -19,7 +19,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from functools import partial
 from math import inf
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
@@ -62,6 +62,7 @@ __all__ = [
     "Substrate",
     "World",
     "build_substrate",
+    "build_tracer",
     "build_world",
     "monitor_consumers",
     "run_experiment",
@@ -167,12 +168,6 @@ class ExperimentConfig:
         if self.transport not in (None, "sim", "udp"):
             raise ValueError(
                 f"transport must be None, 'sim' or 'udp', got {self.transport!r}"
-            )
-        if self.kernel_profile and self.transport == "udp":
-            raise ValueError(
-                "kernel_profile brackets the simulator dispatch loop; the "
-                "live plane has no such loop — use the telemetry snapshots "
-                "(loop lag, per-callback durations) instead"
             )
         if not 0.0 <= self.loss < 1.0:
             raise ValueError(f"loss must be in [0, 1), got {self.loss}")
@@ -335,6 +330,18 @@ def monitor_consumers(config: ExperimentConfig) -> ConvergenceMonitor:
     return ConvergenceMonitor(config.duration, warmup_end=warmup_seconds(config))
 
 
+def build_tracer(config: ExperimentConfig, clock: Callable[[], float]) -> Tracer | None:
+    """The run's tracer on either plane: ``trace`` buffers every event,
+    ``trace_streaming`` streams them to the run's monitor; neither, none."""
+    if not (config.trace or config.trace_streaming):
+        return None
+    return Tracer(
+        clock=clock,
+        streaming=config.trace_streaming,
+        consumers=[monitor_consumers(config)] if config.trace_streaming else (),
+    )
+
+
 def build_substrate(config: ExperimentConfig) -> Substrate:
     """Construct the seed-determined substrate (network, oracle, overlay)."""
     rngs = RngRegistry(config.seed)
@@ -394,13 +401,7 @@ def build_world(config: ExperimentConfig) -> World:
     spare_hosts = substrate.spare_hosts
 
     sim = Simulator()
-    tracer: Tracer | None = None
-    if config.trace or config.trace_streaming:
-        tracer = Tracer(
-            clock=lambda: sim.now,
-            streaming=config.trace_streaming,
-            consumers=[monitor_consumers(config)] if config.trace_streaming else (),
-        )
+    tracer = build_tracer(config, lambda: sim.now)
     engine: PROPEngine | None = None
     ltm: LTMOptimizer | None = None
     transport: SimTransport | FaultyTransport | None = None
@@ -646,12 +647,14 @@ def run_experiment(
     The ``times[0]`` sample is taken *before* any protocol activity, so
     series are directly interpretable as improvement-over-initial.
     With ``config.kernel_profile`` the wall-clock split between world
-    building (``build``), the dispatch loop's event categories and
+    building (``build``), the event categories between samples and
     metric sampling (``sample``) lands in the result's
     ``kernel_profile`` field.  With ``transport="udp"`` the same
     sampling runs on a loopback :class:`~repro.live.swarm.Swarm`
     between wall-clock waits (must be called outside any running event
-    loop).
+    loop); there each wait is a profile window, the transport files its
+    handler calls under ``deliver:<T>``, and ``untracked`` is mostly
+    the idle loop.
 
     ``consumers`` are extra :class:`~repro.obs.trace.TraceConsumer`
     subscribers added to the run's tracer (requires ``config.trace`` or
@@ -671,11 +674,7 @@ def run_experiment(
 
         return asyncio.run(_run_live(config, measure_lookups, consumers, sample_hook))
 
-    kprof = None
-    if config.kernel_profile:
-        from repro.obs.prof import KernelProfiler
-
-        kprof = KernelProfiler()
+    kprof = _profiler(config)
     with kprof.stage("build") if kprof is not None else nullcontext():
         world = build_world(config)
     if kprof is not None:
@@ -697,25 +696,43 @@ def run_experiment(
     return sampler.result()
 
 
+def _profiler(config: ExperimentConfig) -> KernelProfiler | None:
+    if not config.kernel_profile:
+        return None
+    from repro.obs.prof import KernelProfiler
+
+    return KernelProfiler()
+
+
 async def _run_live(
     config: ExperimentConfig, measure_lookups: bool, consumers: Any, sample_hook: Any,
 ) -> ExperimentResult:
     """The live plane's sampling loop: the same samples, awaited in wall time."""
     from repro.live.swarm import Swarm
 
+    kprof = _profiler(config)
     swarm = Swarm(config, consumers=consumers)
-    await swarm.start()
-    assert swarm.world is not None  # set by start()
-    sampler = _Sampler(swarm.world, measure_lookups, sample_hook)
+    with kprof.stage("build") if kprof is not None else nullcontext():
+        await swarm.start()
+    world, transport = swarm.world, swarm.transport
+    assert world is not None and transport is not None  # set by start()
+    transport.profiler = kprof
+    sampler = _Sampler(world, measure_lookups, sample_hook, kprof)
     try:
         # the t=0 sample precedes any protocol activity: the engines are
         # armed only by launch(), after it completes
         sampler.sample(0)
         swarm.launch()
         for i in range(1, len(sampler.times)):
+            if kprof is not None:
+                kprof.begin_window()
             await swarm.run_until(float(sampler.times[i]))
+            if kprof is not None:
+                kprof.end_window(world.sim)
             sampler.sample(i)
     finally:
+        # close() drains queued datagrams outside any window
+        transport.profiler = None
         # finalizes the trace and closes the tracer at the swarm's clock
         await swarm.close()
     return sampler.result()

@@ -3,7 +3,7 @@
 ``repro run --save PATH`` writes a record (with ``--seeds``, one per
 seed); ``repro show`` renders one as markdown, ``repro compare A B``
 names everything that differs between two, and ``repro report DIR``
-tabulates a directory of them.  A record (schema ``repro.run/1``) holds
+tabulates a directory of them.  A record (schema ``repro.run/2``) holds
 exactly:
 
 * ``config`` — the config echo, nested dataclasses as objects tagged
@@ -14,8 +14,10 @@ exactly:
   final counters;
 * ``phases`` — simulated seconds of warm-up and maintenance;
 * ``event_counts`` — trace events by type, ``{}`` unless traced;
-* ``profile`` — kernel-profile wall seconds per category, ``{}`` unless
-  profiled.
+* ``profile`` — the run's :class:`~repro.obs.prof.KernelProfile` on
+  either plane (integer nanoseconds and event counts per category, the
+  ``untracked`` residual, the total they partition, the event-heap
+  summary), ``{}`` unless profiled.
 
 The protocol and overlay objects are not stored: a record is a
 measurement, reproducible from its config.
@@ -35,12 +37,13 @@ import numpy as np
 
 from repro.harness.experiment import ExperimentResult, warmup_seconds
 from repro.harness.reporting import format_table
+from repro.obs.prof import KernelProfile
 from repro.obs.registry import metrics_snapshot, percentile_from_buckets
 
 __all__ = ["SCHEMA", "RunRecord", "compare_records", "describe_config", "load_record",
            "render_record", "save_record", "tabulate_records", "to_record"]
 
-SCHEMA = "repro.run/1"
+SCHEMA = "repro.run/2"
 
 _SERIES = ("times", "stretch", "link_stretch", "lookup_latency",
            "probes", "messages", "exchanges")
@@ -73,11 +76,6 @@ def to_record(result: ExperimentResult) -> dict[str, Any]:
     if config.prop is not None:
         warmup = warmup_seconds(config)
         phases = {"warmup": warmup, "maintenance": float(config.duration) - warmup}
-    profile: dict[str, float] = {}
-    if result.kernel_profile:
-        kernel = result.kernel_profile
-        profile = {name: ns / 1e9 for name, ns in kernel["categories"].items()}
-        profile["untracked"] = kernel["untracked_ns"] / 1e9
     return {
         "schema": SCHEMA,
         "config": _jsonable(config),
@@ -89,7 +87,7 @@ def to_record(result: ExperimentResult) -> dict[str, Any]:
                                     result.net_stats),
         "phases": phases,
         "event_counts": dict(sorted(Counter(ev.etype for ev in result.trace or ()).items())),
-        "profile": profile,
+        "profile": result.kernel_profile or {},
     }
 
 
@@ -105,14 +103,15 @@ def save_record(result: ExperimentResult, path: str | Path) -> Path:
 
 @dataclass
 class RunRecord:
-    """A loaded record; ``series`` maps each name to an array (NaN for null)."""
+    """A loaded record; ``series`` maps each name to an array (NaN for
+    null), and ``profile`` is None for an unprofiled run."""
 
     config: dict[str, Any]
     series: dict[str, np.ndarray]
     metrics: dict[str, Any]
     phases: dict[str, float]
     event_counts: dict[str, int]
-    profile: dict[str, float]
+    profile: KernelProfile | None
 
 
 def _is_int(value: Any) -> bool:
@@ -145,7 +144,6 @@ _BODY_CHECKS: dict[str, tuple[str, Callable[[Any], bool]]] = {
                 lambda v: _is_finite(v) or _is_histogram(v)),
     "phases": ("a number", _is_number),
     "event_counts": ("an int", _is_int),
-    "profile": ("a number", _is_number),
 }
 
 
@@ -191,6 +189,11 @@ def load_record(path: str | Path) -> RunRecord:
         if wrong:
             raise ValueError(f"{path}: {section} value is not {expected}: "
                              f"{', '.join(wrong)}")
+    try:
+        data["profile"] = None if data["profile"] == {} else KernelProfile.from_dict(
+            data["profile"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     data["series"] = {name: np.asarray([np.nan if v is None else v for v in values])
                       for name, values in series.items()}
     return RunRecord(**data)
@@ -264,10 +267,8 @@ def render_record(record: RunRecord, label: str = "") -> str:
     if record.event_counts:
         lines += _md_table("Trace events", ("event", "count"),
                            ((name, str(n)) for name, n in record.event_counts.items()))
-    if record.profile:
-        lines += _md_table("Wall-clock profile (seconds per kernel category)",
-                           ("category", "seconds"),
-                           ((name, f"{s:.3f}") for name, s in sorted(record.profile.items())))
+    if record.profile is not None:
+        lines += ["", "## Wall-clock profile", "", "```text", record.profile.table(), "```"]
     return "\n".join(lines) + "\n"
 
 
@@ -282,13 +283,19 @@ def _flat_config(config: Any, prefix: str = "") -> Iterable[tuple[str, Any]]:
 
 
 def _scalars(record: RunRecord) -> dict[str, float]:
-    """Every number ``compare`` weighs: metrics, series endpoints, events."""
+    """Every number ``compare`` weighs: metrics, series endpoints, events
+    and the wall seconds of each profile category."""
     out = dict(_flat_metrics(record.metrics))
     for name in _SERIES[1:]:
         first, last, _ = _endpoints(record.series[name])
         out[f"series.{name}.initial"] = first
         out[f"series.{name}.final"] = last
     out.update((f"events.{name}", n) for name, n in record.event_counts.items())
+    profile = record.profile
+    if profile is not None:
+        ns_by_name = {**profile.categories, "untracked": profile.untracked_ns,
+                      "total": profile.total_ns}
+        out.update((f"profile.{name}", ns / 1e9) for name, ns in ns_by_name.items())
     return out
 
 
@@ -296,8 +303,9 @@ def compare_records(a: RunRecord, b: RunRecord) -> str:
     """Everything that differs between two records, A then B.
 
     First the config fields (dotted names), then every metric, series
-    endpoint and trace event count; a number present in one record only
-    shows ``-`` on the other side.  ``(no differences)`` when none does.
+    endpoint, trace event count and profile category (wall seconds); a
+    number present in one record only shows ``-`` on the other side.
+    ``(no differences)`` when none does.
     """
     missing = object()
     config_a, config_b = dict(_flat_config(a.config)), dict(_flat_config(b.config))

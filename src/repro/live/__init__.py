@@ -18,8 +18,6 @@ Module map:
   drop-in for the :class:`~repro.netsim.engine.Simulator` scheduling
   vocabulary (``now`` / ``schedule`` / ``schedule_at``), with a
   ``speedup`` factor mapping protocol seconds onto wall seconds;
-* :mod:`repro.live.lag` — :class:`LoopLagSampler`, the event-loop
-  scheduling-lag probe feeding the telemetry snapshots;
 * :mod:`repro.live.transport` — :class:`UdpTransport`, the
   :class:`~repro.net.transport.Transport` implementation over one
   loopback UDP socket per swarm, dispatching on the decoded ``dst``;
@@ -38,7 +36,6 @@ clocks (reprolint rule D1 scopes its no-wall-clock invariant to exclude
 
 from repro.live.clock import LiveScheduler
 from repro.live.codec import CodecError, WIRE_VERSION, decode, encode
-from repro.live.lag import LoopLagSampler
 from repro.live.swarm import ChurnSchedule, Swarm, SwarmReport
 from repro.live.traffic import TrafficGenerator
 from repro.live.transport import UdpTransport, udp_loopback_available
@@ -47,7 +44,6 @@ __all__ = [
     "ChurnSchedule",
     "CodecError",
     "LiveScheduler",
-    "LoopLagSampler",
     "Swarm",
     "SwarmReport",
     "TrafficGenerator",

@@ -52,14 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
     swarm.add_argument("--monitor", action="store_true",
                        help="stream events to the convergence monitor and "
                             "print its final status")
-    swarm.add_argument("--telemetry", type=str, default=None, metavar="PATH",
-                       help="append periodic TelemetrySnapshot JSONL records "
-                            "(registry metrics, open-span gauges, per-peer "
-                            "wire bytes) to PATH")
-    swarm.add_argument("--telemetry-interval", type=float, default=60.0,
-                       metavar="SECONDS",
-                       help="protocol seconds between telemetry snapshots "
-                            "(default: 60)")
     swarm.add_argument("--trace", type=str, default=None, metavar="PATH",
                        help="write the buffered event trace (spans included) "
                             "as JSONL to PATH; analyze with "
@@ -96,12 +88,7 @@ def _cmd_swarm(args: argparse.Namespace) -> int:
             trace=bool(args.trace),
             trace_streaming=args.monitor,
         )
-        swarm = Swarm(
-            config,
-            churn_schedule=schedule,
-            telemetry=args.telemetry,
-            telemetry_interval=args.telemetry_interval,
-        )
+        swarm = Swarm(config, churn_schedule=schedule)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}") from None
     if not udp_loopback_available():
@@ -113,9 +100,6 @@ def _cmd_swarm(args: argparse.Namespace) -> int:
     )
     report = asyncio.run(swarm.run())
     print(report.summary())
-    if args.telemetry:
-        print(f"telemetry: {swarm.telemetry_written} snapshots -> "
-              f"{args.telemetry}", file=sys.stderr)
     if args.trace and swarm.tracer is not None:
         from repro.obs.trace import write_events_jsonl
 

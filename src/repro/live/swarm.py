@@ -32,24 +32,19 @@ from __future__ import annotations
 import asyncio
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.harness.experiment import (
     ExperimentConfig,
     World,
     build_substrate,
-    monitor_consumers,
+    build_tracer,
 )
 from repro.live.clock import LiveScheduler
-from repro.live.lag import LoopLagSampler
 from repro.live.traffic import TrafficGenerator, single_lookup
 from repro.live.transport import UdpTransport
 from repro.net.engine import MessagePROPEngine, NetCounters
 from repro.net.transport import TransportStats
 from repro.obs.monitor import find_monitor
-from repro.obs.registry import metrics_snapshot
-from repro.obs.spans import SpanAssembler
-from repro.obs.telemetry import TelemetryExporter, TelemetrySnapshot
 from repro.obs.trace import TraceConsumer, Tracer
 from repro.workloads.churn import ChurnConfig, ChurnProcess
 
@@ -158,20 +153,12 @@ class Swarm:
         Optional staged join/leave bursts on top of any Poisson churn in
         the config; both need ``config.n_spare > 0``.
     consumers:
-        Extra :class:`~repro.obs.trace.TraceConsumer` subscribers; with
-        ``config.trace_streaming`` the standard monitor set is attached
-        automatically (same wiring as the simulated harness).
+        Extra :class:`~repro.obs.trace.TraceConsumer` subscribers; the
+        tracer itself comes from
+        :func:`~repro.harness.experiment.build_tracer`, as on the
+        simulated plane.
     host:
         Bind address for the swarm's socket (default loopback).
-    telemetry:
-        Optional JSONL path; when set, a
-        :class:`~repro.obs.telemetry.TelemetrySnapshot` is appended
-        every ``telemetry_interval`` protocol seconds (plus a final one
-        at close) — the metrics snapshot, open-span gauges and the per-peer
-        wire-byte counters, flushed line by line so the file can be
-        tailed while the swarm runs.
-    telemetry_interval:
-        Snapshot period in protocol seconds (default 60).
     """
 
     def __init__(
@@ -181,8 +168,6 @@ class Swarm:
         churn_schedule: ChurnSchedule | None = None,
         consumers: list[TraceConsumer] | None = None,
         host: str = "127.0.0.1",
-        telemetry: str | Path | None = None,
-        telemetry_interval: float = 60.0,
     ) -> None:
         if config.transport != "udp":
             raise ValueError(f"Swarm needs transport='udp', got {config.transport!r}")
@@ -190,11 +175,6 @@ class Swarm:
             raise ValueError("Swarm runs PROP; set config.prop")
         if churn_schedule is not None and churn_schedule.stages and config.n_spare == 0:
             raise ValueError("churn_schedule needs n_spare > 0 replacement hosts")
-        if telemetry is not None and not 0.0 < telemetry_interval < math.inf:
-            raise ValueError(
-                f"telemetry_interval must be positive and finite, "
-                f"got {telemetry_interval}"
-            )
         self.config = config
         self.churn_schedule = churn_schedule
         self._extra_consumers = list(consumers) if consumers else []
@@ -207,13 +187,6 @@ class Swarm:
         self.traffic: TrafficGenerator | None = None
         self.tracer: Tracer | None = None
         self.report: SwarmReport | None = None
-        self.telemetry_interval = float(telemetry_interval)
-        self.telemetry_written = 0
-        self._telemetry = (
-            TelemetryExporter(telemetry) if telemetry is not None else None
-        )
-        self._span_gauges: SpanAssembler | None = None
-        self._lag: LoopLagSampler | None = None
         self._launched = False
         self._wall_start = 0.0
 
@@ -229,30 +202,15 @@ class Swarm:
         scheduler = LiveScheduler(loop, config.live_speedup)
         self.scheduler = scheduler
 
-        tracer: Tracer | None = None
-        if config.trace or config.trace_streaming or self._telemetry is not None:
-            # telemetry without tracing still needs the event bus for the
-            # span gauges; stream in that case so memory stays bounded
-            tracer = Tracer(
-                clock=lambda: scheduler.now,
-                streaming=config.trace_streaming or not config.trace,
-                consumers=[monitor_consumers(config)] if config.trace_streaming else (),
-            )
+        tracer = build_tracer(config, lambda: scheduler.now)
+        if tracer is not None:
             for consumer in self._extra_consumers:
                 tracer.add_consumer(consumer)
-            if self._telemetry is not None:
-                self._span_gauges = SpanAssembler(keep_trees=False)
-                tracer.add_consumer(self._span_gauges)
         self.tracer = tracer
 
         self.transport = await UdpTransport.create(
             scheduler, substrate.overlay.n_slots, tracer=tracer, host=self._host
         )
-        if self._telemetry is not None:
-            # telemetry runs pay for loop-lag sampling and per-callback
-            # timing; un-telemetered swarms keep the untouched hot path
-            self.transport.profile_callbacks = True
-            self._lag = LoopLagSampler(loop)
         assert config.prop is not None  # __init__ invariant
         self.engine = MessagePROPEngine(
             substrate.overlay, config.prop, scheduler, substrate.rngs,
@@ -289,12 +247,7 @@ class Swarm:
                     retry_timeout=config.retry_timeout,
                 )
 
-            monitor = find_monitor(tracer.consumers) if tracer is not None else None
-            on_sample = monitor.on_sample if monitor is not None else None
-
-            self.traffic = TrafficGenerator(
-                scheduler, one_lookup, config.live_lookup_rate, on_sample=on_sample
-            )
+            self.traffic = TrafficGenerator(scheduler, one_lookup, config.live_lookup_rate)
 
         self.world = World(
             config=config,
@@ -328,40 +281,6 @@ class Swarm:
         if self.churn_schedule is not None and self.churn is not None:
             for t, k in self.churn_schedule.stages:
                 self.scheduler.schedule_at(t, self._churn_stage, k)
-        if self._telemetry is not None:
-            self.scheduler.schedule(self.telemetry_interval, self._telemetry_tick)
-        if self._lag is not None:
-            self._lag.start()
-
-    def _telemetry_snapshot(self) -> TelemetrySnapshot:
-        assert (self.scheduler is not None and self.engine is not None
-                and self.transport is not None and self._telemetry is not None)
-        gauges = self._span_gauges
-        return TelemetrySnapshot(
-            time=self.scheduler.now,
-            seq=self._telemetry.written,
-            metrics=metrics_snapshot(self.engine.counters, self.engine.net_counters,
-                                     self.transport.stats),
-            open_spans=gauges.open_spans if gauges is not None else 0,
-            open_traces=gauges.open_traces if gauges is not None else 0,
-            spans_completed=gauges.completed if gauges is not None else 0,
-            wire_bytes_out=dict(self.transport.wire_bytes_out),
-            wire_bytes_in=dict(self.transport.wire_bytes_in),
-            loop_lag=self._lag.stats() if self._lag is not None else {},
-            callback_ms={
-                slot: {cat: round(ns / 1e6, 3) for cat, ns in per_slot.items()}
-                for slot, per_slot in self.transport.callback_ns.items()
-            },
-        )
-
-    def _telemetry_tick(self) -> None:
-        # close() nulls the exporter after the final snapshot, so a tick
-        # that fires during teardown is a no-op
-        if self._telemetry is None or self.scheduler is None:
-            return
-        self._telemetry.write(self._telemetry_snapshot())
-        self.telemetry_written = self._telemetry.written
-        self.scheduler.schedule(self.telemetry_interval, self._telemetry_tick)
 
     def _churn_stage(self, k: int) -> None:
         assert self.churn is not None  # scheduled only when churn exists
@@ -391,16 +310,6 @@ class Swarm:
         wall = loop.time() - self._wall_start if self._launched else 0.0
         self.engine.finalize_trace()
         self.transport.close()
-        if self._lag is not None:
-            self._lag.stop()
-        if self._telemetry is not None:
-            # final snapshot after finalize_trace (in-flight roots are
-            # closed end-of-run) but before the tracer flushes the span
-            # assembler, so it still shows genuinely half-open spans
-            self._telemetry.write(self._telemetry_snapshot())
-            self.telemetry_written = self._telemetry.written
-            self._telemetry.close()
-            self._telemetry = None
         if self.tracer is not None:
             self.tracer.close(duration)
         stats = self.transport.stats
@@ -438,8 +347,15 @@ class Swarm:
         await self.close()
 
     async def run(self) -> SwarmReport:
-        """One-call lifecycle: start, launch, run the full duration, close."""
+        """One-call lifecycle: start, launch, run the full duration, close.
+
+        With no harness samples to feed it, a streaming monitor is fed
+        each traffic lookup instead (harness-driven runs feed it theirs).
+        """
         async with self:
+            monitor = find_monitor(self.tracer.consumers) if self.tracer is not None else None
+            if self.traffic is not None and monitor is not None:
+                self.traffic.on_sample = monitor.on_sample
             self.launch()
             await self.run_until(self.config.duration)
         assert self.report is not None  # set by close()

@@ -3,10 +3,10 @@
 :class:`TrafficGenerator` issues lookups at a fixed rate (in protocol
 time) while the swarm runs, recording each lookup's latency as a
 ``(protocol_time, latency_ms)`` sample.  This is the "measure under
-load, not just at convergence" half of the live plane: the per-lookup
-series feeds :class:`~repro.obs.monitor.ConvergenceMonitor` via
-``on_sample``, so the same dashboards that watch a simulated run watch a
-deployment.
+load, not just at convergence" half of the live plane: in a standalone
+swarm run the per-lookup series feeds
+:class:`~repro.obs.monitor.ConvergenceMonitor` via ``on_sample``, so the
+same dashboards that watch a simulated run watch a deployment.
 
 The generator draws sources and targets from its own named RNG stream
 (``live:traffic`` by convention), so enabling load never perturbs the
@@ -64,10 +64,10 @@ class TrafficGenerator:
         (typically a closure over :func:`single_lookup`).
     rate:
         Lookups per protocol second (``> 0``).
-    on_sample:
-        Optional sink called ``(protocol_time, latency_ms)`` per lookup —
-        the hook :class:`~repro.obs.monitor.ConvergenceMonitor` plugs
-        into.
+
+    ``on_sample``, when set, is called ``(protocol_time, latency_ms)``
+    per in-scope lookup — the hook
+    :class:`~repro.obs.monitor.ConvergenceMonitor` plugs into.
     """
 
     def __init__(
@@ -75,17 +75,14 @@ class TrafficGenerator:
         scheduler: LiveScheduler,
         lookup: Callable[[], float],
         rate: float,
-        *,
-        on_sample: SampleSink | None = None,
     ) -> None:
         if not 0.0 < rate < math.inf:
             raise ValueError(f"rate must be positive and finite, got {rate}")
         self._scheduler = scheduler
         self._lookup = lookup
         self.rate = float(rate)
-        self._on_sample = on_sample
+        self.on_sample: SampleSink | None = None
         self.lookups = 0
-        self.total_ms = 0.0
         self.samples: list[tuple[float, float]] = []
         self._process: LivePeriodic | None = None
 
@@ -99,10 +96,9 @@ class TrafficGenerator:
         ms = self._lookup()
         self.lookups += 1
         if math.isfinite(ms):
-            self.total_ms += ms
             self.samples.append((t, ms))
-            if self._on_sample is not None:
-                self._on_sample(t, ms)
+            if self.on_sample is not None:
+                self.on_sample(t, ms)
 
     def stop(self) -> None:
         if self._process is not None:
@@ -110,4 +106,8 @@ class TrafficGenerator:
 
     @property
     def mean_latency_ms(self) -> float:
-        return self.total_ms / self.lookups if self.lookups else float("nan")
+        """Mean over the in-scope lookups: one that stays out of scope
+        (``inf``) leaves the mean, as in the harness's samples."""
+        if not self.samples:
+            return float("nan")
+        return sum(ms for _, ms in self.samples) / len(self.samples)

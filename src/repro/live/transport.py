@@ -35,13 +35,17 @@ stack:
   increments ``handler_errors``; each is dropped, and a malformed packet
   never reaches the event loop.  ``tests/live/test_transport.py`` raises
   inside each and checks the next datagram is still delivered.
+
+With a :class:`~repro.obs.prof.KernelProfiler` in :attr:`UdpTransport.profiler`
+each handler call is one profiled event, filed under ``deliver:<T>``
+exactly as the simulator files its delivery events.
 """
 
 from __future__ import annotations
 
 import asyncio
 import socket
-import time
+from typing import TYPE_CHECKING
 
 from repro.live.clock import LiveScheduler
 from repro.live.codec import CodecError, decode, encode
@@ -54,6 +58,9 @@ from repro.obs.events import (
     SpanStartEvent,
 )
 from repro.obs.trace import NULL_TRACER, TracerLike
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.prof import KernelProfiler
 
 __all__ = ["UdpTransport", "udp_loopback_available"]
 
@@ -111,17 +118,8 @@ class UdpTransport(asyncio.DatagramProtocol):
         self.misrouted = 0
         self.handler_errors = 0
         self.wire_bytes_sent = 0
-        #: Per-peer wire-byte counters (slot -> bytes), fed to the
-        #: telemetry exporter; sent is keyed by the decoded source slot,
-        #: received by the decoded destination slot.
-        self.wire_bytes_out: dict[int, int] = {}
-        self.wire_bytes_in: dict[int, int] = {}
-        #: Opt-in handler timing (the swarm enables it with telemetry):
-        #: slot -> message type -> cumulative handler nanoseconds.
-        #: Wall-clock reads are sanctioned here (repro.live is on the D1
-        #: allowlist) and never reach protocol state.
-        self.profile_callbacks = False
-        self.callback_ns: dict[int, dict[str, int]] = {}
+        #: The run's kernel profiler while the harness profiles it.
+        self.profiler: KernelProfiler | None = None
         self._handlers: dict[int, Handler] = {}
         self._endpoint: asyncio.DatagramTransport | None = None
         #: The one socket's address: every frame is sent here.
@@ -176,9 +174,6 @@ class UdpTransport(asyncio.DatagramProtocol):
             return
         data = encode(msg)
         self.wire_bytes_sent += len(data)
-        self.wire_bytes_out[msg.src] = (
-            self.wire_bytes_out.get(msg.src, 0) + len(data)
-        )
         self._endpoint.sendto(data, self.address)
 
     # -- receive path ------------------------------------------------------
@@ -204,23 +199,24 @@ class UdpTransport(asyncio.DatagramProtocol):
             self.misrouted += 1
             return
         self.stats.record_delivery(msg)
-        self.wire_bytes_in[slot] = self.wire_bytes_in.get(slot, 0) + len(data)
         if self.tracer.enabled:
             self.tracer.emit(MsgDeliverEvent, mtype=msg.type_name, src=msg.src,
                              dst=msg.dst, tag=trace_tag(msg))
         handler = self._handlers.get(slot)
         if handler is not None:
-            started = time.perf_counter_ns() if self.profile_callbacks else 0
+            profiler = self.profiler
+            if profiler is not None:
+                profiler.begin_event()
             # a raising handler is counted here, not one frame up, so its
             # msg:* span below still closes
             try:
                 handler(msg)
             except Exception:
                 self.handler_errors += 1
-            if self.profile_callbacks:
-                elapsed = time.perf_counter_ns() - started
-                per_slot = self.callback_ns.setdefault(slot, {})
-                per_slot[msg.type_name] = per_slot.get(msg.type_name, 0) + elapsed
+            if profiler is not None:
+                # a ``_deliver`` callback carrying the message: the
+                # simulator's delivery events classify the same way
+                profiler.end_event(self._deliver, (msg,))
         # closed after the handler, mirroring SimTransport: the handler's
         # proc span is on the books before this trace can look complete
         if self.tracer.enabled and msg.span_id >= 0:

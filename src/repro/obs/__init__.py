@@ -16,12 +16,11 @@ Import from the submodules; this package re-exports nothing.
 * :mod:`repro.obs.spans` — the one trace checker behind
   ``python -m repro.obs spans`` / ``critpath`` (causal span trees,
   critical paths, and the exactly-once fold of every 2PC exchange);
-* :mod:`repro.obs.telemetry` — the live deployment plane's periodic
-  JSONL snapshot exporter;
 * :mod:`repro.obs.prof` — the kernel profiling plane:
   :class:`KernelProfiler` attributes wall-clock nanoseconds to a closed
-  category registry at the simulator's dispatch point (the one obs
-  module sanctioned to read wall clocks).
+  category registry at the simulator's dispatch point and the UDP
+  transport's handler calls (the one obs module sanctioned to read wall
+  clocks); the run record stores its :class:`KernelProfile`.
 
 Benchmarks are not measured here: the one ledger is
 ``benchmarks/ledger/`` (``BENCHMARK.json``); :mod:`repro.obs.bench_history`

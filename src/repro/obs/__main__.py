@@ -1,4 +1,4 @@
-"""``python -m repro.obs`` — the trace and profile analyzer CLI.
+"""``python -m repro.obs`` — the trace analyzer CLI.
 
 * ``spans TRACE.jsonl`` / ``critpath TRACE.jsonl`` — the one trace
   checker: causal span trees (one per probe cycle) or their per-cycle
@@ -7,10 +7,9 @@
   orphan root, an instrumentation bug or a PREPARE that did not resolve
   exactly once, 2 (one stderr line) on an unreadable trace;
   ``--json-out`` writes the summary.
-* ``prof PROFILE.json`` / ``prof diff A.json B.json`` — a kernel
-  profile's attribution table (``repro run --kernel-profile``), or the
-  per-category A/B deltas.  Exit 0 ok, 1 category mismatch against the
-  closed registry, 2 unreadable or truncated profile.
+
+A run's kernel profile lives in its run record: ``repro show`` renders
+it and ``repro compare`` diffs it.
 """
 
 from __future__ import annotations
@@ -43,40 +42,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0 if analysis.clean else 1
 
 
-def _cmd_prof(args: argparse.Namespace) -> int:
-    from repro.obs.prof import (
-        CategoryMismatchError,
-        KernelProfile,
-        ProfileError,
-        diff_table,
-    )
-
-    paths = args.paths
-    diff_mode = paths and paths[0] == "diff"
-    if diff_mode:
-        paths = paths[1:]
-        if len(paths) != 2:
-            print("prof diff takes exactly two profile paths", file=sys.stderr)
-            return 2
-    elif len(paths) != 1:
-        print("prof takes one profile path (or 'diff A B')", file=sys.stderr)
-        return 2
-    try:
-        profiles = [KernelProfile.load(p) for p in paths]
-        print(diff_table(*profiles) if diff_mode else profiles[0].table(top=args.top))
-    except CategoryMismatchError as exc:
-        print(f"prof: {exc}", file=sys.stderr)
-        return 1
-    except ProfileError as exc:
-        print(f"prof: {exc}", file=sys.stderr)
-        return 2
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
-        description="Analyze repro trace files and kernel profiles.",
+        description="Analyze repro trace files.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -97,25 +66,12 @@ def build_parser() -> argparse.ArgumentParser:
             help="also write the JSON analysis summary to PATH",
         )
         p_trace.set_defaults(func=_cmd_trace, render=render)
-
-    p_prof = sub.add_parser(
-        "prof", help="render or diff kernel profiles (--kernel-profile output)"
-    )
-    p_prof.add_argument(
-        "paths", nargs="+", metavar="PROFILE",
-        help="profile JSON path, or 'diff' followed by two paths",
-    )
-    p_prof.add_argument(
-        "--top", type=int, default=None, metavar="N",
-        help="show only the N widest categories (default: all)",
-    )
-    p_prof.set_defaults(func=_cmd_prof)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "limit", None) is not None and args.limit < 0:
+    if args.limit is not None and args.limit < 0:
         args.limit = None
     try:
         return args.func(args)

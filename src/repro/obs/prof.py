@@ -20,43 +20,40 @@ Design mirrors the Tracer's zero-cost-when-off contract:
   by wire type, churn, plus harness stages (world build, metric
   sampling).  Unrecognized callbacks land in ``event:other`` — the
   registry never grows at runtime, so profiles from different runs are
-  always comparable.
+  always comparable.  On the live plane the UDP transport brackets each
+  handler call the same way (``deliver:<T>``) and each awaited
+  ``run_until`` is a window.
 * The attribution **exactly partitions** the profiled wall time: all
   arithmetic is integer nanoseconds and the ``untracked`` residual is
   computed as ``total_ns - sum(categories)``, so
   ``sum(categories) + untracked == total`` holds to the nanosecond
   (pinned by test).
 
-Each ``run_until`` window also appends event-heap telemetry (live size,
-corpse ratio, cumulative pushes/pops/cancels) to
+Each simulator ``run_until`` window also appends event-heap telemetry
+(live size, corpse ratio, cumulative pushes/pops/cancels) to
 :attr:`KernelProfiler.heap_samples`.  A finished :class:`KernelProfile`
-is a flat category -> nanoseconds table: :meth:`KernelProfile.table`
-and the saved JSON show all of it, and ``python -m repro.obs prof
-[diff]`` renders or compares saved profiles.
+is a flat category -> nanoseconds table; its :meth:`KernelProfile.to_dict`
+form is the ``profile`` section of the run record, which ``repro show``
+renders with :meth:`KernelProfile.table` and ``repro compare`` diffs
+category by category.
 """
 
 from __future__ import annotations
 
-import json
+import dataclasses
+import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping
 
 __all__ = [
     "CATEGORIES",
-    "CategoryMismatchError",
     "KernelProfile",
     "KernelProfiler",
-    "PROFILE_SCHEMA",
-    "ProfileError",
     "classify_event",
-    "diff_table",
     "wall_monotonic",
 ]
-
-PROFILE_SCHEMA = "repro.kernel-prof/1"
 
 #: Wire grammar, mirrored from :data:`repro.net.messages.MSG_TYPES`.
 #: Mirrored rather than imported because the obs package never imports
@@ -111,15 +108,6 @@ _DELIVER_BY_TYPE: dict[str, str] = {
 }
 
 
-class ProfileError(Exception):
-    """A profile artifact could not be read (truncated, wrong schema…)."""
-
-
-class CategoryMismatchError(ProfileError):
-    """A profile names categories outside the closed registry, or two
-    profiles being diffed disagree on their category sets."""
-
-
 # -- sanctioned wall-clock reads ----------------------------------------
 
 def wall_monotonic() -> float:
@@ -165,7 +153,9 @@ class KernelProfiler:
     Lifecycle: the harness creates one, assigns it to
     ``Simulator.profiler``, and the engine brackets each ``run_until``
     with :meth:`begin_window`/:meth:`end_window` and each dispatched
-    event with :meth:`begin_event`/:meth:`end_event`.  Harness stages
+    event with :meth:`begin_event`/:meth:`end_event`.  On the live plane
+    the harness brackets each awaited ``Swarm.run_until`` as a window
+    and ``UdpTransport.profiler`` brackets each handler call.  Harness stages
     outside the dispatch loop (world build, metric sampling) go through
     :meth:`stage`, which accrues into both the category and the total
     so the partition invariant holds globally.
@@ -276,13 +266,20 @@ class KernelProfiler:
 
 # -- the frozen artifact ------------------------------------------------
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: Any) -> bool:
+    return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
+
+
 @dataclass
 class KernelProfile:
     """A finished profile: category nanoseconds plus heap telemetry.
 
-    The JSON form (:meth:`to_dict`/:meth:`save`) is the interchange
-    format consumed by ``python -m repro.obs prof``; loading validates
-    the category set against the closed registry.
+    :meth:`to_dict` is the run record's ``profile`` section and
+    :meth:`from_dict` the record loader's check of it.
     """
 
     total_ns: int
@@ -293,11 +290,9 @@ class KernelProfile:
     categories: dict[str, int]
     counts: dict[str, int]
     heap: dict[str, Any] = field(default_factory=dict)
-    schema_version: str = PROFILE_SCHEMA
 
     def to_dict(self) -> dict[str, Any]:
         return {
-            "schema_version": self.schema_version,
             "total_ns": self.total_ns,
             "untracked_ns": self.untracked_ns,
             "events": self.events,
@@ -309,63 +304,37 @@ class KernelProfile:
         }
 
     @classmethod
-    def from_dict(cls, doc: Mapping[str, Any]) -> "KernelProfile":
-        """Parse the JSON form; keys it does not know (a legacy
-        ``alloc_bytes`` table) are ignored."""
-        if not isinstance(doc, Mapping):
-            raise ProfileError("profile document is not an object")
-        schema = doc.get("schema_version")
-        if schema != PROFILE_SCHEMA:
-            raise ProfileError(f"unsupported profile schema {schema!r}")
-        missing = [k for k in ("total_ns", "untracked_ns", "categories", "counts") if k not in doc]
-        if missing:
-            raise ProfileError(f"profile missing fields: {', '.join(missing)}")
-        try:
-            categories = {str(k): int(v) for k, v in dict(doc["categories"]).items()}
-            counts = {str(k): int(v) for k, v in dict(doc["counts"]).items()}
-            profile = cls(
-                total_ns=int(doc["total_ns"]),
-                untracked_ns=int(doc["untracked_ns"]),
-                events=int(doc.get("events", 0)),
-                windows=int(doc.get("windows", 0)),
-                sim_seconds=doc.get("sim_seconds"),
-                categories=categories,
-                counts=counts,
-                heap=dict(doc.get("heap", {})),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ProfileError(f"malformed profile field: {exc}") from exc
-        unknown = sorted(set(categories) - _CATEGORY_SET)
+    def from_dict(cls, doc: Any) -> "KernelProfile":
+        """Parse the :meth:`to_dict` form; ``ValueError`` says what is
+        wrong: a key set, a field's type, a category outside the closed
+        registry, or categories + untracked that do not sum to the total."""
+        names = [f.name for f in dataclasses.fields(cls)]
+        if not isinstance(doc, Mapping) or set(doc) != set(names):
+            raise ValueError(f"profile is not an object with keys {', '.join(names)}")
+        wrong = [name for name in ("total_ns", "untracked_ns", "events", "windows")
+                 if not _is_int(doc[name])]
+        wrong += [name for name in ("categories", "counts")
+                  if not (isinstance(doc[name], Mapping)
+                          and all(map(_is_int, doc[name].values())))]
+        if not (doc["sim_seconds"] is None or _is_number(doc["sim_seconds"])):
+            wrong.append("sim_seconds")
+        if not (isinstance(doc["heap"], Mapping) and all(map(_is_number, doc["heap"].values()))):
+            wrong.append("heap")
+        if wrong:
+            raise ValueError(f"profile field is malformed: {', '.join(wrong)}")
+        unknown = sorted((set(doc["categories"]) | set(doc["counts"])) - _CATEGORY_SET)
         if unknown:
-            raise CategoryMismatchError(
-                f"profile names categories outside the registry: {', '.join(unknown)}"
-            )
+            raise ValueError(
+                f"profile names categories outside the registry: {', '.join(unknown)}")
+        profile = cls(**doc)
+        if sum(profile.categories.values()) + profile.untracked_ns != profile.total_ns:
+            raise ValueError("profile categories + untracked_ns do not sum to total_ns")
         return profile
 
-    def save(self, path: str | Path) -> Path:
-        path = Path(path)
-        path.write_text(json.dumps(self.to_dict(), indent=1, sort_keys=True) + "\n",
-                        encoding="utf-8")
-        return path
-
-    @classmethod
-    def load(cls, path: str | Path) -> "KernelProfile":
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ProfileError(f"cannot read profile {path}: {exc}") from exc
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ProfileError(f"profile {path} is not valid JSON (truncated?): {exc}") from exc
-        return cls.from_dict(doc)
-
-    def table(self, top: int | None = None) -> str:
-        """Top-N attribution table, widest category first."""
+    def table(self) -> str:
+        """The attribution table, widest category first, then the heap line."""
         rows = sorted(self.categories.items(), key=lambda kv: (-kv[1], kv[0]))
         rows.append(("untracked", self.untracked_ns))
-        if top is not None:
-            rows = rows[:top]
         total = self.total_ns or 1
         lines = [f"{'category':<26} {'seconds':>10} {'share':>7} {'events':>9}"]
         for category, ns in rows:
@@ -378,34 +347,3 @@ class KernelProfile:
             lines.append("event heap: " + ", ".join(
                 f"{k}={self.heap[k]}" for k in sorted(self.heap)))
         return "\n".join(lines)
-
-
-def diff_table(before: KernelProfile, after: KernelProfile) -> str:
-    """Category-by-category A/B delta table.
-
-    Both profiles must cover the same category set (the registry is
-    closed, so two honest profiles from any two revisions do); a
-    mismatch raises :class:`CategoryMismatchError`.
-    """
-    before_keys = set(before.categories)
-    after_keys = set(after.categories)
-    if before_keys != after_keys:
-        only_a = sorted(before_keys - after_keys)
-        only_b = sorted(after_keys - before_keys)
-        parts = []
-        if only_a:
-            parts.append(f"only in A: {', '.join(only_a)}")
-        if only_b:
-            parts.append(f"only in B: {', '.join(only_b)}")
-        raise CategoryMismatchError("profiles disagree on categories (" + "; ".join(parts) + ")")
-    rows = [(c, before.categories[c], after.categories[c]) for c in sorted(before_keys)]
-    rows.append(("untracked", before.untracked_ns, after.untracked_ns))
-    rows.append(("total", before.total_ns, after.total_ns))
-    rows.sort(key=lambda r: -(abs(r[2] - r[1])))
-    lines = [f"{'category':<26} {'A (s)':>10} {'B (s)':>10} {'delta (s)':>10} {'ratio':>7}"]
-    for category, a_ns, b_ns in rows:
-        delta = (b_ns - a_ns) / 1e9
-        ratio = f"{b_ns / a_ns:>7.3f}" if a_ns else "    n/a"
-        lines.append(
-            f"{category:<26} {a_ns / 1e9:>10.4f} {b_ns / 1e9:>10.4f} {delta:>+10.4f} {ratio}")
-    return "\n".join(lines)

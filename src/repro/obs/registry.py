@@ -6,8 +6,8 @@ tallies), :class:`~repro.net.engine.NetCounters` (fault-visible
 outcomes) and :class:`~repro.net.transport.TransportStats` (wire-level
 sends/drops).  :func:`metrics_snapshot` reads them at reporting time
 into one flat, sorted, JSON-ready namespace of dotted metric names —
-``prop.*``, ``net.*``, ``transport.*`` — which run records, the live
-swarm's telemetry and ``repro run``'s net table all print.
+``prop.*``, ``net.*``, ``transport.*`` — which run records and
+``repro run``'s net table both print.
 """
 
 from __future__ import annotations

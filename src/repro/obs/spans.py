@@ -207,8 +207,8 @@ class SpanAssembler:
     ----------
     keep_trees:
         Buffer completed trees for :meth:`result` (the analyzer path).
-        Telemetry gauges set this False and read only the counters, so
-        a live swarm pays O(open spans), never O(run).
+        False keeps only the counters, so a long stream costs
+        O(open spans), never O(run).
     on_tree:
         Optional callback invoked with each tree the moment it
         completes (before it is buffered or discarded).
@@ -227,18 +227,6 @@ class SpanAssembler:
         self._active: dict[int, _TraceState] = {}
         self._analysis = SpanAnalysis()
         self._finished = False
-
-    # -- gauges (the telemetry exporter reads these live) -----------------
-
-    @property
-    def open_spans(self) -> int:
-        """Spans started but not yet ended, across all active traces."""
-        return sum(state.open_count for state in self._active.values())
-
-    @property
-    def open_traces(self) -> int:
-        """Traces whose tree has not completed yet."""
-        return len(self._active)
 
     # -- TraceConsumer ----------------------------------------------------
 

@@ -1,11 +1,11 @@
 """The run record: build, write, load, validate, render, compare, tabulate.
 
-One schema (``repro.run/1``) behind ``repro run --save``, ``show``,
+One schema (``repro.run/2``) behind ``repro run --save``, ``show``,
 ``compare`` and ``report``.
 """
 
-import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -24,6 +24,8 @@ from repro.harness.persistence import (
     tabulate_records,
     to_record,
 )
+from repro.live.transport import udp_loopback_available
+from repro.obs.prof import KernelProfile
 from repro.obs.registry import metrics_snapshot
 
 FAST = dict(
@@ -45,7 +47,14 @@ ROUND_TRIP = {
     "no-lookups": ExperimentConfig(prop=PROP_G, **dict(FAST, lookups_per_sample=0)),
     "traced": ExperimentConfig(prop=PROP_G, transport="sim", trace=True, **FAST),
     "profiled": ExperimentConfig(prop=PROP_G, kernel_profile=True, **FAST),
+    "profiled-sim": ExperimentConfig(prop=PROP_G, transport="sim", kernel_profile=True,
+                                     **FAST),
+    "profiled-udp": ExperimentConfig(prop=PROP_G, transport="udp", kernel_profile=True,
+                                     live_speedup=240.0, **FAST),
 }
+
+needs_loopback = pytest.mark.skipif(
+    not udp_loopback_available(), reason="loopback UDP unavailable in this environment")
 
 CLI_RUN = ["run", "--preset", "ts-small", "--n", "60", "--duration", "300",
            "--sample-interval", "150", "--lookups", "30"]
@@ -72,7 +81,8 @@ def _one_error_line(capsys, command):
 # -- writing and reading back ----------------------------------------------
 
 
-@pytest.mark.parametrize("kind", ROUND_TRIP)
+@pytest.mark.parametrize("kind", [
+    pytest.param(kind, marks=needs_loopback) if "udp" in kind else kind for kind in ROUND_TRIP])
 def test_record_carries_the_result(kind, tmp_path, capsys):
     run = run_experiment(ROUND_TRIP[kind])
     path = save_record(run, tmp_path / "r.json")
@@ -81,6 +91,8 @@ def test_record_carries_the_result(kind, tmp_path, capsys):
         np.testing.assert_array_equal(series, getattr(run, name))  # NaN == NaN
     snapshot = metrics_snapshot(run.final_counters, run.net_counters, run.net_stats)
     assert record.metrics == json.loads(json.dumps(snapshot))
+    assert record.profile == (
+        KernelProfile.from_dict(run.kernel_profile) if run.kernel_profile else None)
     assert main(["compare", str(path), str(path)]) == 0
     assert capsys.readouterr().out.rstrip().endswith("(no differences)")
 
@@ -158,20 +170,34 @@ def test_phase_breakdown_sums_to_duration(result):
     assert set(phases) == {"warmup", "maintenance"}
     assert sum(phases.values()) == pytest.approx(300.0)
 
-def test_profile_is_kernel_profile_in_seconds(result):
+@pytest.fixture(scope="module")
+def profiled_result():
+    return run_experiment(ROUND_TRIP["profiled-sim"])
+
+
+def test_profile_is_the_kernel_profile(result, profiled_result):
     assert to_record(result)["profile"] == {}
-    profiled = dataclasses.replace(result, kernel_profile={
-        "categories": {"build": 1_250_000_000, "sample": 500_000_000},
-        "untracked_ns": 250_000_000,
-    })
-    record = to_record(profiled)
-    assert record["profile"] == {"build": 1.25, "sample": 0.5, "untracked": 0.25}
+    assert to_record(profiled_result)["profile"] == profiled_result.kernel_profile
+    assert set(profiled_result.kernel_profile) == {
+        "total_ns", "untracked_ns", "events", "windows", "sim_seconds",
+        "categories", "counts", "heap"}
 
 def test_profiled_run_renders_its_profile(tmp_path):
     record = load_record(save_record(run_experiment(ROUND_TRIP["profiled"]),
                                      tmp_path / "r.json"))
-    assert record.profile["build"] > 0 and "untracked" in record.profile
+    assert record.profile.categories["build"] > 0 and record.profile.untracked_ns >= 0
     assert "## Wall-clock profile" in render_record(record)
+
+@needs_loopback
+def test_udp_record_profile_partitions_exactly(tmp_path):
+    record = load_record(save_record(run_experiment(ROUND_TRIP["profiled-udp"]),
+                                     tmp_path / "r.json"))
+    profile = record.profile
+    assert sum(profile.categories.values()) + profile.untracked_ns == profile.total_ns
+    assert any(ns > 0 for name, ns in profile.categories.items()
+               if name.startswith("deliver:"))
+    assert profile.categories["build"] > 0 and profile.categories["sample"] > 0
+    assert profile.windows == 2  # one per awaited run_until (t=150, t=300)
 
 
 # -- load-time validation --------------------------------------------------
@@ -208,16 +234,22 @@ MALFORMED_BODIES = {
     "metric-overflow": {"metrics": {"a": 1e400}},
     "phase-string": {"phases": {"warmup": "x"}},
     "profile-string": {"profile": {"build": "1.5"}},
+    "profile-broken-partition": {"profile": {
+        "total_ns": 5, "untracked_ns": 1, "events": 1, "windows": 1, "sim_seconds": None,
+        "categories": {"build": 5}, "counts": {"build": 1}, "heap": {}}},
     "event-count-float": {"event_counts": {"PROBE": 1.5}},
     "duration-string": {"config": {"seed": 0, "duration": "600"}},
     "series-string": {"series": "abc"},
 }
 
 
+NOT_A_RECORD = f"not a run record ({SCHEMA})"
+
+
 def test_wrong_schema_rejected(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps({"schema": "other"}))
-    with pytest.raises(ValueError, match=r"not a run record \(repro\.run/1\)"):
+    with pytest.raises(ValueError, match=re.escape(NOT_A_RECORD)):
         load_record(p)
 
 def test_malformed_files_raise_value_error_naming_the_path(result, tmp_path):
@@ -303,11 +335,22 @@ def test_both_old_schemas_are_refused(result, tmp_path, capsys):
     for name, doc in old.items():
         path = tmp_path / name
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match=r"not a run record \(repro\.run/1\)"):
+        with pytest.raises(ValueError, match=re.escape(NOT_A_RECORD)):
             load_record(path)
         for argv in (["show", str(path)], ["compare", good, str(path)]):
             assert main(argv) == 2
-            assert "not a run record (repro.run/1)" in _one_error_line(capsys, argv[0])
+            assert NOT_A_RECORD in _one_error_line(capsys, argv[0])
+
+def test_a_repro_run_1_record_is_refused(result, tmp_path, capsys):
+    """The first record schema kept the profile as seconds per category;
+    no reader is kept for it."""
+    path = tmp_path / "run1.json"
+    path.write_text(json.dumps(dict(to_record(result), schema="repro.run/1",
+                                    profile={"build": 1.25, "untracked": 0.25})))
+    with pytest.raises(ValueError, match=re.escape(NOT_A_RECORD)):
+        load_record(path)
+    assert main(["show", str(path)]) == 2
+    assert NOT_A_RECORD in _one_error_line(capsys, "show")
 
 
 # -- show ------------------------------------------------------------------

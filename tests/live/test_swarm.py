@@ -1,14 +1,13 @@
 """Swarm orchestration: validation (pure, always run), the loopback
 smoke test (n=8, sub-second wall time — the CI gate), churn/load
-wiring, the one-socket ingress (one bound socket whatever n, and an
-n=100 swarm under a 64-descriptor limit), and the ``python -m
-repro.live swarm`` error contract.
+wiring, the one monitor feeder per run, the one-socket ingress (one
+bound socket whatever n, and an n=100 swarm under a 64-descriptor
+limit), and the ``python -m repro.live swarm`` error contract.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 import math
 import os
 import subprocess
@@ -19,12 +18,13 @@ from pathlib import Path
 import pytest
 
 from repro.core.config import PROPConfig
-from repro.harness.experiment import ExperimentConfig
+from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.live.clock import LiveScheduler
 from repro.live.cli import main as live_main
 from repro.live.swarm import ChurnSchedule, Swarm
 from repro.live.traffic import TrafficGenerator
 from repro.live.transport import udp_loopback_available
+from repro.obs.monitor import find_monitor
 from repro.workloads.churn import ChurnConfig
 
 SRC = Path(__file__).resolve().parents[2] / "src"
@@ -83,12 +83,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="n_spare"):
             Swarm(_config(n_spare=0), churn_schedule=schedule)
 
-    @pytest.mark.parametrize("interval", [math.nan, math.inf])
-    def test_telemetry_interval_must_be_finite(self, tmp_path, interval):
-        with pytest.raises(ValueError, match="telemetry_interval"):
-            Swarm(_config(), telemetry=tmp_path / "t.jsonl",
-                  telemetry_interval=interval)
-
     @pytest.mark.parametrize("rate", [math.nan, math.inf])
     def test_traffic_rate_must_be_finite(self, rate):
         async def body():
@@ -104,6 +98,24 @@ class TestValidation:
             swarm.launch()
         with pytest.raises(RuntimeError, match="never started"):
             asyncio.run(swarm.close())
+
+
+class TestTraffic:
+    def test_mean_lookup_leaves_out_of_scope_lookups_out(self):
+        """An out-of-scope lookup (``inf``) is counted but leaves the
+        mean, as the harness's samples do."""
+        async def body():
+            latencies = iter([10.0, math.inf, 30.0, math.inf])
+            traffic = TrafficGenerator(
+                LiveScheduler(asyncio.get_running_loop()), lambda: next(latencies), 1.0)
+            for _ in range(4):
+                traffic._tick()
+            return traffic
+
+        traffic = asyncio.run(body())
+        assert traffic.lookups == 4
+        assert [ms for _, ms in traffic.samples] == [10.0, 30.0]
+        assert traffic.mean_latency_ms == 20.0
 
 
 @needs_loopback
@@ -151,37 +163,24 @@ class TestSwarmSmoke:
         statuses = [c.status() for c in consumers if hasattr(c, "status")]
         assert statuses  # the convergence monitor is among them
         assert report.datagrams_delivered > 0
+        # a standalone run has no harness samples: the traffic feeds the monitor
+        monitor = find_monitor(consumers)
+        assert monitor.sample_times == [t for t, _ in report.lookup_samples]
+
+    def test_harness_driven_run_feeds_the_monitor_once_per_sample(self):
+        """With the harness sampling, the traffic generator's single
+        lookups stay out of the monitor's plateau series."""
+        config = _config(seed=2, trace_streaming=True, live_lookup_rate=4.0,
+                         sample_interval=40.0, lookups_per_sample=20)
+        result = run_experiment(config)
+        monitor = find_monitor(result.consumers)
+        assert monitor.sample_times == list(result.times)
 
     def test_summary_is_printable(self):
         report = asyncio.run(Swarm(_config(seed=1)).run())
         text = report.summary()
         assert "8 peers" in text
         assert "datagrams" in text
-
-    def test_telemetry_exporter_snapshots(self, tmp_path):
-        """--telemetry wiring: periodic JSONL snapshots with registry
-        metrics, span gauges and per-peer wire-byte counters."""
-        path = tmp_path / "telemetry.jsonl"
-        swarm = Swarm(_config(seed=4), telemetry=path, telemetry_interval=30.0)
-        report = asyncio.run(swarm.run())
-        records = [json.loads(line) for line in path.read_text().splitlines()]
-        # 120 protocol s at a 30 s interval: the periodic ticks plus the
-        # final snapshot at close (timer jitter may eat one tick)
-        assert len(records) == swarm.telemetry_written >= 3
-        assert [r["seq"] for r in records] == list(range(len(records)))
-        times = [r["time"] for r in records]
-        assert times == sorted(times)
-        final = records[-1]
-        assert final["metrics"]["prop.probes"] == report.probes
-        assert final["metrics"]["transport.sent"] == report.datagrams_sent
-        sent = sum(final["wire_bytes"]["out"].values())
-        assert sent == report.wire_bytes
-        assert final["spans"]["completed"] > 0  # span gauges were live
-
-    def test_telemetry_interval_validated(self, tmp_path):
-        with pytest.raises(ValueError, match="telemetry_interval"):
-            Swarm(_config(), telemetry=tmp_path / "t.jsonl",
-                  telemetry_interval=0.0)
 
 
 def _open_sockets() -> int:
@@ -245,9 +244,9 @@ class TestOneIngress:
 
 
 class TestSwarmCli:
-    @pytest.mark.parametrize("flag", ["--speedup", "--rate", "--telemetry-interval"])
-    def test_non_finite_value_exits_with_one_error_line(self, flag, tmp_path):
-        argv = ["swarm", flag, "nan", "--telemetry", str(tmp_path / "t.jsonl")]
+    @pytest.mark.parametrize("flag", ["--speedup", "--rate"])
+    def test_non_finite_value_exits_with_one_error_line(self, flag):
+        argv = ["swarm", flag, "nan"]
         with pytest.raises(SystemExit) as exc:
             live_main(argv)
         message = str(exc.value.code)

@@ -4,29 +4,30 @@ The load-bearing acceptance check lives in
 ``TestPartitionInvariant.test_attribution_exactly_partitions_wall_time``:
 with profiling on, the per-category nanoseconds plus the explicit
 ``untracked`` residual must equal the profiled total *exactly* (integer
-arithmetic, no epsilon).
+arithmetic, no epsilon).  The profile's saved form is the run record's
+``profile`` section: :meth:`KernelProfile.from_dict` is the loader's
+check of it, ``repro show`` renders its table and ``repro compare``
+diffs it category by category.
 """
 
 import json
 
 import pytest
 
+from repro.cli import main
 from repro.core.config import PROPConfig
 from repro.harness.experiment import ExperimentConfig, run_experiment
+from repro.harness.persistence import compare_records, load_record, save_record
 from repro.net.messages import MSG_TYPES, VarProbe
 from repro.net.transport import SimTransport
 from repro.netsim.engine import Simulator
 from repro.obs.prof import (
     CATEGORIES,
-    CategoryMismatchError,
     KernelProfile,
     KernelProfiler,
-    ProfileError,
     classify_event,
-    diff_table,
     wall_monotonic,
 )
-from repro.obs.__main__ import main as obs_main
 
 #: Small but real: the message plane over the simulator exercises every
 #: delivery category plus probe/walk/vote timers within a short run.
@@ -42,15 +43,15 @@ PROFILED = ExperimentConfig(
 )
 
 
-#: Valid JSON, wrong shape: a field that does not convert.  Each must be
-#: a plain ProfileError (exit 2), never a traceback or the exit code of
-#: a category mismatch.
-MALFORMED_DOCS = [
-    {"schema_version": "repro.kernel-prof/1", "total_ns": "abc",
-     "untracked_ns": 0, "categories": {}, "counts": {}},
-    {"schema_version": "repro.kernel-prof/1", "total_ns": 1,
-     "untracked_ns": 0, "categories": ["build"], "counts": {}},
-]
+#: Well-keyed profiles with one field of the wrong type.
+MALFORMED_FIELDS = {
+    "total_ns": "abc",
+    "events": 1.5,
+    "categories": ["build"],
+    "counts": {"build": "1"},
+    "sim_seconds": "600",
+    "heap": {"pops": None},
+}
 
 
 def _profile(config: ExperimentConfig = PROFILED) -> KernelProfile:
@@ -214,112 +215,127 @@ class TestLoopParity:
 class TestExports:
     def test_table_lists_categories_and_total(self):
         prof = _profile()
-        text = prof.table(top=5)
-        assert "category" in text
-        assert "untracked" in text or "total" in text
-        assert "total" in text
+        lines = prof.table().splitlines()
+        assert lines[0].split() == ["category", "seconds", "share", "events"]
+        assert {"build", "sample", "untracked", "total"} <= {
+            line.split()[0] for line in lines[1:] if line.strip()}
+        assert lines[-1].startswith("event heap: ")
 
 
 class TestRoundTrip:
     def test_save_load_round_trips(self, tmp_path):
-        prof = _profile()
-        path = prof.save(tmp_path / "kp.json")
-        loaded = KernelProfile.load(path)
-        assert loaded.total_ns == prof.total_ns
-        assert loaded.categories == prof.categories
-        assert loaded.untracked_ns == prof.untracked_ns
+        """The run record keeps the whole profile, to the nanosecond."""
+        result = run_experiment(PROFILED)
+        prof = KernelProfile.from_dict(result.kernel_profile)
+        record = load_record(save_record(result, tmp_path / "r.json"))
+        assert record.profile == prof
+        assert record.profile.table() == prof.table()
 
-    def test_truncated_json_raises_profile_error(self, tmp_path):
-        path = tmp_path / "trunc.json"
-        path.write_text('{"schema_version": "repro.kernel-prof/1", "tot')
-        with pytest.raises(ProfileError):
-            KernelProfile.load(path)
-        for doc in MALFORMED_DOCS:
-            with pytest.raises(ProfileError, match="malformed") as excinfo:
-                KernelProfile.from_dict(doc)
-            assert not isinstance(excinfo.value, CategoryMismatchError)
-
-    def test_legacy_alloc_bytes_key_is_ignored(self):
+    def test_malformed_profile_raises_value_error(self):
         doc = _profile().to_dict()
-        legacy = dict(doc, alloc_bytes={"build": 4096})  # older profiles carry it
-        assert KernelProfile.from_dict(legacy).to_dict() == doc
+        for name, value in MALFORMED_FIELDS.items():
+            with pytest.raises(ValueError, match=f"malformed: {name}"):
+                KernelProfile.from_dict(dict(doc, **{name: value}))
+        with pytest.raises(ValueError, match="do not sum to total_ns"):
+            KernelProfile.from_dict(dict(doc, untracked_ns=doc["untracked_ns"] + 1))
+
+    def test_superseded_profile_shape_is_refused(self):
+        """No reader is kept for the old standalone profile file: its
+        ``schema_version`` (or a legacy ``alloc_bytes`` table) is an
+        unexpected key."""
+        doc = _profile().to_dict()
+        for extra in ({"schema_version": 1},
+                      {"alloc_bytes": {"build": 4096}}):
+            with pytest.raises(ValueError, match="keys"):
+                KernelProfile.from_dict(dict(doc, **extra))
+        with pytest.raises(ValueError, match="keys"):
+            KernelProfile.from_dict([doc])
 
     def test_unknown_category_raises_mismatch(self):
         doc = _profile().to_dict()
         doc["categories"]["deliver:GOSSIP"] = 1
-        with pytest.raises(CategoryMismatchError):
+        with pytest.raises(ValueError, match="outside the registry: deliver:GOSSIP"):
             KernelProfile.from_dict(doc)
 
-    def test_wrong_schema_raises_profile_error(self):
-        with pytest.raises(ProfileError, match="schema"):
-            KernelProfile.from_dict({"schema_version": "bogus/9"})
+
+def _saved(tmp_path, name="r.json", result=None):
+    """A profiled run's record, as ``repro run --profile --save`` writes it."""
+    return str(save_record(result or run_experiment(PROFILED), tmp_path / name))
 
 
 class TestDiff:
-    def test_diff_table_reports_deltas(self):
-        a = _profile()
-        b = KernelProfile.from_dict(a.to_dict())
-        text = diff_table(a, b)
-        assert "delta" in text
-        assert "total" in text
+    def test_diff_table_reports_deltas(self, tmp_path, capsys):
+        """``repro compare`` of two profiled records names each
+        category's wall-second delta."""
+        path = _saved(tmp_path)
+        a, b = load_record(path), load_record(path)
+        b.profile.categories["deliver:WALK"] += 2_000_000
+        b.profile.total_ns += 2_000_000
+        rows = [line.split() for line in compare_records(a, b).splitlines()[2:]]
+        assert [row[0] for row in rows] == ["profile.deliver:WALK", "profile.total"]
+        assert float(rows[0][-1]) == pytest.approx(0.002)
+        other = _saved(tmp_path, "b.json")
+        assert main(["compare", path, other]) == 0
+        out = capsys.readouterr().out
+        for name in ("build", "sample", "deliver:WALK", "untracked", "total"):
+            assert f"profile.{name} " in out
 
-    def test_diff_rejects_mismatched_category_sets(self):
-        a = _profile()
-        doc = a.to_dict()
-        doc["categories"] = {
-            k: v for k, v in doc["categories"].items() if k != "build"
-        }
-        b = KernelProfile.from_dict(doc)
-        with pytest.raises(CategoryMismatchError, match="only in A"):
-            diff_table(a, b)
+    def test_diff_lists_a_category_of_one_profile_only(self, tmp_path):
+        profiled = load_record(_saved(tmp_path))
+        plain = load_record(_saved(tmp_path, "plain.json",
+                                   run_experiment(PROFILED.but(kernel_profile=False))))
+        rows = [line.split() for line in compare_records(plain, profiled).splitlines()]
+        (walk,) = [row for row in rows if row[:1] == ["profile.deliver:WALK"]]
+        assert walk[1] == walk[3] == "-" and float(walk[2]) >= 0
 
 
 class TestProfCli:
-    def _saved(self, tmp_path, name="kp.json"):
-        return str(_profile().save(tmp_path / name))
+    """The profile on the ``repro`` command line: ``show`` and ``compare``."""
 
     def test_prof_renders_table(self, tmp_path, capsys):
-        assert obs_main(["prof", self._saved(tmp_path)]) == 0
-        assert "category" in capsys.readouterr().out
+        """``repro show`` prints every column of the profile table, plus
+        the event-heap line."""
+        result = run_experiment(PROFILED)
+        path = _saved(tmp_path, result=result)
+        assert main(["show", path]) == 0
+        out = capsys.readouterr().out
+        table = KernelProfile.from_dict(result.kernel_profile).table()
+        assert f"```text\n{table}\n```" in out
+        lines = out[out.index("## Wall-clock profile"):].splitlines()
+        assert ["category", "seconds", "share", "events"] in [line.split() for line in lines]
+        rows = {line.split()[0]: line.split()[1:] for line in lines if "%" in line}
+        assert {"build", "sample", "deliver:WALK", "untracked", "total"} <= set(rows)
+        assert all(len(cells) == 3 for cells in rows.values())  # seconds, share, events
+        assert any(line.startswith("event heap: ") and "pops=" in line for line in lines)
 
     def test_truncated_profile_exits_two(self, tmp_path, capsys):
-        path = tmp_path / "trunc.json"
-        path.write_text('{"schema_version": "repro.kernel-prof/1"')
-        assert obs_main(["prof", str(path)]) == 2
-        assert "prof:" in capsys.readouterr().err
-        for doc in MALFORMED_DOCS:
-            path.write_text(json.dumps(doc))
-            assert obs_main(["prof", str(path)]) == 2
-            err = capsys.readouterr().err
-            assert err.startswith("prof:") and err.count("\n") == 1
+        path = tmp_path / "r.json"
+        doc = json.loads(open(_saved(tmp_path)).read())
+        for profile in ({"total_ns": 1}, dict(doc["profile"], total_ns="abc")):
+            path.write_text(json.dumps(dict(doc, profile=profile)))
+            for argv in (["show", str(path)], ["compare", str(path), str(path)]):
+                assert main(argv) == 2
+                err = capsys.readouterr().err
+                assert err.startswith(f"{argv[0]}: ") and err.count("\n") == 1
+                assert "profile" in err
 
-    def test_category_mismatch_exits_one(self, tmp_path, capsys):
-        doc = _profile().to_dict()
-        doc["categories"]["deliver:GOSSIP"] = 5
+    def test_category_mismatch_exits_two(self, tmp_path, capsys):
+        doc = json.loads(open(_saved(tmp_path)).read())
+        doc["profile"]["categories"]["deliver:GOSSIP"] = 0
         path = tmp_path / "alien.json"
         path.write_text(json.dumps(doc))
-        assert obs_main(["prof", str(path)]) == 1
-        assert "registry" in capsys.readouterr().err
+        assert main(["show", str(path)]) == 2
+        assert "outside the registry: deliver:GOSSIP" in capsys.readouterr().err
 
     def test_diff_of_identical_profiles_exits_zero(self, tmp_path, capsys):
-        path = self._saved(tmp_path)
-        assert obs_main(["prof", "diff", path, path]) == 0
-        assert "delta" in capsys.readouterr().out
-
-    def test_diff_of_mismatched_profiles_exits_one(self, tmp_path, capsys):
-        a = _profile()
-        path_a = str(a.save(tmp_path / "a.json"))
-        doc = a.to_dict()
-        doc["categories"] = {
-            k: v for k, v in doc["categories"].items() if k != "build"
-        }
-        path_b = tmp_path / "b.json"
-        path_b.write_text(json.dumps(doc))
-        assert obs_main(["prof", "diff", path_a, str(path_b)]) == 1
+        path = _saved(tmp_path)
+        assert main(["compare", path, path]) == 0
+        assert capsys.readouterr().out.rstrip().endswith("(no differences)")
 
     def test_diff_arity_error_exits_two(self, tmp_path, capsys):
-        path = self._saved(tmp_path)
-        assert obs_main(["prof", "diff", path]) == 2
+        with pytest.raises(SystemExit) as excinfo:
+            main(["compare", _saved(tmp_path)])
+        assert excinfo.value.code == 2
 
 
 class TestWallClockHelpers:

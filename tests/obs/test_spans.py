@@ -82,9 +82,9 @@ class TestAssembler:
         assembler = SpanAssembler()
         for ev in events[:3]:
             assembler.on_event(ev)
-        assert assembler.open_traces == 1  # root closed, child still open
+        assert assembler.completed == 0  # root closed, child still open
         assembler.on_event(_end(1.5, 1, 2))
-        assert assembler.open_traces == 0  # now it sealed
+        assert assembler.completed == 1  # now it sealed
         assembler.finish(2.0)
         (tree,) = assembler.result().trees
         assert tree.complete
@@ -95,7 +95,7 @@ class TestAssembler:
         assembler = SpanAssembler(keep_trees=False, on_tree=seen.append)
         for ev in COMPLETE:
             assembler.on_event(ev)
-        assert assembler.completed == 1 and assembler.open_traces == 0
+        assert assembler.completed == 1
         assert len(seen) == 1 and seen[0].complete
         assembler.finish(2.0)
         assert assembler.result().trees == []  # nothing buffered
@@ -144,12 +144,6 @@ class TestAssembler:
         assert not analysis.clean
         # the span still renders under the root rather than vanishing
         assert analysis.trees[0].root.children[0].span == 5
-
-    def test_gauges_track_open_state(self):
-        assembler = SpanAssembler()
-        assembler.on_event(COMPLETE[0])
-        assembler.on_event(COMPLETE[1])
-        assert assembler.open_spans == 2 and assembler.open_traces == 1
 
     def test_result_before_finish_raises(self):
         with pytest.raises(RuntimeError, match="finish"):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.live.transport import udp_loopback_available
 
 
 class TestParser:
@@ -221,14 +222,14 @@ class TestObservabilityFlags:
         return rows
 
     def test_profile_prints_stage_table(self, capsys, tmp_path):
-        from repro.obs.prof import KernelProfile
+        from repro.harness.persistence import load_record
 
-        path = tmp_path / "kp.json"
-        assert main(self.COMMON + ["--profile", "--kernel-profile", str(path)]) == 0
+        path = tmp_path / "r.json"
+        assert main(self.COMMON + ["--profile", "--save", str(path)]) == 0
         rows = self._profile_rows(capsys.readouterr().out)
         assert {"build", "sample", "untracked", "total"} <= set(rows)
-        # the printed table is the saved profile; there the partition is exact
-        saved = KernelProfile.load(path)
+        # the printed table is the record's profile; there the partition is exact
+        saved = load_record(path).profile
         assert sum(saved.categories.values()) + saved.untracked_ns == saved.total_ns
         assert saved.categories["build"] > 0 and saved.categories["sample"] > 0
         for name, ns in saved.categories.items():
@@ -248,11 +249,20 @@ class TestObservabilityFlags:
         assert rows["build"] > 0 and rows["sample"] > 0
         assert "deliver:WALK" in rows
 
-    def test_profile_refused_on_udp_in_one_line(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(self.COMMON + ["--transport", "udp", "--profile"])
-        message = str(excinfo.value.code)
-        assert message.startswith("error: kernel_profile") and "\n" not in message
+    @pytest.mark.skipif(not udp_loopback_available(),
+                        reason="loopback UDP unavailable in this environment")
+    def test_profile_on_udp_saves_a_partitioning_record(self, capsys, tmp_path):
+        from repro.harness.persistence import load_record
+
+        path = tmp_path / "r.json"
+        argv = self.COMMON + ["--transport", "udp", "--speedup", "300", "--profile",
+                              "--save", str(path)]
+        assert main(argv) == 0
+        rows = self._profile_rows(capsys.readouterr().out)
+        assert {"build", "sample", "untracked", "total"} <= set(rows)
+        saved = load_record(path).profile
+        assert sum(saved.categories.values()) + saved.untracked_ns == saved.total_ns
+        assert saved.categories.get("deliver:WALK", 0) > 0
 
     def test_profile_rejects_seeds(self):
         with pytest.raises(SystemExit):

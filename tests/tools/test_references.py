@@ -71,7 +71,7 @@ def _subcommands(parser: argparse.ArgumentParser) -> set[str]:
 
 def test_every_make_target_named_in_docs_and_ci_exists():
     targets = _make_targets()
-    assert {"test", "ledger", "prof-demo"} <= targets  # the parse works
+    assert {"test", "ledger", "report"} <= targets  # the parse works
     missing = {
         f"{path.relative_to(REPO)}: make {name}"
         for path in [*DOCS, CI]
@@ -83,7 +83,7 @@ def test_every_make_target_named_in_docs_and_ci_exists():
 
 def test_every_cli_subcommand_named_in_docs_makefile_and_ci_exists():
     known = {module: _subcommands(build()) for module, build in PARSERS.items()}
-    assert "run" in known["repro"] and "prof" in known["repro.obs"]
+    assert "run" in known["repro"] and "spans" in known["repro.obs"]
     missing = set()
     seen = 0
     for path in [*DOCS, CI, MAKEFILE]:
