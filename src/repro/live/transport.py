@@ -9,7 +9,7 @@ the datagram back and the transport dispatches it on the decoded
 never an in-process shortcut, and a swarm of any size holds one file
 descriptor.  The engine sees the exact interface
 :class:`~repro.net.transport.SimTransport` provides — ``stats``,
-``tracer``, ``register`` / ``send`` — so
+``tracer``, ``register`` / ``send`` / ``send_pings`` — so
 :class:`~repro.net.engine.MessagePROPEngine` runs over it unchanged.
 
 Semantics that differ from the simulated transport, by nature of a real
@@ -21,8 +21,9 @@ stack:
   wire latency is effectively zero on the protocol timescale — the live
   analogue of ``latency_scale=0``.  ``extra_delay_ms`` is still honored
   (in protocol milliseconds) by deferring the transmit on the scheduler.
-* **Every message is a datagram.**  Inert ``VAR_PROBE`` pings, which the
-  simulated plane batches per instant, are each sent and received here.
+* **Every message is a datagram.**  ``send_pings`` sends one
+  ``VAR_PROBE`` datagram per ping, and each reaches the destination's
+  handler; the simulated plane only counts them.
 * **Loss is real and silent.**  The kernel may drop datagrams under
   buffer pressure and nothing reports it, so ``stats.in_flight`` is an
   upper bound (a lost datagram is never ``record_delivery``-ed and the
@@ -45,18 +46,13 @@ from __future__ import annotations
 
 import asyncio
 import socket
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from repro.live.clock import LiveScheduler
 from repro.live.codec import CodecError, decode, encode
-from repro.net.messages import Message
-from repro.net.transport import Handler, TransportStats, trace_tag
-from repro.obs.events import (
-    MsgDeliverEvent,
-    MsgSendEvent,
-    SpanEndEvent,
-    SpanStartEvent,
-)
+from repro.net.messages import Message, VarProbe
+from repro.net.transport import Handler, TransportStats, trace_send, trace_tag
+from repro.obs.events import MsgDeliverEvent, SpanEndEvent
 from repro.obs.trace import NULL_TRACER, TracerLike
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -154,20 +150,24 @@ class UdpTransport(asyncio.DatagramProtocol):
         """Encode ``msg`` and transmit it through the swarm's socket."""
         if self._closed:
             return
-        self.stats.record_send(msg)
+        self.stats.record_send(msg.type_name, msg.size_bytes())
         if self.tracer.enabled:
-            self.tracer.emit(MsgSendEvent, mtype=msg.type_name, src=msg.src,
-                             dst=msg.dst, tag=trace_tag(msg))
-            if msg.span_id >= 0:
-                # open the in-flight span; real datagram loss leaves it
-                # half-open, which the span analyzer reports as such
-                self.tracer.emit(SpanStartEvent, trace=msg.trace_id,
-                                 span=msg.span_id, parent=msg.parent_id,
-                                 name=f"msg:{msg.type_name}", node=msg.src)
+            # opens the in-flight span; real datagram loss leaves it
+            # half-open, which the span analyzer reports as such
+            trace_send(self.tracer, msg.type_name, msg.src, msg.dst, trace_tag(msg),
+                       msg.trace_id, msg.span_id, msg.parent_id)
         if extra_delay_ms > 0.0:
             self.scheduler.schedule(extra_delay_ms * _MS, self._transmit, msg)
         else:
             self._transmit(msg)
+
+    def send_pings(self, src: int, dsts: Sequence[int], cycle: int, *,
+                   trace_id: int = -1, span_id: int = -1, parent_id: int = -1) -> None:
+        """One ``VAR_PROBE`` datagram per ping, in fan-out order."""
+        step = 1 if span_id >= 0 else 0
+        for i, dst in enumerate(dsts):
+            self.send(VarProbe(src=src, dst=dst, cycle=cycle, trace_id=trace_id,
+                               span_id=span_id + step * i, parent_id=parent_id))
 
     def _transmit(self, msg: Message) -> None:
         if self._closed or self._endpoint is None:
@@ -198,7 +198,7 @@ class UdpTransport(asyncio.DatagramProtocol):
         if not 0 <= slot < self.n_slots:
             self.misrouted += 1
             return
-        self.stats.record_delivery(msg)
+        self.stats.record_delivery(msg.type_name)
         if self.tracer.enabled:
             self.tracer.emit(MsgDeliverEvent, mtype=msg.type_name, src=msg.src,
                              dst=msg.dst, tag=trace_tag(msg))

@@ -38,6 +38,7 @@ test).  To keep fire times aligned, the next probe is scheduled at
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf
 from typing import Any, Callable
 
 from repro.core.config import PROPConfig
@@ -90,14 +91,11 @@ class NetConfig:
     max_prepare_retries: int = 1  # PREPARE resends before giving up
 
     def __post_init__(self) -> None:
-        if self.reply_timeout <= 0:
-            raise ValueError(f"reply_timeout must be positive, got {self.reply_timeout}")
-        if self.vote_timeout <= 0:
-            raise ValueError(f"vote_timeout must be positive, got {self.vote_timeout}")
-        if self.prepared_timeout <= 0:
-            raise ValueError(
-                f"prepared_timeout must be positive, got {self.prepared_timeout}"
-            )
+        for name in ("reply_timeout", "vote_timeout", "prepared_timeout"):
+            timeout = getattr(self, name)
+            # written so that NaN, which compares false, fails it too
+            if not 0.0 < timeout < inf:
+                raise ValueError(f"{name} must be positive and finite, got {timeout}")
         if self.max_prepare_retries < 0:
             raise ValueError(
                 f"max_prepare_retries must be >= 0, got {self.max_prepare_retries}"
@@ -195,7 +193,8 @@ class MessagePROPEngine(PROPEngine):
         self._dispatch: dict[type[Message], Callable[[Any], None] | None] = {
             Walk: self._on_walk,
             # measurement ping: the reply is modelled as free — §4.3
-            # counts one message per collected latency
+            # counts one message per collected latency.  Only a
+            # datagram plane delivers one; the simulated plane counts it.
             VarProbe: None,
             VarReply: self._on_var_reply,
             ExchangePrepare: self._on_prepare,
@@ -224,9 +223,10 @@ class MessagePROPEngine(PROPEngine):
         # stamping before it is shared is safe; writing the three fields
         # directly skips ``dataclasses.replace`` rebuilding the whole
         # frozen instance on the per-message hot path.
-        object.__setattr__(msg, "trace_id", ctx[0])
-        object.__setattr__(msg, "span_id", self._span_seq)
-        object.__setattr__(msg, "parent_id", ctx[1])
+        fields = msg.__dict__
+        fields["trace_id"] = ctx[0]
+        fields["span_id"] = self._span_seq
+        fields["parent_id"] = ctx[1]
         return msg
 
     # -- sends (counted by legacy category) ------------------------------
@@ -238,6 +238,20 @@ class MessagePROPEngine(PROPEngine):
     def _send_collect(self, msg: Message) -> None:
         self.counters.collect_messages += 1
         self.transport.send(self._stamp(msg))
+
+    def _send_pings(self, src: int, dsts: tuple[int, ...], cycle: int) -> None:
+        """One side of the information collection: a ``VAR_PROBE`` per
+        collected latency (§4.3), all in one transport call."""
+        self.counters.collect_messages += len(dsts)
+        ctx = self._ctx
+        if ctx is None:
+            self.transport.send_pings(src, dsts, cycle)
+            return
+        # one fresh span id per ping, as _stamp would hand them out
+        first = self._span_seq + 1
+        self._span_seq += len(dsts)
+        self.transport.send_pings(src, dsts, cycle, trace_id=ctx[0], span_id=first,
+                                  parent_id=ctx[1])
 
     def _send_notify(self, msg: Notify) -> None:
         self.counters.notify_messages += 1
@@ -338,8 +352,7 @@ class MessagePROPEngine(PROPEngine):
             # the candidate's half of the information collection
             nbrs = self.overlay.sorted_neighbors(v)
             n_pings = len(nbrs) if cfg.policy == "G" else min(self.m, len(nbrs))
-            for w in nbrs[:n_pings]:
-                self._send_collect(VarProbe(src=v, dst=w, cycle=cycle))
+            self._send_pings(v, nbrs[:n_pings], cycle)
             neighbors = nbrs
         self._send_collect(
             VarReply(src=v, dst=origin, cycle=cycle, candidate=v, ok=ok,
@@ -366,8 +379,7 @@ class MessagePROPEngine(PROPEngine):
         # the initiator's half of the information collection
         nbrs = self.overlay.sorted_neighbors(u)
         n_pings = len(nbrs) if cfg.policy == "G" else min(self.m, len(nbrs))
-        for w in nbrs[:n_pings]:
-            self._send_collect(VarProbe(src=u, dst=w, cycle=cyc.cycle))
+        self._send_pings(u, nbrs[:n_pings], cyc.cycle)
 
         var, give_u, give_v, wants = self._decide(u, v, msg.path)
         cyc.var, cyc.give_u, cyc.give_v = var, tuple(give_u), tuple(give_v)

@@ -5,7 +5,9 @@ and injects, from its own seeded RNG stream (draw order is deterministic
 per seed, independent of the protocol streams):
 
 * **per-link loss** — ``loss`` is a probability, a ``{(src, dst): p}``
-  mapping (symmetric lookup), or a callable ``(src, dst) -> p``;
+  mapping (symmetric lookup), or a callable ``(src, dst) -> p``; every
+  ``p`` must lie in ``[0, 1)`` (a mapping's values are checked at
+  construction, a callable's result on each call);
 * **extra delay and jitter** — a fixed ``extra_delay_ms`` plus a uniform
   draw in ``[0, jitter_ms)`` per message;
 * **reordering** — with probability ``reorder_prob`` a message is held
@@ -16,11 +18,11 @@ per seed, independent of the protocol streams):
   so a transient partition is ``partition(...)`` + a scheduled
   ``heal(...)``.
 
-Every decision is drawn per message, inert ``VAR_PROBE`` pings
-included, so the draw order does not depend on the inner transport; a
-surviving ping is forwarded with its delay, which
-:class:`~repro.net.transport.SimTransport` ignores for inert messages
-(it delivers them in the instant's batch).
+Every decision is drawn per message, ``VAR_PROBE`` pings included, so
+the draw order does not depend on how pings travel: ``send_pings`` draws
+each ping's fate and delay in the order ``send`` would, then forwards
+the survivors without their delays (a ping's flight time is not
+modelled, see :mod:`repro.net.transport`).
 
 :class:`PartitionSpec` is the CLI/harness grammar for transient
 partitions: ``a:b`` splits the overlay into named halves for the whole
@@ -33,11 +35,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import inf
 from numbers import Real
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.net.messages import Message
+from repro.net.messages import Message, VarProbe
 from repro.net.transport import Handler, Transport, TransportStats, trace_tag
 from repro.netsim.engine import Simulator
 from repro.obs.events import (
@@ -51,6 +53,15 @@ from repro.obs.trace import NULL_TRACER, TracerLike
 __all__ = ["FaultyTransport", "PartitionSpec"]
 
 LossSpec = float | Mapping[tuple[int, int], float] | Callable[[int, int], float]
+
+
+def _check_loss(p: float, link: tuple[int, int] | None = None) -> float:
+    """``p`` if it is a loss probability, else ``ValueError`` (NaN fails
+    the comparison too)."""
+    if not 0.0 <= p < 1.0:
+        on = "" if link is None else f" for link {link}"
+        raise ValueError(f"loss probability must be in [0, 1), got {p}{on}")
+    return p
 
 
 class FaultyTransport:
@@ -67,8 +78,15 @@ class FaultyTransport:
         reorder_prob: float = 0.0,
         reorder_ms: float = 50.0,
     ) -> None:
-        if isinstance(loss, Real) and not 0.0 <= loss < 1.0:
-            raise ValueError(f"loss probability must be in [0, 1), got {loss}")
+        #: The loss probability of every link, or ``None`` when it is
+        #: looked up per link; resolved here because ``send`` asks per
+        #: message.
+        self._uniform_loss: float | None = None
+        if isinstance(loss, Mapping):
+            for link, p in loss.items():
+                _check_loss(float(p), link)
+        elif isinstance(loss, Real):
+            self._uniform_loss = _check_loss(float(loss))
         if not all(0.0 <= d < inf for d in (extra_delay_ms, jitter_ms, reorder_ms)):
             raise ValueError("delays must be finite and non-negative")
         if not 0.0 <= reorder_prob <= 1.0:
@@ -122,34 +140,69 @@ class FaultyTransport:
     def _loss_for(self, src: int, dst: int) -> float:
         loss = self.loss
         if callable(loss):
-            return float(loss(src, dst))
+            return _check_loss(float(loss(src, dst)), (src, dst))
         if isinstance(loss, Mapping):
             return float(loss.get((src, dst), loss.get((dst, src), 0.0)))
         return float(loss)
 
-    def send(self, msg: Message, extra_delay_ms: float = 0.0) -> None:
-        stats = self.inner.stats
-        if self._severed(msg.src, msg.dst):
-            stats.record_send(msg)
-            stats.record_drop(msg, "partition")
-            self._trace_drop(msg, "partition")
-            return
-        p = self._loss_for(msg.src, msg.dst)
+    def _drop_reason(self, src: int, dst: int) -> str | None:
+        """Why a message from ``src`` to ``dst`` is dropped — a severed
+        link, else the seeded loss draw — or ``None`` if it goes on."""
+        if self._severed(src, dst):
+            return "partition"
+        p = self._uniform_loss
+        if p is None:
+            p = self._loss_for(src, dst)
         if p > 0.0 and float(self.rng.random()) < p:
-            stats.record_send(msg)
-            stats.record_drop(msg, "loss")
-            self._trace_drop(msg, "loss")
-            return
-        delay = extra_delay_ms + self.extra_delay_ms
+            return "loss"
+        return None
+
+    def _delay(self, delay: float) -> float:
+        """``delay`` plus the fixed extra, the jitter draw and, when the
+        reorder draw says so, the reorder hold."""
+        delay += self.extra_delay_ms
         if self.jitter_ms > 0.0:
             delay += float(self.rng.random()) * self.jitter_ms
         if self.reorder_prob > 0.0 and float(self.rng.random()) < self.reorder_prob:
             delay += float(self.rng.random()) * self.reorder_ms
-        self.inner.send(msg, extra_delay_ms=delay)
+        return delay
 
-    def _trace_drop(self, msg: Message, reason: str) -> None:
+    def send(self, msg: Message, extra_delay_ms: float = 0.0) -> None:
+        reason = self._drop_reason(msg.src, msg.dst)
+        if reason is not None:
+            self._drop(msg, reason)
+            return
+        self.inner.send(msg, extra_delay_ms=self._delay(extra_delay_ms))
+
+    def send_pings(self, src: int, dsts: Sequence[int], cycle: int, *,
+                   trace_id: int = -1, span_id: int = -1, parent_id: int = -1) -> None:
+        """Each ping's fault decisions in ``send``'s draw order, the
+        survivors forwarded without their delays.  The survivors between
+        two drops go on in one call, so the stats and trace records keep
+        the order per-ping sends would give them."""
+        step = 1 if span_id >= 0 else 0
+        start = 0  # first ping of the current run of survivors
+        for i, dst in enumerate(dsts):
+            reason = self._drop_reason(src, dst)
+            if reason is None:
+                self._delay(0.0)  # drawn to keep the stream's order, unused
+                continue
+            if start < i:
+                self.inner.send_pings(src, dsts[start:i], cycle, trace_id=trace_id,
+                                      span_id=span_id + step * start, parent_id=parent_id)
+            self._drop(VarProbe(src=src, dst=dst, cycle=cycle, trace_id=trace_id,
+                                span_id=span_id + step * i, parent_id=parent_id), reason)
+            start = i + 1
+        if start < len(dsts):
+            self.inner.send_pings(src, dsts[start:], cycle, trace_id=trace_id,
+                                  span_id=span_id + step * start, parent_id=parent_id)
+
+    def _drop(self, msg: Message, reason: str) -> None:
         """A dropped message never reaches the inner transport, so its
-        SEND and DROP are both recorded here."""
+        send, its drop and both trace records are booked here."""
+        stats = self.inner.stats
+        stats.record_send(msg.type_name, msg.size_bytes())
+        stats.record_drop(msg.type_name, reason)
         tracer = self.tracer
         if tracer.enabled:
             tag = trace_tag(msg)

@@ -2,7 +2,8 @@
 
 :class:`Transport` is the seam between the protocol state machine and
 the network: the engine registers one handler per slot and calls
-:meth:`~Transport.send`; everything else (latency, loss, partitions) is
+:meth:`~Transport.send`, or :meth:`~Transport.send_pings` for a fan-out
+of latency pings; everything else (latency, loss, partitions) is
 the transport's business.  :class:`SimTransport` delivers through the
 existing :class:`~repro.netsim.engine.Simulator` after the physical
 latency ``d(src, dst)`` read from the oracle via the overlay embedding —
@@ -15,19 +16,24 @@ preserves insertion order within a timestamp), which recovers the
 paper's instantaneous-cycle abstraction as a special case of the message
 plane — the property the bridge integration test pins.
 
-An :attr:`~repro.net.messages.Message.inert` message (the ``VAR_PROBE``
-ping) changes nothing where it lands, so its flight time cannot be
-observed by the protocol.  :class:`SimTransport` therefore records its
-send as usual but delivers it in the current instant's batch: every
-inert message sent at one simulated time shares one zero-delay event,
-which runs the ordinary per-message delivery for each in send order.
-Counts, bytes and trace records per message are unchanged; the event
-count and the in-flight gauge are not.
+Pings are counted, not delivered.  A ``VAR_PROBE`` ping is
+:attr:`~repro.net.messages.Message.inert`: it changes nothing where it
+lands, so the protocol can observe neither its flight time nor its
+delivery.  :meth:`SimTransport.send_pings` takes one side of a probe
+cycle's information collection in one call and builds no message
+object: the fan-out is recorded as sent (count, bytes, in-flight gauge)
+at once, and as delivered by the current instant's batch event — one
+zero-delay event shared by every fan-out of that simulated time.  No
+handler and no tap runs for a ping.  With tracing on, every ping still
+gets its own ``MSG_SEND`` / ``SPAN_START`` records at send and
+``MSG_DELIVER`` / ``SPAN_END`` in the batch.  ``send`` of a
+:class:`~repro.net.messages.VarProbe` takes the same path, so the
+simulated plane has one way to carry a ping.
 
 Telemetry: :class:`TransportStats` tallies sends, deliveries, drops,
 bytes and the in-flight gauge per message type; the fault decorator
 records its drops here too, so one object describes the whole message
-plane.
+plane.  The delivery ``tap`` sees handled deliveries only.
 """
 
 from __future__ import annotations
@@ -35,9 +41,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from math import inf
-from typing import Callable, Protocol
+from typing import Callable, Protocol, Sequence
 
-from repro.net.messages import Message
+from repro.net.messages import Message, VarProbe
 from repro.netsim.engine import Simulator
 from repro.obs.events import (
     MsgDeliverEvent,
@@ -48,9 +54,19 @@ from repro.obs.events import (
 from repro.obs.trace import NULL_TRACER, TracerLike
 from repro.overlay.base import Overlay
 
-__all__ = ["DeliveryTap", "SimTransport", "Transport", "TransportStats", "trace_tag"]
+__all__ = [
+    "DeliveryTap",
+    "SimTransport",
+    "Transport",
+    "TransportStats",
+    "trace_send",
+    "trace_tag",
+]
 
 _MS = 1e-3  # latency oracle is in milliseconds; simulation time in seconds
+
+_PING = VarProbe.type_name
+_PING_BYTES = VarProbe(src=0, dst=0, cycle=0).size_bytes()  # fixed width
 
 Handler = Callable[[Message], None]
 DeliveryTap = Callable[[Message], None]
@@ -61,9 +77,11 @@ class TransportStats:
     """Per-message telemetry for one transport.
 
     ``in_flight`` counts messages sent and not yet delivered or dropped.
-    On :class:`SimTransport` an inert ping is delivered in the instant
-    it was sent, so it never stays in flight past that instant and
+    On :class:`SimTransport` a ping is delivered in the instant it was
+    sent, so it never stays in flight past that instant and
     ``max_in_flight`` is lower than it would be under per-ping latency.
+    The ``record_*`` methods take a type name and a count, so a fan-out
+    of pings is booked without a message object per ping.
     """
 
     sent: Counter[str] = field(default_factory=Counter)  # type -> count
@@ -86,20 +104,21 @@ class TransportStats:
     def total_dropped(self) -> int:
         return sum(self.dropped.values())
 
-    def record_send(self, msg: Message) -> None:
-        self.sent[msg.type_name] += 1
-        self.bytes_sent += msg.size_bytes()
-        in_flight = self.in_flight = self.in_flight + 1
+    def record_send(self, type_name: str, size_bytes: int, count: int = 1) -> None:
+        """``count`` messages of ``size_bytes`` each, sent back to back."""
+        self.sent[type_name] += count
+        self.bytes_sent += size_bytes * count
+        in_flight = self.in_flight = self.in_flight + count
         if in_flight > self.max_in_flight:
             self.max_in_flight = in_flight
 
-    def record_delivery(self, msg: Message) -> None:
-        self.delivered[msg.type_name] += 1
-        self.in_flight -= 1
+    def record_delivery(self, type_name: str, count: int = 1) -> None:
+        self.delivered[type_name] += count
+        self.in_flight -= count
 
-    def record_drop(self, msg: Message, reason: str) -> None:
+    def record_drop(self, type_name: str, reason: str) -> None:
         """A message that was sent but will never arrive."""
-        self.dropped[msg.type_name] += 1
+        self.dropped[type_name] += 1
         self.drop_reasons[reason] += 1
         self.in_flight -= 1
 
@@ -111,6 +130,16 @@ def trace_tag(msg: Message) -> int:
     if tag is None:
         tag = getattr(msg, "cycle", None)
     return int(tag) if tag is not None else -1
+
+
+def trace_send(tracer: TracerLike, mtype: str, src: int, dst: int, tag: int,
+               trace_id: int, span_id: int, parent_id: int) -> None:
+    """The send-side records of one message: ``MSG_SEND``, then the
+    open of its in-flight ``msg:<TYPE>`` span when it has one."""
+    tracer.emit(MsgSendEvent, mtype=mtype, src=src, dst=dst, tag=tag)
+    if span_id >= 0:
+        tracer.emit(SpanStartEvent, trace=trace_id, span=span_id, parent=parent_id,
+                    name=f"msg:{mtype}", node=src)
 
 
 class Transport(Protocol):
@@ -132,6 +161,19 @@ class Transport(Protocol):
         """
         ...  # pragma: no cover - protocol signature
 
+    def send_pings(self, src: int, dsts: Sequence[int], cycle: int, *,
+                   trace_id: int = -1, span_id: int = -1, parent_id: int = -1) -> None:
+        """Ping each of ``dsts`` from ``src``: one side of probe cycle
+        ``cycle``'s information collection, one ``VAR_PROBE`` per slot.
+
+        Carries what ``send(VarProbe(src=src, dst=d, cycle=cycle, ...))``
+        would for each ``d`` in order, the ``i``-th ping taking span id
+        ``span_id + i`` (all stay ``-1`` when ``span_id`` is), except
+        that a transport may leave a ping's flight time unmodelled: the
+        receiver does nothing with it.
+        """
+        ...  # pragma: no cover - protocol signature
+
 
 class SimTransport:
     """Deterministic transport over the discrete-event simulator.
@@ -147,9 +189,10 @@ class SimTransport:
         send timestamp (insertion order preserved — the determinism
         bridge), ``1.0`` is the oracle latency.
     tap:
-        Optional callback invoked *after* each delivered message's
-        handler ran; the fault-safety property suite uses it to check
-        invariants after every delivery.
+        Optional callback invoked *after* each handled message's
+        handler ran (pings are not handled, module docs); the
+        fault-safety property suite uses it to check invariants after
+        every delivery that can change state.
     tracer:
         Event sink for ``MSG_SEND`` / ``MSG_DELIVER`` records; defaults
         to the zero-cost :data:`~repro.obs.trace.NULL_TRACER`.
@@ -173,47 +216,66 @@ class SimTransport:
         self.tracer: TracerLike = tracer if tracer is not None else NULL_TRACER
         self.stats = TransportStats()
         self._handlers: dict[int, Handler] = {}
-        #: Inert messages sent at the current instant, in send order;
-        #: ``None`` when no batch event is pending.
-        self._batch: list[Message] | None = None
+        #: The ping fan-outs sent at the current instant, in send order,
+        #: as ``(src, dsts, cycle, trace_id, first span id)``; ``None``
+        #: when no batch event is pending.
+        self._batch: list[tuple[int, Sequence[int], int, int, int]] | None = None
 
     def register(self, slot: int, handler: Handler) -> None:
         self._handlers[slot] = handler
 
     def send(self, msg: Message, extra_delay_ms: float = 0.0) -> None:
-        """Deliver ``msg`` after ``d(src, dst) * scale + extra`` ms; an
-        inert message goes in this instant's batch instead, whatever its
-        delay (module docs)."""
-        self.stats.record_send(msg)
+        """Deliver ``msg`` after ``d(src, dst) * scale + extra`` ms; a
+        ping (the inert type) is counted by :meth:`send_pings` instead."""
+        if msg.inert:
+            self.send_pings(msg.src, (msg.dst,), trace_tag(msg), trace_id=msg.trace_id,
+                            span_id=msg.span_id, parent_id=msg.parent_id)
+            return
+        self.stats.record_send(msg.type_name, msg.size_bytes())
+        if self.tracer.enabled:
+            trace_send(self.tracer, msg.type_name, msg.src, msg.dst, trace_tag(msg),
+                       msg.trace_id, msg.span_id, msg.parent_id)
+        latency_ms = self.overlay.latency(msg.src, msg.dst) * self.latency_scale
+        # a delivery is never cancelled, so it needs no event handle
+        self.sim.post((latency_ms + extra_delay_ms) * _MS, self._deliver, msg)
+
+    def send_pings(self, src: int, dsts: Sequence[int], cycle: int, *,
+                   trace_id: int = -1, span_id: int = -1, parent_id: int = -1) -> None:
+        """Book the fan-out as sent now and delivered in this instant's
+        batch event (module docs)."""
+        if not dsts:
+            return
+        self.stats.record_send(_PING, _PING_BYTES, len(dsts))
         tracer = self.tracer
         if tracer.enabled:
-            tracer.emit(MsgSendEvent, mtype=msg.type_name, src=msg.src,
-                        dst=msg.dst, tag=trace_tag(msg))
-            if msg.span_id >= 0:
-                # the in-flight span: open at send, closed at delivery
-                tracer.emit(SpanStartEvent, trace=msg.trace_id,
-                            span=msg.span_id, parent=msg.parent_id,
-                            name=f"msg:{msg.type_name}", node=msg.src)
-        if msg.inert:
-            batch = self._batch
-            if batch is None:
-                # a zero-delay event fires before the clock moves on, so
-                # a pending batch always belongs to the current instant
-                batch = self._batch = []
-                self.sim.schedule(0.0, self._deliver_batch, batch)
-            batch.append(msg)
-            return
-        latency_ms = self.overlay.latency(msg.src, msg.dst) * self.latency_scale
-        self.sim.schedule((latency_ms + extra_delay_ms) * _MS, self._deliver, msg)
+            step = 1 if span_id >= 0 else 0
+            for i, dst in enumerate(dsts):
+                trace_send(tracer, _PING, src, dst, cycle, trace_id, span_id + step * i,
+                           parent_id)
+        batch = self._batch
+        if batch is None:
+            # a zero-delay event fires before the clock moves on, so a
+            # pending batch always belongs to the current instant
+            batch = self._batch = []
+            self.sim.post(0.0, self._deliver_pings, batch)
+        batch.append((src, dsts, cycle, trace_id, span_id))
 
-    def _deliver_batch(self, batch: list[Message]) -> None:
-        self._batch = None  # a tap that sends opens the next batch
-        deliver = self._deliver
-        for msg in batch:
-            deliver(msg)
+    def _deliver_pings(self, batch: list[tuple[int, Sequence[int], int, int, int]]) -> None:
+        self._batch = None  # a later fan-out at this instant opens the next batch
+        stats = self.stats
+        tracer = self.tracer
+        for src, dsts, cycle, trace_id, span_id in batch:
+            stats.record_delivery(_PING, len(dsts))
+            if tracer.enabled:
+                for dst in dsts:
+                    tracer.emit(MsgDeliverEvent, mtype=_PING, src=src, dst=dst, tag=cycle)
+                    if span_id >= 0:
+                        tracer.emit(SpanEndEvent, trace=trace_id, span=span_id,
+                                    status="ok")
+                        span_id += 1
 
     def _deliver(self, msg: Message) -> None:
-        self.stats.record_delivery(msg)
+        self.stats.record_delivery(msg.type_name)
         tracer = self.tracer
         tracing = tracer.enabled
         if tracing:

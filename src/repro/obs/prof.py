@@ -92,8 +92,11 @@ _CATEGORY_SET = frozenset(CATEGORIES)
 
 #: Scheduled-callback name -> category.  These are the engine-plane
 #: callbacks that reach the simulator's dispatch point; anything not
-#: listed is ``event:other`` (the registry is closed on purpose).
-_TIMER_BY_NAME: dict[str, str] = {
+#: listed is ``event:other`` (the registry is closed on purpose).  The
+#: simulated transport's ping batch carries no message object, only
+#: ``VAR_PROBE`` fan-outs, so its callback names its category.
+_BY_CALLBACK_NAME: dict[str, str] = {
+    "_deliver_pings": "deliver:VAR_PROBE",
     "_probe_cycle": "timer:probe",
     "_walk_timeout": "timer:walk",
     "_vote_timeout": "timer:vote",
@@ -126,23 +129,18 @@ def classify_event(callback: Callable[..., None], args: tuple[Any, ...]) -> str:
     """Map a dispatched event to its registry category.
 
     Message deliveries are recognized by the transport's ``_deliver``
-    callback carrying the message as ``args[0]``, or its
-    ``_deliver_batch`` callback carrying one instant's inert messages as
-    ``args[0]`` — filed under the first one's type, so
-    ``deliver:VAR_PROBE`` counts ping batches; timer fires by the
-    callback's name.  The return value is always a member of
-    :data:`CATEGORIES`.
+    callback carrying the message as ``args[0]``, filed under its wire
+    type; the simulated transport's ``_deliver_pings`` event, which
+    books one instant's ping fan-outs, is one ``deliver:VAR_PROBE``
+    call.  Timer fires are recognized by the callback's name.  The
+    return value is always a member of :data:`CATEGORIES`.
     """
     name = getattr(callback, "__name__", "")
-    msg = None
     if name == "_deliver" and args:
-        msg = args[0]
-    elif name == "_deliver_batch" and args and args[0]:
-        msg = args[0][0]
-    cat = _DELIVER_BY_TYPE.get(getattr(msg, "type_name", ""))
-    if cat is not None:
-        return cat
-    return _TIMER_BY_NAME.get(name, "event:other")
+        cat = _DELIVER_BY_TYPE.get(getattr(args[0], "type_name", ""))
+        if cat is not None:
+            return cat
+    return _BY_CALLBACK_NAME.get(name, "event:other")
 
 
 # -- the profiler -------------------------------------------------------

@@ -6,15 +6,14 @@ unit of attributable work with ``SPAN_START`` / ``SPAN_END`` events:
 the probe-cycle root (``cycle``), every message in flight
 (``msg:<TYPE>``), every receive-side handler (``proc:<TYPE>``) and the
 retry timers (``timer:<kind>``).  :class:`SpanAssembler` is the
-streaming :class:`~repro.obs.trace.TraceConsumer` that folds that event
-stream back into **span trees** — one tree per probe cycle, edges being
+:class:`~repro.obs.trace.TraceConsumer` that folds that event stream
+back into **span trees** — one tree per probe cycle, edges being
 causality (a child was *caused by* its parent, not *contained in* it;
 a NOTIFY fan-out keeps running after its cycle root already closed).
 
-Memory stays O(open spans): a trace's state is dropped the moment its
-tree completes (root closed and no span of the trace still open), so an
-arbitrarily long run holds only the trees still in flight plus whatever
-the caller asked to keep.
+A trace's assembly state is dropped the moment its tree completes
+(root closed and no span of the trace still open); the tree itself is
+kept for the analysis.
 
 Liveness flags (``python -m repro.obs spans`` / ``critpath`` exit 1 on
 every one except half-open spans):
@@ -33,8 +32,7 @@ every one except half-open spans):
   pass: each ``EXCHANGE_PREPARE`` must resolve as exactly one
   ``COMMIT`` / ``ABORT`` / ``TIMEOUT``.  Inline commits (``xid = -1``)
   and late replies (a ``VAR_REPLY`` after its walk timed out) are
-  counted, not failed.  The streaming :class:`SpanAssembler` tracks no
-  xids.
+  counted, not failed.  :class:`SpanAssembler` alone tracks no xids.
 
 :func:`critical_path` decomposes one completed tree into the segments
 that actually determined the root's duration — the chain to the
@@ -53,7 +51,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro.obs.events import (
     Event,
@@ -201,29 +199,11 @@ class _TraceState:
 
 
 class SpanAssembler:
-    """Streaming consumer reassembling span trees from the event bus.
+    """Consumer reassembling span trees from the event stream, one
+    event at a time; :func:`assemble_spans` drives it over a trace."""
 
-    Parameters
-    ----------
-    keep_trees:
-        Buffer completed trees for :meth:`result` (the analyzer path).
-        False keeps only the counters, so a long stream costs
-        O(open spans), never O(run).
-    on_tree:
-        Optional callback invoked with each tree the moment it
-        completes (before it is buffered or discarded).
-    """
-
-    def __init__(
-        self,
-        *,
-        keep_trees: bool = True,
-        on_tree: Callable[[SpanTree], None] | None = None,
-    ) -> None:
-        self.keep_trees = keep_trees
-        self.on_tree = on_tree
+    def __init__(self) -> None:
         self.completed = 0
-        self.root_statuses: Counter[str] = Counter()
         self._active: dict[int, _TraceState] = {}
         self._analysis = SpanAnalysis()
         self._finished = False
@@ -302,11 +282,7 @@ class SpanAssembler:
         tree = SpanTree(trace=trace, root=root, n_spans=len(state.spans),
                         complete=complete)
         self.completed += complete
-        self.root_statuses[root.status or "open"] += 1
-        if self.on_tree is not None:
-            self.on_tree(tree)
-        if self.keep_trees:
-            self._analysis.trees.append(tree)
+        self._analysis.trees.append(tree)
         if not self._finished:
             del self._active[trace]
 

@@ -23,7 +23,7 @@ from repro.live.clock import LiveScheduler
 from repro.live.codec import decode, encode
 from repro.live.transport import UdpTransport, udp_loopback_available
 from repro.net.faults import FaultyTransport
-from repro.net.messages import VarProbe
+from repro.net.messages import Notify, VarProbe
 from repro.net.transport import SimTransport, Transport
 from repro.netsim.engine import Simulator
 from repro.obs.events import SpanEndEvent
@@ -36,12 +36,12 @@ needs_loopback = pytest.mark.skipif(
 
 
 class Scenario:
-    """register a handler on ``slot``, send one probe to slot 1, report
-    (handler calls, stats)."""
+    """register a handler on ``slot``, send one handled message to slot
+    1, report (handler calls, stats)."""
 
     def __init__(self, slot: int) -> None:
         self.slot = slot
-        self.msg = VarProbe(src=0, dst=1, cycle=7)
+        self.msg = Notify(src=0, dst=1, xid=7, commit=False)
 
     def drive_sim(self, overlay, wrap_faulty: bool):
         sim = Simulator()
@@ -87,8 +87,8 @@ class TestUnregisterParity:
         else:
             seen, stats = scenario.drive_sim(gnutella, wrap_faulty=backend == "faulty")
         assert seen == [scenario.msg]
-        assert stats.sent["VAR_PROBE"] == 1
-        assert stats.delivered["VAR_PROBE"] == 1
+        assert stats.sent["NOTIFY"] == 1
+        assert stats.delivered["NOTIFY"] == 1
 
     @pytest.mark.parametrize("backend", ["sim", "faulty", "udp"])
     def test_unregistered_slot_absorbs(self, backend, gnutella):
@@ -100,14 +100,12 @@ class TestUnregisterParity:
         else:
             seen, stats = scenario.drive_sim(gnutella, wrap_faulty=backend == "faulty")
         assert seen == []  # no handler on slot 1: message absorbed silently
-        assert stats.delivered["VAR_PROBE"] == 1  # ... but delivery is counted
+        assert stats.delivered["NOTIFY"] == 1  # ... but delivery is counted
 
     def test_every_backend_satisfies_the_protocol_surface(self):
         for cls in (SimTransport, FaultyTransport, UdpTransport):
-            for name in ("register", "send"):
+            for name in ("register", "send", "send_pings"):
                 assert callable(getattr(cls, name)), f"{cls.__name__}.{name}"
-
-
 
 
 def _inject(address: tuple[str, int], data: bytes) -> None:
@@ -225,6 +223,28 @@ class TestUdpSemantics:
 
         got_at = asyncio.run(body())
         assert got_at and got_at[0] >= 5.0
+
+    def test_pings_are_one_datagram_each_and_reach_the_handler(self):
+        async def body():
+            loop = asyncio.get_running_loop()
+            transport = await UdpTransport.create(LiveScheduler(loop), 2)
+            try:
+                seen: list = []
+                transport.register(1, seen.append)
+                transport.send_pings(0, (1, 1, 1), 5, trace_id=2, span_id=8, parent_id=1)
+                deadline = loop.time() + 2.0
+                while loop.time() < deadline and len(seen) < 3:
+                    await asyncio.sleep(0.005)
+                return transport, seen
+            finally:
+                transport.close()
+
+        transport, seen = asyncio.run(body())
+        sent = [VarProbe(src=0, dst=1, cycle=5, trace_id=2, span_id=8 + i, parent_id=1)
+                for i in range(3)]
+        assert sorted(seen, key=lambda m: m.span_id) == sent
+        assert transport.wire_bytes_sent == sum(len(encode(m)) for m in sent)
+        assert transport.stats.sent["VAR_PROBE"] == transport.stats.delivered["VAR_PROBE"] == 3
 
     def test_wire_bytes_and_closed_transport(self):
         async def body():

@@ -6,6 +6,8 @@ the inline-equivalence guarantee in
 ``tests/integration/test_net_bridge.py``.
 """
 
+from math import inf, nan
+
 import pytest
 
 from repro.core.config import PROPConfig
@@ -42,10 +44,13 @@ class DropFirst:
     def send(self, msg, extra_delay_ms=0.0):
         if isinstance(msg, self.drop_type) and self.remaining > 0:
             self.remaining -= 1
-            self.stats.record_send(msg)
-            self.stats.record_drop(msg, "test-drop")
+            self.stats.record_send(msg.type_name, msg.size_bytes())
+            self.stats.record_drop(msg.type_name, "test-drop")
             return
         self.inner.send(msg, extra_delay_ms=extra_delay_ms)
+
+    def send_pings(self, src, dsts, cycle, **span):
+        self.inner.send_pings(src, dsts, cycle, **span)
 
 
 def _engine(overlay, *, policy="G", transport_wrap=None, net=None, **prop_kw):
@@ -80,6 +85,14 @@ class TestNetConfig:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             NetConfig(**kwargs)
+
+    @pytest.mark.parametrize("field", ["reply_timeout", "vote_timeout", "prepared_timeout"])
+    @pytest.mark.parametrize("value", [nan, inf, -inf])
+    def test_non_finite_timeouts_rejected(self, field, value):
+        # regression: NaN and inf used to construct, and the first probe
+        # then raised inside sim.schedule in the middle of the run
+        with pytest.raises(ValueError, match=field):
+            NetConfig(**{field: value})
 
     def test_defaults_resolve_within_probe_period(self):
         net = NetConfig()

@@ -9,11 +9,13 @@ from repro.net.faults import FaultyTransport, PartitionSpec
 from repro.net.messages import Notify, VarProbe
 from repro.net.transport import SimTransport
 from repro.netsim.engine import Simulator
+from repro.obs.events import SpanEndEvent
+from repro.obs.trace import Tracer
 
 
-def _faulty(overlay, **kwargs):
+def _faulty(overlay, tracer=None, **kwargs):
     sim = Simulator()
-    inner = SimTransport(sim, overlay)
+    inner = SimTransport(sim, overlay, tracer=tracer)
     rng = np.random.default_rng(42)
     return sim, FaultyTransport(inner, rng, **kwargs)
 
@@ -85,6 +87,22 @@ class TestLoss:
         with pytest.raises(ValueError):
             _faulty(gnutella, loss=loss)
 
+    @pytest.mark.parametrize("bad", [nan, 1.0, 1.5, -0.1])
+    def test_out_of_range_loss_in_a_mapping_rejected(self, gnutella, bad):
+        # regression: only a scalar was checked, so NaN silently meant
+        # "never drop" on that link and 1.5 "always drop"
+        with pytest.raises(ValueError, match=r"link \(0, 1\)"):
+            _faulty(gnutella, loss={(2, 3): 0.5, (0, 1): bad})
+
+    @pytest.mark.parametrize("bad", [nan, 1.0, 1.5, -0.1])
+    def test_out_of_range_loss_from_a_callable_rejected(self, gnutella, bad):
+        sim, tr = _faulty(gnutella, loss=lambda s, d: bad if s == 0 else 0.2)
+        tr.send(_ping(1, 2))  # a valid probability passes
+        with pytest.raises(ValueError, match=r"link \(0, 1\)"):
+            tr.send(_ping(0, 1))
+        with pytest.raises(ValueError):
+            tr.send_pings(0, (1,), cycle=1)
+
     @pytest.mark.parametrize("field", ["extra_delay_ms", "jitter_ms", "reorder_ms"])
     @pytest.mark.parametrize("value", [nan, inf])
     def test_non_finite_delays_rejected(self, gnutella, field, value):
@@ -112,31 +130,58 @@ class TestDelayAndReorder:
 
 
 class TestInertPings:
-    """Pings skip the flight time on the inner transport, never the
-    per-message fault decisions."""
+    """A ping fan-out skips the flight time on the inner transport, never
+    the per-ping fault decisions."""
 
     KNOBS = dict(loss=0.3, jitter_ms=20.0, reorder_prob=0.2, reorder_ms=50.0)
 
-    def _survivors(self, gnutella, make):
-        """Send ``make(0..199)``: the indices delivered, the stats and
-        the number of events it took."""
-        sim, tr = _faulty(gnutella, **self.KNOBS)
-        msgs = [make(i) for i in range(200)]
-        seen = []
-        tr.register(1, seen.append)
-        for msg in msgs:
-            tr.send(msg)
+    def _fates(self, gnutella, send):
+        """Send 200 spanned messages to slot 1 through ``send``: the
+        span ids delivered and dropped, the stats and the event count."""
+        tracer = Tracer()
+        sim, tr = _faulty(gnutella, tracer, **self.KNOBS)
+        tr.register(1, lambda m: None)
+        send(tr)
         sim.run()
-        return sorted(msgs.index(m) for m in seen), tr.stats, sim.events_executed
+        ends = [e for e in tracer.events if isinstance(e, SpanEndEvent)]
+        survived = sorted(e.span for e in ends if e.status == "ok")
+        dropped = sorted(e.span for e in ends if e.status == "drop")
+        return survived, dropped, tr.stats, sim.events_executed
 
     def test_seeded_drop_sequence_matches_a_delayed_message(self, gnutella):
-        pings, ping_stats, ping_events = self._survivors(
-            gnutella, lambda i: VarProbe(src=0, dst=1, cycle=i))
-        notes, note_stats, note_events = self._survivors(gnutella, lambda i: _notify(xid=i))
+        pings, ping_drops, ping_stats, ping_events = self._fates(
+            gnutella, lambda tr: tr.send_pings(0, (1,) * 200, 7, trace_id=1, span_id=0))
+        notes, note_drops, note_stats, note_events = self._fates(gnutella, lambda tr: [
+            tr.send(Notify(src=0, dst=1, xid=i, commit=False, trace_id=1, span_id=i))
+            for i in range(200)])
         assert pings == notes  # the same messages survive, draw for draw
+        assert ping_drops == note_drops and sorted(pings + ping_drops) == list(range(200))
+        assert ping_stats.drop_reasons == note_stats.drop_reasons
         assert ping_stats.total_dropped == note_stats.total_dropped > 0
         assert ping_stats.total_delivered == len(pings) == 200 - ping_stats.total_dropped
         assert (ping_events, note_events) == (1, len(notes))  # one batch, per-note events
+
+    def test_a_fan_out_books_like_ping_by_ping_sends(self, gnutella):
+        """One ``send_pings`` over a partition and loss equals the same
+        pings sent one by one: stats (the in-flight peak included),
+        trace records and the events run."""
+        runs = []
+        for one_call in (True, False):
+            tracer = Tracer()
+            sim, tr = _faulty(gnutella, tracer, loss=0.4, jitter_ms=5.0)
+            tr.partition("a:b", {0, 1, 2}, {3, 4, 5})
+            dsts = (1, 3, 2, 4, 1, 5, 2, 2, 1, 0)
+            if one_call:
+                tr.send_pings(0, dsts, 4, trace_id=2, span_id=20, parent_id=9)
+            else:
+                for i, dst in enumerate(dsts):
+                    tr.send(VarProbe(src=0, dst=dst, cycle=4, trace_id=2, span_id=20 + i,
+                                     parent_id=9))
+            sim.run()
+            runs.append((tr.stats, tracer.events, sim.events_executed))
+        assert runs[0] == runs[1]
+        stats = runs[0][0]
+        assert stats.drop_reasons["partition"] == 3 and stats.drop_reasons["loss"] > 0
 
     def test_partition_drops_pings_and_counts_them(self, gnutella):
         sim, tr = _faulty(gnutella)

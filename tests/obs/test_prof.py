@@ -28,6 +28,7 @@ from repro.obs.prof import (
     classify_event,
     wall_monotonic,
 )
+from repro.obs.trace import Tracer
 
 #: Small but real: the message plane over the simulator exercises every
 #: delivery category plus probe/walk/vote timers within a short run.
@@ -83,6 +84,8 @@ class TestPartitionInvariant:
         assert prof.categories.get("sample", 0) > 0
         assert prof.categories.get("timer:probe", 0) > 0
         assert prof.categories.get("deliver:WALK", 0) > 0
+        # the engine's ping fan-outs, booked by the transport's batch event
+        assert prof.categories.get("deliver:VAR_PROBE", 0) > 0
         assert set(prof.categories) <= set(CATEGORIES)
 
     def test_heap_telemetry_sampled_per_window(self):
@@ -146,6 +149,20 @@ class TestClassification:
         assert profile.counts == {"event:other": 1, "deliver:VAR_PROBE": 1}
         assert transport.stats.delivered["VAR_PROBE"] == 5
         assert sum(profile.categories.values()) + profile.untracked_ns == profile.total_ns
+
+    def test_send_pings_batch_filed_under_deliver_var_probe(self, gnutella):
+        """The engine's path: two fan-outs of one instant, untraced and
+        traced, are one ``deliver:VAR_PROBE`` event between them."""
+        for tracer in (None, Tracer()):
+            sim = Simulator()
+            transport = SimTransport(sim, gnutella, tracer=tracer)
+            sim.schedule(1.0, transport.send_pings, 0, (1, 2, 3), 1)
+            sim.schedule(1.0, transport.send_pings, 4, (5, 6), 1)
+            sim.profiler = KernelProfiler()
+            sim.run_until(2.0)
+            profile = sim.profiler.finish()
+            assert profile.counts == {"event:other": 2, "deliver:VAR_PROBE": 1}
+            assert transport.stats.delivered["VAR_PROBE"] == 5
 
     def test_unknown_callbacks_land_in_event_other(self):
         assert classify_event(lambda: None, ()) == "event:other"

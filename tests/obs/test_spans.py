@@ -90,16 +90,6 @@ class TestAssembler:
         assert tree.complete
         assert tree.root.children[0].end == 1.5 > tree.root.end
 
-    def test_streaming_mode_keeps_only_counters(self):
-        seen = []
-        assembler = SpanAssembler(keep_trees=False, on_tree=seen.append)
-        for ev in COMPLETE:
-            assembler.on_event(ev)
-        assert assembler.completed == 1
-        assert len(seen) == 1 and seen[0].complete
-        assembler.finish(2.0)
-        assert assembler.result().trees == []  # nothing buffered
-
     def test_orphan_root_fails_the_analysis(self):
         analysis = assemble_spans(COMPLETE[:-1])  # root never closes
         assert analysis.orphans == [(1, 1)]
