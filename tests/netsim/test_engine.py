@@ -37,6 +37,24 @@ def test_schedule_non_finite_delay_rejected(delay):
     assert out == [1, 2]
 
 
+@pytest.mark.parametrize("delay", [-1.0, nan, inf])
+def test_post_rejects_what_schedule_rejects(delay):
+    sim = Simulator()
+    with pytest.raises(ValueError):
+        sim.post(delay, lambda: None)
+    assert not sim.queue
+
+
+def test_post_and_schedule_interleave_in_insertion_order():
+    sim = Simulator()
+    out = []
+    sim.post(1.0, out.append, "a")
+    sim.schedule(1.0, out.append, "b")
+    sim.post(1.0, out.append, "c")
+    sim.run()
+    assert out == ["a", "b", "c"]
+
+
 @pytest.mark.parametrize("time", [nan, inf])
 def test_schedule_at_non_finite_time_rejected(time):
     sim = Simulator()

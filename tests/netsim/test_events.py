@@ -185,3 +185,20 @@ def test_args_carried():
     q.push(1.0, lambda a, b: None, (1, 2))
     ev = q.pop()
     assert ev.args == (1, 2)
+
+
+def test_post_and_push_share_one_sequence():
+    """``post`` is ``push`` without the handle: the same validation,
+    the same tie-break sequence and the same live count."""
+    q = EventQueue()
+    out = []
+    ev = q.post(1.0, out.append, ("posted",))
+    handle = q.push(1.0, out.append, ("pushed",))
+    assert handle._event.seq == ev.seq + 1
+    assert len(q) == 2 and q.pushes == 2
+    with pytest.raises(ValueError):
+        q.post(nan, out.append, ("bad",))
+    while q:
+        popped = q.pop()
+        popped.callback(*popped.args)
+    assert out == ["posted", "pushed"]
