@@ -13,7 +13,7 @@ lint:
 	fi
 
 # Invariant analysis (docs/analysis.md): reprolint (the rules no tier-1
-# test can replace: D1-D3, D5-D7, F1, C1), the style lint, and mypy
+# test can replace: D1, D3, D5, C1), the style lint, and mypy
 # --strict on the deterministic kernel and the live/obs planes.
 # reprolint exits 1 on any finding, a dead suppression included; ruff
 # and mypy are optional on offline images, reprolint itself is

@@ -19,9 +19,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Any
 
 __all__ = ["PROPConfig"]
+
+
+def _is_count(value: object) -> bool:
+    """An integer (numpy integers included) that is not a bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -80,23 +86,24 @@ class PROPConfig:
             )
         if not math.isfinite(self.min_var):
             raise ValueError(f"min_var must be finite, got {self.min_var}")
-        if self.nhops < 1:
-            raise ValueError(f"nhops must be >= 1, got {self.nhops}")
-        if self.m is not None and self.m < 1:
-            raise ValueError(f"m must be >= 1 or None, got {self.m}")
+        if not _is_count(self.nhops) or self.nhops < 1:
+            raise ValueError(f"nhops must be an integer >= 1, got {self.nhops!r}")
+        if self.m is not None and (not _is_count(self.m) or self.m < 1):
+            raise ValueError(f"m must be an integer >= 1 or None, got {self.m!r}")
         if self.selection not in ("greedy", "farthest", "random"):
             raise ValueError(f"unknown selection policy {self.selection!r}")
-        if self.init_timer <= 0:
-            raise ValueError(f"init_timer must be positive, got {self.init_timer}")
-        if self.max_timer_factor < 1:
+        if not 0.0 < self.init_timer < math.inf:
             raise ValueError(
-                f"max_timer_factor must be >= 1 so that max_timer >= init_timer, "
-                f"got {self.max_timer_factor}"
+                f"init_timer must be finite and positive, got {self.init_timer}")
+        if not 1.0 <= self.max_timer_factor < math.inf:
+            raise ValueError(
+                f"max_timer_factor must be finite and >= 1 so that "
+                f"max_timer >= init_timer, got {self.max_timer_factor}"
             )
-        if self.max_init_trial < 1:
+        if not _is_count(self.max_init_trial) or self.max_init_trial < 1:
             raise ValueError(
-                f"max_init_trial must be >= 1 (at least one warm-up probe), "
-                f"got {self.max_init_trial}"
+                f"max_init_trial must be an integer >= 1 (at least one warm-up "
+                f"probe), got {self.max_init_trial!r}"
             )
 
     @property

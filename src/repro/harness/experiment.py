@@ -19,6 +19,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from functools import partial
 from math import inf
+from numbers import Integral
 from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
@@ -158,6 +159,18 @@ class ExperimentConfig:
         if self.lookups_per_sample < 0:
             raise ValueError(
                 f"lookups_per_sample must be >= 0, got {self.lookups_per_sample}")
+        if self.flood_ttl is not None and (
+            not isinstance(self.flood_ttl, Integral)
+            or isinstance(self.flood_ttl, bool) or self.flood_ttl < 0
+        ):
+            raise ValueError(
+                f"flood_ttl must be None or an integer >= 0, got {self.flood_ttl!r}")
+        if self.retry_timeout is not None and not 0.0 <= self.retry_timeout < inf:
+            raise ValueError(
+                f"retry_timeout must be finite and >= 0, got {self.retry_timeout}")
+        if not 0.0 < self.fast_degree_weight < inf:
+            raise ValueError(
+                f"fast_degree_weight must be finite and > 0, got {self.fast_degree_weight}")
         if (self.pis_landmarks is not None or self.pns) and self.overlay_kind != "chord":
             raise ValueError("PIS/PNS apply to the chord overlay only")
         if self.trace and self.trace_streaming:

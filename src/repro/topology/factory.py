@@ -5,10 +5,10 @@ the CLI and the benchmarks all resolve ``--oracle
 {exact,vivaldi,landmark}`` through :func:`build_oracle`, so adding a
 backend is one registry entry plus a class.
 
-The Vivaldi fit draws from the named ``oracle:vivaldi`` stream derived
-from the experiment's master seed (reprolint D2: every stochastic
-component owns a named stream) — constructing the oracle can never
-perturb membership, overlay, workload, or protocol draws.
+The Vivaldi fit draws from the named ``oracle:vivaldi`` stream of a
+registry on the experiment's master seed (every stochastic component
+owns a named stream) — constructing the oracle can never perturb
+membership, overlay, workload, or protocol draws.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from repro.netsim.rng import derive_seed
+from repro.netsim.rng import RngRegistry
 from repro.topology.landmark import LandmarkOracle
 from repro.topology.latency import LatencyOracle, LatencyOracleBase
 from repro.topology.transit_stub import PhysicalNetwork
@@ -28,7 +28,7 @@ __all__ = ["ORACLE_BACKENDS", "VIVALDI_STREAM", "build_oracle"]
 #: Selectable latency-oracle backends, in documentation order.
 ORACLE_BACKENDS = ("exact", "vivaldi", "landmark")
 
-#: Named RNG stream feeding the Vivaldi fit (reprolint D2).
+#: Named RNG stream feeding the Vivaldi fit.
 VIVALDI_STREAM = "oracle:vivaldi"
 
 #: Backend construction parameters and their defaults; anything else in
@@ -72,6 +72,5 @@ def build_oracle(
     if backend == "exact":
         return LatencyOracle(network, hosts)
     if backend == "vivaldi":
-        rng = np.random.Generator(np.random.PCG64(derive_seed(seed, VIVALDI_STREAM)))
-        return VivaldiOracle(network, hosts, rng, **opts)
+        return VivaldiOracle(network, hosts, RngRegistry(seed).fresh(VIVALDI_STREAM), **opts)
     return LandmarkOracle(network, hosts, **opts)

@@ -16,8 +16,8 @@ property that makes million-node oracles feasible where the exact
 O(n^2) submatrix is the wall.
 
 Determinism: sampling and coordinate initialization draw only from the
-injected generator (the harness hands in the named ``oracle:vivaldi``
-stream per reprolint D2), and the relaxation itself is pure vectorized
+injected generator (the named ``oracle:vivaldi`` stream, owned by the
+topology package), and the relaxation itself is pure vectorized
 arithmetic in a fixed iteration order — same seed, same coordinates,
 byte-identical estimates, serial or under any ``--workers`` count.
 

@@ -87,6 +87,6 @@ def capacity_weights_from_delay(
     ``fast_weight`` times the base attachment weight during overlay
     construction.
     """
-    if fast_weight <= 0:
-        raise ValueError("fast_weight must be positive")
+    if not 0.0 < fast_weight < np.inf:
+        raise ValueError(f"fast_weight must be finite and positive, got {fast_weight}")
     return np.where(het.is_fast[embedding], fast_weight, 1.0)

@@ -1,5 +1,5 @@
-"""The flow/concurrency rule family (F1/C1) against its known-bad
-fixture trees, and the dead-suppression audit.
+"""The concurrency rule (C1) against its known-bad fixture tree, and
+the dead-suppression audit.
 """
 
 from pathlib import Path
@@ -16,27 +16,6 @@ def _findings(fixture: str, rule: str):
         for f in analyze(FIXTURES / fixture, repo=REPO, select=[rule])
         if f.rule == rule
     ]
-
-
-class TestF1StreamProvenance:
-    def test_flags_cross_component_flows_and_unowned_streams(self):
-        found = _findings("f1_bad", "F1")
-        messages = " | ".join(f.message for f in found)
-        # through a local binding (the hole D2 cannot see)
-        assert "'live:traffic' flows into `Engine`" in messages
-        # direct argument flow, in the other direction
-        assert "'net:faults' flows into `TrafficGen`" in messages
-        # a stream no component owns
-        assert "no registered owner" in messages
-        assert len(found) == 3
-
-    def test_real_tree_flows_all_respect_ownership(self):
-        found = [
-            f
-            for f in analyze(REPO / "src" / "repro", repo=REPO, select=["F1"])
-            if f.rule == "F1"
-        ]
-        assert found == [], "\n".join(f.render() for f in found)
 
 
 class TestC1AwaitInterleaving:

@@ -47,13 +47,26 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("value", [-5.0, float("nan"), float("inf")])
     def test_retry_timeout_is_checked_where_floods_use_it(self, value):
-        # a negative requery cost silently lowered the measured latency
-        config = ExperimentConfig(flood_ttl=1, retry_timeout=value, **FAST)
+        # a negative requery cost silently lowered the measured latency;
+        # the config, too, rejects it at construction, not at the first
+        # lookup sample after the world was built
         with pytest.raises(ValueError, match="retry_timeout"):
-            run_experiment(config)
-        overlay = build_world(config).overlay
+            ExperimentConfig(flood_ttl=1, retry_timeout=value, **FAST)
+        overlay = build_world(ExperimentConfig(flood_ttl=1, **FAST)).overlay
         with pytest.raises(ValueError, match="retry_timeout"):
             overlay.mean_lookup_latency(np.array([[0, 1]]), ttl=1, retry_timeout=value)
+
+    @pytest.mark.parametrize("value", [-3, 2.5, True])
+    def test_flood_ttl_must_be_a_count(self, value):
+        # -3 raised only at the first lookup sample, after the world was built
+        with pytest.raises(ValueError, match="flood_ttl"):
+            ExperimentConfig(flood_ttl=value)
+
+    @pytest.mark.parametrize("value", [0.0, float("nan"), float("inf")])
+    def test_fast_degree_weight_must_be_finite_and_positive(self, value):
+        # NaN ran, with a cast warning and a garbage degree distribution
+        with pytest.raises(ValueError, match="fast_degree_weight"):
+            ExperimentConfig(fast_degree_weight=value)
 
     @pytest.mark.parametrize("field", ["fast_ms", "slow_ms"])
     def test_bimodal_delays_must_be_finite(self, field):

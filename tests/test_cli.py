@@ -75,7 +75,8 @@ class TestRunCommand:
         ["--policy", "G", "--transport", "sim", "--loss", "1.5"],
         ["--policy", "G", "--transport", "sim", "--partition", "bogus"],
         ["--policy", "O", "--overlay", "chord"],
-    ], ids=["n", "loss", "partition", "policy-overlay"])
+        ["--flood-ttl", "-3"],
+    ], ids=["n", "loss", "partition", "policy-overlay", "flood-ttl"])
     def test_config_errors_are_one_error_line(self, flags):
         with pytest.raises(SystemExit) as excinfo:
             main(self.COMMON + flags)

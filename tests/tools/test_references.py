@@ -18,6 +18,7 @@ from pathlib import Path
 import repro.cli
 import repro.live.cli
 import repro.obs.__main__
+import tools.reprolint
 import tools.reprolint.__main__
 
 REPO = Path(__file__).resolve().parents[2]
@@ -110,6 +111,23 @@ def test_every_reprolint_flag_named_in_docs_makefile_and_ci_exists():
                     missing.add(f"{path.relative_to(REPO)}: python -m tools.reprolint {flag}")
     assert seen >= 3  # Makefile + docs/analysis.md at least
     assert not missing, sorted(missing)
+
+
+def test_docs_name_exactly_the_registered_rules():
+    """The rules table, the package docstring and the Makefile comment
+    list the registered rules: a retired rule takes its mentions with it."""
+    registered = [rule.id for rule in tools.reprolint.iter_rules()]
+    analysis = (REPO / "docs" / "analysis.md").read_text(encoding="utf-8")
+    table = analysis.split("## The rules that stay", 1)[1].split("\n## ", 1)[0]
+    makefile = MAKEFILE.read_text(encoding="utf-8").split("\nanalyze:", 1)[0]
+    named = {
+        "docs/analysis.md": re.findall(r"^\| ([A-Z]\d) \|", table, re.M),
+        "tools/reprolint/__init__.py": re.findall(
+            r"\*\*([A-Z]\d)\*\*", tools.reprolint.__doc__),
+        "Makefile": re.findall(r"\b[A-Z]\d\b", makefile.rsplit("\n\n", 1)[1]),
+    }
+    for where, ids in named.items():
+        assert sorted(ids) == registered, where
 
 
 def _figure_sweeps(tree: ast.AST) -> list[ast.expr]:

@@ -86,3 +86,10 @@ class TestCapacityWeights:
         het = bimodal_processing_delay(10, _rng())
         with pytest.raises(ValueError):
             capacity_weights_from_delay(het, np.arange(10), fast_weight=0.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_weight_must_be_finite(self, value):
+        # NaN reached the overlay's degree weights as a cast warning
+        het = bimodal_processing_delay(10, _rng())
+        with pytest.raises(ValueError, match="finite and positive"):
+            capacity_weights_from_delay(het, np.arange(10), fast_weight=value)

@@ -4,28 +4,17 @@ Domain-specific static analysis over ``src/repro``.  Where generic
 linters enforce style, reprolint enforces the *reproduction invariants*
 the paper's theorems and the determinism bridge rest on.
 
-Per-file rules (one AST at a time):
+Four rules, each for an invariant no tier-1 test can see:
 
 * **D1** no wall-clock or unseeded randomness — every draw flows from an
   injected seeded :class:`numpy.random.Generator`;
-* **D2** RNG-stream discipline — fault injection draws only from the
-  fault stream, protocol modules only from the protocol stream;
 * **D3** no set/dict-key iteration feeding a protocol decision without
   an explicit ``sorted()``;
 * **D5** exchange atomicity — overlay neighbor structures mutate only
   inside the overlay/exchange modules;
-* **D6** config coverage — every ``PROPConfig`` field is referenced by
-  the validation path;
-* **D7** traced event emission — decision-path code reports through the
-  injected Tracer, never ``print``/``logging``.
-
-Flow/concurrency rules (:mod:`tools.reprolint.rules_flow`):
-
-* **F1** RNG-stream provenance — a stream named for component X may not
-  flow into a call defined by another component (resolved across files
-  through :mod:`tools.reprolint.graph`);
-* **C1** await-interleaving hazards in ``repro.live`` — stale
-  read-across-await writes and fire-and-forget ``create_task``.
+* **C1** await-interleaving hazards in ``repro.live``
+  (:mod:`tools.reprolint.rules_flow`) — stale read-across-await writes
+  and fire-and-forget ``create_task``.
 
 One check per invariant: a rule lives here only while no tier-1 test
 can see its bug class.  ``docs/analysis.md`` records the audit (seeded

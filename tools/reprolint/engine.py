@@ -1,13 +1,12 @@
 """The reprolint rule engine.
 
 Pipeline: parse every ``*.py`` under the analysis root into a
-:class:`Project`, run each registered rule (per-module visitors and
-project-wide checks), and drop findings suppressed by an inline
-``# reprolint: disable=RULE`` comment.  Every remaining finding fails
-the run; a justified exception is a suppression carrying its reason, and
-a suppression that masks nothing is itself a finding (``E998``) — the
-code stopped violating the rule, and the comment would silently license
-a future violation.
+:class:`Project`, run each registered rule over every module, and drop
+findings suppressed by an inline ``# reprolint: disable=RULE`` comment.
+Every remaining finding fails the run; a justified exception is a
+suppression carrying its reason, and a suppression that masks nothing is
+itself a finding (``E998``) — the code stopped violating the rule, and
+the comment would silently license a future violation.
 """
 
 from __future__ import annotations
@@ -16,10 +15,7 @@ import ast
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from tools.reprolint.graph import ModuleGraph
+from typing import Iterable, Iterator
 
 __all__ = [
     "Finding",
@@ -112,8 +108,8 @@ class Project:
     """All modules under one analysis root, keyed by dotted name.
 
     The root directory itself is treated as the ``repro`` package, so a
-    fixture tree laid out like ``src/repro`` (e.g. ``fixtures/d2_bad``
-    containing ``net/faults.py``) exercises module-targeted rules
+    fixture tree laid out like ``src/repro`` (e.g. ``fixtures/d5_bad``
+    containing ``workloads/meddler.py``) exercises module-targeted rules
     exactly as the real tree does.
     """
 
@@ -124,7 +120,6 @@ class Project:
         self.repo = Path(repo) if repo is not None else Path.cwd()
         self.modules: dict[str, ModuleInfo] = {}
         self.parse_errors: list[Finding] = []
-        self._graph: "ModuleGraph | None" = None
         for path in sorted(self.root.rglob("*.py")):
             parts = [self.PACKAGE, *path.relative_to(self.root).with_suffix("").parts]
             if parts[-1] == "__init__":
@@ -135,14 +130,6 @@ class Project:
                 self.parse_errors.append(loaded)
             else:
                 self.modules[module] = loaded
-
-    def graph(self) -> "ModuleGraph":
-        """The import/definition graph over all modules (built lazily)."""
-        if self._graph is None:
-            from tools.reprolint.graph import ModuleGraph
-
-            self._graph = ModuleGraph(self.modules)
-        return self._graph
 
 
 def load_module(path: Path, module: str, repo: Path) -> ModuleInfo | Finding:
@@ -157,16 +144,13 @@ def load_module(path: Path, module: str, repo: Path) -> ModuleInfo | Finding:
 
 class Rule:
     """Base class: subclass, set ``id``/``name``/``description``, override
-    :meth:`check_module` and/or :meth:`check_project`."""
+    :meth:`check_module`."""
 
     id: str = ""
     name: str = ""
     description: str = ""
 
     def check_module(self, mod: ModuleInfo) -> Iterator[Finding]:
-        return iter(())
-
-    def check_project(self, project: Project) -> Iterator[Finding]:
         return iter(())
 
 
@@ -209,17 +193,15 @@ def analyze(
     project = Project(Path(root), Path(repo) if repo is not None else None)
     wanted = set(select) if select is not None else None
     rules = [r for r in iter_rules() if wanted is None or r.id in wanted]
-    by_path = {mod.rel_path: mod for mod in project.modules.values()}
 
     findings = list(project.parse_errors)
     used: set[tuple[str, int, str]] = set()
     for rule in rules:
-        raw = [f for mod in project.modules.values() for f in rule.check_module(mod)]
-        raw.extend(rule.check_project(project))
-        for f in raw:
-            mod = by_path.get(f.path)
-            if mod is None or not mod.suppressed(f.rule, f.line, used):
-                findings.append(f)
+        for mod in project.modules.values():
+            findings.extend(
+                f for f in rule.check_module(mod)
+                if not mod.suppressed(f.rule, f.line, used)
+            )
 
     for mod in project.modules.values():
         for line, tokens in mod.suppressions.items():

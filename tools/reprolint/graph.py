@@ -1,18 +1,11 @@
-"""The project module graph: imports, definitions, call resolution.
+"""The project module graph: imports and module reachability.
 
-:class:`ModuleGraph` is the cross-file layer under rule F1 and the
+:class:`ModuleGraph` is the cross-file layer under the
 module-reachability test (``tests/tools/test_reachability.py``): it
 records, per module, which local names are bound by imports (absolute
-and relative) and which names the module defines at top level, then
-resolves a dotted call target as written in source (``ChurnProcess``,
-``factory.build_preset``) back to the *project module that defines it*.
-Resolution is deliberately best-effort — dynamic dispatch, instance
-attributes (``self._sink``) and re-exports through ``__init__`` are
-reported as unresolved rather than guessed — so rules built on it only
-ever act on edges that are provably intra-project.
-
-Components are the second-level packages (``repro.live``, ``repro.net``,
-…): the granularity of RNG-stream ownership (rule F1).
+and relative), resolves each import target to the *project module* it
+uses — following package re-exports — and walks those uses from a set
+of root modules.
 """
 
 from __future__ import annotations
@@ -27,27 +20,14 @@ __all__ = ["ModuleGraph"]
 
 
 class ModuleGraph:
-    """Imports and top-level definitions for every project module."""
+    """Imports of every project module."""
 
     def __init__(self, modules: dict[str, "ModuleInfo"]) -> None:
         self.modules = modules
         #: module -> local name -> fully-qualified target (module or symbol)
-        self.imports: dict[str, dict[str, str]] = {}
-        #: module -> names defined at module top level (classes + functions)
-        self.defs: dict[str, set[str]] = {}
-        for name, mod in modules.items():
-            self.imports[name] = self._scan_imports(name, mod)
-            self.defs[name] = {
-                n.name
-                for n in mod.tree.body
-                if isinstance(n, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
-            }
-
-    @staticmethod
-    def component(module: str) -> str:
-        """The second-level package a module belongs to (``repro.live``)."""
-        parts = module.split(".")
-        return ".".join(parts[:2]) if len(parts) >= 2 else module
+        self.imports: dict[str, dict[str, str]] = {
+            name: self._scan_imports(name, mod) for name, mod in modules.items()
+        }
 
     # -- import scanning ---------------------------------------------------
 
@@ -91,30 +71,6 @@ class ModuleGraph:
         if node.module:
             base = f"{base}.{node.module}" if base else node.module
         return base
-
-    # -- resolution --------------------------------------------------------
-
-    def resolve(self, module: str, dotted: str) -> tuple[str, str] | None:
-        """Resolve a dotted call target to ``(defining_module, symbol)``.
-
-        ``dotted`` is source text from the caller's scope.  Returns None
-        for anything not provably defined by a project module (builtins,
-        third-party calls, instance attributes, ``self.*`` methods —
-        the class-aware rules handle those locally).
-        """
-        parts = dotted.split(".")
-        head = parts[0]
-        if head in ("self", "cls"):
-            return None
-        imported = self.imports.get(module, {})
-        if head in imported:
-            full = imported[head]
-            if len(parts) > 1:
-                full = f"{full}.{'.'.join(parts[1:])}"
-            return self._split_symbol(full)
-        if head in self.defs.get(module, set()):
-            return module, dotted
-        return None
 
     def _split_symbol(self, full: str) -> tuple[str, str] | None:
         """Split ``repro.net.engine.MessagePROPEngine`` into module+symbol
@@ -178,10 +134,3 @@ class ModuleGraph:
                 if parent in self.modules:
                     used.add(parent)
         return used
-
-    def defining_component(self, module: str, dotted: str) -> str | None:
-        """The component owning ``dotted`` as called from ``module``."""
-        resolved = self.resolve(module, dotted)
-        if resolved is None:
-            return None
-        return self.component(resolved[0])

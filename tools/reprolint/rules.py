@@ -1,4 +1,4 @@
-"""The per-file reprolint rules (D1-D3, D5-D7).
+"""The per-file reprolint rules (D1, D3, D5).
 
 Each rule encodes one invariant the reproduction's claims rest on; the
 module docstrings of the checked packages state the invariants in prose,
@@ -11,16 +11,9 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from tools.reprolint.engine import Finding, ModuleInfo, Project, Rule, register
+from tools.reprolint.engine import Finding, ModuleInfo, Rule, register
 
-__all__ = [
-    "NoWallClockRandomness",
-    "RngStreamDiscipline",
-    "SortedSetIteration",
-    "ExchangeAtomicity",
-    "ConfigCoverage",
-    "TracedEventEmission",
-]
+__all__ = ["NoWallClockRandomness", "SortedSetIteration", "ExchangeAtomicity"]
 
 
 def _qualname(node: ast.AST) -> str | None:
@@ -34,26 +27,6 @@ def _qualname(node: ast.AST) -> str | None:
         parts.append(cur.id)
         return ".".join(reversed(parts))
     return None
-
-
-#: Generator draw methods — calling one of these consumes RNG state.
-DRAW_METHODS = frozenset(
-    {
-        "random",
-        "integers",
-        "choice",
-        "shuffle",
-        "permutation",
-        "permuted",
-        "exponential",
-        "normal",
-        "uniform",
-        "standard_normal",
-        "poisson",
-        "binomial",
-        "bytes",
-    }
-)
 
 
 # -- D1 -------------------------------------------------------------------
@@ -223,106 +196,6 @@ class NoWallClockRandomness(Rule):
                 self.id, node,
                 f"legacy global-state numpy RNG `{qn}()`; draw from an injected "
                 "seeded Generator",
-            )
-
-
-# -- D2 -------------------------------------------------------------------
-
-
-@register
-class RngStreamDiscipline(Rule):
-    """D2: each component draws only from its own named RNG stream.
-
-    The registry's per-name substreams are what make A/B protocol
-    comparisons meaningful ("same world, different protocol"): the fault
-    decorator draws only from ``net:faults`` and the protocol engines
-    only from ``prop:engine``, so enabling faults never perturbs the
-    protocol's draw sequence.  A single cross-stream read silently
-    couples the two.
-    """
-
-    id = "D2"
-    name = "rng-stream-discipline"
-    description = "components must draw only from their own named RNG stream"
-
-    #: module -> stream-name literals it may request from the registry.
-    STREAM_ALLOW: dict[str, frozenset[str]] = {
-        "repro.core.protocol": frozenset({"prop:engine"}),
-        "repro.net.engine": frozenset({"prop:engine"}),
-        "repro.net.faults": frozenset({"net:faults"}),
-        "repro.net.transport": frozenset(),
-        "repro.net.messages": frozenset(),
-    }
-    #: modules whose draws must come from the component's own injected
-    #: generator (``self.rng``), never a collaborator's.
-    _OWN_RNG_ONLY = frozenset({"repro.net.faults"})
-    #: protocol modules: draws must use the engine stream (``self.rng``)
-    #: or a generator explicitly passed in as a parameter named ``rng``.
-    _PROTOCOL = frozenset({"repro.core.protocol", "repro.net.engine"})
-    #: RNG-free modules: any generator draw at all is a violation.
-    _RNG_FREE = frozenset({"repro.net.transport", "repro.net.messages"})
-
-    def check_module(self, mod: ModuleInfo) -> Iterator[Finding]:
-        if mod.module not in self.STREAM_ALLOW:
-            return
-        allowed = self.STREAM_ALLOW[mod.module]
-        for node in ast.walk(mod.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if not isinstance(func, ast.Attribute):
-                continue
-            if func.attr in ("stream", "fresh"):
-                yield from self._check_stream_request(mod, node, allowed)
-            elif func.attr in DRAW_METHODS:
-                yield from self._check_draw(mod, node, func)
-
-    def _check_stream_request(
-        self, mod: ModuleInfo, node: ast.Call, allowed: frozenset[str]
-    ) -> Iterator[Finding]:
-        if not node.args:
-            return
-        arg = node.args[0]
-        if not (isinstance(arg, ast.Constant) and isinstance(arg.value, str)):
-            yield mod.finding(
-                self.id, node,
-                "RNG stream name must be a string literal so stream usage "
-                "is auditable",
-            )
-            return
-        if arg.value not in allowed:
-            names = ", ".join(sorted(allowed)) or "none"
-            yield mod.finding(
-                self.id, node,
-                f"stream {arg.value!r} requested; {mod.module} may only use: {names}",
-            )
-
-    def _check_draw(
-        self, mod: ModuleInfo, node: ast.Call, func: ast.Attribute
-    ) -> Iterator[Finding]:
-        recv = _qualname(func.value)
-        if recv is None:
-            return
-        # only receivers that look like generators: `rng`, `self.rng`,
-        # `x.y.rng` — draw-named methods on other objects are unrelated.
-        if not (recv == "rng" or recv == "self.rng" or recv.endswith(".rng")):
-            return
-        if mod.module in self._RNG_FREE:
-            yield mod.finding(
-                self.id, node,
-                f"RNG draw `{recv}.{func.attr}()` in RNG-free module {mod.module}",
-            )
-        elif mod.module in self._OWN_RNG_ONLY and recv != "self.rng":
-            yield mod.finding(
-                self.id, node,
-                f"cross-stream draw `{recv}.{func.attr}()`; {mod.module} may only "
-                "draw from its injected fault stream (self.rng)",
-            )
-        elif mod.module in self._PROTOCOL and recv not in ("self.rng", "rng"):
-            yield mod.finding(
-                self.id, node,
-                f"cross-stream draw `{recv}.{func.attr}()`; protocol code may only "
-                "draw from the engine stream (self.rng)",
             )
 
 
@@ -594,144 +467,3 @@ class ExchangeAtomicity(Rule):
             if isinstance(sub, ast.Attribute) and sub.attr == "_adj":
                 return True
         return False
-
-
-# -- D6 -------------------------------------------------------------------
-
-
-@register
-class ConfigCoverage(Rule):
-    """D6: every ``PROPConfig`` field is referenced by the validation path.
-
-    The config validation added in PR 2 is the contract that rejects
-    meaningless parameter combinations before they burn simulation time.
-    A field the validator never reads is a field a typo in an experiment
-    sweep can silently set to garbage.
-    """
-
-    id = "D6"
-    name = "config-coverage"
-    description = "every PROPConfig field must be read by __post_init__"
-
-    CONFIG_MODULE = "repro.core.config"
-    CONFIG_CLASS = "PROPConfig"
-    VALIDATOR = "__post_init__"
-
-    def check_project(self, project: Project) -> Iterator[Finding]:
-        mod = project.modules.get(self.CONFIG_MODULE)
-        if mod is None:
-            return
-        cls = next(
-            (
-                n
-                for n in mod.tree.body
-                if isinstance(n, ast.ClassDef) and n.name == self.CONFIG_CLASS
-            ),
-            None,
-        )
-        if cls is None:
-            return
-        fields: dict[str, int] = {}
-        validator: ast.FunctionDef | None = None
-        for node in cls.body:
-            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-                ann = ast.unparse(node.annotation)
-                if not node.target.id.startswith("_") and "ClassVar" not in ann:
-                    fields[node.target.id] = node.lineno
-            elif isinstance(node, ast.FunctionDef) and node.name == self.VALIDATOR:
-                validator = node
-        if validator is None:
-            if fields:
-                yield mod.finding(
-                    self.id, cls,
-                    f"{self.CONFIG_CLASS} has no {self.VALIDATOR} validation path",
-                )
-            return
-        read = {
-            n.attr
-            for n in ast.walk(validator)
-            if isinstance(n, ast.Attribute)
-            and isinstance(n.value, ast.Name)
-            and n.value.id == "self"
-        }
-        for name, line in fields.items():
-            if name not in read:
-                yield mod.finding(
-                    self.id, line,
-                    f"{self.CONFIG_CLASS} field `{name}` is never referenced by "
-                    f"{self.VALIDATOR}; add a validation check",
-                )
-
-
-# -- D7 -------------------------------------------------------------------
-
-
-@register
-class TracedEventEmission(Rule):
-    """D7: decision-path code reports events only through the Tracer.
-
-    The ``repro.obs`` tracing plane is the single source of truth for
-    what happened in a run: the analyzer's exactly-once 2PC accounting,
-    the byte-identical serial/parallel trace guarantee, and the report
-    event counts all assume every observable event flows through
-    ``tracer.emit``.  A ``print()`` on an engine code path is invisible
-    to all of them (and corrupts the CLI's machine-parsed output); a
-    ``logging`` call drags in wall-clock timestamps and global handler
-    state.  Protocol, message-plane, and overlay modules therefore may
-    not print or log — they emit typed events through the injected
-    Tracer.
-    """
-
-    id = "D7"
-    name = "traced-event-emission"
-    description = "core/net/overlay must emit via Tracer, not print/logging"
-
-    SCOPES = ("repro.core", "repro.net", "repro.overlay")
-    #: receivers whose method calls are logging emissions (`logger.info`,
-    #: `self.log.debug`, `logging.warning`, ...).
-    _LOG_RECEIVERS = frozenset({"logging", "logger", "log"})
-
-    def check_module(self, mod: ModuleInfo) -> Iterator[Finding]:
-        if not mod.module.startswith(self.SCOPES):
-            return
-        for node in ast.walk(mod.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name == "logging" or alias.name.startswith("logging."):
-                        yield mod.finding(
-                            self.id, node,
-                            "`logging` imported on a decision path; emit typed "
-                            "events through the injected Tracer instead",
-                        )
-            elif isinstance(node, ast.ImportFrom):
-                if node.module == "logging" or (
-                    node.module or ""
-                ).startswith("logging."):
-                    yield mod.finding(
-                        self.id, node,
-                        "import from `logging` on a decision path; emit typed "
-                        "events through the injected Tracer instead",
-                    )
-            elif isinstance(node, ast.Call):
-                yield from self._check_call(mod, node)
-
-    def _check_call(self, mod: ModuleInfo, node: ast.Call) -> Iterator[Finding]:
-        func = node.func
-        if isinstance(func, ast.Name) and func.id == "print":
-            yield mod.finding(
-                self.id, node,
-                "bare `print()` on a decision path; emit a typed event "
-                "through the injected Tracer (or drop the output)",
-            )
-            return
-        qn = _qualname(func)
-        if qn is None:
-            return
-        recv, _, _ = qn.rpartition(".")
-        tail = recv.rpartition(".")[2]
-        if recv and (recv in self._LOG_RECEIVERS or tail in self._LOG_RECEIVERS):
-            yield mod.finding(
-                self.id, node,
-                f"logging call `{qn}()` on a decision path; emit a typed "
-                "event through the injected Tracer instead",
-            )

@@ -1,166 +1,23 @@
-"""The flow/concurrency rule family (F1, C1).
+"""The concurrency rule (C1): await-interleaving hazards in ``repro.live``.
 
-Where :mod:`tools.reprolint.rules` checks one file at a time against a
-fixed module list, these rules follow values and control flow:
+Where :mod:`tools.reprolint.rules` matches one statement at a time,
+C1 follows control flow through an async function: shared ``self``
+state read before an ``await`` and written after it without being
+re-read (revalidated) is flagged, as is a fire-and-forget
+``create_task`` whose exceptions have nowhere to go.
 
-* **F1** interprocedural RNG-stream provenance: a stream named for
-  component X must not flow (directly or through a local binding) into
-  a call defined by another component — resolved across files through
-  the module graph (:mod:`tools.reprolint.graph`).  This closes the hole
-  left by D2, which only inspects the call site that *requests* a
-  stream, not where the generator is then passed.
-* **C1** await-interleaving hazards in ``repro.live``: shared ``self``
-  state read before an ``await`` and written after it without being
-  re-read (revalidated) is flagged, as is a fire-and-forget
-  ``create_task`` whose exceptions have nowhere to go.
-
-``docs/analysis.md`` says what each rule sees that no test can.
+``docs/analysis.md`` says what the rule sees that no test can.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
 from typing import Iterator
 
-from tools.reprolint.engine import Finding, ModuleInfo, Project, Rule, register
-from tools.reprolint.rules import (
-    _function_defs,
-    _FunctionDef,
-    _qualname,
-    _scopes,
-    _walk_scope,
-)
+from tools.reprolint.engine import Finding, ModuleInfo, Rule, register
+from tools.reprolint.rules import _function_defs, _FunctionDef, _qualname, _walk_scope
 
-__all__ = ["RngStreamProvenance", "AwaitInterleavingHazard"]
-
-
-def _in_package(module: str, package: str) -> bool:
-    return module == package or module.startswith(package + ".")
-
-
-# -- F1 -------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StreamFlow:
-    """One named RNG stream passed as an argument into a call."""
-
-    stream: str  # the stream-name literal, e.g. "net:faults"
-    callee: str  # dotted callee source text, e.g. "ChurnProcess"
-    line: int
-    col: int
-
-
-def _stream_literal(node: ast.expr) -> str | None:
-    """The stream name when ``node`` is ``<reg>.stream("lit")``/``fresh``."""
-    if not (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr in ("stream", "fresh")
-        and node.args
-    ):
-        return None
-    arg = node.args[0]
-    if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-        return arg.value
-    return None
-
-
-def _stream_flows(body: list[ast.stmt]) -> Iterator[StreamFlow]:
-    """Stream-into-call flows within one scope.
-
-    Tracks both direct flows (``Engine(rngs.stream("x"))``) and flows
-    through a local binding (``rng = rngs.stream("x"); Engine(rng)``) —
-    the indirection D2's call-site check cannot see.
-    """
-    bindings: dict[str, str] = {}  # local name -> stream name
-    for node in _walk_scope(body):
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target = node.targets[0]
-            stream = _stream_literal(node.value)
-            if stream is not None and isinstance(target, ast.Name):
-                bindings[target.id] = stream
-    for node in _walk_scope(body):
-        if not isinstance(node, ast.Call):
-            continue
-        callee = _qualname(node.func)
-        if callee is None:
-            continue
-        for arg in [*node.args, *(kw.value for kw in node.keywords)]:
-            stream = _stream_literal(arg)
-            if stream is None and isinstance(arg, ast.Name):
-                stream = bindings.get(arg.id)
-            if stream is not None:
-                yield StreamFlow(stream, callee, node.lineno, node.col_offset)
-
-
-@register
-class RngStreamProvenance(Rule):
-    """F1: a named RNG stream stays inside the component it names.
-
-    The registry's named substreams partition the world's randomness by
-    component (D2's premise).  D2 audits the *request* site; F1 follows
-    the generator itself: a ``rngs.stream("net:faults")`` handed to a
-    constructor defined in ``repro.workloads`` couples the fault and
-    churn draw sequences even though every individual call site looks
-    disciplined.  Flows (direct arguments and single-assignment local
-    bindings) are collected per scope and the callee is resolved through
-    the module graph; unresolvable callees (builtins, third-party,
-    instance attributes) are skipped, never guessed.
-    """
-
-    id = "F1"
-    name = "rng-stream-provenance"
-    description = "a named RNG stream may not flow into another component"
-
-    #: stream name (or its pre-colon family) -> components allowed to
-    #: receive a generator drawn from it.
-    STREAM_OWNERS: dict[str, tuple[str, ...]] = {
-        "prop:engine": ("repro.core", "repro.net"),
-        "net:faults": ("repro.net",),
-        "ltm:engine": ("repro.baselines",),
-        "pis": ("repro.baselines",),
-        "live:traffic": ("repro.live",),
-        "churn": ("repro.workloads",),
-        "heterogeneity": ("repro.workloads",),
-        "topology": ("repro.topology",),
-        "oracle": ("repro.topology",),
-        "membership": ("repro.harness",),
-        "lookup-workload": ("repro.workloads", "repro.harness"),
-        "overlay": ("repro.overlay",),
-    }
-
-    def _owners(self, stream: str) -> tuple[str, ...] | None:
-        if stream in self.STREAM_OWNERS:
-            return self.STREAM_OWNERS[stream]
-        family = stream.partition(":")[0]
-        return self.STREAM_OWNERS.get(family)
-
-    def check_project(self, project: Project) -> Iterator[Finding]:
-        graph = project.graph()
-        for module, mod in project.modules.items():
-            flows = (f for body in _scopes(mod.tree) for f in _stream_flows(body))
-            for flow in flows:
-                component = graph.defining_component(module, flow.callee)
-                if component is None:
-                    continue  # not provably a project call
-                owners = self._owners(flow.stream)
-                if owners is None:
-                    yield Finding(
-                        self.id, mod.rel_path, flow.line, flow.col,
-                        f"stream {flow.stream!r} flows into `{flow.callee}` but has "
-                        "no registered owner; add it to "
-                        "RngStreamProvenance.STREAM_OWNERS",
-                    )
-                elif component not in owners:
-                    allowed = ", ".join(owners)
-                    yield Finding(
-                        self.id, mod.rel_path, flow.line, flow.col,
-                        f"stream {flow.stream!r} flows into `{flow.callee}` "
-                        f"(defined in {component}); it is reserved for {allowed} — "
-                        "draw the callee's stream from the registry instead",
-                    )
+__all__ = ["AwaitInterleavingHazard"]
 
 
 # -- C1 -------------------------------------------------------------------
@@ -301,7 +158,7 @@ class AwaitInterleavingHazard(Rule):
     SCOPE = "repro.live"
 
     def check_module(self, mod: ModuleInfo) -> Iterator[Finding]:
-        if not _in_package(mod.module, self.SCOPE):
+        if mod.module != self.SCOPE and not mod.module.startswith(self.SCOPE + "."):
             return
         for fn in _function_defs(mod.tree):
             if isinstance(fn, ast.AsyncFunctionDef):
