@@ -100,13 +100,13 @@ class LTMOptimizer:
         self._started = True
         for slot in range(self.overlay.n_slots):
             delay = float(self.rng.random()) * self._jitter * self.config.round_interval
-            self.sim.schedule(delay, self._round, slot)
+            self.sim.post(delay, self._round, slot)
 
     # -- one LTM round at node u ------------------------------------------
 
     def _round(self, u: int) -> None:
         self.run_round(u)
-        self.sim.schedule(self.config.round_interval, self._round, u)
+        self.sim.post(self.config.round_interval, self._round, u)
 
     def run_round(self, u: int) -> None:
         """Detector flood + cut/add step for node ``u`` (also used directly

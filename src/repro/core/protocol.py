@@ -175,7 +175,7 @@ class PROPEngine:
         self._started = True
         for slot in range(self.overlay.n_slots):
             delay = float(self.rng.random()) * self._jitter * self.config.init_timer
-            self.sim.schedule(delay, self._probe_cycle, slot)
+            self.sim.post(delay, self._probe_cycle, slot)
 
     # -- the §3.2 rules both drivers share -----------------------------------
 
@@ -237,7 +237,7 @@ class PROPEngine:
         state = self.nodes[u]
         success = self._attempt_exchange(u, state)
         delay = state.next_delay(success, self.config.max_init_trial)
-        self.sim.schedule(delay, self._probe_cycle, u)
+        self.sim.post(delay, self._probe_cycle, u)
 
     def _attempt_exchange(self, u: int, state: NodeState) -> bool:
         overlay = self.overlay

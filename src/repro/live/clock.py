@@ -1,8 +1,8 @@
 """Wall-clock scheduling behind the simulator's vocabulary.
 
-:class:`LiveScheduler` is the deployment plane's drop-in for the three
-calls the protocol layer makes on a
-:class:`~repro.netsim.engine.Simulator` — ``now``, ``schedule`` and
+:class:`LiveScheduler` is the deployment plane's drop-in for the calls
+the protocol layer makes on a :class:`~repro.netsim.engine.Simulator` —
+``now``, ``schedule``, its handle-less form ``post``, and
 ``schedule_at`` — plus ``every`` for periodic processes.  The existing
 timer-policy abstraction (:class:`~repro.core.timer_policy.MarkovTimer`
 computing *delays*, the engine turning delays into scheduled callbacks)
@@ -88,6 +88,11 @@ class LiveScheduler:
             raise ValueError(f"delay must be finite and non-negative, got {delay}")
         self.events_scheduled += 1
         return self._loop.call_later(delay / self.speedup, callback, *args)
+
+    def post(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
+        """:meth:`schedule` without the handle, for a timer that is never
+        cancelled (a probe cycle's first arming)."""
+        self.schedule(delay, callback, *args)
 
     def schedule_at(
         self, time: float, callback: Callable[..., None], *args: Any

@@ -103,6 +103,7 @@ class SwarmReport:
     wire_bytes: int
     codec_errors: int
     handler_errors: int  # exceptions swallowed on the transport's receive path
+    queued_at_close: int  # datagrams the close-time drain could not deliver in time
     churn_events: int
     lookups: int
     mean_lookup_ms: float
@@ -131,6 +132,8 @@ class SwarmReport:
             f"  throughput {self.msgs_per_wall_s:.0f} msgs/s  "
             f"{self.exchanges_per_wall_s:.2f} exchanges/s (wall)",
         ]
+        if self.queued_at_close:
+            lines.append(f"  {self.queued_at_close} datagrams still queued at close")
         if self.churn_events:
             lines.append(f"  churn events {self.churn_events}")
         if self.lookups:
@@ -303,11 +306,11 @@ class Swarm:
             raise RuntimeError("swarm was never started")
         if self.traffic is not None:
             self.traffic.stop()
-        # drain datagrams already queued on the loop before the socket goes
-        await asyncio.sleep(0)
         duration = self.scheduler.now if self._launched else 0.0
         loop = asyncio.get_running_loop()
         wall = loop.time() - self._wall_start if self._launched else 0.0
+        # deliver the receive queue's backlog before the socket goes
+        queued = self.transport.drain()
         self.engine.finalize_trace()
         self.transport.close()
         if self.tracer is not None:
@@ -327,6 +330,7 @@ class Swarm:
             wire_bytes=self.transport.wire_bytes_sent,
             codec_errors=self.transport.codec_errors,
             handler_errors=self.transport.handler_errors,
+            queued_at_close=queued,
             churn_events=self.churn.events if self.churn is not None else 0,
             lookups=self.traffic.lookups if self.traffic is not None else 0,
             mean_lookup_ms=(

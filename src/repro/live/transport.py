@@ -25,10 +25,17 @@ stack:
   ``VAR_PROBE`` datagram per ping, and each reaches the destination's
   handler; the simulated plane only counts them.
 * **Loss is real and silent.**  The kernel may drop datagrams under
-  buffer pressure and nothing reports it, so ``stats.in_flight`` is an
-  upper bound (a lost datagram is never ``record_delivery``-ed and the
-  gauge stays high).  The engine's per-stage timeouts absorb such losses
-  exactly as they absorb injected ones.
+  buffer pressure and nothing reports it: a lost datagram is never
+  ``record_delivery``-ed.  The engine's per-stage timeouts absorb such
+  losses exactly as they absorb injected ones.
+* **Close drains the socket.**  asyncio reads one datagram per loop
+  iteration, so a burst can still sit in the kernel's receive queue
+  when the run ends.  :meth:`UdpTransport.drain` stops all sends, then
+  reads and delivers until a read finds the socket empty, within a
+  short wall deadline; whatever is still queued after it is booked as
+  dropped (reason ``queued_at_close``).  After a drain, ``in_flight``
+  counts the datagrams the kernel lost plus any transmit still deferred
+  by ``extra_delay_ms``.
 * **Failures on the receive path are counted, not raised.**  A truncated
   or alien datagram increments ``codec_errors``, a valid frame whose
   ``dst`` is not a slot of this swarm increments ``misrouted``, and any
@@ -46,6 +53,7 @@ from __future__ import annotations
 
 import asyncio
 import socket
+import time
 from typing import TYPE_CHECKING, Sequence
 
 from repro.live.clock import LiveScheduler
@@ -61,6 +69,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["UdpTransport", "udp_loopback_available"]
 
 _MS = 1e-3  # extra_delay_ms is protocol milliseconds; scheduler speaks seconds
+#: Wall seconds a close may spend delivering the receive queue's backlog.
+_DRAIN_WALL_S = 0.5
+_MAX_DATAGRAM = 65535
+#: Receive buffer asked for on the swarm's one socket.  At the 212 992-byte
+#: Linux default a backlog of ~300 datagrams overflows it, and the kernel
+#: drops the rest (counted in ``RcvbufErrors`` of ``/proc/net/snmp``).
+_RCVBUF_BYTES = 4 << 20
 
 
 def udp_loopback_available(timeout: float = 1.0) -> bool:
@@ -121,6 +136,7 @@ class UdpTransport(asyncio.DatagramProtocol):
         #: The one socket's address: every frame is sent here.
         self.address: tuple[str, int] = ("", 0)
         self._closed = False
+        self._muted = False  # set by drain(): no further sends
 
     @classmethod
     async def create(
@@ -137,6 +153,13 @@ class UdpTransport(asyncio.DatagramProtocol):
             lambda: transport, local_addr=(host, 0)
         )
         transport._endpoint = endpoint
+        # every peer's traffic queues here: ask for room for a burst (the
+        # kernel caps the request at its rmem_max)
+        try:
+            endpoint.get_extra_info("socket").setsockopt(
+                socket.SOL_SOCKET, socket.SO_RCVBUF, _RCVBUF_BYTES)
+        except OSError:
+            pass
         sock = endpoint.get_extra_info("sockname")
         transport.address = (sock[0], sock[1])
         return transport
@@ -148,7 +171,7 @@ class UdpTransport(asyncio.DatagramProtocol):
 
     def send(self, msg: Message, extra_delay_ms: float = 0.0) -> None:
         """Encode ``msg`` and transmit it through the swarm's socket."""
-        if self._closed:
+        if self._muted:
             return
         self.stats.record_send(msg.type_name, msg.size_bytes())
         if self.tracer.enabled:
@@ -170,7 +193,7 @@ class UdpTransport(asyncio.DatagramProtocol):
                                span_id=span_id + step * i, parent_id=parent_id))
 
     def _transmit(self, msg: Message) -> None:
-        if self._closed or self._endpoint is None:
+        if self._muted or self._endpoint is None:
             return
         data = encode(msg)
         self.wire_bytes_sent += len(data)
@@ -223,10 +246,44 @@ class UdpTransport(asyncio.DatagramProtocol):
             self.tracer.emit(SpanEndEvent, trace=msg.trace_id,
                              span=msg.span_id, status="ok")
 
+    def drain(self, wall_s: float = _DRAIN_WALL_S) -> int:
+        """Stop sending, then deliver what the socket still holds.
+
+        Reads until a read finds the receive queue empty.  Datagrams read
+        after ``wall_s`` wall seconds are booked as dropped instead of
+        delivered; returns their number.  Handlers run as usual, but
+        nothing they send goes out, so the queue only shrinks.
+        """
+        self._muted = True
+        if self._closed or self._endpoint is None:
+            return 0
+        own = self._endpoint.get_extra_info("socket")
+        reader = socket.fromfd(own.fileno(), own.family, own.type)  # a dup
+        reader.setblocking(False)
+        deadline = time.monotonic() + wall_s
+        unread = 0
+        try:
+            while True:
+                try:
+                    data = reader.recv(_MAX_DATAGRAM)
+                except BlockingIOError:
+                    return unread
+                if time.monotonic() < deadline:
+                    self.datagram_received(data, self.address)
+                    continue
+                unread += 1
+                try:
+                    self.stats.record_drop(decode(data).type_name, "queued_at_close")
+                except CodecError:
+                    self.codec_errors += 1
+        finally:
+            reader.close()
+
     def close(self) -> None:
         """Stop accepting traffic and close the swarm's socket."""
         if self._closed:
             return
         self._closed = True
+        self._muted = True
         if self._endpoint is not None:
             self._endpoint.close()

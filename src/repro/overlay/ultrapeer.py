@@ -37,6 +37,8 @@ ROLE_ULTRAPEER = 1
 class UltrapeerGnutellaOverlay(GnutellaOverlay):
     """Gnutella 0.6: ultrapeer mesh plus leaf attachments."""
 
+    _shared_flood_graph = False  # a leaf's out-edges exist only for its own query
+
     def __init__(self, oracle: LatencyOracle, embedding: np.ndarray, roles: np.ndarray) -> None:
         super().__init__(oracle, embedding)
         roles = np.asarray(roles, dtype=np.int8)

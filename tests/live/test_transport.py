@@ -261,3 +261,38 @@ class TestUdpSemantics:
         wire, after_close, msg = asyncio.run(body())
         assert wire == len(encode(msg))
         assert after_close == wire
+
+
+class TestDrainAtClose:
+    """asyncio reads one datagram per loop iteration, so a burst sent
+    just before close is still in the kernel's receive queue."""
+
+    @staticmethod
+    def _burst(wall_s: float):
+        async def body():
+            loop = asyncio.get_running_loop()
+            transport = await UdpTransport.create(LiveScheduler(loop), 2)
+            seen: list = []
+            transport.register(1, seen.append)
+            for i in range(40):  # the loop never runs: all 40 stay queued
+                transport.send(VarProbe(src=0, dst=1, cycle=i))
+            unread = transport.drain(wall_s)
+            transport.send(VarProbe(src=0, dst=1, cycle=99))  # muted
+            transport.close()
+            return transport, seen, unread
+
+        return asyncio.run(body())
+
+    def test_drain_delivers_the_backlog(self):
+        transport, seen, unread = self._burst(5.0)
+        assert unread == 0
+        assert [m.cycle for m in seen] == list(range(40))
+        assert transport.stats.total_sent == transport.stats.total_delivered == 40
+        assert transport.stats.in_flight == 0
+
+    def test_what_the_deadline_leaves_is_booked_as_queued(self):
+        transport, seen, unread = self._burst(0.0)
+        assert unread == 40 and seen == []
+        stats = transport.stats
+        assert stats.drop_reasons == {"queued_at_close": 40}
+        assert stats.total_sent == 40 and stats.in_flight == 0

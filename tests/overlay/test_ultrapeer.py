@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.netsim.rng import RngRegistry
-from repro.overlay.ultrapeer import ROLE_ULTRAPEER, UltrapeerGnutellaOverlay
+from repro.overlay.ultrapeer import ROLE_LEAF, ROLE_ULTRAPEER, UltrapeerGnutellaOverlay
 
 
 @pytest.fixture()
@@ -110,6 +110,24 @@ class TestTwoTierFlooding:
         pairs = uniform_pairs(two_tier.n_slots, 60, np.random.default_rng(0))
         val = two_tier.mean_lookup_latency(pairs)
         assert np.isfinite(val) and val > 0
+
+    def test_batched_lookups_keep_the_two_tier_scope(self):
+        """Leaf 3 hangs off ultrapeers 0 and 2, one ms from each; the
+        mesh joins them through ultrapeer 1 in 200 ms.  A leaf forwards
+        only its own query, so 0 -> 2 costs 200 ms, never the 2 ms a
+        flat flood through the leaf would take."""
+        from tests.properties.util import FakeOracle
+
+        oracle = FakeOracle(4, np.random.default_rng(0))
+        oracle.matrix = np.full((4, 4), 500.0)
+        roles = np.array([ROLE_ULTRAPEER, ROLE_ULTRAPEER, ROLE_ULTRAPEER, ROLE_LEAF])
+        ov = UltrapeerGnutellaOverlay(oracle, np.arange(4), roles)
+        for u, v, d in ((0, 1, 100.0), (1, 2, 100.0), (0, 3, 1.0), (2, 3, 1.0)):
+            oracle.matrix[u, v] = oracle.matrix[v, u] = d
+            ov.add_edge(u, v)
+        pairs = np.array([[0, 2], [2, 0], [3, 2], [0, 3]])
+        assert ov.lookup_latencies(pairs).tolist() == [200.0, 200.0, 1.0, 1.0]
+        assert ov.mean_lookup_latency(pairs) == 100.5
 
 
 class TestPROPCompatibility:
