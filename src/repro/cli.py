@@ -1,8 +1,10 @@
 """Command-line interface.
 
-``python -m repro run`` executes one simulated deployment and prints the
-sampled series; ``python -m repro presets`` lists the physical topology
-presets.  The CLI is a thin veneer over
+``python -m repro`` is the one entry point.  ``run`` executes one
+deployment — inline, over the simulated message plane, or as a loopback
+UDP swarm — and prints the sampled series; ``spans`` / ``critpath``
+check a trace it wrote; ``presets`` lists the physical topology
+presets.  ``run`` is a thin veneer over
 :class:`~repro.harness.experiment.ExperimentConfig` — every flag maps to
 one config field, so scripted sweeps can drop to the Python API at any
 point.
@@ -14,6 +16,9 @@ Examples
     python -m repro run --overlay chord --n 300 --policy G
     python -m repro run --overlay gnutella --policy O --m 2 --duration 1800
     python -m repro run --overlay gnutella --ltm --seed 3
+    python -m repro run --policy G --spares 50 --churn-rate 0.002 --churn-window 900:1200
+    python -m repro run --transport udp --policy G --preset ts-small --n 100 --lookup-rate 2
+    python -m repro spans run.jsonl
     python -m repro run --policy G --seeds 0,1,2,3,4 --workers 4
     python -m repro figure fig5b --workers 4
     python -m repro presets
@@ -22,6 +27,7 @@ Examples
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -33,6 +39,7 @@ from repro.harness.reporting import format_series, format_table
 from repro.harness.sweep import ProgressRollup, TaskEvent
 from repro.topology.factory import ORACLE_BACKENDS
 from repro.topology.presets import TS_LARGE, TS_SMALL
+from repro.workloads.churn import ChurnConfig
 
 __all__ = ["main", "build_parser"]
 
@@ -45,6 +52,15 @@ def _workers(text: str) -> int:
     return workers
 
 
+def _window(text: str) -> tuple[float, float]:
+    """``--churn-window`` value: ``START:STOP`` in protocol seconds."""
+    try:
+        start, stop = (float(part) for part in text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected START:STOP, got {text!r}") from None
+    return start, stop
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -52,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run one simulated deployment")
+    run = sub.add_parser("run", help="run one deployment (simulated or loopback UDP)")
     run.add_argument("--overlay", choices=["gnutella", "chord", "can", "pastry", "kademlia"],
                      default="gnutella", help="overlay family (default: gnutella)")
     run.add_argument("--preset", choices=["ts-large", "ts-small", "waxman"],
@@ -102,6 +118,9 @@ def build_parser() -> argparse.ArgumentParser:
     net.add_argument("--speedup", type=float, default=60.0,
                      help="udp only: protocol seconds per wall second "
                           "(default: 60)")
+    net.add_argument("--lookup-rate", type=float, default=0.0, metavar="R",
+                     help="udp only: open-loop lookups per protocol second "
+                          "while the swarm runs (default: 0)")
     net.add_argument("--loss", type=float, default=0.0, metavar="P",
                      help="per-message drop probability in [0, 1) "
                           "(requires --transport sim)")
@@ -110,6 +129,18 @@ def build_parser() -> argparse.ArgumentParser:
                      help="partition the overlay into two halves, optionally "
                           "only between T0 and T1 seconds; repeatable "
                           "(requires --transport sim)")
+
+    churn = run.add_argument_group(
+        "churn", "Poisson slot turnover, the same model on every --transport")
+    churn.add_argument("--spares", type=int, default=0,
+                       help="spare hosts that replace departing peers (default: 0)")
+    churn.add_argument("--churn-rate", type=float, default=0.0, metavar="R",
+                       help="turnover events per peer per protocol second "
+                            "(default: 0; needs --spares)")
+    churn.add_argument("--churn-window", type=_window, default=None,
+                       metavar="START:STOP",
+                       help="churn only between these protocol seconds, "
+                            "e.g. 900:1200 for a burst (default: the whole run)")
 
     run.add_argument("--seeds", type=str, default=None, metavar="S0,S1,...",
                      help="run one replica per comma-separated seed and "
@@ -127,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     obs = run.add_argument_group("observability")
     obs.add_argument("--trace", type=str, default=None, metavar="PATH",
                      help="record structured protocol/message events to this "
-                          "JSONL file (analyze with 'python -m repro.obs')")
+                          "JSONL file (check with 'python -m repro spans')")
     obs.add_argument("--profile", action="store_true",
                      help="print where the wall-clock time went: world build, "
                           "timer and delivery event categories, metric "
@@ -138,6 +169,18 @@ def build_parser() -> argparse.ArgumentParser:
                           "latency, exchange tallies); without --trace "
                           "this streams events to consumers and discards them, "
                           "bounding memory for long runs")
+
+    for name, what, shown in (
+        ("spans", "reassemble causal span trees and 2PC exchanges from a trace",
+         "trees"),
+        ("critpath", "critical-path decomposition per probe cycle", "paths"),
+    ):
+        p_trace = sub.add_parser(name, help=what)
+        p_trace.add_argument("trace", help="JSONL trace file (from run --trace)")
+        p_trace.add_argument("--limit", type=int, default=10,
+                             help=f"max {shown} to print (default 10; -1 for all)")
+        p_trace.add_argument("--json-out", default=None, metavar="PATH",
+                             help="also write the JSON analysis summary to PATH")
 
     sub.add_parser("presets", help="list the physical topology presets")
 
@@ -188,6 +231,12 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         raise SystemExit(
             f"error: --transport {transport} requires a PROP policy (--policy)"
         )
+    churn = None
+    if args.churn_rate:
+        start, stop = args.churn_window or (0.0, float("inf"))
+        churn = ChurnConfig(args.churn_rate, start, stop)
+    elif args.churn_window is not None:
+        raise SystemExit("error: --churn-window needs --churn-rate")
     return ExperimentConfig(
         seed=args.seed,
         preset=args.preset,
@@ -205,6 +254,9 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         lookups_per_sample=args.lookups,
         transport=transport,
         live_speedup=args.speedup,
+        live_lookup_rate=args.lookup_rate,
+        n_spare=args.spares,
+        churn=churn,
         loss=args.loss,
         partitions=tuple(args.partition or ()),
         trace=args.trace is not None,
@@ -297,6 +349,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         label = f"PROP-{config.prop.policy}"
     elif config.ltm is not None:
         label = "LTM"
+    if config.transport == "udp":
+        from repro.live.transport import udp_loopback_available
+
+        if not udp_loopback_available():
+            raise SystemExit("error: UDP loopback is unavailable in this environment")
     if args.seeds is not None:
         return _cmd_run_replicated(args, config, label, _parse_seeds(args.seeds))
     print(
@@ -361,23 +418,22 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if result.final_counters is not None:
         print(f"\nprobes/rounds: {result.probes[-1]}  "
               f"exchanges/ops: {result.exchanges[-1]}")
+    metrics = result.metrics()
     if result.net_stats is not None or result.net_counters is not None:
         # one merged net-plane table sourced from the one metrics
         # snapshot — wire telemetry (transport.*) and protocol-visible
         # fault outcomes (net.*) each appear exactly once
-        from repro.obs.registry import (
-            NET_TABLE_COLUMNS,
-            metrics_snapshot,
-            net_summary_rows,
-        )
+        from repro.obs.registry import NET_TABLE_COLUMNS, net_summary_rows
 
-        rows = net_summary_rows(metrics_snapshot(
-            result.final_counters, result.net_counters, result.net_stats))
+        rows = net_summary_rows(metrics)
         if rows:
             print()
             print(format_table(list(NET_TABLE_COLUMNS), rows))
     print(f"lookup latency: {result.initial_lookup_latency:.1f} ms -> "
           f"{result.final_lookup_latency:.1f} ms")
+    if "live.lookups" in metrics:
+        print(f"lookup load: {metrics['live.lookups']} lookups, mean "
+              f"{metrics.get('live.mean_lookup_ms', math.nan):.1f} ms")
     if result.kernel_profile is not None:
         from repro.obs.prof import KernelProfile
 
@@ -471,6 +527,34 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_trace(args: argparse.Namespace) -> int:
+    """``spans`` / ``critpath``: 0 clean, 1 violation, 2 unreadable trace."""
+    from repro.obs.events import load_trace
+    from repro.obs.spans import (
+        assemble_spans,
+        dump_analysis,
+        render_critical_paths,
+        render_span_trees,
+    )
+
+    try:
+        events = load_trace(args.trace)
+    except (OSError, ValueError) as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
+    analysis = assemble_spans(events)
+    render = render_span_trees if args.command == "spans" else render_critical_paths
+    try:
+        print(render(analysis, limit=None if args.limit < 0 else args.limit))
+    except BrokenPipeError:  # e.g. `... spans t.jsonl | head`
+        sys.stderr.close()  # suppress the interpreter's epipe warning
+        return 0
+    if args.json_out is not None:
+        dump_analysis(analysis, args.json_out)
+        print(f"wrote {args.json_out}", file=sys.stderr)
+    return 0 if analysis.clean else 1
+
+
 def _cmd_presets(_: argparse.Namespace) -> int:
     rows = []
     for name, p in (("ts-large", TS_LARGE), ("ts-small", TS_SMALL)):
@@ -508,6 +592,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _cmd_figure(args)
     if args.command == "report":
         return _cmd_report(args)
+    if args.command in ("spans", "critpath"):
+        return _cmd_trace(args)
     raise AssertionError(f"unhandled command {args.command}")  # pragma: no cover
 
 

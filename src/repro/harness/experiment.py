@@ -36,6 +36,7 @@ from repro.net.transport import SimTransport
 from repro.netsim.engine import Simulator
 from repro.netsim.rng import RngRegistry
 from repro.obs.monitor import ConvergenceMonitor, find_monitor
+from repro.obs.registry import metrics_snapshot
 from repro.obs.trace import Tracer
 from repro.overlay.base import Overlay
 from repro.overlay.can import CANOverlay
@@ -289,6 +290,7 @@ class ExperimentResult:
     trace: Any = None  # list[repro.obs.events.Event] when config.trace
     kernel_profile: Any = None  # KernelProfile.to_dict() when config.kernel_profile
     consumers: Any = None  # list[TraceConsumer] when streaming/monitoring
+    live_metrics: Any = None  # the live plane's wire and lookup-load metrics (udp only)
 
     @property
     def initial_lookup_latency(self) -> float:
@@ -310,6 +312,11 @@ class ExperimentResult:
         """final / initial for the chosen metric (< 1 means improvement)."""
         series = getattr(self, metric)
         return float(series[-1] / series[0])
+
+    def metrics(self) -> dict[str, Any]:
+        """The run's one :func:`~repro.obs.registry.metrics_snapshot`."""
+        return metrics_snapshot(self.final_counters, self.net_counters,
+                                self.net_stats, self.live_metrics)
 
     def probe_rate(self) -> np.ndarray:
         """Probes per second between consecutive samples."""
@@ -748,4 +755,8 @@ async def _run_live(
         transport.profiler = None
         # finalizes the trace and closes the tracer at the swarm's clock
         await swarm.close()
-    return sampler.result()
+    result = sampler.result()
+    result.live_metrics = transport.wire_counters()
+    if swarm.traffic is not None:
+        result.live_metrics.update(swarm.traffic.metrics())
+    return result

@@ -38,7 +38,7 @@ import numpy as np
 from repro.harness.experiment import ExperimentResult, warmup_seconds
 from repro.harness.reporting import format_table
 from repro.obs.prof import KernelProfile
-from repro.obs.registry import metrics_snapshot, percentile_from_buckets
+from repro.obs.registry import percentile_from_buckets
 
 __all__ = ["SCHEMA", "RunRecord", "compare_records", "describe_config", "load_record",
            "render_record", "save_record", "tabulate_records", "to_record"]
@@ -83,8 +83,7 @@ def to_record(result: ExperimentResult) -> dict[str, Any]:
             name: [None if v != v else v for v in np.asarray(getattr(result, name)).tolist()]
             for name in _SERIES
         },
-        "metrics": metrics_snapshot(result.final_counters, result.net_counters,
-                                    result.net_stats),
+        "metrics": result.metrics(),
         "phases": phases,
         "event_counts": dict(sorted(Counter(ev.etype for ev in result.trace or ()).items())),
         "profile": result.kernel_profile or {},

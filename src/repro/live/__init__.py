@@ -24,10 +24,12 @@ Module map:
 * :mod:`repro.live.traffic` — :class:`TrafficGenerator`, sustained
   lookups/s against the live overlay;
 * :mod:`repro.live.swarm` — :class:`Swarm`: spawn N peers, bootstrap
-  membership from the topology presets, staged join/leave churn.
+  membership from the topology presets, churn from the config's
+  :class:`~repro.workloads.churn.ChurnConfig`.
 
 ``run_experiment`` with ``transport="udp"`` drives a :class:`Swarm`
-through the harness's own sampling loop.
+through the harness's own sampling loop; ``python -m repro run
+--transport udp`` is its command line.
 
 This package is the one place in ``src/repro`` sanctioned to read wall
 clocks (reprolint rule D1 scopes its no-wall-clock invariant to exclude
@@ -36,12 +38,11 @@ clocks (reprolint rule D1 scopes its no-wall-clock invariant to exclude
 
 from repro.live.clock import LiveScheduler
 from repro.live.codec import CodecError, WIRE_VERSION, decode, encode
-from repro.live.swarm import ChurnSchedule, Swarm, SwarmReport
+from repro.live.swarm import Swarm, SwarmReport
 from repro.live.traffic import TrafficGenerator
 from repro.live.transport import UdpTransport, udp_loopback_available
 
 __all__ = [
-    "ChurnSchedule",
     "CodecError",
     "LiveScheduler",
     "Swarm",

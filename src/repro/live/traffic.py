@@ -3,10 +3,11 @@
 :class:`TrafficGenerator` issues lookups at a fixed rate (in protocol
 time) while the swarm runs, recording each lookup's latency as a
 ``(protocol_time, latency_ms)`` sample.  This is the "measure under
-load, not just at convergence" half of the live plane: in a standalone
-swarm run the per-lookup series feeds
-:class:`~repro.obs.monitor.ConvergenceMonitor` via ``on_sample``, so the
-same dashboards that watch a simulated run watch a deployment.
+load, not just at convergence" half of the live plane: a run record
+carries the load as the ``live.lookups`` / ``live.mean_lookup_ms``
+metrics (:meth:`TrafficGenerator.metrics`).  The harness's own
+samples, not these, feed the run's
+:class:`~repro.obs.monitor.ConvergenceMonitor`.
 
 The generator draws sources and targets from its own named RNG stream
 (``live:traffic`` by convention), so enabling load never perturbs the
@@ -26,8 +27,6 @@ from repro.overlay.base import Overlay
 from repro.workloads.lookups import sample_lookups
 
 __all__ = ["TrafficGenerator", "single_lookup"]
-
-SampleSink = Callable[[float, float], None]
 
 
 def single_lookup(
@@ -64,10 +63,6 @@ class TrafficGenerator:
         (typically a closure over :func:`single_lookup`).
     rate:
         Lookups per protocol second (``> 0``).
-
-    ``on_sample``, when set, is called ``(protocol_time, latency_ms)``
-    per in-scope lookup — the hook
-    :class:`~repro.obs.monitor.ConvergenceMonitor` plugs into.
     """
 
     def __init__(
@@ -81,7 +76,6 @@ class TrafficGenerator:
         self._scheduler = scheduler
         self._lookup = lookup
         self.rate = float(rate)
-        self.on_sample: SampleSink | None = None
         self.lookups = 0
         self.samples: list[tuple[float, float]] = []
         self._process: LivePeriodic | None = None
@@ -97,17 +91,17 @@ class TrafficGenerator:
         self.lookups += 1
         if math.isfinite(ms):
             self.samples.append((t, ms))
-            if self.on_sample is not None:
-                self.on_sample(t, ms)
 
     def stop(self) -> None:
         if self._process is not None:
             self._process.stop()
 
-    @property
-    def mean_latency_ms(self) -> float:
-        """Mean over the in-scope lookups: one that stays out of scope
-        (``inf``) leaves the mean, as in the harness's samples."""
-        if not self.samples:
-            return float("nan")
-        return sum(ms for _, ms in self.samples) / len(self.samples)
+    def metrics(self) -> dict[str, float]:
+        """The run record's ``live.*`` metrics: lookups issued, and the
+        mean over the in-scope ones when there are any — a lookup that
+        stays out of scope (``inf``) leaves the mean, as in the
+        harness's samples."""
+        out: dict[str, float] = {"live.lookups": self.lookups}
+        if self.samples:
+            out["live.mean_lookup_ms"] = sum(ms for _, ms in self.samples) / len(self.samples)
+        return out

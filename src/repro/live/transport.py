@@ -33,16 +33,19 @@ stack:
   when the run ends.  :meth:`UdpTransport.drain` stops all sends, then
   reads and delivers until a read finds the socket empty, within a
   short wall deadline; whatever is still queued after it is booked as
-  dropped (reason ``queued_at_close``).  After a drain, ``in_flight``
-  counts the datagrams the kernel lost plus any transmit still deferred
-  by ``extra_delay_ms``.
+  dropped (reason ``queued_at_close``), and so is a transmit that
+  ``extra_delay_ms`` still holds on the scheduler (reason
+  ``unsent_at_close``).  After a drain, ``in_flight`` counts only the
+  datagrams the kernel lost.
 * **Failures on the receive path are counted, not raised.**  A truncated
   or alien datagram increments ``codec_errors``, a valid frame whose
   ``dst`` is not a slot of this swarm increments ``misrouted``, and any
   other exception — a raising handler or a bug on the receive path —
   increments ``handler_errors``; each is dropped, and a malformed packet
   never reaches the event loop.  ``tests/live/test_transport.py`` raises
-  inside each and checks the next datagram is still delivered.
+  inside each and checks the next datagram is still delivered.  These
+  three and ``wire_bytes_sent`` reach the run record as ``transport.*``
+  metrics through :meth:`UdpTransport.wire_counters`.
 
 With a :class:`~repro.obs.prof.KernelProfiler` in :attr:`UdpTransport.profiler`
 each handler call is one profiled event, filed under ``deliver:<T>``
@@ -54,6 +57,7 @@ from __future__ import annotations
 import asyncio
 import socket
 import time
+from collections import Counter
 from typing import TYPE_CHECKING, Sequence
 
 from repro.live.clock import LiveScheduler
@@ -137,6 +141,8 @@ class UdpTransport(asyncio.DatagramProtocol):
         self.address: tuple[str, int] = ("", 0)
         self._closed = False
         self._muted = False  # set by drain(): no further sends
+        #: Type name -> transmits ``extra_delay_ms`` holds on the scheduler.
+        self._deferred: Counter[str] = Counter()
 
     @classmethod
     async def create(
@@ -180,7 +186,8 @@ class UdpTransport(asyncio.DatagramProtocol):
             trace_send(self.tracer, msg.type_name, msg.src, msg.dst, trace_tag(msg),
                        msg.trace_id, msg.span_id, msg.parent_id)
         if extra_delay_ms > 0.0:
-            self.scheduler.schedule(extra_delay_ms * _MS, self._transmit, msg)
+            self._deferred[msg.type_name] += 1
+            self.scheduler.schedule(extra_delay_ms * _MS, self._transmit_deferred, msg)
         else:
             self._transmit(msg)
 
@@ -191,6 +198,12 @@ class UdpTransport(asyncio.DatagramProtocol):
         for i, dst in enumerate(dsts):
             self.send(VarProbe(src=src, dst=dst, cycle=cycle, trace_id=trace_id,
                                span_id=span_id + step * i, parent_id=parent_id))
+
+    def _transmit_deferred(self, msg: Message) -> None:
+        if self._muted:
+            return  # drain() booked it as unsent_at_close
+        self._deferred[msg.type_name] -= 1
+        self._transmit(msg)
 
     def _transmit(self, msg: Message) -> None:
         if self._muted or self._endpoint is None:
@@ -252,9 +265,15 @@ class UdpTransport(asyncio.DatagramProtocol):
         Reads until a read finds the receive queue empty.  Datagrams read
         after ``wall_s`` wall seconds are booked as dropped instead of
         delivered; returns their number.  Handlers run as usual, but
-        nothing they send goes out, so the queue only shrinks.
+        nothing they send goes out, so the queue only shrinks.  A transmit
+        still deferred by ``extra_delay_ms`` will never go out either: it
+        is booked as dropped (``unsent_at_close``) at once.
         """
         self._muted = True
+        for type_name, count in self._deferred.items():
+            for _ in range(count):
+                self.stats.record_drop(type_name, "unsent_at_close")
+        self._deferred.clear()
         if self._closed or self._endpoint is None:
             return 0
         own = self._endpoint.get_extra_info("socket")
@@ -278,6 +297,13 @@ class UdpTransport(asyncio.DatagramProtocol):
                     self.codec_errors += 1
         finally:
             reader.close()
+
+    def wire_counters(self) -> dict[str, int]:
+        """What only a real wire counts, keyed as run-record metrics."""
+        return {"transport.codec_errors": self.codec_errors,
+                "transport.misrouted": self.misrouted,
+                "transport.handler_errors": self.handler_errors,
+                "transport.wire_bytes_sent": self.wire_bytes_sent}
 
     def close(self) -> None:
         """Stop accepting traffic and close the swarm's socket."""

@@ -14,7 +14,7 @@ Import from the submodules; this package re-exports nothing.
   TransportStats (the run record, :mod:`repro.harness.persistence`,
   stores it);
 * :mod:`repro.obs.spans` — the one trace checker behind
-  ``python -m repro.obs spans`` / ``critpath`` (causal span trees,
+  ``python -m repro spans`` / ``critpath`` (causal span trees,
   critical paths, and the exactly-once fold of every 2PC exchange);
 * :mod:`repro.obs.prof` — the kernel profiling plane:
   :class:`KernelProfiler` attributes wall-clock nanoseconds to a closed

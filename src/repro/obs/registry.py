@@ -83,7 +83,8 @@ def _int_fields(prefix: str, obj: Any) -> dict[str, int]:
 
 
 def metrics_snapshot(
-    counters: Any = None, net_counters: Any = None, stats: Any = None
+    counters: Any = None, net_counters: Any = None, stats: Any = None,
+    live: Mapping[str, float] | None = None,
 ) -> dict[str, Any]:
     """One sorted, JSON-ready view over whichever surfaces are given.
 
@@ -94,7 +95,12 @@ def metrics_snapshot(
     * ``net_counters`` (:class:`NetCounters`): its int fields as ``net.*``;
     * ``stats`` (:class:`TransportStats`): totals, ``bytes_sent``,
       per-type ``sent.<T>`` / ``dropped.<T>``, ``drop_reason.<R>`` as
-      ``transport.*``, and ``transport.max_in_flight`` as a float.
+      ``transport.*``, and ``transport.max_in_flight`` as a float;
+    * ``live`` (the live plane's, already keyed):
+      :meth:`~repro.live.transport.UdpTransport.wire_counters` — codec,
+      misroute and handler errors and wire bytes as ``transport.*`` —
+      and :meth:`~repro.live.traffic.TrafficGenerator.metrics` —
+      ``live.lookups`` and the float ``live.mean_lookup_ms``.
 
     Counters are ints.  The histogram is ``{"edges", "counts", "count",
     "sum"}``; its sum is accumulated left to right in ``var_history``
@@ -126,6 +132,7 @@ def metrics_snapshot(
                               ("drop_reason", stats.drop_reasons)):
             for key, count in counts.items():
                 out[f"transport.{table}.{key}"] = int(count)
+    out.update(live or {})
     return dict(sorted(out.items()))
 
 

@@ -15,7 +15,7 @@ A trace's assembly state is dropped the moment its tree completes
 (root closed and no span of the trace still open); the tree itself is
 kept for the analysis.
 
-Liveness flags (``python -m repro.obs spans`` / ``critpath`` exit 1 on
+Liveness flags (``python -m repro spans`` / ``critpath`` exit 1 on
 every one except half-open spans):
 
 * **orphan roots** — a root span that never closed (``finalize_trace``
@@ -470,7 +470,7 @@ def _exchange_lines(analysis: SpanAnalysis) -> list[str]:
 
 
 def render_span_trees(analysis: SpanAnalysis, *, limit: int | None = 10) -> str:
-    """Text rendering for ``python -m repro.obs spans``."""
+    """Text rendering for ``python -m repro spans``."""
     lines: list[str] = []
     statuses = ", ".join(f"{k}: {v}" for k, v in
                          sorted(analysis.root_status_counts.items()))
@@ -507,7 +507,7 @@ def render_span_trees(analysis: SpanAnalysis, *, limit: int | None = 10) -> str:
 
 def render_critical_paths(analysis: SpanAnalysis, *,
                           limit: int | None = 10) -> str:
-    """Text rendering for ``python -m repro.obs critpath``."""
+    """Text rendering for ``python -m repro critpath``."""
     lines: list[str] = []
     complete = analysis.complete_trees
     grand = dict.fromkeys(CATEGORIES, 0.0)

@@ -33,12 +33,15 @@ __all__ = ["ChurnConfig", "ChurnProcess"]
 
 @dataclass(frozen=True)
 class ChurnConfig:
-    """Poisson churn parameters.
+    """Poisson churn parameters: the one churn model of both planes.
 
     ``rate_per_node`` is the per-node turnover rate in events/second;
     the aggregate system churn rate is ``rate_per_node * n_slots``.
     ``start``/``stop`` bound the churn window (a *churn burst* in the
-    adaptivity experiments is a finite window of elevated rate).
+    adaptivity experiments is a finite window of elevated rate); every
+    replacement falls inside it.  ``repro run --churn-rate R
+    --churn-window START:STOP`` sets all three, with ``--transport
+    inline``, ``sim`` or ``udp`` alike.
     """
 
     rate_per_node: float
@@ -46,10 +49,12 @@ class ChurnConfig:
     stop: float = float("inf")
 
     def __post_init__(self) -> None:
-        if self.rate_per_node < 0:
-            raise ValueError("rate_per_node must be >= 0")
-        if self.stop < self.start:
-            raise ValueError("stop must be >= start")
+        if not 0.0 <= self.rate_per_node < float("inf"):
+            raise ValueError(
+                f"rate_per_node must be finite and >= 0, got {self.rate_per_node}")
+        if not 0.0 <= self.start <= self.stop:
+            raise ValueError(
+                f"churn window needs 0 <= start <= stop, got {self.start}:{self.stop}")
 
 
 class ChurnProcess:
@@ -92,11 +97,16 @@ class ChurnProcess:
         self.tracer: TracerLike = tracer if tracer is not None else NULL_TRACER
         self.events = 0
         self._started = False
+        # the due time of the last scheduled event: the next gap counts
+        # from it, not from the clock, so a wall clock that fires late
+        # does not drift the schedule away from the simulated one
+        self._due = 0.0
 
     def start(self) -> None:
         if self._started:
             raise RuntimeError("churn process already started")
         self._started = True
+        self._due = self.sim.now
         if self.config.rate_per_node <= 0 or not self.spare:
             return
         self._schedule_next()
@@ -106,9 +116,10 @@ class ChurnProcess:
 
     def _schedule_next(self) -> None:
         gap = float(self.rng.exponential(1.0 / self._aggregate_rate()))
-        t = max(self.sim.now, self.config.start) + gap
+        t = max(self._due, self.config.start) + gap
         if t > self.config.stop:
             return
+        self._due = t
         self.sim.schedule_at(t, self._churn_event)
 
     def _churn_event(self) -> None:

@@ -1,5 +1,8 @@
 """Experiment harness: config validation, world building, sampling."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -207,6 +210,20 @@ class TestRunExperiment:
         )
         r = run_experiment(cfg)
         assert np.all(np.isfinite(r.stretch))
+
+    def test_a_finished_runs_world_is_garbage(self, monkeypatch):
+        """Nothing a run returns keeps its world alive across runs."""
+        refs = []
+
+        def build(config):
+            world = build_world(config)
+            refs.extend(map(weakref.ref, (world, world.overlay, world.oracle, world.engine)))
+            return world
+
+        monkeypatch.setattr("repro.harness.experiment.build_world", build)
+        run_experiment(ExperimentConfig(prop=PROPConfig(), transport="sim", trace=True, **FAST))
+        gc.collect()
+        assert len(refs) == 4 and all(ref() is None for ref in refs)
 
     def test_probe_rate_series(self):
         r = run_experiment(ExperimentConfig(prop=PROPConfig(), **FAST))

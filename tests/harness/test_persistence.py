@@ -50,7 +50,7 @@ ROUND_TRIP = {
     "profiled-sim": ExperimentConfig(prop=PROP_G, transport="sim", kernel_profile=True,
                                      **FAST),
     "profiled-udp": ExperimentConfig(prop=PROP_G, transport="udp", kernel_profile=True,
-                                     live_speedup=240.0, **FAST),
+                                     live_speedup=240.0, live_lookup_rate=0.5, **FAST),
 }
 
 needs_loopback = pytest.mark.skipif(
@@ -89,8 +89,11 @@ def test_record_carries_the_result(kind, tmp_path, capsys):
     record = load_record(path)
     for name, series in record.series.items():
         np.testing.assert_array_equal(series, getattr(run, name))  # NaN == NaN
-    snapshot = metrics_snapshot(run.final_counters, run.net_counters, run.net_stats)
+    snapshot = metrics_snapshot(run.final_counters, run.net_counters, run.net_stats,
+                                run.live_metrics)
     assert record.metrics == json.loads(json.dumps(snapshot))
+    live = {"transport.wire_bytes_sent", "live.lookups", "live.mean_lookup_ms"}
+    assert len(live & record.metrics.keys()) == (3 if "udp" in kind else 0)
     assert record.profile == (
         KernelProfile.from_dict(run.kernel_profile) if run.kernel_profile else None)
     assert main(["compare", str(path), str(path)]) == 0

@@ -1,8 +1,8 @@
 """Swarm orchestration: validation (pure, always run), the loopback
-smoke test (n=8, sub-second wall time — the CI gate), churn/load
-wiring, the one monitor feeder per run, the one-socket ingress (one
-bound socket whatever n, and an n=100 swarm under a 64-descriptor
-limit), and the ``python -m repro.live swarm`` error contract.
+smoke test (n=8, sub-second wall time — the CI gate), one churn model
+on both planes, lookup load, the one monitor feeder per run, the
+one-socket ingress (one bound socket whatever n, and an n=100 swarm
+under a 64-descriptor limit), and ``repro run --transport udp`` errors.
 """
 
 from __future__ import annotations
@@ -13,17 +13,19 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
 
+from repro.cli import _config_from_args, build_parser, main
 from repro.core.config import PROPConfig
 from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.live.clock import LiveScheduler
-from repro.live.cli import main as live_main
-from repro.live.swarm import ChurnSchedule, Swarm
+from repro.live.swarm import Swarm
 from repro.live.traffic import TrafficGenerator
 from repro.live.transport import udp_loopback_available
+from repro.obs.events import ChurnJoin
 from repro.obs.monitor import find_monitor
 from repro.workloads.churn import ChurnConfig
 
@@ -51,20 +53,27 @@ def _config(**overrides) -> ExperimentConfig:
     return ExperimentConfig(**defaults)
 
 
+def _run_argv(*flags: str) -> ExperimentConfig:
+    return _config_from_args(build_parser().parse_args(["run", *flags]))
+
+
 class TestChurnSchedule:
     def test_parse(self):
-        schedule = ChurnSchedule.parse("120:5, 600:10")
-        assert schedule.stages == ((120.0, 5), (600.0, 10))
+        config = _run_argv("--spares", "4", "--churn-rate", "0.01", "--churn-window", "120:600")
+        assert (config.churn, config.n_spare) == (ChurnConfig(0.01, 120.0, 600.0), 4)
 
-    def test_parse_rejects_garbage(self):
-        with pytest.raises(ValueError, match="expected time:count"):
-            ChurnSchedule.parse("120-5")
+    def test_parse_rejects_garbage(self, capsys):
+        with pytest.raises(SystemExit, match="^2$"):  # argparse's usage error
+            _run_argv("--churn-rate", "0.01", "--churn-window", "120-5")
+        assert "expected START:STOP" in capsys.readouterr().err
 
     def test_rejects_bad_stage(self):
-        with pytest.raises(ValueError, match="bad churn stage"):
-            ChurnSchedule(stages=((-1.0, 5),))
-        with pytest.raises(ValueError, match="bad churn stage"):
-            ChurnSchedule(stages=((10.0, 0),))
+        with pytest.raises(ValueError, match="start <= stop"):
+            _run_argv("--spares", "4", "--churn-rate", "0.01", "--churn-window", "10:5")
+        with pytest.raises(SystemExit, match="needs --churn-rate"):
+            _run_argv("--spares", "4", "--churn-window", "10:20")
+        with pytest.raises(SystemExit, match=r"^error: rate_per_node must [^\n]*inf$"):
+            main(["run", "--spares", "4", "--churn-rate", "inf"])
 
 
 class TestValidation:
@@ -74,14 +83,9 @@ class TestValidation:
 
     def test_requires_prop(self):
         # ExperimentConfig itself refuses a propless message transport,
-        # so the bad config never reaches Swarm's own guard.
+        # so Swarm never sees one.
         with pytest.raises(ValueError, match="set prop"):
             _config(prop=None)
-
-    def test_churn_schedule_needs_spares(self):
-        schedule = ChurnSchedule(stages=((30.0, 2),))
-        with pytest.raises(ValueError, match="n_spare"):
-            Swarm(_config(n_spare=0), churn_schedule=schedule)
 
     @pytest.mark.parametrize("rate", [math.nan, math.inf])
     def test_traffic_rate_must_be_finite(self, rate):
@@ -113,9 +117,8 @@ class TestTraffic:
             return traffic
 
         traffic = asyncio.run(body())
-        assert traffic.lookups == 4
         assert [ms for _, ms in traffic.samples] == [10.0, 30.0]
-        assert traffic.mean_latency_ms == 20.0
+        assert traffic.metrics() == {"live.lookups": 4, "live.mean_lookup_ms": 20.0}
 
 
 @needs_loopback
@@ -124,63 +127,42 @@ class TestSwarmSmoke:
     real loopback datagrams in well under five seconds."""
 
     def test_eight_peers_run_prop_end_to_end(self):
-        report = asyncio.run(Swarm(_config()).run())
-        assert report.n_peers == 8
-        assert report.duration >= 120.0
-        assert report.probes > 0  # warmup probing happened
-        assert report.datagrams_sent > 0
-        assert report.datagrams_delivered > 0
-        assert report.codec_errors == 0
-        assert report.handler_errors == 0
-        assert report.wire_bytes > 0
-        assert report.wall_seconds < 5.0
+        async def lifecycle(swarm):
+            await swarm.start()
+            launched = time.monotonic()
+            swarm.launch()
+            await swarm.run_until(swarm.config.duration)
+            return await swarm.close(), time.monotonic() - launched
+
+        swarm = Swarm(_config(live_lookup_rate=4.0))
+        report, wall_seconds = asyncio.run(lifecycle(swarm))
+        assert swarm.transport.n_slots == 8 and swarm.scheduler.now >= 120.0
+        assert report.probes > 0 and report.lookup_samples  # warmup probing, lookup load
         # every message type the engine sent went through the real codec
-        assert report.datagrams_delivered <= report.datagrams_sent
+        assert 0 < report.net_stats.total_delivered <= report.datagrams_sent
+        assert report.codec_errors == swarm.transport.handler_errors == 0
+        assert swarm.transport.wire_bytes_sent > 0 and wall_seconds < 5.0
 
-    def test_churn_stages_and_lookup_load(self):
-        config = _config(
-            seed=3,
-            n_spare=4,
-            churn=ChurnConfig(rate_per_node=0.0),
-            live_lookup_rate=4.0,
-        )
-        schedule = ChurnSchedule(stages=((30.0, 2),))
-        report = asyncio.run(Swarm(config, churn_schedule=schedule).run())
-        assert report.churn_events >= 2  # the staged burst ran
-        assert report.lookups > 0
-        assert math.isfinite(report.mean_lookup_ms)
-        assert report.lookup_samples  # (t, ms) pairs retained
-
-    def test_streaming_consumers_fed_from_real_events(self):
-        """The monitor consumers attach exactly as in the simulated
-        harness and see events generated by real datagram traffic."""
-        config = _config(seed=2, trace_streaming=True, live_lookup_rate=4.0)
-        swarm = Swarm(config)
-        report = asyncio.run(swarm.run())
-        assert swarm.tracer is not None
-        consumers = swarm.tracer.consumers
-        assert consumers  # monitor set attached
-        statuses = [c.status() for c in consumers if hasattr(c, "status")]
-        assert statuses  # the convergence monitor is among them
-        assert report.datagrams_delivered > 0
-        # a standalone run has no harness samples: the traffic feeds the monitor
-        monitor = find_monitor(consumers)
-        assert monitor.sample_times == [t for t, _ in report.lookup_samples]
+    def test_churn_window_on_both_planes(self):
+        """One config, one churn model: the same due times on both planes.  A
+        live event is stamped a few wall ms late; this seed's last is due at 57 s."""
+        config = _config(seed=1, n_spare=4, churn=ChurnConfig(0.005, 30.0, 90.0),
+                         trace=True, live_speedup=120.0)
+        for transport in ("sim", "udp"):
+            trace = run_experiment(config.but(transport=transport)).trace
+            joins = [e.time for e in trace if isinstance(e, ChurnJoin)]
+            assert len(joins) == 3, transport
+            assert all(30.0 <= t <= 90.0 for t in joins), (transport, joins)
 
     def test_harness_driven_run_feeds_the_monitor_once_per_sample(self):
-        """With the harness sampling, the traffic generator's single
-        lookups stay out of the monitor's plateau series."""
+        """The monitor sees real datagram traffic's events; the traffic
+        generator's lookups stay out of its harness-fed plateau series."""
         config = _config(seed=2, trace_streaming=True, live_lookup_rate=4.0,
                          sample_interval=40.0, lookups_per_sample=20)
         result = run_experiment(config)
         monitor = find_monitor(result.consumers)
         assert monitor.sample_times == list(result.times)
-
-    def test_summary_is_printable(self):
-        report = asyncio.run(Swarm(_config(seed=1)).run())
-        text = report.summary()
-        assert "8 peers" in text
-        assert "datagrams" in text
+        assert monitor.commits + monitor.aborts + monitor.timeouts > 0
 
 
 def _open_sockets() -> int:
@@ -221,34 +203,28 @@ class TestOneIngress:
             _, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
             resource.setrlimit(resource.RLIMIT_NOFILE, (64, hard))
             from repro.core.config import PROPConfig
-            from repro.harness.experiment import ExperimentConfig
-            from repro.live.swarm import Swarm
+            from repro.harness.experiment import ExperimentConfig, run_experiment
             config = ExperimentConfig(
                 seed=0, preset="ts-small", n_overlay=100, prop=PROPConfig(policy="G"),
                 transport="udp", duration=120.0, sample_interval=120.0,
-                live_speedup=480.0)
-            r = asyncio.run(Swarm(config).run())
-            print(r.n_peers, r.probes, r.datagrams_delivered, r.handler_errors,
-                  r.codec_errors)
+                live_speedup=480.0, lookups_per_sample=0)
+            m = run_experiment(config).metrics()
+            print(m["prop.probes"], m["transport.delivered"],
+                  m["transport.handler_errors"], m["transport.codec_errors"])
         """)
         done = subprocess.run([sys.executable, "-c", code],
                               env={**os.environ, "PYTHONPATH": str(SRC)},
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        n_peers, probes, delivered, handler_errors, codec_errors = map(
-            int, done.stdout.split())
-        assert n_peers == 100
+        probes, delivered, handler_errors, codec_errors = map(int, done.stdout.split())
         assert probes > 0 and delivered > 0
-        assert handler_errors == 0
-        assert codec_errors == 0
+        assert handler_errors == codec_errors == 0
 
 
 class TestSwarmCli:
-    @pytest.mark.parametrize("flag", ["--speedup", "--rate"])
+    @pytest.mark.parametrize("flag", ["--speedup", "--lookup-rate"])
     def test_non_finite_value_exits_with_one_error_line(self, flag):
-        argv = ["swarm", flag, "nan"]
         with pytest.raises(SystemExit) as exc:
-            live_main(argv)
+            main(["run", "--transport", "udp", "--policy", "G", flag, "nan"])
         message = str(exc.value.code)
-        assert message.startswith("error: ") and "nan" in message
-        assert "\n" not in message
+        assert message.startswith("error: ") and "nan" in message and "\n" not in message

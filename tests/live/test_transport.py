@@ -87,8 +87,7 @@ class TestUnregisterParity:
         else:
             seen, stats = scenario.drive_sim(gnutella, wrap_faulty=backend == "faulty")
         assert seen == [scenario.msg]
-        assert stats.sent["NOTIFY"] == 1
-        assert stats.delivered["NOTIFY"] == 1
+        assert stats.sent["NOTIFY"] == stats.delivered["NOTIFY"] == 1
 
     @pytest.mark.parametrize("backend", ["sim", "faulty", "udp"])
     def test_unregistered_slot_absorbs(self, backend, gnutella):
@@ -153,18 +152,16 @@ class TestUdpSemantics:
 
     def test_garbage_datagram_counted_not_raised(self):
         transport, seen, escaped = self._survives(b"not a frame")
-        assert transport.codec_errors == 1
+        assert transport.codec_errors == transport.stats.total_delivered == 1
         assert seen == [2]  # the next datagram was still delivered
-        assert transport.stats.total_delivered == 1
         assert escaped == []
 
     def test_misrouted_frame_counted_and_dropped(self):
         # a valid frame whose dst names no slot of this two-slot swarm
         stray = encode(VarProbe(src=0, dst=2, cycle=1))
         transport, seen, escaped = self._survives(stray)
-        assert transport.misrouted == 1
+        assert transport.misrouted == transport.stats.total_delivered == 1
         assert seen == [2]
-        assert transport.stats.total_delivered == 1
         assert escaped == []
 
     def test_raising_sink_counted_not_raised(self, monkeypatch):
@@ -176,8 +173,7 @@ class TestUdpSemantics:
 
         monkeypatch.setattr("repro.live.transport.decode", flaky_decode)
         transport, seen, escaped = self._survives(b"boom")
-        assert transport.handler_errors == 1
-        assert transport.codec_errors == 0
+        assert (transport.handler_errors, transport.codec_errors) == (1, 0)
         assert seen == [2]
         assert escaped == []
 
@@ -199,8 +195,7 @@ class TestUdpSemantics:
         tracer = Tracer()
         spanned = VarProbe(src=0, dst=1, cycle=1, trace_id=7, span_id=70, parent_id=-1)
         transport, seen, _ = self._survives(encode(spanned), handler, tracer)
-        assert seen == [1, 2]
-        assert transport.handler_errors == 2
+        assert seen == [1, 2] and transport.handler_errors == 2
         ends = [e for e in tracer.events if isinstance(e, SpanEndEvent)]
         assert [(e.trace, e.span, e.status) for e in ends] == [(7, 70, "ok")]
 
@@ -259,8 +254,7 @@ class TestUdpSemantics:
             return wire, transport.wire_bytes_sent, msg
 
         wire, after_close, msg = asyncio.run(body())
-        assert wire == len(encode(msg))
-        assert after_close == wire
+        assert after_close == wire == len(encode(msg))
 
 
 class TestDrainAtClose:
@@ -268,7 +262,7 @@ class TestDrainAtClose:
     just before close is still in the kernel's receive queue."""
 
     @staticmethod
-    def _burst(wall_s: float):
+    def _burst(wall_s: float, deferred: float = 0.0):
         async def body():
             loop = asyncio.get_running_loop()
             transport = await UdpTransport.create(LiveScheduler(loop), 2)
@@ -276,6 +270,8 @@ class TestDrainAtClose:
             transport.register(1, seen.append)
             for i in range(40):  # the loop never runs: all 40 stay queued
                 transport.send(VarProbe(src=0, dst=1, cycle=i))
+            if deferred:  # still on the scheduler when the drain starts
+                transport.send(VarProbe(src=0, dst=1, cycle=40), extra_delay_ms=deferred)
             unread = transport.drain(wall_s)
             transport.send(VarProbe(src=0, dst=1, cycle=99))  # muted
             transport.close()
@@ -296,3 +292,7 @@ class TestDrainAtClose:
         stats = transport.stats
         assert stats.drop_reasons == {"queued_at_close": 40}
         assert stats.total_sent == 40 and stats.in_flight == 0
+
+    def test_a_deferred_transmit_is_booked_as_unsent(self):
+        stats = self._burst(5.0, deferred=5000.0)[0].stats
+        assert stats.drop_reasons["unsent_at_close"] == 1 and stats.in_flight == 0

@@ -15,7 +15,7 @@ import pytest
 
 from tests.obs.conftest import LOSSY_TRACED
 from repro.harness.sweep import run_sweep
-from repro.obs.__main__ import main as obs_main
+from repro.cli import main as repro_main
 from repro.obs.events import (
     ExchangeAbortEvent,
     ExchangeCommitEvent,
@@ -356,30 +356,30 @@ class TestCliExitCodes:
 
     def test_clean_trace_exits_zero(self, tmp_path, capsys):
         path = write_events_jsonl(COMPLETE, tmp_path / "t.jsonl")
-        assert obs_main(["spans", str(path)]) == 0
-        assert obs_main(["critpath", str(path)]) == 0
+        assert repro_main(["spans", str(path)]) == 0
+        assert repro_main(["critpath", str(path)]) == 0
         capsys.readouterr()
 
     def test_truncated_trace_exits_one(self, tmp_path, capsys):
         # drop the tail of the stream: the root never closes
         path = write_events_jsonl(COMPLETE[:-1], tmp_path / "t.jsonl")
-        assert obs_main(["spans", str(path)]) == 1
+        assert repro_main(["spans", str(path)]) == 1
         assert "ORPHAN" in capsys.readouterr().out
-        assert obs_main(["critpath", str(path)]) == 1
+        assert repro_main(["critpath", str(path)]) == 1
         capsys.readouterr()
 
     @pytest.mark.parametrize("events", [HALF_OPEN, OVER_RESOLVED, ORPHAN],
                              ids=["half-open", "over-resolved", "orphan"])
     def test_exchange_bug_exits_one(self, events, tmp_path, capsys):
         path = write_events_jsonl(events, tmp_path / "t.jsonl")
-        assert obs_main(["spans", str(path)]) == 1
-        assert obs_main(["critpath", str(path)]) == 1
+        assert repro_main(["spans", str(path)]) == 1
+        assert repro_main(["critpath", str(path)]) == 1
         capsys.readouterr()
 
     @pytest.mark.parametrize("events", [INLINE, LATE_REPLY], ids=["inline", "late-reply"])
     def test_counted_only_exits_zero(self, events, tmp_path, capsys):
         path = write_events_jsonl(events, tmp_path / "t.jsonl")
-        assert obs_main(["spans", str(path)]) == 0
+        assert repro_main(["spans", str(path)]) == 0
         assert "two-phase exchanges" in capsys.readouterr().out
 
     @pytest.mark.parametrize("content", [
@@ -392,7 +392,7 @@ class TestCliExitCodes:
         if content is not None:
             path.write_text(content, encoding="utf-8")
         for command in ("spans", "critpath"):
-            assert obs_main([command, str(path)]) == 2
+            assert repro_main([command, str(path)]) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith(f"{command}: ") and captured.err.count("\n") == 1
@@ -401,7 +401,7 @@ class TestCliExitCodes:
     def test_json_out_artifact(self, tmp_path, capsys):
         trace = write_events_jsonl(COMPLETE, tmp_path / "t.jsonl")
         out = tmp_path / "analysis.json"
-        assert obs_main(["spans", str(trace), "--json-out", str(out)]) == 0
+        assert repro_main(["spans", str(trace), "--json-out", str(out)]) == 0
         capsys.readouterr()
         data = json.loads(out.read_text(encoding="utf-8"))
         assert data["clean"] and data["orphans"] == 0

@@ -1,5 +1,7 @@
 """CLI: argument mapping, output, and error handling."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -257,9 +259,11 @@ class TestObservabilityFlags:
 
         path = tmp_path / "r.json"
         argv = self.COMMON + ["--transport", "udp", "--speedup", "300", "--profile",
-                              "--save", str(path)]
+                              "--lookup-rate", "0.5", "--save", str(path)]
         assert main(argv) == 0
-        rows = self._profile_rows(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        assert re.search(r"^lookup load: [1-9]\d* lookups, mean \d+\.\d ms$", out, re.M)
+        rows = self._profile_rows(out)
         assert {"build", "sample", "untracked", "total"} <= set(rows)
         saved = load_record(path).profile
         assert sum(saved.categories.values()) + saved.untracked_ns == saved.total_ns

@@ -41,8 +41,8 @@ UNREACHED_DEFS: dict[str, str] = {
     "repro.topology.latency.LatencyOracleBase.mean_pairwise": "reference",
 }
 
-#: Modules whose every line is a root: the two command lines.
-ROOT_MODULES = frozenset({"repro.cli", "repro.live.cli"})
+#: Modules whose every line is a root: the one command line.
+ROOT_MODULES = frozenset({"repro.cli"})
 
 #: Called by asyncio, never by name.
 LOOP_CALLBACKS = frozenset(

@@ -2,7 +2,7 @@
 
 A deleted Make target, CLI subcommand or bench module must take its
 mentions with it: this walks the user-facing documents and checks each
-``make <target>``, ``python -m repro[.obs|.live] <sub>``,
+``make <target>``, ``python -m repro <sub>`` (the one entry point),
 ``python -m tools.reprolint --flag`` and ``benchmarks/*.py`` reference
 against the Makefile, the real argument parsers and the tree.
 ``benchmarks/ledger/**``, ``CHANGES.md`` and ``ROADMAP.md`` are history
@@ -16,8 +16,6 @@ import re
 from pathlib import Path
 
 import repro.cli
-import repro.live.cli
-import repro.obs.__main__
 import tools.reprolint
 import tools.reprolint.__main__
 
@@ -32,15 +30,11 @@ DOCS = [
 CI = REPO / ".github" / "workflows" / "ci.yml"
 MAKEFILE = REPO / "Makefile"
 
-PARSERS = {
-    "repro": repro.cli.build_parser,
-    "repro.obs": repro.obs.__main__.build_parser,
-    "repro.live": repro.live.cli.build_parser,
-}
+PARSERS = {"repro": repro.cli.build_parser}
 
 _MAKE = re.compile(r"\bmake\s+([a-z][a-z0-9-]*)")
 _PYTHON_M = re.compile(
-    r"python3?\s+-m\s+(repro(?:\.obs|\.live)?)(?![\w.])[ \t]+([a-z][a-z0-9/|-]*)"
+    r"python3?\s+-m\s+(repro(?:\.\w+)*)(?![\w.])[ \t]+([a-z][a-z0-9/|-]*)"
 )
 _REPROLINT = re.compile(r"python3?\s+-m\s+tools\.reprolint\b([^\n#|;&]*)")
 _BENCH_PATH = re.compile(r"\b(?:benchmarks/((?:\w+/)*\w+\.py)|(bench_\w+\.py))")
@@ -84,14 +78,14 @@ def test_every_make_target_named_in_docs_and_ci_exists():
 
 def test_every_cli_subcommand_named_in_docs_makefile_and_ci_exists():
     known = {module: _subcommands(build()) for module, build in PARSERS.items()}
-    assert "run" in known["repro"] and "spans" in known["repro.obs"]
+    assert {"run", "spans", "critpath"} <= known["repro"]
     missing = set()
     seen = 0
     for path in [*DOCS, CI, MAKEFILE]:
         for module, subs in _PYTHON_M.findall(_command_text(path)):
             for sub in re.split(r"[/|]", subs):  # "run/figure/show", "diff|render"
                 seen += 1
-                if sub not in known[module]:
+                if sub not in known.get(module, ()):
                     missing.add(f"{path.relative_to(REPO)}: python -m {module} {sub}")
     assert seen > 20  # the scan finds the documented commands at all
     assert not missing, sorted(missing)

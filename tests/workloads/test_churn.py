@@ -19,12 +19,14 @@ def _world(small_oracle, n_overlay=20, n_spare=10):
 
 class TestConfig:
     def test_negative_rate_rejected(self):
-        with pytest.raises(ValueError):
-            ChurnConfig(rate_per_node=-1.0)
+        for rate in (-1.0, np.nan, np.inf):  # inf would reschedule at one instant forever
+            with pytest.raises(ValueError):
+                ChurnConfig(rate_per_node=rate)
 
     def test_bad_window_rejected(self):
-        with pytest.raises(ValueError):
-            ChurnConfig(rate_per_node=0.1, start=10.0, stop=5.0)
+        for start, stop in ((10.0, 5.0), (-1.0, np.inf), (np.nan, np.inf)):
+            with pytest.raises(ValueError):
+                ChurnConfig(rate_per_node=0.1, start=start, stop=stop)
 
 
 class TestReplacement:
