@@ -1,7 +1,8 @@
 """Latency-oracle backends: cost and convergence parity.
 
-The exact oracle keeps the full n x n shortest-path matrix — precise but
-O(n^2) resident.  The coordinate backends trade accuracy for memory:
+The exact oracle keeps shortest paths factored by stub domain — precise,
+one row of n floats per domain resident (O(domains*n): 2.5 MB at
+n = 1000 on ts-large).  The coordinate backends trade accuracy for memory:
 Vivaldi fits d-dimensional spring coordinates over O(n*k) sampled pairs
 (O(n*dim) state), the landmark backend keeps exact distances to m
 transit-domain landmarks (O(n*m) state).  Two questions decide whether
@@ -79,11 +80,12 @@ def test_oracle_setup_cost(benchmark, emit):
         )
     )
 
-    # the scaling story: coordinates beat the dense matrix by orders of
-    # magnitude (n^2 * 8 bytes vs n*dim / n*m floats)
+    # the scaling story: both estimates stay below the factored exact
+    # state (domains*n floats vs n*dim / n*m floats) -- Vivaldi by ~60x,
+    # landmark by ~8x at n = 1000 (the dense n^2 matrix made that 25x)
     exact_bytes = data["exact"]["state_bytes"]
     assert data["vivaldi"]["state_bytes"] < exact_bytes / 50
-    assert data["landmark"]["state_bytes"] < exact_bytes / 10
+    assert data["landmark"]["state_bytes"] < exact_bytes / 5
     assert data["vivaldi"]["median_rel_error"] < 0.30
 
 

@@ -76,7 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="physical topology preset (default: ts-large)")
     run.add_argument("--n", type=int, default=1000, help="overlay size (default: 1000)")
     run.add_argument("--oracle", choices=list(ORACLE_BACKENDS), default="exact",
-                     help="latency oracle backend: exact O(n^2) matrix, vivaldi "
+                     help="latency oracle backend: exact shortest paths (one row per stub "
+                          "domain), vivaldi "
                           "O(n*dim) coordinates, or landmark O(n*m) triangulation "
                           "(default: exact)")
     run.add_argument("--seed", type=int, default=0, help="master seed (default: 0)")

@@ -116,9 +116,13 @@ class LiveScheduler:
 
 class LivePeriodic:
     """Repeating callback on a :class:`LiveScheduler` (mutable period),
-    mirroring :class:`~repro.netsim.engine.PeriodicProcess`."""
+    mirroring :class:`~repro.netsim.engine.PeriodicProcess`.
 
-    __slots__ = ("_scheduler", "_callback", "period", "_handle", "_stopped")
+    Ticks are due at ``start + k * period``: each one is scheduled from
+    the previous tick's due time, not from when its callback finished,
+    so a late or slow callback does not push every later tick back."""
+
+    __slots__ = ("_scheduler", "_callback", "period", "_handle", "_stopped", "_due")
 
     def __init__(
         self, scheduler: LiveScheduler, period: float, callback: Callable[[], None]
@@ -129,14 +133,16 @@ class LivePeriodic:
         self._callback = callback
         self.period = float(period)
         self._stopped = False
-        self._handle = scheduler.schedule(self.period, self._fire)
+        self._due = scheduler.now + self.period
+        self._handle = scheduler.schedule_at(self._due, self._fire)
 
     def _fire(self) -> None:
         if self._stopped:
             return
         self._callback()
         if not self._stopped:
-            self._handle = self._scheduler.schedule(self.period, self._fire)
+            self._due += self.period
+            self._handle = self._scheduler.schedule_at(self._due, self._fire)
 
     def stop(self) -> None:
         self._stopped = True

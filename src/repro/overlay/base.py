@@ -20,11 +20,11 @@ The paper's two exchange primitives map onto this split exactly:
 
 Hot-path note: edge latency queries go through the oracle protocol
 (:class:`~repro.topology.latency.LatencyOracleBase`) — on the exact
-backend these are dense fancy-indexed reads, and the per-slot neighbor
-latency sum used by the Var test is a single vectorized reduction over
-a row view (no copies), per the HPC guide idioms.  Approximate backends
-(Vivaldi coordinates, landmark triangulation) drop in behind the same
-five calls with O(n*dim) state instead of O(n^2).
+backend these are a gather from one stored row plus an offset, and the
+per-slot neighbor latency sum used by the Var test is a single
+vectorized reduction over that gather.  Approximate backends (Vivaldi
+coordinates, landmark triangulation) drop in behind the same five
+calls with O(n*dim) state instead of the exact O(domains*n).
 
 Derived state: most probe cycles change nothing (a PROP-G exchange
 moves two hosts, never an edge), so the overlay keeps three lazily

@@ -6,26 +6,29 @@ latency between hosts a and b?".  Every consumer goes through the
 ``pairwise`` / ``rows`` / ``sum_to`` / ``mean_pairwise`` / ``n`` — so
 the latency *source* is pluggable:
 
-* :class:`LatencyOracle` (this module) — the exact backend: the n x n
-  shortest-path submatrix among the member hosts, precise but O(n^2)
-  memory.  Built by anchor decomposition (see the class docstring):
-  Dijkstra runs from the distinct anchors only, not from every member.
+* :class:`LatencyOracle` (this module) — the exact backend: shortest
+  paths among the member hosts, stored factored by anchor decomposition
+  (see the class docstring) — one row of n floats per pendant domain
+  plus per-member offsets and small same-domain blocks, 13.4 MB at
+  n=5000 on ts-large where the n x n matrix was 200 MB.  Dijkstra runs
+  from the distinct anchors only, not from every member.
 * :class:`~repro.topology.vivaldi.VivaldiOracle` — d-dimensional
   synthetic coordinates fitted by spring relaxation over O(n*k) sampled
   pairs: O(n*dim) memory, approximate.
 * :class:`~repro.topology.landmark.LandmarkOracle` — exact distances to
   m landmark hosts, triangulation for the rest: O(n*m) memory.
 
-Hot-path note (per the HPC guides: vectorize, use views): the exact
-matrix is a dense float64 ndarray; all protocol-side queries are plain
-fancy-indexed reads, and the Var computation reduces over row views
-without copies.  The protocol methods are thin enough that the exact
-backend's fast paths stay a single vectorized expression.
+Hot-path note: an exact query is one ``take`` from a contiguous row
+plus one offset add; the same-domain correction is found by a NaN the
+gathered values carry, so only the calls that need the blocks pay for
+them.
 """
 
 from __future__ import annotations
 
 import abc
+import math
+import sys
 
 import numpy as np
 import numpy.typing as npt
@@ -95,7 +98,8 @@ class LatencyOracleBase(abc.ABC):
     @abc.abstractmethod
     def state_nbytes(self) -> int:
         """Resident bytes of the backend's latency state (the scaling
-        story: O(n^2) exact vs O(n*dim) coordinates vs O(n*m) landmark)."""
+        story: O(domains*n) exact vs O(n*dim) coordinates vs O(n*m)
+        landmark)."""
 
     # -- derived queries (override for speed) -----------------------------
 
@@ -181,25 +185,36 @@ def _host_anchors(network: PhysicalNetwork) -> tuple[np.ndarray, np.ndarray]:
 
 
 class LatencyOracle(LatencyOracleBase):
-    """Exact shortest-path oracle (dense shortest-path submatrix).
+    """Exact shortest-path oracle, stored factored (no n x n matrix).
 
-    The matrix is built by *anchor decomposition*.  A domain with
-    exactly one edge ``(gw, t)`` leaving it is pendant: every path
-    between a host ``x`` inside and a host ``y`` outside crosses that
-    edge, so ``d(x, y) = d(t, x) + d(t, y)``, and two hosts inside are
-    as far apart as within the domain's own subgraph (leaving and
-    coming back crosses the exit edge twice).  Each member is therefore
-    anchored at ``t`` (or at itself when its domain is not pendant),
-    Dijkstra runs over the whole graph from the *distinct* anchors only
-    — 100 transit routers on ts-large instead of n members — and
-    ``matrix[i, j] = d(anchor_i, anchor_j) + d(anchor_i, i) +
-    d(anchor_j, j)``; same-domain blocks are overwritten with Dijkstra
-    on the domain's sub-block.  A flat or multi-homed substrate has no
-    pendant domain, every member is its own anchor, and the build is one
-    Dijkstra per member.  Every term is a shortest-path length of the
-    same graph, so with integer-valued link latencies (the presets')
-    all sums are exact in float64 and the result equals the per-member
-    Dijkstra bit for bit.
+    The factoring is *anchor decomposition*.  A domain with exactly one
+    edge ``(gw, t)`` leaving it is pendant: every path between a host
+    ``x`` inside and a host ``y`` outside crosses that edge, so
+    ``d(x, y) = d(t, x) + d(t, y)``, and two hosts inside are as far
+    apart as within the domain's own subgraph (leaving and coming back
+    crosses the exit edge twice).  Each member is therefore anchored at
+    ``t`` (or at itself when its domain is not pendant), and Dijkstra
+    runs over the whole graph from the *distinct* anchors only — 100
+    transit routers on ts-large instead of n members.  The stored state
+    is:
+
+    * one row per pendant domain: its exit router's distance ``d(t, y)``
+      to every member ``y``, with the domain's own members' columns set
+      to NaN;
+    * one row per self-anchored member: its own distance to every member;
+    * a per-member offset ``d(t, x)`` (0 for a self-anchored member);
+    * each pendant domain's same-domain block (Dijkstra on the domain's
+      sub-block), flattened into one array.
+
+    A query ``d(i, j)`` reads ``row(i)[j] + offset[i]``; only a NaN —
+    ``j`` shares ``i``'s pendant domain, the diagonal included — reads
+    the block instead.  On ts-large at n=5000 that is 300 rows (12 MB)
+    where the matrix was 200 MB.  A flat or multi-homed substrate has no
+    pendant domain: every member is its own anchor with its own row, the
+    build is one Dijkstra per member, and the state is n x n as before.
+    Every term is a shortest-path length of the same graph, so with
+    integer-valued link latencies (the presets') all sums are exact in
+    float64 and every query equals the per-member Dijkstra bit for bit.
 
     Parameters
     ----------
@@ -208,8 +223,8 @@ class LatencyOracle(LatencyOracleBase):
     hosts:
         Physical host ids participating in the overlay.  The oracle works
         in *member index* space: member ``i`` is physical host
-        ``hosts[i]``, and ``matrix[i, j]`` is the shortest-path latency in
-        milliseconds between members ``i`` and ``j``.
+        ``hosts[i]``, and ``between(i, j)`` is the shortest-path latency
+        in milliseconds between members ``i`` and ``j``.
     """
 
     backend = "exact"
@@ -218,62 +233,138 @@ class LatencyOracle(LatencyOracleBase):
         hosts = validate_hosts(network, hosts)
         self.network = network
         self.hosts = hosts
+        n = hosts.size
         dom, host_anchor = _host_anchors(network)
         anchor = host_anchor[hosts]
-        distinct, row = np.unique(anchor, return_inverse=True)
+        pendant = anchor != hosts
+        distinct, src = np.unique(anchor, return_inverse=True)
         from_anchor = shortest_path_rows(network, distinct)
         # d(anchor_i, i): the exit edge plus the way in; 0 for a member
         # that is its own anchor.
-        offset = from_anchor[row, hosts]
-        matrix = from_anchor[:, anchor][row]
-        matrix += offset[:, None]
-        matrix += offset[None, :]
+        offset = from_anchor[src, hosts]
+        # Narrow to the member columns before gathering one row per
+        # domain (gathering over every host first is a transient larger
+        # than the result), and with take() so that the rows the hot
+        # path takes from stay C-contiguous.
+        to_members = from_anchor.take(hosts, axis=1)
+        del from_anchor
+        # One stored row per pendant domain, one per self-anchored member.
+        key = np.where(pendant, dom[hosts], -1 - np.arange(n))
+        _, first, row_of = np.unique(key, return_index=True, return_inverse=True)
+        rows = to_members.take(src[first], axis=0)
+        del to_members
+        members = np.flatnonzero(pendant)
+        rows[row_of[members], members] = np.nan
         # Members sharing a pendant domain never route through the
         # anchor: their distances are the domain subgraph's own.
         adj = network.adjacency()
-        member_dom = dom[hosts]
-        shared, counts = np.unique(member_dom[anchor != hosts], return_counts=True)
-        for d in shared[counts > 1].tolist():
-            idx = np.flatnonzero(member_dom == d)
-            nodes = np.flatnonzero(dom == d)
-            local = np.searchsorted(nodes, hosts[idx])
-            within = csgraph.dijkstra(adj[nodes][:, nodes], directed=False, indices=local)
-            matrix[idx[:, None], idx] = within[:, local]
-        self.matrix: FloatArray = matrix
-        if not np.all(np.isfinite(self.matrix)):
+        block_row = np.zeros(n, dtype=np.intp)
+        block_col = np.zeros(n, dtype=np.intp)
+        blocks = []
+        size = 0
+        by_row = members[np.argsort(row_of[members], kind="stable")]
+        for idx in np.split(by_row, np.flatnonzero(np.diff(row_of[by_row])) + 1):
+            if idx.size == 0:
+                continue
+            k = idx.size
+            if k == 1:
+                within = np.zeros((1, 1))
+            else:
+                nodes = np.flatnonzero(dom == dom[hosts[idx[0]]])
+                local = np.searchsorted(nodes, hosts[idx])
+                within = csgraph.dijkstra(
+                    adj[nodes][:, nodes], directed=False, indices=local
+                )[:, local]
+            block_row[idx] = size + k * np.arange(k)
+            block_col[idx] = np.arange(k)
+            blocks.append(within.ravel())
+            size += k * k
+        block = np.concatenate(blocks) if blocks else np.zeros(0)
+        # Every pair outside a block is row + offset: both terms must be
+        # finite unless the block covers all members.
+        alone = np.bincount(row_of, minlength=rows.shape[0])[row_of] == n
+        if (np.isinf(rows).any() or not np.all(np.isfinite(block))
+                or not np.all(np.isfinite(offset) | alone)):
             raise ValueError("physical network is disconnected across selected hosts")
-        np.fill_diagonal(self.matrix, 0.0)
+        self._rows: FloatArray = rows
+        self._row_of = row_of
+        self._offset: FloatArray = offset
+        self._block: FloatArray = block
+        self._block_row = block_row
+        self._block_col = block_col
+        # Per-member views (a shared row, a 0-d offset): the hot paths
+        # skip numpy's scalar indexing, and adding a 0-d array is cheaper
+        # than adding a Python float.
+        views = list(rows)
+        self._row = [views[r] for r in row_of.tolist()]
+        self._off = [offset[i, ...] for i in range(n)]
+
+    def _block_of(self, a: np.ndarray, b: np.ndarray) -> FloatArray:
+        """Same-domain latencies ``d(a, b)`` read from the flattened blocks."""
+        return self._block[self._block_row[a] + self._block_col[b]]
 
     # -- protocol fast paths ----------------------------------------------
+    #
+    # Each query gathers row + offset; a NaN in the gathered values marks
+    # the same-domain pairs, and only then are the blocks read.  The
+    # per-peer ``to_many`` finds the NaN with one dot product (any NaN
+    # poisons it, and on a short array it is cheaper than a ufunc
+    # reduction).  Not for the array-wide queries: past 10 000 elements
+    # OpenBLAS wakes its worker threads, which then spin for ~0.1 s of
+    # CPU.
 
     def pairwise(self, a: np.ndarray, b: np.ndarray) -> FloatArray:
-        """Element-wise latencies ``d(a[k], b[k])``."""
-        return self.matrix[a, b]
+        """Element-wise latencies ``d(a[k], b[k])`` (equal-length arrays)."""
+        a = np.asarray(a, dtype=np.intp)
+        b = np.asarray(b, dtype=np.intp)
+        out = self._rows.ravel().take(self._row_of.take(a) * self.n + b)
+        out += self._offset.take(a)
+        miss = np.isnan(out)
+        if miss.any():
+            out[miss] = self._block_of(a[miss], b[miss])
+        return out
 
     def between(self, i: int, j: int) -> float:
         """Latency (ms) between members ``i`` and ``j``."""
-        return float(self.matrix[i, j])
+        v: float = self._row[i].item(j)
+        if v != v:
+            v = self._block.item(self._block_row.item(i) + self._block_col.item(j))
+            return v
+        return v + self._offset.item(i)
 
     def to_many(self, i: int, others: np.ndarray | list[int]) -> FloatArray:
         """Vector of latencies from member ``i`` to each member in ``others``."""
-        return self.matrix[i, np.asarray(others, dtype=np.intp)]
+        out = self._row[i].take(others)
+        out += self._off[i]
+        if math.isnan(out.dot(out)):
+            # A neighbour set: a Python scan beats numpy's masking here.
+            base = self._block_row.item(i)
+            for k, v in enumerate(out.tolist()):
+                if v != v:
+                    out[k] = self._block.item(base + self._block_col.item(others[k]))
+        return out
 
     def rows(self, idx: np.ndarray | list[int]) -> FloatArray:
-        """View of the latency rows for members ``idx``."""
-        return self.matrix[np.asarray(idx, dtype=np.intp)]
+        """Latency rows (length ``n``) for members ``idx``."""
+        sel = np.asarray(idx, dtype=np.intp)
+        out = self._rows.take(self._row_of.take(sel), axis=0)
+        out += self._offset.take(sel)[:, None]
+        r, c = np.nonzero(np.isnan(out))
+        out[r, c] = self._block_of(sel[r], c)
+        return out
 
     def sum_to(self, i: int, others: np.ndarray | list[int]) -> float:
         """Sum of latencies from member ``i`` to each member in ``others``."""
         if len(others) == 0:
             return 0.0
-        return float(self.matrix[i, np.asarray(others, dtype=np.intp)].sum())
-
-    def mean_pairwise(self) -> float:
-        """Mean latency over all member pairs, diagonal included."""
-        return float(self.matrix.mean())
-
-    def dense(self) -> FloatArray:
-        return self.matrix
+        total = float(np.add.reduce(self._row[i].take(others)))
+        if total != total:  # a same-domain member: read its block
+            return float(self.to_many(i, others).sum())
+        return total + len(others) * self._offset.item(i)
 
     def state_nbytes(self) -> int:
-        return int(self.matrix.nbytes)
+        arrays = (self._rows, self._row_of, self._offset, self._block,
+                  self._block_row, self._block_col)
+        views = (sys.getsizeof(self._row) + sys.getsizeof(self._off)
+                 + self.n * sys.getsizeof(self._off[0]))
+        return sum(int(a.nbytes) for a in arrays) + views

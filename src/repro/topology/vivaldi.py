@@ -11,9 +11,9 @@ topology), and the latency estimate between two members is
 Coordinates are fitted by batch spring relaxation over O(n*k) sampled
 member pairs whose true shortest-path latencies are measured with
 chunked Dijkstra sweeps (bounded memory: one chunk of rows at a time,
-only the sampled entries are kept).  Resident state is O(n*dim) — the
-property that makes million-node oracles feasible where the exact
-O(n^2) submatrix is the wall.
+only the sampled entries are kept).  Resident state is O(n*dim),
+independent of the substrate — the exact backend's O(domains*n) rows
+grow with the number of stub domains the members span.
 
 Determinism: sampling and coordinate initialization draw only from the
 injected generator (the named ``oracle:vivaldi`` stream, owned by the

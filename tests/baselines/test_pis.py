@@ -37,7 +37,7 @@ def test_ring_neighbors_closer_than_random(small_oracle):
     than a random embedding's — the whole point of identifier selection."""
     rngs = RngRegistry(4)
     emb = pis_embedding(small_oracle, rngs.stream("pis"))
-    mat = small_oracle.matrix
+    mat = small_oracle.dense()
 
     def ring_cost(embedding):
         e = np.asarray(embedding)

@@ -21,6 +21,44 @@ def run(coro_fn, *args):
     return asyncio.run(coro_fn(*args))
 
 
+class _ManualLoop:
+    """The two event-loop calls LiveScheduler makes, on a clock the test
+    moves by hand: deterministic, no wall time spent."""
+
+    def __init__(self):
+        self.clock = 0.0
+        self._timers = []
+
+    def time(self):
+        return self.clock
+
+    def call_later(self, delay, callback, *args):
+        handle = _ManualHandle(callback, args)
+        self._timers.append((self.clock + delay, handle))
+        return handle
+
+    def run_until(self, horizon):
+        """Fire due timers in deadline order; a callback that overruns
+        its slot delays the next one, as on a real loop."""
+        while self._timers:
+            self._timers.sort(key=lambda entry: entry[0])
+            when, handle = self._timers[0]
+            if when > horizon:
+                return
+            self._timers.pop(0)
+            self.clock = max(self.clock, when)
+            if not handle.cancelled:
+                handle.callback(*handle.args)
+
+
+class _ManualHandle:
+    def __init__(self, callback, args):
+        self.callback, self.args, self.cancelled = callback, args, False
+
+    def cancel(self):
+        self.cancelled = True
+
+
 class TestClockArithmetic:
     def test_now_advances_at_speedup_rate(self):
         async def body():
@@ -131,6 +169,22 @@ class TestScheduling:
         count, after = run(body)
         assert count >= 3
         assert after == count  # nothing fires past stop()
+
+    def test_every_keeps_its_due_times_when_callbacks_run_late(self):
+        """Each callback takes 3 of the 10-second period: ticks still fall
+        at 10, 20, 30, ..., not 10, 23, 36, ..., so a rate-driven process
+        issues what it was asked for."""
+        loop = _ManualLoop()
+        sched = LiveScheduler(loop, speedup=1.0)
+        fired = []
+
+        def slow_tick():
+            fired.append(loop.clock)
+            loop.clock += 3.0
+
+        sched.every(10.0, slow_tick)
+        loop.run_until(100.0)
+        assert fired == [10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0, 100.0]
 
     def test_every_rejects_nonpositive_period(self):
         async def body():

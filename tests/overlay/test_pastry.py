@@ -114,7 +114,7 @@ class TestProximityAware:
             proximity_aware=True,
         )
         emb = plain.embedding
-        mat = small_oracle.matrix
+        mat = small_oracle.dense()
 
         def mean_entry_latency(ov):
             total, count = 0.0, 0

@@ -28,9 +28,10 @@ def _oracle(seed: int, n_members: int):
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 20))
 def test_symmetry_and_zero_diagonal(seed, n):
     oracle = _oracle(seed, n)
-    assert np.allclose(oracle.matrix, oracle.matrix.T)
-    assert np.all(np.diag(oracle.matrix) == 0.0)
-    off = oracle.matrix[~np.eye(oracle.n, dtype=bool)]
+    d = oracle.dense()
+    assert np.allclose(d, d.T)
+    assert np.all(np.diag(d) == 0.0)
+    off = d[~np.eye(oracle.n, dtype=bool)]
     assert np.all(off > 0.0)
 
 
@@ -38,7 +39,7 @@ def test_symmetry_and_zero_diagonal(seed, n):
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 15))
 def test_triangle_inequality(seed, n):
     oracle = _oracle(seed, n)
-    d = oracle.matrix
+    d = oracle.dense()
     k = oracle.n
     # d[i,j] <= d[i,l] + d[l,j] for all i, j, l (vectorized check)
     via = d[:, :, None] + d[None, :, :]   # via[i, l, j]

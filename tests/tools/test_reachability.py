@@ -35,8 +35,6 @@ UNREACHED_DEFS: dict[str, str] = {
     "repro.overlay.can.Zone.volume": "reference",
     "repro.overlay.ultrapeer.UltrapeerGnutellaOverlay.is_ultrapeer": "reference",
     "repro.overlay.ultrapeer.UltrapeerGnutellaOverlay.leaf_slots": "reference",
-    "repro.topology.latency.LatencyOracle.dense": "reference",
-    "repro.topology.latency.LatencyOracle.mean_pairwise": "reference",
     "repro.topology.latency.LatencyOracleBase.dense": "reference",
     "repro.topology.latency.LatencyOracleBase.mean_pairwise": "reference",
 }

@@ -10,6 +10,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.netsim.rng import RngRegistry
 from repro.topology import latency
@@ -65,7 +67,7 @@ class TestPresets:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_bit_identical_to_per_member_dijkstra(self, preset, seed):
         net, hosts = _preset_world(preset, seed, 300)
-        matrix = LatencyOracle(net, hosts).matrix
+        matrix = LatencyOracle(net, hosts).dense()
         assert np.array_equal(matrix, _reference(net, hosts))
         assert matrix.dtype == np.float64 and matrix.flags.c_contiguous
 
@@ -85,20 +87,20 @@ class TestPresets:
         assert sources[0].size <= transit.size
         assert np.isin(sources[0], transit).all()
 
-    def test_no_member_by_host_intermediate(self):
-        """Peak allocation stays near the n x n result: the (n, network.n)
-        array of the per-member build (48.8 MB here) never exists."""
-        net, hosts = _preset_world("ts-large", 0, 1000)
+    def test_n5000_build_and_state_stay_far_below_n_squared(self):
+        """ts-large at n=5000 (the scale_n5000 world): no n x n array
+        exists at any point.  The dense matrix alone was 200 MB; the
+        stored state is ~300 domain rows of n floats (~12 MB) and the
+        build peak adds the <= 100 anchor rows over all 6100 hosts."""
+        net, hosts = _preset_world("ts-large", 0, 5000)
         tracemalloc.start()
         try:
             oracle = LatencyOracle(net, hosts)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # fixed allowance: the <= 100 anchor rows over all 6100 hosts
-        # (4.9 MB) do not grow with n
-        assert peak < 1.5 * oracle.matrix.nbytes + 6_000_000
-        assert peak < hosts.size * net.n * 8 / 2
+        assert peak < 40_000_000
+        assert oracle.state_nbytes() < 16_000_000
 
 
 class TestGeneratedSweep:
@@ -119,7 +121,7 @@ class TestGeneratedSweep:
             size = int(rng.integers(1, net.n + 1))
             hosts = rng.choice(net.n, size=size, replace=False)
             assert np.array_equal(
-                LatencyOracle(net, hosts).matrix, _reference(net, hosts)
+                LatencyOracle(net, hosts).dense(), _reference(net, hosts)
             ), f"case {case}: {params}"
 
     def test_non_integer_latencies_agree_to_rounding(self):
@@ -132,7 +134,7 @@ class TestGeneratedSweep:
         net = generate_transit_stub(params, rng)
         hosts = rng.permutation(net.n)
         np.testing.assert_allclose(
-            LatencyOracle(net, hosts).matrix, _reference(net, hosts), rtol=1e-12, atol=0
+            LatencyOracle(net, hosts).dense(), _reference(net, hosts), rtol=1e-12, atol=0
         )
 
     def test_waxman_degenerates_to_per_member_dijkstra(self):
@@ -141,7 +143,7 @@ class TestGeneratedSweep:
         net = generate_waxman(WaxmanParams(n=80), rng)
         hosts = rng.choice(net.n, size=30, replace=False)
         assert _pendant_labels(net) == []
-        assert np.array_equal(LatencyOracle(net, hosts).matrix, _reference(net, hosts))
+        assert np.array_equal(LatencyOracle(net, hosts).dense(), _reference(net, hosts))
 
 
 # Domain 0 is a triangle "core" (hosts 0-2) in most hand-built graphs; it
@@ -157,7 +159,7 @@ _CUT_OFF = _network(
 
 class TestHandBuilt:
     def _check(self, net, hosts):
-        matrix = LatencyOracle(net, np.asarray(hosts)).matrix
+        matrix = LatencyOracle(net, np.asarray(hosts)).dense()
         assert np.array_equal(matrix, _reference(net, hosts))
         return matrix
 
@@ -218,3 +220,49 @@ class TestHandBuilt:
 
     def test_members_inside_the_cut_off_component_still_build(self):
         assert self._check(_CUT_OFF, [6, 5])[0, 1] == 5.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_every_query_equals_per_member_dijkstra(seed, data):
+    """Small transit-stub worlds whose members include a lone member of a
+    pendant domain, several members of another, and self-anchored
+    transit routers: every query reads the per-member Dijkstra bit for
+    bit, diagonal included."""
+    rng = np.random.default_rng(seed)
+    params = TransitStubParams(
+        transit_domains=data.draw(st.integers(1, 3)),
+        transit_nodes_per_domain=data.draw(st.integers(1, 3)),
+        stub_domains_per_transit=data.draw(st.integers(2, 3)),
+        stub_nodes_per_domain=data.draw(st.integers(2, 5)),
+        extra_chords_frac=data.draw(st.sampled_from([0.0, 0.3, 1.0])),
+    )
+    net = generate_transit_stub(params, rng)
+    _, anchor = latency._host_anchors(net)
+    selfish = np.flatnonzero(anchor == np.arange(net.n))
+    lone, several = rng.choice(_pendant_labels(net), size=2, replace=False)
+    in_several = np.flatnonzero(net.domain == several)
+    hosts = np.concatenate([
+        rng.choice(np.flatnonzero(net.domain == lone), size=1),
+        rng.choice(in_several, size=int(rng.integers(2, in_several.size + 1)), replace=False),
+        rng.choice(selfish, size=int(rng.integers(1, selfish.size + 1)), replace=False),
+    ])
+    rest = np.setdiff1d(np.flatnonzero(net.domain != lone), hosts)
+    extra = data.draw(st.integers(0, rest.size))
+    hosts = rng.permutation(np.concatenate([hosts, rng.choice(rest, size=extra, replace=False)]))
+
+    oracle = LatencyOracle(net, hosts)
+    ref = _reference(net, hosts)
+    n = hosts.size
+    everyone = np.arange(n)
+    a, b = np.meshgrid(everyone, everyone, indexing="ij")
+    assert np.array_equal(oracle.pairwise(a.ravel(), b.ravel()), ref.ravel())
+    assert np.array_equal(oracle.rows(everyone), ref)
+    sel = rng.choice(n, size=int(rng.integers(1, n + 1)))
+    assert np.array_equal(oracle.rows(sel), ref[sel])
+    for i in range(n):
+        others = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+        assert np.array_equal(oracle.to_many(i, everyone), ref[i])
+        assert np.array_equal(oracle.to_many(i, others), ref[i, others])
+        assert oracle.sum_to(i, others) == float(ref[i, others].sum())
+        assert [oracle.between(i, j) for j in range(n)] == ref[i].tolist()

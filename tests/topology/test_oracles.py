@@ -131,7 +131,7 @@ class TestAccuracy:
         )
         exact = LatencyOracle(network, members)
         lm = LandmarkOracle(network, members)
-        est, truth = lm.dense(), exact.matrix
+        est, truth = lm.dense(), exact.dense()
         off = ~np.eye(len(members), dtype=bool)
         # triangle estimates can never undershoot the true shortest path
         assert np.all(est[off] >= truth[off] - 1e-9)

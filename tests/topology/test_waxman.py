@@ -62,7 +62,7 @@ class TestGeneration:
         net = _net()
         hosts = RngRegistry(1).stream("m").choice(net.n, size=30, replace=False)
         oracle = LatencyOracle(net, hosts)
-        assert np.all(np.isfinite(oracle.matrix))
+        assert np.all(np.isfinite(oracle.dense()))
 
     def test_prop_g_improves_on_waxman(self):
         """PROP's benefit is not a transit-stub artifact."""
