@@ -5,7 +5,7 @@
 ``transport="udp"``: the seed-determined substrate (identical to the
 simulated plane's, via
 :func:`~repro.harness.experiment.build_substrate`), one
-:class:`~repro.live.transport.UdpTransport` endpoint shared by every
+:class:`~repro.live.transport.UdpTransport` socket shared by every
 peer, a :class:`~repro.net.engine.MessagePROPEngine` driving every slot's state
 machine on the shared :class:`~repro.live.clock.LiveScheduler`, plus the
 optional load pieces — churn (``config.churn``, the same

@@ -1,9 +1,9 @@
 """The :class:`~repro.net.transport.Transport` implementation over UDP.
 
 :class:`UdpTransport` gives the message plane a real network backend:
-the whole swarm shares **one** loopback datagram endpoint, ``send``
+the whole swarm shares **one** loopback datagram socket, ``send``
 encodes the message with :mod:`repro.live.codec` and transmits it to
-that endpoint's own address, and delivery happens when the kernel hands
+that socket's own address, and delivery happens when the kernel hands
 the datagram back and the transport dispatches it on the decoded
 ``dst`` slot.  Every message still crosses the kernel network stack,
 never an in-process shortcut, and a swarm of any size holds one file
@@ -11,6 +11,17 @@ descriptor.  The engine sees the exact interface
 :class:`~repro.net.transport.SimTransport` provides — ``stats``,
 ``tracer``, ``register`` / ``send`` / ``send_pings`` — so
 :class:`~repro.net.engine.MessagePROPEngine` runs over it unchanged.
+
+**The transport owns its socket.**  It binds one non-blocking socket
+and registers one reader on the event loop (``loop.add_reader``), so it
+needs a selector event loop — asyncio's default on Linux and macOS.
+Each wakeup receives and delivers datagrams until the socket reports
+``EAGAIN`` or :data:`READS_PER_WAKEUP` have been read; the cap hands
+the loop back during a long burst, so timers that fall due in it run
+between two batches.  A burst therefore costs one loop iteration per
+batch, not one per datagram as asyncio's datagram transport charges.
+``send`` calls ``sendto`` directly: a loopback send hands its buffer to
+the receive queue at once, so no writer queue is kept.
 
 Semantics that differ from the simulated transport, by nature of a real
 stack:
@@ -24,19 +35,22 @@ stack:
 * **Every message is a datagram.**  ``send_pings`` sends one
   ``VAR_PROBE`` datagram per ping, and each reaches the destination's
   handler; the simulated plane only counts them.
-* **Loss is real and silent.**  The kernel may drop datagrams under
-  buffer pressure and nothing reports it: a lost datagram is never
-  ``record_delivery``-ed.  The engine's per-stage timeouts absorb such
-  losses exactly as they absorb injected ones.
-* **Close drains the socket.**  asyncio reads one datagram per loop
-  iteration, so a burst can still sit in the kernel's receive queue
-  when the run ends.  :meth:`UdpTransport.drain` stops all sends, then
-  reads and delivers until a read finds the socket empty, within a
-  short wall deadline; whatever is still queued after it is booked as
-  dropped (reason ``queued_at_close``), and so is a transmit that
+* **Loss is real, and booked where it can be seen.**  A ``sendto`` that
+  fails (any ``OSError``, ``EAGAIN`` included) is booked as dropped
+  (reason ``send_error``).  The kernel may also drop datagrams under
+  receive-buffer pressure: those are never ``record_delivery``-ed, and
+  the engine's per-stage timeouts absorb them exactly as they absorb
+  injected losses.
+* **Close drains the socket and closes the books.**
+  :meth:`UdpTransport.drain` stops all sends, then runs the same read
+  loop until a read finds the socket empty, within a short wall
+  deadline; whatever is still queued after it is booked as dropped
+  (reason ``queued_at_close``), and so is a transmit that
   ``extra_delay_ms`` still holds on the scheduler (reason
-  ``unsent_at_close``).  After a drain, ``in_flight`` counts only the
-  datagrams the kernel lost.
+  ``unsent_at_close``).  It then reads the kernel's own count of the
+  datagrams it dropped on the socket (the ``drops`` column of
+  ``/proc/net/udp``), so that after a drain
+  ``sent == delivered + dropped + kernel_drops`` holds exactly.
 * **Failures on the receive path are counted, not raised.**  A truncated
   or alien datagram increments ``codec_errors``, a valid frame whose
   ``dst`` is not a slot of this swarm increments ``misrouted``, and any
@@ -44,8 +58,8 @@ stack:
   increments ``handler_errors``; each is dropped, and a malformed packet
   never reaches the event loop.  ``tests/live/test_transport.py`` raises
   inside each and checks the next datagram is still delivered.  These
-  three and ``wire_bytes_sent`` reach the run record as ``transport.*``
-  metrics through :meth:`UdpTransport.wire_counters`.
+  three, ``wire_bytes_sent`` and ``kernel_drops`` reach the run record as
+  ``transport.*`` metrics through :meth:`UdpTransport.wire_counters`.
 
 With a :class:`~repro.obs.prof.KernelProfiler` in :attr:`UdpTransport.profiler`
 each handler call is one profiled event, filed under ``deliver:<T>``
@@ -55,10 +69,11 @@ exactly as the simulator files its delivery events.
 from __future__ import annotations
 
 import asyncio
+import os
 import socket
 import time
 from collections import Counter
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.live.clock import LiveScheduler
 from repro.live.codec import CodecError, decode, encode
@@ -70,9 +85,12 @@ from repro.obs.trace import NULL_TRACER, TracerLike
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.prof import KernelProfiler
 
-__all__ = ["UdpTransport", "udp_loopback_available"]
+__all__ = ["READS_PER_WAKEUP", "UdpTransport", "udp_loopback_available"]
 
 _MS = 1e-3  # extra_delay_ms is protocol milliseconds; scheduler speaks seconds
+#: Datagrams one reader wakeup receives at most before it hands the loop
+#: back, so timers due during a burst run between two batches.
+READS_PER_WAKEUP = 64
 #: Wall seconds a close may spend delivering the receive queue's backlog.
 _DRAIN_WALL_S = 0.5
 _MAX_DATAGRAM = 65535
@@ -106,14 +124,31 @@ def udp_loopback_available(timeout: float = 1.0) -> bool:
                 s.close()
 
 
-class UdpTransport(asyncio.DatagramProtocol):
+def _socket_drops(sock: socket.socket) -> int | None:
+    """Datagrams the kernel dropped on ``sock``: the ``drops`` column of
+    its row in ``/proc/net/udp`` (``udp6`` for IPv6), found by the
+    socket's inode.  ``None`` where that table cannot be read."""
+    inode = str(os.fstat(sock.fileno()).st_ino)
+    table = "/proc/net/udp6" if sock.family == socket.AF_INET6 else "/proc/net/udp"
+    try:
+        with open(table) as rows:
+            next(rows)  # the header line
+            for row in rows:
+                fields = row.split()
+                if fields[9] == inode:
+                    return int(fields[12])
+    except (OSError, StopIteration, IndexError, ValueError):
+        pass
+    return None
+
+
+class UdpTransport:
     """Loopback-UDP message plane: one socket per swarm, kernel delivery.
 
-    Build with :meth:`create` (endpoint binding is asynchronous); the
-    instance then satisfies the :class:`~repro.net.transport.Transport`
-    protocol synchronously, and is itself the endpoint's datagram
-    protocol.  Every slot shares the socket, the event loop and one
-    :class:`~repro.live.clock.LiveScheduler`.
+    Build with :meth:`create` (binding is asynchronous); the instance
+    then satisfies the :class:`~repro.net.transport.Transport` protocol
+    synchronously.  Every slot shares the socket, the event loop's one
+    reader on it and one :class:`~repro.live.clock.LiveScheduler`.
     """
 
     def __init__(
@@ -133,10 +168,14 @@ class UdpTransport(asyncio.DatagramProtocol):
         self.misrouted = 0
         self.handler_errors = 0
         self.wire_bytes_sent = 0
+        #: The kernel's drops on the socket, read by :meth:`drain`;
+        #: ``None`` until then, and where ``/proc/net/udp`` is unreadable.
+        self.kernel_drops: int | None = None
         #: The run's kernel profiler while the harness profiles it.
         self.profiler: KernelProfiler | None = None
         self._handlers: dict[int, Handler] = {}
-        self._endpoint: asyncio.DatagramTransport | None = None
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._sock: socket.socket | None = None
         #: The one socket's address: every frame is sent here.
         self.address: tuple[str, int] = ("", 0)
         self._closed = False
@@ -153,21 +192,29 @@ class UdpTransport(asyncio.DatagramProtocol):
         tracer: TracerLike | None = None,
         host: str = "127.0.0.1",
     ) -> "UdpTransport":
-        """Bind the swarm's endpoint and assemble the transport."""
+        """Bind the swarm's socket and register its reader on the loop."""
         transport = cls(scheduler, n_slots, tracer=tracer)
-        endpoint, _ = await asyncio.get_running_loop().create_datagram_endpoint(
-            lambda: transport, local_addr=(host, 0)
-        )
-        transport._endpoint = endpoint
-        # every peer's traffic queues here: ask for room for a burst (the
-        # kernel caps the request at its rmem_max)
+        loop = asyncio.get_running_loop()
+        # resolved in place: a numeric host (the loopback default) costs
+        # no lookup, and no executor thread is started for it
+        family, _, _, _, addr = socket.getaddrinfo(host, 0, type=socket.SOCK_DGRAM)[0]
+        sock = socket.socket(family, socket.SOCK_DGRAM)
         try:
-            endpoint.get_extra_info("socket").setsockopt(
-                socket.SOL_SOCKET, socket.SO_RCVBUF, _RCVBUF_BYTES)
-        except OSError:
-            pass
-        sock = endpoint.get_extra_info("sockname")
-        transport.address = (sock[0], sock[1])
+            sock.setblocking(False)
+            # every peer's traffic queues here: ask for room for a burst
+            # (the kernel caps the request at its rmem_max)
+            try:
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, _RCVBUF_BYTES)
+            except OSError:
+                pass
+            sock.bind(addr)
+            loop.add_reader(sock.fileno(), transport._read_ready)
+        except BaseException:
+            sock.close()
+            raise
+        transport._loop, transport._sock = loop, sock
+        name = sock.getsockname()
+        transport.address = (name[0], name[1])
         return transport
 
     # -- the Transport protocol -------------------------------------------
@@ -206,19 +253,39 @@ class UdpTransport(asyncio.DatagramProtocol):
         self._transmit(msg)
 
     def _transmit(self, msg: Message) -> None:
-        if self._muted or self._endpoint is None:
+        if self._muted or self._sock is None:
             return
         data = encode(msg)
+        try:
+            self._sock.sendto(data, self.address)
+        except OSError:
+            # EAGAIN included: a datagram the kernel refused never arrives
+            self.stats.record_drop(msg.type_name, "send_error")
+            return
         self.wire_bytes_sent += len(data)
-        self._endpoint.sendto(data, self.address)
 
     # -- receive path ------------------------------------------------------
 
-    def datagram_received(self, data: bytes, addr: tuple[str, int]) -> None:
-        # counted-never-raised: an exception escaping this callback would
+    def _read_ready(self) -> None:
+        """The loop's reader: one batch of datagrams per wakeup."""
+        self._read(READS_PER_WAKEUP, self._receive)
+
+    def _read(self, limit: int, take: Callable[[bytes], None]) -> int:
+        """Hand up to ``limit`` received datagrams to ``take``; returns
+        how many were read, fewer than ``limit`` once the socket is empty."""
+        assert self._sock is not None  # bound by create(), before the reader
+        recv = self._sock.recv
+        for i in range(limit):
+            try:
+                data = recv(_MAX_DATAGRAM)
+            except OSError:  # BlockingIOError: the queue is empty
+                return i
+            take(data)
+        return limit
+
+    def _receive(self, data: bytes) -> None:
+        # counted-never-raised: an exception escaping the reader would
         # reach the loop's exception handler
-        if self._closed:
-            return
         try:
             self._deliver(data)
         except Exception:
@@ -262,54 +329,58 @@ class UdpTransport(asyncio.DatagramProtocol):
     def drain(self, wall_s: float = _DRAIN_WALL_S) -> int:
         """Stop sending, then deliver what the socket still holds.
 
-        Reads until a read finds the receive queue empty.  Datagrams read
-        after ``wall_s`` wall seconds are booked as dropped instead of
-        delivered; returns their number.  Handlers run as usual, but
-        nothing they send goes out, so the queue only shrinks.  A transmit
-        still deferred by ``extra_delay_ms`` will never go out either: it
-        is booked as dropped (``unsent_at_close``) at once.
+        Runs the reader's read loop until a read finds the receive queue
+        empty.  Datagrams read after ``wall_s`` wall seconds are booked
+        as dropped (``queued_at_close``) instead of delivered; returns
+        their number.  Handlers run as usual, but nothing they send goes
+        out, so the queue only shrinks.  A transmit still deferred by
+        ``extra_delay_ms`` will never go out either: it is booked as
+        dropped (``unsent_at_close``) at once.  Last, the kernel's drop
+        count on the socket is read into :attr:`kernel_drops`.
         """
         self._muted = True
         for type_name, count in self._deferred.items():
             for _ in range(count):
                 self.stats.record_drop(type_name, "unsent_at_close")
         self._deferred.clear()
-        if self._closed or self._endpoint is None:
+        if self._closed or self._sock is None:
             return 0
-        own = self._endpoint.get_extra_info("socket")
-        reader = socket.fromfd(own.fileno(), own.family, own.type)  # a dup
-        reader.setblocking(False)
         deadline = time.monotonic() + wall_s
         unread = 0
+        while True:
+            late = time.monotonic() >= deadline
+            got = self._read(READS_PER_WAKEUP, self._book_unread if late else self._receive)
+            if late:
+                unread += got
+            if got < READS_PER_WAKEUP:
+                break
+        self.kernel_drops = _socket_drops(self._sock)
+        return unread
+
+    def _book_unread(self, data: bytes) -> None:
         try:
-            while True:
-                try:
-                    data = reader.recv(_MAX_DATAGRAM)
-                except BlockingIOError:
-                    return unread
-                if time.monotonic() < deadline:
-                    self.datagram_received(data, self.address)
-                    continue
-                unread += 1
-                try:
-                    self.stats.record_drop(decode(data).type_name, "queued_at_close")
-                except CodecError:
-                    self.codec_errors += 1
-        finally:
-            reader.close()
+            self.stats.record_drop(decode(data).type_name, "queued_at_close")
+        except CodecError:
+            self.codec_errors += 1
 
     def wire_counters(self) -> dict[str, int]:
-        """What only a real wire counts, keyed as run-record metrics."""
-        return {"transport.codec_errors": self.codec_errors,
-                "transport.misrouted": self.misrouted,
-                "transport.handler_errors": self.handler_errors,
-                "transport.wire_bytes_sent": self.wire_bytes_sent}
+        """What only a real wire counts, keyed as run-record metrics;
+        ``transport.kernel_drops`` once :meth:`drain` could read it."""
+        counters = {"transport.codec_errors": self.codec_errors,
+                    "transport.misrouted": self.misrouted,
+                    "transport.handler_errors": self.handler_errors,
+                    "transport.wire_bytes_sent": self.wire_bytes_sent}
+        if self.kernel_drops is not None:
+            counters["transport.kernel_drops"] = self.kernel_drops
+        return counters
 
     def close(self) -> None:
-        """Stop accepting traffic and close the swarm's socket."""
+        """Stop reading, then close the swarm's socket."""
         if self._closed:
             return
         self._closed = True
         self._muted = True
-        if self._endpoint is not None:
-            self._endpoint.close()
+        if self._sock is not None:
+            assert self._loop is not None
+            self._loop.remove_reader(self._sock.fileno())
+            self._sock.close()

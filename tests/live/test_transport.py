@@ -14,6 +14,8 @@ unavailable.
 from __future__ import annotations
 
 import asyncio
+import errno
+import math
 import socket
 
 import numpy as np
@@ -21,7 +23,12 @@ import pytest
 
 from repro.live.clock import LiveScheduler
 from repro.live.codec import decode, encode
-from repro.live.transport import UdpTransport, udp_loopback_available
+from repro.live.transport import (
+    READS_PER_WAKEUP,
+    UdpTransport,
+    _socket_drops,
+    udp_loopback_available,
+)
 from repro.net.faults import FaultyTransport
 from repro.net.messages import Notify, VarProbe
 from repro.net.transport import SimTransport, Transport
@@ -256,10 +263,136 @@ class TestUdpSemantics:
         wire, after_close, msg = asyncio.run(body())
         assert after_close == wire == len(encode(msg))
 
+    def test_a_failed_send_is_booked_and_the_next_arrives(self):
+        class RefusesOnce:
+            """The swarm's socket, except that one ``sendto`` fails."""
+
+            def __init__(self, sock):
+                self.sock, self.refused = sock, False
+
+            def sendto(self, data, address):
+                if not self.refused:
+                    self.refused = True
+                    raise BlockingIOError(errno.EAGAIN, "send buffer full")
+                return self.sock.sendto(data, address)
+
+            def __getattr__(self, name):
+                return getattr(self.sock, name)
+
+        async def body():
+            loop = asyncio.get_running_loop()
+            transport = await UdpTransport.create(LiveScheduler(loop), 2)
+            real = transport._sock
+            transport._sock = RefusesOnce(real)
+            try:
+                seen: list = []
+                transport.register(1, lambda m: seen.append(m.cycle))
+                transport.send(VarProbe(src=0, dst=1, cycle=1))  # refused
+                transport.send(VarProbe(src=0, dst=1, cycle=2))
+                deadline = loop.time() + 2.0
+                while loop.time() < deadline and not seen:
+                    await asyncio.sleep(0.005)
+                return transport, seen
+            finally:
+                transport._sock = real
+                transport.close()
+
+        transport, seen = asyncio.run(body())
+        stats = transport.stats
+        assert seen == [2]
+        assert stats.drop_reasons == {"send_error": 1}
+        assert (stats.total_sent, stats.total_delivered, stats.in_flight) == (2, 1, 0)
+        assert transport.wire_bytes_sent == len(encode(VarProbe(src=0, dst=1, cycle=2)))
+
+
+@needs_loopback
+class TestReader:
+    """The transport's one reader drains a burst in batches of
+    ``READS_PER_WAKEUP``, one loop wakeup each."""
+
+    @staticmethod
+    def _burst(n: int, monkeypatch, on_message=None):
+        """Send ``n`` probes before the loop runs; return the reader
+        calls it took to deliver them and the handler's log."""
+        calls = [0]
+        read_ready = UdpTransport._read_ready
+
+        def counted(self):
+            calls[0] += 1
+            read_ready(self)
+
+        monkeypatch.setattr(UdpTransport, "_read_ready", counted)
+
+        async def body():
+            loop = asyncio.get_running_loop()
+            transport = await UdpTransport.create(LiveScheduler(loop), 2)
+            log: list = []
+
+            def handler(msg):
+                log.append(msg.cycle)
+                if on_message is not None:
+                    on_message(msg, log)
+
+            transport.register(1, handler)
+            try:
+                for i in range(n):  # all queued before the reader first runs
+                    transport.send(VarProbe(src=0, dst=1, cycle=i))
+                deadline = loop.time() + 5.0
+                while loop.time() < deadline and transport.stats.total_delivered < n:
+                    await asyncio.sleep(0.005)
+                return transport, log
+            finally:
+                transport.close()
+
+        transport, log = asyncio.run(body())
+        assert transport.stats.total_delivered == n
+        return calls[0], log
+
+    def test_a_burst_costs_one_reader_call_per_batch(self, monkeypatch):
+        calls, log = self._burst(200, monkeypatch)
+        assert log == list(range(200))
+        assert calls == math.ceil(200 / READS_PER_WAKEUP)
+
+    def test_a_timer_due_during_a_burst_fires_between_batches(self, monkeypatch):
+        def on_message(msg, log):
+            if msg.cycle == 0:  # due at once, while the burst is still queued
+                asyncio.get_running_loop().call_later(0.0, log.append, "timer")
+
+        n = 3 * READS_PER_WAKEUP
+        _, log = self._burst(n, monkeypatch, on_message)
+        at = log.index("timer")
+        assert 0 < at < n and at % READS_PER_WAKEUP == 0, at
+        assert [c for c in log if c != "timer"] == list(range(n))
+
+    def test_kernel_drops_are_read_per_socket(self):
+        """A receive buffer too small for the burst: what the kernel
+        dropped and what a read finds add up to what was sent."""
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sink, \
+                socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as source:
+            sink.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1)  # kernel minimum
+            sink.bind(("127.0.0.1", 0))
+            sink.setblocking(False)
+            before = _socket_drops(sink)
+            if before is None:
+                pytest.skip("/proc/net/udp unreadable here")
+            for _ in range(100):
+                source.sendto(b"x" * 200, sink.getsockname())
+            received = 0
+            while True:
+                try:
+                    sink.recv(65535)
+                except BlockingIOError:
+                    break
+                received += 1
+            drops = _socket_drops(sink)
+        assert before == 0 and 0 < received < 100
+        assert received + drops == 100
+
 
 class TestDrainAtClose:
-    """asyncio reads one datagram per loop iteration, so a burst sent
-    just before close is still in the kernel's receive queue."""
+    """A burst sent just before close sits in the kernel's receive queue
+    until the reader next wakes; the drain runs the same read loop at
+    once, so that backlog is delivered or booked, never left in flight."""
 
     @staticmethod
     def _burst(wall_s: float, deferred: float = 0.0):
@@ -296,3 +429,9 @@ class TestDrainAtClose:
     def test_a_deferred_transmit_is_booked_as_unsent(self):
         stats = self._burst(5.0, deferred=5000.0)[0].stats
         assert stats.drop_reasons["unsent_at_close"] == 1 and stats.in_flight == 0
+
+    def test_the_drain_reads_the_kernel_drops_into_the_counters(self):
+        transport = self._burst(5.0)[0]
+        if transport.kernel_drops is None:
+            pytest.skip("/proc/net/udp unreadable here")
+        assert transport.wire_counters()["transport.kernel_drops"] == 0

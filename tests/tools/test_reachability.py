@@ -42,11 +42,6 @@ UNREACHED_DEFS: dict[str, str] = {
 #: Modules whose every line is a root: the one command line.
 ROOT_MODULES = frozenset({"repro.cli"})
 
-#: Called by asyncio, never by name.
-LOOP_CALLBACKS = frozenset(
-    {"datagram_received", "error_received", "connection_made", "connection_lost"})
-
-
 def _graph_and_roots() -> tuple[ModuleGraph, set[str], set[str]]:
     project = Project(REPO / "src" / "repro", repo=REPO)
     program = set(project.modules)
@@ -113,8 +108,7 @@ def test_every_def_is_reachable_from_a_root():
 
     def is_live(qualname: str) -> bool:
         name = defs[qualname].name
-        return (name in live or name in LOOP_CALLBACKS
-                or (name.startswith("__") and name.endswith("__")))
+        return name in live or (name.startswith("__") and name.endswith("__"))
 
     pending = set(defs)
     while newly := {q for q in pending if is_live(q)}:
