@@ -41,13 +41,12 @@ class PNSChordOverlay(ChordOverlay):
         always contains the ring successor) keeps routing live.
         """
         n = self.n_slots
-        ids = self.ids
         emb = self.embedding
         oracle = self.oracle
         self.fingers = []
-        id_list = ids  # sorted ascending; slot == rank
+        self.finger_dist = []
         for i in range(n):
-            base = int(ids[i])
+            base = self._id[i]
             targets: list[int] = []
             seen: set[int] = set()
             # Always keep the immediate successor: greedy routing's last
@@ -67,14 +66,13 @@ class PNSChordOverlay(ChordOverlay):
                 if best not in seen:
                     seen.add(best)
                     targets.append(best)
-            targets.sort(key=lambda j: (int(id_list[j]) - base) % self.space)
-            self.fingers.append(targets)
+            self._add_fingers(i, targets)
 
     def _slots_in_interval(self, lo: int, hi: int) -> list[int]:
         """Slots whose id lies in the clockwise half-open interval [lo, hi)."""
         import bisect
 
-        ids = self.ids
+        ids = self._id
         n = self.n_slots
         if lo == hi:
             return []

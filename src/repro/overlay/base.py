@@ -38,6 +38,7 @@ are bit-identical (DESIGN.md "Derived state").
 from __future__ import annotations
 
 import copy
+import itertools
 from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -345,7 +346,8 @@ class Overlay:
         The clone owns its embedding, neighbor sets and derived views;
         everything else a family computes once from identifiers or zones
         (finger tables, buckets, roles) is never mutated in place — PNS
-        ``refresh`` rebinds ``fingers`` — and stays shared.
+        ``refresh`` rebinds ``fingers`` and ``finger_dist`` — and stays
+        shared.
         """
         clone = copy.copy(self)
         clone.embedding = self.embedding.copy()
@@ -414,21 +416,33 @@ class RoutedOverlay(Overlay):
         queries: np.ndarray | Sequence[tuple[int, Any]],
         node_delay: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Per-lookup latency vector over ``(src_slot, target)`` rows."""
+        """Per-lookup latency vector over ``(src_slot, target)`` rows.
+
+        Routes every query, prices all hops of all paths with one
+        ``oracle.pairwise`` gather, then sums each path in
+        :meth:`path_latency`'s order — its links, then its receiver
+        delays, left to right — so each entry equals
+        :meth:`lookup_latency` bit for bit.
+        """
         if isinstance(queries, np.ndarray):
             if queries.ndim != 2 or queries.shape[1] != 2:
                 raise ValueError("queries must be (k, 2) rows of (src, key)")
             queries = queries.tolist()
-        return np.fromiter(
-            (self.lookup_latency(src, target, node_delay) for src, target in queries),
-            dtype=np.float64,
-            count=len(queries),
-        )
-
-    def mean_lookup_latency(
-        self,
-        queries: np.ndarray | Sequence[tuple[int, Any]],
-        node_delay: np.ndarray | None = None,
-    ) -> float:
-        """Mean lookup latency over ``(src_slot, target)`` rows."""
-        return float(self.lookup_latencies(queries, node_delay).mean())
+        paths = [self.route(src, target) for src, target in queries]
+        hops = np.fromiter(map(len, paths), dtype=np.intp, count=len(paths)) - 1
+        chain = itertools.chain.from_iterable
+        senders = np.fromiter(chain(p[:-1] for p in paths), dtype=np.intp, count=hops.sum())
+        receivers = np.fromiter(chain(p[1:] for p in paths), dtype=np.intp, count=hops.sum())
+        emb = self.embedding
+        links = self.oracle.pairwise(emb[senders], emb[receivers])
+        # One column per path: its links, then its receiver delays, then
+        # zeros.  A running sum down each column adds in path_latency's
+        # order (a reduction may pair terms up; an accumulation cannot).
+        col = np.repeat(np.arange(len(paths)), hops)
+        row = np.arange(col.size) - np.repeat(np.cumsum(hops) - hops, hops)
+        depth = int(hops.max(initial=0)) * (1 if node_delay is None else 2)
+        terms = np.zeros((max(depth, 1), len(paths)))
+        terms[row, col] = links
+        if node_delay is not None:
+            terms[row + hops[col], col] = node_delay[receivers]
+        return np.add.accumulate(terms, axis=0)[-1]

@@ -47,12 +47,15 @@ class ChordOverlay(RoutedOverlay):
         if ids.min() < 0 or ids.max() >= (1 << bits):
             raise ValueError("id out of identifier space")
         self.ids = ids
+        self._id = ids.tolist()
         self.bits = int(bits)
         self.space = 1 << bits
         # fingers[i]: distinct finger target slots of slot i, sorted by
         # clockwise id-distance from i (ascending).  Includes the
-        # successor (finger 0).
+        # successor (finger 0).  finger_dist[i] holds those distances,
+        # the keys a lookup bisects.
         self.fingers: list[list[int]] = []
+        self.finger_dist: list[list[int]] = []
         self._build_fingers()
         self._build_edges()
 
@@ -84,26 +87,31 @@ class ChordOverlay(RoutedOverlay):
 
     def _successor_index_of_id(self, key: int) -> int:
         """Slot owning ``key``: the first slot with id >= key (cyclic)."""
-        i = bisect.bisect_left(self.ids, key % self.space)
+        i = bisect.bisect_left(self._id, key % self.space)
         return i % self.n_slots
 
     def _build_fingers(self) -> None:
-        n = self.n_slots
-        ids = self.ids
         self.fingers = []
-        for i in range(n):
+        self.finger_dist = []
+        for i in range(self.n_slots):
             targets: list[int] = []
             seen: set[int] = set()
             for k in range(self.bits):
-                start = (int(ids[i]) + (1 << k)) % self.space
+                start = (self._id[i] + (1 << k)) % self.space
                 j = self._successor_index_of_id(start)
                 if j != i and j not in seen:
                     seen.add(j)
                     targets.append(j)
-            # sort by clockwise distance so closest-preceding scans can
-            # walk from the farthest finger backwards
-            targets.sort(key=lambda j: (int(ids[j]) - int(ids[i])) % self.space)
-            self.fingers.append(targets)
+            self._add_fingers(i, targets)
+
+    def _add_fingers(self, slot: int, targets: list[int]) -> None:
+        """Append ``slot``'s table: ``targets`` sorted by clockwise
+        id-distance from ``slot``, and those distances (distinct slots
+        have distinct ids, so the order has no ties)."""
+        base = self._id[slot]
+        table = sorted(((self._id[j] - base) % self.space, j) for j in targets)
+        self.fingers.append([j for _, j in table])
+        self.finger_dist.append([d for d, _ in table])
 
     def _build_edges(self) -> None:
         for i, targets in enumerate(self.fingers):
@@ -116,50 +124,20 @@ class ChordOverlay(RoutedOverlay):
 
     # -- routing ------------------------------------------------------------
 
-    def successor_slot(self, slot: int) -> int:
-        return (slot + 1) % self.n_slots
-
     def owner(self, key: int) -> int:
         """Slot responsible for ``key`` (its successor on the ring)."""
         return self._successor_index_of_id(key)
 
-    def _cw(self, from_id: int, to_id: int) -> int:
-        return (to_id - from_id) % self.space
-
     def route(self, src: int, key: int) -> list[int]:
         """Greedy Chord lookup path from slot ``src`` to the owner of ``key``.
 
-        Returns the slot path including both endpoints.  Uses the classic
-        algorithm: hop to the successor when the key falls in
-        ``(id, id_successor]``, otherwise to the closest preceding finger.
+        Returns the slot path including both endpoints.  Each hop goes
+        to the closest preceding finger — the farthest finger strictly
+        inside ``(id, key)``, found by bisecting the slot's sorted
+        finger distances — or to the successor when the key falls in
+        ``(id, id_successor]``.
         """
-        key = key % self.space
-        dest = self.owner(key)
-        path = [src]
-        cur = src
-        hops_guard = 4 * self.n_slots
-        while cur != dest:
-            ids = self.ids
-            cur_id = int(ids[cur])
-            key_cw = self._cw(cur_id, key)
-            succ = self.successor_slot(cur)
-            if self._cw(cur_id, int(ids[succ])) >= key_cw:
-                # key lies in (cur, successor] so the successor owns it
-                nxt = succ
-            else:
-                nxt = succ
-                # scan fingers from farthest: first one strictly inside
-                # (cur_id, key) wins
-                for j in reversed(self.fingers[cur]):
-                    if 0 < self._cw(cur_id, int(ids[j])) < key_cw:
-                        nxt = j
-                        break
-            path.append(nxt)
-            cur = nxt
-            hops_guard -= 1
-            if hops_guard <= 0:
-                raise RuntimeError("Chord routing failed to converge")
-        return path
+        return self._route(src, key % self.space, None, 1)
 
     # -- failure-aware routing (successor-list extension) -----------------
 
@@ -207,32 +185,41 @@ class ChordOverlay(RoutedOverlay):
             raise ValueError("alive mask must have one entry per slot")
         if not alive[src]:
             raise ValueError(f"source slot {src} is not alive")
-        key = key % self.space
-        dest = self.owner_of_key_alive(key, alive)
-        ids = self.ids
+        return self._route(src, key % self.space, alive, successor_list_size)
+
+    def _route(
+        self, src: int, key: int, alive: np.ndarray | None, successor_list_size: int
+    ) -> list[int]:
+        """The one greedy loop behind :meth:`route` (``alive`` None: every
+        slot is up) and :meth:`route_with_failures`."""
+        dest = self.owner(key) if alive is None else self.owner_of_key_alive(key, alive)
+        fallback = min(successor_list_size, self.n_slots - 1)
         path = [src]
         cur = src
         guard = 4 * self.n_slots
         while cur != dest:
-            cur_id = int(ids[cur])
-            key_cw = self._cw(cur_id, key)
-            nxt = None
-            for j in reversed(self.fingers[cur]):
-                if alive[j] and 0 < self._cw(cur_id, int(ids[j])) < key_cw:
-                    nxt = j
-                    break
-            if nxt is None:
-                for j in self.successor_list(cur, min(successor_list_size, self.n_slots - 1)):
-                    if alive[j]:
-                        nxt = j
+            key_cw = (key - self._id[cur]) % self.space
+            fingers = self.fingers[cur]
+            # fingers[:k] lie strictly inside (cur, key); take the
+            # farthest alive one
+            k = bisect.bisect_left(self.finger_dist[cur], key_cw)
+            while k and alive is not None and not alive[fingers[k - 1]]:
+                k -= 1
+            if k:
+                nxt = fingers[k - 1]
+            else:
+                # no finger precedes the key: the first alive entry of
+                # the successor list (the successor itself when all are up)
+                for nxt in self.successor_list(cur, fallback):
+                    if alive is None or alive[nxt]:
                         break
-            if nxt is None:
-                raise RuntimeError(
-                    f"slot {cur}: entire successor list dead — ring broken"
-                )
+                else:
+                    raise RuntimeError(
+                        f"slot {cur}: entire successor list dead — ring broken"
+                    )
             path.append(nxt)
             cur = nxt
             guard -= 1
             if guard <= 0:
-                raise RuntimeError("failure-aware routing failed to converge")
+                raise RuntimeError("Chord routing failed to converge")
         return path

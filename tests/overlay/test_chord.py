@@ -124,14 +124,9 @@ class TestLatency:
         base = chord.path_latency(path)
         assert chord.path_latency(path, nd) == pytest.approx(base + 10.0 * (len(path) - 1))
 
-    def test_mean_lookup_latency(self, chord):
-        queries = np.array([[0, 5], [3, 999], [10, 4242]])
-        expected = np.mean([chord.lookup_latency(int(s), int(k)) for s, k in queries])
-        assert chord.mean_lookup_latency(queries) == pytest.approx(expected)
-
-    def test_mean_lookup_shape_validated(self, chord):
+    def test_lookup_latencies_shape_validated(self, chord):
         with pytest.raises(ValueError):
-            chord.mean_lookup_latency(np.array([1, 2, 3]))
+            chord.lookup_latencies(np.array([1, 2, 3]))
 
 
 class TestPropGCompatibility:

@@ -93,11 +93,6 @@ class TestRouting:
             kad.path_latency(path) + 7.0 * (len(path) - 1)
         )
 
-    def test_mean_lookup_latency(self, kad):
-        queries = np.array([[0, 17], [5, 9999], [30, 123456]])
-        expected = np.mean([kad.lookup_latency(int(s), int(k)) for s, k in queries])
-        assert kad.mean_lookup_latency(queries) == pytest.approx(expected)
-
 
 class TestPropGCompatibility:
     def test_rewiring_refused(self, kad):

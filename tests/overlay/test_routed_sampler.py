@@ -16,6 +16,7 @@ import pytest
 
 from repro.harness.experiment import ExperimentConfig, build_world, sample_lookup_latency
 from repro.live.traffic import single_lookup
+from repro.topology.factory import ORACLE_BACKENDS
 from repro.workloads.lookups import uniform_keys, uniform_pairs
 
 FAMILIES = {
@@ -123,9 +124,9 @@ SINGLES = {
 }
 
 
-def _world(family: str, het: bool):
+def _world(family: str, het: bool, oracle: str = "exact"):
     return build_world(ExperimentConfig(
-        seed=0, preset="ts-small", n_overlay=64, heterogeneous=het,
+        seed=0, preset="ts-small", n_overlay=64, heterogeneous=het, oracle=oracle,
         duration=1.0, sample_interval=1.0, lookups_per_sample=50, **FAMILIES[family]))
 
 
@@ -151,18 +152,21 @@ def test_single_lookup_is_the_parents(family, het):
 @pytest.mark.parametrize("het", [False, True])
 @pytest.mark.parametrize("family", list(FAMILIES))
 def test_batch_is_route_then_path_latency(family, het):
-    """The one batch form prices each query as its own route, exactly."""
-    world = _world(family, het)
-    ov, nd = world.overlay, _delays(world)
-    rng = np.random.default_rng(4)
-    if family == "can":
-        pairs = uniform_pairs(ov.n_slots, 40, rng).tolist()
-        queries = [(s, ov.zones[d].center()) for s, d in pairs]
-    else:
-        queries = uniform_keys(ov.n_slots, ov.space, 40, rng).tolist()
-    got = ov.lookup_latencies(queries, nd)
-    assert got.shape == (40,)
-    for i, (src, target) in enumerate(queries):
-        assert got[i] == ov.path_latency(ov.route(src, target), nd)
-        assert got[i] == ov.lookup_latency(src, target, nd)
-    assert ov.mean_lookup_latency(queries, nd) == float(got.mean())
+    """The one batch form prices each query as its own route, exactly,
+    over every oracle backend (its one gather against per-hop reads)."""
+    for oracle in ORACLE_BACKENDS:
+        world = _world(family, het, oracle)
+        ov, nd = world.overlay, _delays(world)
+        rng = np.random.default_rng(4)
+        if family == "can":
+            pairs = uniform_pairs(ov.n_slots, 40, rng).tolist()
+            queries = [(s, ov.zones[d].center()) for s, d in pairs]
+        else:
+            queries = uniform_keys(ov.n_slots, ov.space, 40, rng).tolist()
+            queries[0][1] = int(ov.ids[queries[0][0]])  # a zero-hop lookup
+        got = ov.lookup_latencies(queries, nd)
+        assert got.shape == (40,)
+        for i, (src, target) in enumerate(queries):
+            assert got[i] == ov.path_latency(ov.route(src, target), nd), oracle
+            assert got[i] == ov.lookup_latency(src, target, nd), oracle
+        assert ov.lookup_latencies(queries[:0], nd).shape == (0,)
