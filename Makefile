@@ -12,12 +12,11 @@ lint:
 		python tools/lint.py; \
 	fi
 
-# Invariant analysis (docs/analysis.md): reprolint (the rules no tier-1
-# test can replace: D1, D3, D5, C1), the style lint, and mypy
-# --strict on the deterministic kernel and the live/obs planes.
-# reprolint exits 1 on any finding, a dead suppression included; ruff
-# and mypy are optional on offline images, reprolint itself is
-# dependency-free.
+# Invariant analysis (docs/analysis.md): reprolint (the one rule no
+# tier-1 test replaces yet: D5), the style lint, and mypy --strict on
+# the deterministic kernel and the live/obs planes.  reprolint exits 1
+# on any finding; ruff and mypy are optional on offline images,
+# reprolint itself is dependency-free.
 analyze:
 	python -m tools.reprolint
 	@$(MAKE) --no-print-directory lint

@@ -392,7 +392,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 eta = None
                 if t > 0:
                     # wall-clock ETA, CLI-side only; read through the
-                    # profiling plane's sanctioned helper (reprolint D1)
+                    # profiling plane (test_stream_ownership.py's owners)
                     elapsed = wall_monotonic() - wall_start
                     eta = elapsed * (config.duration - t) / t
                 if status is not None:

@@ -100,7 +100,6 @@ class ExperimentConfig:
     fast_fraction: float = 0.5
     fast_ms: float = 1.0
     slow_ms: float = 100.0
-    capacity_degree_bias: bool = True
     fast_degree_weight: float = 4.0
     fast_lookup_fraction: float | None = None
     churn: ChurnConfig | None = None
@@ -513,7 +512,7 @@ def _build_overlay(
     opts = dict(config.overlay_options)
     rng = rngs.stream(f"overlay:{kind}")
     if kind == "gnutella":
-        if het is not None and config.capacity_degree_bias:
+        if het is not None:
             opts.setdefault(
                 "capacity_weight",
                 capacity_weights_from_delay(het, embedding, fast_weight=config.fast_degree_weight),

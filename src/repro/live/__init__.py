@@ -31,9 +31,10 @@ Module map:
 through the harness's own sampling loop; ``python -m repro run
 --transport udp`` is its command line.
 
-This package is the one place in ``src/repro`` sanctioned to read wall
-clocks (reprolint rule D1 scopes its no-wall-clock invariant to exclude
-``repro.live``); randomness remains seeded-stream-only everywhere.
+This package and the profiling plane are the places in ``src/repro``
+sanctioned to read wall clocks (the seeded sweep in
+``tests/properties/test_stream_ownership.py`` fails a clock read
+anywhere else); randomness remains seeded-stream-only everywhere.
 """
 
 from repro.live.clock import LiveScheduler

@@ -2,7 +2,8 @@
 
 Every observable protocol decision is one frozen dataclass stamped with
 the *simulation* time it happened at (wall clocks never appear here —
-the trace of a run is as deterministic as the run itself, reprolint D1).
+the trace of a run is as deterministic as the run itself, checked by
+``tests/properties/test_stream_ownership.py``).
 The schema is closed: :data:`EVENT_TYPES` maps every wire tag to its
 class, and the JSONL form round-trips losslessly through
 :func:`event_to_dict` / :func:`event_from_dict`.

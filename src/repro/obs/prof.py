@@ -1,11 +1,12 @@
 """Kernel cost observatory: the wall-clock profiling plane.
 
-The simulation core is wall-clock-free by design (reprolint D1): sim
-time is the only time protocol code may observe.  Knowing where the
-*real* seconds go — timer firing, message dispatch, Var collection,
-heap churn, metric sampling — is an observability concern, so the
-profiling plane lives here and is sanctioned explicitly in reprolint's
-``WALLCLOCK_ALLOW`` (deterministic by *exclusion*: nothing in this
+The simulation core is wall-clock-free by design (the seeded sweep in
+``tests/properties/test_stream_ownership.py`` fails a clock read from
+it): sim time is the only time protocol code may observe.  Knowing
+where the *real* seconds go — timer firing, message dispatch, Var
+collection, heap churn, metric sampling — is an observability concern,
+so the profiling plane lives here and is one of that sweep's
+``WALL_CLOCK_OWNERS`` (deterministic by *exclusion*: nothing in this
 module feeds back into protocol state, so wall-clock reads here cannot
 perturb a run).
 

@@ -112,7 +112,7 @@ class Overlay:
         sums = self._nbr_sum
         sums[slot] = None
         # order-independent: clears entries, reads none
-        for w in self._adj[slot]:  # reprolint: disable=D3
+        for w in self._adj[slot]:
             sums[w] = None
 
     # -- construction ----------------------------------------------------
@@ -160,7 +160,8 @@ class Overlay:
         Deterministic order is load-bearing: this tuple feeds walk
         forwarding draws, PROP-O candidate ranking, and queue
         synchronization, so set-iteration order must never reach a
-        protocol decision (reprolint rule D3).  The same tuple object is
+        protocol decision (``tests/properties/test_stream_ownership.py``
+        runs every world with shuffled sets).  The same tuple object is
         returned until an edge at ``slot`` changes, which is what lets
         :meth:`NeighborQueue.sync` skip a reconciliation by identity.
         """
@@ -174,17 +175,14 @@ class Overlay:
         return list(self.sorted_neighbors(slot))
 
     def neighbor_index(self, slot: int) -> np.ndarray:
-        """Neighbors of ``slot`` as a read-only index array, cached per slot.
+        """:meth:`sorted_neighbors` as a read-only index array, cached per slot.
 
-        In set-iteration order (fixed by the seed-determined edge
-        insertion history, stable while the set is untouched), so only
-        order-independent reductions may consume it.
+        Sorted: a float sum depends on its order, and set order depends
+        on the edge insertion history (``copy`` re-inserts).
         """
         idx = self._nbr_index[slot]
         if idx is None:
-            nbrs = self._adj[slot]
-            # order-independent: feeds commutative sums over one oracle row
-            idx = np.fromiter(nbrs, dtype=np.intp, count=len(nbrs))  # reprolint: disable=D3
+            idx = np.array(self.sorted_neighbors(slot), dtype=np.intp)
             idx.flags.writeable = False
             self._nbr_index[slot] = idx
         return idx
@@ -333,7 +331,7 @@ class Overlay:
         while stack:
             x = stack.pop()
             # order-independent: BFS reachability count, no decision made
-            for y in adj[x]:  # reprolint: disable=D3
+            for y in adj[x]:
                 if not seen[y]:
                     seen[y] = 1
                     count += 1

@@ -67,9 +67,10 @@ class UltrapeerGnutellaOverlay(GnutellaOverlay):
 
         Ultrapeer *positions* are chosen by capacity when
         ``capacity_weight`` (per slot) is given — the highest-capacity
-        slots become ultrapeers, matching deployed election — otherwise
-        uniformly at random.  Every leaf attaches to ``leaf_degree``
-        distinct ultrapeers.
+        slots become ultrapeers, matching deployed election, the lowest
+        slots first among equal capacities — otherwise uniformly at
+        random.  Every leaf attaches to ``leaf_degree`` distinct
+        ultrapeers.
         """
         n = oracle.n if embedding is None else len(embedding)
         if embedding is None:
@@ -85,7 +86,8 @@ class UltrapeerGnutellaOverlay(GnutellaOverlay):
             w = np.asarray(capacity_weight, dtype=np.float64)
             if w.shape != (n,):
                 raise ValueError("capacity_weight must have one entry per slot")
-            ups = np.argsort(w)[::-1][:n_up]
+            # stable: the default sort's tie order varies with the CPU
+            ups = np.argsort(-w, kind="stable")[:n_up]
         else:
             ups = rng.choice(n, size=n_up, replace=False)
         roles[ups] = ROLE_ULTRAPEER

@@ -2,7 +2,8 @@
 smoke test (n=8, sub-second wall time — the CI gate), one churn model
 on both planes, lookup load, the one monitor feeder per run, the
 one-socket ingress (one bound socket whatever n, and an n=100 swarm
-under a 64-descriptor limit), and ``repro run --transport udp`` errors.
+under a 64-descriptor limit), teardown mid-exchange, and ``repro run
+--transport udp`` errors.
 """
 
 from __future__ import annotations
@@ -18,11 +19,12 @@ from pathlib import Path
 
 import pytest
 
+import repro.live.transport
 from repro.cli import _config_from_args, build_parser, main
 from repro.core.config import PROPConfig
 from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.live.clock import LiveScheduler
-from repro.live.swarm import Swarm
+from repro.live.swarm import Swarm, SwarmReport
 from repro.live.traffic import TrafficGenerator
 from repro.live.transport import udp_loopback_available
 from repro.obs.events import ChurnJoin
@@ -163,6 +165,49 @@ class TestSwarmSmoke:
         monitor = find_monitor(result.consumers)
         assert monitor.sample_times == list(result.times)
         assert monitor.commits + monitor.aborts + monitor.timeouts > 0
+
+
+@needs_loopback
+class TestTeardown:
+    """Closing a swarm while an exchange holds a ``_prepared`` lock
+    leaves no task behind, raises nothing into the loop and closes the
+    books: the live plane spawns no task, so nothing can outlive it."""
+
+    def test_close_mid_exchange(self, monkeypatch):
+        # one datagram per loop pass: the vote and the COMMIT that end an
+        # exchange arrive on later passes than the PREPARE that opened it
+        monkeypatch.setattr(repro.live.transport, "READS_PER_WAKEUP", 1)
+
+        async def body():
+            loop = asyncio.get_running_loop()
+            errors = []
+            loop.set_exception_handler(lambda _loop, context: errors.append(context))
+            swarm = Swarm(_config(n_overlay=16))
+            await swarm.start()
+            locked = loop.create_future()
+
+            class Locks(dict):
+                def __setitem__(self, slot, lock):
+                    super().__setitem__(slot, lock)
+                    if not locked.done():
+                        locked.set_result(slot)
+
+            swarm.engine._prepared = Locks()
+            swarm.launch()
+            await asyncio.wait_for(locked, timeout=10.0)
+            assert swarm.engine._prepared  # the COMMIT is still on its way
+            report = await swarm.close()
+            await asyncio.sleep(0.01)  # let whatever close left scheduled run
+            return swarm, report, errors, asyncio.all_tasks() == {asyncio.current_task()}
+
+        swarm, report, errors, only_this_task = asyncio.run(body())
+        assert isinstance(report, SwarmReport)
+        assert errors == []
+        assert only_this_task
+        assert swarm.transport._sock.fileno() == -1
+        stats = report.net_stats
+        assert stats.total_sent == (
+            stats.total_delivered + stats.total_dropped + (swarm.transport.kernel_drops or 0))
 
 
 def _open_sockets() -> int:

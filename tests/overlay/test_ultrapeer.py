@@ -55,6 +55,21 @@ class TestStructure:
         )
         assert set(ov.ultrapeer_slots.tolist()) == set(strong.tolist())
 
+    def test_capacity_ties_elect_the_lowest_slots(self, small_oracle, rngs):
+        """Two-valued capacities tie: the election must not depend on
+        how this machine's sort orders equal keys."""
+        w = np.ones(small_oracle.n)
+        strong = np.arange(small_oracle.n)[::5]  # 13 strong slots
+        w[strong] = 10.0
+        ov = UltrapeerGnutellaOverlay.build_two_tier(
+            small_oracle, rngs.stream("up3"),
+            ultrapeer_fraction=0.25, capacity_weight=w,
+        )
+        weak = np.setdiff1d(np.arange(small_oracle.n), strong)
+        n_up = len(ov.ultrapeer_slots)
+        expected = np.concatenate([strong, weak[: n_up - len(strong)]])
+        assert ov.ultrapeer_slots.tolist() == sorted(expected.tolist())
+
     def test_validation(self, small_oracle, rngs):
         with pytest.raises(ValueError):
             UltrapeerGnutellaOverlay.build_two_tier(

@@ -1,14 +1,25 @@
-"""Every RNG draw comes from a stream its module owns, and runs are silent.
+"""Every run is a pure function of its seed, and runs are silent.
 
 PROP-G, PROP-O and LTM are compared on the *same* world (Figs 5–7):
-that holds only while each component draws from its own named stream,
-so enabling faults, churn or another optimizer never shifts another
-component's draws.  The ``owned_streams`` fixture makes every generator
-the :class:`RngRegistry` hands out check, on every draw, that the
-calling module owns the stream; a seeded sweep of small worlds then
-covers every executed path — each overlay family on both drivers,
-faults, churn, the baselines, every oracle backend and the live UDP
-plane.
+that holds only while a run depends on its seed alone.  One seeded
+sweep of small worlds — each overlay family on both drivers, faults,
+churn, the baselines, every oracle backend, the kernel profiler and the
+live UDP plane — watches every executed path for the three ways a run
+stops being one:
+
+* **a foreign stream.**  The ``owned_streams`` fixture makes every
+  generator the :class:`RngRegistry` hands out check, on every draw,
+  that the calling module owns the stream, so enabling faults, churn or
+  another optimizer never shifts another component's draws;
+* **a wall clock or unseeded entropy.**  A ``sys.setprofile`` hook
+  sees every C-level clock or entropy read, aliases included, and
+  fails one made from a ``repro`` module outside
+  :data:`WALL_CLOCK_OWNERS`; stdlib ``random`` and OS entropy fail
+  everywhere.  numpy's global ``RandomState`` is Cython, which the
+  profiler does not see: its state must be untouched instead;
+* **hash-table order.**  Each world runs again with ``set`` and
+  ``frozenset`` in the decision packages iterating in a seeded shuffled
+  order, and must give the identical result.
 
 The same runs check the trace plane's other contract: the run reports
 through the injected Tracer only, so nothing reaches stdout, stderr or
@@ -18,15 +29,24 @@ accounting and drag wall-clock timestamps into decision code).
 
 from __future__ import annotations
 
+import dataclasses
+import datetime
+import gc
 import logging
+import os
+import random
 import sys
+import time
+import types
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import repro
+import repro.cli
 from repro.baselines.ltm import LTMConfig
 from repro.core.config import PROPConfig
 from repro.harness.experiment import ExperimentConfig, run_experiment
@@ -64,6 +84,10 @@ _DRAWS = sorted(
 )
 
 
+def _within(module: str, packages: tuple[str, ...]) -> bool:
+    return any(module == p or module.startswith(p + ".") for p in packages)
+
+
 def _owners(stream: str) -> tuple[str, ...]:
     owners = STREAM_OWNERS.get(stream) or STREAM_OWNERS.get(stream.partition(":")[0])
     assert owners, f"stream {stream!r} has no owner in STREAM_OWNERS"
@@ -87,7 +111,7 @@ def _guarded(name: str):
         while frame.f_code is guarded.__code__:  # a draw numpy makes on itself
             frame = frame.f_back
         caller = frame.f_globals.get("__name__", "?")
-        assert any(caller == o or caller.startswith(o + ".") for o in self.owners), (
+        assert _within(caller, self.owners), (
             f"{caller} drew {name}() from stream {self.stream!r}, "
             f"owned by {', '.join(self.owners)}"
         )
@@ -110,6 +134,126 @@ def owned_streams(monkeypatch):
         return _OwnedGenerator(np.random.PCG64(derive_seed(self.master_seed, name)), name)
 
     monkeypatch.setattr(RngRegistry, "fresh", fresh)
+
+
+#: modules that may read a wall clock: the live plane runs its protocol
+#: timers on real time by design, and the profiling plane attributes wall
+#: seconds without feeding them back into protocol state.  Unseeded
+#: randomness belongs to no module.
+WALL_CLOCK_OWNERS = ("repro.live", "repro.obs.prof")
+
+
+# The hook matches the called C function itself, which every alias
+# shares: ``from time import perf_counter as pc`` calls ``time.perf_counter``.
+_WALL_CLOCKS = frozenset({
+    time.time, time.time_ns, time.monotonic, time.monotonic_ns,
+    time.perf_counter, time.perf_counter_ns, datetime.datetime.now,
+    datetime.datetime.utcnow, datetime.datetime.today, datetime.date.today})
+# Every draw of stdlib ``random``'s hidden instance ends in one of its two
+# C methods, and a seedless ``np.random.default_rng()`` reads OS entropy
+# through ``os.urandom`` (an argless ``random.Random()`` seeds in C and is
+# not seen).
+_ENTROPY = frozenset({os.urandom, random._inst.random, random._inst.getrandbits})
+_WATCHED = _WALL_CLOCKS | _ENTROPY
+
+
+@contextmanager
+def _no_wall_clock_or_entropy():
+    """Fail every clock or entropy read a ``repro`` frame makes outside
+    its owners, and every draw from numpy's global ``RandomState``.
+
+    The read is charged to the innermost ``repro`` frame on the stack.
+    A walk that meets an ``asyncio`` frame first is the event loop's
+    own clock (only the live plane runs a loop), and one that meets a
+    ``gc.callbacks`` entry first is a collector hook that happened to
+    run on top of the run (hypothesis times collections).  The profiler
+    sees no Cython call, so the legacy ``np.random.*`` functions are
+    caught by the global state they advance instead.
+    """
+    reads: set[str] = set()
+    gc_hooks = {getattr(cb, "__code__", None) for cb in gc.callbacks}
+
+    def hook(frame, event, arg):
+        if event != "c_call" or arg not in _WATCHED:
+            return
+        allowed = WALL_CLOCK_OWNERS if arg in _WALL_CLOCKS else ()
+        while frame is not None:
+            module = frame.f_globals.get("__name__", "")
+            if module.startswith("asyncio.") or frame.f_code in gc_hooks:
+                return
+            if module.startswith("repro."):
+                if not _within(module, allowed):
+                    bound = arg.__self__  # a module, a class or random's instance
+                    owner = getattr(bound, "__name__", type(bound).__name__)
+                    reads.add(f"{module} called {owner}.{arg.__name__}()")
+                return
+            frame = frame.f_back
+
+    before, outer = np.random.get_state(), sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        yield
+    finally:
+        sys.setprofile(outer)
+    assert not reads, sorted(reads)
+    after = np.random.get_state()
+    assert after[2] == before[2] and np.array_equal(after[1], before[1]), (
+        "numpy's global RandomState was drawn from")
+
+
+#: the packages whose set iteration could reach a protocol decision
+SET_ORDER_PACKAGES = ("repro.core", "repro.net", "repro.overlay", "repro.workloads",
+                      "repro.baselines")
+
+_SET_ALGEBRA = ("copy", "union", "intersection", "difference", "symmetric_difference",
+                "__or__", "__ror__", "__and__", "__rand__", "__sub__", "__rsub__",
+                "__xor__", "__rxor__")
+
+
+def _shuffled(base: type, order: random.Random) -> type:
+    """``base`` iterating in a seeded shuffled order; its algebra and
+    copies stay shuffled, and ``pop`` takes the first element so drawn."""
+
+    class Shuffled(base):
+        def __iter__(self):
+            items = list(base.__iter__(self))
+            order.shuffle(items)
+            return iter(items)
+
+        if base is set:
+            def pop(self):
+                item = next(iter(self))
+                self.remove(item)
+                return item
+
+    def keep_shuffled(op):
+        def wrapped(self, *args):
+            out = op(self, *args)
+            return out if out is NotImplemented else Shuffled(out)
+        return wrapped
+
+    for name in _SET_ALGEBRA:
+        setattr(Shuffled, name, keep_shuffled(getattr(base, name)))
+    return Shuffled
+
+
+def _shuffle_set_order(monkeypatch, seed: int) -> None:
+    """Every ``set(...)`` / ``frozenset(...)`` a decision package builds
+    from here on iterates in a seeded shuffled order.  Set literals and
+    comprehensions keep the builtin type."""
+    order = random.Random(seed)
+    swaps = {"set": _shuffled(set, order), "frozenset": _shuffled(frozenset, order)}
+    for name, module in list(sys.modules.items()):
+        if _within(name, SET_ORDER_PACKAGES):
+            for builtin, cls in swaps.items():
+                monkeypatch.setattr(module, builtin, cls, raising=False)
+
+
+def _exact_repr(result) -> str:
+    """Every field of ``result`` with each float in its round-trip form;
+    the kernel profile is wall time and is left out."""
+    with np.printoptions(floatmode="unique", threshold=sys.maxsize):
+        return repr(dataclasses.replace(result, kernel_profile=None))
 
 
 SMALL = dict(preset="ts-small", n_overlay=48, duration=600.0, sample_interval=300.0,
@@ -138,6 +282,8 @@ SWEEP = {
     "random-probe": ExperimentConfig(prop=PROPConfig(random_probe=True), **SMALL),
     "vivaldi": ExperimentConfig(prop=PROP_G, oracle="vivaldi", **SMALL),
     "landmark": ExperimentConfig(prop=PROP_G, oracle="landmark", **SMALL),
+    "kernel-profile": ExperimentConfig(
+        prop=PROP_G, transport="sim", kernel_profile=True, **SMALL),
 }
 
 
@@ -148,18 +294,28 @@ def _in_repro(record: logging.LogRecord) -> bool:
 
 def _run_silently(config, capsys, caplog):
     caplog.set_level(logging.DEBUG)  # a debug() on a decision path counts too
-    with warnings.catch_warnings(record=True) as caught:
+    with warnings.catch_warnings(record=True) as caught, _no_wall_clock_or_entropy():
         warnings.simplefilter("always")
-        run_experiment(config)
+        result = run_experiment(config)
     out, err = capsys.readouterr()
     assert (out, err) == ("", "")
     assert [r.getMessage() for r in caplog.records if _in_repro(r)] == []
     assert [str(w.message) for w in caught] == []
+    return result
 
 
 @pytest.mark.parametrize("name", sorted(SWEEP))
-def test_run_draws_only_owned_streams_and_emits_nothing(name, owned_streams, capsys, caplog):
-    _run_silently(SWEEP[name], capsys, caplog)
+def test_run_draws_only_owned_streams_and_emits_nothing(
+        name, owned_streams, monkeypatch, capsys, caplog):
+    """...reads no clock or entropy outside its owners, and gives the
+    same result whatever order its sets iterate in."""
+    plain = _exact_repr(_run_silently(SWEEP[name], capsys, caplog))
+    monkeypatch.undo()  # plain streams: the second pass only compares results
+    _shuffle_set_order(monkeypatch, seed=len(name))
+    shuffled = _exact_repr(run_experiment(SWEEP[name]))
+    same = shuffled == plain  # not asserted inline: a diff of two long reprs takes minutes
+    agreed = os.path.commonprefix([plain, shuffled])
+    assert same, f"set order moved the result after ...{agreed[-160:]}"
 
 
 @pytest.mark.skipif(not udp_loopback_available(),
@@ -170,6 +326,15 @@ def test_live_udp_run_draws_only_owned_streams_and_emits_nothing(
         prop=PROP_G, transport="udp", live_speedup=600.0, live_lookup_rate=0.05,
         **dict(SMALL, n_overlay=20))
     _run_silently(config, capsys, caplog)
+
+
+def test_cli_run_reads_the_wall_clock_only_through_its_owners(capsys):
+    """``--monitor``'s ETA is wall time, read through ``repro.obs.prof``."""
+    with _no_wall_clock_or_entropy():
+        assert repro.cli.main([
+            "run", "--preset", "ts-small", "--n", "48", "--policy", "G", "--duration", "600",
+            "--sample-interval", "300", "--lookups", "40", "--monitor"]) == 0
+    assert "[done]" in capsys.readouterr().err
 
 
 def test_a_draw_outside_the_owner_fails(owned_streams):
@@ -187,3 +352,53 @@ def test_checked_draws_are_bit_identical():
     plain = RngRegistry(7).fresh("net:faults")
     checked = _OwnedGenerator(np.random.PCG64(derive_seed(7, "net:faults")), "net:faults")
     assert checked.bit_generator.state == plain.bit_generator.state
+
+
+def _called_from(module: str, fn, *args):
+    """Call ``fn(*args)`` from a frame whose module is ``module``."""
+    namespace = {"__name__": module, "fn": fn, "args": args}
+    exec("def call():\n    return fn(*args)\n", namespace)
+    return namespace["call"]()
+
+
+def test_a_clock_read_outside_its_owners_fails():
+    # an alias is the same C function: `from time import perf_counter as pc`
+    from time import perf_counter as pc
+
+    for fn in (time.time, pc, datetime.datetime.now):
+        with pytest.raises(AssertionError, match=rf"repro.core.walk called \w+.{fn.__name__}"):
+            with _no_wall_clock_or_entropy():
+                _called_from("repro.core.walk", fn)
+
+
+def test_a_clock_read_inside_its_owners_passes():
+    with _no_wall_clock_or_entropy():
+        _called_from("repro.live.swarm", time.monotonic)
+        _called_from("repro.obs.prof", time.perf_counter_ns)
+
+
+@pytest.mark.parametrize("module", ["repro.core.walk", "repro.live.swarm"])
+def test_unseeded_randomness_fails_everywhere(module):
+    with pytest.raises(AssertionError, match=f"{module} called Random.random"):
+        with _no_wall_clock_or_entropy():
+            _called_from(module, random.random)
+    with pytest.raises(AssertionError, match=f"{module} called posix.urandom"):
+        with _no_wall_clock_or_entropy():
+            _called_from(module, np.random.default_rng)
+    state = np.random.get_state()
+    try:
+        with pytest.raises(AssertionError, match="global RandomState"):
+            with _no_wall_clock_or_entropy():
+                _called_from(module, np.random.rand)
+    finally:
+        np.random.set_state(state)
+
+
+def test_an_order_dependent_result_fails_under_shuffled_sets(monkeypatch):
+    picker = types.ModuleType("repro.core.picker")
+    exec("def pick(values):\n    return list(set(values))\n", picker.__dict__)
+    monkeypatch.setitem(sys.modules, picker.__name__, picker)
+    plain = picker.pick(range(32))
+    _shuffle_set_order(monkeypatch, seed=0)
+    assert picker.pick(range(32)) != plain
+    assert sorted(picker.pick(range(32))) == plain
