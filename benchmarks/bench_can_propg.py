@@ -1,9 +1,10 @@
-"""Protocol independence (Theorem 2's payoff): PROP-G on CAN and Pastry.
+"""Protocol independence (Theorem 2's payoff): PROP-G on CAN, Pastry and Kademlia.
 
 "Therefore, as an auxiliary method, it is suitable for different
 topologies: ring, hypercube, tree, and so on."  The Chord/Gnutella
 figures cover ring and random graphs; this bench deploys the *same*
-engine, untouched, on the CAN torus and the Pastry prefix graph.
+engine, untouched, on the CAN torus, the Pastry prefix graph and the
+Kademlia XOR-bucket graph.
 """
 
 from benchmarks.common import paper_config, run_once
@@ -35,7 +36,7 @@ def test_prop_g_on_can_and_pastry(benchmark, emit, workers):
         for label, r in results.items()
     ]
     emit(
-        "Protocol independence  PROP-G on CAN and Pastry (n = 512)\n\n"
+        "Protocol independence  PROP-G on CAN, Pastry and Kademlia (n = 512)\n\n"
         + format_table(
             ["deployment", "initial stretch", "final stretch",
              "link stretch t0", "link stretch t1"],
@@ -51,3 +52,4 @@ def test_prop_g_on_can_and_pastry(benchmark, emit, workers):
     # here the deployments simply complete with exchanges > 0)
     assert results["CAN d=2 +PROP-G"].final_counters.exchanges > 0
     assert results["Pastry +PROP-G"].final_counters.exchanges > 0
+    assert results["Kademlia +PROP-G"].final_counters.exchanges > 0

@@ -13,6 +13,7 @@ import numpy as np
 from benchmarks.common import run_once
 from repro.core.config import PROPConfig
 from repro.core.protocol import PROPEngine
+from repro.harness.experiment import RETRY_TIMEOUT_MS
 from repro.harness.reporting import format_table
 from repro.netsim.engine import Simulator
 from repro.netsim.rng import RngRegistry
@@ -44,7 +45,7 @@ def _world(seed=13):
 def _measure(overlay, het, seed=99):
     pairs = uniform_pairs(overlay.n_slots, 500, np.random.default_rng(seed))
     nd = het.slot_delays(overlay.embedding)
-    return overlay.mean_lookup_latency(pairs, node_delay=nd, ttl=7, retry_timeout=4000.0)
+    return overlay.mean_lookup_latency(pairs, node_delay=nd, ttl=7, retry_timeout=RETRY_TIMEOUT_MS)
 
 
 def test_two_tier_gnutella_under_prop(benchmark, emit):

@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run one deployment (simulated or loopback UDP)")
     run.add_argument("--overlay", choices=["gnutella", "chord", "can", "pastry", "kademlia"],
                      default="gnutella", help="overlay family (default: gnutella)")
-    run.add_argument("--preset", choices=["ts-large", "ts-small", "waxman"],
+    run.add_argument("--preset", choices=["ts-large", "ts-small"],
                      default="ts-large",
                      help="physical topology preset (default: ts-large)")
     run.add_argument("--n", type=int, default=1000, help="overlay size (default: 1000)")

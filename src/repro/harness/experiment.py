@@ -61,6 +61,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
+    "RETRY_TIMEOUT_MS",
     "Substrate",
     "World",
     "build_substrate",
@@ -71,6 +72,10 @@ __all__ = [
     "sample_lookup_latency",
     "warmup_seconds",
 ]
+
+#: Requery timeout (ms) a lookup pays when its bounded flood
+#: (``flood_ttl``) misses the target, before the unbounded re-flood.
+RETRY_TIMEOUT_MS = 4000.0
 
 
 @dataclass(frozen=True)
@@ -111,7 +116,6 @@ class ExperimentConfig:
     # swarm with wall-clock timers)
     transport: str | None = None
     loss: float = 0.0
-    extra_delay_ms: float = 0.0
     net_jitter_ms: float = 0.0
     reorder_prob: float = 0.0
     partitions: tuple[str, ...] = ()  # PartitionSpec strings, e.g. "a:b@120-300"
@@ -129,7 +133,6 @@ class ExperimentConfig:
     sample_interval: float = 120.0
     lookups_per_sample: int = 1000
     flood_ttl: int | None = None  # None = unbounded flood (exact Dijkstra)
-    retry_timeout: float | None = 4000.0  # requery cost for out-of-scope floods
 
     def __post_init__(self) -> None:
         if self.overlay_kind not in ("gnutella", "chord", "can", "pastry", "kademlia"):
@@ -165,9 +168,6 @@ class ExperimentConfig:
         ):
             raise ValueError(
                 f"flood_ttl must be None or an integer >= 0, got {self.flood_ttl!r}")
-        if self.retry_timeout is not None and not 0.0 <= self.retry_timeout < inf:
-            raise ValueError(
-                f"retry_timeout must be finite and >= 0, got {self.retry_timeout}")
         if not 0.0 < self.fast_degree_weight < inf:
             raise ValueError(
                 f"fast_degree_weight must be finite and > 0, got {self.fast_degree_weight}")
@@ -185,8 +185,7 @@ class ExperimentConfig:
         if not 0.0 <= self.loss < 1.0:
             raise ValueError(f"loss must be in [0, 1), got {self.loss}")
         if self.transport != "sim" and (
-            self.loss or self.extra_delay_ms or self.net_jitter_ms
-            or self.reorder_prob or self.partitions
+            self.loss or self.net_jitter_ms or self.reorder_prob or self.partitions
         ):
             raise ValueError("fault injection needs transport='sim'")
         if not 0.0 < self.live_speedup < inf:
@@ -482,17 +481,12 @@ def _build_transport(
     """The message plane: SimTransport, fault-wrapped when faults are on."""
     base = SimTransport(sim, overlay, latency_scale=config.latency_scale, tracer=tracer)
     specs = [PartitionSpec.parse(s) for s in config.partitions]
-    faulty = (
-        config.loss or config.extra_delay_ms or config.net_jitter_ms
-        or config.reorder_prob or specs
-    )
-    if not faulty:
+    if not (config.loss or config.net_jitter_ms or config.reorder_prob or specs):
         return base
     transport = FaultyTransport(
         base,
         rngs.stream("net:faults"),
         loss=config.loss,
-        extra_delay_ms=config.extra_delay_ms,
         jitter_ms=config.net_jitter_ms,
         reorder_prob=config.reorder_prob,
     )
@@ -564,7 +558,7 @@ def sample_lookup_latency(world: World) -> tuple[float, float]:
         overlay, k, rng,
         node_delay=node_delay,
         ttl=config.flood_ttl,
-        retry_timeout=config.retry_timeout,
+        retry_timeout=RETRY_TIMEOUT_MS,
         draw_pairs=draw_pairs,
     )
     emb = overlay.embedding

@@ -32,6 +32,7 @@ import asyncio
 from dataclasses import dataclass, field
 
 from repro.harness.experiment import (
+    RETRY_TIMEOUT_MS,
     ExperimentConfig,
     World,
     build_substrate,
@@ -151,7 +152,7 @@ class Swarm:
                     overlay, traffic_rng,
                     node_delay=node_delay,
                     ttl=config.flood_ttl,
-                    retry_timeout=config.retry_timeout,
+                    retry_timeout=RETRY_TIMEOUT_MS,
                 )
 
             self.traffic = TrafficGenerator(scheduler, one_lookup, config.live_lookup_rate)

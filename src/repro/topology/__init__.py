@@ -16,7 +16,6 @@ from repro.topology.factory import ORACLE_BACKENDS, build_oracle
 from repro.topology.landmark import LandmarkOracle
 from repro.topology.latency import LatencyOracle, LatencyOracleBase
 from repro.topology.vivaldi import VivaldiOracle
-from repro.topology.waxman import WaxmanParams, generate_waxman
 from repro.topology.presets import (
     TS_LARGE,
     TS_SMALL,
@@ -37,9 +36,7 @@ __all__ = [
     "LatencyOracleBase",
     "ORACLE_BACKENDS",
     "VivaldiOracle",
-    "WaxmanParams",
     "build_oracle",
-    "generate_waxman",
     "LinkLatencies",
     "PhysicalNetwork",
     "TransitStubParams",

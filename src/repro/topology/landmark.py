@@ -19,9 +19,8 @@ Resident state is the (m, n) landmark-distance matrix — O(n*m) with
 never from all n members.
 
 Landmark choice is deterministic (lowest-index transit hosts per
-domain; index-spread fallback on flat substrates like Waxman), so the
-backend needs no RNG at all: same network, same member set, same
-estimates — serial or parallel.
+domain), so the backend needs no RNG at all: same network, same member
+set, same estimates — serial or parallel.
 """
 
 from __future__ import annotations
@@ -38,19 +37,14 @@ def choose_landmarks(network: PhysicalNetwork, per_domain: int) -> np.ndarray:
     """Deterministic landmark host ids: ``per_domain`` per transit domain.
 
     Transit hosts are grouped by their domain label and the
-    lowest-indexed ``per_domain`` of each group are taken.  Substrates
-    without a transit tier (e.g. Waxman) fall back to hosts spread
-    evenly across the index space — the same count a one-domain
-    transit-stub graph would get times eight, to compensate for the
-    missing hierarchy.
+    lowest-indexed ``per_domain`` of each group are taken.  A network
+    without a transit tier has nothing to anchor and is rejected.
     """
     if per_domain < 1:
         raise ValueError(f"per_domain must be >= 1, got {per_domain}")
     transit = np.flatnonzero(network.tier == TIER_TRANSIT)
     if transit.size == 0:
-        count = min(network.n, per_domain * 8)
-        spread = np.linspace(0, network.n - 1, num=count)
-        return np.unique(spread.astype(np.int64))
+        raise ValueError("landmarks are chosen per transit domain; the network has none")
     picked: list[np.ndarray] = []
     for dom in np.unique(network.domain[transit]):
         members = transit[network.domain[transit] == dom]

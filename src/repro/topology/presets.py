@@ -74,16 +74,7 @@ def preset_params(name: str) -> TransitStubParams:
 
 
 def build_preset(name: str, rng: np.random.Generator) -> PhysicalNetwork:
-    """Generate a named preset topology.
-
-    ``ts-large`` / ``ts-small`` are the paper's GT-ITM models;
-    ``waxman`` is the flat-random robustness substrate (6000 hosts, all
-    stub-tier).
-    """
-    if name == "waxman":
-        from repro.topology.waxman import WaxmanParams, generate_waxman
-
-        return generate_waxman(WaxmanParams(n=6000, alpha=0.08, beta=0.06), rng)
+    """Generate a named preset topology: ``ts-large`` or ``ts-small``."""
     return generate_transit_stub(preset_params(name), rng)
 
 

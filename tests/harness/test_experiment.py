@@ -50,11 +50,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("value", [-5.0, float("nan"), float("inf")])
     def test_retry_timeout_is_checked_where_floods_use_it(self, value):
-        # a negative requery cost silently lowered the measured latency;
-        # the config, too, rejects it at construction, not at the first
-        # lookup sample after the world was built
-        with pytest.raises(ValueError, match="retry_timeout"):
-            ExperimentConfig(flood_ttl=1, retry_timeout=value, **FAST)
+        # a negative requery cost silently lowered the measured latency
         overlay = build_world(ExperimentConfig(flood_ttl=1, **FAST)).overlay
         with pytest.raises(ValueError, match="retry_timeout"):
             overlay.mean_lookup_latency(np.array([[0, 1]]), ttl=1, retry_timeout=value)

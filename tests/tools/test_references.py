@@ -7,17 +7,22 @@ mentions with it: this walks the user-facing documents and checks each
 against the Makefile, the real argument parsers and the tree.
 ``benchmarks/ledger/**``, ``CHANGES.md`` and ``ROADMAP.md`` are history
 or out of reach and are not scanned.  The Fig 5–7 benches are checked
-the same way against the one figure definition they must run.
+the same way against the one figure definition they must run, and every
+experiment the CLI offers against the EXPERIMENTS.md section and bench
+that back it.
 """
 
 import argparse
 import ast
+import pkgutil
 import re
 from pathlib import Path
 
+import repro.baselines
 import repro.cli
 import tools.reprolint
 import tools.reprolint.__main__
+from repro.harness.figures import FIGURE_IDS, figure_configs
 from tools.reprolint.rules import ExchangeAtomicity
 
 REPO = Path(__file__).resolve().parents[2]
@@ -166,3 +171,99 @@ def test_every_bench_module_named_exists():
             if not found:
                 missing.add(f"{path.relative_to(REPO)}: benchmarks/{name}")
     assert not missing, sorted(missing)
+
+
+_ALIASES = {"G": "PROP-G", "O": "PROP-O"}  # --policy values as the prose names them
+_EXPERIMENT_FLAGS = ("--overlay", "--preset", "--oracle", "--policy")
+
+
+def _named(name: str, text: str) -> bool:
+    """``name`` occurs in ``text`` as a whole word, case-insensitively."""
+    return re.search(rf"(?<![a-z0-9-]){re.escape(name.lower())}(?![a-z0-9-])",
+                     text.lower()) is not None
+
+
+def _experiment_choices() -> list[tuple[str, str]]:
+    """(label, value) for every experiment a user can pick: the ``run``
+    choices, the ``figure`` ids and the ``repro.baselines`` modules."""
+    (action,) = [a for a in repro.cli.build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    run = {opt: a.choices for a in action.choices["run"]._actions for opt in a.option_strings}
+    (figure,) = [a.choices for a in action.choices["figure"]._actions if a.dest == "figure_id"]
+    return [
+        *((f"{flag} {value}", value) for flag in _EXPERIMENT_FLAGS for value in run[flag]),
+        *((f"figure {value}", value) for value in figure),
+        *((f"repro.baselines.{m.name}", m.name) for m in pkgutil.iter_modules(
+            repro.baselines.__path__)),
+    ]
+
+
+def _config_choices(config) -> list[str]:
+    """The experiment choices one config makes."""
+    return [config.overlay_kind, config.preset, config.oracle,
+            *([config.prop.policy] if config.prop else []),
+            *(["ltm"] if config.ltm else []), *(["pns"] if config.pns else []),
+            *(["pis"] if config.pis_landmarks is not None else [])]
+
+
+def _bench_literals(path: Path) -> str:
+    """What a bench runs: its string literals (docstrings aside), plus, for
+    each ``figure_configs(<id>)`` it calls, the id and the choices of
+    every config that sweep returns."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    docstrings = {
+        id(node.body[0].value) for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and ast.get_docstring(node) is not None
+    }
+    literals = [node.value for node in ast.walk(tree)
+                if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and id(node) not in docstrings]
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "figure_configs" and node.args):
+            for config in figure_configs(ast.literal_eval(node.args[0])).values():
+                literals.extend(_config_choices(config))
+    return "\n".join(literals)
+
+
+def _bench_runs(value: str, literals: str) -> bool:
+    """A bench runs a choice it names as a literal.  It runs a figure id
+    it sweeps through ``figure_configs``, or whose every choice it runs
+    on its own: ``bench_oracle.py`` runs oracle-error's backend sweep."""
+    if value in FIGURE_IDS and not _named(value, literals):
+        return all(_named(choice, literals)
+                   for config in figure_configs(value).values()
+                   for choice in _config_choices(config))
+    return _named(value, literals) or _named(_ALIASES.get(value, value), literals)
+
+
+def test_every_experiment_choice_has_a_benched_section():
+    """Every ``--overlay`` / ``--preset`` / ``--oracle`` / ``--policy``
+    value, ``figure`` id and baseline module is named by a ``## `` section
+    of EXPERIMENTS.md, and that section names a bench that exists and runs
+    it: a choice no verdict reads is reported or deleted, not kept."""
+    text = (REPO / "EXPERIMENTS.md").read_text(encoding="utf-8")
+    sections = ["## " + part for part in re.split(r"^## ", text, flags=re.M)[1:]]
+    literals: dict[str, str] = {}
+
+    def runs(bench: str, value: str) -> bool:
+        path = REPO / "benchmarks" / bench
+        if not path.is_file():
+            return False
+        if bench not in literals:
+            literals[bench] = _bench_literals(path)
+        return _bench_runs(value, literals[bench])
+
+    choices = _experiment_choices()
+    assert len(choices) > 20  # the parse finds the choices at all
+    unbacked = []
+    for label, value in choices:
+        naming = [s for s in sections if _named(_ALIASES.get(value, value), s)]
+        if not naming:
+            unbacked.append(f"{label}: no EXPERIMENTS.md section names it")
+        elif not any(runs(bench, value) for section in naming
+                     for bench in re.findall(r"\bbench_\w+\.py\b", section)):
+            heads = [s.splitlines()[0] for s in naming]
+            unbacked.append(f"{label}: no bench named in {heads} runs it")
+    assert not unbacked, unbacked

@@ -24,7 +24,6 @@ from repro.topology.transit_stub import (
     TransitStubParams,
     generate_transit_stub,
 )
-from repro.topology.waxman import WaxmanParams, generate_waxman
 
 
 def _reference(net, hosts):
@@ -137,14 +136,6 @@ class TestGeneratedSweep:
             LatencyOracle(net, hosts).dense(), _reference(net, hosts), rtol=1e-12, atol=0
         )
 
-    def test_waxman_degenerates_to_per_member_dijkstra(self):
-        """One domain, no cross edges: every member is its own anchor."""
-        rng = np.random.default_rng(3)
-        net = generate_waxman(WaxmanParams(n=80), rng)
-        hosts = rng.choice(net.n, size=30, replace=False)
-        assert _pendant_labels(net) == []
-        assert np.array_equal(LatencyOracle(net, hosts).dense(), _reference(net, hosts))
-
 
 # Domain 0 is a triangle "core" (hosts 0-2) in most hand-built graphs; it
 # needs two exits to stay non-pendant, hence the one-host domain 2 below.
@@ -162,6 +153,15 @@ class TestHandBuilt:
         matrix = LatencyOracle(net, np.asarray(hosts)).dense()
         assert np.array_equal(matrix, _reference(net, hosts))
         return matrix
+
+    def test_one_domain_degenerates_to_per_member_dijkstra(self):
+        """One domain, no cross edges: every member is its own anchor."""
+        net = _network(
+            [0] * 8,
+            [(i, (i + 1) % 8, 10.0 + i) for i in range(8)] + [(0, 4, 7.0), (2, 6, 30.0)],
+        )
+        assert _pendant_labels(net) == []
+        self._check(net, [6, 0, 3, 5, 1])
 
     def test_multi_homed_stub_domain_is_not_pendant(self):
         # 3 -> 5 is 100 inside the domain but 50 through its two exits.

@@ -11,7 +11,12 @@ from repro.topology.factory import ORACLE_BACKENDS, build_oracle
 from repro.topology.landmark import LandmarkOracle, choose_landmarks
 from repro.topology.latency import LatencyOracle
 from repro.topology.presets import build_preset
-from repro.topology.transit_stub import TransitStubParams, generate_transit_stub
+from repro.topology.transit_stub import (
+    TIER_STUB,
+    PhysicalNetwork,
+    TransitStubParams,
+    generate_transit_stub,
+)
 
 N = 60
 
@@ -147,6 +152,20 @@ class TestAccuracy:
         b = choose_landmarks(network, 2)
         assert np.array_equal(a, b)
         assert np.array_equal(a, np.sort(a))
+
+    def test_landmark_rejects_a_network_without_transit_tier(self):
+        """Landmarks anchor transit domains; a flat network has none."""
+        net = PhysicalNetwork(
+            n=4,
+            edges_u=np.array([0, 1, 2], dtype=np.int32),
+            edges_v=np.array([1, 2, 3], dtype=np.int32),
+            edges_w=np.array([5.0, 5.0, 5.0]),
+            tier=np.full(4, TIER_STUB, dtype=np.int8),
+            domain=np.zeros(4, dtype=np.int32),
+        )
+        net.validate()
+        with pytest.raises(ValueError, match="transit"):
+            LandmarkOracle(net, np.arange(4))
 
 
 FAST = dict(

@@ -72,14 +72,3 @@ def test_cross_domain_probability_contrast():
         results[name] = same
     assert results["small"] > results["large"]
 
-
-def test_waxman_preset_builds():
-    net = build_preset("waxman", RngRegistry(0).stream("w"))
-    assert net.n == 6000
-    assert len(net.stub_hosts) == 6000  # all hosts may join overlays
-
-
-def test_waxman_preset_deterministic():
-    a = build_preset("waxman", RngRegistry(1).stream("w"))
-    b = build_preset("waxman", RngRegistry(1).stream("w"))
-    assert np.array_equal(a.edges_u, b.edges_u)
