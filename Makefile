@@ -12,13 +12,11 @@ lint:
 		python tools/lint.py; \
 	fi
 
-# Invariant analysis (docs/analysis.md): reprolint (the one rule no
-# tier-1 test replaces yet: D5), the style lint, and mypy --strict on
-# the deterministic kernel and the live/obs planes.  reprolint exits 1
-# on any finding; ruff and mypy are optional on offline images,
-# reprolint itself is dependency-free.
+# Static analysis (docs/analysis.md): the style lint and mypy --strict
+# on the deterministic kernel and the live/obs planes; ruff and mypy
+# are optional on offline images.  The protocol's invariants are tier-1
+# tests (the seeded sweep in tests/properties/test_stream_ownership.py).
 analyze:
-	python -m tools.reprolint
 	@$(MAKE) --no-print-directory lint
 	@if command -v mypy >/dev/null 2>&1; then \
 		mypy --strict -p repro.core -p repro.net -p repro.metrics \

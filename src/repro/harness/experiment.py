@@ -30,7 +30,7 @@ from repro.baselines.pns import PNSChordOverlay
 from repro.core.config import PROPConfig
 from repro.core.protocol import PROPEngine
 from repro.metrics.stretch import stretch as stretch_metric
-from repro.net.engine import MessagePROPEngine, NetConfig
+from repro.net.engine import MessagePROPEngine
 from repro.net.faults import FaultyTransport, PartitionSpec
 from repro.net.transport import SimTransport
 from repro.netsim.engine import Simulator
@@ -120,7 +120,6 @@ class ExperimentConfig:
     reorder_prob: float = 0.0
     partitions: tuple[str, ...] = ()  # PartitionSpec strings, e.g. "a:b@120-300"
     latency_scale: float = 1.0
-    net: NetConfig | None = None
     # live deployment plane (transport="udp" only)
     live_speedup: float = 60.0  # protocol seconds per wall second
     live_lookup_rate: float = 0.0  # traffic-generator lookups per protocol second
@@ -427,8 +426,7 @@ def build_world(config: ExperimentConfig) -> World:
         if config.transport is not None:
             transport = _build_transport(config, sim, overlay, rngs, tracer)
             engine = MessagePROPEngine(
-                overlay, config.prop, sim, rngs, transport,
-                net=config.net, tracer=tracer,
+                overlay, config.prop, sim, rngs, transport, tracer=tracer,
             )
         else:
             engine = PROPEngine(overlay, config.prop, sim, rngs, tracer=tracer)

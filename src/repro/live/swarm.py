@@ -125,7 +125,7 @@ class Swarm:
         assert config.prop is not None  # ExperimentConfig: transport needs prop
         self.engine = MessagePROPEngine(
             substrate.overlay, config.prop, scheduler, substrate.rngs,
-            self.transport, net=config.net, tracer=tracer,
+            self.transport, tracer=tracer,
         )
 
         if config.churn is not None:

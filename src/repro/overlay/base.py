@@ -58,7 +58,8 @@ class Overlay:
     embedding:
         ``embedding[slot]`` is the member-host index occupying ``slot``.
         Must be a permutation-free injection into ``range(oracle.n)``
-        (two slots can never share a host).
+        (two slots can never share a host).  The overlay keeps its own
+        copy and publishes it as a read-only array.
     """
 
     #: Whether the overlay tolerates free edge rewiring (PROP-O, LTM).
@@ -78,7 +79,7 @@ class Overlay:
         if emb.min() < 0 or emb.max() >= oracle.n:
             raise ValueError("embedding refers to a host outside the oracle")
         self.oracle = oracle
-        self.embedding = emb
+        self._publish(emb)
         self.n_slots = int(emb.size)
         self._adj: list[set[int]] = [set() for _ in range(self.n_slots)]
         self._n_edges = 0
@@ -88,6 +89,15 @@ class Overlay:
         self.embedding_version = 0
         self._edge_cache: tuple[int, np.ndarray, np.ndarray] | None = None
         self._reset_views()
+
+    def _publish(self, emb: np.ndarray) -> None:
+        """Own ``emb`` as the writable ``_emb`` and publish ``embedding``
+        as a read-only view of it: a host moves only through
+        :meth:`swap_embedding` and :meth:`replace_host`, which keep the
+        derived views coherent."""
+        self._emb = emb
+        self.embedding = emb.view()
+        self.embedding.flags.writeable = False
 
     # -- derived per-slot views (DESIGN.md "Derived state") -----------------
 
@@ -276,7 +286,7 @@ class Overlay:
         """PROP-G primitive: the hosts at slots ``a`` and ``b`` trade places."""
         self._check_slot(a)
         self._check_slot(b)
-        emb = self.embedding
+        emb = self._emb
         emb[a], emb[b] = emb[b], emb[a]
         self.embedding_version += 1
         self._host_changed(a)
@@ -298,7 +308,7 @@ class Overlay:
         departed = int(self.embedding[slot])
         if host != departed and bool(np.any(self.embedding == host)):
             raise ValueError(f"host {host} already occupies a slot")
-        self.embedding[slot] = host
+        self._emb[slot] = host
         self.embedding_version += 1
         self._host_changed(slot)
         return departed
@@ -348,7 +358,7 @@ class Overlay:
         shared.
         """
         clone = copy.copy(self)
-        clone.embedding = self.embedding.copy()
+        clone._publish(self._emb.copy())
         clone._adj = [set(s) for s in self._adj]
         clone._edge_cache = None
         clone._reset_views()

@@ -31,6 +31,7 @@ from repro.topology.latency import LatencyOracle
 from repro.topology.transit_stub import generate_transit_stub
 from repro.topology.vivaldi import VivaldiOracle
 from tests.conftest import SMALL_PARAMS
+from tests.properties.util import fresh_sum, stale_views
 
 N_HOSTS = 40  # oracle members: 24 start in the overlay, the rest replace them
 N_SLOTS = 24
@@ -56,16 +57,6 @@ def _build(kind: str, backend: str):
     return ChordOverlay.build(oracle, rng, embedding=embedding)
 
 
-def fresh_sum(ov, slot: int, emb: np.ndarray | None = None) -> float:
-    """The uncached ``neighbor_latency_sum`` formula, over ``emb``."""
-    emb = ov.embedding if emb is None else emb
-    nbrs = ov._adj[slot]
-    if not nbrs:
-        return 0.0
-    idx = np.array(sorted(nbrs), dtype=np.intp)
-    return ov.oracle.sum_to(int(emb[slot]), emb[idx])
-
-
 def reference_var(ov, u: int, v: int) -> float:
     """Swap, measure, swap back — on a private copy of the embedding."""
     before = fresh_sum(ov, u) + fresh_sum(ov, v)
@@ -75,13 +66,7 @@ def reference_var(ov, u: int, v: int) -> float:
 
 
 def assert_no_stale_view(ov) -> None:
-    for s in range(ov.n_slots):
-        if ov._nbr_sorted[s] is not None:
-            assert ov._nbr_sorted[s] == tuple(sorted(ov._adj[s]))
-        if ov._nbr_index[s] is not None:
-            assert ov._nbr_index[s].tolist() == sorted(ov._adj[s])
-        if ov._nbr_sum[s] is not None:
-            assert ov._nbr_sum[s] == fresh_sum(ov, s)
+    assert stale_views(ov) == []
     assert len(ov._nbr_sorted) == len(ov._nbr_index) == len(ov._nbr_sum) == ov.n_slots
 
 
@@ -265,6 +250,20 @@ def test_neighbor_sums_do_not_depend_on_the_edge_history():
     for o in (ov, clone):
         assert o.neighbor_index(0).tolist() == list(o.sorted_neighbors(0))
     assert ov.neighbor_latency_sum(0) == clone.neighbor_latency_sum(0)
+
+
+def test_the_embedding_is_read_only(gnutella):
+    """A host moves only through ``swap_embedding`` / ``replace_host``,
+    which drop the views the move makes stale."""
+    with pytest.raises(ValueError, match="read-only"):
+        gnutella.embedding[0] = gnutella.embedding[1]
+    clone = gnutella.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        clone.embedding[0] = 0
+    before = gnutella.embedding.copy()
+    clone.swap_embedding(0, 1)
+    assert np.array_equal(gnutella.embedding, before)
+    assert clone.embedding.tolist()[:2] == before.tolist()[1::-1]
 
 
 def test_var_evaluation_survives_a_raising_oracle(gnutella):

@@ -21,6 +21,14 @@ stops being one:
   ``frozenset`` in the decision packages iterating in a seeded shuffled
   order, and must give the identical result.
 
+The same hook guards the paper's guarantees, which hold only while the
+overlay changes through the exchange primitives (Theorem 2's
+isomorphism, PROP-O's degrees, Theorem 1's connectivity): a call of an
+overlay mutator from a ``repro`` module outside
+:data:`MUTATION_OWNERS` fails, and every overlay the run builds must
+end with its derived views equal to the uncached formula.  A direct
+write to ``Overlay.embedding`` needs no hook: the array is read-only.
+
 The same runs check the trace plane's other contract: the run reports
 through the injected Tracer only, so nothing reaches stdout, stderr or
 a ``logging`` handler (a log line would bypass the trace's exactly-once
@@ -52,7 +60,9 @@ from repro.core.config import PROPConfig
 from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.live.transport import udp_loopback_available
 from repro.netsim.rng import RngRegistry, derive_seed
+from repro.overlay import Overlay
 from repro.workloads.churn import ChurnConfig
+from tests.properties.util import stale_views
 
 #: stream name (or its family before the ``:``) -> the modules or
 #: packages allowed to draw from it.
@@ -157,10 +167,34 @@ _ENTROPY = frozenset({os.urandom, random._inst.random, random._inst.getrandbits}
 _WATCHED = _WALL_CLOCKS | _ENTROPY
 
 
+#: modules that may call an overlay mutator: the overlay package, the
+#: exchange executors and the baselines' own exchange primitives, and
+#: the physical-topology generators.  ``replace_host`` is not a mutator
+#: here: it is the churn workload's membership boundary, which keeps the
+#: derived views coherent itself.
+MUTATION_OWNERS = ("repro.overlay", "repro.baselines", "repro.topology", "repro.core.exchange")
+
+_MUTATORS = frozenset({"add_edge", "remove_edge", "swap_embedding", "rewire"})
+
+
+def _family(cls: type = Overlay):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _family(sub)
+
+
+# every family is loaded by ``import repro.overlay``, so every override is here
+_MUTATOR_CODES = frozenset(
+    vars(cls)[name].__code__ for cls in _family() for name in _MUTATORS if name in vars(cls))
+_OVERLAY_INIT = Overlay.__init__.__code__
+
+
 @contextmanager
-def _no_wall_clock_or_entropy():
+def _watched():
     """Fail every clock or entropy read a ``repro`` frame makes outside
-    its owners, and every draw from numpy's global ``RandomState``.
+    its owners, every draw from numpy's global ``RandomState``, every
+    overlay mutator a ``repro`` module outside :data:`MUTATION_OWNERS`
+    calls, and every overlay built inside whose derived views end stale.
 
     The read is charged to the innermost ``repro`` frame on the stack.
     A walk that meets an ``asyncio`` frame first is the event loop's
@@ -168,12 +202,27 @@ def _no_wall_clock_or_entropy():
     ``gc.callbacks`` entry first is a collector hook that happened to
     run on top of the run (hypothesis times collections).  The profiler
     sees no Cython call, so the legacy ``np.random.*`` functions are
-    caught by the global state they advance instead.
+    caught by the global state they advance instead.  A mutator call is
+    charged to its immediate caller only: ``rewire`` calling
+    ``remove_edge`` is the overlay's own business.
     """
-    reads: set[str] = set()
+    violations: set[str] = set()
+    overlays: list[Overlay] = []
     gc_hooks = {getattr(cb, "__code__", None) for cb in gc.callbacks}
 
     def hook(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            name = code.co_name  # a name test first: code objects hash slowly
+            if name == "__init__":
+                if code is _OVERLAY_INIT:
+                    overlays.append(frame.f_locals["self"])
+            elif name in _MUTATORS and code in _MUTATOR_CODES:
+                module = frame.f_back.f_globals.get("__name__", "")
+                if module.startswith("repro.") and not _within(module, MUTATION_OWNERS):
+                    owner = type(frame.f_locals["self"]).__name__
+                    violations.add(f"{module} called {owner}.{name}()")
+            return
         if event != "c_call" or arg not in _WATCHED:
             return
         allowed = WALL_CLOCK_OWNERS if arg in _WALL_CLOCKS else ()
@@ -185,7 +234,7 @@ def _no_wall_clock_or_entropy():
                 if not _within(module, allowed):
                     bound = arg.__self__  # a module, a class or random's instance
                     owner = getattr(bound, "__name__", type(bound).__name__)
-                    reads.add(f"{module} called {owner}.{arg.__name__}()")
+                    violations.add(f"{module} called {owner}.{arg.__name__}()")
                 return
             frame = frame.f_back
 
@@ -195,10 +244,12 @@ def _no_wall_clock_or_entropy():
         yield
     finally:
         sys.setprofile(outer)
-    assert not reads, sorted(reads)
+    assert not violations, sorted(violations)
     after = np.random.get_state()
     assert after[2] == before[2] and np.array_equal(after[1], before[1]), (
         "numpy's global RandomState was drawn from")
+    for ov in overlays:
+        assert not stale_views(ov), f"{ov!r}: {stale_views(ov)}"
 
 
 #: the packages whose set iteration could reach a protocol decision
@@ -294,7 +345,7 @@ def _in_repro(record: logging.LogRecord) -> bool:
 
 def _run_silently(config, capsys, caplog):
     caplog.set_level(logging.DEBUG)  # a debug() on a decision path counts too
-    with warnings.catch_warnings(record=True) as caught, _no_wall_clock_or_entropy():
+    with warnings.catch_warnings(record=True) as caught, _watched():
         warnings.simplefilter("always")
         result = run_experiment(config)
     out, err = capsys.readouterr()
@@ -330,7 +381,7 @@ def test_live_udp_run_draws_only_owned_streams_and_emits_nothing(
 
 def test_cli_run_reads_the_wall_clock_only_through_its_owners(capsys):
     """``--monitor``'s ETA is wall time, read through ``repro.obs.prof``."""
-    with _no_wall_clock_or_entropy():
+    with _watched():
         assert repro.cli.main([
             "run", "--preset", "ts-small", "--n", "48", "--policy", "G", "--duration", "600",
             "--sample-interval", "300", "--lookups", "40", "--monitor"]) == 0
@@ -367,12 +418,12 @@ def test_a_clock_read_outside_its_owners_fails():
 
     for fn in (time.time, pc, datetime.datetime.now):
         with pytest.raises(AssertionError, match=rf"repro.core.walk called \w+.{fn.__name__}"):
-            with _no_wall_clock_or_entropy():
+            with _watched():
                 _called_from("repro.core.walk", fn)
 
 
 def test_a_clock_read_inside_its_owners_passes():
-    with _no_wall_clock_or_entropy():
+    with _watched():
         _called_from("repro.live.swarm", time.monotonic)
         _called_from("repro.obs.prof", time.perf_counter_ns)
 
@@ -380,18 +431,57 @@ def test_a_clock_read_inside_its_owners_passes():
 @pytest.mark.parametrize("module", ["repro.core.walk", "repro.live.swarm"])
 def test_unseeded_randomness_fails_everywhere(module):
     with pytest.raises(AssertionError, match=f"{module} called Random.random"):
-        with _no_wall_clock_or_entropy():
+        with _watched():
             _called_from(module, random.random)
     with pytest.raises(AssertionError, match=f"{module} called posix.urandom"):
-        with _no_wall_clock_or_entropy():
+        with _watched():
             _called_from(module, np.random.default_rng)
     state = np.random.get_state()
     try:
         with pytest.raises(AssertionError, match="global RandomState"):
-            with _no_wall_clock_or_entropy():
+            with _watched():
                 _called_from(module, np.random.rand)
     finally:
         np.random.set_state(state)
+
+
+def _triangle(oracle) -> Overlay:
+    ov = Overlay(oracle, np.arange(4))
+    for a, b in ((0, 1), (1, 2), (2, 0)):
+        ov.add_edge(a, b)
+    return ov
+
+
+def test_a_mutator_called_outside_its_owners_fails(small_oracle):
+    with pytest.raises(AssertionError, match=r"repro.workloads.x called Overlay.add_edge\(\)"):
+        with _watched():
+            _called_from("repro.workloads.x", _triangle(small_oracle).add_edge, 0, 3)
+
+
+def test_a_mutator_called_inside_its_owners_passes(small_oracle):
+    with _watched():
+        ov = _triangle(small_oracle)
+        _called_from("repro.core.exchange", ov.swap_embedding, 0, 3)
+        _called_from("repro.baselines.ltm", ov.rewire, 0, 1, 0, 3)
+
+
+def test_a_poisoned_neighbor_sum_fails_the_view_check(small_oracle):
+    with pytest.raises(AssertionError, match=r"_nbr_sum\[0\]"):
+        with _watched():
+            ov = _triangle(small_oracle)
+            ov._nbr_sum[0] = ov.neighbor_latency_sum(0) + 1.0
+
+
+def test_a_stale_edge_cache_fails_the_view_check(small_oracle):
+    """An edge added behind ``add_edge``'s back moves no version, so the
+    cached edge arrays still claim to be current."""
+    with pytest.raises(AssertionError, match="_edge_cache at topology_version 3"):
+        with _watched():
+            ov = _triangle(small_oracle)
+            ov.edge_arrays()
+            ov._adj[0].add(3)
+            ov._adj[3].add(0)
+            ov._n_edges += 1
 
 
 def test_an_order_dependent_result_fails_under_shuffled_sets(monkeypatch):

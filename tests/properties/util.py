@@ -14,7 +14,8 @@ import numpy as np
 from repro.overlay.base import Overlay
 from repro.topology.latency import LatencyOracleBase
 
-__all__ = ["FakeOracle", "random_connected_overlay", "random_prop_o_step"]
+__all__ = ["FakeOracle", "fresh_sum", "random_connected_overlay", "random_prop_o_step",
+           "stale_views"]
 
 
 class FakeOracle(LatencyOracleBase):
@@ -87,3 +88,37 @@ def random_prop_o_step(ov: Overlay, rng: np.random.Generator, m_max: int = 4):
     if not give_u:
         return None
     return u, v, give_u, give_v, var, path
+
+
+def fresh_sum(ov: Overlay, slot: int, emb: np.ndarray | None = None) -> float:
+    """The uncached ``neighbor_latency_sum`` formula, over ``emb``."""
+    emb = ov.embedding if emb is None else emb
+    nbrs = ov._adj[slot]
+    if not nbrs:
+        return 0.0
+    idx = np.array(sorted(nbrs), dtype=np.intp)
+    return ov.oracle.sum_to(int(emb[slot]), emb[idx])
+
+
+def stale_views(ov: Overlay) -> list[str]:
+    """Where ``ov``'s adjacency or cached views differ from the uncached
+    formula (DESIGN.md "Derived state"); empty when they all agree."""
+    adj = ov._adj
+    stale = [f"edge ({s}, {t}) is one-sided" for s, nbrs in enumerate(adj)
+             for t in sorted(nbrs) if s not in adj[t]]
+    if 2 * ov._n_edges != sum(map(len, adj)):
+        stale.append(f"_n_edges {ov._n_edges} for {sum(map(len, adj))} endpoints")
+    for s, nbrs in enumerate(adj):
+        order = sorted(nbrs)
+        if ov._nbr_sorted[s] not in (None, tuple(order)):
+            stale.append(f"_nbr_sorted[{s}]")
+        if ov._nbr_index[s] is not None and ov._nbr_index[s].tolist() != order:
+            stale.append(f"_nbr_index[{s}]")
+        if ov._nbr_sum[s] is not None and ov._nbr_sum[s] != fresh_sum(ov, s):
+            stale.append(f"_nbr_sum[{s}] = {ov._nbr_sum[s]!r}, uncached {fresh_sum(ov, s)!r}")
+    cache = ov._edge_cache
+    if cache is not None and cache[0] == ov.topology_version:
+        cached = set(zip(cache[1].tolist(), cache[2].tolist()))
+        if cached != set(ov.iter_edges()) or len(cached) != cache[1].size:
+            stale.append(f"_edge_cache at topology_version {cache[0]}")
+    return stale

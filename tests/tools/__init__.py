@@ -1,1 +1,2 @@
-"""Tests for the repo tooling (tools/)."""
+"""Tests for the repo tooling (tools/) and the source tree's shape:
+references, reachability, typing."""

@@ -11,8 +11,7 @@ it a caller.
 import ast
 from pathlib import Path
 
-from tools.reprolint.engine import Finding, Project, load_module
-from tools.reprolint.graph import ModuleGraph
+from tests.tools.module_graph import ModuleGraph, ModuleInfo, Project
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -43,16 +42,14 @@ UNREACHED_DEFS: dict[str, str] = {
 ROOT_MODULES = frozenset({"repro.cli"})
 
 def _graph_and_roots() -> tuple[ModuleGraph, set[str], set[str]]:
-    project = Project(REPO / "src" / "repro", repo=REPO)
+    project = Project(REPO / "src" / "repro")
     program = set(project.modules)
     modules = dict(project.modules)
     scripts = [*sorted((REPO / "benchmarks").rglob("*.py")),
                *sorted((REPO / "examples").glob("*.py"))]
     for path in scripts:
         name = ".".join(path.relative_to(REPO).with_suffix("").parts)
-        loaded = load_module(path, name, REPO)
-        assert not isinstance(loaded, Finding), f"unparseable root: {path}"
-        modules[name] = loaded
+        modules[name] = ModuleInfo(path, name)
     roots = set(modules) - program
     roots |= {m for m in program if m == "repro.cli" or m.endswith(".__main__")}
     return ModuleGraph(modules), roots, program

@@ -2,9 +2,9 @@
 
 A deleted Make target, CLI subcommand or bench module must take its
 mentions with it: this walks the user-facing documents and checks each
-``make <target>``, ``python -m repro <sub>`` (the one entry point),
-``python -m tools.reprolint --flag`` and ``benchmarks/*.py`` reference
-against the Makefile, the real argument parsers and the tree.
+``make <target>``, ``python -m repro <sub>`` (the one entry point) and
+``benchmarks/*.py`` reference against the Makefile, the real argument
+parser and the tree, and that none names the retired analyzer.
 ``benchmarks/ledger/**``, ``CHANGES.md`` and ``ROADMAP.md`` are history
 or out of reach and are not scanned.  The Fig 5–7 benches are checked
 the same way against the one figure definition they must run, and every
@@ -20,10 +20,7 @@ from pathlib import Path
 
 import repro.baselines
 import repro.cli
-import tools.reprolint
-import tools.reprolint.__main__
 from repro.harness.figures import FIGURE_IDS, figure_configs
-from tools.reprolint.rules import ExchangeAtomicity
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -42,7 +39,6 @@ _MAKE = re.compile(r"\bmake\s+([a-z][a-z0-9-]*)")
 _PYTHON_M = re.compile(
     r"python3?\s+-m\s+(repro(?:\.\w+)*)(?![\w.])[ \t]+([a-z][a-z0-9/|-]*)"
 )
-_REPROLINT = re.compile(r"python3?\s+-m\s+tools\.reprolint\b([^\n#|;&]*)")
 _BENCH_PATH = re.compile(r"\b(?:benchmarks/((?:\w+/)*\w+\.py)|(bench_\w+\.py))")
 _MD_CODE = re.compile(r"```.*?```|`[^`\n]+`", re.S)
 
@@ -97,38 +93,13 @@ def test_every_cli_subcommand_named_in_docs_makefile_and_ci_exists():
     assert not missing, sorted(missing)
 
 
-def test_every_reprolint_flag_named_in_docs_makefile_and_ci_exists():
-    parser = tools.reprolint.__main__.build_parser()
-    known = {opt for action in parser._actions for opt in action.option_strings}
-    assert "--root" in known
-    missing = set()
-    seen = 0
-    for path in [*DOCS, CI, MAKEFILE]:
-        for args in _REPROLINT.findall(_command_text(path)):
-            seen += 1
-            for flag in re.findall(r"(?<![\w-])--[a-z][a-z-]*", args):
-                if flag not in known:
-                    missing.add(f"{path.relative_to(REPO)}: python -m tools.reprolint {flag}")
-    assert seen >= 3  # Makefile + docs/analysis.md at least
-    assert not missing, sorted(missing)
-
-
-def test_docs_name_exactly_the_registered_rules():
-    """The rules table, the package docstring and the Makefile comment
-    list the one rule reprolint runs: a retired rule takes its mentions
-    with it."""
-    registered = [ExchangeAtomicity.id]
-    analysis = (REPO / "docs" / "analysis.md").read_text(encoding="utf-8")
-    table = analysis.split("## The rule that stays", 1)[1].split("\n## ", 1)[0]
-    makefile = MAKEFILE.read_text(encoding="utf-8").split("\nanalyze:", 1)[0]
-    named = {
-        "docs/analysis.md": re.findall(r"^\| ([A-Z]\d) \|", table, re.M),
-        "tools/reprolint/__init__.py": re.findall(
-            r"\*\*([A-Z]\d)\*\*", tools.reprolint.__doc__),
-        "Makefile": re.findall(r"\b[A-Z]\d\b", makefile.rsplit("\n\n", 1)[1]),
-    }
-    for where, ids in named.items():
-        assert sorted(ids) == registered, where
+def test_no_doc_makefile_or_ci_file_names_the_retired_analyzer():
+    """The AST analyzer under ``tools/`` is gone: its last rule, D5, is
+    the seeded sweep's mutation-boundary and view check plus the
+    read-only ``Overlay.embedding``."""
+    naming = [str(path.relative_to(REPO)) for path in [*DOCS, CI, MAKEFILE]
+              if re.search(r"\breprolint\b", path.read_text(encoding="utf-8"))]
+    assert not naming, naming
 
 
 def _figure_sweeps(tree: ast.AST) -> list[ast.expr]:

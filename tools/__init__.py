@@ -1,1 +1,1 @@
-"""Repository tooling: the lint fallback and the reprolint analyzer."""
+"""Repository tooling: the lint fallback and the ledger pair runner."""
