@@ -4,7 +4,8 @@ Everything below :mod:`repro.net` is transport-agnostic by design; this
 package supplies the *real* backend: the swarm's peers share one UDP
 endpoint on an asyncio event loop, protocol timers are wall-clock
 timers, and every message is one datagram encoded by
-:mod:`repro.live.codec`.  The same
+:mod:`repro.live.codec` — except a ping fan-out, whose pings travel as
+one ``PING_FANOUT`` datagram.  The same
 :class:`~repro.net.engine.MessagePROPEngine` state machine that runs
 deterministically over :class:`~repro.net.transport.SimTransport` runs
 here unchanged — the deployment plane swaps the clock and the wire,
@@ -13,7 +14,7 @@ never the protocol.
 Module map:
 
 * :mod:`repro.live.codec` — versioned wire format for every
-  :mod:`repro.net.messages` dataclass;
+  :mod:`repro.net.messages` dataclass (``WIRE_TYPES``);
 * :mod:`repro.live.clock` — :class:`LiveScheduler`, the wall-clock
   drop-in for the :class:`~repro.netsim.engine.Simulator` scheduling
   vocabulary (``now`` / ``schedule`` / ``schedule_at``), with a

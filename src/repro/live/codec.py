@@ -1,17 +1,19 @@
 """Datagram wire codec for the :mod:`repro.net.messages` grammar.
 
-Every datagram is one encoded message::
+Every datagram is one encoded frame::
 
     +--------+--------+---------+---------+----------------------+
     | u8 ver | u8 tag | i32 src | i32 dst | payload fields ...   |
     +--------+--------+---------+---------+----------------------+
 
 ``ver`` is :data:`WIRE_VERSION` (a peer refuses frames from a different
-protocol revision), ``tag`` indexes :data:`~repro.net.messages.MSG_TYPES`
-(the closed wire grammar), and ``src``/``dst`` are the overlay *slots*
-the message travels between — the same slot addressing the simulated
-transport uses, so a decoded message is byte-for-byte the dataclass the
-engine would have received in the simulator.
+protocol revision), ``tag`` indexes :data:`~repro.net.messages.WIRE_TYPES`
+(the closed wire grammar: the protocol messages, then the
+``PING_FANOUT`` frame that carries one side's pings), and ``src``/``dst``
+are the overlay *slots* the message travels between — the same slot
+addressing the simulated transport uses, so a decoded message is
+byte-for-byte the dataclass the engine would have received in the
+simulator.
 
 Payload fields are encoded in dataclass declaration order, each by its
 annotated type: ``int`` as a big-endian i64, ``float`` as an f64,
@@ -20,8 +22,7 @@ annotated type: ``int`` as a big-endian i64, ``float`` as an f64,
 are derived from the dataclasses themselves at import time, so adding a
 message type (or a field) extends the codec automatically — the
 round-trip property test in ``tests/live/test_codec.py`` pins this.
-One message travels per datagram, so the datagram length delimits the
-frame.
+One frame travels per datagram, so the datagram length delimits it.
 
 Relation to :meth:`Message.size_bytes() <repro.net.messages.Message.size_bytes>`:
 ``size_bytes`` is the *telemetry model* of the paper's §4.3 accounting
@@ -41,7 +42,7 @@ import struct
 from dataclasses import fields
 from typing import get_type_hints
 
-from repro.net.messages import MSG_TYPES, Message
+from repro.net.messages import WIRE_TYPES, Message
 
 __all__ = [
     "CodecError",
@@ -57,14 +58,16 @@ __all__ = [
 #: v2: every message carries the span-context ids (trace_id, span_id,
 #: parent_id) — three i64 payload fields inherited from ``Message``
 #: (docs/protocol.md, "Wire causality context").
-WIRE_VERSION = 2
+#: v3: tag 7 is the ``PING_FANOUT`` frame, one side's pings in one
+#: datagram (its ``dsts`` slot list is the ``tuple[int, ...]`` layout).
+WIRE_VERSION = 3
 
 #: Acknowledged grammar fingerprint, "<WIRE_VERSION>:<sha256[:16]>" over
 #: every message's name and annotated payload fields in wire-tag order.
 #: tests/live/test_codec.py compares it with :func:`grammar_fingerprint`;
 #: when it stops matching, the grammar changed — update it (the new
 #: value is in the failure) and bump WIRE_VERSION above.
-GRAMMAR_FINGERPRINT = "2:7155b7741ba3710f"
+GRAMMAR_FINGERPRINT = "3:a47eedc8356f7d7a"
 
 _HEADER = struct.Struct("!BBii")  # version, type tag, src slot, dst slot
 _I64 = struct.Struct("!q")
@@ -115,7 +118,7 @@ def grammar_fingerprint() -> str:
     equal it.
     """
     parts = []
-    for name in MSG_TYPES:
+    for name in WIRE_TYPES:
         cls = MESSAGE_CLASSES[name]
         spec = " ".join(
             f"{f.name}:{f.type}"
@@ -129,7 +132,7 @@ def grammar_fingerprint() -> str:
 
 def _message_classes() -> dict[str, type[Message]]:
     """The concrete grammar, keyed by ``type_name``, tag order pinned
-    by :data:`~repro.net.messages.MSG_TYPES`."""
+    by :data:`~repro.net.messages.WIRE_TYPES`."""
     by_name: dict[str, type[Message]] = {}
     stack = [Message]
     while stack:
@@ -137,16 +140,16 @@ def _message_classes() -> dict[str, type[Message]]:
         for sub in cls.__subclasses__():
             by_name[sub.type_name] = sub
             stack.append(sub)
-    missing = [t for t in MSG_TYPES if t not in by_name]
+    missing = [t for t in WIRE_TYPES if t not in by_name]
     if missing:  # pragma: no cover - grammar/codec drift guard
-        raise CodecError(f"MSG_TYPES without a message class: {missing}")
-    return {t: by_name[t] for t in MSG_TYPES}
+        raise CodecError(f"WIRE_TYPES without a message class: {missing}")
+    return {t: by_name[t] for t in WIRE_TYPES}
 
 
 #: type_name -> class, in wire-tag order (index = tag byte).
 MESSAGE_CLASSES: dict[str, type[Message]] = _message_classes()
-_TAG_OF = {name: i for i, name in enumerate(MSG_TYPES)}
-_CLASS_OF_TAG = tuple(MESSAGE_CLASSES[name] for name in MSG_TYPES)
+_TAG_OF = {name: i for i, name in enumerate(WIRE_TYPES)}
+_CLASS_OF_TAG = tuple(MESSAGE_CLASSES[name] for name in WIRE_TYPES)
 _SPECS_OF = {cls: _field_specs(cls) for cls in _CLASS_OF_TAG}
 
 
@@ -218,8 +221,10 @@ def decode(data: bytes) -> Message:
                 offset += _I32.size * count
             else:  # pragma: no cover - _HINT_KINDS names only the arms above
                 raise CodecError(f"field {name}: unhandled wire kind {kind!r}")
-    except struct.error as exc:
+    except (struct.error, IndexError) as exc:  # IndexError: a cut before a bool
         raise CodecError(f"frame truncated decoding {cls.__name__}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise CodecError(f"string field of {cls.__name__} is not UTF-8: {exc}") from None
     if offset != len(data):
         raise CodecError(
             f"{len(data) - offset} trailing bytes after {cls.__name__} payload"

@@ -53,7 +53,10 @@ __all__ = ["Swarm", "SwarmReport"]
 class SwarmReport:
     """What a finished swarm run measured, beyond the run record's
     metrics (:meth:`~repro.live.transport.UdpTransport.wire_counters`,
-    :meth:`~repro.live.traffic.TrafficGenerator.metrics`)."""
+    :meth:`~repro.live.traffic.TrafficGenerator.metrics`).
+
+    ``datagrams_sent`` counts datagrams, not messages: a ping fan-out is
+    one datagram and ``len(dsts)`` messages in ``net_stats``."""
 
     probes: int
     datagrams_sent: int
@@ -211,7 +214,7 @@ class Swarm:
             self.tracer.close(duration)
         return SwarmReport(
             probes=self.engine.counters.probes,
-            datagrams_sent=self.transport.stats.total_sent,
+            datagrams_sent=self.transport.datagrams_sent,
             codec_errors=self.transport.codec_errors,
             net_stats=self.transport.stats,
             lookup_samples=list(self.traffic.samples) if self.traffic else [],

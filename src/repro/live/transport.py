@@ -32,12 +32,20 @@ stack:
   wire latency is effectively zero on the protocol timescale — the live
   analogue of ``latency_scale=0``.  ``extra_delay_ms`` is still honored
   (in protocol milliseconds) by deferring the transmit on the scheduler.
-* **Every message is a datagram.**  ``send_pings`` sends one
-  ``VAR_PROBE`` datagram per ping, and each reaches the destination's
-  handler; the simulated plane only counts them.
+* **A ping fan-out is one datagram.**  ``send`` transmits one datagram
+  per message, and each reaches its destination's handler.
+  ``send_pings`` transmits one side's whole fan-out as one
+  :class:`~repro.net.messages.PingFanout` frame, booked as ``len(dsts)``
+  ``VAR_PROBE`` sends.  Its receipt (:meth:`UdpTransport._deliver_pings`)
+  runs no handler — a ping is inert — and books ``len(dsts)`` deliveries
+  with the same trace records the simulated plane's batch writes
+  (:func:`~repro.net.transport.book_pings_delivered`).  So ``stats``
+  counts messages, as on the simulated plane, and ``datagrams_sent``
+  counts datagrams.
 * **Loss is real, and booked where it can be seen.**  A ``sendto`` that
   fails (any ``OSError``, ``EAGAIN`` included) is booked as dropped
-  (reason ``send_error``).  The kernel may also drop datagrams under
+  (reason ``send_error``; a fan-out as ``len(dsts)`` ``VAR_PROBE``
+  drops, as it is at close).  The kernel may also drop datagrams under
   receive-buffer pressure: those are never ``record_delivery``-ed, and
   the engine's per-stage timeouts absorb them exactly as they absorb
   injected losses.
@@ -50,20 +58,26 @@ stack:
   ``unsent_at_close``).  It then reads the kernel's own count of the
   datagrams it dropped on the socket (the ``drops`` column of
   ``/proc/net/udp``), so that after a drain
-  ``sent == delivered + dropped + kernel_drops`` holds exactly.
+  ``datagrams_sent == datagrams_read + kernel_drops`` holds exactly.
+  In messages, ``sent == delivered + dropped`` holds exactly when the
+  kernel dropped nothing; each datagram it dropped carried at least one
+  message, so otherwise ``sent - delivered - dropped >= kernel_drops``.
 * **Failures on the receive path are counted, not raised.**  A truncated
   or alien datagram increments ``codec_errors``, a valid frame whose
   ``dst`` is not a slot of this swarm increments ``misrouted``, and any
   other exception — a raising handler or a bug on the receive path —
   increments ``handler_errors``; each is dropped, and a malformed packet
-  never reaches the event loop.  ``tests/live/test_transport.py`` raises
+  never reaches the event loop.  A fan-out naming a slot outside the
+  swarm is ``misrouted`` whole.  ``tests/live/test_transport.py`` raises
   inside each and checks the next datagram is still delivered.  These
-  three, ``wire_bytes_sent`` and ``kernel_drops`` reach the run record as
-  ``transport.*`` metrics through :meth:`UdpTransport.wire_counters`.
+  three, the datagram counts, ``wire_bytes_sent`` and ``kernel_drops``
+  reach the run record as ``transport.*`` metrics through
+  :meth:`UdpTransport.wire_counters`.
 
 With a :class:`~repro.obs.prof.KernelProfiler` in :attr:`UdpTransport.profiler`
 each handler call is one profiled event, filed under ``deliver:<T>``
-exactly as the simulator files its delivery events.
+exactly as the simulator files its delivery events; a fan-out's receipt
+is one ``deliver:VAR_PROBE`` event, as the simulator's ping batch is.
 """
 
 from __future__ import annotations
@@ -77,8 +91,15 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.live.clock import LiveScheduler
 from repro.live.codec import CodecError, decode, encode
-from repro.net.messages import Message, VarProbe
-from repro.net.transport import Handler, TransportStats, trace_send, trace_tag
+from repro.net.messages import Message, PingFanout, VarProbe
+from repro.net.transport import (
+    Handler,
+    TransportStats,
+    book_pings_delivered,
+    book_pings_sent,
+    trace_send,
+    trace_tag,
+)
 from repro.obs.events import MsgDeliverEvent, SpanEndEvent
 from repro.obs.trace import NULL_TRACER, TracerLike
 
@@ -98,6 +119,7 @@ _MAX_DATAGRAM = 65535
 #: Linux default a backlog of ~300 datagrams overflows it, and the kernel
 #: drops the rest (counted in ``RcvbufErrors`` of ``/proc/net/snmp``).
 _RCVBUF_BYTES = 4 << 20
+_PING = VarProbe.type_name
 
 
 def udp_loopback_available(timeout: float = 1.0) -> bool:
@@ -122,6 +144,14 @@ def udp_loopback_available(timeout: float = 1.0) -> bool:
         for s in (a, b):
             if s is not None:
                 s.close()
+
+
+def _booked_as(msg: Message) -> tuple[str, int]:
+    """The type and number of messages a frame is booked as: a fan-out
+    is its pings."""
+    if type(msg) is PingFanout:
+        return _PING, len(msg.dsts)
+    return msg.type_name, 1
 
 
 def _socket_drops(sock: socket.socket) -> int | None:
@@ -168,6 +198,9 @@ class UdpTransport:
         self.misrouted = 0
         self.handler_errors = 0
         self.wire_bytes_sent = 0
+        #: Datagrams ``sendto`` took, and datagrams read off the socket.
+        self.datagrams_sent = 0
+        self.datagrams_read = 0
         #: The kernel's drops on the socket, read by :meth:`drain`;
         #: ``None`` until then, and where ``/proc/net/udp`` is unreadable.
         self.kernel_drops: int | None = None
@@ -240,11 +273,14 @@ class UdpTransport:
 
     def send_pings(self, src: int, dsts: Sequence[int], cycle: int, *,
                    trace_id: int = -1, span_id: int = -1, parent_id: int = -1) -> None:
-        """One ``VAR_PROBE`` datagram per ping, in fan-out order."""
-        step = 1 if span_id >= 0 else 0
-        for i, dst in enumerate(dsts):
-            self.send(VarProbe(src=src, dst=dst, cycle=cycle, trace_id=trace_id,
-                               span_id=span_id + step * i, parent_id=parent_id))
+        """The fan-out as one ``PING_FANOUT`` datagram, booked as
+        ``len(dsts)`` ``VAR_PROBE`` sends; an empty one sends nothing."""
+        if self._muted or not dsts:
+            return
+        book_pings_sent(self.stats, self.tracer, src, dsts, cycle, trace_id, span_id,
+                        parent_id)
+        self._transmit(PingFanout(src=src, dst=-1, cycle=cycle, dsts=tuple(dsts),
+                                  trace_id=trace_id, span_id=span_id, parent_id=parent_id))
 
     def _transmit_deferred(self, msg: Message) -> None:
         if self._muted:
@@ -260,8 +296,10 @@ class UdpTransport:
             self._sock.sendto(data, self.address)
         except OSError:
             # EAGAIN included: a datagram the kernel refused never arrives
-            self.stats.record_drop(msg.type_name, "send_error")
+            type_name, count = _booked_as(msg)
+            self.stats.record_drop(type_name, "send_error", count)
             return
+        self.datagrams_sent += 1
         self.wire_bytes_sent += len(data)
 
     # -- receive path ------------------------------------------------------
@@ -280,6 +318,7 @@ class UdpTransport:
                 data = recv(_MAX_DATAGRAM)
             except OSError:  # BlockingIOError: the queue is empty
                 return i
+            self.datagrams_read += 1
             take(data)
         return limit
 
@@ -296,6 +335,9 @@ class UdpTransport:
             msg = decode(data)
         except CodecError:
             self.codec_errors += 1
+            return
+        if type(msg) is PingFanout:
+            self._deliver_pings(msg)
             return
         slot = msg.dst
         if not 0 <= slot < self.n_slots:
@@ -325,6 +367,22 @@ class UdpTransport:
         if self.tracer.enabled and msg.span_id >= 0:
             self.tracer.emit(SpanEndEvent, trace=msg.trace_id,
                              span=msg.span_id, status="ok")
+
+    def _deliver_pings(self, frame: PingFanout) -> None:
+        """Book a received fan-out as its pings' deliveries.  No handler
+        runs: a ping is inert, so the engine's dispatch entry is ``None``."""
+        dsts = frame.dsts
+        if not dsts or min(dsts) < 0 or max(dsts) >= self.n_slots:
+            self.misrouted += 1
+            return
+        profiler = self.profiler
+        if profiler is not None:
+            profiler.begin_event()
+        book_pings_delivered(self.stats, self.tracer, frame.src, dsts, frame.cycle,
+                             frame.trace_id, frame.span_id)
+        if profiler is not None:
+            # filed by this method's name, as the simulator's ping batch is
+            profiler.end_event(self._deliver_pings, (frame,))
 
     def drain(self, wall_s: float = _DRAIN_WALL_S) -> int:
         """Stop sending, then deliver what the socket still holds.
@@ -359,9 +417,11 @@ class UdpTransport:
 
     def _book_unread(self, data: bytes) -> None:
         try:
-            self.stats.record_drop(decode(data).type_name, "queued_at_close")
+            type_name, count = _booked_as(decode(data))
         except CodecError:
             self.codec_errors += 1
+            return
+        self.stats.record_drop(type_name, "queued_at_close", count)
 
     def wire_counters(self) -> dict[str, int]:
         """What only a real wire counts, keyed as run-record metrics;
@@ -369,7 +429,9 @@ class UdpTransport:
         counters = {"transport.codec_errors": self.codec_errors,
                     "transport.misrouted": self.misrouted,
                     "transport.handler_errors": self.handler_errors,
-                    "transport.wire_bytes_sent": self.wire_bytes_sent}
+                    "transport.wire_bytes_sent": self.wire_bytes_sent,
+                    "transport.datagrams_sent": self.datagrams_sent,
+                    "transport.datagrams_read": self.datagrams_read}
         if self.kernel_drops is not None:
             counters["transport.kernel_drops"] = self.kernel_drops
         return counters

@@ -7,7 +7,8 @@ decisions (they are ``PROPEngine``'s, inherited), driven by deliveries:
 
 * :mod:`repro.net.messages` — the typed protocol messages (``WALK``,
   ``VAR_PROBE``, ``VAR_REPLY``, ``EXCHANGE_PREPARE``,
-  ``EXCHANGE_COMMIT``, ``EXCHANGE_ABORT``, ``NOTIFY``).
+  ``EXCHANGE_COMMIT``, ``EXCHANGE_ABORT``, ``NOTIFY``), and the
+  ``PING_FANOUT`` frame a datagram plane carries a ping fan-out in.
 * :mod:`repro.net.transport` — the :class:`Transport` interface and the
   deterministic :class:`SimTransport` that delivers through the
   discrete-event simulator with latency ``d(u, v)`` from the oracle.
@@ -24,11 +25,13 @@ from repro.net.engine import MessagePROPEngine, NetConfig, NetCounters
 from repro.net.faults import FaultyTransport, PartitionSpec
 from repro.net.messages import (
     MSG_TYPES,
+    WIRE_TYPES,
     ExchangeAbort,
     ExchangeCommit,
     ExchangePrepare,
     Message,
     Notify,
+    PingFanout,
     VarProbe,
     VarReply,
     Walk,
@@ -37,6 +40,7 @@ from repro.net.transport import SimTransport, Transport, TransportStats
 
 __all__ = [
     "MSG_TYPES",
+    "WIRE_TYPES",
     "ExchangeAbort",
     "ExchangeCommit",
     "ExchangePrepare",
@@ -47,6 +51,7 @@ __all__ = [
     "NetCounters",
     "Notify",
     "PartitionSpec",
+    "PingFanout",
     "SimTransport",
     "Transport",
     "TransportStats",

@@ -51,6 +51,7 @@ from repro.net.messages import (
     ExchangePrepare,
     Message,
     Notify,
+    PingFanout,
     VarProbe,
     VarReply,
     Walk,
@@ -193,9 +194,12 @@ class MessagePROPEngine(PROPEngine):
         self._dispatch: dict[type[Message], Callable[[Any], None] | None] = {
             Walk: self._on_walk,
             # measurement ping: the reply is modelled as free — §4.3
-            # counts one message per collected latency.  Only a
-            # datagram plane delivers one; the simulated plane counts it.
+            # counts one message per collected latency.  Neither plane
+            # hands the engine's pings to a handler: the simulated plane
+            # counts them, the datagram plane carries each fan-out as one
+            # PING_FANOUT frame and books it on receipt.
             VarProbe: None,
+            PingFanout: None,
             VarReply: self._on_var_reply,
             ExchangePrepare: self._on_prepare,
             ExchangeCommit: self._on_commit,

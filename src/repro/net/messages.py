@@ -23,11 +23,13 @@ __all__ = [
     "HEADER_BYTES",
     "INT_BYTES",
     "MSG_TYPES",
+    "WIRE_TYPES",
     "ExchangeAbort",
     "ExchangeCommit",
     "ExchangePrepare",
     "Message",
     "Notify",
+    "PingFanout",
     "VarProbe",
     "VarReply",
     "Walk",
@@ -275,7 +277,30 @@ class Notify(Message):
     type_name: ClassVar[str] = "NOTIFY"
 
 
-#: The wire grammar: every concrete message type, by tag.
+@_message
+@dataclass(frozen=True)
+class PingFanout(Message):
+    """``PING_FANOUT`` — one side's ``VAR_PROBE`` pings in one frame.
+
+    A datagram plane carries each ``Transport.send_pings`` call as one of
+    these instead of one ``VarProbe`` per ping.  ``dsts`` names the
+    pinged slots in fan-out order, and the ``i``-th ping has span id
+    ``span_id + i`` (all stay ``-1`` when ``span_id`` is); ``dst`` is
+    unused (``-1``).  It is booked as ``len(dsts)`` ``VAR_PROBE``
+    messages, never under its own name, and is as ``inert`` as the pings
+    it carries.
+    """
+
+    cycle: int
+    dsts: tuple[int, ...]
+
+    type_name: ClassVar[str] = "PING_FANOUT"
+    inert: ClassVar[bool] = True
+
+
+#: The protocol grammar: every message type the engine sends and books
+#: one at a time, by tag.  The profiler's ``deliver:<T>`` categories and
+#: the transport statistics are keyed by these names.
 MSG_TYPES: tuple[str, ...] = (
     "WALK",
     "VAR_PROBE",
@@ -285,3 +310,8 @@ MSG_TYPES: tuple[str, ...] = (
     "EXCHANGE_ABORT",
     "NOTIFY",
 )
+
+#: The wire grammar, by tag: the protocol types, then the frames that
+#: carry several protocol messages in one datagram.  Appended, so no
+#: protocol type's tag moves.
+WIRE_TYPES: tuple[str, ...] = (*MSG_TYPES, "PING_FANOUT")

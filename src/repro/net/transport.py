@@ -28,7 +28,10 @@ handler and no tap runs for a ping.  With tracing on, every ping still
 gets its own ``MSG_SEND`` / ``SPAN_START`` records at send and
 ``MSG_DELIVER`` / ``SPAN_END`` in the batch.  ``send`` of a
 :class:`~repro.net.messages.VarProbe` takes the same path, so the
-simulated plane has one way to carry a ping.
+simulated plane has one way to carry a ping.  :func:`book_pings_sent`
+and :func:`book_pings_delivered` write those books and records for
+one fan-out; the live plane's one-datagram fan-out calls the same two,
+so both planes book and trace a fan-out alike.
 
 Telemetry: :class:`TransportStats` tallies sends, deliveries, drops,
 bytes and the in-flight gauge per message type; the fault decorator
@@ -59,6 +62,8 @@ __all__ = [
     "SimTransport",
     "Transport",
     "TransportStats",
+    "book_pings_delivered",
+    "book_pings_sent",
     "trace_send",
     "trace_tag",
 ]
@@ -116,11 +121,11 @@ class TransportStats:
         self.delivered[type_name] += count
         self.in_flight -= count
 
-    def record_drop(self, type_name: str, reason: str) -> None:
-        """A message that was sent but will never arrive."""
-        self.dropped[type_name] += 1
-        self.drop_reasons[reason] += 1
-        self.in_flight -= 1
+    def record_drop(self, type_name: str, reason: str, count: int = 1) -> None:
+        """``count`` messages that were sent but will never arrive."""
+        self.dropped[type_name] += count
+        self.drop_reasons[reason] += count
+        self.in_flight -= count
 
 
 def trace_tag(msg: Message) -> int:
@@ -140,6 +145,36 @@ def trace_send(tracer: TracerLike, mtype: str, src: int, dst: int, tag: int,
     if span_id >= 0:
         tracer.emit(SpanStartEvent, trace=trace_id, span=span_id, parent=parent_id,
                     name=f"msg:{mtype}", node=src)
+
+
+def book_pings_sent(stats: TransportStats, tracer: TracerLike, src: int,
+                    dsts: Sequence[int], cycle: int, trace_id: int, span_id: int,
+                    parent_id: int) -> None:
+    """The send side of one ping fan-out: ``len(dsts)`` ``VAR_PROBE``
+    sends and, traced, each ping's :func:`trace_send` records, the
+    ``i``-th with span id ``span_id + i`` (``-1`` throughout when
+    ``span_id`` is)."""
+    stats.record_send(_PING, _PING_BYTES, len(dsts))
+    if tracer.enabled:
+        step = 1 if span_id >= 0 else 0
+        for i, dst in enumerate(dsts):
+            trace_send(tracer, _PING, src, dst, cycle, trace_id, span_id + step * i,
+                       parent_id)
+
+
+def book_pings_delivered(stats: TransportStats, tracer: TracerLike, src: int,
+                         dsts: Sequence[int], cycle: int, trace_id: int,
+                         span_id: int) -> None:
+    """The receipt of one ping fan-out: ``len(dsts)`` ``VAR_PROBE``
+    deliveries and, traced, each ping's ``MSG_DELIVER`` and the
+    ``SPAN_END`` of the span :func:`book_pings_sent` opened for it."""
+    stats.record_delivery(_PING, len(dsts))
+    if tracer.enabled:
+        for dst in dsts:
+            tracer.emit(MsgDeliverEvent, mtype=_PING, src=src, dst=dst, tag=cycle)
+            if span_id >= 0:
+                tracer.emit(SpanEndEvent, trace=trace_id, span=span_id, status="ok")
+                span_id += 1
 
 
 class Transport(Protocol):
@@ -169,8 +204,10 @@ class Transport(Protocol):
         Carries what ``send(VarProbe(src=src, dst=d, cycle=cycle, ...))``
         would for each ``d`` in order, the ``i``-th ping taking span id
         ``span_id + i`` (all stay ``-1`` when ``span_id`` is), except
-        that a transport may leave a ping's flight time unmodelled: the
-        receiver does nothing with it.
+        that the receiver does nothing with a ping, so a transport may
+        leave its flight time unmodelled and carry the whole fan-out in
+        one frame.  Either way it books ``len(dsts)`` ``VAR_PROBE``
+        messages (:func:`book_pings_sent`, :func:`book_pings_delivered`).
         """
         ...  # pragma: no cover - protocol signature
 
@@ -245,13 +282,8 @@ class SimTransport:
         batch event (module docs)."""
         if not dsts:
             return
-        self.stats.record_send(_PING, _PING_BYTES, len(dsts))
-        tracer = self.tracer
-        if tracer.enabled:
-            step = 1 if span_id >= 0 else 0
-            for i, dst in enumerate(dsts):
-                trace_send(tracer, _PING, src, dst, cycle, trace_id, span_id + step * i,
-                           parent_id)
+        book_pings_sent(self.stats, self.tracer, src, dsts, cycle, trace_id, span_id,
+                        parent_id)
         batch = self._batch
         if batch is None:
             # a zero-delay event fires before the clock moves on, so a
@@ -265,14 +297,7 @@ class SimTransport:
         stats = self.stats
         tracer = self.tracer
         for src, dsts, cycle, trace_id, span_id in batch:
-            stats.record_delivery(_PING, len(dsts))
-            if tracer.enabled:
-                for dst in dsts:
-                    tracer.emit(MsgDeliverEvent, mtype=_PING, src=src, dst=dst, tag=cycle)
-                    if span_id >= 0:
-                        tracer.emit(SpanEndEvent, trace=trace_id, span=span_id,
-                                    status="ok")
-                        span_id += 1
+            book_pings_delivered(stats, tracer, src, dsts, cycle, trace_id, span_id)
 
     def _deliver(self, msg: Message) -> None:
         self.stats.record_delivery(msg.type_name)

@@ -56,9 +56,11 @@ __all__ = [
     "wall_monotonic",
 ]
 
-#: Wire grammar, mirrored from :data:`repro.net.messages.MSG_TYPES`.
+#: Protocol grammar, mirrored from :data:`repro.net.messages.MSG_TYPES`.
 #: Mirrored rather than imported because the obs package never imports
-#: from the engines (they import it); a test pins the two in sync.
+#: from the engines (they import it); a test pins the two in sync.  The
+#: wire's ``PING_FANOUT`` frame has no category of its own: its receipt
+#: is filed under ``deliver:VAR_PROBE`` by callback name (below).
 _MSG_TYPE_NAMES = (
     "WALK",
     "VAR_PROBE",
@@ -93,9 +95,10 @@ _CATEGORY_SET = frozenset(CATEGORIES)
 
 #: Scheduled-callback name -> category.  These are the engine-plane
 #: callbacks that reach the simulator's dispatch point; anything not
-#: listed is ``event:other`` (the registry is closed on purpose).  The
-#: simulated transport's ping batch carries no message object, only
-#: ``VAR_PROBE`` fan-outs, so its callback names its category.
+#: listed is ``event:other`` (the registry is closed on purpose).  Both
+#: transports book ping fan-outs in a ``_deliver_pings`` callback — the
+#: simulator's batch of one instant, the live plane's one received
+#: ``PING_FANOUT`` datagram — so that name names its category.
 _BY_CALLBACK_NAME: dict[str, str] = {
     "_deliver_pings": "deliver:VAR_PROBE",
     "_probe_cycle": "timer:probe",
@@ -131,10 +134,11 @@ def classify_event(callback: Callable[..., None], args: tuple[Any, ...]) -> str:
 
     Message deliveries are recognized by the transport's ``_deliver``
     callback carrying the message as ``args[0]``, filed under its wire
-    type; the simulated transport's ``_deliver_pings`` event, which
-    books one instant's ping fan-outs, is one ``deliver:VAR_PROBE``
-    call.  Timer fires are recognized by the callback's name.  The
-    return value is always a member of :data:`CATEGORIES`.
+    type; a transport's ``_deliver_pings`` call, which books a batch of
+    ping fan-outs (one instant's on the simulator, one datagram's on the
+    live plane), is one ``deliver:VAR_PROBE`` call.  Timer fires are
+    recognized by the callback's name.  The return value is always a
+    member of :data:`CATEGORIES`.
     """
     name = getattr(callback, "__name__", "")
     if name == "_deliver" and args:

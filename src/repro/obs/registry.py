@@ -98,8 +98,8 @@ def metrics_snapshot(
       ``transport.*``, and ``transport.max_in_flight`` as a float;
     * ``live`` (the live plane's, already keyed):
       :meth:`~repro.live.transport.UdpTransport.wire_counters` — codec,
-      misroute and handler errors, wire bytes and the kernel's drops on
-      the socket as ``transport.*`` —
+      misroute and handler errors, wire bytes, datagrams sent and read,
+      and the kernel's drops on the socket as ``transport.*`` —
       and :meth:`~repro.live.traffic.TrafficGenerator.metrics` —
       ``live.lookups`` and the float ``live.mean_lookup_ms``.
 

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.live.clock import LiveScheduler
-from repro.live.codec import decode, encode
+from repro.live.codec import WIRE_VERSION, decode, encode
 from repro.live.transport import (
     READS_PER_WAKEUP,
     UdpTransport,
@@ -30,10 +30,11 @@ from repro.live.transport import (
     udp_loopback_available,
 )
 from repro.net.faults import FaultyTransport
-from repro.net.messages import Notify, VarProbe
+from repro.net.messages import Notify, PingFanout, VarProbe
 from repro.net.transport import SimTransport, Transport
 from repro.netsim.engine import Simulator
-from repro.obs.events import SpanEndEvent
+from repro.obs.events import MsgDeliverEvent, MsgSendEvent, SpanEndEvent, SpanStartEvent
+from repro.obs.prof import KernelProfiler
 from repro.obs.trace import Tracer
 
 LOOPBACK = udp_loopback_available()
@@ -226,27 +227,96 @@ class TestUdpSemantics:
         got_at = asyncio.run(body())
         assert got_at and got_at[0] >= 5.0
 
-    def test_pings_are_one_datagram_each_and_reach_the_handler(self):
+    @staticmethod
+    def _fan_out(dsts, *, tracer=None, profiler=None):
+        """``send_pings(0, dsts, 5)`` with span ids from 8, on a three-slot
+        swarm whose handlers log every message; returns the closed
+        transport, the handler log and the ``sendto`` payloads."""
+        class Counted:
+            def __init__(self, sock):
+                self.sock, self.sent = sock, []
+
+            def sendto(self, data, address):
+                self.sent.append(data)
+                return self.sock.sendto(data, address)
+
+            def __getattr__(self, name):
+                return getattr(self.sock, name)
+
         async def body():
             loop = asyncio.get_running_loop()
-            transport = await UdpTransport.create(LiveScheduler(loop), 2)
+            transport = await UdpTransport.create(LiveScheduler(loop), 3, tracer=tracer)
+            transport.profiler = profiler
+            wire = transport._sock = Counted(transport._sock)
             try:
                 seen: list = []
-                transport.register(1, seen.append)
-                transport.send_pings(0, (1, 1, 1), 5, trace_id=2, span_id=8, parent_id=1)
+                for slot in range(3):
+                    transport.register(slot, seen.append)
+                transport.send_pings(0, dsts, 5, trace_id=2, span_id=8, parent_id=1)
+                transport.send(Notify(src=0, dst=1, xid=1, commit=False))  # a marker
                 deadline = loop.time() + 2.0
-                while loop.time() < deadline and len(seen) < 3:
+                while loop.time() < deadline and not seen:
                     await asyncio.sleep(0.005)
-                return transport, seen
+                return transport, seen, wire.sent
             finally:
+                transport._sock = wire.sock
                 transport.close()
 
-        transport, seen = asyncio.run(body())
-        sent = [VarProbe(src=0, dst=1, cycle=5, trace_id=2, span_id=8 + i, parent_id=1)
-                for i in range(3)]
-        assert sorted(seen, key=lambda m: m.span_id) == sent
-        assert transport.wire_bytes_sent == sum(len(encode(m)) for m in sent)
-        assert transport.stats.sent["VAR_PROBE"] == transport.stats.delivered["VAR_PROBE"] == 3
+        return asyncio.run(body())
+
+    def test_a_ping_fanout_is_one_datagram_booked_per_ping(self):
+        profiler = KernelProfiler()
+        transport, seen, wire = self._fan_out((1, 2, 1), profiler=profiler)
+        fanout = PingFanout(src=0, dst=-1, cycle=5, dsts=(1, 2, 1), trace_id=2, span_id=8,
+                            parent_id=1)
+        assert wire[0] == encode(fanout) and len(wire) == 2  # the fan-out, the marker
+        assert (transport.datagrams_sent, transport.datagrams_read) == (2, 2)
+        stats = transport.stats
+        assert stats.sent["VAR_PROBE"] == stats.delivered["VAR_PROBE"] == 3
+        assert stats.bytes_sent - Notify(src=0, dst=1, xid=1, commit=False).size_bytes() \
+            == 3 * VarProbe(src=0, dst=1, cycle=5).size_bytes()
+        assert "PING_FANOUT" not in stats.sent and stats.in_flight == 0
+        assert [m.type_name for m in seen] == ["NOTIFY"]  # no handler ran for a ping
+        # one profiled event per fan-out, filed as the simulator files its batch
+        assert profiler.category_counts == {"deliver:VAR_PROBE": 1, "deliver:NOTIFY": 1}
+
+    def test_a_traced_fanout_writes_the_records_of_each_ping(self):
+        tracer = Tracer()
+        self._fan_out((1, 2, 1), tracer=tracer)
+        pings = [e for e in tracer.events if getattr(e, "mtype", "") == "VAR_PROBE"]
+        assert [(type(e), e.dst, e.tag) for e in pings] == (
+            [(MsgSendEvent, d, 5) for d in (1, 2, 1)]
+            + [(MsgDeliverEvent, d, 5) for d in (1, 2, 1)])
+        starts = [(e.trace, e.span, e.parent, e.name) for e in tracer.events
+                  if isinstance(e, SpanStartEvent)]
+        ends = [(e.trace, e.span, e.status) for e in tracer.events
+                if isinstance(e, SpanEndEvent)]
+        assert starts[:3] == [(2, s, 1, "msg:VAR_PROBE") for s in (8, 9, 10)]
+        assert ends[:3] == [(2, s, "ok") for s in (8, 9, 10)]
+
+    def test_an_empty_fanout_is_never_sent(self):
+        transport, _, wire = self._fan_out(())
+        assert len(wire) == 1  # the marker alone
+        assert transport.stats.total_sent == 1 and "VAR_PROBE" not in transport.stats.sent
+
+    @pytest.mark.parametrize("dsts", [(1, 3), (-1, 1), ()], ids=["past-end", "negative",
+                                                               "empty"])
+    def test_a_fanout_naming_no_slot_here_is_misrouted(self, dsts):
+        # (0, 1) are the two slots: a stray slot misroutes the whole frame
+        stray = encode(PingFanout(src=0, dst=-1, cycle=1, dsts=dsts))
+        transport, seen, escaped = self._survives(stray)
+        assert transport.misrouted == 1 and transport.codec_errors == 0
+        assert transport.stats.delivered == {"VAR_PROBE": 1}  # the probe that followed
+        assert seen == [2]
+        assert escaped == []
+
+    def test_a_previous_wire_version_is_refused(self):
+        # a frame of wire v2, which had no fan-out: refused at decode
+        old = bytes([WIRE_VERSION - 1]) + encode(VarProbe(src=0, dst=1, cycle=1))[1:]
+        transport, seen, escaped = self._survives(old)
+        assert transport.codec_errors == 1
+        assert seen == [2]  # cycle 1 never reached the handler
+        assert escaped == []
 
     def test_wire_bytes_and_closed_transport(self):
         async def body():
@@ -287,7 +357,7 @@ class TestUdpSemantics:
             try:
                 seen: list = []
                 transport.register(1, lambda m: seen.append(m.cycle))
-                transport.send(VarProbe(src=0, dst=1, cycle=1))  # refused
+                transport.send_pings(0, (1, 1, 1), 1)  # refused: three pings lost
                 transport.send(VarProbe(src=0, dst=1, cycle=2))
                 deadline = loop.time() + 2.0
                 while loop.time() < deadline and not seen:
@@ -300,8 +370,10 @@ class TestUdpSemantics:
         transport, seen = asyncio.run(body())
         stats = transport.stats
         assert seen == [2]
-        assert stats.drop_reasons == {"send_error": 1}
-        assert (stats.total_sent, stats.total_delivered, stats.in_flight) == (2, 1, 0)
+        assert stats.drop_reasons == {"send_error": 3}
+        assert stats.dropped == {"VAR_PROBE": 3}
+        assert (stats.total_sent, stats.total_delivered, stats.in_flight) == (4, 1, 0)
+        assert (transport.datagrams_sent, transport.datagrams_read) == (1, 1)
         assert transport.wire_bytes_sent == len(encode(VarProbe(src=0, dst=1, cycle=2)))
 
 
@@ -435,3 +507,18 @@ class TestDrainAtClose:
         if transport.kernel_drops is None:
             pytest.skip("/proc/net/udp unreadable here")
         assert transport.wire_counters()["transport.kernel_drops"] == 0
+
+    def test_a_fanout_left_queued_is_booked_as_its_pings(self):
+        async def body():
+            loop = asyncio.get_running_loop()
+            transport = await UdpTransport.create(LiveScheduler(loop), 4)
+            transport.send_pings(0, (1, 2, 3), 1)  # the loop never runs: it stays queued
+            unread = transport.drain(0.0)
+            transport.close()
+            return transport, unread
+
+        transport, unread = asyncio.run(body())
+        stats = transport.stats
+        assert unread == 1  # one datagram ...
+        assert stats.drop_reasons == {"queued_at_close": 3}  # ... three pings
+        assert stats.dropped == {"VAR_PROBE": 3} and stats.in_flight == 0

@@ -13,7 +13,7 @@ import pytest
 from repro.core.config import PROPConfig
 from repro.net.engine import MessagePROPEngine, NetConfig
 from repro.net import messages
-from repro.net.messages import ExchangeCommit, Message, Notify, VarProbe
+from repro.net.messages import ExchangeCommit, Message, Notify, PingFanout, VarProbe
 from repro.net.transport import SimTransport
 from repro.netsim.engine import Simulator
 from repro.netsim.rng import RngRegistry
@@ -107,9 +107,9 @@ class TestDispatchTable:
         grammar."""
         engine, _, _ = _engine(gnutella)
         assert set(engine._dispatch) == GRAMMAR
-        assert {c.type_name for c in GRAMMAR} == set(messages.MSG_TYPES)
+        assert {c.type_name for c in GRAMMAR} == set(messages.WIRE_TYPES)
         absorbed = [cls for cls, handler in engine._dispatch.items() if handler is None]
-        assert absorbed == [VarProbe]
+        assert absorbed == [VarProbe, PingFanout]
 
     def test_inert_classes_are_exactly_the_absorbed_ones(self, gnutella):
         """The transport batches ``inert`` messages on the promise that

@@ -15,7 +15,9 @@ from repro.net.messages import (
     ExchangeCommit,
     ExchangePrepare,
     Message,
+    WIRE_TYPES,
     Notify,
+    PingFanout,
     VarProbe,
     VarReply,
     Walk,
@@ -31,12 +33,15 @@ ONE_OF_EACH = [
     ExchangeCommit(src=1, dst=0, xid=9),
     ExchangeAbort(src=1, dst=0, xid=9, reason="busy"),
     Notify(src=0, dst=3, xid=9, commit=False),
+    PingFanout(src=1, dst=-1, cycle=7, dsts=(0, 2, 3)),
 ]
 
 
 def test_grammar_covers_every_type():
-    assert sorted(m.type_name for m in ONE_OF_EACH) == sorted(MSG_TYPES)
-    assert len(set(MSG_TYPES)) == len(MSG_TYPES)
+    assert sorted(m.type_name for m in ONE_OF_EACH) == sorted(WIRE_TYPES)
+    assert len(set(WIRE_TYPES)) == len(WIRE_TYPES)
+    # the frame is appended after the protocol types, which keep their tags
+    assert WIRE_TYPES[:-1] == MSG_TYPES
 
 
 @pytest.mark.parametrize("msg", ONE_OF_EACH, ids=lambda m: m.type_name)
@@ -100,7 +105,7 @@ def _instances(cls: type[Message]) -> st.SearchStrategy[Message]:
 _CLASS_OF = {cls.type_name: cls for cls in Message.__subclasses__()}
 
 
-@pytest.mark.parametrize("type_name", MSG_TYPES)
+@pytest.mark.parametrize("type_name", WIRE_TYPES)
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_size_plan_equals_reflective_definition(type_name, data):

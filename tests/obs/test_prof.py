@@ -18,7 +18,8 @@ from repro.cli import main
 from repro.core.config import PROPConfig
 from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.harness.persistence import compare_records, load_record, save_record
-from repro.net.messages import MSG_TYPES, VarProbe
+from repro.live.transport import UdpTransport
+from repro.net.messages import MSG_TYPES, PingFanout, VarProbe
 from repro.net.transport import SimTransport
 from repro.netsim.engine import Simulator
 from repro.obs.prof import (
@@ -163,6 +164,14 @@ class TestClassification:
             profile = sim.profiler.finish()
             assert profile.counts == {"event:other": 2, "deliver:VAR_PROBE": 1}
             assert transport.stats.delivered["VAR_PROBE"] == 5
+
+    def test_live_fanout_receipt_filed_under_deliver_var_probe(self):
+        """The live plane books a received ``PING_FANOUT`` datagram in its
+        own ``_deliver_pings``: one ``deliver:VAR_PROBE`` call, as the
+        simulator's batch, and no category of the frame's own name."""
+        frame = PingFanout(src=0, dst=-1, cycle=1, dsts=(1, 2, 3))
+        assert classify_event(UdpTransport._deliver_pings, (frame,)) == "deliver:VAR_PROBE"
+        assert not any(c.endswith(PingFanout.type_name) for c in CATEGORIES)
 
     def test_unknown_callbacks_land_in_event_other(self):
         assert classify_event(lambda: None, ()) == "event:other"
